@@ -12,14 +12,19 @@
 // Usage:
 //
 //	adfuzz [-seed 1] [-steps 50] [-modules 4] [-files 4] [-funcs 5]
-//	       [-violations 3] [-cuda 1] [-skew 0] [-http=true] [-recover]
-//	       [-batch N] [-v]
+//	       [-violations 3] [-cuda 1] [-skew 0] [-crossfile] [-http=true]
+//	       [-recover] [-batch N] [-v]
 //
 // -recover adds the persistent-store leg: every delta is journaled into
 // a temporary data directory, every step recovers a sixth state from
 // disk (snapshot + journal replay) and byte-compares findings, report,
 // and shard stats, compaction fires mid-run, and the run ends with a
 // truncated-journal crash simulation.
+//
+// -crossfile adds the cross-file mutation kinds: files that call
+// another file's functions, shadow its globals, and close two-file call
+// cycles, plus renames, void flips, and removals of those targets, with
+// the manifest kept exact for every dependent file.
 //
 // -batch N adds the batched-delta leg: a second warm assessor commits
 // the same mutation sequence N deltas at a time through ApplyDeltaBatch
@@ -59,6 +64,7 @@ func run() (int, error) {
 	violFlag := flag.Int("violations", 3, "injected violations per file")
 	cudaFlag := flag.Int("cuda", 1, "CUDA files per module")
 	skewFlag := flag.Float64("skew", 0, "zipf-ish module-size skew (0 = uniform)")
+	crossFlag := flag.Bool("crossfile", false, "add mutations that create and break cross-file reads")
 	httpFlag := flag.Bool("http", true, "include the adserve HTTP path")
 	recoverFlag := flag.Bool("recover", false, "include the persistent-store crash-recovery path")
 	batchFlag := flag.Int("batch", 0, "include the batched-delta path, flushing ApplyDeltaBatch every N steps (0 = off)")
@@ -94,6 +100,7 @@ func run() (int, error) {
 			ViolationsPerFile: *violFlag,
 			CUDAFiles:         *cudaFlag,
 			ModuleSkew:        *skewFlag,
+			CrossFile:         *crossFlag,
 		},
 		HTTP:    *httpFlag,
 		Recover: *recoverFlag,
@@ -127,6 +134,12 @@ func run() (int, error) {
 	fmt.Printf("  mutations: %d add, %d edit, %d remove\n",
 		res.Mutations[corpusgen.MutAdd], res.Mutations[corpusgen.MutEdit],
 		res.Mutations[corpusgen.MutRemove])
+	if *crossFlag {
+		fmt.Printf("  cross-file: %d target, %d reader, %d rename, %d flip, %d remove\n",
+			res.Mutations[corpusgen.MutXTarget], res.Mutations[corpusgen.MutXReader],
+			res.Mutations[corpusgen.MutXRename], res.Mutations[corpusgen.MutXFlip],
+			res.Mutations[corpusgen.MutXRemove])
+	}
 	if *recoverFlag {
 		torn := "torn-tail crash simulation skipped (final step left no journal tail)"
 		if res.TornTailChecked {

@@ -157,7 +157,7 @@ func inspect(d *store.Dir, name string) (int, error) {
 	fmt.Printf("target:     %s\n", snap.Target())
 	fmt.Printf("rules:      %v\n", snap.RuleIDs())
 	fmt.Printf("files:      %d across %d shards\n", nFiles, len(dir))
-	fmt.Printf("shards:     %-20s %6s  %23s %23s %23s  sigs\n", "module", "files", "units(off+len)", "findings(off+len)", "metrics(off+len)")
+	fmt.Printf("shards:     %-20s %6s  %23s %23s %23s\n", "module", "files", "units(off+len)", "findings(off+len)", "metrics(off+len)")
 	uBase, _ := snap.SectionBounds('U')
 	rBase, _ := snap.SectionBounds('R')
 	mBase, _ := snap.SectionBounds('M')
@@ -166,12 +166,8 @@ func inspect(d *store.Dir, name string) (int, error) {
 	}
 	for i := range dir {
 		sh := &dir[i]
-		sigs := "-"
-		if sh.HasSigs {
-			sigs = fmt.Sprintf("%016x/%016x", sh.SigExport, sh.SigGraph)
-		}
-		fmt.Printf("            %-20s %6d  %s %s %s  %s\n",
-			sh.Module, sh.Files, ext(uBase, sh.Units), ext(rBase, sh.Findings), ext(mBase, sh.Metrics), sigs)
+		fmt.Printf("            %-20s %6d  %s %s %s\n",
+			sh.Module, sh.Files, ext(uBase, sh.Units), ext(rBase, sh.Findings), ext(mBase, sh.Metrics))
 	}
 	fmt.Printf("corpus-findings: %s\n", ext(rBase, snap.CorpusExtent()))
 	rep, jb, jerr := cs.ReadJournal(nil)

@@ -2,7 +2,9 @@ package repro_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,9 +67,10 @@ func TestDeltaLatencySmoke(t *testing.T) {
 			t.Fatal("no findings after delta")
 		}
 	}
-	// Warm-up: the first probe appearance changes the export overlay
-	// (one full re-check), and a few more rounds settle allocator and
-	// cache state into the steady state the benchmark measures.
+	// Warm-up: the first probe appearance defines a new name (only the
+	// edited file spells it, so one file is re-checked), and a few more
+	// rounds settle allocator and cache state into the steady state the
+	// benchmark measures.
 	for i := 1; i < 6; i++ {
 		apply(i)
 	}
@@ -86,5 +89,39 @@ func TestDeltaLatencySmoke(t *testing.T) {
 	t.Logf("warm 1-file delta on 10k files: best %v (baseline %v, limit %v)", best, baseline, limit)
 	if best > limit {
 		t.Fatalf("warm delta latency regressed: best %v exceeds 2x recorded baseline %v", best, baseline)
+	}
+
+	// Name-changing delta classes on the same corpus re-check only the
+	// files spelling a changed name — every generated name embeds its
+	// file's slug, so that is the edited file alone, and nothing for a
+	// removal. These rows pin counts, not timings.
+	other := gen.Paths()[len(gen.Paths())/3]
+	var mi, ord int
+	if _, err := fmt.Sscanf(other[strings.LastIndexByte(other, '_')+1:], "m%df%d.cc", &mi, &ord); err != nil {
+		t.Fatalf("parse generated path %s: %v", other, err)
+	}
+	slug, fresh := fmt.Sprintf("M%dX%d", mi, ord), fmt.Sprintf("M%dX%d", mi, ord+1000)
+	renamed := strings.ReplaceAll(gen.Source(other), slug+"N0(", slug+"R0(")
+	copySrc := strings.ReplaceAll(gen.Source(other), slug, fresh)
+	copySrc = strings.ReplaceAll(copySrc, strings.ToLower(slug), strings.ToLower(fresh))
+	copyPath := strings.Replace(other, fmt.Sprintf("f%03d.cc", ord), fmt.Sprintf("f%03d.cc", ord+1000), 1)
+	for _, row := range []struct {
+		name  string
+		delta core.Delta
+		want  int
+	}{
+		{"rename", core.Delta{Changed: []*srcfile.File{{Path: other, Src: renamed}}}, 1},
+		{"add", core.Delta{Changed: []*srcfile.File{{Path: copyPath, Src: copySrc}}}, 1},
+		{"remove", core.Delta{Removed: []string{copyPath}}, 0},
+	} {
+		start := time.Now()
+		if _, err := a.ApplyDelta(row.delta); err != nil {
+			t.Fatal(err)
+		}
+		a.Findings()
+		t.Logf("%s delta on 10k files: %v, %d files re-checked", row.name, time.Since(start), a.RuleFilesChecked())
+		if got := a.RuleFilesChecked(); got != row.want {
+			t.Errorf("%s delta re-checked %d files, want %d", row.name, got, row.want)
+		}
 	}
 }

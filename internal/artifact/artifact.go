@@ -89,6 +89,11 @@ type Index struct {
 	refreshSeq uint64
 	// lastApply describes the most recent Apply (observability).
 	lastApply ApplyStats
+	// feed is the change feed (feed.go): the names whose rule-visible
+	// facts the recent Applies moved, oldest first. Entries of
+	// generations up to feedFloor may have been dropped.
+	feed      []NameChange
+	feedFloor uint64
 }
 
 // ApplyStats describes what one Apply actually touched — the
@@ -114,8 +119,8 @@ func (ix *Index) LastApply() ApplyStats { return ix.lastApply }
 // Gen returns the index generation, bumped by every Build/Apply
 // refresh. Two reads with equal Gen (and equal Index pointer) observe
 // identical cross-file views, so derived caches can key on it. Finer
-// invalidation is available per shard (Shard.Gen) and per overlay
-// (ExportOverlay, GraphOverlay).
+// invalidation is available per shard (Shard.Gen) and per name
+// (ChangesSince).
 func (ix *Index) Gen() uint64 { return ix.gen }
 
 // UnitFuncs returns the cached per-unit function list in source order.

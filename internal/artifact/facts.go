@@ -16,9 +16,9 @@ import (
 // voidness, declaration line, parameter count, complexity, return
 // count, raw callee spellings) and for every unit its file-scope
 // variable names. Those facts are precisely the inputs of the shard
-// export/graph signatures (shard.go), so an index rebuilt from facts
-// reproduces the pre-snapshot overlays bit-for-bit and every cache
-// keyed on them restores warm.
+// views and cross-file maps (shard.go), so an index rebuilt from facts
+// resolves every name exactly as the pre-snapshot index did and every
+// cache built over it restores warm.
 //
 // Restored units are *stubs*: fabricated fact-carrying nodes with no
 // statement bodies. Every consumer that walks real ASTs (the fused rule
@@ -32,7 +32,7 @@ type FuncFacts struct {
 	// Name is the qualified spelling as written ("Detector::Detect").
 	Name string
 	// Void records Ret == nil || Ret.IsVoid() — the only return fact
-	// cross-file consumers (DefensiveRule, the export signature) use.
+	// cross-file consumers (DefensiveRule, the change feed) use.
 	Void bool
 	// Line is the declaration's starting line.
 	Line int
@@ -169,8 +169,8 @@ func AnalyzeUnit(tu *ccast.TranslationUnit) []*Func { return analyzeUnit(tu) }
 
 // BuildFromRecords constructs an index from pre-analyzed per-unit
 // records instead of walking the units — the restore path. The shard
-// partition, per-shard views, signatures, and global cross-file maps
-// are recomputed exactly as Build computes them, so an index restored
+// partition, per-shard views, and global cross-file maps are recomputed
+// exactly as Build computes them, so an index restored
 // from facts is observationally identical to the one that produced
 // them; only the generation counters start fresh.
 func BuildFromRecords(units map[string]*ccast.TranslationUnit, recs map[string][]*Func) (*Index, error) {
@@ -212,9 +212,9 @@ func BuildFromRecords(units map[string]*ccast.TranslationUnit, recs map[string][
 
 // Rehydrate replaces one unit's stub AST and fabricated records with a
 // freshly parsed unit and its real analysis records. It deliberately
-// leaves shard views, signatures, and generations untouched: hydration
-// is only legal when the file content is unchanged since the facts were
-// extracted, so every signature input is identical and downstream
+// leaves shard views, generations, and the change feed untouched:
+// hydration is only legal when the file content is unchanged since the
+// facts were extracted, so every fact is identical and downstream
 // caches stay valid. Champion maps keep the old records by pointer
 // until the shard's next refresh; old and new records carry equal
 // facts, so every consumer observes identical output either way.

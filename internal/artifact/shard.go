@@ -1,11 +1,6 @@
 package artifact
 
-import (
-	"hash/fnv"
-	"sort"
-
-	"repro/internal/par"
-)
+import "sort"
 
 // This file implements the sharded corpus store underneath the Index.
 // Shards are keyed by module (srcfile.File.ModuleName): each shard owns
@@ -17,22 +12,9 @@ import (
 // pointer exactly as before — and the global views are patched from the
 // champion diffs, so a warm Apply costs O(dirty shard), not O(corpus).
 //
-// Each shard also memoizes two signatures over its exported facts,
-// recomputed only when the shard's generation moves:
-//
-//   - the export signature covers what per-file rule handlers read from
-//     other files: every defined function's unqualified name and return
-//     voidness, every file-scope variable name, all hashed in shard path
-//     order together with the paths themselves (so moves and reorders
-//     that could flip a cross-shard champion cannot go unnoticed);
-//   - the graph signature additionally covers each function's full
-//     spelling, declaration line, complexity, return count, and raw
-//     callee list — the inputs of corpus-level rules (recursion SCC) and
-//     of the architectural call-resolution pass.
-//
-// The Index combines the per-shard signatures into ExportOverlay and
-// GraphOverlay in O(#shards); consumers key their caches on the overlays
-// instead of re-hashing the corpus.
+// Apply records, for every name it re-resolves, which rule-visible
+// fact moved (feed.go), so consumers invalidate per name instead of
+// per corpus.
 
 // globalDef records one shard's champion for a file-scope variable name:
 // the defining file (the one with the greatest path — later files
@@ -63,12 +45,6 @@ type Shard struct {
 
 	// gen counts shard refreshes; derived caches key on it.
 	gen uint64
-
-	// sigGen/exportSig/graphSig memoize the signatures per generation.
-	sigGen    uint64
-	sigOK     bool
-	exportSig uint64
-	graphSig  uint64
 }
 
 // Gen returns the shard generation, bumped by every refresh that
@@ -246,67 +222,6 @@ func (sh *Shard) drainChampions() championDiff {
 	return diff
 }
 
-// sigs returns the shard's export and graph signatures, recomputing them
-// only when the shard generation moved since the last computation.
-func (sh *Shard) sigs(ix *Index) (export, graph uint64) {
-	if sh.sigOK && sh.sigGen == sh.gen {
-		return sh.exportSig, sh.graphSig
-	}
-	he := fnv.New64a()
-	hg := fnv.New64a()
-	var num [8]byte
-	writeNum := func(h interface{ Write([]byte) (int, error) }, v uint64) {
-		num[0] = byte(v)
-		num[1] = byte(v >> 8)
-		num[2] = byte(v >> 16)
-		num[3] = byte(v >> 24)
-		num[4] = byte(v >> 32)
-		num[5] = byte(v >> 40)
-		num[6] = byte(v >> 48)
-		num[7] = byte(v >> 56)
-		h.Write(num[:])
-	}
-	sep := []byte{0xff}
-	for _, p := range sh.paths {
-		he.Write([]byte(p))
-		he.Write(sep)
-		hg.Write([]byte(p))
-		hg.Write(sep)
-		for _, fa := range ix.unitFuncs[p] {
-			void := byte('r')
-			if fa.Decl.Ret == nil || fa.Decl.Ret.IsVoid() {
-				void = 'v'
-			}
-			he.Write([]byte(Unqualified(fa.Decl.Name)))
-			he.Write([]byte{0, void})
-			he.Write(sep)
-
-			hg.Write([]byte(fa.Decl.Name))
-			hg.Write([]byte{0, void})
-			writeNum(hg, uint64(fa.Decl.Span().Start.Line))
-			writeNum(hg, uint64(fa.CCN))
-			writeNum(hg, uint64(fa.Returns))
-			for _, c := range fa.Calls {
-				hg.Write([]byte(c))
-				hg.Write([]byte{0})
-			}
-			hg.Write(sep)
-		}
-		tu := ix.Units[p]
-		for _, vd := range tu.GlobalVars() {
-			for _, d := range vd.Names {
-				he.Write([]byte("g\x00" + d.Name))
-				he.Write(sep)
-				hg.Write([]byte("g\x00" + d.Name))
-				hg.Write(sep)
-			}
-		}
-	}
-	sh.exportSig, sh.graphSig = he.Sum64(), hg.Sum64()
-	sh.sigGen, sh.sigOK = sh.gen, true
-	return sh.exportSig, sh.graphSig
-}
-
 // ---------------------------------------------------------------------------
 // Index-level shard plumbing
 
@@ -345,95 +260,6 @@ func (ix *Index) FuncModule(name string) (string, bool) {
 // The rules context shares this map instead of copying it; callers must
 // not mutate it, and must not read it concurrently with Apply.
 func (ix *Index) UnitFuncsMap() map[string][]*Func { return ix.unitFuncs }
-
-// warmSigs recomputes every stale shard signature on a worker pool.
-// The overlay queries below then fold the memoized per-shard values
-// sequentially in sorted module order, so the overlay hashes are
-// byte-identical to the sequential computation. sigs writes only
-// shard-local memo fields, so distinct shards are safe concurrently.
-func (ix *Index) warmSigs() {
-	var stale []*Shard
-	for _, m := range ix.shardNames {
-		sh := ix.shards[m]
-		if !sh.sigOK || sh.sigGen != sh.gen {
-			stale = append(stale, sh)
-		}
-	}
-	par.For(par.Workers(len(stale)), len(stale), func(i int) {
-		stale[i].sigs(ix)
-	})
-}
-
-// ExportOverlay combines the per-shard export signatures into one
-// corpus-wide value. Equal overlays guarantee that every cross-file fact
-// a per-file rule handler can read (function voidness by name, global
-// name membership) is unchanged, so per-file caches keyed on file
-// content stay valid. O(#shards) when the shards' signatures are warm;
-// stale signatures are recomputed in parallel first.
-func (ix *Index) ExportOverlay() uint64 {
-	ix.warmSigs()
-	h := fnv.New64a()
-	var num [8]byte
-	for _, m := range ix.shardNames {
-		e, _ := ix.shards[m].sigs(ix)
-		h.Write([]byte(m))
-		h.Write([]byte{0})
-		for i := 0; i < 8; i++ {
-			num[i] = byte(e >> (8 * i))
-		}
-		h.Write(num[:])
-	}
-	return h.Sum64()
-}
-
-// GraphOverlay combines the per-shard graph signatures. Equal overlays
-// guarantee the corpus call-graph view (every function's name, file,
-// line, complexity, return count, and callees, plus global names) is
-// unchanged, so corpus-level rule output can be reused verbatim.
-func (ix *Index) GraphOverlay() uint64 {
-	ix.warmSigs()
-	h := fnv.New64a()
-	var num [8]byte
-	for _, m := range ix.shardNames {
-		_, g := ix.shards[m].sigs(ix)
-		h.Write([]byte(m))
-		h.Write([]byte{0})
-		for i := 0; i < 8; i++ {
-			num[i] = byte(g >> (8 * i))
-		}
-		h.Write(num[:])
-	}
-	return h.Sum64()
-}
-
-// ShardSigs returns a shard's export and graph signatures (computing
-// them if stale). The snapshot writer persists the pair per shard so a
-// restored index can answer overlay queries without re-hashing facts.
-func (ix *Index) ShardSigs(module string) (export, graph uint64, ok bool) {
-	sh := ix.shards[module]
-	if sh == nil {
-		return 0, 0, false
-	}
-	export, graph = sh.sigs(ix)
-	return export, graph, true
-}
-
-// SeedShardSigs installs precomputed signatures for a shard at its
-// current generation, skipping the fact re-hash on the next overlay
-// query. Only sound when the signatures were computed from exactly the
-// facts the shard now holds — the snapshot restore path, where the
-// persisted facts and the persisted signatures come from the same
-// checksummed snapshot. Any later refresh bumps the generation and
-// recomputes from scratch.
-func (ix *Index) SeedShardSigs(module string, export, graph uint64) bool {
-	sh := ix.shards[module]
-	if sh == nil {
-		return false
-	}
-	sh.exportSig, sh.graphSig = export, graph
-	sh.sigGen, sh.sigOK = sh.gen, true
-	return true
-}
 
 // resolveByName re-resolves the global first-definition-wins champion
 // for one name across all shards.
@@ -490,19 +316,50 @@ func (ix *Index) resolveGlobal(name string) {
 }
 
 // applyChampionDiffs patches the global cross-file views for exactly the
-// names whose within-shard champions changed.
+// names whose within-shard champions changed, and records on the change
+// feed which rule-visible fact of each name moved. A name several shards
+// report is re-resolved once: resolution reads only the final shard
+// views, so one pass per name is exact.
 func (ix *Index) applyChampionDiffs(diffs []championDiff) {
+	var byName, lastDef, globals []string
 	for _, d := range diffs {
-		for _, name := range d.byName {
-			ix.resolveByName(name)
-		}
-		for _, name := range d.lastDef {
-			ix.resolveLastDef(name)
-		}
-		for _, name := range d.globals {
-			ix.resolveGlobal(name)
+		byName = append(byName, d.byName...)
+		lastDef = append(lastDef, d.lastDef...)
+		globals = append(globals, d.globals...)
+	}
+	changes := make(map[string]Change)
+	for _, name := range dedupSorted(byName) {
+		old := ix.ByName[name]
+		ix.resolveByName(name)
+		changes[name] |= championChange(old, ix.ByName[name])
+	}
+	for _, name := range dedupSorted(lastDef) {
+		old := funcModule(ix.lastDef[name])
+		ix.resolveLastDef(name)
+		if funcModule(ix.lastDef[name]) != old {
+			changes[name] |= ModuleChanged
 		}
 	}
+	for _, name := range dedupSorted(globals) {
+		_, had := ix.GlobalNames[name]
+		ix.resolveGlobal(name)
+		if _, has := ix.GlobalNames[name]; has != had {
+			changes[name] |= GlobalChanged
+		}
+	}
+	ix.recordChanges(changes)
+}
+
+// dedupSorted sorts names and drops repeats in place.
+func dedupSorted(names []string) []string {
+	sort.Strings(names)
+	out := names[:0]
+	for i, n := range names {
+		if i == 0 || n != names[i-1] {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // rebuildShardNames re-derives the sorted shard name list.

@@ -17,6 +17,7 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/iso26262"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/srcfile"
 )
@@ -73,6 +74,8 @@ type Assessor struct {
 	// commitHook, when set, observes every CommitDelta before any state
 	// mutates — the write-ahead-journal hook of the persistence layer.
 	commitHook func(changed []*srcfile.File, removed []string) error
+	// metrics receives the counts of the kept slow paths (SetMetrics).
+	metrics FallbackMetrics
 
 	// gen counts observable-state generations: it advances on every load
 	// and every commit that changed the corpus (no-op deltas keep it).
@@ -165,9 +168,29 @@ func (a *Assessor) Findings() []rules.Finding {
 		ctx := rules.NewContextFromIndex(a.Index())
 		a.findings = a.ruleEng.Run(ctx)
 		a.stats = a.ruleEng.Stats()
+		if a.ruleEng.LastFullRecheck() {
+			a.metrics.FullRechecks.Inc()
+		}
 	}
 	return a.findings
 }
+
+// FallbackMetrics are the instruments the assessor's kept slow paths
+// record into. Nil fields record nothing.
+type FallbackMetrics struct {
+	// StubsHydrated counts snapshot-restored stub units re-parsed on
+	// demand because the rule engine had to re-walk them.
+	StubsHydrated *obs.Counter
+	// FullRechecks counts warm rule runs that re-checked every file
+	// because the engine fell behind the index change feed or the feed
+	// named too many changed names to scan for (rules.Sharded
+	// .LastFullRecheck).
+	FullRechecks *obs.Counter
+}
+
+// SetMetrics attaches (or, with the zero value, detaches) the fallback
+// instruments. Like every Assessor method it must not race with others.
+func (a *Assessor) SetMetrics(m FallbackMetrics) { a.metrics = m }
 
 // Stats returns aggregated finding statistics.
 func (a *Assessor) Stats() *rules.Stats {

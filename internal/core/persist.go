@@ -33,9 +33,10 @@ import (
 //
 // Stub units are hydrated — re-parsed into real ASTs — lazily, the
 // moment the rule engine needs to re-walk them (a content edit arrives
-// freshly parsed through the delta path; an environment invalidation
-// re-walks untouched files and triggers hydration). Hydration is
-// content-preserving, so every signature and cache key stays valid.
+// freshly parsed through the delta path; a delta that moves a name's
+// cross-file facts re-walks the untouched files spelling that name and
+// hydrates exactly those). Hydration is content-preserving, so every
+// fact and cache key stays valid.
 
 // PersistedFile is the serializable projection of one corpus file.
 type PersistedFile struct {
@@ -67,11 +68,6 @@ type PersistedState struct {
 	CorpusFindings []rules.Finding
 	// MetricRows maps every unit path to its metrics row.
 	MetricRows map[string]*metrics.FileMetrics
-	// ShardSigs maps each module shard to its (export, graph) signature
-	// pair at snapshot time. Optional: restore seeds them so the index
-	// answers overlay queries without re-hashing the facts; when absent
-	// the signatures are recomputed from the (identical) restored facts.
-	ShardSigs map[string][2]uint64
 }
 
 // ruleIDs lists a rule set's IDs in engine order.
@@ -117,22 +113,15 @@ func (a *Assessor) ExportState() (*PersistedState, error) {
 	for _, p := range ix.Paths {
 		st.Units = append(st.Units, ix.UnitFacts(p))
 	}
-	st.ShardSigs = make(map[string][2]uint64, len(ix.ShardNames()))
-	for _, m := range ix.ShardNames() {
-		if e, g, ok := ix.ShardSigs(m); ok {
-			st.ShardSigs[m] = [2]uint64{e, g}
-		}
-	}
 	return st, nil
 }
 
 // StateSource is the lazy face of a snapshot: the restore path pulls
-// the cheap corpus skeleton (files, per-unit facts, shard signatures)
-// eagerly and defers each shard's finding segments and metric rows
-// until the caches first touch that shard. internal/store's Snapshot
-// implements it over the raw snapshot bytes (decoding one shard block
-// per call); stateSource below adapts an eagerly decoded
-// PersistedState to the same shape.
+// the cheap corpus skeleton (files, per-unit facts) eagerly and defers
+// each shard's finding segments and metric rows until the caches first
+// touch that shard. internal/store's Snapshot implements it over the
+// raw snapshot bytes (decoding one shard block per call); stateSource
+// below adapts an eagerly decoded PersistedState to the same shape.
 //
 // Shard grouping must match the artifact index's: a module's units are
 // exactly the units whose file has that ModuleName, listed in sorted
@@ -147,9 +136,6 @@ type StateSource interface {
 	Files() ([]PersistedFile, error)
 	// ShardNames lists the module shards in sorted order.
 	ShardNames() []string
-	// ShardSigs returns a shard's persisted (export, graph) signature
-	// pair; ok=false means restore recomputes them from the facts.
-	ShardSigs(module string) (export, graph uint64, ok bool)
 	// ShardUnits returns a shard's per-unit facts in sorted path order.
 	ShardUnits(module string) ([]artifact.UnitFacts, error)
 	// CorpusFindings returns the corpus-level finding segment.
@@ -304,9 +290,6 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 		if !equalStrings(ix.Shard(m).Paths(), seeds.paths[m]) {
 			return nil, fmt.Errorf("core: snapshot shard %q path list does not match the restored index", m)
 		}
-		if e, g, ok := src.ShardSigs(m); ok {
-			ix.SeedShardSigs(m, e, g)
-		}
 	}
 	corpus, err := src.CorpusFindings()
 	if err != nil {
@@ -403,11 +386,6 @@ func (s *stateSource) RuleIDs() []string               { return s.st.RuleIDs }
 func (s *stateSource) Files() ([]PersistedFile, error) { return s.st.Files, nil }
 func (s *stateSource) ShardNames() []string            { return s.names }
 
-func (s *stateSource) ShardSigs(m string) (uint64, uint64, bool) {
-	sig, ok := s.st.ShardSigs[m]
-	return sig[0], sig[1], ok
-}
-
 func (s *stateSource) ShardUnits(m string) ([]artifact.UnitFacts, error) {
 	return s.units[m], nil
 }
@@ -449,7 +427,7 @@ func (a *Assessor) StubUnits() int { return len(a.stubs) }
 // real ASTs (and re-analyzed records) into the index in place. Invoked
 // by the rule engine at a sequential point before it walks dirty files.
 // The corpus content of a stub is by construction unchanged since the
-// snapshot, so hydration changes no signature, hash, or cache key.
+// snapshot, so hydration changes no fact, hash, or cache key.
 func (a *Assessor) hydratePaths(paths []string) {
 	var todo []string
 	for _, p := range paths {
@@ -475,6 +453,7 @@ func (a *Assessor) hydratePaths(paths []string) {
 		a.ix.Rehydrate(tus[i], artifact.AnalyzeUnit(tus[i]))
 		delete(a.stubs, p)
 	}
+	a.metrics.StubsHydrated.Add(int64(len(todo)))
 }
 
 func equalStrings(a, b []string) bool {

@@ -70,6 +70,11 @@ type Params struct {
 	// ones — are what the sharded incremental pipeline has to survive,
 	// so the knob makes them generatable and replayable.
 	ModuleSkew float64
+	// CrossFile adds the cross-file mutation kinds (crossfile.go) to
+	// Mutate's draw: files that read other files' function voidness,
+	// globals, and call-graph edges. It changes no generated file and
+	// no mutation sequence while off.
+	CrossFile bool
 }
 
 // DefaultParams mirrors a small Apollo-like tree suitable for fuzz steps.
@@ -249,6 +254,8 @@ type Generator struct {
 	mods []string       // module names in order
 
 	paths []string // current paths in insertion order (deterministic)
+
+	cross crossState // cross-file files (Params.CrossFile)
 }
 
 // New builds the initial corpus for the given params and seed.
@@ -321,13 +328,22 @@ type Mutation struct {
 	Src string
 }
 
-// Mutate applies one random edit (add / edit / remove a file) to the
-// generator's corpus and manifest, returning the applied mutation. The
-// corpus never drops below one file.
+// Mutate applies one random edit (add / edit / remove a file, plus the
+// cross-file kinds when Params.CrossFile is set) to the generator's
+// corpus and manifest, returning the applied mutation. The corpus never
+// drops below one file.
 func (g *Generator) Mutate() Mutation {
-	k := g.rng.Intn(3)
-	if len(g.paths) <= 1 && k == 2 {
-		k = g.rng.Intn(2) // never empty the corpus
+	n := 3
+	if g.p.CrossFile {
+		n += len(crossKinds)
+	}
+	k := g.rng.Intn(n)
+	if k >= 3 {
+		return g.mutateCross(crossKinds[k-3])
+	}
+	pool := g.plainPaths()
+	if len(pool) <= 1 && k == 2 {
+		k = g.rng.Intn(2) // never remove the last plain file
 	}
 	switch k {
 	case 0: // add a fresh file to a random module
@@ -336,18 +352,15 @@ func (g *Generator) Mutate() Mutation {
 		path := g.addFile(g.mods[mi], mi, cuda)
 		return Mutation{Kind: MutAdd, Path: path, Src: g.src[path]}
 	case 1: // regenerate an existing file under a fresh seed
-		path := g.paths[g.rng.Intn(len(g.paths))]
+		path := pool[g.rng.Intn(len(pool))]
 		mi, ord, cuda := parsePath(path)
 		src, expects := g.synthFile(g.mods[mi], mi, ord, cuda, g.rng.Int63())
 		g.src[path] = src
 		g.man.PerFile[path] = expects
 		return Mutation{Kind: MutEdit, Path: path, Src: src}
 	default: // remove
-		i := g.rng.Intn(len(g.paths))
-		path := g.paths[i]
-		g.paths = append(g.paths[:i], g.paths[i+1:]...)
-		delete(g.src, path)
-		delete(g.man.PerFile, path)
+		path := pool[g.rng.Intn(len(pool))]
+		g.removePath(path)
 		return Mutation{Kind: MutRemove, Path: path}
 	}
 }

@@ -293,3 +293,98 @@ func TestSkewedManifestPinned(t *testing.T) {
 		t.Fatalf("skewed corpus diverges from its manifest: %s", d)
 	}
 }
+
+// corpusHash is an FNV-1a hash over every path, source, and sorted
+// manifest entry of a generated corpus, in generation order.
+func corpusHash(g *Generator) uint64 {
+	h := fnv.New64a()
+	for _, p := range g.Paths() {
+		h.Write([]byte(p))
+		h.Write([]byte{0})
+		h.Write([]byte(g.Source(p)))
+		h.Write([]byte{0})
+	}
+	entries := make([]string, 0, g.Manifest().Total())
+	for _, e := range g.Manifest().All() {
+		entries = append(entries, e.String())
+	}
+	sort.Strings(entries)
+	for _, e := range entries {
+		h.Write([]byte(e))
+		h.Write([]byte{0})
+	}
+	return h.Sum64()
+}
+
+// TestBenchmarkCorpusPinned pins the 10k-file benchmark corpus (20
+// modules × 499 C++ + 1 CUDA files, seed 26262) byte for byte: sources,
+// paths, and manifest. Generator changes must leave existing Params
+// producing this exact tree.
+func TestBenchmarkCorpusPinned(t *testing.T) {
+	g := New(Params{Modules: 20, FilesPerModule: 499, FuncsPerFile: 3,
+		ViolationsPerFile: 2, CUDAFiles: 1}, 26262)
+	if g.Len() != 10000 {
+		t.Fatalf("benchmark corpus has %d files, want 10000", g.Len())
+	}
+	const want = uint64(0xbd9d12e2378c0dff)
+	if got := corpusHash(g); got != want {
+		t.Fatalf("benchmark corpus hash = %#x, want %#x", got, want)
+	}
+}
+
+// TestCrossFileMutationsKeepOracle drives a corpus through the
+// cross-file mutation kinds and re-checks the oracle after every step:
+// the manifest must stay exact for every file reading another file's
+// facts. The run must exercise every kind and produce every cross-file
+// finding class, so the check is not vacuous.
+func TestCrossFileMutationsKeepOracle(t *testing.T) {
+	g := New(Params{Modules: 3, FilesPerModule: 2, FuncsPerFile: 2,
+		ViolationsPerFile: 1, CUDAFiles: 0, CrossFile: true}, 11)
+	kinds := make(map[MutationKind]int)
+	seen := make(map[string]bool)
+	for step := 0; step < 120; step++ {
+		mut := g.Mutate()
+		kinds[mut.Kind]++
+		ctx := parseAll(t, g.FileSet())
+		got := toExpects(rules.RunSequential(ctx, rules.DefaultRules()))
+		if d := diffMultiset(got, g.Manifest().All()); d != "" {
+			t.Fatalf("step %d (%s %s): oracle mismatch:\n%s", step, mut.Kind, mut.Path, d)
+		}
+		for p, es := range g.Manifest().PerFile {
+			if strings.Contains(g.Source(p), "cross-file reader") {
+				for _, e := range es {
+					seen[e.Rule] = true
+				}
+			}
+		}
+	}
+	for _, k := range crossKinds {
+		if kinds[k] == 0 {
+			t.Errorf("mutation kind %s never drawn (%v)", k, kinds)
+		}
+	}
+	for _, rule := range []string{"defensive", "shadow", "recursion"} {
+		if !seen[rule] {
+			t.Errorf("no reader file ever expected a %s finding", rule)
+		}
+	}
+}
+
+// TestPlainMutationsPinned pins the plain mutation sequence: with
+// CrossFile off, a fixed seed draws exactly the mutations (kind, path,
+// source) and ends on exactly the corpus it always has, so existing
+// adfuzz seeds replay unchanged.
+func TestPlainMutationsPinned(t *testing.T) {
+	g := New(DefaultParams(), 9)
+	h := fnv.New64a()
+	for i := 0; i < 40; i++ {
+		mut := g.Mutate()
+		fmt.Fprintf(h, "%s|%s|%s\n", mut.Kind, mut.Path, mut.Src)
+	}
+	if got, want := h.Sum64(), uint64(0x4cb114b3a53dae3a); got != want {
+		t.Fatalf("mutation sequence hash = %#x, want %#x", got, want)
+	}
+	if got, want := corpusHash(g), uint64(0x933c1ff795fed3dd); got != want {
+		t.Fatalf("mutated corpus hash = %#x, want %#x", got, want)
+	}
+}

@@ -338,7 +338,7 @@ const corpusName = "adfuzz"
 // mutationDelta renders one generator mutation as a standalone Delta
 // with its own File value, safe to commit into a second assessor.
 func mutationDelta(mut corpusgen.Mutation) core.Delta {
-	if mut.Kind == corpusgen.MutRemove {
+	if mut.Removal() {
 		return core.Delta{Removed: []string{mut.Path}}
 	}
 	return core.Delta{Changed: []*srcfile.File{{Path: mut.Path, Src: mut.Src}}}
@@ -349,7 +349,7 @@ func mutationDelta(mut corpusgen.Mutation) core.Delta {
 func applyMutation(warm *core.Assessor, ts *httptest.Server, mut corpusgen.Mutation) error {
 	var d core.Delta
 	req := service.DeltaRequest{Corpus: corpusName}
-	if mut.Kind == corpusgen.MutRemove {
+	if mut.Removal() {
 		d.Removed = []string{mut.Path}
 		req.Removed = []string{mut.Path}
 	} else {

@@ -8,21 +8,22 @@ import (
 // ArchCache is the shard-aware counterpart of AnalyzeArchIndexed. The
 // architectural metrics are inherently cross-module (fan-in/out and
 // cohesion resolve every call against the corpus-wide function→module
-// table), so the cache keeps a RESOLVED partial per module shard — the
-// shard's LOC/interface/thread counters plus its call counts already
-// mapped to target modules — keyed on (shard generation, export
-// overlay). While the overlay is unchanged the function→module table
-// cannot have changed, so clean shards' partials stay valid and a warm
-// call recomputes only the dirty shard before folding the k partials
-// into the final rows. Output is identical to AnalyzeArchIndexed.
+// table), so the cache keeps two layers per module shard: the shard's
+// content counters (LOC, interface, thread/IRQ counts, and its calls
+// per callee name), valid while the shard's generation holds, and the
+// calls resolved to target modules, valid until the index change feed
+// reports a module move (artifact.ModuleChanged) for a name the shard
+// calls. A warm call recounts the dirty shards, re-resolves only the
+// other shards calling a moved name, then folds the k partials into the
+// final rows. Output is identical to AnalyzeArchIndexed.
 //
 // ArchCache is not safe for concurrent use; the Assessor serializes
 // access.
 type ArchCache struct {
-	ix      *artifact.Index
-	overlay uint64
-	haveOv  bool
-	shards  map[string]*archShard
+	ix *artifact.Index
+	// seen is the index generation of the previous call.
+	seen   uint64
+	shards map[string]*archShard
 }
 
 // archShard is one module's resolved partial.
@@ -36,6 +37,8 @@ type archShard struct {
 	maxPar  int
 	threads int
 	irqs    int
+	// byCallee counts the shard's calls per unqualified callee name.
+	byCallee map[string]int
 	// calls counts resolved calls by target module.
 	calls    map[string]int
 	internal int
@@ -49,17 +52,23 @@ func NewArchCache() *ArchCache {
 
 // AnalyzeIndexed computes per-module architectural metrics from the
 // shared artifact cache, reusing per-shard partials for modules whose
-// shard generation is unchanged under an unchanged export overlay.
+// shard generation is unchanged and none of whose callees moved module.
 func (c *ArchCache) AnalyzeIndexed(ix *artifact.Index) []*ArchMetrics {
-	ov := ix.ExportOverlay()
-	if ix != c.ix || !c.haveOv || ov != c.overlay {
-		// The function→module table may have shifted: every resolved
-		// partial is suspect.
-		for _, as := range c.shards {
-			as.valid = false
+	var moved []string
+	resolveAll := false // fell behind the feed: every resolution is suspect
+	if ix != c.ix {
+		clear(c.shards)
+		c.ix = ix
+	} else if ix.Gen() != c.seen {
+		feed, ok := ix.ChangesSince(c.seen)
+		resolveAll = !ok
+		for _, ch := range feed {
+			if ch.What&artifact.ModuleChanged != 0 {
+				moved = append(moved, ch.Name)
+			}
 		}
-		c.ix, c.overlay, c.haveOv = ix, ov, true
 	}
+	c.seen = ix.Gen()
 	names := ix.ShardNames()
 	if len(c.shards) > len(names) {
 		live := make(map[string]bool, len(names))
@@ -73,16 +82,18 @@ func (c *ArchCache) AnalyzeIndexed(ix *artifact.Index) []*ArchMetrics {
 		}
 	}
 
-	// Recompute the dirty partials in parallel: refoldShard reads only
-	// the index's shared read-only views (paths, funcs, the
-	// function→module table) and writes only its own partial, and the
-	// fold below walks shards in sorted name order.
-	type dirtyShard struct {
-		mod string
-		sh  *artifact.Shard
-		as  *archShard
+	// Recount the dirty partials and re-resolve every partial that
+	// needs it in parallel: both read only the index's shared read-only
+	// views (paths, funcs, the function→module table) and write only
+	// their own partial, and the fold below walks shards in sorted name
+	// order.
+	type staleShard struct {
+		mod   string
+		sh    *artifact.Shard
+		as    *archShard
+		count bool // content moved: recount before resolving
 	}
-	var dirty []dirtyShard
+	var stale []staleShard
 	for _, m := range names {
 		sh := ix.Shard(m)
 		as := c.shards[m]
@@ -90,14 +101,16 @@ func (c *ArchCache) AnalyzeIndexed(ix *artifact.Index) []*ArchMetrics {
 			as = &archShard{}
 			c.shards[m] = as
 		}
-		if as.valid && as.gen == sh.Gen() {
-			continue
+		if count := !as.valid || as.gen != sh.Gen(); count || resolveAll || as.callsAny(moved) {
+			stale = append(stale, staleShard{m, sh, as, count})
 		}
-		dirty = append(dirty, dirtyShard{m, sh, as})
 	}
-	par.For(par.Workers(len(dirty)), len(dirty), func(k int) {
-		d := dirty[k]
-		c.refoldShard(ix, d.mod, d.sh, d.as)
+	par.For(par.Workers(len(stale)), len(stale), func(k int) {
+		d := stale[k]
+		if d.count {
+			d.as.count(ix, d.sh)
+		}
+		d.as.resolve(ix, d.mod)
 	})
 
 	// Fold the partials into the final rows (sorted module order, the
@@ -147,11 +160,21 @@ func (c *ArchCache) AnalyzeIndexed(ix *artifact.Index) []*ArchMetrics {
 	return out
 }
 
-// refoldShard recomputes one shard's resolved partial in O(shard).
-func (c *ArchCache) refoldShard(ix *artifact.Index, mod string, sh *artifact.Shard, as *archShard) {
+// callsAny reports whether the shard calls one of names.
+func (as *archShard) callsAny(names []string) bool {
+	for _, name := range names {
+		if as.byCallee[name] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// count recomputes one shard's content counters in O(shard).
+func (as *archShard) count(ix *artifact.Index, sh *artifact.Shard) {
 	as.loc, as.nFuncs, as.sumPar, as.maxPar = 0, 0, 0, 0
-	as.threads, as.irqs, as.internal, as.external = 0, 0, 0, 0
-	as.calls = make(map[string]int)
+	as.threads, as.irqs = 0, 0
+	as.byCallee = make(map[string]int)
 	for _, p := range sh.Paths() {
 		as.loc += ix.Units[p].File.LineCount()
 	}
@@ -169,15 +192,25 @@ func (c *ArchCache) refoldShard(ix *artifact.Index, mod string, sh *artifact.Sha
 			if interruptAPIs[callee] {
 				as.irqs++
 			}
-			if tgt, ok := ix.FuncModule(lastName(callee)); ok {
-				as.calls[tgt]++
-				if tgt == mod {
-					as.internal++
-				} else {
-					as.external++
-				}
-			}
+			as.byCallee[lastName(callee)]++
 		}
 	}
 	as.gen, as.valid = sh.Gen(), true
+}
+
+// resolve maps the shard's calls to target modules, resolving each
+// distinct callee name once.
+func (as *archShard) resolve(ix *artifact.Index, mod string) {
+	as.internal, as.external = 0, 0
+	as.calls = make(map[string]int)
+	for name, n := range as.byCallee {
+		if tgt, ok := ix.FuncModule(name); ok {
+			as.calls[tgt] += n
+			if tgt == mod {
+				as.internal += n
+			} else {
+				as.external += n
+			}
+		}
+	}
 }

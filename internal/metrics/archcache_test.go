@@ -1,7 +1,9 @@
 package metrics_test
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/artifact"
@@ -54,6 +56,16 @@ func TestArchCacheMatchesAnalyzeArchIndexed(t *testing.T) {
 	// Removal.
 	ix.RemoveUnit("o/d.c")
 	requireSameArch(t, "remove", c.AnalyzeIndexed(ix), metrics.AnalyzeArchIndexed(ix))
+
+	// A module move hidden behind more change-feed entries than the feed
+	// retains: the cache must notice it fell behind and re-resolve.
+	reparse(t, ix, "n/c.c", "int fe(int x) { return x; }\nint fc(int x) { return fa(x); }\n")
+	var flood strings.Builder
+	for i := 0; i <= artifact.FeedRetention; i++ {
+		fmt.Fprintf(&flood, "int g_flood_%d;\n", i)
+	}
+	reparse(t, ix, "p/flood.c", flood.String())
+	requireSameArch(t, "feed overrun", c.AnalyzeIndexed(ix), metrics.AnalyzeArchIndexed(ix))
 }
 
 // reparse parses one edited file and swaps it into the index.

@@ -117,6 +117,15 @@ type (
 // Registrar collects one engine program: every fused rule's subscriptions
 // for one worker. Rule closures may keep per-function state; a program is
 // never shared between goroutines.
+//
+// Contract for per-file handlers (OnNode, OnFunc*, OnUnit, OnDecl): a
+// handler reads cross-file facts (Context.ByName, Context.GlobalNames)
+// only through names spelled in its own file — a call's CalleeName, a
+// local declarator's name. The frontend does no macro expansion, so such
+// a name occurs as an identifier in the file's source, and the sharded
+// engine re-checks, after a delta, only the files spelling a name whose
+// facts moved. A handler looking a fact up under a name its file does
+// not spell would go stale.
 type Registrar struct {
 	nodes     [numNodeKinds][]NodeFn
 	funcEnter []FuncFn
@@ -159,13 +168,13 @@ func (rg *Registrar) OnDecl(h DeclFn) { rg.decls = append(rg.decls, h) }
 // OnCorpus subscribes a corpus-level handler, run exactly once per Run
 // regardless of worker count.
 //
-// Contract: a corpus handler must be a pure function of the corpus
-// call-graph/export view — function names (full and unqualified), files,
-// declaration lines, complexity, return counts, callee lists, and global
-// variable names. The sharded engine caches corpus-level output under
-// the artifact index's GraphOverlay/ExportOverlay, which cover exactly
-// that view; a handler reading anything else (statement bodies, file
-// text) would go stale across deltas that keep the view unchanged.
+// Contract: a corpus handler must be a pure function of the artifact
+// index's cross-file views — function records (names, files, declaration
+// lines, complexity, return counts, callee lists) and global variable
+// names. The sharded engine re-runs corpus handlers only after the index
+// changed (and maintains RecursionRule's output from the index change
+// feed instead); a handler reading anything else (statement bodies, file
+// text) would go stale across runs over an unchanged index.
 func (rg *Registrar) OnCorpus(h CorpusFn) { rg.corpus = append(rg.corpus, h) }
 
 // FusedRule is a Rule that can register with the fused engine instead of

@@ -6,11 +6,11 @@ import (
 
 // This file is the sharded engine's persistence boundary. The engine's
 // warm state is, per file, the cached finding list keyed by content
-// hash, plus the corpus-level segment keyed by the index overlays.
-// Everything else it holds (per-shard segments, stats partials,
-// signatures) is derivable in O(corpus map ops) from those lists and
-// the artifact index, so the snapshot stores only the finding lists and
-// RestoreCache recomputes the rest against the restored index.
+// hash, plus the corpus-level segment. Everything else it holds
+// (per-shard segments, stats partials, the recursion rule's on-cycle
+// set) is derivable from those lists and the artifact index, so the
+// snapshot stores only the finding lists and RestoreCacheLazy rebuilds
+// the rest against the restored index on demand.
 
 // ExportCache returns the engine's cached per-file finding lists (one
 // entry per indexed path, possibly empty) and the corpus-level segment.
@@ -21,7 +21,7 @@ import (
 // corpus, so it materializes whatever restore deferred. The returned
 // slices are the live cache entries; callers must not mutate them.
 func (s *Sharded) ExportCache() (perFile map[string][]Finding, corpus []Finding, ok bool) {
-	if s.fused == nil || s.ix == nil || !s.haveEnv || !s.haveCorpus {
+	if s.fused == nil || s.ix == nil || !s.haveCorpus {
 		return nil, nil, false
 	}
 	perFile = make(map[string][]Finding, len(s.ix.Paths))
@@ -68,21 +68,27 @@ type ShardLoader interface {
 // each shard's finding segment (the merge needs every segment), but the
 // per-file entry maps — and the content hashes behind them — stay
 // deferred until a delta dirties the shard. On an unchanged corpus the
-// restored engine therefore never hashes a single file.
-//
-// The environment and corpus keys are recomputed from the index (O(#
-// shards) when the shard signatures were seeded), so the next Run over
-// an unchanged corpus re-checks zero files, exactly like RestoreCache.
+// restored engine therefore never hashes a single file. The recursion
+// rule's on-cycle set is read back from the corpus segment, so the
+// first graph change after restore updates it instead of re-running the
+// corpus-wide SCC.
 func (s *Sharded) RestoreCacheLazy(ix *artifact.Index, corpus []Finding, loader ShardLoader) {
 	if s.fused == nil {
 		return // non-fused rule sets never cache; Run falls back cold
 	}
 	s.reset(ix)
-	s.export, s.haveEnv = ix.ExportOverlay(), true
-	s.corpusKey = [2]uint64{ix.GraphOverlay(), s.export}
 	s.haveCorpus = true
 	s.corpusSeg = corpus
 	s.corpusStat = Aggregate(corpus)
+	s.otherSeg = nil
+	for _, f := range corpus {
+		if s.cyc == nil || f.RuleID != s.cyc.rule.ID() {
+			s.otherSeg = append(s.otherSeg, f)
+		}
+	}
+	if s.cyc != nil {
+		s.cyc.seed(corpus, ix.ByName)
+	}
 	for _, m := range ix.ShardNames() {
 		sh := ix.Shard(m)
 		module := m
@@ -96,50 +102,5 @@ func (s *Sharded) RestoreCacheLazy(ix *artifact.Index, corpus []Finding, loader 
 	// Per-shard stats fold lazily with the segments; s.stats is only
 	// read after a Run, which materializes them first.
 	s.stats = nil
-	s.lastDirty = 0
-}
-
-// RestoreCache seeds the engine with persisted per-file finding lists
-// against a freshly restored index: per-shard segments, stats partials,
-// and cache keys (environment signature, corpus overlay key, shard
-// generations) are recomputed from the index so the next Run over an
-// unchanged corpus re-checks zero files and a post-restore delta
-// re-checks only what the delta dirtied. perFile must hold one entry
-// for every indexed path whose content hash produced the findings —
-// the restorer (core.RestoreAssessor) guarantees both.
-func (s *Sharded) RestoreCache(ix *artifact.Index, perFile map[string][]Finding, corpus []Finding) {
-	if s.fused == nil {
-		return // non-fused rule sets never cache; Run falls back cold
-	}
-	s.reset(ix)
-	s.export, s.haveEnv = ix.ExportOverlay(), true
-	s.corpusKey = [2]uint64{ix.GraphOverlay(), s.export}
-	s.haveCorpus = true
-	s.corpusSeg = corpus
-	s.corpusStat = Aggregate(corpus)
-	for _, m := range ix.ShardNames() {
-		sh := ix.Shard(m)
-		paths := sh.Paths()
-		seg := &shardSeg{perFile: make(map[string]incrEntry, len(paths))}
-		total := 0
-		for _, p := range paths {
-			fs := perFile[p]
-			seg.perFile[p] = incrEntry{hash: ix.Units[p].File.Hash(), findings: fs}
-			total += len(fs)
-		}
-		seg.seg = make([]Finding, 0, total)
-		for _, p := range paths {
-			seg.seg = append(seg.seg, seg.perFile[p].findings...)
-		}
-		seg.stats = Aggregate(seg.seg)
-		seg.gen, seg.valid = sh.Gen(), true
-		s.shards[m] = seg
-	}
-	parts := make([]*Stats, 0, len(ix.ShardNames())+1)
-	parts = append(parts, s.corpusStat)
-	for _, m := range ix.ShardNames() {
-		parts = append(parts, s.shards[m].stats)
-	}
-	s.stats = MergeStats(parts...)
 	s.lastDirty = 0
 }

@@ -1,7 +1,9 @@
 package rules
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/artifact"
 	"repro/internal/par"
@@ -10,23 +12,30 @@ import (
 // This file implements the sharded incremental rule engine — the warm
 // path of core.Assessor. Where Incremental keys one flat per-file cache
 // on a corpus-wide environment signature (recomputed in O(corpus) after
-// every delta), Sharded rides the artifact index's module shards:
+// every delta), Sharded rides the artifact index's module shards and its
+// per-name change feed (artifact.Index.ChangesSince):
 //
 //   - dirty detection consults per-shard generations, so a warm run
-//     inspects only the shards a delta touched;
+//     hashes only the files of shards a delta touched;
+//   - a file depends on a cross-file fact only through a name its source
+//     spells (see the Registrar contract), so when the feed reports that
+//     a name's callee voidness or global membership moved, exactly the
+//     files spelling that name at identifier boundaries are re-checked —
+//     restored stubs included, so only those get hydrated;
 //   - each shard keeps a presorted finding segment (its files' cached
 //     findings concatenated in shard path order) plus a Stats partial,
-//     rebuilt in O(shard) only when the shard is dirty;
-//   - the cross-file environment signature is the index's ExportOverlay
-//     — per-shard export signatures combined in O(#shards) — so an edit
-//     that does not change exported facts costs nothing corpus-wide;
-//   - corpus-level rule output (the recursion SCC) is cached under the
-//     index's GraphOverlay and reused verbatim while the corpus
-//     call-graph view is unchanged;
+//     rebuilt in O(shard) only when one of its files was re-checked;
+//   - the recursion rule's on-cycle set is kept across runs and updated
+//     from the changed call-graph nodes (cycleCache); other corpus
+//     hooks re-run after every index change;
 //   - the global finding stream is a k-way merge of the shard segments
 //     (plus the corpus segment), byte-identical to a cold fused run
 //     because every segment is sorted under the same findingLess total
 //     order the cold engine sorts with.
+//
+// A run re-checks every file instead (LastFullRecheck) when the engine
+// fell further behind the feed than it retains, or when the feed names
+// more than maxScanNames changed names; it never serves stale output.
 //
 // Output equivalence with rules.Run / RunSequential over the same
 // context is pinned by TestShardedMatchesColdRun and exercised at scale
@@ -42,20 +51,25 @@ type Sharded struct {
 
 	rules []Rule
 	fused []FusedRule // nil when any rule lacks a fused form
+	// corpusFused holds the fused rules whose corpus hooks Run fires:
+	// every rule but RecursionRule, which cyc maintains instead.
+	corpusFused []FusedRule
+	cyc         *cycleCache // nil when the rule set has no RecursionRule
 
-	ix      *artifact.Index
-	export  uint64
-	haveEnv bool
+	ix *artifact.Index
+	// seen is the index generation of the previous Run.
+	seen uint64
 
 	shards map[string]*shardSeg
 
-	corpusKey  [2]uint64
 	haveCorpus bool
+	otherSeg   []Finding // findings of corpusFused's corpus hooks
 	corpusSeg  []Finding
 	corpusStat *Stats
 
-	stats     *Stats
-	lastDirty int
+	stats           *Stats
+	lastDirty       int
+	lastFullRecheck bool
 }
 
 // shardSeg is the engine's cached state for one module shard.
@@ -143,10 +157,14 @@ func NewSharded(rs []Rule) *Sharded {
 	for _, r := range rs {
 		fr, ok := r.(FusedRule)
 		if !ok {
-			fused = nil
-			break
+			return s
 		}
 		fused = append(fused, fr)
+		if rr, ok := r.(*RecursionRule); ok && s.cyc == nil {
+			s.cyc = &cycleCache{rule: rr}
+		} else {
+			s.corpusFused = append(s.corpusFused, fr)
+		}
 	}
 	s.fused = fused
 	return s
@@ -156,6 +174,11 @@ func NewSharded(rs []Rule) *Sharded {
 // (every file on a cold or invalidated run).
 func (s *Sharded) LastDirty() int { return s.lastDirty }
 
+// LastFullRecheck reports whether the previous warm Run re-checked
+// every file because it fell behind the index change feed or the feed
+// named more than maxScanNames changed names.
+func (s *Sharded) LastFullRecheck() bool { return s.lastFullRecheck }
+
 // Stats returns the finding statistics of the previous Run, folded from
 // the per-shard partials. Identical to Aggregate over the returned
 // findings.
@@ -164,16 +187,36 @@ func (s *Sharded) Stats() *Stats { return s.stats }
 // reset drops all engine state (new index ⇒ new corpus).
 func (s *Sharded) reset(ix *artifact.Index) {
 	s.ix = ix
-	s.haveEnv = false
+	s.seen = ix.Gen()
 	s.haveCorpus = false
 	s.shards = make(map[string]*shardSeg)
-	s.corpusSeg, s.corpusStat = nil, nil
+	s.otherSeg, s.corpusSeg, s.corpusStat = nil, nil, nil
+	if s.cyc != nil {
+		s.cyc.ok = false
+	}
+}
+
+// changesSince folds the feed entries since the previous Run into one
+// change set per name. ok is false when the feed no longer reaches back
+// that far.
+func (s *Sharded) changesSince(ix *artifact.Index) (map[string]artifact.Change, bool) {
+	feed, ok := ix.ChangesSince(s.seen)
+	if !ok {
+		return nil, false
+	}
+	changes := make(map[string]artifact.Change, len(feed))
+	for _, c := range feed {
+		changes[c.Name] |= c.What
+	}
+	return changes, true
 }
 
 // Run executes the rules over the context. Output is byte-identical to
 // rules.Run over the same context; a warm run after a delta re-checks
-// only the dirty files and re-aggregates only the dirty shards.
+// only the content-changed files and the files spelling a name whose
+// cross-file facts moved, and re-aggregates only their shards.
 func (s *Sharded) Run(ctx *Context) []Finding {
+	s.lastFullRecheck = false
 	if s.fused == nil || ctx.Index == nil || ctx.unitFuncs == nil {
 		s.lastDirty = len(ctx.Units)
 		out := Run(ctx, s.rules)
@@ -181,13 +224,24 @@ func (s *Sharded) Run(ctx *Context) []Finding {
 		return out
 	}
 	ix := ctx.Index
-	if ix != s.ix {
+	invalidate := ix != s.ix
+	var changes map[string]artifact.Change
+	var keys []string // identifiers to scan the corpus for
+	if invalidate {
 		s.reset(ix)
+	} else if ix.Gen() != s.seen {
+		var ok bool
+		if changes, ok = s.changesSince(ix); !ok {
+			invalidate, s.lastFullRecheck = true, true
+			if s.cyc != nil {
+				s.cyc.ok = false
+			}
+		} else if keys = spellKeys(changes); len(keys) > maxScanNames {
+			invalidate, s.lastFullRecheck = true, true
+		}
 	}
-
-	env := ix.ExportOverlay()
-	invalidate := !s.haveEnv || env != s.export
-	s.export, s.haveEnv = env, true
+	indexMoved := ix.Gen() != s.seen
+	s.seen = ix.Gen()
 
 	names := ix.ShardNames()
 	// Drop state for shards that no longer exist.
@@ -201,6 +255,12 @@ func (s *Sharded) Run(ctx *Context) []Finding {
 				delete(s.shards, m)
 			}
 		}
+	}
+
+	// Files spelling a name whose per-file-visible facts moved, by shard.
+	var spelled map[string][]string
+	if !invalidate {
+		spelled = spellingFiles(ctx, names, keys)
 	}
 
 	// Materialize sealed clean shards' segments on a worker pool before
@@ -224,13 +284,18 @@ func (s *Sharded) Run(ctx *Context) []Finding {
 		})
 	}
 
-	// Collect dirty files across all dirty shards (hash-compared within
-	// a shard only when the shard's generation moved or the environment
-	// invalidated everything).
+	// Collect dirty files: within a shard whose generation moved, every
+	// file whose content hash changed; in any shard, every file spelling
+	// a changed name.
 	var dirtyPaths []string
 	var dirtyHash []uint64
 	var rebuild []string // modules whose segments need rebuilding
 	segOf := make(map[string]*shardSeg, len(names))
+	markDirty := func(seg *shardSeg, p string, h uint64) {
+		dirtyPaths = append(dirtyPaths, p)
+		dirtyHash = append(dirtyHash, h)
+		segOf[p] = seg
+	}
 	for _, m := range names {
 		sh := ix.Shard(m)
 		seg := s.shards[m]
@@ -238,10 +303,11 @@ func (s *Sharded) Run(ctx *Context) []Finding {
 			seg = &shardSeg{perFile: make(map[string]incrEntry)}
 			s.shards[m] = seg
 		}
+		hits := spelled[m]
 		if invalidate {
-			// Sealed or not, the cached findings are keyed on cross-file
-			// facts that just changed: drop everything, including any
-			// not-yet-decoded snapshot state.
+			// Sealed or not, the cached findings may read cross-file facts
+			// that moved: drop everything, including any not-yet-decoded
+			// snapshot state.
 			seg.load, seg.thaw, seg.segReady = nil, nil, false
 			if seg.perFile == nil {
 				seg.perFile = make(map[string]incrEntry)
@@ -250,30 +316,39 @@ func (s *Sharded) Run(ctx *Context) []Finding {
 			}
 			seg.valid = false
 		} else if seg.valid && seg.gen == sh.Gen() {
-			if seg.load == nil || seg.segReady {
+			if seg.load != nil && !seg.segReady && !seg.materialize(sh) {
+				// Sealed clean shard the parallel pre-pass could not
+				// materialize, and one inline retry failed: the shard's
+				// snapshot block would not decode, so forget it and
+				// recompute the shard from scratch.
+				seg.load, seg.thaw = nil, nil
+				seg.perFile = make(map[string]incrEntry)
+				seg.valid = false
+			} else if len(hits) == 0 {
 				continue // clean shard: segment and stats reused as-is
-			}
-			// Sealed clean shard the parallel pre-pass could not
-			// materialize (or that appeared since): one inline retry.
-			if seg.materialize(sh) {
+			} else if seg.perFile != nil || seg.thawEntries() {
+				// Content-clean shard with readers of a changed name:
+				// re-check exactly those files.
+				for _, p := range hits {
+					markDirty(seg, p, ctx.Units[p].File.Hash())
+				}
+				rebuild = append(rebuild, m)
 				continue
 			}
-			// The shard's snapshot block would not decode: forget it and
-			// recompute the shard from scratch.
-			seg.load, seg.thaw = nil, nil
-			seg.perFile = make(map[string]incrEntry)
-			seg.valid = false
 		}
 		if seg.perFile == nil && !seg.thawEntries() {
 			seg.perFile = make(map[string]incrEntry)
 		}
 		paths := sh.Paths()
+		k := 0
 		for _, p := range paths {
 			h := ctx.Units[p].File.Hash()
-			if e, ok := seg.perFile[p]; !ok || e.hash != h {
-				dirtyPaths = append(dirtyPaths, p)
-				dirtyHash = append(dirtyHash, h)
-				segOf[p] = seg
+			hit := k < len(hits) && hits[k] == p
+			if hit {
+				k++
+			}
+			if e, ok := seg.perFile[p]; !ok || e.hash != h || hit {
+				markDirty(seg, p, h)
 			}
 		}
 		if len(seg.perFile) > len(paths) {
@@ -294,25 +369,36 @@ func (s *Sharded) Run(ctx *Context) []Finding {
 		s.Hydrate(dirtyPaths)
 	}
 
-	// Corpus-level hooks: reuse the cached segment while the corpus
-	// call-graph view is unchanged, otherwise run them once. Corpus
-	// handlers must be pure functions of the graph/export view (see
-	// Registrar.OnCorpus); RecursionRule's SCC is.
-	ckey := [2]uint64{ix.GraphOverlay(), env}
-	var reuseProg *Registrar
-	if !s.haveCorpus || ckey != s.corpusKey {
+	// Corpus-level output: the recursion rule's on-cycle set follows the
+	// feed; any other corpus hook re-runs whenever the index moved (its
+	// contract only promises purity over the index's cross-file views).
+	corpusMoved := !s.haveCorpus
+	if len(s.corpusFused) > 0 && (!s.haveCorpus || invalidate || indexMoved) {
 		em := &Emitter{}
-		reuseProg = runCorpusHooks(ctx, s.fused, em)
+		if prog := runCorpusHooks(ctx, s.corpusFused, em); len(prog.corpus) == 0 {
+			s.corpusFused = nil // no other corpus hooks: stop building the program
+		}
 		sortFindings(em.out)
-		s.corpusSeg = em.out
-		s.corpusStat = Aggregate(em.out)
-		s.corpusKey, s.haveCorpus = ckey, true
+		s.otherSeg = em.out
+		corpusMoved = true
+	}
+	if s.cyc != nil && (!s.cyc.ok || indexMoved) {
+		corpusMoved = s.cyc.update(ctx, changes) || corpusMoved
+	}
+	if corpusMoved {
+		var cycSeg []Finding
+		if s.cyc != nil {
+			cycSeg = s.cyc.seg
+		}
+		s.corpusSeg = mergeFindingSegments([][]Finding{cycSeg, s.otherSeg})
+		s.corpusStat = Aggregate(s.corpusSeg)
+		s.haveCorpus = true
 	}
 
 	// Re-check the dirty files (parallel across shards) and cache each
 	// file's findings pre-sorted: within a file the findingLess order is
 	// self-contained, so shard segments concatenate without re-sorting.
-	for k, fs := range runUnits(ctx, s.fused, dirtyPaths, reuseProg) {
+	for k, fs := range runUnits(ctx, s.fused, dirtyPaths, nil) {
 		sortFindings(fs)
 		segOf[dirtyPaths[k]].perFile[dirtyPaths[k]] = incrEntry{hash: dirtyHash[k], findings: fs}
 	}
@@ -356,6 +442,111 @@ func (s *Sharded) Run(ctx *Context) []Finding {
 	return mergeFindingSegments(segs)
 }
 
+// maxScanNames is the number of changed names up to which a warm run
+// scans the corpus for their readers; beyond it the run re-checks every
+// file instead. On the 19.6 MB perfbench corpus (2-CPU Xeon) one
+// identifier-boundary pass per name costs 1.3–1.6 ms and a full
+// re-check about 320 ms plus any stub hydration; both grow with corpus
+// bytes, so at this bound the scan still costs well under a full
+// re-check. Renames, adds and removes move a handful of names each.
+const maxScanNames = 128
+
+// spellKeys returns the sorted, deduplicated identifiers (identKey) of
+// the names whose per-file-visible facts — callee voidness, global
+// membership — moved.
+func spellKeys(changes map[string]artifact.Change) []string {
+	var keys []string
+	for name, what := range changes {
+		if what&artifact.FileFacts != 0 {
+			keys = append(keys, identKey(name))
+		}
+	}
+	sort.Strings(keys)
+	return slices.Compact(keys)
+}
+
+// spellingFiles returns, per shard in the shard's path order, the files
+// whose source spells one of keys at identifier boundaries. Per-file
+// handlers read cross-file facts only through names spelled in their
+// own file (the Registrar contract), so every other file's cached
+// findings stay valid. The scan runs only when keys is non-empty, one
+// shard per worker.
+func spellingFiles(ctx *Context, shards []string, keys []string) map[string][]string {
+	if len(keys) == 0 {
+		return nil
+	}
+	every := keys[0] == "" // a name with no identifier: every file may read it
+	hits := make([][]string, len(shards))
+	par.For(par.Workers(len(shards)), len(shards), func(i int) {
+		for _, p := range ctx.Index.Shard(shards[i]).Paths() {
+			if every || spellsAny(ctx.Units[p].File.Src, keys) {
+				hits[i] = append(hits[i], p)
+			}
+		}
+	})
+	out := make(map[string][]string, len(shards))
+	for i, m := range shards {
+		if len(hits[i]) > 0 {
+			out[m] = hits[i]
+		}
+	}
+	return out
+}
+
+// identKey returns the identifier to scan for when a name changed: the
+// name itself when it is one identifier, otherwise its first identifier
+// run (a destructor's class name, a template name before its arguments,
+// "operator"), which every spelling of the name contains. A name with
+// no identifier characters yields "".
+func identKey(name string) string {
+	i := 0
+	for i < len(name) && !isIdentByte(name[i]) {
+		i++
+	}
+	j := i
+	for j < len(name) && isIdentByte(name[j]) {
+		j++
+	}
+	return name[i:j]
+}
+
+// spellsAny reports whether src contains one of keys as a whole
+// identifier: an occurrence not preceded or followed by an identifier
+// character (the lexer's own identifier alphabet, so every identifier
+// token qualifies), found with one strings.Index pass per key.
+// Occurrences in comments and string literals count too, which only ever
+// re-checks a file that did not need it.
+func spellsAny(src string, keys []string) bool {
+	for _, key := range keys {
+		if spellsIdent(src, key) {
+			return true
+		}
+	}
+	return false
+}
+
+// spellsIdent reports whether src contains the non-empty key as a whole
+// identifier.
+func spellsIdent(src, key string) bool {
+	for i := 0; ; {
+		j := strings.Index(src[i:], key)
+		if j < 0 {
+			return false
+		}
+		j += i
+		end := j + len(key)
+		if (j == 0 || !isIdentByte(src[j-1])) && (end == len(src) || !isIdentByte(src[end])) {
+			return true
+		}
+		i = j + 1
+	}
+}
+
+// isIdentByte reports whether c can continue a C/C++ identifier.
+func isIdentByte(c byte) bool {
+	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+}
+
 // mergeFindingSegments merges sorted finding segments into one sorted
 // stream. Shard path ranges are normally disjoint, so the merge
 // degrades to bulk copies: at each round the segment with the smallest
@@ -379,6 +570,9 @@ func mergeFindingSegments(segs [][]Finding) []Finding {
 		if len(sg) > 0 {
 			active = append(active, sg)
 		}
+	}
+	if len(active) == 0 {
+		return out
 	}
 	for len(active) > 1 {
 		// Find the segment with the smallest head and the runner-up head.

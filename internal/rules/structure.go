@@ -275,20 +275,41 @@ func (*RecursionRule) Describe() string {
 	return "no recursions (ISO26262-6 T8.10)"
 }
 
-// Check implements Rule.
+// Check implements Rule. It is the full SCC over every defined name;
+// the sharded engine maintains the same on-cycle set incrementally
+// (cycleCache) and RunSequential and the oracles use this one.
 func (r *RecursionRule) Check(ctx *Context) []Finding {
-	// Build adjacency over defined functions only.
-	adj := make(map[string][]string, len(ctx.ByName))
-	for name, fi := range ctx.ByName {
-		for _, c := range fi.Callees {
-			if _, defined := ctx.ByName[c]; defined {
-				adj[name] = append(adj[name], c)
-			}
+	names := make([]string, 0, len(ctx.ByName))
+	for n := range ctx.ByName {
+		names = append(names, n)
+	}
+	sort.Strings(names) // deterministic traversal order
+	status := cycleStatus(ctx.ByName, names)
+	var out []Finding
+	for _, n := range names {
+		if status[n] {
+			out = append(out, r.finding(ctx.ByName[n]))
 		}
 	}
-	// Tarjan-style SCC via iterative coloring: a function is recursive if
-	// it is on a cycle (including self-loops).
-	onCycle := make(map[string]bool)
+	return out
+}
+
+// finding renders one on-cycle function's finding from its champion.
+func (r *RecursionRule) finding(fi *FuncInfo) Finding {
+	return finding(r.ID(), Violation, fi, fi.Decl.Span().Start.Line,
+		fmt.Sprintf("function %s participates in recursion", fi.Decl.Name),
+		refNoRecursion)
+}
+
+// cycleStatus runs Tarjan's SCC algorithm over the call graph of the
+// defined functions (edges: a champion's callees that are themselves
+// defined) from the given roots, in order, and returns every visited
+// name mapped to whether it lies on a cycle — a multi-node component or
+// a self-loop. Roots that are not defined are skipped. Every name
+// reachable from a root is visited, and each visited name's component
+// is complete, so its status is exact however few roots are given.
+func cycleStatus(byName map[string]*FuncInfo, roots []string) map[string]bool {
+	status := make(map[string]bool)
 	var stack []string
 	index := make(map[string]int)
 	low := make(map[string]int)
@@ -302,7 +323,10 @@ func (r *RecursionRule) Check(ctx *Context) []Finding {
 		stack = append(stack, v)
 		onStack[v] = true
 		selfLoop := false
-		for _, w := range adj[v] {
+		for _, w := range byName[v].Callees {
+			if _, defined := byName[w]; !defined {
+				continue
+			}
 			if w == v {
 				selfLoop = true
 			}
@@ -326,38 +350,27 @@ func (r *RecursionRule) Check(ctx *Context) []Finding {
 					break
 				}
 			}
-			if len(comp) > 1 || selfLoop {
-				for _, w := range comp {
-					onCycle[w] = true
-				}
+			cyclic := len(comp) > 1 || selfLoop
+			for _, w := range comp {
+				status[w] = cyclic
 			}
 		}
 	}
-	names := make([]string, 0, len(ctx.ByName))
-	for n := range ctx.ByName {
-		names = append(names, n)
-	}
-	sort.Strings(names) // deterministic traversal order
-	for _, n := range names {
+	for _, n := range roots {
+		if _, defined := byName[n]; !defined {
+			continue
+		}
 		if _, seen := index[n]; !seen {
 			strongconnect(n)
 		}
 	}
-	var out []Finding
-	for _, n := range names {
-		if onCycle[n] {
-			fi := ctx.ByName[n]
-			out = append(out, finding(r.ID(), Violation, fi, fi.Decl.Span().Start.Line,
-				fmt.Sprintf("function %s participates in recursion", fi.Decl.Name),
-				refNoRecursion))
-		}
-	}
-	return out
+	return status
 }
 
 // Fuse implements FusedRule. Recursion is inherently corpus-level (SCC
 // over the whole call graph), so it registers a corpus hook that runs
-// exactly once per engine run.
+// exactly once per engine run. The sharded engine does not fire this
+// hook: it keeps the on-cycle set across deltas (cycleCache).
 func (r *RecursionRule) Fuse(rg *Registrar, ctx *Context) {
 	rg.OnCorpus(func(ctx *Context, em *Emitter) {
 		for _, f := range r.Check(ctx) {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -80,6 +81,12 @@ type serverMetrics struct {
 	dirtyShards *obs.Histogram
 	parWidth    *obs.Gauge
 
+	// rechecked observes, per acknowledged delta, the files the rule
+	// engine re-checked (the ack's rule_files_checked); fallback is
+	// handed to every corpus's assessor (core.Assessor.SetMetrics).
+	rechecked *obs.Histogram
+	fallback  core.FallbackMetrics
+
 	// journal is handed to every corpus store (store.SetMetrics); all
 	// corpora of the server share these series.
 	journal *store.JournalMetrics
@@ -117,6 +124,14 @@ func newServerMetrics() *serverMetrics {
 		"Shards refreshed per committed delta (the O(dirty shard) claim, measured).")
 	m.parWidth = reg.Gauge("adserve_delta_par_width",
 		"Worker width of the most recent shard-parallel index refresh.")
+	m.rechecked = reg.Histogram("adserve_delta_rule_files_rechecked",
+		"Files the rule engine re-checked per acknowledged delta (its rule_files_checked).")
+	m.fallback = core.FallbackMetrics{
+		StubsHydrated: reg.Counter("adserve_stubs_hydrated_total",
+			"Snapshot-restored stub units re-parsed because the rule engine re-walked them."),
+		FullRechecks: reg.Counter("adserve_rule_full_rechecks_total",
+			"Warm rule runs that re-checked every file: behind the index change feed, or too many changed names to scan for."),
+	}
 	m.journal = &store.JournalMetrics{
 		Staged: reg.Counter("adserve_journal_records_staged_total",
 			"Journal records staged (one per non-empty commit on persistent servers)."),

@@ -223,6 +223,7 @@ func NewWithStore(d *store.Dir) (*Server, []RestoredCorpus, error) {
 			return nil, nil, fmt.Errorf("restore corpus %q: %w", name, err)
 		}
 		a.SetCommitHook(cs.Stage)
+		a.SetMetrics(s.obs.fallback)
 		s.corpora[name] = &corpusState{a: a, cs: cs}
 		restored = append(restored, RestoredCorpus{
 			Name:     name,
@@ -515,6 +516,7 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		cfg.Seed = req.Seed
 	}
 	a := core.NewAssessor(cfg)
+	a.SetMetrics(s.obs.fallback)
 	switch {
 	case len(req.Files) > 0:
 		fs := srcfile.NewFileSet()
@@ -756,6 +758,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	// two).
 	s.obs.deltasAcked.Inc()
 	s.obs.deltaFilesAcked.Add(int64(len(req.Changed) + len(req.Removed)))
+	s.obs.rechecked.Observe(int64(resp.Delta.RuleFilesChecked))
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -34,10 +34,12 @@ import (
 //	   from the shard's U block), then one trailing corpus-level block;
 //	M  per shard: one metric row per path (positional).
 //
-// D is the shard directory: for every shard its module, file count,
-// memoized export/graph signatures, and the (offset, length) extents
-// of its U, R, and M blocks inside those sections, plus the extent of
-// the corpus finding block in R. A reader that knows which shards it
+// D is the shard directory: for every shard its module, file count, a
+// signature slot, and the (offset, length) extents of its U, R, and M
+// blocks inside those sections, plus the extent of the corpus finding
+// block in R. The signature slot (a presence flag and two varints) is
+// retired: writers mark it absent with zeros and readers skip it, so
+// snapshots whose slots carry signatures still restore. A reader that knows which shards it
 // needs decodes the header, the directory, and the files — everything
 // else is reachable without scanning: boot is O(header + touched
 // shards), and the lazy Snapshot type below decodes each block on
@@ -76,13 +78,6 @@ type SnapShard struct {
 	// Files is the number of unit paths (and finding lists, and metric
 	// rows) in the shard's blocks.
 	Files int
-	// HasSigs reports whether the writer persisted the shard's
-	// signatures (SigExport, SigGraph below).
-	HasSigs bool
-	// SigExport and SigGraph are the shard's memoized export and graph
-	// signatures at snapshot time (see internal/artifact).
-	SigExport uint64
-	SigGraph  uint64
 	// Units, Findings, Metrics are the shard's block extents inside the
 	// U, R, and M section payloads respectively.
 	Units    Extent
@@ -182,10 +177,10 @@ func EncodeSnapshot(st *core.PersistedState, gen uint64) []byte {
 	for k, name := range names {
 		d.string(name)
 		d.int(len(groups[name]))
-		sig, ok := st.ShardSigs[name]
-		d.bool(ok)
-		d.uvarint(sig[0])
-		d.uvarint(sig[1])
+		// The retired signature slot: absent, zeros.
+		d.bool(false)
+		d.uvarint(0)
+		d.uvarint(0)
 		d.int(uExt[k].Off)
 		d.int(uExt[k].Len)
 		d.int(rExt[k].Off)
@@ -340,12 +335,13 @@ func OpenSnapshot(raw []byte) (*Snapshot, error) {
 	s.byMod = make(map[string]*SnapShard, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		sh := SnapShard{
-			Module:  d.string(),
-			Files:   d.int(),
-			HasSigs: d.bool(),
+			Module: d.string(),
+			Files:  d.int(),
 		}
-		sh.SigExport = d.uvarint()
-		sh.SigGraph = d.uvarint()
+		// Skip the retired signature slot (present or not).
+		d.bool()
+		d.uvarint()
+		d.uvarint()
 		sh.Units = Extent{d.int(), d.int()}
 		sh.Findings = Extent{d.int(), d.int()}
 		sh.Metrics = Extent{d.int(), d.int()}
@@ -447,15 +443,6 @@ func (s *Snapshot) ShardNames() []string {
 	return out
 }
 
-// ShardSigs returns a shard's persisted signatures.
-func (s *Snapshot) ShardSigs(module string) (export, graph uint64, ok bool) {
-	sh := s.byMod[module]
-	if sh == nil || !sh.HasSigs {
-		return 0, 0, false
-	}
-	return sh.SigExport, sh.SigGraph, true
-}
-
 // ShardUnits decodes one shard's unit facts.
 func (s *Snapshot) ShardUnits(module string) ([]artifact.UnitFacts, error) {
 	sh := s.byMod[module]
@@ -536,7 +523,6 @@ func (s *Snapshot) State() (*core.PersistedState, error) {
 		Files:        files,
 		FileFindings: make(map[string][]rules.Finding),
 		MetricRows:   make(map[string]*metrics.FileMetrics),
-		ShardSigs:    make(map[string][2]uint64, len(s.shards)),
 	}
 	// Decode the shard blocks on a worker pool — each block is an
 	// independent extent — then merge sequentially in directory order so
@@ -569,7 +555,6 @@ func (s *Snapshot) State() (*core.PersistedState, error) {
 		p.rows, p.err = s.ShardMetrics(sh.Module, p.paths)
 	})
 	for i := range s.shards {
-		sh := &s.shards[i]
 		p := &parts[i]
 		if p.err != nil {
 			return nil, p.err
@@ -579,9 +564,6 @@ func (s *Snapshot) State() (*core.PersistedState, error) {
 			st.MetricRows[p.paths[k]] = p.rows[k]
 		}
 		st.Units = append(st.Units, p.ufs...)
-		if sh.HasSigs {
-			st.ShardSigs[sh.Module] = [2]uint64{sh.SigExport, sh.SigGraph}
-		}
 	}
 	// Shard blocks are path-sorted internally but concatenate in module
 	// order; restore the global sorted-path invariant.

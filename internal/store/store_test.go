@@ -2,13 +2,18 @@ package store_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/corpusgen"
 	"repro/internal/rules"
@@ -184,7 +189,14 @@ func TestRestoredDeltaStaysWarmAndIdentical(t *testing.T) {
 }
 
 func TestRestoredEnvironmentInvalidationHydrates(t *testing.T) {
-	a, gen := newWarmAssessor(t, 26262)
+	a, _ := newWarmAssessor(t, 26262)
+	// A file that declares a local named after a global nobody defines
+	// yet: it shadows the global once a later delta adds it.
+	shadow := &srcfile.File{Path: "planning/zz_shadow_probe.cc",
+		Src: "int ShadowProbe(int v) {\n  int g_store_test_probe = v;\n  return g_store_test_probe;\n}\n"}
+	if _, err := a.ApplyDelta(core.Delta{Changed: []*srcfile.File{shadow}}); err != nil {
+		t.Fatal(err)
+	}
 	st, err := a.ExportState()
 	if err != nil {
 		t.Fatal(err)
@@ -194,13 +206,24 @@ func TestRestoredEnvironmentInvalidationHydrates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Adding a file with a fresh global variable changes the cross-file
-	// environment signature: every cached per-file entry is dropped and
-	// the fused engine re-walks the whole corpus — which on a restored
-	// assessor must transparently hydrate every stub, not walk bodyless
-	// fabrications.
+	// Adding a file with a fresh global variable and a fresh non-void
+	// function moves the facts of exactly those two names. The fused
+	// engine re-walks the files spelling them — on a restored assessor
+	// it must hydrate exactly those stubs, not walk bodyless
+	// fabrications and not re-parse the rest of the corpus.
 	add := &srcfile.File{Path: "perception/zz_new_global.cc",
 		Src: "int g_store_test_probe = 4;\nint UseProbe() { return g_store_test_probe; }\n"}
+	spells := regexp.MustCompile(`\b(g_store_test_probe|UseProbe)\b`)
+	want := 0
+	for _, f := range restored.FileSet().Files() {
+		if spells.MatchString(f.Src) {
+			want++
+		}
+	}
+	if want != 1 {
+		t.Fatalf("%d snapshot files spell the new names, want only the shadowing probe", want)
+	}
+	before := restored.StubUnits()
 	for _, eng := range []*core.Assessor{a, restored} {
 		if _, err := eng.ApplyDelta(core.Delta{Changed: []*srcfile.File{{
 			Path: add.Path, Src: add.Src}}}); err != nil {
@@ -208,11 +231,13 @@ func TestRestoredEnvironmentInvalidationHydrates(t *testing.T) {
 		}
 	}
 	requireIdentical(t, "post-invalidation", a, restored)
-	if stubs := restored.StubUnits(); stubs != 0 {
-		t.Fatalf("environment invalidation left %d stubs unhydrated", stubs)
+	if got := before - restored.StubUnits(); got != want {
+		t.Fatalf("name change hydrated %d stubs, want exactly the %d spelling the new names", got, want)
+	}
+	if n := restored.RuleFilesChecked(); n != want+1 {
+		t.Fatalf("name change re-checked %d files, want the added file plus %d readers", n, want)
 	}
 	requireIdentical(t, "post-invalidation vs cold", coldAssessor(t, a), restored)
-	_ = gen
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
@@ -245,6 +270,81 @@ func putU32Slice(b []byte, off int, v uint32) {
 	b[off+1] = byte(v >> 8)
 	b[off+2] = byte(v >> 16)
 	b[off+3] = byte(v >> 24)
+}
+
+// TestReplayedBodyEditsStayWarm replays more body-edit records than the
+// index change feed retains entries for, with no rule run in between.
+// Body edits move no cross-file fact, so the first run after recovery
+// must re-check exactly the replayed files and hydrate no stub.
+func TestReplayedBodyEditsStayWarm(t *testing.T) {
+	a, _ := newWarmAssessor(t, 26262)
+	const files, funcs = 4, 40
+	probe := func(k, round int) *srcfile.File {
+		var sb strings.Builder
+		for i := 0; i < funcs; i++ {
+			fmt.Fprintf(&sb, "int BodyProbe%d_%d(int x) { return x + %d; }\n", k, i, round)
+		}
+		return &srcfile.File{Path: fmt.Sprintf("control/zz_body_probe_%d.cc", k), Src: sb.String()}
+	}
+	var add core.Delta
+	for k := 0; k < files; k++ {
+		add.Changed = append(add.Changed, probe(k, 0))
+	}
+	if _, err := a.ApplyDelta(add); err != nil {
+		t.Fatal(err)
+	}
+	a.Findings()
+
+	d, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := d.Corpus("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs.WriteSnapshot(mustExport(t, a)); err != nil {
+		t.Fatal(err)
+	}
+	a.SetCommitHook(cs.Append)
+	// Every function of an edited file gets a new record, so each record
+	// re-resolves funcs names; the rounds cover more than the feed bound.
+	rounds := artifact.FeedRetention/(files*funcs) + 1
+	for r := 1; r <= rounds; r++ {
+		for k := 0; k < files; k++ {
+			if _, err := a.ApplyDelta(core.Delta{Changed: []*srcfile.File{probe(k, r)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cs2, err := d.Corpus("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs2.Close()
+	rec, info, err := cs2.Recover(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Replayed != rounds*files {
+		t.Fatalf("recover info = %+v, want %d replayed", info, rounds*files)
+	}
+	stubs := rec.StubUnits()
+	if want := rec.FileSet().Len() - files; stubs != want {
+		t.Fatalf("replay left %d stubs, want %d", stubs, want)
+	}
+	requireIdentical(t, "replayed", a, rec)
+	if n := rec.RuleFilesChecked(); n != files {
+		t.Fatalf("first run after replay re-checked %d files, want the %d replayed", n, files)
+	}
+	if n := rec.StubUnits(); n != stubs {
+		t.Fatalf("first run after replay hydrated %d stubs, want 0", stubs-n)
+	}
+	requireIdentical(t, "replayed vs cold", coldAssessor(t, a), rec)
 }
 
 func TestJournalReplayAndTornTail(t *testing.T) {
@@ -597,4 +697,86 @@ func TestCorpusNameValidation(t *testing.T) {
 			t.Errorf("corpus name %q rejected: %v", good, err)
 		}
 	}
+}
+
+// withSignatureSlots rewrites a snapshot's shard directory so every
+// shard's signature slot is present and non-zero — the layout writers
+// produced while per-shard export/graph signatures existed — and
+// re-frames the section with a fresh checksum.
+func withSignatureSlots(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), raw[:12]...)
+	for off := 12; off < len(raw); {
+		tag := raw[off]
+		n := int(binary.LittleEndian.Uint32(raw[off+1:]))
+		payload := raw[off+5 : off+5+n]
+		off += 5 + n + 4
+		if tag == 'D' {
+			var d []byte
+			p := payload
+			uv := func() uint64 {
+				v, k := binary.Uvarint(p)
+				if k <= 0 {
+					t.Fatal("directory varint does not decode")
+				}
+				p = p[k:]
+				d = binary.AppendUvarint(d, v)
+				return v
+			}
+			shards := uv()
+			for i := uint64(0); i < shards; i++ {
+				name := uv()
+				d = append(d, p[:name]...)
+				p = p[name:]
+				uv() // files
+				if p[0] != 0 {
+					t.Fatal("writer marked a signature slot present")
+				}
+				v1, k1 := binary.Uvarint(p[1:])
+				v2, k2 := binary.Uvarint(p[1+k1:])
+				if v1 != 0 || v2 != 0 {
+					t.Fatal("writer left a non-zero signature in an absent slot")
+				}
+				p = p[1+k1+k2:]
+				d = append(d, 1)
+				d = binary.AppendUvarint(d, 0x9e3779b97f4a7c15+i)
+				d = binary.AppendUvarint(d, 0xc2b2ae3d27d4eb4f^i)
+				for k := 0; k < 6; k++ {
+					uv() // block extents
+				}
+			}
+			uv()
+			uv() // corpus extent
+			payload = d
+		}
+		var hdr [5]byte
+		hdr[0] = tag
+		binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
+		out = append(out, hdr[:]...)
+		out = append(out, payload...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	}
+	return out
+}
+
+// TestSnapshotSignatureSlotCompatible pins snapshot v2 compatibility
+// across the retirement of shard signatures: writers mark every slot
+// absent with zeros, and a snapshot whose slots carry signatures (as
+// older writers produced) still opens and restores to identical state.
+func TestSnapshotSignatureSlotCompatible(t *testing.T) {
+	a, _ := newWarmAssessor(t, 26262)
+	st, err := a.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := withSignatureSlots(t, store.EncodeSnapshot(st, 5))
+	snap, err := store.OpenSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := core.RestoreAssessorFrom(core.DefaultConfig(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "restored from signed slots", a, restored)
 }
