@@ -18,7 +18,9 @@
 // -recover adds the persistent-store leg: every delta is journaled into
 // a temporary data directory, every step recovers a sixth state from
 // disk (snapshot + journal replay) and byte-compares findings, report,
-// and shard stats, compaction fires mid-run, and the run ends with a
+// shard stats, and its snapshot encode (which copies the shards still
+// sealed since the restore) against the warm assessor's, compaction
+// fires mid-run, and the run ends with a
 // truncated-journal crash simulation.
 //
 // -crossfile adds the cross-file mutation kinds: files that call

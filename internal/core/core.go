@@ -71,6 +71,9 @@ type Assessor struct {
 	// stubs (no statement bodies); hydratePaths re-parses them on
 	// demand. nil for assessors that never restored.
 	stubs map[string]bool
+	// base is the state source the assessor was restored from (nil when
+	// it never restored): ExportState copies still-sealed shards from it.
+	base StateSource
 	// commitHook, when set, observes every CommitDelta before any state
 	// mutates — the write-ahead-journal hook of the persistence layer.
 	commitHook func(changed []*srcfile.File, removed []string) error
@@ -133,6 +136,7 @@ func (a *Assessor) LoadFileSet(fs *srcfile.FileSet) error {
 	}
 	a.fs = fs
 	a.units = units
+	a.base = nil
 	a.ix = nil
 	a.findings = nil
 	a.stats = nil

@@ -68,6 +68,16 @@ type PersistedState struct {
 	CorpusFindings []rules.Finding
 	// MetricRows maps every unit path to its metrics row.
 	MetricRows map[string]*metrics.FileMetrics
+
+	// Copied lists, sorted, the module shards whose unit facts, finding
+	// lists and metric rows are unchanged since Base: they have no
+	// entries in Units, FileFindings or MetricRows, and encoders take
+	// them from Base. Source resolves them the same way.
+	Copied []string
+	// Base is the state source the assessor was restored from; set
+	// exactly when Copied is non-empty, so a state only ever pairs with
+	// its own snapshot.
+	Base StateSource
 }
 
 // ruleIDs lists a rule set's IDs in engine order.
@@ -83,35 +93,59 @@ func ruleIDs(rs []rules.Rule) []string {
 // snapshot. It runs Findings and Metrics first (a no-op when already
 // warm) so the exported caches are complete. Only fused rule sets can
 // snapshot: non-fused sets never populate the incremental caches.
+//
+// A restored assessor exports only what moved since the restore: a
+// shard still sealed in both the rule engine and the metrics cache
+// holds exactly its restore-time blocks, so it is listed in Copied
+// (with the restore source as Base) instead of being exported. A cold
+// assessor copies nothing.
 func (a *Assessor) ExportState() (*PersistedState, error) {
 	if a.fs == nil {
 		return nil, errors.New("core: ExportState before a corpus is loaded")
 	}
 	a.Findings()
 	a.Metrics()
-	perFile, corpus, ok := a.ruleEng.ExportCache()
+	ix := a.Index()
+	var copied []string
+	var skip map[string]bool
+	if a.base != nil {
+		for _, m := range ix.ShardNames() {
+			if a.ruleEng.Sealed(m) && a.mcache.Sealed(m) {
+				copied = append(copied, m)
+			}
+		}
+		skip = make(map[string]bool, len(copied))
+		for _, m := range copied {
+			skip[m] = true
+		}
+	}
+	perFile, corpus, ok := a.ruleEng.ExportCache(skip)
 	if !ok {
 		return nil, errors.New("core: snapshot requires the fused rule engine (a non-fused rule set keeps no warm cache)")
 	}
-	rows, ok := a.mcache.ExportRows()
+	rows, ok := a.mcache.ExportRows(skip)
 	if !ok {
 		return nil, errors.New("core: metrics cache not warm after Metrics()")
 	}
-	ix := a.Index()
 	st := &PersistedState{
 		Target:         a.cfg.TargetASIL,
 		RuleIDs:        ruleIDs(a.cfg.Rules),
 		Files:          make([]PersistedFile, 0, a.fs.Len()),
-		Units:          make([]artifact.UnitFacts, 0, len(ix.Paths)),
+		Units:          make([]artifact.UnitFacts, 0, len(perFile)),
 		FileFindings:   perFile,
 		CorpusFindings: corpus,
 		MetricRows:     rows,
+	}
+	if len(copied) > 0 {
+		st.Copied, st.Base = copied, a.base
 	}
 	for _, f := range a.fs.Files() {
 		st.Files = append(st.Files, PersistedFile{Path: f.Path, Module: f.Module, Lang: f.Lang, Src: f.Src})
 	}
 	for _, p := range ix.Paths {
-		st.Units = append(st.Units, ix.UnitFacts(p))
+		if len(skip) == 0 || !skip[ix.Units[p].File.ModuleName()] {
+			st.Units = append(st.Units, ix.UnitFacts(p))
+		}
 	}
 	return st, nil
 }
@@ -156,7 +190,7 @@ type StateSource interface {
 // are fact-carrying stubs, hydrated on demand when a cache needs their
 // ASTs.
 func RestoreAssessor(cfg Config, st *PersistedState) (*Assessor, error) {
-	return RestoreAssessorFrom(cfg, newStateSource(st))
+	return RestoreAssessorFrom(cfg, st.Source())
 }
 
 // RestoreAssessorFrom rebuilds a warm assessor from a state source.
@@ -297,6 +331,7 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 	}
 
 	a.fs, a.units, a.ix = fs, units, ix
+	a.base = src
 	a.ruleEng.RestoreCacheLazy(ix, corpus, seeds)
 	a.mcache.RestoreRowsLazy(ix, seeds)
 	a.stubs = stubs
@@ -346,15 +381,18 @@ func (l *lazySeeds) ShardRows(m string) ([]*metrics.FileMetrics, bool) {
 }
 
 // stateSource adapts an eagerly decoded PersistedState to the lazy
-// restore path (grouping its flat maps by module shard once).
+// restore path and to the snapshot encoder.
 type stateSource struct {
-	st    *PersistedState
-	names []string
-	units map[string][]artifact.UnitFacts
+	st     *PersistedState
+	names  []string
+	units  map[string][]artifact.UnitFacts
+	copied map[string]bool
 }
 
-func newStateSource(st *PersistedState) *stateSource {
-	s := &stateSource{st: st, units: make(map[string][]artifact.UnitFacts)}
+// Source returns the state as a StateSource, grouping its flat maps by
+// module shard once. Copied shards resolve through Base.
+func (st *PersistedState) Source() StateSource {
+	s := &stateSource{st: st, units: make(map[string][]artifact.UnitFacts), copied: make(map[string]bool, len(st.Copied))}
 	modOf := make(map[string]string, len(st.Files))
 	for i := range st.Files {
 		pf := &st.Files[i]
@@ -373,8 +411,12 @@ func newStateSource(st *PersistedState) *stateSource {
 		}
 		s.units[m] = append(s.units[m], uf)
 	}
-	s.names = make([]string, 0, len(s.units))
+	s.names = make([]string, 0, len(s.units)+len(st.Copied))
 	for m := range s.units {
+		s.names = append(s.names, m)
+	}
+	for _, m := range st.Copied {
+		s.copied[m] = true
 		s.names = append(s.names, m)
 	}
 	sort.Strings(s.names)
@@ -387,6 +429,9 @@ func (s *stateSource) Files() ([]PersistedFile, error) { return s.st.Files, nil 
 func (s *stateSource) ShardNames() []string            { return s.names }
 
 func (s *stateSource) ShardUnits(m string) ([]artifact.UnitFacts, error) {
+	if s.copied[m] {
+		return s.st.Base.ShardUnits(m)
+	}
 	return s.units[m], nil
 }
 
@@ -395,6 +440,9 @@ func (s *stateSource) CorpusFindings() ([]rules.Finding, error) {
 }
 
 func (s *stateSource) ShardFindings(m string) ([][]rules.Finding, error) {
+	if s.copied[m] {
+		return s.st.Base.ShardFindings(m)
+	}
 	ufs := s.units[m]
 	out := make([][]rules.Finding, len(ufs))
 	for i := range ufs {
@@ -408,6 +456,9 @@ func (s *stateSource) ShardFindings(m string) ([][]rules.Finding, error) {
 }
 
 func (s *stateSource) ShardMetrics(m string, paths []string) ([]*metrics.FileMetrics, error) {
+	if s.copied[m] {
+		return s.st.Base.ShardMetrics(m, paths)
+	}
 	out := make([]*metrics.FileMetrics, len(paths))
 	for i, p := range paths {
 		fm := s.st.MetricRows[p]

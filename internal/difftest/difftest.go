@@ -14,10 +14,13 @@
 //     assessor journals every delta into a data directory, and at every
 //     step a sixth state is recovered from disk — snapshot plus
 //     read-only journal replay — and must match the others byte-for-
-//     byte on findings, the full report, and shard stats. At the end of
-//     the run the harness additionally simulates a crash mid-append by
-//     truncating a copy of the journal and requires recovery to land
-//     exactly on the state at the last complete record,
+//     byte on findings, the full report, and shard stats, and encode
+//     the same snapshot bytes as the warm assessor (the recovered state
+//     copies the shards it still holds sealed; the warm one encodes
+//     every shard). At the end of the run the harness additionally
+//     simulates a crash mid-append by truncating a copy of the journal
+//     and requires recovery to land exactly on the state at the last
+//     complete record,
 //  7. with Batch, the batched-delta path: a second warm assessor holds
 //     the same mutations back as pending deltas and commits them k at a
 //     time through core.Assessor.ApplyDeltaBatch; at every flush
@@ -333,6 +336,16 @@ func persistWarm(cs *store.CorpusStore, warm *core.Assessor) error {
 	return err
 }
 
+// snapshotBytes encodes the assessor's exported state under a fixed
+// generation tag.
+func snapshotBytes(a *core.Assessor) ([]byte, error) {
+	st, err := a.ExportState()
+	if err != nil {
+		return nil, err
+	}
+	return store.EncodeSnapshot(st, 1), nil
+}
+
 const corpusName = "adfuzz"
 
 // mutationDelta renders one generator mutation as a standalone Delta
@@ -422,6 +435,17 @@ func verifyStep(gen *corpusgen.Generator, warm *core.Assessor, inc *rules.Increm
 		}
 		if w, r := fmt.Sprintf("%v", warm.ShardStats()), fmt.Sprintf("%v", rec.ShardStats()); w != r {
 			return 0, nil, fmt.Errorf("recovered shard stats diverge:\n  warm %s\n  rec  %s", w, r)
+		}
+		recSnap, err := snapshotBytes(rec)
+		if err != nil {
+			return 0, nil, err
+		}
+		warmSnap, err := snapshotBytes(warm)
+		if err != nil {
+			return 0, nil, err
+		}
+		if d := firstDiff(warmSnap, recSnap); d != "" {
+			return 0, nil, fmt.Errorf("recovered snapshot encode diverges from warm assessor: %s", d)
 		}
 	}
 

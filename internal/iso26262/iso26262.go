@@ -7,7 +7,10 @@
 // verdicts.
 package iso26262
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // ASIL is an Automotive Safety Integrity Level. QM (Quality Management)
 // covers components that cannot cause safety risks upon failure.
@@ -141,10 +144,18 @@ type Ref struct {
 	Item  int
 }
 
-// String formats like "T8.2".
+// String formats like "T8.2" (".2" for an unknown table).
 func (r Ref) String() string {
-	n := map[TableID]string{TableCoding: "T1", TableArch: "T3", TableUnit: "T8"}[r.Table]
-	return fmt.Sprintf("%s.%d", n, r.Item)
+	prefix := "."
+	switch r.Table {
+	case TableCoding:
+		prefix = "T1."
+	case TableArch:
+		prefix = "T3."
+	case TableUnit:
+		prefix = "T8."
+	}
+	return prefix + strconv.Itoa(r.Item)
 }
 
 // hh/rr/oo shorthands keep the table literals readable.

@@ -1,6 +1,9 @@
 package iso26262
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestTableShapes(t *testing.T) {
 	if len(CodingGuidelines) != 8 {
@@ -96,9 +99,24 @@ func TestParseASIL(t *testing.T) {
 }
 
 func TestRefString(t *testing.T) {
-	r := Ref{Table: TableUnit, Item: 2}
-	if r.String() != "T8.2" {
-		t.Errorf("ref = %q", r.String())
+	type tc struct {
+		ref  Ref
+		want string
+	}
+	var cases []tc
+	for _, tbl := range []struct {
+		topics []Topic
+		iso    int // the ISO 26262-6 table number
+	}{{CodingGuidelines, 1}, {ArchitectureDesign, 3}, {UnitDesign, 8}} {
+		for _, tp := range tbl.topics {
+			cases = append(cases, tc{Ref{tp.Table, tp.Item}, fmt.Sprintf("T%d.%d", tbl.iso, tp.Item)})
+		}
+	}
+	cases = append(cases, tc{Ref{TableUnit, 2}, "T8.2"}, tc{Ref{TableID(7), 4}, ".4"}, tc{Ref{TableCoding, 120}, "T1.120"})
+	for _, c := range cases {
+		if got := c.ref.String(); got != c.want {
+			t.Errorf("%+v.String() = %q, want %q", c.ref, got, c.want)
+		}
 	}
 }
 

@@ -13,31 +13,48 @@ import (
 // restored artifact facts with no text scans, so the first warm
 // AnalyzeIndexed rebuilds them for free.
 
+// Sealed reports whether a module's shard is still sealed: restored
+// lazily (RestoreRowsLazy), never dirtied since, and valid at the
+// shard's current generation, so its rows are exactly the snapshot's.
+func (c *Cache) Sealed(module string) bool {
+	if c.ix == nil {
+		return false
+	}
+	sh, ms := c.ix.Shard(module), c.shards[module]
+	return sh != nil && ms != nil && ms.valid && ms.loadRows != nil && ms.gen == sh.Gen()
+}
+
 // ExportRows returns the cached per-file metric rows for every path of
-// the cache's current index, or ok=false when the cache is not warm
-// (callers run AnalyzeIndexed — core.Assessor.Metrics — first). The
+// the cache's current index outside the shards in skip, or ok=false
+// when the cache is not warm (callers run AnalyzeIndexed —
+// core.Assessor.Metrics — first). Rows come from each shard's
+// path-ordered row list, so a sealed shard exports the rows it
+// materialized without thawing (no hashing) and stays sealed. The
 // returned rows are the live cache values; callers must treat them as
 // immutable.
-func (c *Cache) ExportRows() (map[string]*FileMetrics, bool) {
+func (c *Cache) ExportRows(skip map[string]bool) (map[string]*FileMetrics, bool) {
 	if c.ix == nil {
 		return nil, false
 	}
 	out := make(map[string]*FileMetrics, len(c.ix.Paths))
 	for _, m := range c.ix.ShardNames() {
+		if skip[m] {
+			continue
+		}
 		sh := c.ix.Shard(m)
 		ms := c.shards[m]
 		if ms == nil || !ms.valid || ms.gen != sh.Gen() {
 			return nil, false
 		}
-		if ms.perFile == nil && !ms.thawEntries() {
+		paths := sh.Paths()
+		if len(ms.files) != len(paths) {
 			return nil, false
 		}
-		for _, p := range sh.Paths() {
-			e, present := ms.perFile[p]
-			if !present {
+		for i, p := range paths {
+			if ms.files[i].Path != p {
 				return nil, false
 			}
-			out[p] = e.fm
+			out[p] = ms.files[i]
 		}
 	}
 	return out, true

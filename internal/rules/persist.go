@@ -12,29 +12,55 @@ import (
 // snapshot stores only the finding lists and RestoreCacheLazy rebuilds
 // the rest against the restored index on demand.
 
+// Sealed reports whether a module's shard is still sealed: restored
+// lazily (RestoreCacheLazy), never dirtied since, and valid at the
+// shard's current generation. Every kind of dirtying — a content
+// change, a re-check of files spelling a changed name, a full re-check,
+// a block that would not decode — drops the shard's loaders, so a
+// sealed shard's finding lists are exactly the snapshot's.
+func (s *Sharded) Sealed(module string) bool {
+	if s.ix == nil {
+		return false
+	}
+	sh, seg := s.ix.Shard(module), s.shards[module]
+	return sh != nil && seg != nil && seg.valid && seg.load != nil && seg.gen == sh.Gen()
+}
+
 // ExportCache returns the engine's cached per-file finding lists (one
-// entry per indexed path, possibly empty) and the corpus-level segment.
-// It reports ok=false when the engine holds no complete warm state for
-// its current index — callers run the engine once (core.Assessor
-// .Findings) before snapshotting. Sealed (lazily restored, never
-// dirtied) shards are thawed here: compaction re-snapshots the whole
-// corpus, so it materializes whatever restore deferred. The returned
-// slices are the live cache entries; callers must not mutate them.
-func (s *Sharded) ExportCache() (perFile map[string][]Finding, corpus []Finding, ok bool) {
+// entry per indexed path of every shard not in skip, possibly empty)
+// and the corpus-level segment. It reports ok=false when the engine
+// holds no complete warm state for its current index — callers run the
+// engine once (core.Assessor.Findings) before snapshotting. A sealed
+// shard is exported through its loader, not thawed: it hashes nothing
+// and stays sealed, so the next export can skip it again. The returned
+// slices are live cache entries or loader output; callers must not
+// mutate them.
+func (s *Sharded) ExportCache(skip map[string]bool) (perFile map[string][]Finding, corpus []Finding, ok bool) {
 	if s.fused == nil || s.ix == nil || !s.haveCorpus {
 		return nil, nil, false
 	}
 	perFile = make(map[string][]Finding, len(s.ix.Paths))
 	for _, m := range s.ix.ShardNames() {
+		if skip[m] {
+			continue
+		}
 		sh := s.ix.Shard(m)
 		seg := s.shards[m]
 		if seg == nil || !seg.valid || seg.gen != sh.Gen() {
 			return nil, nil, false
 		}
-		if seg.perFile == nil && !seg.thawEntries() {
-			return nil, nil, false
+		paths := sh.Paths()
+		if seg.perFile == nil {
+			fss, ok := seg.load()
+			if !ok || len(fss) != len(paths) {
+				return nil, nil, false
+			}
+			for i, p := range paths {
+				perFile[p] = fss[i]
+			}
+			continue
 		}
-		for _, p := range sh.Paths() {
+		for _, p := range paths {
 			e, present := seg.perFile[p]
 			if !present {
 				return nil, nil, false

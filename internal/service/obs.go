@@ -139,6 +139,14 @@ func newServerMetrics() *serverMetrics {
 			"Record-durability fsyncs issued; group commit amortizes this below one per record."),
 		BatchRecords: reg.Histogram("adserve_journal_batch_records",
 			"Records newly made durable per fsync (the group-commit batch size)."),
+		Compactions: reg.Counter("adserve_compactions_total",
+			"Snapshots written and installed: compactions, POST /snapshot, and shutdown drains."),
+		CompactionFailures: reg.Counter("adserve_compaction_failures_total",
+			"Snapshot writes that failed before installing (the previous snapshot and journal stay authoritative)."),
+		ShardsCopied: reg.Counter("adserve_snapshot_shards_copied_total",
+			"Shards whose blocks installed snapshots copied verbatim from the snapshot the corpus was restored from."),
+		ShardsEncoded: reg.Counter("adserve_snapshot_shards_encoded_total",
+			"Shards installed snapshots encoded afresh."),
 	}
 	return m
 }

@@ -152,6 +152,73 @@ func TestDeltaTriggersCompaction(t *testing.T) {
 	}
 }
 
+// TestSnapshotWriteSeries pins the snapshot-write series against what
+// the client did: a snapshot after one edit to a restored corpus copies
+// every shard but the edited one, and a compaction whose temp file
+// cannot be created is acknowledged uncompacted and counted as a
+// failure.
+func TestSnapshotWriteSeries(t *testing.T) {
+	dir := t.TempDir()
+	files := smallCorpus()
+	files["o/d.c"] = "int fd(int x) { return x * 2; }\n"
+	files["p/e.c"] = "int fe(int x) { return x - 1; }\n"
+	ts1, svc1, _ := newPersistentServer(t, dir) // MaxJournalRecords: 3
+	if code, body := postJSON(t, ts1.URL+"/assess",
+		service.AssessRequest{Corpus: "c1", Files: files}, nil); code != http.StatusOK {
+		t.Fatalf("assess: %d %s", code, body)
+	}
+	if err := svc1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+
+	ts, svc, restored := newPersistentServer(t, dir)
+	defer svc.Close()
+	if len(restored) != 1 {
+		t.Fatalf("restored = %+v, want c1", restored)
+	}
+	series := func() (copied, encoded, compactions, failures int64) {
+		return statzCounter(t, ts.URL, "adserve_snapshot_shards_copied_total", nil),
+			statzCounter(t, ts.URL, "adserve_snapshot_shards_encoded_total", nil),
+			statzCounter(t, ts.URL, "adserve_compactions_total", nil),
+			statzCounter(t, ts.URL, "adserve_compaction_failures_total", nil)
+	}
+	delta := func(i int) service.DeltaResponse {
+		t.Helper()
+		var resp service.DeltaResponse
+		src := "int fa(int x) { return x + " + string(rune('0'+i)) + "; }\n"
+		if code, body := postJSON(t, ts.URL+"/delta", service.DeltaRequest{
+			Corpus: "c1", Changed: map[string]string{"m/a.c": src}}, &resp); code != http.StatusOK {
+			t.Fatalf("delta %d: %d %s", i, code, body)
+		}
+		return resp
+	}
+	delta(0)
+	if code, body := postJSON(t, ts.URL+"/snapshot", service.SnapshotRequest{Corpus: "c1"}, nil); code != http.StatusOK {
+		t.Fatalf("snapshot: %d %s", code, body)
+	}
+	if c, e, n, f := series(); c != 3 || e != 1 || n != 1 || f != 0 {
+		t.Fatalf("after /snapshot: copied %d, encoded %d, compactions %d, failures %d; want 3, 1, 1, 0", c, e, n, f)
+	}
+
+	// A directory where the temp file goes makes its open fail (for root
+	// too); the third delta trips the record threshold.
+	if err := os.Mkdir(filepath.Join(dir, "c1", "snapshot.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	delta(1)
+	delta(2)
+	if last := delta(3); last.Journal == nil || last.Journal.Compacted || last.Journal.Records != 3 {
+		t.Fatalf("threshold delta journal = %+v, want uncompacted with 3 records", last.Journal)
+	}
+	if c, e, n, f := series(); c != 3 || e != 1 || n != 1 || f != 1 {
+		t.Fatalf("after the failed compaction: copied %d, encoded %d, compactions %d, failures %d; want 3, 1, 1, 1", c, e, n, f)
+	}
+	if err := os.Remove(filepath.Join(dir, "c1", "snapshot.tmp")); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStorableCorpusNames pins the persistent-server name restriction.
 func TestStorableCorpusNames(t *testing.T) {
 	ts, svc, _ := newPersistentServer(t, t.TempDir())

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 )
 
 // errCorrupt is wrapped by every decoder-detected inconsistency.
@@ -40,6 +41,7 @@ type enc struct {
 }
 
 func (e *enc) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *enc) u32(v uint32)     { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 func (e *enc) int(v int)        { e.uvarint(uint64(v)) }
 func (e *enc) byte(b byte)      { e.buf = append(e.buf, b) }
 func (e *enc) bool(v bool) {
@@ -60,12 +62,18 @@ func (e *enc) strings(ss []string) {
 	}
 }
 
+// uvarintLen is the length of v's uvarint encoding; stringLen that of
+// an encoded string.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+func stringLen(s string) int  { return uvarintLen(uint64(len(s))) + len(s) }
+
 // dec is the matching sticky-error reader: after the first error every
 // accessor returns the zero value, and the caller checks err once.
 //
 // dec reads from a string, not a []byte: string() then returns a
 // zero-copy substring of the input. Snapshot decode exploits this by
-// converting the raw snapshot to a string once — every decoded path,
+// holding the whole snapshot as one string (a boot reads the file
+// straight into it) — every decoded path,
 // source, and message is a view into that one buffer instead of its
 // own allocation, which is most of what snapshot decode used to do.
 // The trade-off is pinning: decoded state keeps the whole snapshot
@@ -181,6 +189,23 @@ const maxInt = int(^uint(0) >> 1)
 // crc is the checksum both formats use (IEEE CRC-32, the Go table).
 func crc(p []byte) uint32 { return crc32.ChecksumIEEE(p) }
 
-// putU32/getU32 frame fixed-width fields (record headers, checksums).
+// crcString is crc over a string, fed through a small buffer instead of
+// one []byte copy of the whole string.
+func crcString(s string) uint32 {
+	var buf [32 << 10]byte
+	var c uint32
+	for len(s) > 0 {
+		n := copy(buf[:], s)
+		c = crc32.Update(c, crc32.IEEETable, buf[:n])
+		s = s[n:]
+	}
+	return c
+}
+
+// putU32/getU32 frame fixed-width fields (record headers, checksums);
+// getU32s reads one from a string.
 func putU32(buf []byte, v uint32) { binary.LittleEndian.PutUint32(buf, v) }
 func getU32(buf []byte) uint32    { return binary.LittleEndian.Uint32(buf) }
+func getU32s(s string) uint32 {
+	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
+}

@@ -17,6 +17,16 @@ type JournalMetrics struct {
 	// BatchRecords observes, per fsync, how many staged records that
 	// fsync newly made durable — the group-commit batch size.
 	BatchRecords *obs.Histogram
+	// Compactions counts snapshots WriteSnapshot installed (each absorbs
+	// the journal) and CompactionFailures the writes that failed before
+	// installing anything.
+	Compactions        *obs.Counter
+	CompactionFailures *obs.Counter
+	// ShardsCopied and ShardsEncoded count, over installed snapshots, the
+	// shards whose blocks were copied verbatim from the base snapshot
+	// and the shards encoded afresh.
+	ShardsCopied  *obs.Counter
+	ShardsEncoded *obs.Counter
 }
 
 // SetMetrics attaches (or with nil detaches) journal instruments,

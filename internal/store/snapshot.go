@@ -85,133 +85,195 @@ type SnapShard struct {
 	Metrics  Extent
 }
 
-// groupUnits partitions a persisted state's units by module shard —
-// the partition the artifact index will derive on restore. Unit order
-// inside a group follows st.Units (sorted path order), so each group
-// is itself path-sorted.
-func groupUnits(st *core.PersistedState) (names []string, groups map[string][]int) {
-	modOf := make(map[string]string, len(st.Files))
-	for i := range st.Files {
-		pf := &st.Files[i]
-		f := srcfile.File{Path: pf.Path, Module: pf.Module}
-		modOf[pf.Path] = f.ModuleName()
-	}
-	groups = make(map[string][]int)
-	for i := range st.Units {
-		m, ok := modOf[st.Units[i].Path]
-		if !ok {
-			f := srcfile.File{Path: st.Units[i].Path}
-			m = f.ModuleName()
-		}
-		groups[m] = append(groups[m], i)
-	}
-	names = make([]string, 0, len(groups))
-	for m := range groups {
-		names = append(names, m)
-	}
-	sort.Strings(names)
-	return names, groups
+// shardBlocks is one shard's U, R and M blocks as they land in a
+// snapshot: freshly encoded (enc) or copied verbatim from the base
+// snapshot (raw); exactly one of the two is set.
+type shardBlocks struct {
+	files int
+	enc   [3][]byte
+	raw   [3]string
+}
+
+func (b *shardBlocks) size(i int) int { return len(b.enc[i]) + len(b.raw[i]) }
+
+func (b *shardBlocks) appendTo(e *enc, i int) {
+	e.buf = append(e.buf, b.enc[i]...)
+	e.buf = append(e.buf, b.raw[i]...)
 }
 
 // EncodeSnapshot renders a persisted state into the versioned binary
-// snapshot format under the given generation tag.
+// snapshot format under the given generation tag. It panics when the
+// state is incomplete (a path without its finding list or metrics row,
+// or copied shards its Base cannot produce); every state ExportState
+// returns is complete.
 func EncodeSnapshot(st *core.PersistedState, gen uint64) []byte {
-	names, groups := groupUnits(st)
+	raw, _, _, err := encodeSnapshot(st, gen)
+	if err != nil {
+		panic(fmt.Sprintf("store: EncodeSnapshot: %v", err))
+	}
+	return raw
+}
+
+// encodeSnapshot renders st and reports how many shards it copied
+// verbatim from the base snapshot and how many it encoded. A shard the
+// state lists as copied from a *Snapshot base is copied extent for
+// extent: the base's blocks are what a fresh encode of the same shard
+// writes. Every other shard, copied shards of any other base included,
+// is encoded through the state's StateSource. Each section is sized
+// from its parts before it is filled, so the output is one allocation.
+func encodeSnapshot(st *core.PersistedState, gen uint64) ([]byte, int, int, error) {
+	src := st.Source()
+	names := src.ShardNames()
+	base, _ := st.Base.(*Snapshot)
+	copyFrom := make(map[string]*SnapShard, len(st.Copied))
+	if base != nil {
+		for _, m := range st.Copied {
+			if sh := base.byMod[m]; sh != nil {
+				copyFrom[m] = sh
+			}
+		}
+	}
+
+	// Shards are independent: encode (or slice out) each one's blocks on
+	// a worker pool into private buffers; the sequential fill below lays
+	// them out in shard name order.
+	blocks := make([]shardBlocks, len(names))
+	errs := make([]error, len(names))
+	par.For(par.Workers(len(names)), len(names), func(k int) {
+		m := names[k]
+		b := &blocks[k]
+		if sh := copyFrom[m]; sh != nil {
+			b.files = sh.Files
+			b.raw = [3]string{
+				base.uRaw[sh.Units.Off : sh.Units.Off+sh.Units.Len],
+				base.rRaw[sh.Findings.Off : sh.Findings.Off+sh.Findings.Len],
+				base.mRaw[sh.Metrics.Off : sh.Metrics.Off+sh.Metrics.Len],
+			}
+			return
+		}
+		errs[k] = encodeShard(src, m, b)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	var corpus enc
+	encodeFindings(&corpus, st.CorpusFindings)
 
 	var h enc
 	h.uvarint(gen)
 	h.int(int(st.Target))
 	h.strings(st.RuleIDs)
 
-	// The files section (sources dominate the snapshot) and the
-	// per-shard U/R/M blocks are all independent: encode them on one
-	// worker pool, each shard into private buffers, and concatenate the
-	// blocks in shard name order below — the same bytes as a sequential
-	// encode. Task 0 is the files section; task k+1 is shard k.
-	var f enc
-	uBufs := make([][]byte, len(names))
-	rBufs := make([][]byte, len(names))
-	mBufs := make([][]byte, len(names))
-	nTasks := len(names) + 1
-	par.For(par.Workers(nTasks), nTasks, func(t int) {
-		if t == 0 {
-			f.int(len(st.Files))
-			for i := range st.Files {
-				pf := &st.Files[i]
-				f.string(pf.Path)
-				f.string(pf.Module)
-				f.byte(byte(pf.Lang))
-				f.string(pf.Src)
-			}
-			return
-		}
-		k := t - 1
-		var u, r, m enc
-		for _, i := range groups[names[k]] {
-			uf := &st.Units[i]
-			encodeUnit(&u, uf)
-			encodeFindings(&r, st.FileFindings[uf.Path])
-			encodeMetricRow(&m, st.MetricRows[uf.Path])
-		}
-		uBufs[k], rBufs[k], mBufs[k] = u.buf, r.buf, m.buf
-	})
-
-	// Concatenate the per-shard blocks, recording extents as each lands.
-	var u, r, m enc
-	uExt := make([]Extent, len(names))
-	rExt := make([]Extent, len(names))
-	mExt := make([]Extent, len(names))
-	for k := range names {
-		uExt[k] = Extent{len(u.buf), len(uBufs[k])}
-		u.buf = append(u.buf, uBufs[k]...)
-		rExt[k] = Extent{len(r.buf), len(rBufs[k])}
-		r.buf = append(r.buf, rBufs[k]...)
-		mExt[k] = Extent{len(m.buf), len(mBufs[k])}
-		m.buf = append(m.buf, mBufs[k]...)
-	}
-	corpusAt := len(r.buf)
-	encodeFindings(&r, st.CorpusFindings)
-
 	var d enc
+	var sizes [3]int
 	d.int(len(names))
 	for k, name := range names {
+		b := &blocks[k]
 		d.string(name)
-		d.int(len(groups[name]))
+		d.int(b.files)
 		// The retired signature slot: absent, zeros.
 		d.bool(false)
 		d.uvarint(0)
 		d.uvarint(0)
-		d.int(uExt[k].Off)
-		d.int(uExt[k].Len)
-		d.int(rExt[k].Off)
-		d.int(rExt[k].Len)
-		d.int(mExt[k].Off)
-		d.int(mExt[k].Len)
+		for i := range sizes {
+			d.int(sizes[i])
+			d.int(b.size(i))
+			sizes[i] += b.size(i)
+		}
 	}
-	d.int(corpusAt)
-	d.int(len(r.buf) - corpusAt)
+	d.int(sizes[1])
+	d.int(len(corpus.buf))
+	sizes[1] += len(corpus.buf)
 
-	var out enc
-	out.buf = make([]byte, 0, snapshotSizeHint(st))
-	out.buf = append(out.buf, snapMagic...)
-	var v4 [4]byte
-	putU32(v4[:], snapVersion)
-	out.buf = append(out.buf, v4[:]...)
-	section := func(tag byte, payload []byte) {
-		out.byte(tag)
-		putU32(v4[:], uint32(len(payload)))
-		out.buf = append(out.buf, v4[:]...)
-		out.buf = append(out.buf, payload...)
-		putU32(v4[:], crc(payload))
-		out.buf = append(out.buf, v4[:]...)
+	fSize := filesSize(st.Files)
+	total := len(snapMagic) + 4
+	for _, n := range []int{len(h.buf), len(d.buf), fSize, sizes[0], sizes[1], sizes[2]} {
+		total += 1 + 4 + n + 4
 	}
-	section('H', h.buf)
-	section('D', d.buf)
-	section('F', f.buf)
-	section('U', u.buf)
-	section('R', r.buf)
-	section('M', m.buf)
-	return out.buf
+	out := enc{buf: make([]byte, 0, total)}
+	out.buf = append(out.buf, snapMagic...)
+	out.u32(snapVersion)
+	// section frames one payload: the length is patched in after the
+	// fill, so the sizes above only ever size the buffer.
+	section := func(tag byte, fill func()) {
+		out.byte(tag)
+		out.u32(0)
+		at := len(out.buf)
+		fill()
+		putU32(out.buf[at-4:], uint32(len(out.buf)-at))
+		out.u32(crc(out.buf[at:]))
+	}
+	section('H', func() { out.buf = append(out.buf, h.buf...) })
+	section('D', func() { out.buf = append(out.buf, d.buf...) })
+	section('F', func() { encodeFiles(&out, st.Files) })
+	for i, tag := range []byte{'U', 'R', 'M'} {
+		section(tag, func() {
+			for k := range blocks {
+				blocks[k].appendTo(&out, i)
+			}
+			if tag == 'R' {
+				out.buf = append(out.buf, corpus.buf...)
+			}
+		})
+	}
+	return out.buf, len(copyFrom), len(names) - len(copyFrom), nil
+}
+
+// encodeShard encodes module m's U, R and M blocks from src.
+func encodeShard(src core.StateSource, m string, b *shardBlocks) error {
+	ufs, err := src.ShardUnits(m)
+	if err != nil {
+		return err
+	}
+	fss, err := src.ShardFindings(m)
+	if err != nil {
+		return err
+	}
+	paths := make([]string, len(ufs))
+	for i := range ufs {
+		paths[i] = ufs[i].Path
+	}
+	rows, err := src.ShardMetrics(m, paths)
+	if err != nil {
+		return err
+	}
+	if len(fss) != len(ufs) || len(rows) != len(ufs) {
+		return fmt.Errorf("shard %q has %d units, %d finding lists and %d metric rows", m, len(ufs), len(fss), len(rows))
+	}
+	var u, r, mm enc
+	for i := range ufs {
+		encodeUnit(&u, &ufs[i])
+		encodeFindings(&r, fss[i])
+		encodeMetricRow(&mm, rows[i])
+	}
+	b.files = len(ufs)
+	b.enc = [3][]byte{u.buf, r.buf, mm.buf}
+	return nil
+}
+
+// encodeFiles writes the F section payload: the corpus files in
+// insertion order.
+func encodeFiles(e *enc, files []core.PersistedFile) {
+	e.int(len(files))
+	for i := range files {
+		pf := &files[i]
+		e.string(pf.Path)
+		e.string(pf.Module)
+		e.byte(byte(pf.Lang))
+		e.string(pf.Src)
+	}
+}
+
+// filesSize is the exact length encodeFiles writes.
+func filesSize(files []core.PersistedFile) int {
+	n := uvarintLen(uint64(len(files)))
+	for i := range files {
+		pf := &files[i]
+		n += stringLen(pf.Path) + stringLen(pf.Module) + 1 + stringLen(pf.Src)
+	}
+	return n
 }
 
 // Snapshot is a lazily decoded snapshot: opening one validates every
@@ -245,18 +307,21 @@ type Snapshot struct {
 // OpenSnapshot parses a snapshot's framing: magic, version, section
 // checksums, header, and shard directory. No shard block is decoded.
 func OpenSnapshot(raw []byte) (*Snapshot, error) {
-	if len(raw) < len(snapMagic)+4 {
+	return openSnapshot(string(raw))
+}
+
+// openSnapshot is OpenSnapshot over the whole snapshot as one string:
+// every decoded string is a zero-copy view into it.
+func openSnapshot(all string) (*Snapshot, error) {
+	if len(all) < len(snapMagic)+4 {
 		return nil, fmt.Errorf("%w: snapshot shorter than its header", errCorrupt)
 	}
-	if string(raw[:len(snapMagic)]) != snapMagic {
+	if all[:len(snapMagic)] != snapMagic {
 		return nil, fmt.Errorf("%w: bad snapshot magic", errCorrupt)
 	}
-	if v := getU32(raw[len(snapMagic):]); v != snapVersion {
+	if v := getU32s(all[len(snapMagic):]); v != snapVersion {
 		return nil, fmt.Errorf("unsupported snapshot version %d (this build reads %d)", v, snapVersion)
 	}
-	// One string conversion for the whole buffer: every decoded string
-	// below is a zero-copy view into it.
-	all := string(raw)
 	type section struct {
 		payload string
 		base    int
@@ -266,36 +331,34 @@ func OpenSnapshot(raw []byte) (*Snapshot, error) {
 	// a large snapshot and the sections are independent.
 	type rawSection struct {
 		tag     byte
-		payload []byte
-		base    int
+		payload string
 		want    uint32
 	}
 	var raws []rawSection
 	sections := make(map[byte]section, len(snapTags))
 	off := len(snapMagic) + 4
-	for off < len(raw) {
-		if len(raw)-off < 1+4 {
+	for off < len(all) {
+		if len(all)-off < 1+4 {
 			return nil, fmt.Errorf("%w: truncated section header", errCorrupt)
 		}
-		tag := raw[off]
-		n := int(getU32(raw[off+1:]))
+		tag := all[off]
+		n := int(getU32s(all[off+1:]))
 		off += 5
-		if n < 0 || len(raw)-off < n+4 {
+		if n < 0 || len(all)-off < n+4 {
 			return nil, fmt.Errorf("%w: truncated section %q", errCorrupt, tag)
 		}
-		payload := raw[off : off+n]
 		base := off
 		off += n
-		raws = append(raws, rawSection{tag: tag, payload: payload, base: base, want: getU32(raw[off:])})
+		raws = append(raws, rawSection{tag: tag, payload: all[base:off], want: getU32s(all[off:])})
 		off += 4
 		if _, dup := sections[tag]; dup {
 			return nil, fmt.Errorf("%w: duplicate section %q", errCorrupt, tag)
 		}
-		sections[tag] = section{payload: all[base : base+n], base: base}
+		sections[tag] = section{payload: all[base : off-4], base: base}
 	}
 	crcErrs := make([]error, len(raws))
 	par.For(par.Workers(len(raws)), len(raws), func(i int) {
-		if got := crc(raws[i].payload); got != raws[i].want {
+		if got := crcString(raws[i].payload); got != raws[i].want {
 			crcErrs[i] = fmt.Errorf("%w: section %q checksum mismatch (%08x != %08x)", errCorrupt, raws[i].tag, got, raws[i].want)
 		}
 	})
@@ -725,13 +788,4 @@ func decodeMetricRow(d *dec, path string) *metrics.FileMetrics {
 		})
 	}
 	return fm
-}
-
-// snapshotSizeHint estimates the encoded size (sources dominate).
-func snapshotSizeHint(st *core.PersistedState) int {
-	n := 1 << 12
-	for i := range st.Files {
-		n += len(st.Files[i].Src) + len(st.Files[i].Path)*2 + 64
-	}
-	return n + len(st.CorpusFindings)*64
 }

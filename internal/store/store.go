@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/srcfile"
@@ -156,42 +158,67 @@ func newGen() (uint64, error) {
 // the directory sync or the journal truncation — do not fail the write:
 // any surviving journal records carry the superseded generation and are
 // skipped on recovery, and the reset is retried before the next append.
-// Returns the encoded snapshot size.
+// Shards the state copies from its base snapshot are copied verbatim
+// (see EncodeSnapshot), so the write costs O(changed shards) plus the
+// files section. Returns the encoded snapshot size.
 func (cs *CorpusStore) WriteSnapshot(st *core.PersistedState) (int64, error) {
 	gen, err := newGen()
+	var raw []byte
+	var copied, encoded int
+	if err == nil {
+		raw, copied, encoded, err = encodeSnapshot(st, gen)
+	}
+	if err == nil {
+		err = cs.install(raw, gen)
+	}
+	if m := cs.metrics; m != nil {
+		if err != nil {
+			m.CompactionFailures.Inc()
+		} else {
+			m.Compactions.Inc()
+			m.ShardsCopied.Add(int64(copied))
+			m.ShardsEncoded.Add(int64(encoded))
+		}
+	}
 	if err != nil {
 		return 0, err
 	}
-	raw := EncodeSnapshot(st, gen)
+	return int64(len(raw)), nil
+}
+
+// install makes raw the current snapshot under generation gen (the
+// temp file, fsync, rename and directory fsync sequence of
+// WriteSnapshot), then resets the journal.
+func (cs *CorpusStore) install(raw []byte, gen uint64) error {
 	tmp := cs.snapshotPath() + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if _, err := f.Write(raw); err != nil {
 		_ = f.Close()
 		_ = os.Remove(tmp)
-		return 0, err
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close()
 		_ = os.Remove(tmp)
-		return 0, err
+		return err
 	}
 	if err := f.Close(); err != nil {
 		_ = os.Remove(tmp)
-		return 0, err
+		return err
 	}
 	if err := os.Rename(tmp, cs.snapshotPath()); err != nil {
 		_ = os.Remove(tmp)
-		return 0, err
+		return err
 	}
 	// The snapshot is installed: from here on the new generation rules,
 	// and remaining steps are best-effort hygiene.
 	cs.gen = gen
 	_ = syncDir(cs.dir)
 	cs.pendingReset = cs.resetJournal() != nil
-	return int64(len(raw)), nil
+	return nil
 }
 
 // resetJournal truncates the journal (open handle or offline).
@@ -233,16 +260,35 @@ func (cs *CorpusStore) LoadSnapshot() (*core.PersistedState, int64, error) {
 // are validated and the shard directory decoded, but shard blocks are
 // left for first touch. Remembers the generation like LoadSnapshot.
 func (cs *CorpusStore) OpenCurrent() (*Snapshot, int64, error) {
-	raw, err := os.ReadFile(cs.snapshotPath())
+	all, err := readFileString(cs.snapshotPath())
 	if err != nil {
 		return nil, 0, err
 	}
-	snap, err := OpenSnapshot(raw)
+	snap, err := openSnapshot(all)
 	if err != nil {
 		return nil, 0, fmt.Errorf("snapshot %s: %w", cs.snapshotPath(), err)
 	}
 	cs.gen = snap.Gen()
-	return snap, int64(len(raw)), nil
+	return snap, int64(len(all)), nil
+}
+
+// readFileString reads a file straight into the one string the snapshot
+// decodes from: a boot allocates the snapshot's size once, not a []byte
+// and then its string copy.
+func readFileString(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer func() { _ = f.Close() }() // read-only: nothing to flush
+	var sb strings.Builder
+	if fi, err := f.Stat(); err == nil {
+		sb.Grow(int(fi.Size()))
+	}
+	if _, err := io.Copy(&sb, f); err != nil {
+		return "", err
+	}
+	return sb.String(), nil
 }
 
 // RecoverInfo summarizes a boot-time recovery.
