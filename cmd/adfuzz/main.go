@@ -2,12 +2,12 @@
 // seeded Apollo-shaped corpus with injected, ground-truth-labeled rule
 // violations (internal/corpusgen), applies a random sequence of file
 // deltas (add / edit / remove), and at every step asserts that the
-// sequential reference engine, the fused parallel engine, the warm
-// sharded assessor, the flat incremental rule engine, and the adserve
-// HTTP service all produce byte-identical findings that exactly match
-// the injected-violation manifest. A -skew above zero generates a
-// shard-imbalanced corpus (zipf-ish module fan) to exercise the sharded
-// warm path under the layouts it exists for.
+// sequential reference engine, a cold run of the sharded rule engine,
+// the warm sharded assessor, and the adserve HTTP service all produce
+// byte-identical findings that exactly match the injected-violation
+// manifest. A -skew above zero generates a shard-imbalanced corpus
+// (zipf-ish module fan) to exercise the sharded warm path under the
+// layouts it exists for.
 //
 // Usage:
 //
@@ -16,7 +16,7 @@
 //	       [-recover] [-batch N] [-v]
 //
 // -recover adds the persistent-store leg: every delta is journaled into
-// a temporary data directory, every step recovers a sixth state from
+// a temporary data directory, every step recovers a fifth state from
 // disk (snapshot + journal replay) and byte-compares findings, report,
 // shard stats, and its snapshot encode (which copies the shards still
 // sealed since the restore) against the warm assessor's, compaction
@@ -120,7 +120,7 @@ func run() (int, error) {
 		return 1, fmt.Errorf("divergence (reproduce with -seed %d -steps %d): %v",
 			*seedFlag, *stepsFlag, err)
 	}
-	paths := 4
+	paths := 3
 	if *httpFlag {
 		paths++
 	}

@@ -101,6 +101,9 @@ func run() error {
 			if rc.Clean {
 				how = "clean shutdown, nothing to replay"
 			}
+			if rc.Stale > 0 {
+				how += fmt.Sprintf(", %d stale journal records skipped", rc.Stale)
+			}
 			if rc.Torn {
 				how += ", torn journal tail dropped"
 			}

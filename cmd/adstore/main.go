@@ -7,7 +7,7 @@
 //	adstore -data-dir DIR [-corpus NAME] inspect
 //	adstore -data-dir DIR [-corpus NAME] verify
 //	adstore -data-dir DIR [-corpus NAME] compact
-//	adstore -data-dir DIR [-corpus NAME] dump [-src PATH]
+//	adstore -data-dir DIR [-corpus NAME] [-src PATH] dump
 //
 //	list     names every stored corpus with snapshot/journal sizes.
 //	inspect  prints the snapshot header (version, target ASIL, rule
@@ -22,7 +22,8 @@
 //	compact  restores snapshot+journal and writes a fresh snapshot
 //	         absorbing the journal (what POST /snapshot does online).
 //	dump     prints a per-module summary of the snapshot; -src PATH
-//	         prints one stored file's source.
+//	         prints one stored file's source. Like every flag, -src
+//	         goes before the operation.
 //
 // Flags are validated before any work happens: bad values exit 2 with a
 // message on stderr. Runtime failures (missing stores, corrupt
@@ -264,14 +265,19 @@ func dump(d *store.Dir, name, src string) (int, error) {
 	if err != nil {
 		return 1, err
 	}
-	st, _, err := cs.LoadSnapshot()
+	// Lazy open, then the files section only: no shard block is decoded.
+	snap, _, err := cs.OpenCurrent()
+	if err != nil {
+		return 1, err
+	}
+	files, err := snap.Files()
 	if err != nil {
 		return 1, err
 	}
 	if src != "" {
-		for i := range st.Files {
-			if st.Files[i].Path == src {
-				fmt.Print(st.Files[i].Src)
+		for i := range files {
+			if files[i].Path == src {
+				fmt.Print(files[i].Src)
 				return 0, nil
 			}
 		}
@@ -280,8 +286,8 @@ func dump(d *store.Dir, name, src string) (int, error) {
 	type modStat struct{ files, bytes int }
 	mods := make(map[string]*modStat)
 	var order []string
-	for i := range st.Files {
-		pf := &st.Files[i]
+	for i := range files {
+		pf := &files[i]
 		ms := mods[pf.Module]
 		if ms == nil {
 			ms = &modStat{}
@@ -291,7 +297,7 @@ func dump(d *store.Dir, name, src string) (int, error) {
 		ms.files++
 		ms.bytes += len(pf.Src)
 	}
-	fmt.Printf("%s: %d files across %d modules (target %s)\n", name, len(st.Files), len(mods), st.Target)
+	fmt.Printf("%s: %d files across %d modules (target %s)\n", name, len(files), len(mods), snap.Target())
 	for _, m := range order {
 		fmt.Printf("  %-20s %5d files %9d bytes\n", m, mods[m].files, mods[m].bytes)
 	}

@@ -395,17 +395,3 @@ func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
 		Width:       par.Workers(len(live)),
 	}
 }
-
-// AddUnit indexes one new translation unit (add or replace by path).
-func (ix *Index) AddUnit(tu *ccast.TranslationUnit) {
-	ix.Apply([]*ccast.TranslationUnit{tu}, nil)
-}
-
-// ReplaceUnit re-indexes one changed translation unit. It is AddUnit
-// under a name that states the intent at call sites.
-func (ix *Index) ReplaceUnit(tu *ccast.TranslationUnit) { ix.AddUnit(tu) }
-
-// RemoveUnit drops one unit from the index.
-func (ix *Index) RemoveUnit(path string) {
-	ix.Apply(nil, []string{path})
-}

@@ -33,10 +33,11 @@ func smallUnits(t *testing.T) map[string]*ccast.TranslationUnit {
 	return units
 }
 
-// TestApplyReplaceMatchesFullBuild requires an in-place ReplaceUnit to
-// produce an index equal in every observable way to a cold Build over
-// the edited corpus, while reusing the untouched units' Func records by
-// pointer (that reuse is what carries the memoized CFGs across deltas).
+// TestApplyReplaceMatchesFullBuild requires an in-place Apply of one
+// edited unit to produce an index equal in every observable way to a
+// cold Build over the edited corpus, while reusing the untouched units'
+// Func records by pointer (that reuse is what carries the memoized CFGs
+// across deltas).
 func TestApplyReplaceMatchesFullBuild(t *testing.T) {
 	units := smallUnits(t)
 	ix := artifact.Build(units)
@@ -52,7 +53,7 @@ func TestApplyReplaceMatchesFullBuild(t *testing.T) {
 	}
 
 	edited := parseOne(t, "m/b.c", "int gb;\nint fb(int x) { while (x > 0) { x--; } return x; }\n")
-	ix.ReplaceUnit(edited)
+	ix.Apply([]*ccast.TranslationUnit{edited}, nil)
 
 	coldUnits := map[string]*ccast.TranslationUnit{
 		"m/a.c": units["m/a.c"], "n/c.c": units["n/c.c"], "m/b.c": edited,
@@ -73,7 +74,7 @@ func TestApplyReplaceMatchesFullBuild(t *testing.T) {
 			t.Errorf("%s: untouched unit's Func was rebuilt", key)
 		}
 		if cfgBefore[key] != fa.CFG() {
-			t.Errorf("%s: memoized CFG lost across ReplaceUnit", key)
+			t.Errorf("%s: memoized CFG lost across Apply", key)
 		}
 	}
 }
@@ -84,14 +85,14 @@ func TestApplyAddRemove(t *testing.T) {
 	ix := artifact.Build(units)
 
 	added := parseOne(t, "n/d.c", "int fd(void) { return gc; }\n")
-	ix.AddUnit(added)
+	ix.Apply([]*ccast.TranslationUnit{added}, nil)
 	cold := artifact.Build(map[string]*ccast.TranslationUnit{
 		"m/a.c": units["m/a.c"], "m/b.c": units["m/b.c"],
 		"n/c.c": units["n/c.c"], "n/d.c": added,
 	})
 	requireSameIndex(t, ix, cold)
 
-	ix.RemoveUnit("m/a.c")
+	ix.Apply(nil, []string{"m/a.c"})
 	cold = artifact.Build(map[string]*ccast.TranslationUnit{
 		"m/b.c": units["m/b.c"], "n/c.c": units["n/c.c"], "n/d.c": added,
 	})
@@ -105,7 +106,7 @@ func TestApplyAddRemove(t *testing.T) {
 
 	// Removing a path that is not present is a no-op.
 	before := len(ix.Funcs)
-	ix.RemoveUnit("missing.c")
+	ix.Apply(nil, []string{"missing.c"})
 	if len(ix.Funcs) != before {
 		t.Error("removing a missing path changed the index")
 	}

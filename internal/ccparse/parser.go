@@ -157,15 +157,15 @@ func putParser(p *parser) {
 	p.ref = false
 	p.errs = nil
 	p.comments = nil
-	p.scratchComments = p.scratchComments[:0]
-	p.scratchExpr = p.scratchExpr[:0]
-	p.scratchStmt = p.scratchStmt[:0]
-	p.scratchDecl = p.scratchDecl[:0]
-	p.scratchDtor = p.scratchDtor[:0]
-	p.scratchParam = p.scratchParam[:0]
-	p.scratchField = p.scratchField[:0]
-	p.scratchFunc = p.scratchFunc[:0]
-	p.scratchCase = p.scratchCase[:0]
+	p.scratchComments = clearScratch(p.scratchComments)
+	p.scratchExpr = clearScratch(p.scratchExpr)
+	p.scratchStmt = clearScratch(p.scratchStmt)
+	p.scratchDecl = clearScratch(p.scratchDecl)
+	p.scratchDtor = clearScratch(p.scratchDtor)
+	p.scratchParam = clearScratch(p.scratchParam)
+	p.scratchField = clearScratch(p.scratchField)
+	p.scratchFunc = clearScratch(p.scratchFunc)
+	p.scratchCase = clearScratch(p.scratchCase)
 	if p.typedefNames != nil {
 		clear(p.typedefNames)
 	}
@@ -173,6 +173,15 @@ func putParser(p *parser) {
 	p.class = ""
 	p.panicking = false
 	parserPool.Put(p)
+}
+
+// clearScratch empties a scratch slice for the next parse. It zeroes
+// the backing array up to capacity first: entries past the length still
+// point at nodes of earlier units, and a pooled parser would otherwise
+// keep those units' arena slabs alive through another collection.
+func clearScratch[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // prelex tokenizes the whole file into the reusable token buffer, routing

@@ -91,8 +91,7 @@ func ruleIDs(rs []rules.Rule) []string {
 
 // ExportState captures the assessor's corpus and warm caches as a
 // snapshot. It runs Findings and Metrics first (a no-op when already
-// warm) so the exported caches are complete. Only fused rule sets can
-// snapshot: non-fused sets never populate the incremental caches.
+// warm) so the exported caches are complete.
 //
 // A restored assessor exports only what moved since the restore: a
 // shard still sealed in both the rule engine and the metrics cache
@@ -121,7 +120,7 @@ func (a *Assessor) ExportState() (*PersistedState, error) {
 	}
 	perFile, corpus, ok := a.ruleEng.ExportCache(skip)
 	if !ok {
-		return nil, errors.New("core: snapshot requires the fused rule engine (a non-fused rule set keeps no warm cache)")
+		return nil, errors.New("core: rule cache not warm after Findings()")
 	}
 	rows, ok := a.mcache.ExportRows(skip)
 	if !ok {
@@ -155,7 +154,7 @@ func (a *Assessor) ExportState() (*PersistedState, error) {
 // each shard's finding segments and metric rows until the caches first
 // touch that shard. internal/store's Snapshot implements it over the
 // raw snapshot bytes (decoding one shard block per call); stateSource
-// below adapts an eagerly decoded PersistedState to the same shape.
+// below adapts an in-memory PersistedState to the same shape.
 //
 // Shard grouping must match the artifact index's: a module's units are
 // exactly the units whose file has that ModuleName, listed in sorted
@@ -182,19 +181,12 @@ type StateSource interface {
 	ShardMetrics(module string, paths []string) ([]*metrics.FileMetrics, error)
 }
 
-// RestoreAssessor rebuilds a warm assessor from an eagerly decoded
-// snapshot state (see RestoreAssessorFrom for the lazy path both now
-// share). The target ASIL comes from the snapshot; cfg supplies
-// everything else (a nil cfg.Rules means rules.DefaultRules, which must
-// match the snapshot's rule fingerprint). No source is parsed: units
-// are fact-carrying stubs, hydrated on demand when a cache needs their
-// ASTs.
-func RestoreAssessor(cfg Config, st *PersistedState) (*Assessor, error) {
-	return RestoreAssessorFrom(cfg, st.Source())
-}
-
 // RestoreAssessorFrom rebuilds a warm assessor from a state source.
-// The skeleton — file set, fact stubs, sharded index — is built
+// The target ASIL comes from the snapshot; cfg supplies everything else
+// (a nil cfg.Rules means rules.DefaultRules, which must match the
+// snapshot's rule fingerprint). No source is parsed: units are
+// fact-carrying stubs, hydrated on demand when a cache needs their
+// ASTs. The skeleton — file set, fact stubs, sharded index — is built
 // eagerly; the rule and metric caches are seeded *sealed*, pulling each
 // shard's finding segments and metric rows from the source on first
 // touch and deferring content hashing until a delta dirties the shard.
@@ -380,8 +372,8 @@ func (l *lazySeeds) ShardRows(m string) ([]*metrics.FileMetrics, bool) {
 	return rows, true
 }
 
-// stateSource adapts an eagerly decoded PersistedState to the lazy
-// restore path and to the snapshot encoder.
+// stateSource adapts an in-memory PersistedState (ExportState's output)
+// to the snapshot encoder and to the lazy restore path.
 type stateSource struct {
 	st     *PersistedState
 	names  []string

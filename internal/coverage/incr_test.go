@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/ccast"
 	"repro/internal/ccparse"
 	"repro/internal/cfg"
 	"repro/internal/coverage"
@@ -44,7 +45,7 @@ func TestRecorderForUnitAcrossDelta(t *testing.T) {
 	if len(es) > 0 {
 		t.Fatal(es[0])
 	}
-	ix.ReplaceUnit(tu)
+	ix.Apply([]*ccast.TranslationUnit{tu}, nil)
 
 	after := graphsOf("m/a.c")
 	for i := range before {

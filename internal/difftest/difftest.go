@@ -3,16 +3,15 @@
 // sequences through every engine path the repository offers —
 //
 //  1. the sequential reference engine (rules.RunSequential),
-//  2. the fused parallel engine (rules.Run),
+//  2. a cold run of the sharded rule engine (rules.Run) over path 1's
+//     context,
 //  3. the warm sharded assessor (core.Assessor.ApplyDelta + Findings,
 //     riding per-module shard segments and the k-way merge),
 //  4. the adserve HTTP service (POST /assess, POST /delta, GET /findings,
 //     GET /report),
-//  5. the warm flat incremental rule engine (rules.Incremental, the
-//     pre-sharding warm path, kept as an independently-cached reference),
-//  6. with Recover, the persistent store (internal/store): the warm
+//  5. with Recover, the persistent store (internal/store): the warm
 //     assessor journals every delta into a data directory, and at every
-//     step a sixth state is recovered from disk — snapshot plus
+//     step a fifth state is recovered from disk — snapshot plus
 //     read-only journal replay — and must match the others byte-for-
 //     byte on findings, the full report, and shard stats, and encode
 //     the same snapshot bytes as the warm assessor (the recovered state
@@ -21,7 +20,7 @@
 //     simulates a crash mid-append by truncating a copy of the journal
 //     and requires recovery to land exactly on the state at the last
 //     complete record,
-//  7. with Batch, the batched-delta path: a second warm assessor holds
+//  6. with Batch, the batched-delta path: a second warm assessor holds
 //     the same mutations back as pending deltas and commits them k at a
 //     time through core.Assessor.ApplyDeltaBatch; at every flush
 //     boundary (and after a final tail flush) it must byte-match the
@@ -129,12 +128,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("seed %d: initial load: %v", cfg.Seed, err)
 	}
 
-	// Path 5: the flat incremental rule engine, warm across steps via
-	// its own per-file cache (hash-keyed, so it survives the fresh
-	// context each verification step builds).
-	inc := rules.NewIncremental(rules.DefaultRules())
-
-	// Path 7: the batched assessor. It sees the identical mutation
+	// Path 6: the batched assessor. It sees the identical mutation
 	// sequence but as fresh Delta values (never sharing *File pointers
 	// with the warm assessor — CommitDelta makes files corpus-resident)
 	// held back and committed Batch at a time through ApplyDeltaBatch.
@@ -147,7 +141,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Path 6: the persistent store. The warm assessor's commit hook
+	// Path 5: the persistent store. The warm assessor's commit hook
 	// journals every delta; a small record threshold makes compaction
 	// fire mid-run so snapshots taken after deltas are exercised too.
 	var cs *store.CorpusStore
@@ -236,7 +230,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 			logf("step %2d: %-6s %s (%d files)", step, mut.Kind, mut.Path, gen.Len())
 		}
-		n, seq, err := verifyStep(gen, warm, inc, ts, cs)
+		n, seq, err := verifyStep(gen, warm, ts, cs)
 		if err != nil {
 			return nil, fmt.Errorf("seed %d step %d: %v", cfg.Seed, step, err)
 		}
@@ -383,8 +377,9 @@ func applyMutation(warm *core.Assessor, ts *httptest.Server, mut corpusgen.Mutat
 // verifyStep checks all engine paths against each other and against the
 // manifest for the generator's current corpus, returning the finding
 // count and the canonical finding bytes.
-func verifyStep(gen *corpusgen.Generator, warm *core.Assessor, inc *rules.Incremental, ts *httptest.Server, cs *store.CorpusStore) (int, []byte, error) {
-	// Paths 1+2: cold parse, then both in-process engines over one context.
+func verifyStep(gen *corpusgen.Generator, warm *core.Assessor, ts *httptest.Server, cs *store.CorpusStore) (int, []byte, error) {
+	// Paths 1+2: cold parse, then the reference engine and a cold run of
+	// the sharded engine over one context.
 	fs := gen.FileSet()
 	units, errs := ccparse.ParseAll(fs, ccparse.Options{})
 	if len(errs) > 0 {
@@ -392,17 +387,14 @@ func verifyStep(gen *corpusgen.Generator, warm *core.Assessor, inc *rules.Increm
 	}
 	ctx := rules.NewContext(units)
 	seq := rules.RunSequential(ctx, rules.DefaultRules())
-	fused := rules.Run(ctx, rules.DefaultRules())
+	cold := rules.Run(ctx, rules.DefaultRules())
 
 	seqBytes := canonical(seq)
-	if d := firstDiff(seqBytes, canonical(fused)); d != "" {
-		return 0, nil, fmt.Errorf("fused engine diverges from sequential reference: %s", d)
+	if d := firstDiff(seqBytes, canonical(cold)); d != "" {
+		return 0, nil, fmt.Errorf("cold sharded engine diverges from sequential reference: %s", d)
 	}
 	if d := firstDiff(seqBytes, canonical(warm.Findings())); d != "" {
 		return 0, nil, fmt.Errorf("warm sharded assessor diverges from sequential reference: %s", d)
-	}
-	if d := firstDiff(seqBytes, canonical(inc.Run(ctx))); d != "" {
-		return 0, nil, fmt.Errorf("warm flat incremental engine diverges from sequential reference: %s", d)
 	}
 
 	// The warm assessor's report backs both the store and HTTP
@@ -415,7 +407,7 @@ func verifyStep(gen *corpusgen.Generator, warm *core.Assessor, inc *rules.Increm
 		}
 	}
 
-	// Path 6: a state recovered from the persistent store — snapshot
+	// Path 5: a state recovered from the persistent store — snapshot
 	// plus read-only journal replay — must match on findings, the full
 	// report, and shard stats.
 	if cs != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // TestDifferentialSmoke runs a short differential sequence through all
-// six engine paths, including the HTTP service, the warm sharded
+// five engine paths, including the HTTP service, the warm sharded
 // assessor, and the persistent store with its crash simulation. This is
 // the standing trust layer: any engine or persistence refactor that
 // breaks byte-identity or the injected-violation oracle fails here (CI
@@ -43,7 +43,7 @@ func TestDifferentialSmoke(t *testing.T) {
 	}
 }
 
-// TestDifferentialNoHTTP covers the four in-process paths across more
+// TestDifferentialNoHTTP covers the three in-process paths across more
 // seeds (cheaper without the service round-trips).
 func TestDifferentialNoHTTP(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {

@@ -37,7 +37,7 @@ var longLived = map[string]map[string]bool{
 	"store":   nil,
 	"service": nil,
 	"cclex":   {"Interner": true},
-	"rules":   {"Incremental": true, "Sharded": true, "Finding": true, "Stats": true},
+	"rules":   {"Sharded": true, "Finding": true, "Stats": true},
 	"metrics": {"Cache": true, "ArchCache": true, "FileMetrics": true, "ModuleMetrics": true, "ArchMetrics": true},
 	"core":    {"PersistedState": true},
 	"artifact": {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/ccast"
 	"repro/internal/ccparse"
 	"repro/internal/metrics"
 	"repro/internal/srcfile"
@@ -54,7 +55,7 @@ func TestArchCacheMatchesAnalyzeArchIndexed(t *testing.T) {
 	requireSameArch(t, "move", c.AnalyzeIndexed(ix), metrics.AnalyzeArchIndexed(ix))
 
 	// Removal.
-	ix.RemoveUnit("o/d.c")
+	ix.Apply(nil, []string{"o/d.c"})
 	requireSameArch(t, "remove", c.AnalyzeIndexed(ix), metrics.AnalyzeArchIndexed(ix))
 
 	// A module move hidden behind more change-feed entries than the feed
@@ -76,5 +77,5 @@ func reparse(t *testing.T, ix *artifact.Index, path, src string) {
 	if len(errs) > 0 {
 		t.Fatalf("parse %s: %v", path, errs[0])
 	}
-	ix.ReplaceUnit(tu)
+	ix.Apply([]*ccast.TranslationUnit{tu}, nil)
 }

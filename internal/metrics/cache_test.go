@@ -83,14 +83,14 @@ func TestCacheMatchesAnalyzeIndexed(t *testing.T) {
 	if len(errs) > 0 {
 		t.Fatal(errs[0])
 	}
-	ix.ReplaceUnit(tu)
+	ix.Apply([]*ccast.TranslationUnit{tu}, nil)
 	requireSameMetrics(t, "edit", c.AnalyzeIndexed(ix), metrics.AnalyzeIndexed(ix))
 	if c.LastDirty() != 1 {
 		t.Fatalf("edit dirty = %d, want 1", c.LastDirty())
 	}
 
 	// Remove one file: nothing recomputes, stale entry dropped.
-	ix.RemoveUnit("m/a.c")
+	ix.Apply(nil, []string{"m/a.c"})
 	requireSameMetrics(t, "remove", c.AnalyzeIndexed(ix), metrics.AnalyzeIndexed(ix))
 	if c.LastDirty() != 0 {
 		t.Fatalf("remove dirty = %d, want 0", c.LastDirty())
@@ -128,7 +128,7 @@ func TestCacheShardRecreation(t *testing.T) {
 	if len(errs) > 0 {
 		t.Fatal(errs[0])
 	}
-	ix.AddUnit(reborn)
+	ix.Apply([]*ccast.TranslationUnit{reborn}, nil)
 	got := c.AnalyzeIndexed(ix)
 	requireSameMetrics(t, "reborn shard a", got, metrics.AnalyzeIndexed(ix))
 	if got.TotalFunc != 3 {

@@ -143,11 +143,6 @@ type FrameworkMetrics struct {
 // Thresholds used for Figure 3's "functions with CCN over N" bars.
 var Thresholds = []int{10, 20, 50}
 
-// AnalyzeFunction computes the metrics row for one function definition.
-func AnalyzeFunction(fn *ccast.FuncDecl, file *srcfile.File) *FunctionMetrics {
-	return functionRow(fn, file, Cyclomatic(fn), ccast.CountReturns(fn))
-}
-
 // functionRow assembles a metrics row from precomputed traversal facts.
 func functionRow(fn *ccast.FuncDecl, file *srcfile.File, ccn, returns int) *FunctionMetrics {
 	sp := fn.Span()
@@ -165,22 +160,6 @@ func functionRow(fn *ccast.FuncDecl, file *srcfile.File, ccn, returns int) *Func
 	// Function NLOC: count over the function's source slice.
 	if sp.Start.Offset >= 0 && sp.End.Offset <= len(file.Src) && sp.Start.Offset < sp.End.Offset {
 		fm.NLOC = CountNLOC(file.Src[sp.Start.Offset:sp.End.Offset])
-	}
-	return fm
-}
-
-// AnalyzeFile computes file-level metrics from a parsed unit.
-func AnalyzeFile(tu *ccast.TranslationUnit) *FileMetrics {
-	f := tu.File
-	fm := &FileMetrics{
-		Path:   f.Path,
-		Module: f.ModuleName(),
-		Lang:   f.Lang,
-		LOC:    f.LineCount(),
-		NLOC:   CountNLOC(f.Src),
-	}
-	for _, fn := range tu.Funcs() {
-		fm.Functions = append(fm.Functions, AnalyzeFunction(fn, f))
 	}
 	return fm
 }

@@ -6,12 +6,12 @@ import (
 
 // Persistence boundary of the shard-aware metrics cache. The expensive
 // part of a file row is the NLOC text scan; the snapshot therefore
-// stores the finished *FileMetrics rows and RestoreRows re-derives the
-// cheap per-shard aggregates (module partials, corpus totals) from them
-// against the restored index. The architectural cache (ArchCache) is
-// deliberately not persisted: its partials fold in O(corpus) from the
-// restored artifact facts with no text scans, so the first warm
-// AnalyzeIndexed rebuilds them for free.
+// stores the finished *FileMetrics rows and RestoreRowsLazy re-derives
+// the cheap per-shard aggregates (module partials, corpus totals) from
+// them against the restored index, one shard at a time on first touch.
+// The architectural cache (ArchCache) is deliberately not persisted: its
+// partials fold in O(corpus) from the restored artifact facts with no
+// text scans, so the first warm AnalyzeIndexed rebuilds them for free.
 
 // Sealed reports whether a module's shard is still sealed: restored
 // lazily (RestoreRowsLazy), never dirtied since, and valid at the
@@ -75,7 +75,6 @@ type RowLoader interface {
 // RestoreRowsLazy seeds the cache against a freshly restored index with
 // every shard sealed: rows materialize at the first AnalyzeIndexed, the
 // per-file maps and content hashes only when a delta dirties the shard.
-// Equivalent to RestoreRows in observable output.
 func (c *Cache) RestoreRowsLazy(ix *artifact.Index, loader RowLoader) {
 	c.ix = ix
 	c.shards = make(map[string]*metricShard, len(ix.ShardNames()))
@@ -88,33 +87,6 @@ func (c *Cache) RestoreRowsLazy(ix *artifact.Index, loader RowLoader) {
 			loadRows: func() ([]*FileMetrics, bool) { return loader.ShardRows(module) },
 			thawKeys: func() ([]string, []uint64, bool) { return loader.ShardKeys(module) },
 		}
-	}
-	c.lastDirty = 0
-}
-
-// RestoreRows seeds the cache with persisted per-file rows against a
-// freshly restored index, re-folding the per-shard partials so the next
-// AnalyzeIndexed recomputes zero rows on an unchanged corpus. rows must
-// hold one entry for every indexed path, produced from the same file
-// content (the restorer guarantees both).
-func (c *Cache) RestoreRows(ix *artifact.Index, rows map[string]*FileMetrics) {
-	c.ix = ix
-	c.shards = make(map[string]*metricShard, len(ix.ShardNames()))
-	for _, m := range ix.ShardNames() {
-		sh := ix.Shard(m)
-		paths := sh.Paths()
-		ms := &metricShard{
-			perFile: make(map[string]cacheEntry, len(paths)),
-			files:   make([]*FileMetrics, len(paths)),
-		}
-		for i, p := range paths {
-			fm := rows[p]
-			ms.perFile[p] = cacheEntry{hash: ix.Units[p].File.Hash(), fm: fm}
-			ms.files[i] = fm
-		}
-		ms.refold()
-		ms.gen, ms.valid = sh.Gen(), true
-		c.shards[m] = ms
 	}
 	c.lastDirty = 0
 }

@@ -55,11 +55,11 @@ func TestRenderedReportGoldenAfterRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, _, err := store.DecodeSnapshot(store.EncodeSnapshot(st, 1))
+	snap, err := store.OpenSnapshot(store.EncodeSnapshot(st, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := core.RestoreAssessor(core.DefaultConfig(), st2)
+	restored, err := core.RestoreAssessorFrom(core.DefaultConfig(), snap)
 	if err != nil {
 		t.Fatal(err)
 	}

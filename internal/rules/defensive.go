@@ -33,7 +33,7 @@ func (r *DefensiveRule) Check(ctx *Context) []Finding {
 	return out
 }
 
-// Fuse implements FusedRule. Pointer-parameter tracking keeps the
+// Fuse implements Rule. Pointer-parameter tracking keeps the
 // checked/used maps in the worker closure, fed by If/Index/Unary/Member
 // events from the shared walk; ignored returns dispatch off ExprStmt
 // events directly.

@@ -5,13 +5,14 @@ import (
 	"repro/internal/par"
 )
 
-// This file implements the fused single-pass rule engine. The seed engine
-// gave every rule its own full-corpus traversal (20+ ccast walks over
-// every function body); here each function body is walked exactly once
-// and node events are dispatched to the rules that registered interest.
-// Files are processed in parallel by a worker pool and merged
-// deterministically, so Run's output is byte-identical to the sequential
-// reference engine (RunSequential) under the total order of sortFindings.
+// This file implements the fused single-pass walk the sharded engine
+// runs per file. The seed engine gave every rule its own full-corpus
+// traversal (20+ ccast walks over every function body); here each
+// function body is walked exactly once and node events are dispatched to
+// the rules that registered interest. Files are processed in parallel by
+// a worker pool and merged deterministically, so the engine's output is
+// byte-identical to the sequential reference engine (RunSequential)
+// under the total order of sortFindings.
 
 // NodeKind enumerates the AST node categories rules can subscribe to.
 type NodeKind int
@@ -177,20 +178,11 @@ func (rg *Registrar) OnDecl(h DeclFn) { rg.decls = append(rg.decls, h) }
 // text) would go stale across runs over an unchanged index.
 func (rg *Registrar) OnCorpus(h CorpusFn) { rg.corpus = append(rg.corpus, h) }
 
-// FusedRule is a Rule that can register with the fused engine instead of
-// performing its own corpus traversal.
-type FusedRule interface {
-	Rule
-	// Fuse registers the rule's event subscriptions. Called once per
-	// worker; closures may carry per-function mutable state.
-	Fuse(rg *Registrar, ctx *Context)
-}
-
 // newProgram builds a fresh program over the rules.
-func newProgram(ctx *Context, fused []FusedRule) *Registrar {
+func newProgram(ctx *Context, rs []Rule) *Registrar {
 	rg := &Registrar{}
-	for _, fr := range fused {
-		fr.Fuse(rg, ctx)
+	for _, r := range rs {
+		r.Fuse(rg, ctx)
 	}
 	return rg
 }
@@ -252,10 +244,10 @@ func (rg *Registrar) runUnit(ctx *Context, path string, em *Emitter) {
 	}
 }
 
-// runCorpusHooks builds one program and fires its corpus-level hooks;
-// the program is returned for reuse as a per-file worker program.
-func runCorpusHooks(ctx *Context, fused []FusedRule, em *Emitter) *Registrar {
-	prog := newProgram(ctx, fused)
+// runCorpusHooks builds one program and fires its corpus-level hooks,
+// returning the program so callers can see whether it has any.
+func runCorpusHooks(ctx *Context, rs []Rule, em *Emitter) *Registrar {
+	prog := newProgram(ctx, rs)
 	for _, h := range prog.corpus {
 		h(ctx, em)
 	}
@@ -263,10 +255,10 @@ func runCorpusHooks(ctx *Context, fused []FusedRule, em *Emitter) *Registrar {
 }
 
 // runUnits executes per-file programs over the given paths on a worker
-// pool and returns the findings of each path, index-aligned. reuse, when
-// non-nil, serves as worker 0's program (rule closures carry per-function
-// state, so a program is never shared between goroutines).
-func runUnits(ctx *Context, fused []FusedRule, paths []string, reuse *Registrar) [][]Finding {
+// pool and returns the findings of each path, index-aligned. Each worker
+// builds its own program: rule closures carry per-function state, so a
+// program is never shared between goroutines.
+func runUnits(ctx *Context, rs []Rule, paths []string) [][]Finding {
 	if len(paths) == 0 {
 		return nil
 	}
@@ -274,12 +266,8 @@ func runUnits(ctx *Context, fused []FusedRule, paths []string, reuse *Registrar)
 	workers := par.Workers(len(paths))
 	progs := make([]*Registrar, workers)
 	ems := make([]*Emitter, workers)
-	progs[0], ems[0] = reuse, &Emitter{}
-	if progs[0] == nil {
-		progs[0] = newProgram(ctx, fused)
-	}
-	for w := 1; w < workers; w++ {
-		progs[w], ems[w] = newProgram(ctx, fused), &Emitter{}
+	for w := range progs {
+		progs[w], ems[w] = newProgram(ctx, rs), &Emitter{}
 	}
 	par.ForWorkers(workers, len(paths), func(w, i int) {
 		em := ems[w]
@@ -288,35 +276,4 @@ func runUnits(ctx *Context, fused []FusedRule, paths []string, reuse *Registrar)
 		perFile[i] = em.out
 	})
 	return perFile
-}
-
-// runFused executes the fused engine: corpus-level hooks once, then every
-// file on a worker pool, then a deterministic merge and canonical sort.
-func runFused(ctx *Context, fused []FusedRule) []Finding {
-	if ctx.Index == nil || ctx.unitFuncs == nil {
-		// Hand-built contexts lack the per-unit index; use the reference
-		// engine.
-		rs := make([]Rule, len(fused))
-		for i, fr := range fused {
-			rs[i] = fr
-		}
-		return RunSequential(ctx, rs)
-	}
-	paths := ctx.Index.Paths
-
-	corpusEm := &Emitter{}
-	corpusProg := runCorpusHooks(ctx, fused, corpusEm)
-	perFile := runUnits(ctx, fused, paths, corpusProg)
-
-	total := len(corpusEm.out)
-	for _, fs := range perFile {
-		total += len(fs)
-	}
-	out := make([]Finding, 0, total)
-	out = append(out, corpusEm.out...)
-	for _, fs := range perFile {
-		out = append(out, fs...)
-	}
-	sortFindings(out)
-	return out
 }

@@ -35,7 +35,7 @@ func (r *MISRAExtraRule) Check(ctx *Context) []Finding {
 	return out
 }
 
-// Fuse implements FusedRule. Switch hygiene, condition assignments, and
+// Fuse implements Rule. Switch hygiene, condition assignments, and
 // octal literals dispatch off single node events; unused-parameter
 // tracking accumulates identifier uses across the function walk.
 func (r *MISRAExtraRule) Fuse(rg *Registrar, ctx *Context) {

@@ -36,7 +36,7 @@ func (s *Sharded) Sealed(module string) bool {
 // slices are live cache entries or loader output; callers must not
 // mutate them.
 func (s *Sharded) ExportCache(skip map[string]bool) (perFile map[string][]Finding, corpus []Finding, ok bool) {
-	if s.fused == nil || s.ix == nil || !s.haveCorpus {
+	if s.ix == nil || !s.haveCorpus {
 		return nil, nil, false
 	}
 	perFile = make(map[string][]Finding, len(s.ix.Paths))
@@ -99,9 +99,6 @@ type ShardLoader interface {
 // first graph change after restore updates it instead of re-running the
 // corpus-wide SCC.
 func (s *Sharded) RestoreCacheLazy(ix *artifact.Index, corpus []Finding, loader ShardLoader) {
-	if s.fused == nil {
-		return // non-fused rule sets never cache; Run falls back cold
-	}
 	s.reset(ix)
 	s.haveCorpus = true
 	s.corpusSeg = corpus

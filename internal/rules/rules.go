@@ -126,7 +126,9 @@ func (ctx *Context) sortedUnits() []*ccast.TranslationUnit {
 	return units
 }
 
-// Rule is one checker.
+// Rule is one checker. Check and Fuse are two implementations of the
+// same analysis: the engine runs Fuse, and RunSequential runs Check as
+// the independent reference the engine is equivalence-tested against.
 type Rule interface {
 	// ID is a short stable identifier, e.g. "cast".
 	ID() string
@@ -134,6 +136,10 @@ type Rule interface {
 	Describe() string
 	// Check runs the rule over the whole context.
 	Check(ctx *Context) []Finding
+	// Fuse registers the rule's event subscriptions with the fused
+	// engine. Called once per worker; closures may carry per-function
+	// mutable state.
+	Fuse(rg *Registrar, ctx *Context)
 }
 
 // DefaultRules returns the full checker set in a stable order.
@@ -159,26 +165,14 @@ func DefaultRules() []Rule {
 }
 
 // Run executes rules over the context, returning all findings sorted by
-// file then line then rule. Rules implementing FusedRule execute on the
-// fused single-pass engine with files processed in parallel; any other
-// rule set falls back to the sequential per-rule passes. Both paths
-// produce byte-identical output (see sortFindings).
+// file then line then rule: one cold run of a fresh sharded engine.
 func Run(ctx *Context, rs []Rule) []Finding {
-	fused := make([]FusedRule, 0, len(rs))
-	for _, r := range rs {
-		fr, ok := r.(FusedRule)
-		if !ok {
-			return RunSequential(ctx, rs)
-		}
-		fused = append(fused, fr)
-	}
-	return runFused(ctx, fused)
+	return NewSharded(rs).Run(ctx)
 }
 
 // RunSequential is the seed engine: every rule performs its own pass over
 // the whole corpus. Kept as the reference implementation the fused engine
-// is equivalence-tested against, and for rules that do not implement
-// FusedRule.
+// is equivalence-tested against.
 func RunSequential(ctx *Context, rs []Rule) []Finding {
 	// Pre-size for the finding density observed on AD-scale corpora
 	// (roughly one finding per three corpus functions per rule).

@@ -9,11 +9,11 @@ import (
 	"repro/internal/par"
 )
 
-// This file implements the sharded incremental rule engine — the warm
-// path of core.Assessor. Where Incremental keys one flat per-file cache
-// on a corpus-wide environment signature (recomputed in O(corpus) after
-// every delta), Sharded rides the artifact index's module shards and its
-// per-name change feed (artifact.Index.ChangesSince):
+// This file implements the sharded incremental rule engine, the one rule
+// engine: a cold run (rules.Run, a fresh engine's first Run) and every
+// warm run of core.Assessor go through it. It caches per-file findings
+// and rides the artifact index's module shards and its per-name change
+// feed (artifact.Index.ChangesSince):
 //
 //   - dirty detection consults per-shard generations, so a warm run
 //     hashes only the files of shards a delta touched;
@@ -29,17 +29,17 @@ import (
 //     from the changed call-graph nodes (cycleCache); other corpus
 //     hooks re-run after every index change;
 //   - the global finding stream is a k-way merge of the shard segments
-//     (plus the corpus segment), byte-identical to a cold fused run
-//     because every segment is sorted under the same findingLess total
-//     order the cold engine sorts with.
+//     (plus the corpus segment), byte-identical to the sequential
+//     reference engine because every segment is sorted under the same
+//     findingLess total order RunSequential sorts with.
 //
 // A run re-checks every file instead (LastFullRecheck) when the engine
 // fell further behind the feed than it retains, or when the feed names
 // more than maxScanNames changed names; it never serves stale output.
 //
-// Output equivalence with rules.Run / RunSequential over the same
-// context is pinned by TestShardedMatchesColdRun and exercised at scale
-// by the differential harness (internal/difftest).
+// Output equivalence with RunSequential over the same context is pinned
+// by TestShardedMatchesColdRun and exercised at scale by the
+// differential harness (internal/difftest).
 type Sharded struct {
 	// Hydrate, when set, is called with the dirty paths of a warm run
 	// before their (re-)walk. A snapshot-restored assessor installs it
@@ -50,10 +50,9 @@ type Sharded struct {
 	Hydrate func(paths []string)
 
 	rules []Rule
-	fused []FusedRule // nil when any rule lacks a fused form
-	// corpusFused holds the fused rules whose corpus hooks Run fires:
-	// every rule but RecursionRule, which cyc maintains instead.
-	corpusFused []FusedRule
+	// corpusRules holds the rules whose corpus hooks Run fires: every
+	// rule but RecursionRule, which cyc maintains instead.
+	corpusRules []Rule
 	cyc         *cycleCache // nil when the rule set has no RecursionRule
 
 	ix *artifact.Index
@@ -70,6 +69,13 @@ type Sharded struct {
 	stats           *Stats
 	lastDirty       int
 	lastFullRecheck bool
+}
+
+// incrEntry is one file's cached findings, keyed by the content hash of
+// the source they were computed from.
+type incrEntry struct {
+	hash     uint64
+	findings []Finding
 }
 
 // shardSeg is the engine's cached state for one module shard.
@@ -148,25 +154,18 @@ func (seg *shardSeg) thawEntries() bool {
 }
 
 // NewSharded creates a sharded incremental engine over the given rule
-// set. Rule sets containing non-fused rules still work but fall back to
-// a full run every time (nothing is cached), as do contexts without a
-// sharded index behind them.
+// set. Run reads the artifact index and the per-unit function lists
+// behind its context, so the context must come from NewContext or
+// NewContextFromIndex.
 func NewSharded(rs []Rule) *Sharded {
 	s := &Sharded{rules: rs, shards: make(map[string]*shardSeg)}
-	fused := make([]FusedRule, 0, len(rs))
 	for _, r := range rs {
-		fr, ok := r.(FusedRule)
-		if !ok {
-			return s
-		}
-		fused = append(fused, fr)
 		if rr, ok := r.(*RecursionRule); ok && s.cyc == nil {
 			s.cyc = &cycleCache{rule: rr}
 		} else {
-			s.corpusFused = append(s.corpusFused, fr)
+			s.corpusRules = append(s.corpusRules, r)
 		}
 	}
-	s.fused = fused
 	return s
 }
 
@@ -212,17 +211,11 @@ func (s *Sharded) changesSince(ix *artifact.Index) (map[string]artifact.Change, 
 }
 
 // Run executes the rules over the context. Output is byte-identical to
-// rules.Run over the same context; a warm run after a delta re-checks
-// only the content-changed files and the files spelling a name whose
-// cross-file facts moved, and re-aggregates only their shards.
+// RunSequential over the same context; a warm run after a delta
+// re-checks only the content-changed files and the files spelling a name
+// whose cross-file facts moved, and re-aggregates only their shards.
 func (s *Sharded) Run(ctx *Context) []Finding {
 	s.lastFullRecheck = false
-	if s.fused == nil || ctx.Index == nil || ctx.unitFuncs == nil {
-		s.lastDirty = len(ctx.Units)
-		out := Run(ctx, s.rules)
-		s.stats = Aggregate(out)
-		return out
-	}
 	ix := ctx.Index
 	invalidate := ix != s.ix
 	var changes map[string]artifact.Change
@@ -373,10 +366,10 @@ func (s *Sharded) Run(ctx *Context) []Finding {
 	// feed; any other corpus hook re-runs whenever the index moved (its
 	// contract only promises purity over the index's cross-file views).
 	corpusMoved := !s.haveCorpus
-	if len(s.corpusFused) > 0 && (!s.haveCorpus || invalidate || indexMoved) {
+	if len(s.corpusRules) > 0 && (!s.haveCorpus || invalidate || indexMoved) {
 		em := &Emitter{}
-		if prog := runCorpusHooks(ctx, s.corpusFused, em); len(prog.corpus) == 0 {
-			s.corpusFused = nil // no other corpus hooks: stop building the program
+		if prog := runCorpusHooks(ctx, s.corpusRules, em); len(prog.corpus) == 0 {
+			s.corpusRules = nil // no other corpus hooks: stop building the program
 		}
 		sortFindings(em.out)
 		s.otherSeg = em.out
@@ -398,7 +391,7 @@ func (s *Sharded) Run(ctx *Context) []Finding {
 	// Re-check the dirty files (parallel across shards) and cache each
 	// file's findings pre-sorted: within a file the findingLess order is
 	// self-contained, so shard segments concatenate without re-sorting.
-	for k, fs := range runUnits(ctx, s.fused, dirtyPaths, nil) {
+	for k, fs := range runUnits(ctx, s.rules, dirtyPaths) {
 		sortFindings(fs)
 		segOf[dirtyPaths[k]].perFile[dirtyPaths[k]] = incrEntry{hash: dirtyHash[k], findings: fs}
 	}

@@ -16,16 +16,29 @@ import (
 	"repro/internal/srcfile"
 )
 
-// shardedCheck runs the sharded engine against a cold fused run over a
-// fresh context and asserts byte-identical output, matching stats, and
-// (when wantDirty >= 0) the expected number of re-checked files.
+// reparse parses one edited file and swaps it into the index, mirroring
+// what core.Assessor.ApplyDelta does.
+func reparse(t *testing.T, ix *artifact.Index, path, src string) {
+	t.Helper()
+	f := &srcfile.File{Path: path, Lang: srcfile.LanguageForPath(path), Src: src}
+	tu, errs := ccparse.Parse(f, ccparse.Options{})
+	if len(errs) > 0 {
+		t.Fatalf("parse %s: %v", path, errs[0])
+	}
+	ix.Apply([]*ccast.TranslationUnit{tu}, nil)
+}
+
+// shardedCheck runs the sharded engine against the sequential reference
+// engine over a fresh context and asserts byte-identical output,
+// matching stats, and (when wantDirty >= 0) the expected number of
+// re-checked files.
 func shardedCheck(t *testing.T, stage string, eng *rules.Sharded, ix *artifact.Index, wantDirty int) {
 	t.Helper()
 	ctx := rules.NewContextFromIndex(ix)
 	warm := eng.Run(ctx)
-	cold := rules.Run(ctx, rules.DefaultRules())
+	cold := rules.RunSequential(ctx, rules.DefaultRules())
 	if got, want := renderFindings(warm), renderFindings(cold); !bytes.Equal(got, want) {
-		t.Fatalf("%s: sharded output differs from cold run\n%s", stage, firstDiff(want, got))
+		t.Fatalf("%s: sharded output differs from sequential reference\n%s", stage, firstDiff(want, got))
 	}
 	if wantDirty >= 0 && eng.LastDirty() != wantDirty {
 		t.Fatalf("%s: re-checked %d files, want %d", stage, eng.LastDirty(), wantDirty)
@@ -60,7 +73,7 @@ func TestShardedMatchesColdRun(t *testing.T) {
 
 	// Removing the file undefines its functions, but no remaining file
 	// spells their names, so nothing is re-checked.
-	ix.RemoveUnit(victim)
+	ix.Apply(nil, []string{victim})
 	shardedCheck(t, "removal", eng, ix, 0)
 	shardedCheck(t, "post-removal rerun", eng, ix, 0)
 }
@@ -342,33 +355,6 @@ func TestShardedCrossModuleEnv(t *testing.T) {
 	}
 }
 
-// TestShardedFallbacks pins the degraded paths: non-fused rule sets and
-// hand-built contexts run the reference engine with full equivalence and
-// still produce stats.
-func TestShardedFallbacks(t *testing.T) {
-	ctx := parseDefaultCorpus(t)
-
-	bare := &rules.Context{Units: ctx.Units, Funcs: ctx.Funcs,
-		ByName: ctx.ByName, GlobalNames: ctx.GlobalNames}
-	eng := rules.NewSharded(rules.DefaultRules())
-	warm := renderFindings(eng.Run(bare))
-	cold := renderFindings(rules.RunSequential(bare, rules.DefaultRules()))
-	if !bytes.Equal(warm, cold) {
-		t.Errorf("bare-context sharded differs from sequential\n%s", firstDiff(cold, warm))
-	}
-	if eng.Stats() == nil || eng.Stats().Total == 0 {
-		t.Error("fallback path left no stats")
-	}
-
-	rs := append(rules.DefaultRules(), unfusedRule{})
-	eng = rules.NewSharded(rs)
-	warm = renderFindings(eng.Run(ctx))
-	cold = renderFindings(rules.Run(ctx, rs))
-	if !bytes.Equal(warm, cold) {
-		t.Errorf("non-fused sharded differs from Run\n%s", firstDiff(cold, warm))
-	}
-}
-
 // corpusCountRule is a test-only fused rule with a corpus hook other
 // than RecursionRule's: one finding naming the defined-function count.
 type corpusCountRule struct{}
@@ -406,9 +392,9 @@ func TestShardedOtherCorpusHooks(t *testing.T) {
 	} {
 		applyFiles(t, ix, files)
 		ctx := rules.NewContextFromIndex(ix)
-		warm, cold := eng.Run(ctx), rules.Run(ctx, rs)
+		warm, cold := eng.Run(ctx), rules.RunSequential(ctx, rs)
 		if got, want := renderFindings(warm), renderFindings(cold); !bytes.Equal(got, want) {
-			t.Fatalf("step %d: sharded output differs from cold run\n%s", step, firstDiff(want, got))
+			t.Fatalf("step %d: sharded output differs from sequential reference\n%s", step, firstDiff(want, got))
 		}
 	}
 }

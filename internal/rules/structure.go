@@ -53,7 +53,7 @@ func (r *MultiExitRule) funcFindings(fi *FuncInfo, em *Emitter) {
 	}
 }
 
-// Fuse implements FusedRule.
+// Fuse implements Rule.
 func (r *MultiExitRule) Fuse(rg *Registrar, ctx *Context) {
 	rg.OnFuncExit(r.funcFindings)
 }
@@ -107,7 +107,7 @@ func (r *DynamicMemoryRule) nodeFindings(fi *FuncInfo, n ccast.Node, em *Emitter
 	}
 }
 
-// Fuse implements FusedRule.
+// Fuse implements Rule.
 func (r *DynamicMemoryRule) Fuse(rg *Registrar, ctx *Context) {
 	rg.OnNode(r.nodeFindings, KCall, KNew, KDelete)
 }
@@ -177,7 +177,7 @@ func (r *PointerRule) unitFindings(tu *ccast.TranslationUnit, em *Emitter) {
 	}
 }
 
-// Fuse implements FusedRule.
+// Fuse implements Rule.
 func (r *PointerRule) Fuse(rg *Registrar, ctx *Context) {
 	rg.OnFuncEnter(r.paramFindings)
 	rg.OnNode(func(fi *FuncInfo, n ccast.Node, em *Emitter) {
@@ -220,7 +220,7 @@ func (r *GlobalVarRule) unitFindings(tu *ccast.TranslationUnit, em *Emitter) {
 	}
 }
 
-// Fuse implements FusedRule.
+// Fuse implements Rule.
 func (r *GlobalVarRule) Fuse(rg *Registrar, ctx *Context) {
 	rg.OnUnit(r.unitFindings)
 }
@@ -256,7 +256,7 @@ func (r *GotoRule) gotoFinding(fi *FuncInfo, g *ccast.Goto, em *Emitter) {
 		fmt.Sprintf("goto %s", g.Label), refNoJumps, refNoHiddenFlow))
 }
 
-// Fuse implements FusedRule.
+// Fuse implements Rule.
 func (r *GotoRule) Fuse(rg *Registrar, ctx *Context) {
 	rg.OnNode(func(fi *FuncInfo, n ccast.Node, em *Emitter) {
 		r.gotoFinding(fi, n.(*ccast.Goto), em)
@@ -367,7 +367,7 @@ func cycleStatus(byName map[string]*FuncInfo, roots []string) map[string]bool {
 	return status
 }
 
-// Fuse implements FusedRule. Recursion is inherently corpus-level (SCC
+// Fuse implements Rule. Recursion is inherently corpus-level (SCC
 // over the whole call graph), so it registers a corpus hook that runs
 // exactly once per engine run. The sharded engine does not fire this
 // hook: it keeps the on-cycle set across deltas (cycleCache).
@@ -402,7 +402,7 @@ func (r *UninitializedRule) Check(ctx *Context) []Finding {
 	return out
 }
 
-// Fuse implements FusedRule. The straight-line initialization analysis
+// Fuse implements Rule. The straight-line initialization analysis
 // needs its own block-structured traversal (it prunes under address-of
 // and tracks per-block state), so it registers as a whole-function pass.
 func (r *UninitializedRule) Fuse(rg *Registrar, ctx *Context) {
@@ -511,7 +511,7 @@ func (r *ShadowRule) Check(ctx *Context) []Finding {
 	return out
 }
 
-// Fuse implements FusedRule. Shadowing requires scope-aware recursion
+// Fuse implements Rule. Shadowing requires scope-aware recursion
 // through nested blocks, so it registers as a whole-function pass.
 func (r *ShadowRule) Fuse(rg *Registrar, ctx *Context) {
 	rg.OnFunc(func(fi *FuncInfo, em *Emitter) {

@@ -60,7 +60,7 @@ func (r *ComplexityRule) funcFindings(fi *FuncInfo, em *Emitter) {
 	}
 }
 
-// Fuse implements FusedRule.
+// Fuse implements Rule.
 func (r *ComplexityRule) Fuse(rg *Registrar, ctx *Context) {
 	rg.OnFuncExit(r.funcFindings)
 }
@@ -141,7 +141,7 @@ func (r *LanguageSubsetRule) bodyNode(fi *FuncInfo, n ccast.Node, em *Emitter) {
 	}
 }
 
-// Fuse implements FusedRule.
+// Fuse implements Rule.
 func (r *LanguageSubsetRule) Fuse(rg *Registrar, ctx *Context) {
 	rg.OnDecl(r.declFindings)
 	rg.OnFuncEnter(r.funcEnter)
@@ -211,7 +211,7 @@ func (r *StyleRule) scanUnit(tu *ccast.TranslationUnit, em *Emitter) {
 	}
 }
 
-// Fuse implements FusedRule.
+// Fuse implements Rule.
 func (r *StyleRule) Fuse(rg *Registrar, ctx *Context) {
 	rg.OnUnit(r.scanUnit)
 }
@@ -271,7 +271,7 @@ func (r *NamingRule) declFindings(tu *ccast.TranslationUnit, n ccast.Node, em *E
 	}
 }
 
-// Fuse implements FusedRule.
+// Fuse implements Rule.
 func (r *NamingRule) Fuse(rg *Registrar, ctx *Context) {
 	rg.OnDecl(r.declFindings)
 }

@@ -46,7 +46,7 @@ func (r *CastRule) castFinding(fi *FuncInfo, c *ccast.Cast, em *Emitter) {
 		refStrongTyping))
 }
 
-// Fuse implements FusedRule.
+// Fuse implements Rule.
 func (r *CastRule) Fuse(rg *Registrar, ctx *Context) {
 	rg.OnNode(func(fi *FuncInfo, n ccast.Node, em *Emitter) {
 		r.castFinding(fi, n.(*ccast.Cast), em)
@@ -131,7 +131,7 @@ func (r *ImplicitConversionRule) assignFindings(fi *FuncInfo, n *ccast.Assign, l
 	}
 }
 
-// Fuse implements FusedRule. The local type table lives in the worker's
+// Fuse implements Rule. The local type table lives in the worker's
 // closure and is reseeded at every function entry; DeclStmt and Assign
 // events arrive in the same DFS order the sequential walk used, so the
 // table evolves identically.

@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,7 +11,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/service"
+	"repro/internal/srcfile"
 	"repro/internal/store"
 )
 
@@ -339,5 +342,75 @@ func TestJournalSurvivesTornTail(t *testing.T) {
 	_, gotReport := getJSON(t, ts2.URL+"/report?corpus=c1", nil)
 	if gotReport != wantReport {
 		t.Fatal("torn-tail restore does not match the state at the last complete record")
+	}
+}
+
+// TestBootReportsStaleJournalRecords pins that a boot reports the
+// journal records it skipped for a superseded snapshot generation. The
+// journal is made stale the way a compaction whose journal reset never
+// reached the disk leaves it: two records appended against one
+// snapshot, then a newer snapshot, then the old journal put back.
+func TestBootReportsStaleJournalRecords(t *testing.T) {
+	dir := t.TempDir()
+	d, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := d.Corpus("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := smallCorpus()
+	fs := srcfile.NewFileSet()
+	for _, p := range []string{"m/a.c", "m/b.c", "n/c.c"} {
+		fs.AddSource(p, files[p])
+	}
+	a := core.NewAssessor(core.DefaultConfig())
+	if err := a.LoadFileSet(fs); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func(cs *store.CorpusStore) {
+		t.Helper()
+		st, err := a.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cs.WriteSnapshot(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot(cs)
+	a.SetCommitHook(cs.Append)
+	for i := 0; i < 2; i++ {
+		src := fmt.Sprintf("int ga;\nint fa(int x) { return x + %d; }\n", i)
+		if _, err := a.ApplyDelta(core.Delta{Changed: []*srcfile.File{{Path: "m/a.c", Src: src}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.SetCommitHook(nil)
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jpath := filepath.Join(dir, "c1", "journal")
+	stale, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs2, err := d.Corpus("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot(cs2)
+	if err := os.WriteFile(jpath, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, restored, err := service.NewWithStore(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if len(restored) != 1 || restored[0].Stale != 2 || restored[0].Replayed != 0 {
+		t.Fatalf("restored = %+v, want c1 with 2 stale and 0 replayed records", restored)
 	}
 }

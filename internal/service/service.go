@@ -193,6 +193,9 @@ type RestoredCorpus struct {
 	Files int
 	// Replayed journal records applied on top of the snapshot.
 	Replayed int
+	// Stale journal records skipped because they carry a superseded
+	// snapshot generation.
+	Stale int
 	// Torn reports that a torn journal tail was dropped.
 	Torn bool
 	// Clean reports the previous process shut down cleanly (marker
@@ -229,6 +232,7 @@ func NewWithStore(d *store.Dir) (*Server, []RestoredCorpus, error) {
 			Name:     name,
 			Files:    a.FileSet().Len(),
 			Replayed: info.Replayed,
+			Stale:    info.Stale,
 			Torn:     info.Torn,
 			Clean:    info.Clean,
 		})

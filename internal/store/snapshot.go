@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
@@ -48,8 +47,8 @@ import (
 // Every section must appear exactly once and is CRC-checked eagerly at
 // open, so lazy block decode never reads unchecksummed bytes. Integers
 // inside payloads are unsigned varints; strings are length-prefixed
-// bytes. Any truncation, bit flip, or trailing garbage fails open (or
-// the eager DecodeSnapshot) with a wrapped "corrupt data" error.
+// bytes. Any truncation, bit flip, or trailing garbage fails open with
+// a wrapped "corrupt data" error.
 //
 // The generation is a random nonzero 64-bit tag drawn per snapshot
 // write; journal records carry the generation they were appended
@@ -571,86 +570,6 @@ func (s *Snapshot) ShardMetrics(module string, paths []string) ([]*metrics.FileM
 		return nil, fmt.Errorf("snapshot shard %q metrics: %w", module, err)
 	}
 	return out, nil
-}
-
-// State decodes the whole snapshot eagerly into a PersistedState — the
-// inspection/dump path and the v1-shaped API (DecodeSnapshot).
-func (s *Snapshot) State() (*core.PersistedState, error) {
-	files, err := s.Files()
-	if err != nil {
-		return nil, err
-	}
-	st := &core.PersistedState{
-		Target:       s.target,
-		RuleIDs:      s.ruleIDs,
-		Files:        files,
-		FileFindings: make(map[string][]rules.Finding),
-		MetricRows:   make(map[string]*metrics.FileMetrics),
-	}
-	// Decode the shard blocks on a worker pool — each block is an
-	// independent extent — then merge sequentially in directory order so
-	// errors surface in the same order a sequential decode reports them.
-	type shardState struct {
-		ufs   []artifact.UnitFacts
-		fss   [][]rules.Finding
-		rows  []*metrics.FileMetrics
-		paths []string
-		err   error
-	}
-	parts := make([]shardState, len(s.shards))
-	par.For(par.Workers(len(s.shards)), len(s.shards), func(i int) {
-		sh := &s.shards[i]
-		p := &parts[i]
-		if p.ufs, p.err = s.ShardUnits(sh.Module); p.err != nil {
-			return
-		}
-		if p.fss, p.err = s.ShardFindings(sh.Module); p.err != nil {
-			return
-		}
-		if len(p.fss) != len(p.ufs) {
-			p.err = fmt.Errorf("%w: shard %q has %d units but %d finding lists", errCorrupt, sh.Module, len(p.ufs), len(p.fss))
-			return
-		}
-		p.paths = make([]string, len(p.ufs))
-		for k := range p.ufs {
-			p.paths[k] = p.ufs[k].Path
-		}
-		p.rows, p.err = s.ShardMetrics(sh.Module, p.paths)
-	})
-	for i := range s.shards {
-		p := &parts[i]
-		if p.err != nil {
-			return nil, p.err
-		}
-		for k := range p.ufs {
-			st.FileFindings[p.paths[k]] = p.fss[k]
-			st.MetricRows[p.paths[k]] = p.rows[k]
-		}
-		st.Units = append(st.Units, p.ufs...)
-	}
-	// Shard blocks are path-sorted internally but concatenate in module
-	// order; restore the global sorted-path invariant.
-	sort.Slice(st.Units, func(i, j int) bool { return st.Units[i].Path < st.Units[j].Path })
-	cfs, err := s.CorpusFindings()
-	if err != nil {
-		return nil, err
-	}
-	st.CorpusFindings = cfs
-	return st, nil
-}
-
-// DecodeSnapshot parses and validates a snapshot eagerly, returning
-// the persisted state it holds and its generation tag.
-func DecodeSnapshot(raw []byte) (*core.PersistedState, uint64, error) {
-	snap, err := OpenSnapshot(raw)
-	if err != nil {
-		return nil, 0, err
-	}
-	st, err := snap.State()
-	if err != nil {
-		return nil, 0, err
-	}
-	return st, snap.gen, nil
 }
 
 func encodeUnit(e *enc, uf *artifact.UnitFacts) {

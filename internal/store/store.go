@@ -131,12 +131,6 @@ func (cs *CorpusStore) snapshotPath() string { return filepath.Join(cs.dir, "sna
 func (cs *CorpusStore) journalPath() string  { return filepath.Join(cs.dir, "journal") }
 func (cs *CorpusStore) cleanPath() string    { return filepath.Join(cs.dir, "clean") }
 
-// HasSnapshot reports whether a snapshot exists on disk.
-func (cs *CorpusStore) HasSnapshot() bool {
-	_, err := os.Stat(cs.snapshotPath())
-	return err == nil
-}
-
 // newGen draws a random nonzero generation tag.
 func newGen() (uint64, error) {
 	var b [8]byte
@@ -240,25 +234,10 @@ func (cs *CorpusStore) resetJournal() error {
 	return j.Close()
 }
 
-// LoadSnapshot reads and eagerly decodes the current snapshot,
-// remembering its generation for journal appends and replay filtering.
-// Recovery goes through OpenCurrent instead (lazy per-shard decode);
-// this is the inspection/dump path.
-func (cs *CorpusStore) LoadSnapshot() (*core.PersistedState, int64, error) {
-	snap, nbytes, err := cs.OpenCurrent()
-	if err != nil {
-		return nil, 0, err
-	}
-	st, err := snap.State()
-	if err != nil {
-		return nil, 0, fmt.Errorf("snapshot %s: %w", cs.snapshotPath(), err)
-	}
-	return st, nbytes, nil
-}
-
 // OpenCurrent opens the current snapshot lazily: framing and checksums
 // are validated and the shard directory decoded, but shard blocks are
-// left for first touch. Remembers the generation like LoadSnapshot.
+// left for first touch. Remembers the generation for journal appends
+// and replay filtering.
 func (cs *CorpusStore) OpenCurrent() (*Snapshot, int64, error) {
 	all, err := readFileString(cs.snapshotPath())
 	if err != nil {

@@ -98,12 +98,11 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := store.EncodeSnapshot(st, 1)
-	st2, _, err := store.DecodeSnapshot(raw)
+	snap, err := store.OpenSnapshot(store.EncodeSnapshot(st, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := core.RestoreAssessor(core.DefaultConfig(), st2)
+	restored, err := core.RestoreAssessorFrom(core.DefaultConfig(), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +132,7 @@ func TestSnapshotOfRestoredAssessorRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := core.RestoreAssessor(core.DefaultConfig(), st)
+	restored, err := core.RestoreAssessorFrom(core.DefaultConfig(), st.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +141,11 @@ func TestSnapshotOfRestoredAssessorRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := store.EncodeSnapshot(st2, 2)
-	st3, _, err := store.DecodeSnapshot(raw)
+	snap, err := store.OpenSnapshot(store.EncodeSnapshot(st2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := core.RestoreAssessor(core.DefaultConfig(), st3)
+	again, err := core.RestoreAssessorFrom(core.DefaultConfig(), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +158,7 @@ func TestRestoredDeltaStaysWarmAndIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := core.RestoreAssessor(core.DefaultConfig(), st)
+	restored, err := core.RestoreAssessorFrom(core.DefaultConfig(), st.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +199,7 @@ func TestRestoredEnvironmentInvalidationHydrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := core.RestoreAssessor(core.DefaultConfig(), st)
+	restored, err := core.RestoreAssessorFrom(core.DefaultConfig(), st.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,20 +246,20 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	raw := store.EncodeSnapshot(st, 3)
 
-	if _, _, err := store.DecodeSnapshot(raw[:len(raw)/2]); err == nil {
-		t.Fatal("truncated snapshot decoded")
+	if _, err := store.OpenSnapshot(raw[:len(raw)/2]); err == nil {
+		t.Fatal("truncated snapshot opened")
 	}
 	for _, off := range []int{2, len(raw) / 3, len(raw) - 9} {
 		bad := append([]byte(nil), raw...)
 		bad[off] ^= 0x40
-		if _, _, err := store.DecodeSnapshot(bad); err == nil {
-			t.Fatalf("bit flip at %d decoded", off)
+		if _, err := store.OpenSnapshot(bad); err == nil {
+			t.Fatalf("bit flip at %d opened", off)
 		}
 	}
 	bad := append([]byte(nil), raw...)
 	putU32Slice(bad, 8, 99) // version field
-	if _, _, err := store.DecodeSnapshot(bad); err == nil {
-		t.Fatal("future version decoded")
+	if _, err := store.OpenSnapshot(bad); err == nil {
+		t.Fatal("future version opened")
 	}
 }
 

@@ -109,11 +109,7 @@ func TestParallelSnapshotDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("GOMAXPROCS %d: open: %v", gmp, err)
 			}
-			rst, err := snap.State()
-			if err != nil {
-				t.Fatalf("GOMAXPROCS %d: decode: %v", gmp, err)
-			}
-			rec, err := core.RestoreAssessor(core.DefaultConfig(), rst)
+			rec, err := core.RestoreAssessorFrom(core.DefaultConfig(), snap)
 			if err != nil {
 				t.Fatalf("GOMAXPROCS %d: restore: %v", gmp, err)
 			}
