@@ -107,6 +107,9 @@ func run() error {
 			if rc.Torn {
 				how += ", torn journal tail dropped"
 			}
+			if rc.Recomputed > 0 {
+				how += fmt.Sprintf(", %d snapshot blocks recomputed", rc.Recomputed)
+			}
 			fmt.Printf("adserve: restored corpus %q (%d files; %s)\n", rc.Name, rc.Files, how)
 		}
 	} else {

@@ -76,6 +76,9 @@ type Index struct {
 	lastDef map[string]*Func
 	// unitFuncs holds each unit's functions in source order.
 	unitFuncs map[string][]*Func
+	// unitGen holds, per path, the index generation at which the unit was
+	// last built, restored or upserted (UnitGen).
+	unitGen map[string]uint64
 	// shards partitions the corpus by module.
 	shards     map[string]*Shard
 	shardNames []string
@@ -125,6 +128,12 @@ func (ix *Index) Gen() uint64 { return ix.gen }
 
 // UnitFuncs returns the cached per-unit function list in source order.
 func (ix *Index) UnitFuncs(path string) []*Func { return ix.unitFuncs[path] }
+
+// UnitGen returns the index generation at which the unit under path was
+// last built, restored or upserted by Apply (0 for a path not indexed).
+// Rehydrate leaves it alone. Within one index, equal (path, UnitGen)
+// pairs denote the same unit content, so per-file caches key on it.
+func (ix *Index) UnitGen(path string) uint64 { return ix.unitGen[path] }
 
 // Unqualified strips namespace/class qualifiers from a name.
 func Unqualified(name string) string {
@@ -211,49 +220,20 @@ func analyzeUnit(tu *ccast.TranslationUnit) []*Func {
 }
 
 // Build constructs the corpus index. Per-file analysis runs on a worker
-// pool sized to GOMAXPROCS; the shard and cross-file views are built
-// afterwards in sorted path order so the result is deterministic
+// pool sized to GOMAXPROCS; BuildFromRecords then builds the shard and
+// cross-file views in sorted path order, so the result is deterministic
 // regardless of scheduling.
 func Build(units map[string]*ccast.TranslationUnit) *Index {
-	ix := &Index{
-		Units:     units,
-		Paths:     SortedPaths(units),
-		unitFuncs: make(map[string][]*Func, len(units)),
-		shards:    make(map[string]*Shard),
-	}
-
-	perUnit := make([][]*Func, len(ix.Paths))
-	par.For(par.Workers(len(ix.Paths)), len(ix.Paths), func(i int) {
-		perUnit[i] = analyzeUnit(units[ix.Paths[i]])
+	paths := SortedPaths(units)
+	perUnit := make([][]*Func, len(paths))
+	par.For(par.Workers(len(paths)), len(paths), func(i int) {
+		perUnit[i] = analyzeUnit(units[paths[i]])
 	})
-	for i, p := range ix.Paths {
-		ix.unitFuncs[p] = perUnit[i]
+	recs := make(map[string][]*Func, len(paths))
+	for i, p := range paths {
+		recs[p] = perUnit[i]
 	}
-
-	// Partition into module shards (paths arrive sorted, so each shard's
-	// path list is born sorted).
-	for _, p := range ix.Paths {
-		mod := units[p].File.ModuleName()
-		sh := ix.shards[mod]
-		if sh == nil {
-			sh = &Shard{Module: mod}
-			ix.shards[mod] = sh
-		}
-		sh.paths = append(sh.paths, p)
-	}
-	ix.rebuildShardNames()
-	// Generations are drawn sequentially in sorted module order, then the
-	// shard views — which read only the per-unit maps frozen above —
-	// rebuild on a worker pool.
-	for _, m := range ix.shardNames {
-		ix.shards[m].assignGen(ix)
-	}
-	names := ix.shardNames
-	par.For(par.Workers(len(names)), len(names), func(i int) {
-		ix.shards[names[i]].rebuildViews(ix)
-	})
-	ix.rebuildGlobalViews()
-	ix.gen++
+	ix, _ := BuildFromRecords(units, recs) // one record list per unit: cannot fail
 	return ix
 }
 
@@ -309,6 +289,7 @@ func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
 		}
 		delete(ix.Units, p)
 		delete(ix.unitFuncs, p)
+		delete(ix.unitGen, p)
 		sh.removePath(p)
 		dirty[sh.Module] = true
 		pathsChanged = true
@@ -335,6 +316,7 @@ func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
 		}
 		ix.Units[p] = tu
 		ix.unitFuncs[p] = perUnit[i]
+		ix.unitGen[p] = ix.gen
 		sh := ix.shards[mod]
 		if sh == nil {
 			sh = &Shard{Module: mod}

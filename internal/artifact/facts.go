@@ -168,11 +168,11 @@ func UnitFromFacts(file *srcfile.File, uf UnitFacts) (*ccast.TranslationUnit, []
 func AnalyzeUnit(tu *ccast.TranslationUnit) []*Func { return analyzeUnit(tu) }
 
 // BuildFromRecords constructs an index from pre-analyzed per-unit
-// records instead of walking the units — the restore path. The shard
-// partition, per-shard views, and global cross-file maps are recomputed
-// exactly as Build computes them, so an index restored
-// from facts is observationally identical to the one that produced
-// them; only the generation counters start fresh.
+// records — the restore path, and Build's second half. It partitions the
+// units into module shards, rebuilds the per-shard views and global
+// cross-file maps, and stamps every unit with the new generation, so an
+// index restored from facts is observationally identical to the one that
+// produced them; only the generation counters start fresh.
 func BuildFromRecords(units map[string]*ccast.TranslationUnit, recs map[string][]*Func) (*Index, error) {
 	if len(units) != len(recs) {
 		return nil, fmt.Errorf("artifact: %d units vs %d record lists", len(units), len(recs))
@@ -181,12 +181,16 @@ func BuildFromRecords(units map[string]*ccast.TranslationUnit, recs map[string][
 		Units:     units,
 		Paths:     SortedPaths(units),
 		unitFuncs: recs,
+		unitGen:   make(map[string]uint64, len(units)),
 		shards:    make(map[string]*Shard),
 	}
+	ix.gen++
 	for _, p := range ix.Paths {
 		if _, ok := recs[p]; !ok {
 			return nil, fmt.Errorf("artifact: unit %s has no function records", p)
 		}
+		ix.unitGen[p] = ix.gen
+		// Paths arrive sorted, so each shard's path list is born sorted.
 		mod := units[p].File.ModuleName()
 		sh := ix.shards[mod]
 		if sh == nil {
@@ -196,8 +200,9 @@ func BuildFromRecords(units map[string]*ccast.TranslationUnit, recs map[string][
 		sh.paths = append(sh.paths, p)
 	}
 	ix.rebuildShardNames()
-	// Same parallel scheme as Build: generations drawn sequentially in
-	// sorted module order, shard views rebuilt on a worker pool.
+	// Generations are drawn sequentially in sorted module order, then the
+	// shard views — which read only the per-unit maps frozen above —
+	// rebuild on a worker pool.
 	for _, m := range ix.shardNames {
 		ix.shards[m].assignGen(ix)
 	}
@@ -206,13 +211,13 @@ func BuildFromRecords(units map[string]*ccast.TranslationUnit, recs map[string][
 		ix.shards[names[i]].rebuildViews(ix)
 	})
 	ix.rebuildGlobalViews()
-	ix.gen++
 	return ix, nil
 }
 
 // Rehydrate replaces one unit's stub AST and fabricated records with a
 // freshly parsed unit and its real analysis records. It deliberately
-// leaves shard views, generations, and the change feed untouched:
+// leaves shard views, generations (UnitGen included), and the change
+// feed untouched:
 // hydration is only legal when the file content is unchanged since the
 // facts were extracted, so every fact is identical and downstream
 // caches stay valid. Champion maps keep the old records by pointer

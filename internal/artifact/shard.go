@@ -93,21 +93,13 @@ type championDiff struct {
 	globals []string
 }
 
-// refresh rebuilds the shard's views from the index's per-unit records
-// in O(shard) and returns the champion diff against the previous state.
-// Function bodies are never re-walked here; the per-unit Func records
-// (and their memoized CFGs) are reused by pointer. Generations come
-// from the index-wide refreshSeq so they are unique across shards and
-// across shard lifetimes.
-func (sh *Shard) refresh(ix *Index) championDiff {
-	sh.assignGen(ix)
-	return sh.refreshViews(ix)
-}
-
-// refreshViews is refresh after the generation has already been drawn
-// via assignGen. Distinct shards may run refreshViews concurrently: it
-// reads only the index's shared per-unit maps (not mutated during the
-// parallel region) and writes only shard-local state.
+// refreshViews rebuilds the shard's views from the index's per-unit
+// records in O(shard), after assignGen drew its generation, and returns
+// the champion diff against the previous state. Function bodies are
+// never re-walked here; the per-unit Func records (and their memoized
+// CFGs) are reused by pointer. Distinct shards may run refreshViews
+// concurrently: it reads only the index's shared per-unit maps (not
+// mutated during the parallel region) and writes only shard-local state.
 func (sh *Shard) refreshViews(ix *Index) championDiff {
 	oldByName, oldLast, oldGlobals := sh.byName, sh.lastByName, sh.globals
 	sh.rebuildViews(ix)
@@ -130,7 +122,8 @@ func (sh *Shard) refreshViews(ix *Index) championDiff {
 }
 
 // assignGen draws the shard's next generation from the index-wide
-// refreshSeq. Generation assignment is split from the view rebuild so
+// refreshSeq, so generations are unique across shards and across shard
+// lifetimes. Generation assignment is split from the view rebuild so
 // cold build, restore, and Apply can draw generations deterministically
 // in sorted module order before rebuilding the views of distinct shards
 // in parallel — the sequence of (module, Gen) pairs downstream caches
@@ -138,14 +131,6 @@ func (sh *Shard) refreshViews(ix *Index) championDiff {
 func (sh *Shard) assignGen(ix *Index) {
 	ix.refreshSeq++
 	sh.gen = ix.refreshSeq
-}
-
-// rebuild is refresh without the champion diff — for cold builds and
-// restore, where the caller rebuilds the global views from scratch and
-// enumerating every champion as "changed" would be thrown away.
-func (sh *Shard) rebuild(ix *Index) {
-	sh.assignGen(ix)
-	sh.rebuildViews(ix)
 }
 
 // rebuildViews rebuilds the shard's views from the index's per-unit

@@ -308,10 +308,6 @@ func (p *parser) pos() srcfile.Pos {
 	return srcfile.Pos{Line: p.tok.Line, Col: p.tok.Col, Offset: p.tok.Off}
 }
 
-func (p *parser) endPos(t cclex.Token) srcfile.Pos {
-	return srcfile.Pos{Line: t.Line, Col: t.Col + len(t.Text), Offset: t.Off + len(t.Text)}
-}
-
 func (p *parser) errorf(format string, args ...interface{}) {
 	if p.panicking {
 		return

@@ -74,6 +74,9 @@ type Assessor struct {
 	// base is the state source the assessor was restored from (nil when
 	// it never restored): ExportState copies still-sealed shards from it.
 	base StateSource
+	// recomputed counts the snapshot blocks that failed to decode at
+	// restore (RecomputedBlocks).
+	recomputed int
 	// commitHook, when set, observes every CommitDelta before any state
 	// mutates — the write-ahead-journal hook of the persistence layer.
 	commitHook func(changed []*srcfile.File, removed []string) error
@@ -163,10 +166,10 @@ func (a *Assessor) FileSet() *srcfile.FileSet { return a.fs }
 func (a *Assessor) Units() map[string]*ccast.TranslationUnit { return a.units }
 
 // Findings runs (and caches) the rule engine over the shared index. The
-// sharded engine caches per-file findings by content hash inside
-// per-module shard segments, so after an ApplyDelta only the dirty
-// shard's dirty files are re-checked and the global stream is a k-way
-// merge of the presorted segments.
+// sharded engine caches per-file findings, keyed by the index's unit
+// generations, inside per-module shard segments, so after an ApplyDelta
+// only the dirty shard's dirty files are re-checked and the global
+// stream is a k-way merge of the presorted segments.
 func (a *Assessor) Findings() []rules.Finding {
 	if a.findings == nil {
 		ctx := rules.NewContextFromIndex(a.Index())

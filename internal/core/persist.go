@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/artifact"
@@ -24,19 +25,20 @@ import (
 // engine's per-file finding segments and corpus segment, and the
 // per-file metric rows. Restore rebuilds the file set, fabricates
 // fact-carrying stub units (no statement bodies — nothing is parsed),
-// reconstructs the sharded index from the facts, and seeds the rule and
-// metrics caches warm, so the restored assessor answers Findings /
-// Metrics / Assess byte-identically to the snapshotted one in O(load)
-// and its first delta costs the same as a delta on the never-restarted
-// process. Architectural partials are not persisted; they re-fold from
-// the restored facts without text scans.
+// reconstructs the sharded index from the facts, and fills the rule and
+// metrics caches directly — the same per-shard state a cold run leaves,
+// keyed on the restored index's unit generations — so the restored
+// assessor answers Findings / Metrics / Assess byte-identically to the
+// snapshotted one in O(load) and its first delta costs the same as a
+// delta on the never-restarted process. Architectural partials are not
+// persisted; they re-fold from the restored facts without text scans.
 //
 // Stub units are hydrated — re-parsed into real ASTs — lazily, the
 // moment the rule engine needs to re-walk them (a content edit arrives
 // freshly parsed through the delta path; a delta that moves a name's
 // cross-file facts re-walks the untouched files spelling that name and
-// hydrates exactly those). Hydration is content-preserving, so every
-// fact and cache key stays valid.
+// hydrates exactly those). Hydration is content-preserving and moves no
+// unit generation, so every fact and cache key stays valid.
 
 // PersistedFile is the serializable projection of one corpus file.
 type PersistedFile struct {
@@ -149,12 +151,13 @@ func (a *Assessor) ExportState() (*PersistedState, error) {
 	return st, nil
 }
 
-// StateSource is the lazy face of a snapshot: the restore path pulls
-// the cheap corpus skeleton (files, per-unit facts) eagerly and defers
-// each shard's finding segments and metric rows until the caches first
-// touch that shard. internal/store's Snapshot implements it over the
-// raw snapshot bytes (decoding one shard block per call); stateSource
-// below adapts an in-memory PersistedState to the same shape.
+// StateSource is the shard-addressed face of a snapshot: the restore
+// path pulls the corpus skeleton (files) and then, one shard at a time
+// on a worker pool, each shard's unit facts, finding lists and metric
+// rows. internal/store's Snapshot implements it over the raw snapshot
+// bytes (decoding one shard block per call); stateSource below adapts an
+// in-memory PersistedState to the same shape. Per-shard methods must be
+// safe to call concurrently for distinct shards.
 //
 // Shard grouping must match the artifact index's: a module's units are
 // exactly the units whose file has that ModuleName, listed in sorted
@@ -186,12 +189,14 @@ type StateSource interface {
 // (a nil cfg.Rules means rules.DefaultRules, which must match the
 // snapshot's rule fingerprint). No source is parsed: units are
 // fact-carrying stubs, hydrated on demand when a cache needs their
-// ASTs. The skeleton — file set, fact stubs, sharded index — is built
-// eagerly; the rule and metric caches are seeded *sealed*, pulling each
-// shard's finding segments and metric rows from the source on first
-// touch and deferring content hashing until a delta dirties the shard.
-// A shard block that fails to load degrades to a recompute of exactly
-// that shard (hydrating its stubs), never to stale or wrong output.
+// ASTs. One parallel pass decodes every shard's unit facts, finding
+// lists and metric rows; the sharded index is rebuilt from the facts,
+// and the rule and metric caches are filled directly, exactly as a cold
+// run fills them, with every filled shard sealed. A finding or metric
+// block that fails to decode (or has the wrong length) is left out of
+// its cache's fill and counted (RecomputedBlocks): that cache recomputes
+// exactly that shard on first use, hydrating its stubs, never serving
+// stale or wrong output.
 func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 	cfg.TargetASIL = src.Target()
 	a := NewAssessor(cfg)
@@ -222,29 +227,20 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 	units := make(map[string]*ccast.TranslationUnit, len(files))
 	recs := make(map[string][]*artifact.Func, len(files))
 	stubs := make(map[string]bool, len(files))
-	seeds := &lazySeeds{
-		src:    src,
-		paths:  make(map[string][]string, len(names)),
-		hashes: make(map[string]func() []uint64, len(names)),
-	}
-	// Decode, validate, and fabricate each shard's stub units on a
-	// worker pool — ShardUnits decodes disjoint snapshot blocks, the
-	// file-set lookups are read-only, and fabrication writes only
-	// shard-local slices. The shared maps are filled (and cross-shard
-	// duplicates detected) in a sequential merge in shard name order, so
-	// errors surface exactly as the sequential loop reported them.
+	// Decode, validate, and fabricate each shard's stub units, and decode
+	// its finding lists and metric rows, on a worker pool — the source
+	// decodes disjoint snapshot blocks, the file-set lookups are
+	// read-only, and fabrication writes only shard-local slices. The
+	// shared maps are filled (and cross-shard duplicates detected) in a
+	// sequential merge in shard name order, so errors surface exactly as
+	// a sequential loop would report them.
 	type shardRestore struct {
-		ufs []artifact.UnitFacts
-		tus []*ccast.TranslationUnit
-		fas [][]*artifact.Func
-		// paths and srcs pin the shard's snapshot-time path list and
-		// sources, captured as (immutable) strings: a later delta replaces
-		// the corpus *File structs in place (FileSet.Add), so deferred
-		// hashing must not go through the file pointers or a changed
-		// file's stale cache entry would validate against its own new
-		// content.
+		ufs   []artifact.UnitFacts
+		tus   []*ccast.TranslationUnit
+		fas   [][]*artifact.Func
 		paths []string
-		srcs  []string
+		fss   [][]rules.Finding      // nil when the block would not decode
+		rows  []*metrics.FileMetrics // nil when the block would not decode
 		err   error
 	}
 	parts := make([]shardRestore, len(names))
@@ -260,7 +256,6 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 		p.tus = make([]*ccast.TranslationUnit, len(ufs))
 		p.fas = make([][]*artifact.Func, len(ufs))
 		p.paths = make([]string, len(ufs))
-		p.srcs = make([]string, len(ufs))
 		for i := range ufs {
 			uf := ufs[i]
 			f := fs.Lookup(uf.Path)
@@ -273,31 +268,39 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 				return
 			}
 			p.tus[i], p.fas[i] = artifact.UnitFromFacts(f, uf)
-			p.paths[i], p.srcs[i] = uf.Path, f.Src
+			p.paths[i] = uf.Path
+		}
+		if fss, err := src.ShardFindings(m); err == nil && len(fss) == len(ufs) {
+			p.fss = fss
+		}
+		if rows, err := src.ShardMetrics(m, p.paths); err == nil && len(rows) == len(ufs) && !slices.Contains(rows, nil) {
+			p.rows = rows
 		}
 	})
 	nUnits := 0
+	shardFindings := make(map[string][][]rules.Finding, len(names))
+	shardRows := make(map[string][]*metrics.FileMetrics, len(names))
 	for k, m := range names {
 		p := &parts[k]
 		if p.err != nil {
 			return nil, p.err
 		}
-		for i := range p.ufs {
-			path := p.paths[i]
+		for i, path := range p.paths {
 			if units[path] != nil {
 				return nil, fmt.Errorf("core: snapshot holds unit %s twice", path)
 			}
 			units[path], recs[path] = p.tus[i], p.fas[i]
 			stubs[path] = true
 		}
-		srcs := p.srcs
-		seeds.paths[m] = p.paths
-		seeds.hashes[m] = func() []uint64 {
-			hs := make([]uint64, len(srcs))
-			for i, s := range srcs {
-				hs[i] = srcfile.HashSrc(s)
-			}
-			return hs
+		if p.fss != nil {
+			shardFindings[m] = p.fss
+		} else {
+			a.recomputed++
+		}
+		if p.rows != nil {
+			shardRows[m] = p.rows
+		} else {
+			a.recomputed++
 		}
 		nUnits += len(p.ufs)
 	}
@@ -308,12 +311,12 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range names {
+	for k, m := range names {
 		// The index derived the same partition the snapshot declared, in
 		// the same (sorted) order — required for the positional zip of the
-		// lazy shard blocks. Inequality means corrupt or inconsistent
-		// grouping, not a recoverable cache miss.
-		if !equalStrings(ix.Shard(m).Paths(), seeds.paths[m]) {
+		// shard blocks. Inequality means corrupt or inconsistent grouping,
+		// not a recoverable cache miss.
+		if !equalStrings(ix.Shard(m).Paths(), parts[k].paths) {
 			return nil, fmt.Errorf("core: snapshot shard %q path list does not match the restored index", m)
 		}
 	}
@@ -324,56 +327,22 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 
 	a.fs, a.units, a.ix = fs, units, ix
 	a.base = src
-	a.ruleEng.RestoreCacheLazy(ix, corpus, seeds)
-	a.mcache.RestoreRowsLazy(ix, seeds)
+	a.ruleEng.RestoreCache(ix, corpus, shardFindings)
+	a.mcache.RestoreRows(ix, shardRows)
 	a.stubs = stubs
 	a.ruleEng.Hydrate = a.hydratePaths
 	a.mcache.Hydrate = a.hydratePaths
 	return a, nil
 }
 
-// lazySeeds adapts a StateSource to the loader interfaces of the rule
-// engine (rules.ShardLoader) and the metrics cache (metrics.RowLoader),
-// pinning the restore-time path lists and file identities so content
-// hashes computed at thaw time cover the snapshot's sources even after
-// later deltas replaced corpus entries.
-type lazySeeds struct {
-	src    StateSource
-	paths  map[string][]string
-	hashes map[string]func() []uint64
-}
-
-func (l *lazySeeds) ShardKeys(m string) ([]string, []uint64, bool) {
-	h := l.hashes[m]
-	if h == nil {
-		return nil, nil, false
-	}
-	return l.paths[m], h(), true
-}
-
-func (l *lazySeeds) ShardFindings(m string) ([][]rules.Finding, bool) {
-	fss, err := l.src.ShardFindings(m)
-	if err != nil || len(fss) != len(l.paths[m]) {
-		return nil, false
-	}
-	return fss, true
-}
-
-func (l *lazySeeds) ShardRows(m string) ([]*metrics.FileMetrics, bool) {
-	rows, err := l.src.ShardMetrics(m, l.paths[m])
-	if err != nil || len(rows) != len(l.paths[m]) {
-		return nil, false
-	}
-	for _, r := range rows {
-		if r == nil {
-			return nil, false
-		}
-	}
-	return rows, true
-}
+// RecomputedBlocks returns how many snapshot finding and metric blocks
+// failed to decode when the assessor was restored; each leaves its shard
+// to be recomputed in that cache. Zero for assessors that never
+// restored.
+func (a *Assessor) RecomputedBlocks() int { return a.recomputed }
 
 // stateSource adapts an in-memory PersistedState (ExportState's output)
-// to the snapshot encoder and to the lazy restore path.
+// to the snapshot encoder and to the restore path.
 type stateSource struct {
 	st     *PersistedState
 	names  []string
@@ -470,7 +439,7 @@ func (a *Assessor) StubUnits() int { return len(a.stubs) }
 // real ASTs (and re-analyzed records) into the index in place. Invoked
 // by the rule engine at a sequential point before it walks dirty files.
 // The corpus content of a stub is by construction unchanged since the
-// snapshot, so hydration changes no fact, hash, or cache key.
+// snapshot, so hydration changes no fact, unit generation, or cache key.
 func (a *Assessor) hydratePaths(paths []string) {
 	var todo []string
 	for _, p := range paths {

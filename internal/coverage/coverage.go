@@ -11,7 +11,6 @@ package coverage
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/artifact"
 	"repro/internal/ccast"
@@ -520,11 +519,6 @@ func Average(summaries []*Summary) (stmt, branch, mcdc float64) {
 	}
 	n := float64(len(summaries))
 	return stmt / n, branch / n, mcdc / n
-}
-
-// SortSummaries orders summaries by scope for stable reporting.
-func SortSummaries(ss []*Summary) {
-	sort.Slice(ss, func(i, j int) bool { return ss[i].Scope < ss[j].Scope })
 }
 
 // String renders a summary line.

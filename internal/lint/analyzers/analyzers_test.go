@@ -32,6 +32,10 @@ func TestArenaEscape(t *testing.T) {
 	analysistest.Run(t, "testdata/src/arenaescape/rules", analyzers.ArenaEscape)
 }
 
+func TestDeadFunc(t *testing.T) {
+	analysistest.Run(t, "testdata/src/deadfunc/sweep", analyzers.DeadFunc)
+}
+
 func TestAliasMut(t *testing.T) {
 	analysistest.Run(t, "testdata/src/aliasmut/consumer", analyzers.AliasMut)
 }

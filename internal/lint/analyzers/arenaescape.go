@@ -11,7 +11,7 @@ import (
 // AST nodes are slab-allocated, an arena owns every node carved from
 // it, and keeping any node alive keeps its whole chunk alive. Unit
 // tables (artifact.Unit) share the unit's lifetime and may hold nodes;
-// everything that outlives a unit — rule caches keyed by content hash,
+// everything that outlives a unit — rule caches keyed by unit generation,
 // metric rows, snapshot/persisted state, the corpus-level interner,
 // the serving layer — must hold facts, never nodes, or a replaced
 // file's whole arena chunk stays pinned forever.

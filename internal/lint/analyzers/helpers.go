@@ -1,8 +1,9 @@
-// Package analyzers holds the five adlint checks that machine-enforce
+// Package analyzers holds the six adlint checks that machine-enforce
 // this repo's documented invariants: arena lifetimes (arenaescape),
 // deterministic output surfaces (detrange), lock acquisition order
-// (lockorder), checked persistence errors (syncerr), and read-only
-// zero-copy aliases (aliasmut).
+// (lockorder), checked persistence errors (syncerr), read-only
+// zero-copy aliases (aliasmut), and no unreferenced unexported
+// functions (deadfunc).
 //
 // Every analyzer identifies the types and functions it cares about by
 // package *base name* plus type/method name, not full import path.
@@ -25,6 +26,7 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		AliasMut,
 		ArenaEscape,
+		DeadFunc,
 		DetRange,
 		LockOrder,
 		SyncErr,

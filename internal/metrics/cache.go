@@ -12,14 +12,16 @@ import (
 // contribute their cached file rows AND their cached module partial
 // (ModuleMetrics plus the shard's share of the corpus totals) without
 // being scanned at all; dirty shards recompute rows only for files whose
-// content hash changed and re-fold their partial in O(shard). The global
-// result is then a merge of the per-shard row lists (path order) and a
-// fold of the partials — O(dirty shard + #shards), not O(corpus) — and
-// is identical to the cache-free AnalyzeIndexed over the same index.
+// unit generation (artifact.Index.UnitGen) moved and re-fold their
+// partial in O(shard). The global result is then a merge of the
+// per-shard row lists (path order) and a fold of the partials —
+// O(dirty shard + #shards), not O(corpus) — and is identical to the
+// cache-free AnalyzeIndexed over the same index.
 //
 // File rows depend only on the file's path (module, language) and
-// content (lines, NLOC, per-function facts from the artifact cache), so
-// a (path, hash) key is exact. Cached *FileMetrics and *ModuleMetrics
+// content (lines, NLOC, per-function facts from the artifact cache), and
+// within one index a unit's generation moves whenever either does, so a
+// (path, UnitGen) key is exact. Cached *FileMetrics and *ModuleMetrics
 // are shared across results; callers must treat them as immutable.
 //
 // Cache is not safe for concurrent use; the Assessor serializes access.
@@ -28,7 +30,7 @@ type Cache struct {
 	// before their rows are recomputed. A snapshot-restored assessor
 	// installs it to re-parse stub units on demand: in the normal flow
 	// dirty files arrive freshly parsed and the hook no-ops, but if a
-	// restored shard's lazy row block fails to decode, its unchanged
+	// restored shard's row block was left out of the fill, its unchanged
 	// files are recomputed from their stubs — whose fabricated function
 	// spans would yield wrong rows without hydration.
 	Hydrate func(paths []string)
@@ -40,73 +42,18 @@ type Cache struct {
 	lastDirty int
 }
 
-type cacheEntry struct {
-	hash uint64
-	fm   *FileMetrics
-}
-
-// metricShard is the cached state for one module shard.
-//
-// A snapshot-restored shard starts *sealed* (perFile == nil): its rows
-// materialize from the loaders at the first AnalyzeIndexed (the global
-// merge reads every shard's rows), while the per-file map — and the
-// content hashes inside it — thaw only when a delta dirties the shard.
+// metricShard is the cached state for one module shard: its rows in
+// shard path order, the unit generation each row was computed at, and
+// the folded partials. A cold run, a warm rebuild and a snapshot restore
+// all fill it the same way.
 type metricShard struct {
-	gen     uint64
-	valid   bool
-	perFile map[string]cacheEntry
-	files   []*FileMetrics // shard path order
-	mm      *ModuleMetrics
+	gen    uint64 // artifact shard generation the rows match; 0 = never built
+	sealed bool   // filled by RestoreRows and not rebuilt since
+	files  []*FileMetrics
+	gens   []uint64
+	mm     *ModuleMetrics
 	// totals are the shard's contribution to the corpus-wide counters.
 	totLOC, totNLOC, totFunc, modWorse int
-
-	// loadRows/thawKeys are the snapshot loaders of a sealed shard (nil
-	// otherwise); rowsReady records that files/mm/totals materialized.
-	// The loaders stay set until thawEntries so a later dirtying can
-	// still build perFile.
-	loadRows  func() ([]*FileMetrics, bool)
-	thawKeys  func() ([]string, []uint64, bool)
-	rowsReady bool
-}
-
-// materializeRows decodes a sealed shard's row block and folds its
-// partials, leaving the per-file map deferred. False means the block
-// would not decode; the caller recomputes the shard. Safe for distinct
-// shards concurrently: loaders decode disjoint snapshot extents and
-// refold writes only shard-local fields.
-func (ms *metricShard) materializeRows(sh *artifact.Shard) bool {
-	rows, ok := ms.loadRows()
-	if !ok || len(rows) != sh.Len() {
-		return false
-	}
-	ms.files = rows
-	ms.refold()
-	ms.rowsReady = true
-	return true
-}
-
-// thawEntries materializes a sealed shard's per-file map (snapshot
-// paths, content hashes, rows). False means the block would not decode;
-// the caller then recomputes every row of the shard.
-func (ms *metricShard) thawEntries() bool {
-	if ms.thawKeys == nil {
-		return false
-	}
-	load, thaw := ms.loadRows, ms.thawKeys
-	ms.loadRows, ms.thawKeys = nil, nil
-	paths, hashes, ok := thaw()
-	if !ok || len(paths) != len(hashes) {
-		return false
-	}
-	rows, ok := load()
-	if !ok || len(rows) != len(paths) {
-		return false
-	}
-	ms.perFile = make(map[string]cacheEntry, len(paths))
-	for i, p := range paths {
-		ms.perFile[p] = cacheEntry{hash: hashes[i], fm: rows[i]}
-	}
-	return true
 }
 
 // NewCache returns an empty metrics cache.
@@ -123,47 +70,20 @@ func (c *Cache) LastDirty() int { return c.lastDirty }
 // generations show nothing changed.
 func (c *Cache) AnalyzeIndexed(ix *artifact.Index) *FrameworkMetrics {
 	if ix != c.ix {
-		// New index: per-file hash entries stay useful (identical
-		// content hits), but shard generations are from another world.
-		for _, ms := range c.shards {
-			ms.valid = false
-		}
+		// Generations from another index mean nothing.
 		c.ix = ix
+		c.shards = make(map[string]*metricShard)
 	}
 	names := ix.ShardNames()
-	if len(c.shards) > len(names) {
-		live := make(map[string]bool, len(names))
-		for _, m := range names {
-			live[m] = true
-		}
-		for m := range c.shards {
-			if !live[m] {
-				delete(c.shards, m)
-			}
+	for m := range c.shards {
+		if ix.Shard(m) == nil {
+			delete(c.shards, m) // the shard no longer exists
 		}
 	}
 
-	// Materialize sealed clean shards' rows on a worker pool before the
-	// scan — the first warm run after a lazy restore decodes one snapshot
-	// block per shard, and the blocks are independent. A shard whose
-	// block fails to decode falls through to the inline retry in pass 1.
-	{
-		var sealed []*metricShard
-		var sealedSh []*artifact.Shard
-		for _, m := range names {
-			sh := ix.Shard(m)
-			ms := c.shards[m]
-			if ms != nil && ms.valid && ms.gen == sh.Gen() && ms.loadRows != nil && !ms.rowsReady {
-				sealed = append(sealed, ms)
-				sealedSh = append(sealedSh, sh)
-			}
-		}
-		par.For(par.Workers(len(sealed)), len(sealed), func(k int) {
-			sealed[k].materializeRows(sealedSh[k])
-		})
-	}
-
-	// Pass 1: find the dirty rows across all dirty shards.
+	// Pass 1: in every shard whose generation moved, merge-walk the cached
+	// rows against the current sorted paths, reusing a row whose path and
+	// unit generation match and marking the rest dirty.
 	type slot struct {
 		ms *metricShard
 		i  int // index into ms.files
@@ -175,49 +95,29 @@ func (c *Cache) AnalyzeIndexed(ix *artifact.Index) *FrameworkMetrics {
 		sh := ix.Shard(m)
 		ms := c.shards[m]
 		if ms == nil {
-			ms = &metricShard{perFile: make(map[string]cacheEntry)}
+			ms = &metricShard{}
 			c.shards[m] = ms
 		}
-		if ms.valid && ms.gen == sh.Gen() {
-			if ms.loadRows == nil || ms.rowsReady {
+		if ms.gen == sh.Gen() {
+			continue
+		}
+		old, oldGens := ms.files, ms.gens
+		ms.files = make([]*FileMetrics, sh.Len())
+		ms.gens = make([]uint64, sh.Len())
+		i := 0 // cursor into old
+		for j, p := range sh.Paths() {
+			ms.gens[j] = ix.UnitGen(p)
+			for i < len(old) && old[i].Path < p {
+				i++
+			}
+			if i < len(old) && old[i].Path == p && oldGens[i] == ms.gens[j] {
+				ms.files[j] = old[i]
 				continue
 			}
-			// Sealed clean shard the parallel pre-pass could not
-			// materialize: one inline retry.
-			if ms.materializeRows(sh) {
-				continue
-			}
-			// The shard's snapshot block would not decode: recompute it.
-			ms.loadRows, ms.thawKeys = nil, nil
-			ms.perFile = make(map[string]cacheEntry)
-			ms.valid = false
+			dirtyPaths = append(dirtyPaths, p)
+			dirtySlots = append(dirtySlots, slot{ms, j})
 		}
-		if ms.perFile == nil && !ms.thawEntries() {
-			ms.perFile = make(map[string]cacheEntry)
-		}
-		paths := sh.Paths()
-		ms.files = make([]*FileMetrics, len(paths))
-		for i, p := range paths {
-			h := ix.Units[p].File.Hash()
-			if e, ok := ms.perFile[p]; ok && e.hash == h {
-				ms.files[i] = e.fm
-			} else {
-				dirtyPaths = append(dirtyPaths, p)
-				dirtySlots = append(dirtySlots, slot{ms, i})
-			}
-		}
-		if len(ms.perFile) > len(paths) {
-			live := make(map[string]bool, len(paths))
-			for _, p := range paths {
-				live[p] = true
-			}
-			for p := range ms.perFile {
-				if !live[p] {
-					delete(ms.perFile, p)
-				}
-			}
-		}
-		ms.gen = sh.Gen()
+		ms.gen, ms.sealed = sh.Gen(), false
 		dirtyShards = append(dirtyShards, ms)
 	}
 	c.lastDirty = len(dirtyPaths)
@@ -227,22 +127,16 @@ func (c *Cache) AnalyzeIndexed(ix *artifact.Index) *FrameworkMetrics {
 
 	// Pass 2: recompute the dirty rows in parallel (the NLOC text scans
 	// dominate).
-	rows := make([]*FileMetrics, len(dirtyPaths))
 	par.For(par.Workers(len(dirtyPaths)), len(dirtyPaths), func(k int) {
 		p := dirtyPaths[k]
-		rows[k] = analyzeFileIndexed(ix.Units[p], ix.UnitFuncs(p))
+		dirtySlots[k].ms.files[dirtySlots[k].i] = analyzeFileIndexed(ix.Units[p], ix.UnitFuncs(p))
 	})
-	for k, p := range dirtyPaths {
-		dirtySlots[k].ms.files[dirtySlots[k].i] = rows[k]
-		dirtySlots[k].ms.perFile[p] = cacheEntry{hash: ix.Units[p].File.Hash(), fm: rows[k]}
-	}
 
 	// Pass 3: re-fold the dirty shards' partials in parallel — refold
 	// reads and writes only shard-local state, and the global fold below
 	// walks shards in sorted name order.
 	par.For(par.Workers(len(dirtyShards)), len(dirtyShards), func(k int) {
 		dirtyShards[k].refold()
-		dirtyShards[k].valid = true
 	})
 
 	// Global result: merge row lists in path order, fold partials.

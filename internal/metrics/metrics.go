@@ -120,14 +120,6 @@ type ModuleMetrics struct {
 	SumCCN  int
 }
 
-// MeanCCN returns the average complexity across the module's functions.
-func (m *ModuleMetrics) MeanCCN() float64 {
-	if m.Functions == 0 {
-		return 0
-	}
-	return float64(m.SumCCN) / float64(m.Functions)
-}
-
 // FrameworkMetrics is the whole-corpus result.
 type FrameworkMetrics struct {
 	Modules   []*ModuleMetrics // sorted by name

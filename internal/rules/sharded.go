@@ -12,19 +12,22 @@ import (
 // This file implements the sharded incremental rule engine, the one rule
 // engine: a cold run (rules.Run, a fresh engine's first Run) and every
 // warm run of core.Assessor go through it. It caches per-file findings
-// and rides the artifact index's module shards and its per-name change
-// feed (artifact.Index.ChangesSince):
+// and rides the artifact index's module shards, its per-unit generations
+// (artifact.Index.UnitGen) and its per-name change feed
+// (artifact.Index.ChangesSince):
 //
 //   - dirty detection consults per-shard generations, so a warm run
-//     hashes only the files of shards a delta touched;
+//     looks only at the files of shards a delta touched, and within
+//     them re-checks a file only when its unit generation moved;
 //   - a file depends on a cross-file fact only through a name its source
 //     spells (see the Registrar contract), so when the feed reports that
 //     a name's callee voidness or global membership moved, exactly the
 //     files spelling that name at identifier boundaries are re-checked —
 //     restored stubs included, so only those get hydrated;
 //   - each shard keeps a presorted finding segment (its files' cached
-//     findings concatenated in shard path order) plus a Stats partial,
-//     rebuilt in O(shard) only when one of its files was re-checked;
+//     findings concatenated in shard path order, with per-file offsets)
+//     plus a Stats partial, rebuilt in O(shard) only when one of its
+//     files was re-checked;
 //   - the recursion rule's on-cycle set is kept across runs and updated
 //     from the changed call-graph nodes (cycleCache); other corpus
 //     hooks re-run after every index change;
@@ -71,86 +74,55 @@ type Sharded struct {
 	lastFullRecheck bool
 }
 
-// incrEntry is one file's cached findings, keyed by the content hash of
-// the source they were computed from.
-type incrEntry struct {
-	hash     uint64
-	findings []Finding
-}
-
-// shardSeg is the engine's cached state for one module shard.
-//
-// A snapshot-restored segment starts *sealed*: valid at its shard's
-// generation but holding neither the segment nor the per-file map —
-// only the two loaders. The segment (and its stats partial)
-// materializes at the first Run, because the global merge reads every
-// segment; the per-file map and the content hashes inside it thaw only
-// when a delta dirties the shard. perFile == nil is the sealed marker.
+// shardSeg is the engine's cached state for one module shard, laid out
+// positionally as the snapshot's finding block is: the shard's sorted
+// paths when the segment was built, the unit generation each file's
+// findings were computed at, and offsets into the presorted segment.
+// A cold run, a warm rebuild and a snapshot restore all fill it the
+// same way (fill).
 type shardSeg struct {
-	gen     uint64 // artifact shard generation this segment matches
-	valid   bool
-	perFile map[string]incrEntry
-	seg     []Finding
-	stats   *Stats
-
-	// load/thaw are the snapshot loaders of a sealed segment (nil on
-	// segments that never went through a lazy restore). segReady records
-	// that seg/stats were materialized from load; the loaders stay set
-	// until thawEntries so a later dirtying can still build perFile.
-	load     func() ([][]Finding, bool)
-	thaw     func() ([]string, []uint64, bool)
-	segReady bool
+	gen    uint64 // artifact shard generation this segment matches; 0 = never built
+	sealed bool   // filled by RestoreCache and not rebuilt since
+	paths  []string
+	gens   []uint64
+	off    []int // file i's findings are seg[off[i]:off[i+1]]
+	seg    []Finding
+	stats  *Stats
 }
 
-// materialize decodes a sealed segment's findings block and builds the
-// merged segment plus its stats partial, leaving the per-file map (and
-// its content hashes) deferred. Returns false when the block will not
-// decode; the caller then recomputes the shard from scratch. Safe to
-// run for distinct segments concurrently: loaders of distinct shards
-// decode disjoint snapshot extents and every write is segment-local.
-func (seg *shardSeg) materialize(sh *artifact.Shard) bool {
-	fss, ok := seg.load()
-	if !ok || len(fss) != sh.Len() {
-		return false
-	}
+// findings returns file i's cached findings (capacity-clipped, so an
+// append by a reader cannot reach the next file's entries).
+func (seg *shardSeg) findings(i int) []Finding {
+	return seg.seg[seg.off[i]:seg.off[i+1]:seg.off[i+1]]
+}
+
+// fill rebuilds the segment from per-file finding lists aligned with the
+// shard's current paths, at the given unit generations, and re-folds the
+// stats partial. Distinct segments may fill concurrently.
+func (seg *shardSeg) fill(sh *artifact.Shard, gens []uint64, files [][]Finding) {
 	total := 0
-	for _, fs := range fss {
+	for _, fs := range files {
 		total += len(fs)
 	}
+	seg.paths = slices.Clone(sh.Paths()) // Apply edits the shard's list in place
+	seg.gens = gens
+	seg.off = make([]int, len(files)+1)
 	seg.seg = make([]Finding, 0, total)
-	for _, fs := range fss {
+	for i, fs := range files {
 		seg.seg = append(seg.seg, fs...)
+		seg.off[i+1] = len(seg.seg)
 	}
 	seg.stats = Aggregate(seg.seg)
-	seg.segReady = true
-	return true
+	seg.gen, seg.sealed = sh.Gen(), false
 }
 
-// thawEntries materializes a sealed segment's per-file map from its
-// loaders: the snapshot-time paths, the content hashes of the sources
-// the findings came from, and the finding lists themselves. Returns
-// false when the shard's block cannot be decoded — the caller then
-// treats every file as dirty, which recomputes the shard instead of
-// serving anything stale.
-func (seg *shardSeg) thawEntries() bool {
-	if seg.thaw == nil {
-		return false
+// unitGens returns the unit generations of a shard's paths.
+func unitGens(ix *artifact.Index, sh *artifact.Shard) []uint64 {
+	gens := make([]uint64, sh.Len())
+	for i, p := range sh.Paths() {
+		gens[i] = ix.UnitGen(p)
 	}
-	load, thaw := seg.load, seg.thaw
-	seg.load, seg.thaw = nil, nil
-	paths, hashes, ok := thaw()
-	if !ok || len(paths) != len(hashes) {
-		return false
-	}
-	fss, ok := load()
-	if !ok || len(fss) != len(paths) {
-		return false
-	}
-	seg.perFile = make(map[string]incrEntry, len(paths))
-	for i, p := range paths {
-		seg.perFile[p] = incrEntry{hash: hashes[i], findings: fss[i]}
-	}
-	return true
+	return gens
 }
 
 // NewSharded creates a sharded incremental engine over the given rule
@@ -212,8 +184,9 @@ func (s *Sharded) changesSince(ix *artifact.Index) (map[string]artifact.Change, 
 
 // Run executes the rules over the context. Output is byte-identical to
 // RunSequential over the same context; a warm run after a delta
-// re-checks only the content-changed files and the files spelling a name
-// whose cross-file facts moved, and re-aggregates only their shards.
+// re-checks only the files whose unit generation moved and the files
+// spelling a name whose cross-file facts moved, and re-aggregates only
+// their shards.
 func (s *Sharded) Run(ctx *Context) []Finding {
 	s.lastFullRecheck = false
 	ix := ctx.Index
@@ -237,16 +210,9 @@ func (s *Sharded) Run(ctx *Context) []Finding {
 	s.seen = ix.Gen()
 
 	names := ix.ShardNames()
-	// Drop state for shards that no longer exist.
-	if len(s.shards) > len(names) {
-		live := make(map[string]bool, len(names))
-		for _, m := range names {
-			live[m] = true
-		}
-		for m := range s.shards {
-			if !live[m] {
-				delete(s.shards, m)
-			}
+	for m := range s.shards {
+		if ix.Shard(m) == nil {
+			delete(s.shards, m) // the shard no longer exists
 		}
 	}
 
@@ -256,106 +222,49 @@ func (s *Sharded) Run(ctx *Context) []Finding {
 		spelled = spellingFiles(ctx, names, keys)
 	}
 
-	// Materialize sealed clean shards' segments on a worker pool before
-	// the scan: the first warm run after a lazy restore decodes one
-	// snapshot block per shard, and the blocks are independent. The scan
-	// below sees segReady and skips them; a shard whose block failed to
-	// decode falls through to the inline retry-then-recompute path.
-	if !invalidate {
-		var sealed []*shardSeg
-		var sealedSh []*artifact.Shard
-		for _, m := range names {
-			sh := ix.Shard(m)
-			seg := s.shards[m]
-			if seg != nil && seg.valid && seg.gen == sh.Gen() && seg.load != nil && !seg.segReady {
-				sealed = append(sealed, seg)
-				sealedSh = append(sealedSh, sh)
-			}
-		}
-		par.For(par.Workers(len(sealed)), len(sealed), func(k int) {
-			sealed[k].materialize(sealedSh[k])
-		})
+	// Plan the rebuild of every shard whose generation moved or that has
+	// readers of a changed name: merge-walk the cached and current sorted
+	// path lists, reuse a file's findings when its path and unit
+	// generation match and it spells no changed name, re-check the rest.
+	type plan struct {
+		seg   *shardSeg
+		sh    *artifact.Shard
+		gens  []uint64
+		files [][]Finding
 	}
-
-	// Collect dirty files: within a shard whose generation moved, every
-	// file whose content hash changed; in any shard, every file spelling
-	// a changed name.
+	type slot struct{ plan, file int }
+	var plans []plan
 	var dirtyPaths []string
-	var dirtyHash []uint64
-	var rebuild []string // modules whose segments need rebuilding
-	segOf := make(map[string]*shardSeg, len(names))
-	markDirty := func(seg *shardSeg, p string, h uint64) {
-		dirtyPaths = append(dirtyPaths, p)
-		dirtyHash = append(dirtyHash, h)
-		segOf[p] = seg
-	}
+	var dirtySlots []slot
 	for _, m := range names {
 		sh := ix.Shard(m)
 		seg := s.shards[m]
 		if seg == nil {
-			seg = &shardSeg{perFile: make(map[string]incrEntry)}
+			seg = &shardSeg{}
 			s.shards[m] = seg
 		}
 		hits := spelled[m]
-		if invalidate {
-			// Sealed or not, the cached findings may read cross-file facts
-			// that moved: drop everything, including any not-yet-decoded
-			// snapshot state.
-			seg.load, seg.thaw, seg.segReady = nil, nil, false
-			if seg.perFile == nil {
-				seg.perFile = make(map[string]incrEntry)
-			} else {
-				clear(seg.perFile)
-			}
-			seg.valid = false
-		} else if seg.valid && seg.gen == sh.Gen() {
-			if seg.load != nil && !seg.segReady && !seg.materialize(sh) {
-				// Sealed clean shard the parallel pre-pass could not
-				// materialize, and one inline retry failed: the shard's
-				// snapshot block would not decode, so forget it and
-				// recompute the shard from scratch.
-				seg.load, seg.thaw = nil, nil
-				seg.perFile = make(map[string]incrEntry)
-				seg.valid = false
-			} else if len(hits) == 0 {
-				continue // clean shard: segment and stats reused as-is
-			} else if seg.perFile != nil || seg.thawEntries() {
-				// Content-clean shard with readers of a changed name:
-				// re-check exactly those files.
-				for _, p := range hits {
-					markDirty(seg, p, ctx.Units[p].File.Hash())
-				}
-				rebuild = append(rebuild, m)
-				continue
-			}
+		if !invalidate && seg.gen == sh.Gen() && len(hits) == 0 {
+			continue // clean shard: segment and stats reused as-is
 		}
-		if seg.perFile == nil && !seg.thawEntries() {
-			seg.perFile = make(map[string]incrEntry)
-		}
-		paths := sh.Paths()
-		k := 0
-		for _, p := range paths {
-			h := ctx.Units[p].File.Hash()
+		pl := plan{seg: seg, sh: sh, gens: unitGens(ix, sh), files: make([][]Finding, sh.Len())}
+		i, k := 0, 0 // cursors into seg.paths and hits
+		for j, p := range sh.Paths() {
+			for i < len(seg.paths) && seg.paths[i] < p {
+				i++
+			}
 			hit := k < len(hits) && hits[k] == p
 			if hit {
 				k++
 			}
-			if e, ok := seg.perFile[p]; !ok || e.hash != h || hit {
-				markDirty(seg, p, h)
+			if !invalidate && !hit && i < len(seg.paths) && seg.paths[i] == p && seg.gens[i] == pl.gens[j] {
+				pl.files[j] = seg.findings(i)
+				continue
 			}
+			dirtyPaths = append(dirtyPaths, p)
+			dirtySlots = append(dirtySlots, slot{len(plans), j})
 		}
-		if len(seg.perFile) > len(paths) {
-			live := make(map[string]bool, len(paths))
-			for _, p := range paths {
-				live[p] = true
-			}
-			for p := range seg.perFile {
-				if !live[p] {
-					delete(seg.perFile, p)
-				}
-			}
-		}
-		rebuild = append(rebuild, m)
+		plans = append(plans, pl)
 	}
 	s.lastDirty = len(dirtyPaths)
 	if s.Hydrate != nil && len(dirtyPaths) > 0 {
@@ -388,32 +297,20 @@ func (s *Sharded) Run(ctx *Context) []Finding {
 		s.haveCorpus = true
 	}
 
-	// Re-check the dirty files (parallel across shards) and cache each
-	// file's findings pre-sorted: within a file the findingLess order is
+	// Re-check the dirty files (parallel across shards), each file's
+	// findings pre-sorted: within a file the findingLess order is
 	// self-contained, so shard segments concatenate without re-sorting.
 	for k, fs := range runUnits(ctx, s.rules, dirtyPaths) {
 		sortFindings(fs)
-		segOf[dirtyPaths[k]].perFile[dirtyPaths[k]] = incrEntry{hash: dirtyHash[k], findings: fs}
+		plans[dirtySlots[k].plan].files[dirtySlots[k].file] = fs
 	}
 
-	// Rebuild the dirty shards' segments and stats partials in parallel:
-	// each rebuild reads only its own per-file cache (fully populated
-	// above) and writes only its own segment, and the merge below walks
-	// shards in sorted name order, so output is scheduling-independent.
-	par.For(par.Workers(len(rebuild)), len(rebuild), func(k int) {
-		m := rebuild[k]
-		sh := ix.Shard(m)
-		seg := s.shards[m]
-		total := 0
-		for _, p := range sh.Paths() {
-			total += len(seg.perFile[p].findings)
-		}
-		seg.seg = make([]Finding, 0, total)
-		for _, p := range sh.Paths() {
-			seg.seg = append(seg.seg, seg.perFile[p].findings...)
-		}
-		seg.stats = Aggregate(seg.seg)
-		seg.gen, seg.valid = sh.Gen(), true
+	// Rebuild the planned shards' segments and stats partials in
+	// parallel: each reads only its own plan and writes only its own
+	// segment, and the merge below walks shards in sorted name order, so
+	// output is scheduling-independent.
+	par.For(par.Workers(len(plans)), len(plans), func(k int) {
+		plans[k].seg.fill(plans[k].sh, plans[k].gens, plans[k].files)
 	})
 
 	// Merge the per-shard segments (and the corpus segment) under the

@@ -198,6 +198,9 @@ type RestoredCorpus struct {
 	Stale int
 	// Torn reports that a torn journal tail was dropped.
 	Torn bool
+	// Recomputed is the number of snapshot finding and metric blocks that
+	// failed to decode; their shards are recomputed on first use.
+	Recomputed int
 	// Clean reports the previous process shut down cleanly (marker
 	// present, nothing to replay).
 	Clean bool
@@ -229,12 +232,13 @@ func NewWithStore(d *store.Dir) (*Server, []RestoredCorpus, error) {
 		a.SetMetrics(s.obs.fallback)
 		s.corpora[name] = &corpusState{a: a, cs: cs}
 		restored = append(restored, RestoredCorpus{
-			Name:     name,
-			Files:    a.FileSet().Len(),
-			Replayed: info.Replayed,
-			Stale:    info.Stale,
-			Torn:     info.Torn,
-			Clean:    info.Clean,
+			Name:       name,
+			Files:      a.FileSet().Len(),
+			Replayed:   info.Replayed,
+			Stale:      info.Stale,
+			Torn:       info.Torn,
+			Recomputed: info.Recomputed,
+			Clean:      info.Clean,
 		})
 	}
 	return s, restored, nil

@@ -95,13 +95,6 @@ type File struct {
 	Lang Language
 	// Src is the file content.
 	Src string
-
-	// hashVal memoizes Hash over hashSrc: Go string equality fast-paths
-	// on identical headers, so repeated hashing of an unmodified file is
-	// O(1). hashOK distinguishes "never hashed" from a legitimate zero.
-	hashVal uint64
-	hashSrc string
-	hashOK  bool
 }
 
 // ModuleName returns the explicit module, or the first path segment.
@@ -117,39 +110,6 @@ func (f *File) ModuleName() string {
 
 // Base returns the file name without directories.
 func (f *File) Base() string { return path.Base(f.Path) }
-
-// Hash returns the FNV-1a content hash of the file. The incremental
-// pipeline keys per-file caches (parse results, rule findings, metrics
-// rows) on it, so two files with identical content share cache entries
-// and an in-place edit is detected by a hash mismatch. The hash is
-// memoized per content; like the rest of File, Hash is not safe for
-// unsynchronized concurrent mutation.
-func (f *File) Hash() uint64 {
-	if f.hashOK && f.hashSrc == f.Src {
-		return f.hashVal
-	}
-	h := HashSrc(f.Src)
-	f.hashVal, f.hashSrc, f.hashOK = h, f.Src, true
-	return h
-}
-
-// HashSrc returns the content hash of a source string — the same value
-// Hash memoizes for a File holding it. Callers that retained a source
-// string (snapshot restore defers hashing until a shard is touched, and
-// FileSet.Add replaces file structs in place, so a retained *File may
-// no longer hold the retained content) hash the string directly.
-func HashSrc(src string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(src); i++ {
-		h ^= uint64(src[i])
-		h *= prime64
-	}
-	return h
-}
 
 // LineCount returns the number of physical lines in the file. A final
 // line without a trailing newline still counts; CRLF terminators count

@@ -123,21 +123,6 @@ func TestTotalLinesMixedEndings(t *testing.T) {
 	}
 }
 
-func TestFileHash(t *testing.T) {
-	a := &File{Path: "a.c", Src: "int x;"}
-	b := &File{Path: "b.c", Src: "int x;"}
-	c := &File{Path: "a.c", Src: "int y;"}
-	if a.Hash() != b.Hash() {
-		t.Error("identical content must hash equal regardless of path")
-	}
-	if a.Hash() == c.Hash() {
-		t.Error("different content must hash differently")
-	}
-	if (&File{}).Hash() != (&File{}).Hash() {
-		t.Error("empty hash must be stable")
-	}
-}
-
 func TestFileSetRemove(t *testing.T) {
 	fs := NewFileSet()
 	fs.AddSource("a.c", "int a;")

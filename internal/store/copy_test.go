@@ -147,8 +147,8 @@ func TestSnapshotWriteCopiesUntouchedShards(t *testing.T) {
 			Src: "int ZzCopyAdded(int v) {\n  return v * 2;\n}\n"}}}, 1, 3},
 		{"remove", core.Delta{Removed: []string{"prediction/zz_copy_gone.cc"}}, 0, 4},
 		// ZzCopyLib's only caller lives in control: its file is re-checked
-		// there, so control's rule segment thaws while its metric rows stay
-		// sealed — sealed in one cache only is not copied.
+		// there, so control's rule segment is rebuilt while its metric rows
+		// stay sealed — sealed in one cache only is not copied.
 		{"cross-file rename", core.Delta{Changed: []*srcfile.File{{Path: "planning/zz_copy_lib.cc",
 			Src: "int ZzCopyLibR(int v) {\n  return v + 2;\n}\n"}}}, 2, 5},
 		// 130 changed names exceed the scan bound: every file is
@@ -241,9 +241,12 @@ func TestUndecodableShardIsEncoded(t *testing.T) {
 	}
 	defer cs.Close()
 	w := newWriteCounts(cs)
-	rec, _, err := cs.Recover(core.DefaultConfig())
+	rec, info, err := cs.Recover(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if info.Recomputed != 2 {
+		t.Fatalf("restore counted %d recomputed snapshot blocks, want 2", info.Recomputed)
 	}
 	shards := int64(len(dirents))
 	compactAndCompare(t, "after failed block decodes", cs, filepath.Join(dir, "c1"), w, rec, shards-2, 2)

@@ -283,6 +283,10 @@ type RecoverInfo struct {
 	Stale int
 	// Torn reports that a torn journal tail was dropped.
 	Torn bool
+	// Recomputed is the number of snapshot finding and metric blocks that
+	// failed to decode at restore; each cache recomputes those shards on
+	// first use (core.Assessor.RecomputedBlocks).
+	Recomputed int
 	// Clean reports that the previous process shut down cleanly (it
 	// compacted, left an empty journal, and wrote the marker); a clean
 	// boot replays nothing.
@@ -302,7 +306,7 @@ func (cs *CorpusStore) Recover(cfg core.Config) (*core.Assessor, *RecoverInfo, e
 	if err != nil {
 		return nil, nil, err
 	}
-	info := &RecoverInfo{SnapshotBytes: nbytes, Clean: cs.consumeClean()}
+	info := &RecoverInfo{SnapshotBytes: nbytes, Recomputed: a.RecomputedBlocks(), Clean: cs.consumeClean()}
 	j, rep, err := OpenJournal(cs.journalPath(), cs.replayInto(a, info))
 	if err != nil {
 		return nil, nil, err
@@ -415,7 +419,7 @@ func (cs *CorpusStore) RecoverReadOnly(cfg core.Config) (*core.Assessor, *Recove
 	if err != nil {
 		return nil, nil, err
 	}
-	info := &RecoverInfo{SnapshotBytes: nbytes}
+	info := &RecoverInfo{SnapshotBytes: nbytes, Recomputed: a.RecomputedBlocks()}
 	rep, _, err := cs.ReadJournal(cs.replayInto(a, info))
 	if err != nil {
 		return nil, nil, err
