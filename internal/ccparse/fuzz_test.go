@@ -38,7 +38,7 @@ func FuzzParse(f *testing.F) {
 		for _, p := range paths {
 			file := &srcfile.File{Path: p, Src: src}
 			file.Lang = srcfile.LanguageForPath(p)
-			tu, errs := ccparse.Parse(file, ccparse.Options{KeepComments: true})
+			tu, errs := ccparse.Parse(file, ccparse.Options{})
 			if tu == nil {
 				t.Fatalf("%s: nil translation unit (the pipeline requires error tolerance)", p)
 			}
@@ -46,7 +46,7 @@ func FuzzParse(f *testing.F) {
 			// on arbitrary (including malformed) input, not just on the
 			// corpora the parity tests cover: same rendered AST, same
 			// error list.
-			refTU, refErrs := ccparse.Parse(file, ccparse.Options{KeepComments: true, Reference: true})
+			refTU, refErrs := ccparse.Parse(file, ccparse.Options{Reference: true})
 			if ref, fast := dumpTU(refTU), dumpTU(tu); ref != fast {
 				t.Fatalf("%s: arena AST diverges from reference\n%s", p, firstDiff(ref, fast))
 			}

@@ -42,9 +42,6 @@ func (e *Error) Error() string {
 
 // Options configures parsing.
 type Options struct {
-	// KeepComments is retained for API compatibility; comments are always
-	// collected onto the translation unit.
-	KeepComments bool
 	// Workers bounds the concurrency of ParseAll: 0 means GOMAXPROCS,
 	// 1 forces sequential parsing. Files are independent, so the result
 	// is identical at any worker count.

@@ -71,9 +71,10 @@ type Assessor struct {
 	// stubs (no statement bodies); hydratePaths re-parses them on
 	// demand. nil for assessors that never restored.
 	stubs map[string]bool
-	// base is the state source the assessor was restored from (nil when
-	// it never restored): ExportState copies still-sealed shards from it.
-	base StateSource
+	// encoded holds each restored shard's snapshot blocks (nil when the
+	// assessor never restored from a snapshot): ExportState hands them
+	// back for shards still sealed in both caches.
+	encoded map[string]*EncodedShard
 	// recomputed counts the snapshot blocks that failed to decode at
 	// restore (RecomputedBlocks).
 	recomputed int
@@ -139,7 +140,7 @@ func (a *Assessor) LoadFileSet(fs *srcfile.FileSet) error {
 	}
 	a.fs = fs
 	a.units = units
-	a.base = nil
+	a.encoded = nil
 	a.ix = nil
 	a.findings = nil
 	a.stats = nil

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/artifact"
 	"repro/internal/ccast"
@@ -49,9 +48,11 @@ type PersistedFile struct {
 }
 
 // PersistedState is the complete snapshot of a warm assessor. It is
-// plain data: internal/store encodes it to the versioned binary
-// snapshot format, and the differential harness round-trips it to pin
-// restore equivalence.
+// plain data in one shape for every direction: ExportState fills it,
+// internal/store encodes it to the versioned binary snapshot format and
+// decodes it back (store.Snapshot.State), and RestoreAssessorFrom
+// consumes it. The differential harness round-trips it to pin restore
+// equivalence.
 type PersistedState struct {
 	// Target is the ASIL the assessor judges against.
 	Target iso26262.ASIL
@@ -61,26 +62,52 @@ type PersistedState struct {
 	RuleIDs []string
 	// Files holds the corpus in FileSet insertion order.
 	Files []PersistedFile
-	// Units holds per-unit analysis facts in sorted path order.
-	Units []artifact.UnitFacts
-	// FileFindings maps every unit path to its cached finding segment
-	// (present even when empty).
-	FileFindings map[string][]rules.Finding
+	// Shards holds the per-module state, sorted by module: the partition
+	// the artifact index derives from Files.
+	Shards []PersistedShard
 	// CorpusFindings is the corpus-level (cross-file) finding segment.
 	CorpusFindings []rules.Finding
-	// MetricRows maps every unit path to its metrics row.
-	MetricRows map[string]*metrics.FileMetrics
-
-	// Copied lists, sorted, the module shards whose unit facts, finding
-	// lists and metric rows are unchanged since Base: they have no
-	// entries in Units, FileFindings or MetricRows, and encoders take
-	// them from Base. Source resolves them the same way.
-	Copied []string
-	// Base is the state source the assessor was restored from; set
-	// exactly when Copied is non-empty, so a state only ever pairs with
-	// its own snapshot.
-	Base StateSource
 }
+
+// PersistedShard is one module shard's state. Units, Findings and Rows
+// are positional: entry i of each belongs to the unit at Units[i].
+//
+// A shard carrying only Module and Encoded (ExportState's form for a
+// shard unchanged since its restore) is input for encoders only;
+// RestoreAssessorFrom rejects a state holding one.
+type PersistedShard struct {
+	Module string
+	// Units holds the shard's per-unit facts in sorted path order.
+	Units []artifact.UnitFacts
+	// Findings holds one cached finding list per unit; nil when its
+	// snapshot block did not decode.
+	Findings [][]rules.Finding
+	// Rows holds one metrics row per unit; nil when its snapshot block
+	// did not decode.
+	Rows []*metrics.FileMetrics
+	// Encoded is the shard's blocks as a snapshot stores them, set when
+	// the shard came from one. Core never reads them: a restored
+	// assessor hands them back with every shard still sealed in both
+	// caches, and the encoder copies them verbatim.
+	Encoded *EncodedShard
+}
+
+// EncodedShard is one shard's stored snapshot blocks: its file count
+// and its U, R and M blocks (internal/store owns the format).
+type EncodedShard struct {
+	Files  int
+	Blocks [3]string
+}
+
+// StateSource is anything a persisted state can be read from:
+// internal/store's Snapshot decodes one, and a PersistedState is its own
+// source.
+type StateSource interface {
+	State() (*PersistedState, error)
+}
+
+// State returns st itself.
+func (st *PersistedState) State() (*PersistedState, error) { return st, nil }
 
 // ruleIDs lists a rule set's IDs in engine order.
 func ruleIDs(rs []rules.Rule) []string {
@@ -97,9 +124,10 @@ func ruleIDs(rs []rules.Rule) []string {
 //
 // A restored assessor exports only what moved since the restore: a
 // shard still sealed in both the rule engine and the metrics cache
-// holds exactly its restore-time blocks, so it is listed in Copied
-// (with the restore source as Base) instead of being exported. A cold
-// assessor copies nothing.
+// holds exactly its restore-time blocks, so it is exported as those
+// blocks (Encoded) alone. The finding lists and metric rows of every
+// other shard are views the caches never write again, so the state
+// stays valid while later deltas move the assessor on.
 func (a *Assessor) ExportState() (*PersistedState, error) {
 	if a.fs == nil {
 		return nil, errors.New("core: ExportState before a corpus is loaded")
@@ -107,81 +135,41 @@ func (a *Assessor) ExportState() (*PersistedState, error) {
 	a.Findings()
 	a.Metrics()
 	ix := a.Index()
-	var copied []string
-	var skip map[string]bool
-	if a.base != nil {
-		for _, m := range ix.ShardNames() {
-			if a.ruleEng.Sealed(m) && a.mcache.Sealed(m) {
-				copied = append(copied, m)
-			}
-		}
-		skip = make(map[string]bool, len(copied))
-		for _, m := range copied {
-			skip[m] = true
-		}
-	}
-	perFile, corpus, ok := a.ruleEng.ExportCache(skip)
+	corpus, ok := a.ruleEng.CorpusFindings()
 	if !ok {
 		return nil, errors.New("core: rule cache not warm after Findings()")
 	}
-	rows, ok := a.mcache.ExportRows(skip)
-	if !ok {
-		return nil, errors.New("core: metrics cache not warm after Metrics()")
-	}
+	names := ix.ShardNames()
 	st := &PersistedState{
 		Target:         a.cfg.TargetASIL,
 		RuleIDs:        ruleIDs(a.cfg.Rules),
 		Files:          make([]PersistedFile, 0, a.fs.Len()),
-		Units:          make([]artifact.UnitFacts, 0, len(perFile)),
-		FileFindings:   perFile,
+		Shards:         make([]PersistedShard, len(names)),
 		CorpusFindings: corpus,
-		MetricRows:     rows,
-	}
-	if len(copied) > 0 {
-		st.Copied, st.Base = copied, a.base
 	}
 	for _, f := range a.fs.Files() {
 		st.Files = append(st.Files, PersistedFile{Path: f.Path, Module: f.Module, Lang: f.Lang, Src: f.Src})
 	}
-	for _, p := range ix.Paths {
-		if len(skip) == 0 || !skip[ix.Units[p].File.ModuleName()] {
-			st.Units = append(st.Units, ix.UnitFacts(p))
+	for k, m := range names {
+		ps := &st.Shards[k]
+		ps.Module = m
+		if enc := a.encoded[m]; enc != nil && a.ruleEng.Sealed(m) && a.mcache.Sealed(m) {
+			ps.Encoded = enc
+			continue
+		}
+		if ps.Findings, ok = a.ruleEng.ShardFindings(m); !ok {
+			return nil, errors.New("core: rule cache not warm after Findings()")
+		}
+		if ps.Rows, ok = a.mcache.ShardRows(m); !ok {
+			return nil, errors.New("core: metrics cache not warm after Metrics()")
+		}
+		paths := ix.Shard(m).Paths()
+		ps.Units = make([]artifact.UnitFacts, len(paths))
+		for i, p := range paths {
+			ps.Units[i] = ix.UnitFacts(p)
 		}
 	}
 	return st, nil
-}
-
-// StateSource is the shard-addressed face of a snapshot: the restore
-// path pulls the corpus skeleton (files) and then, one shard at a time
-// on a worker pool, each shard's unit facts, finding lists and metric
-// rows. internal/store's Snapshot implements it over the raw snapshot
-// bytes (decoding one shard block per call); stateSource below adapts an
-// in-memory PersistedState to the same shape. Per-shard methods must be
-// safe to call concurrently for distinct shards.
-//
-// Shard grouping must match the artifact index's: a module's units are
-// exactly the units whose file has that ModuleName, listed in sorted
-// path order. RestoreAssessorFrom validates this before seeding any
-// cache.
-type StateSource interface {
-	// Target is the ASIL the snapshotted assessor judged against.
-	Target() iso26262.ASIL
-	// RuleIDs fingerprints the snapshotted rule set.
-	RuleIDs() []string
-	// Files returns the corpus in FileSet insertion order.
-	Files() ([]PersistedFile, error)
-	// ShardNames lists the module shards in sorted order.
-	ShardNames() []string
-	// ShardUnits returns a shard's per-unit facts in sorted path order.
-	ShardUnits(module string) ([]artifact.UnitFacts, error)
-	// CorpusFindings returns the corpus-level finding segment.
-	CorpusFindings() ([]rules.Finding, error)
-	// ShardFindings returns a shard's per-path finding lists, aligned
-	// with its ShardUnits path order.
-	ShardFindings(module string) ([][]rules.Finding, error)
-	// ShardMetrics returns a shard's metric rows for the given paths
-	// (the shard's snapshot-time path list), in order.
-	ShardMetrics(module string, paths []string) ([]*metrics.FileMetrics, error)
 }
 
 // RestoreAssessorFrom rebuilds a warm assessor from a state source.
@@ -189,31 +177,32 @@ type StateSource interface {
 // (a nil cfg.Rules means rules.DefaultRules, which must match the
 // snapshot's rule fingerprint). No source is parsed: units are
 // fact-carrying stubs, hydrated on demand when a cache needs their
-// ASTs. One parallel pass decodes every shard's unit facts, finding
-// lists and metric rows; the sharded index is rebuilt from the facts,
-// and the rule and metric caches are filled directly, exactly as a cold
-// run fills them, with every filled shard sealed. A finding or metric
-// block that fails to decode (or has the wrong length) is left out of
-// its cache's fill and counted (RecomputedBlocks): that cache recomputes
-// exactly that shard on first use, hydrating its stubs, never serving
-// stale or wrong output.
+// ASTs. The source yields the whole state (a snapshot decodes every
+// block in one parallel pass); one more parallel pass validates each
+// shard and fabricates its stubs. The sharded index is rebuilt from the
+// facts, and the rule and metric caches are filled directly, exactly as
+// a cold run fills them, with every filled shard sealed. A shard whose
+// finding lists or metric rows are missing (a block that failed to
+// decode) or of the wrong length is left out of that cache's fill and
+// counted (RecomputedBlocks): the cache recomputes exactly that shard on
+// first use, hydrating its stubs, never serving stale or wrong output.
 func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
-	cfg.TargetASIL = src.Target()
-	a := NewAssessor(cfg)
-	if got, want := ruleIDs(a.cfg.Rules), src.RuleIDs(); !equalStrings(got, want) {
-		return nil, fmt.Errorf("core: snapshot rule set %v does not match engine rule set %v", want, got)
-	}
-	files, err := src.Files()
+	st, err := src.State()
 	if err != nil {
 		return nil, err
 	}
-	if len(files) == 0 {
+	cfg.TargetASIL = st.Target
+	a := NewAssessor(cfg)
+	if got, want := ruleIDs(a.cfg.Rules), st.RuleIDs; !equalStrings(got, want) {
+		return nil, fmt.Errorf("core: snapshot rule set %v does not match engine rule set %v", want, got)
+	}
+	if len(st.Files) == 0 {
 		return nil, errors.New("core: snapshot holds no files")
 	}
 
 	fs := srcfile.NewFileSet()
-	for i := range files {
-		pf := &files[i]
+	for i := range st.Files {
+		pf := &st.Files[i]
 		if pf.Path == "" {
 			return nil, errors.New("core: snapshot file without a path")
 		}
@@ -223,111 +212,96 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 		fs.Add(&srcfile.File{Path: pf.Path, Module: pf.Module, Lang: pf.Lang, Src: pf.Src})
 	}
 
-	names := src.ShardNames()
-	units := make(map[string]*ccast.TranslationUnit, len(files))
-	recs := make(map[string][]*artifact.Func, len(files))
-	stubs := make(map[string]bool, len(files))
-	// Decode, validate, and fabricate each shard's stub units, and decode
-	// its finding lists and metric rows, on a worker pool — the source
-	// decodes disjoint snapshot blocks, the file-set lookups are
-	// read-only, and fabrication writes only shard-local slices. The
-	// shared maps are filled (and cross-shard duplicates detected) in a
-	// sequential merge in shard name order, so errors surface exactly as
-	// a sequential loop would report them.
-	type shardRestore struct {
-		ufs   []artifact.UnitFacts
-		tus   []*ccast.TranslationUnit
-		fas   [][]*artifact.Func
-		paths []string
-		fss   [][]rules.Finding      // nil when the block would not decode
-		rows  []*metrics.FileMetrics // nil when the block would not decode
-		err   error
+	// Validate and fabricate each shard's stub units on a worker pool —
+	// the file-set lookups are read-only, and fabrication writes only
+	// shard-local slices. The shared maps are filled (and cross-shard
+	// duplicates detected) in a sequential merge in shard order, so
+	// errors surface exactly as a sequential loop would report them.
+	type shardStubs struct {
+		tus []*ccast.TranslationUnit
+		fas [][]*artifact.Func
+		err error
 	}
-	parts := make([]shardRestore, len(names))
-	par.For(par.Workers(len(names)), len(names), func(k int) {
-		m := names[k]
-		p := &parts[k]
-		ufs, err := src.ShardUnits(m)
-		if err != nil {
-			p.err = err
-			return
-		}
-		p.ufs = ufs
-		p.tus = make([]*ccast.TranslationUnit, len(ufs))
-		p.fas = make([][]*artifact.Func, len(ufs))
-		p.paths = make([]string, len(ufs))
-		for i := range ufs {
-			uf := ufs[i]
+	parts := make([]shardStubs, len(st.Shards))
+	par.For(par.Workers(len(parts)), len(parts), func(k int) {
+		ps, p := &st.Shards[k], &parts[k]
+		p.tus = make([]*ccast.TranslationUnit, len(ps.Units))
+		p.fas = make([][]*artifact.Func, len(ps.Units))
+		for i := range ps.Units {
+			uf := ps.Units[i]
 			f := fs.Lookup(uf.Path)
 			if f == nil {
 				p.err = fmt.Errorf("core: snapshot unit %s has no file", uf.Path)
 				return
 			}
-			if f.ModuleName() != m {
-				p.err = fmt.Errorf("core: snapshot unit %s filed under shard %q but its module is %q", uf.Path, m, f.ModuleName())
+			if f.ModuleName() != ps.Module {
+				p.err = fmt.Errorf("core: snapshot unit %s filed under shard %q but its module is %q", uf.Path, ps.Module, f.ModuleName())
 				return
 			}
 			p.tus[i], p.fas[i] = artifact.UnitFromFacts(f, uf)
-			p.paths[i] = uf.Path
-		}
-		if fss, err := src.ShardFindings(m); err == nil && len(fss) == len(ufs) {
-			p.fss = fss
-		}
-		if rows, err := src.ShardMetrics(m, p.paths); err == nil && len(rows) == len(ufs) && !slices.Contains(rows, nil) {
-			p.rows = rows
 		}
 	})
-	nUnits := 0
-	shardFindings := make(map[string][][]rules.Finding, len(names))
-	shardRows := make(map[string][]*metrics.FileMetrics, len(names))
-	for k, m := range names {
-		p := &parts[k]
+	units := make(map[string]*ccast.TranslationUnit, len(st.Files))
+	recs := make(map[string][]*artifact.Func, len(st.Files))
+	stubs := make(map[string]bool, len(st.Files))
+	shardFindings := make(map[string][][]rules.Finding, len(st.Shards))
+	shardRows := make(map[string][]*metrics.FileMetrics, len(st.Shards))
+	encoded := make(map[string]*EncodedShard, len(st.Shards))
+	for k := range st.Shards {
+		ps, p := &st.Shards[k], &parts[k]
 		if p.err != nil {
 			return nil, p.err
 		}
-		for i, path := range p.paths {
+		for i := range ps.Units {
+			path := ps.Units[i].Path
 			if units[path] != nil {
 				return nil, fmt.Errorf("core: snapshot holds unit %s twice", path)
 			}
 			units[path], recs[path] = p.tus[i], p.fas[i]
 			stubs[path] = true
 		}
-		if p.fss != nil {
-			shardFindings[m] = p.fss
+		if len(ps.Findings) == len(ps.Units) {
+			shardFindings[ps.Module] = ps.Findings
 		} else {
 			a.recomputed++
 		}
-		if p.rows != nil {
-			shardRows[m] = p.rows
+		if len(ps.Rows) == len(ps.Units) && !slices.Contains(ps.Rows, nil) {
+			shardRows[ps.Module] = ps.Rows
 		} else {
 			a.recomputed++
 		}
-		nUnits += len(p.ufs)
+		if ps.Encoded != nil {
+			encoded[ps.Module] = ps.Encoded
+		}
 	}
-	if nUnits != len(files) {
-		return nil, fmt.Errorf("core: snapshot has %d files but %d units", len(files), nUnits)
+	if len(units) != len(st.Files) {
+		return nil, fmt.Errorf("core: snapshot has %d files but %d units", len(st.Files), len(units))
 	}
 	ix, err := artifact.BuildFromRecords(units, recs)
 	if err != nil {
 		return nil, err
 	}
-	for k, m := range names {
-		// The index derived the same partition the snapshot declared, in
-		// the same (sorted) order — required for the positional zip of the
-		// shard blocks. Inequality means corrupt or inconsistent grouping,
-		// not a recoverable cache miss.
-		if !equalStrings(ix.Shard(m).Paths(), parts[k].paths) {
-			return nil, fmt.Errorf("core: snapshot shard %q path list does not match the restored index", m)
-		}
+	// The index must derive the partition the snapshot declared, in the
+	// same (sorted) order — required for the positional zip of the shard
+	// blocks. Every unit sits in its module's shard, so equal shard counts
+	// make the partitions equal and leave only the order to check.
+	// Inequality means corrupt or inconsistent grouping, not a
+	// recoverable cache miss.
+	if n := len(ix.ShardNames()); n != len(st.Shards) {
+		return nil, fmt.Errorf("core: snapshot has %d shards but its units form %d", len(st.Shards), n)
 	}
-	corpus, err := src.CorpusFindings()
-	if err != nil {
-		return nil, err
+	for k := range st.Shards {
+		ps := &st.Shards[k]
+		for i, p := range ix.Shard(ps.Module).Paths() {
+			if ps.Units[i].Path != p {
+				return nil, fmt.Errorf("core: snapshot shard %q path list does not match the restored index", ps.Module)
+			}
+		}
 	}
 
 	a.fs, a.units, a.ix = fs, units, ix
-	a.base = src
-	a.ruleEng.RestoreCache(ix, corpus, shardFindings)
+	a.encoded = encoded
+	a.ruleEng.RestoreCache(ix, st.CorpusFindings, shardFindings)
 	a.mcache.RestoreRows(ix, shardRows)
 	a.stubs = stubs
 	a.ruleEng.Hydrate = a.hydratePaths
@@ -340,96 +314,6 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 // to be recomputed in that cache. Zero for assessors that never
 // restored.
 func (a *Assessor) RecomputedBlocks() int { return a.recomputed }
-
-// stateSource adapts an in-memory PersistedState (ExportState's output)
-// to the snapshot encoder and to the restore path.
-type stateSource struct {
-	st     *PersistedState
-	names  []string
-	units  map[string][]artifact.UnitFacts
-	copied map[string]bool
-}
-
-// Source returns the state as a StateSource, grouping its flat maps by
-// module shard once. Copied shards resolve through Base.
-func (st *PersistedState) Source() StateSource {
-	s := &stateSource{st: st, units: make(map[string][]artifact.UnitFacts), copied: make(map[string]bool, len(st.Copied))}
-	modOf := make(map[string]string, len(st.Files))
-	for i := range st.Files {
-		pf := &st.Files[i]
-		f := srcfile.File{Path: pf.Path, Module: pf.Module}
-		modOf[pf.Path] = f.ModuleName()
-	}
-	for i := range st.Units {
-		uf := st.Units[i]
-		m, ok := modOf[uf.Path]
-		if !ok {
-			// No file for this unit: derive the module so the unit still
-			// surfaces (as a "unit has no file" restore error) instead of
-			// silently vanishing from every shard.
-			f := srcfile.File{Path: uf.Path}
-			m = f.ModuleName()
-		}
-		s.units[m] = append(s.units[m], uf)
-	}
-	s.names = make([]string, 0, len(s.units)+len(st.Copied))
-	for m := range s.units {
-		s.names = append(s.names, m)
-	}
-	for _, m := range st.Copied {
-		s.copied[m] = true
-		s.names = append(s.names, m)
-	}
-	sort.Strings(s.names)
-	return s
-}
-
-func (s *stateSource) Target() iso26262.ASIL           { return s.st.Target }
-func (s *stateSource) RuleIDs() []string               { return s.st.RuleIDs }
-func (s *stateSource) Files() ([]PersistedFile, error) { return s.st.Files, nil }
-func (s *stateSource) ShardNames() []string            { return s.names }
-
-func (s *stateSource) ShardUnits(m string) ([]artifact.UnitFacts, error) {
-	if s.copied[m] {
-		return s.st.Base.ShardUnits(m)
-	}
-	return s.units[m], nil
-}
-
-func (s *stateSource) CorpusFindings() ([]rules.Finding, error) {
-	return s.st.CorpusFindings, nil
-}
-
-func (s *stateSource) ShardFindings(m string) ([][]rules.Finding, error) {
-	if s.copied[m] {
-		return s.st.Base.ShardFindings(m)
-	}
-	ufs := s.units[m]
-	out := make([][]rules.Finding, len(ufs))
-	for i := range ufs {
-		fs, ok := s.st.FileFindings[ufs[i].Path]
-		if !ok {
-			return nil, fmt.Errorf("core: snapshot misses the finding segment of %s", ufs[i].Path)
-		}
-		out[i] = fs
-	}
-	return out, nil
-}
-
-func (s *stateSource) ShardMetrics(m string, paths []string) ([]*metrics.FileMetrics, error) {
-	if s.copied[m] {
-		return s.st.Base.ShardMetrics(m, paths)
-	}
-	out := make([]*metrics.FileMetrics, len(paths))
-	for i, p := range paths {
-		fm := s.st.MetricRows[p]
-		if fm == nil {
-			return nil, fmt.Errorf("core: snapshot misses the metrics row of %s", p)
-		}
-		out[i] = fm
-	}
-	return out, nil
-}
 
 // StubUnits reports how many restored units are still fact-carrying
 // stubs (never re-parsed since restore). Diagnostics and tests only.

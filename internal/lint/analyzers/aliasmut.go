@@ -10,11 +10,12 @@ import (
 // AliasMut flags writes through zero-copy aliases. Several hot-path
 // accessors return views of internal state rather than copies —
 // artifact.Shard.Paths/Funcs, srcfile.FileSet.Files/ModuleFiles,
-// store.Snapshot.RuleIDs, rules.Sharded.ExportCache — with a doc-
-// comment contract that callers must not mutate the result. (The other
-// zero-copy surfaces, cclex token texts and snapshot block substrings,
-// are strings and therefore immutable by construction; slices are
-// where the contract needs a checker.) A caller that sorts such a
+// store.Snapshot.RuleIDs, rules.Sharded.ShardFindings/CorpusFindings,
+// metrics.Cache.ShardRows — with a doc-comment contract that callers
+// must not mutate the result. (The other zero-copy surfaces, cclex
+// token texts and snapshot block substrings, are strings and therefore
+// immutable by construction; slices are where the contract needs a
+// checker.) A caller that sorts such a
 // slice in place, writes an element, appends into its spare capacity,
 // or mutates a shared element pointer corrupts warm state that the
 // incremental engine trusts to be stable.
@@ -31,14 +32,16 @@ var AliasMut = &analysis.Analyzer{
 // aliasAccessors registers the read-only zero-copy accessors as
 // "<recv-pkg-base>.<recv-type>.<method>".
 var aliasAccessors = map[string]bool{
-	"artifact.Shard.Paths":        true,
-	"artifact.Shard.Funcs":        true,
-	"artifact.Index.ShardNames":   true,
-	"artifact.Index.UnitFuncs":    true,
-	"srcfile.FileSet.Files":       true,
-	"srcfile.FileSet.ModuleFiles": true,
-	"store.Snapshot.RuleIDs":      true,
-	"rules.Sharded.ExportCache":   true,
+	"artifact.Shard.Paths":         true,
+	"artifact.Shard.Funcs":         true,
+	"artifact.Index.ShardNames":    true,
+	"artifact.Index.UnitFuncs":     true,
+	"srcfile.FileSet.Files":        true,
+	"srcfile.FileSet.ModuleFiles":  true,
+	"store.Snapshot.RuleIDs":       true,
+	"rules.Sharded.ShardFindings":  true,
+	"rules.Sharded.CorpusFindings": true,
+	"metrics.Cache.ShardRows":      true,
 }
 
 func runAliasMut(pass *analysis.Pass) error {
@@ -130,7 +133,7 @@ func (m *aliasScan) assign(st *ast.AssignStmt) {
 	if len(st.Lhs) >= 1 && len(st.Rhs) == 1 {
 		if call, ok := ast.Unparen(st.Rhs[0]).(*ast.CallExpr); ok {
 			if name := m.accessor(call); name != "" {
-				// Multi-result accessors (ExportCache) taint every
+				// Multi-result accessors (ShardFindings) taint every
 				// non-blank result.
 				for _, l := range st.Lhs {
 					if obj := identObj(m.pass.TypesInfo, l); obj != nil {

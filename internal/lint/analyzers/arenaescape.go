@@ -39,7 +39,7 @@ var longLived = map[string]map[string]bool{
 	"cclex":   {"Interner": true},
 	"rules":   {"Sharded": true, "Finding": true, "Stats": true},
 	"metrics": {"Cache": true, "ArchCache": true, "FileMetrics": true, "ModuleMetrics": true, "ArchMetrics": true},
-	"core":    {"PersistedState": true},
+	"core":    {"PersistedState": true, "PersistedShard": true, "EncodedShard": true},
 	"artifact": {
 		// Facts are the persisted, AST-free projection of a unit; a
 		// node smuggled into them defeats the whole snapshot design.

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/lint/analyzers/testdata/src/aliasmut/artifact"
+	"repro/internal/lint/analyzers/testdata/src/aliasmut/metrics"
 )
 
 func elementWrite(sh *artifact.Shard) {
@@ -40,6 +41,16 @@ func elementFieldWrite(sh *artifact.Shard) {
 	fs := sh.Funcs()
 	first := fs[0]
 	first.Name = "mutated" // want `writing a field of an element shared with artifact.Shard.Funcs`
+}
+
+func shardRows(c *metrics.Cache) int {
+	rows, _ := c.ShardRows("planning")
+	total := 0
+	for _, fm := range rows {
+		total += fm.LOC // reading a row is fine
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].LOC < rows[j].LOC }) // want `sorting the slice returned by metrics.Cache.ShardRows in place`
+	return total
 }
 
 func sanctioned(sh *artifact.Shard, ix *artifact.Index) []string {

@@ -25,30 +25,21 @@ func (c *Cache) Sealed(module string) bool {
 	return sh != nil && ms != nil && ms.sealed && ms.gen == sh.Gen()
 }
 
-// ExportRows returns the cached per-file metric rows for every path of
-// the cache's current index outside the shards in skip, or ok=false
-// when the cache is not warm (callers run AnalyzeIndexed —
-// core.Assessor.Metrics — first). Rows come from each shard's
-// path-ordered row list. The returned rows are the live cache values;
-// callers must treat them as immutable.
-func (c *Cache) ExportRows(skip map[string]bool) (map[string]*FileMetrics, bool) {
+// ShardRows returns a module shard's cached metric rows, one per path
+// of the shard in its sorted order, or ok=false when the shard holds no
+// warm state for the cache's current index (callers run AnalyzeIndexed
+// — core.Assessor.Metrics — first). The slice is the cache's own row
+// list, which it never writes again (every rebuild allocates a fresh
+// one); callers must treat it and its rows as immutable.
+func (c *Cache) ShardRows(module string) ([]*FileMetrics, bool) {
 	if c.ix == nil {
 		return nil, false
 	}
-	out := make(map[string]*FileMetrics, len(c.ix.Paths))
-	for _, m := range c.ix.ShardNames() {
-		if skip[m] {
-			continue
-		}
-		ms := c.shards[m]
-		if ms == nil || ms.gen != c.ix.Shard(m).Gen() {
-			return nil, false
-		}
-		for _, fm := range ms.files {
-			out[fm.Path] = fm
-		}
+	sh, ms := c.ix.Shard(module), c.shards[module]
+	if sh == nil || ms == nil || ms.gen != sh.Gen() {
+		return nil, false
 	}
-	return out, true
+	return ms.files, true
 }
 
 // RestoreRows seeds the cache against a freshly restored index: every

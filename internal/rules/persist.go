@@ -27,31 +27,32 @@ func (s *Sharded) Sealed(module string) bool {
 	return sh != nil && seg != nil && seg.sealed && seg.gen == sh.Gen()
 }
 
-// ExportCache returns the engine's cached per-file finding lists (one
-// entry per indexed path of every shard not in skip, possibly empty)
-// and the corpus-level segment. It reports ok=false when the engine
-// holds no complete warm state for its current index — callers run the
-// engine once (core.Assessor.Findings) before snapshotting. The
-// returned slices are views of live cache segments; callers must not
-// mutate them.
-func (s *Sharded) ExportCache(skip map[string]bool) (perFile map[string][]Finding, corpus []Finding, ok bool) {
-	if s.ix == nil || !s.haveCorpus {
-		return nil, nil, false
+// ShardFindings returns a module shard's cached finding lists, one per
+// path of the shard in its sorted order, or ok=false when the shard
+// holds no warm state for the engine's current index — callers run the
+// engine once (core.Assessor.Findings) before snapshotting. The lists
+// are views of the shard's segment, which the engine never writes again
+// (every rebuild fills a fresh one); callers must not mutate them.
+func (s *Sharded) ShardFindings(module string) ([][]Finding, bool) {
+	if s.ix == nil {
+		return nil, false
 	}
-	perFile = make(map[string][]Finding, len(s.ix.Paths))
-	for _, m := range s.ix.ShardNames() {
-		if skip[m] {
-			continue
-		}
-		seg := s.shards[m]
-		if seg == nil || seg.gen != s.ix.Shard(m).Gen() {
-			return nil, nil, false
-		}
-		for i, p := range seg.paths {
-			perFile[p] = seg.findings(i)
-		}
+	sh, seg := s.ix.Shard(module), s.shards[module]
+	if sh == nil || seg == nil || seg.gen != sh.Gen() {
+		return nil, false
 	}
-	return perFile, s.corpusSeg, true
+	out := make([][]Finding, len(seg.paths))
+	for i := range out {
+		out[i] = seg.findings(i)
+	}
+	return out, true
+}
+
+// CorpusFindings returns the corpus-level finding segment, or ok=false
+// before the engine has run on its current index. Like ShardFindings it
+// is a view that is replaced, never written, by later runs.
+func (s *Sharded) CorpusFindings() ([]Finding, bool) {
+	return s.corpusSeg, s.ix != nil && s.haveCorpus
 }
 
 // RestoreCache seeds the engine against a freshly restored index: every

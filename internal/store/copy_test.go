@@ -217,18 +217,14 @@ func TestUndecodableShardIsEncoded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bad.ShardFindings(dirents[1].Module); err == nil {
-		t.Fatal("the cut finding block still decodes")
-	}
-	ufs, err := bad.ShardUnits(dirents[2].Module)
+	st, err := bad.State()
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := make([]string, len(ufs))
-	for i := range ufs {
-		paths[i] = ufs[i].Path
+	if st.Shards[1].Findings != nil {
+		t.Fatal("the cut finding block still decodes")
 	}
-	if _, err := bad.ShardMetrics(dirents[2].Module, paths); err == nil {
+	if st.Shards[2].Rows != nil {
 		t.Fatal("the cut metrics block still decodes")
 	}
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -250,6 +246,58 @@ func TestUndecodableShardIsEncoded(t *testing.T) {
 	}
 	shards := int64(len(dirents))
 	compactAndCompare(t, "after failed block decodes", cs, filepath.Join(dir, "c1"), w, rec, shards-2, 2)
+}
+
+// TestZeroFileShardFailsClosed restores from a snapshot whose directory
+// lists a shard holding no files (the checksums are intact): no unit can
+// form that shard, so both recovery paths must fail with an error
+// instead of restoring or panicking.
+func TestZeroFileShardFailsClosed(t *testing.T) {
+	a, _ := newWarmAssessor(t, 11)
+	dir := t.TempDir()
+	d, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := d.Corpus("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs.WriteSnapshot(mustExport(t, a)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "c1", "snapshot")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := store.OpenSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirents := append(snap.Directory(), store.SnapShard{Module: "zz_empty"})
+	if err := os.WriteFile(path, withDirectory(t, raw, dirents, snap.CorpusExtent()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, readOnly := range []bool{true, false} {
+		cs, err := d.Corpus("c1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		restore := cs.Recover
+		if readOnly {
+			restore = cs.RecoverReadOnly
+		}
+		if _, _, err := restore(core.DefaultConfig()); err == nil {
+			t.Fatalf("read-only %v: a snapshot with a zero-file shard restored", readOnly)
+		}
+		if err := cs.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // withDirectory replaces a snapshot's shard directory with dirents and

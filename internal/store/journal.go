@@ -39,8 +39,7 @@ import (
 // one each. Durability semantics are unchanged: a record is
 // acknowledged only after SyncTo covers it, records are staged in
 // commit order so every fsync covers a prefix, and a crash still leaves
-// at most a torn suffix of never-acknowledged records. Append remains
-// the one-call form (Stage + SyncTo) for single-threaded callers.
+// at most a torn suffix of never-acknowledged records.
 
 const (
 	journalMagic     = "ADJRNL01"
@@ -220,17 +219,6 @@ func (j *Journal) writeHeader() error {
 	j.records = 0
 	j.mu.Unlock()
 	return nil
-}
-
-// Append journals one delta (changed files with their resolved modules,
-// plus removals) and syncs it to stable storage before returning: the
-// one-call Stage + SyncTo for single-threaded callers.
-func (j *Journal) Append(gen uint64, changed []*srcfile.File, removed []string) error {
-	seq, err := j.Stage(gen, changed, removed)
-	if err != nil {
-		return err
-	}
-	return j.SyncTo(seq)
 }
 
 // Stage writes one delta record at the tail WITHOUT syncing and returns

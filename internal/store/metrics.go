@@ -23,7 +23,7 @@ type JournalMetrics struct {
 	Compactions        *obs.Counter
 	CompactionFailures *obs.Counter
 	// ShardsCopied and ShardsEncoded count, over installed snapshots, the
-	// shards whose blocks were copied verbatim from the base snapshot
+	// shards whose blocks were copied verbatim from the restored snapshot
 	// and the shards encoded afresh.
 	ShardsCopied  *obs.Counter
 	ShardsEncoded *obs.Counter

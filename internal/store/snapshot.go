@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
@@ -38,14 +39,13 @@ import (
 // blocks inside those sections, plus the extent of the corpus finding
 // block in R. The signature slot (a presence flag and two varints) is
 // retired: writers mark it absent with zeros and readers skip it, so
-// snapshots whose slots carry signatures still restore. A reader that knows which shards it
-// needs decodes the header, the directory, and the files — everything
-// else is reachable without scanning: boot is O(header + touched
-// shards), and the lazy Snapshot type below decodes each block on
-// first touch.
+// snapshots whose slots carry signatures still restore. The directory
+// makes every shard's blocks reachable without scanning: a restore
+// decodes them one shard per worker, and a write copies an unchanged
+// shard's blocks verbatim.
 //
 // Every section must appear exactly once and is CRC-checked eagerly at
-// open, so lazy block decode never reads unchecksummed bytes. Integers
+// open, so no block decode reads unchecksummed bytes. Integers
 // inside payloads are unsigned varints; strings are length-prefixed
 // bytes. Any truncation, bit flip, or trailing garbage fails open with
 // a wrapped "corrupt data" error.
@@ -85,8 +85,8 @@ type SnapShard struct {
 }
 
 // shardBlocks is one shard's U, R and M blocks as they land in a
-// snapshot: freshly encoded (enc) or copied verbatim from the base
-// snapshot (raw); exactly one of the two is set.
+// snapshot: freshly encoded (enc) or copied verbatim from the shard's
+// stored blocks (raw); exactly one of the two is set.
 type shardBlocks struct {
 	files int
 	enc   [3][]byte
@@ -102,8 +102,8 @@ func (b *shardBlocks) appendTo(e *enc, i int) {
 
 // EncodeSnapshot renders a persisted state into the versioned binary
 // snapshot format under the given generation tag. It panics when the
-// state is incomplete (a path without its finding list or metrics row,
-// or copied shards its Base cannot produce); every state ExportState
+// state is incomplete (a shard without its blocks whose finding lists
+// or metric rows do not match its units); every state ExportState
 // returns is complete.
 func EncodeSnapshot(st *core.PersistedState, gen uint64) []byte {
 	raw, _, _, err := encodeSnapshot(st, gen)
@@ -114,47 +114,32 @@ func EncodeSnapshot(st *core.PersistedState, gen uint64) []byte {
 }
 
 // encodeSnapshot renders st and reports how many shards it copied
-// verbatim from the base snapshot and how many it encoded. A shard the
-// state lists as copied from a *Snapshot base is copied extent for
-// extent: the base's blocks are what a fresh encode of the same shard
-// writes. Every other shard, copied shards of any other base included,
-// is encoded through the state's StateSource. Each section is sized
-// from its parts before it is filled, so the output is one allocation.
+// verbatim and how many it encoded. A shard carrying its stored blocks
+// (Encoded) is copied block for block: they are what a fresh encode of
+// the same shard writes. Every other shard is encoded from its units,
+// finding lists and metric rows. Each section is sized from its parts
+// before it is filled, so the output is one allocation.
 func encodeSnapshot(st *core.PersistedState, gen uint64) ([]byte, int, int, error) {
-	src := st.Source()
-	names := src.ShardNames()
-	base, _ := st.Base.(*Snapshot)
-	copyFrom := make(map[string]*SnapShard, len(st.Copied))
-	if base != nil {
-		for _, m := range st.Copied {
-			if sh := base.byMod[m]; sh != nil {
-				copyFrom[m] = sh
-			}
-		}
-	}
-
-	// Shards are independent: encode (or slice out) each one's blocks on
-	// a worker pool into private buffers; the sequential fill below lays
-	// them out in shard name order.
-	blocks := make([]shardBlocks, len(names))
-	errs := make([]error, len(names))
-	par.For(par.Workers(len(names)), len(names), func(k int) {
-		m := names[k]
-		b := &blocks[k]
-		if sh := copyFrom[m]; sh != nil {
-			b.files = sh.Files
-			b.raw = [3]string{
-				base.uRaw[sh.Units.Off : sh.Units.Off+sh.Units.Len],
-				base.rRaw[sh.Findings.Off : sh.Findings.Off+sh.Findings.Len],
-				base.mRaw[sh.Metrics.Off : sh.Metrics.Off+sh.Metrics.Len],
-			}
+	// Shards are independent: encode (or take) each one's blocks on a
+	// worker pool into private buffers; the sequential fill below lays
+	// them out in state order.
+	blocks := make([]shardBlocks, len(st.Shards))
+	errs := make([]error, len(st.Shards))
+	par.For(par.Workers(len(blocks)), len(blocks), func(k int) {
+		ps, b := &st.Shards[k], &blocks[k]
+		if ps.Encoded != nil {
+			b.files, b.raw = ps.Encoded.Files, ps.Encoded.Blocks
 			return
 		}
-		errs[k] = encodeShard(src, m, b)
+		errs[k] = encodeShard(ps, b)
 	})
-	for _, err := range errs {
+	copied := 0
+	for k, err := range errs {
 		if err != nil {
 			return nil, 0, 0, err
+		}
+		if st.Shards[k].Encoded != nil {
+			copied++
 		}
 	}
 	var corpus enc
@@ -167,10 +152,10 @@ func encodeSnapshot(st *core.PersistedState, gen uint64) ([]byte, int, int, erro
 
 	var d enc
 	var sizes [3]int
-	d.int(len(names))
-	for k, name := range names {
+	d.int(len(blocks))
+	for k := range blocks {
 		b := &blocks[k]
-		d.string(name)
+		d.string(st.Shards[k].Module)
 		d.int(b.files)
 		// The retired signature slot: absent, zeros.
 		d.bool(false)
@@ -217,29 +202,14 @@ func encodeSnapshot(st *core.PersistedState, gen uint64) ([]byte, int, int, erro
 			}
 		})
 	}
-	return out.buf, len(copyFrom), len(names) - len(copyFrom), nil
+	return out.buf, copied, len(blocks) - copied, nil
 }
 
-// encodeShard encodes module m's U, R and M blocks from src.
-func encodeShard(src core.StateSource, m string, b *shardBlocks) error {
-	ufs, err := src.ShardUnits(m)
-	if err != nil {
-		return err
-	}
-	fss, err := src.ShardFindings(m)
-	if err != nil {
-		return err
-	}
-	paths := make([]string, len(ufs))
-	for i := range ufs {
-		paths[i] = ufs[i].Path
-	}
-	rows, err := src.ShardMetrics(m, paths)
-	if err != nil {
-		return err
-	}
-	if len(fss) != len(ufs) || len(rows) != len(ufs) {
-		return fmt.Errorf("shard %q has %d units, %d finding lists and %d metric rows", m, len(ufs), len(fss), len(rows))
+// encodeShard encodes one shard's U, R and M blocks.
+func encodeShard(ps *core.PersistedShard, b *shardBlocks) error {
+	ufs, fss, rows := ps.Units, ps.Findings, ps.Rows
+	if len(fss) != len(ufs) || len(rows) != len(ufs) || slices.Contains(rows, nil) {
+		return fmt.Errorf("shard %q has %d units, %d finding lists and %d metric rows", ps.Module, len(ufs), len(fss), len(rows))
 	}
 	var u, r, mm enc
 	for i := range ufs {
@@ -275,11 +245,10 @@ func filesSize(files []core.PersistedFile) int {
 	return n
 }
 
-// Snapshot is a lazily decoded snapshot: opening one validates every
-// section checksum and decodes the header and shard directory, but
-// each shard's unit facts, finding lists, and metric rows decode only
-// when first asked for. It implements core.StateSource, so
-// core.RestoreAssessorFrom can pull shard blocks on first touch.
+// Snapshot is an opened snapshot: opening one validates every section
+// checksum and decodes the header and shard directory. State decodes
+// the rest in one parallel pass, which makes a Snapshot a
+// core.StateSource for core.RestoreAssessorFrom.
 //
 // All decoded strings are zero-copy views into the snapshot buffer;
 // holding any of them (the restored corpus does) pins the buffer,
@@ -295,12 +264,7 @@ type Snapshot struct {
 	fBase, uBase, rBase, mBase int
 
 	shards []SnapShard
-	byMod  map[string]*SnapShard
 	corpus Extent
-
-	files     []core.PersistedFile
-	filesErr  error
-	filesDone bool
 }
 
 // OpenSnapshot parses a snapshot's framing: magic, version, section
@@ -394,7 +358,6 @@ func openSnapshot(all string) (*Snapshot, error) {
 		d.fail("shard count exceeds directory size")
 	}
 	s.shards = make([]SnapShard, 0, n)
-	s.byMod = make(map[string]*SnapShard, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		sh := SnapShard{
 			Module: d.string(),
@@ -413,15 +376,16 @@ func openSnapshot(all string) (*Snapshot, error) {
 	if err := d.done(); err != nil {
 		return nil, fmt.Errorf("snapshot directory: %w", err)
 	}
+	seen := make(map[string]bool, len(s.shards))
 	for i := range s.shards {
 		sh := &s.shards[i]
-		if prev, dup := s.byMod[sh.Module]; dup && prev != nil {
+		if seen[sh.Module] {
 			return nil, fmt.Errorf("%w: duplicate shard %q in directory", errCorrupt, sh.Module)
 		}
 		if !extentOK(sh.Units, len(s.uRaw)) || !extentOK(sh.Findings, len(s.rRaw)) || !extentOK(sh.Metrics, len(s.mRaw)) {
 			return nil, fmt.Errorf("%w: shard %q extent out of section bounds", errCorrupt, sh.Module)
 		}
-		s.byMod[sh.Module] = sh
+		seen[sh.Module] = true
 	}
 	if !extentOK(s.corpus, len(s.rRaw)) {
 		return nil, fmt.Errorf("%w: corpus finding extent out of section bounds", errCorrupt)
@@ -470,104 +434,85 @@ func (s *Snapshot) SectionBounds(tag byte) (base, size int) {
 	return 0, 0
 }
 
-// Files decodes (once) and returns the corpus files.
+// Files decodes and returns the corpus files.
 func (s *Snapshot) Files() ([]core.PersistedFile, error) {
-	if s.filesDone {
-		return s.files, s.filesErr
+	files, err := decodeBlock(s.fRaw, -1, func(d *dec, _ int) core.PersistedFile {
+		return core.PersistedFile{
+			Path:   d.string(),
+			Module: d.string(),
+			Lang:   srcfile.Language(d.byte()),
+			Src:    d.string(),
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("snapshot files: %w", err)
 	}
-	s.filesDone = true
-	f := &dec{buf: s.fRaw}
-	n := f.length()
-	files := make([]core.PersistedFile, 0, n)
-	for i := 0; i < n && f.err == nil; i++ {
-		files = append(files, core.PersistedFile{
-			Path:   f.string(),
-			Module: f.string(),
-			Lang:   srcfile.Language(f.byte()),
-			Src:    f.string(),
-		})
-	}
-	if err := f.done(); err != nil {
-		s.filesErr = fmt.Errorf("snapshot files: %w", err)
-		return nil, s.filesErr
-	}
-	s.files = files
 	return files, nil
 }
 
-// ShardNames lists the directory's modules in directory order (the
-// writer sorts them).
-func (s *Snapshot) ShardNames() []string {
-	out := make([]string, len(s.shards))
-	for i := range s.shards {
-		out[i] = s.shards[i].Module
+// State decodes the whole snapshot: the files and the corpus finding
+// block, then every shard's blocks on a worker pool, one shard per
+// worker. Each shard carries its stored blocks as Encoded. A finding or
+// metric block that fails to decode leaves that shard's Findings or
+// Rows nil, for the restore to recompute; a unit block, the files or
+// the corpus block that fails to decode is an error.
+func (s *Snapshot) State() (*core.PersistedState, error) {
+	files, err := s.Files()
+	if err != nil {
+		return nil, err
 	}
-	return out
-}
-
-// ShardUnits decodes one shard's unit facts.
-func (s *Snapshot) ShardUnits(module string) ([]artifact.UnitFacts, error) {
-	sh := s.byMod[module]
-	if sh == nil {
-		return nil, fmt.Errorf("%w: no shard %q in the snapshot directory", errCorrupt, module)
-	}
-	d := &dec{buf: s.uRaw[sh.Units.Off : sh.Units.Off+sh.Units.Len]}
-	out := make([]artifact.UnitFacts, 0, sh.Files)
-	for i := 0; i < sh.Files && d.err == nil; i++ {
-		out = append(out, decodeUnit(d))
-	}
-	if err := d.done(); err != nil {
-		return nil, fmt.Errorf("snapshot shard %q units: %w", module, err)
-	}
-	return out, nil
-}
-
-// ShardFindings decodes one shard's finding lists (positional, aligned
-// with the shard's unit path order).
-func (s *Snapshot) ShardFindings(module string) ([][]rules.Finding, error) {
-	sh := s.byMod[module]
-	if sh == nil {
-		return nil, fmt.Errorf("%w: no shard %q in the snapshot directory", errCorrupt, module)
-	}
-	d := &dec{buf: s.rRaw[sh.Findings.Off : sh.Findings.Off+sh.Findings.Len]}
-	out := make([][]rules.Finding, 0, sh.Files)
-	for i := 0; i < sh.Files && d.err == nil; i++ {
-		out = append(out, decodeFindings(d))
-	}
-	if err := d.done(); err != nil {
-		return nil, fmt.Errorf("snapshot shard %q findings: %w", module, err)
-	}
-	return out, nil
-}
-
-// CorpusFindings decodes the corpus-level finding block.
-func (s *Snapshot) CorpusFindings() ([]rules.Finding, error) {
 	d := &dec{buf: s.rRaw[s.corpus.Off : s.corpus.Off+s.corpus.Len]}
-	out := decodeFindings(d)
+	corpus := decodeFindings(d)
 	if err := d.done(); err != nil {
 		return nil, fmt.Errorf("snapshot corpus findings: %w", err)
 	}
-	return out, nil
+	st := &core.PersistedState{Target: s.target, RuleIDs: s.ruleIDs, Files: files,
+		Shards: make([]core.PersistedShard, len(s.shards)), CorpusFindings: corpus}
+	errs := make([]error, len(s.shards))
+	par.For(par.Workers(len(s.shards)), len(s.shards), func(k int) {
+		errs[k] = s.decodeShard(&s.shards[k], &st.Shards[k])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return st, nil
 }
 
-// ShardMetrics decodes one shard's metric rows against its path list
-// (rows are positional on the wire; the caller supplies the shard's
-// snapshot-time paths, which core validated against the index).
-func (s *Snapshot) ShardMetrics(module string, paths []string) ([]*metrics.FileMetrics, error) {
-	sh := s.byMod[module]
-	if sh == nil {
-		return nil, fmt.Errorf("%w: no shard %q in the snapshot directory", errCorrupt, module)
+// decodeShard decodes one directory entry's blocks into ps.
+func (s *Snapshot) decodeShard(sh *SnapShard, ps *core.PersistedShard) error {
+	e := &core.EncodedShard{Files: sh.Files, Blocks: [3]string{
+		s.uRaw[sh.Units.Off : sh.Units.Off+sh.Units.Len],
+		s.rRaw[sh.Findings.Off : sh.Findings.Off+sh.Findings.Len],
+		s.mRaw[sh.Metrics.Off : sh.Metrics.Off+sh.Metrics.Len],
+	}}
+	ufs, err := decodeBlock(e.Blocks[0], sh.Files, func(d *dec, _ int) artifact.UnitFacts { return decodeUnit(d) })
+	if err != nil {
+		return fmt.Errorf("snapshot shard %q units: %w", sh.Module, err)
 	}
-	if len(paths) != sh.Files {
-		return nil, fmt.Errorf("%w: shard %q holds %d rows, asked for %d paths", errCorrupt, module, sh.Files, len(paths))
+	*ps = core.PersistedShard{Module: sh.Module, Units: ufs, Encoded: e}
+	ps.Findings, _ = decodeBlock(e.Blocks[1], sh.Files, func(d *dec, _ int) []rules.Finding { return decodeFindings(d) })
+	// Rows are positional on the wire: each takes its path from the unit
+	// block.
+	ps.Rows, _ = decodeBlock(e.Blocks[2], sh.Files, func(d *dec, i int) *metrics.FileMetrics { return decodeMetricRow(d, ufs[i].Path) })
+	return nil
+}
+
+// decodeBlock decodes a block of n entries (n < 0: a length-prefixed
+// block), requiring it to be consumed exactly.
+func decodeBlock[T any](raw string, n int, one func(d *dec, i int) T) ([]T, error) {
+	d := &dec{buf: raw}
+	if n < 0 {
+		n = d.length()
 	}
-	d := &dec{buf: s.mRaw[sh.Metrics.Off : sh.Metrics.Off+sh.Metrics.Len]}
-	out := make([]*metrics.FileMetrics, 0, sh.Files)
-	for i := 0; i < sh.Files && d.err == nil; i++ {
-		out = append(out, decodeMetricRow(d, paths[i]))
+	// Every entry takes at least one byte: bound the allocation.
+	out := make([]T, 0, min(n, len(raw)))
+	for i := 0; i < n && d.err == nil; i++ {
+		out = append(out, one(d, i))
 	}
 	if err := d.done(); err != nil {
-		return nil, fmt.Errorf("snapshot shard %q metrics: %w", module, err)
+		return nil, err
 	}
 	return out, nil
 }

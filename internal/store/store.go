@@ -152,9 +152,9 @@ func newGen() (uint64, error) {
 // the directory sync or the journal truncation — do not fail the write:
 // any surviving journal records carry the superseded generation and are
 // skipped on recovery, and the reset is retried before the next append.
-// Shards the state copies from its base snapshot are copied verbatim
-// (see EncodeSnapshot), so the write costs O(changed shards) plus the
-// files section. Returns the encoded snapshot size.
+// Shards that carry their stored blocks are copied verbatim (see
+// EncodeSnapshot), so the write costs O(changed shards) plus the files
+// section. Returns the encoded snapshot size.
 func (cs *CorpusStore) WriteSnapshot(st *core.PersistedState) (int64, error) {
 	gen, err := newGen()
 	var raw []byte
@@ -234,9 +234,9 @@ func (cs *CorpusStore) resetJournal() error {
 	return j.Close()
 }
 
-// OpenCurrent opens the current snapshot lazily: framing and checksums
-// are validated and the shard directory decoded, but shard blocks are
-// left for first touch. Remembers the generation for journal appends
+// OpenCurrent opens the current snapshot: framing and checksums are
+// validated and the shard directory decoded, but no block is decoded
+// until State or Files is called. Remembers the generation for journal appends
 // and replay filtering.
 func (cs *CorpusStore) OpenCurrent() (*Snapshot, int64, error) {
 	all, err := readFileString(cs.snapshotPath())

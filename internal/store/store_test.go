@@ -132,7 +132,7 @@ func TestSnapshotOfRestoredAssessorRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := core.RestoreAssessorFrom(core.DefaultConfig(), st.Source())
+	restored, err := core.RestoreAssessorFrom(core.DefaultConfig(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestRestoredDeltaStaysWarmAndIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := core.RestoreAssessorFrom(core.DefaultConfig(), st.Source())
+	restored, err := core.RestoreAssessorFrom(core.DefaultConfig(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestRestoredEnvironmentInvalidationHydrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := core.RestoreAssessorFrom(core.DefaultConfig(), st.Source())
+	restored, err := core.RestoreAssessorFrom(core.DefaultConfig(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
