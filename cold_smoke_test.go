@@ -3,6 +3,7 @@ package repro_test
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -16,8 +17,11 @@ import (
 // load+assess and a snapshot restore must not regress more than 2x over
 // the baselines recorded in BENCH_pipeline.json under "coldpath" — the
 // numbers the []byte lexer fast path, the arena parser, and the lazy
-// per-shard snapshot decode are pinned to. Opt-in via COLD_SMOKE=1 (CI
-// sets it) so ordinary test runs stay fast.
+// per-shard snapshot decode are pinned to. It also gates memory
+// relative to the restore: once assessed, a cold-loaded assessor must
+// hold at most 1.25x the live heap of one restored from its snapshot,
+// since both hold facts, not ASTs. Opt-in via COLD_SMOKE=1 (CI sets it)
+// so ordinary test runs stay fast.
 func TestColdLatencySmoke(t *testing.T) {
 	if os.Getenv("COLD_SMOKE") == "" {
 		t.Skip("set COLD_SMOKE=1 to run the cold-latency regression gate")
@@ -71,6 +75,10 @@ func TestColdLatencySmoke(t *testing.T) {
 	}
 	coldLimit := 2 * coldBase
 	t.Logf("cold 10k load+assess: best %v (baseline %v, limit %v)", coldBest, coldBase, coldLimit)
+	// Assess demotes the cold batch's ASTs to fact stubs; measure with
+	// only the last cold assessor held.
+	warm.Assess()
+	coldHeap := liveHeapMB()
 
 	// Restore leg: snapshot the warm state once, then time recovery —
 	// lazy snapshot open + warm-state reconstruction + first Findings
@@ -91,8 +99,11 @@ func TestColdLatencySmoke(t *testing.T) {
 	if _, err := cs.WriteSnapshot(st); err != nil {
 		t.Fatal(err)
 	}
+	st = nil // only the last restored assessor is live at the heap read
 	restoreBest := time.Duration(1<<63 - 1)
+	var restored *core.Assessor
 	for i := 0; i < 5; i++ {
+		restored = nil
 		start := time.Now()
 		a, _, err := cs.RecoverReadOnly(core.DefaultConfig())
 		if err != nil {
@@ -105,9 +116,18 @@ func TestColdLatencySmoke(t *testing.T) {
 		if d := time.Since(start); d < restoreBest {
 			restoreBest = d
 		}
+		restored = a
 	}
 	restoreLimit := 2 * restoreBase
 	t.Logf("restore 10k: best %v (baseline %v, limit %v)", restoreBest, restoreBase, restoreLimit)
+	warm = nil
+	restoredHeap := liveHeapMB()
+	runtime.KeepAlive(restored)
+	heapLimit := 1.25 * restoredHeap
+	t.Logf("live heap: cold-loaded after Assess %.1f MB, restored %.1f MB (limit %.1f MB)", coldHeap, restoredHeap, heapLimit)
+	if coldHeap > heapLimit {
+		t.Errorf("cold-loaded assessor holds %.1f MB live after Assess, over 1.25x the restored %.1f MB", coldHeap, restoredHeap)
+	}
 
 	if coldBest > coldLimit {
 		t.Errorf("cold 10k latency regressed: best %v exceeds 2x recorded baseline %v", coldBest, coldBase)
@@ -115,4 +135,13 @@ func TestColdLatencySmoke(t *testing.T) {
 	if restoreBest > restoreLimit {
 		t.Errorf("restore 10k latency regressed: best %v exceeds 2x recorded baseline %v", restoreBest, restoreBase)
 	}
+}
+
+// liveHeapMB returns the live heap in MB after two collections.
+func liveHeapMB() float64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return float64(m.HeapAlloc) / 1e6
 }

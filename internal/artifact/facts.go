@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ccast"
 	"repro/internal/par"
@@ -21,10 +22,13 @@ import (
 // cache built over it restores warm.
 //
 // Restored units are *stubs*: fabricated fact-carrying nodes with no
-// statement bodies. Every consumer that walks real ASTs (the fused rule
-// walks, per-file metrics recomputation) only ever touches files whose
-// content changed — which arrive freshly parsed — or asks the owner to
-// hydrate first (core.Assessor re-parses stubs on demand via Rehydrate).
+// statement bodies. A parsed unit becomes the same stub once its owner
+// has run every walk that needs its body (Demote), so warm state holds
+// facts, not ASTs, however it was built. Every consumer that walks real
+// ASTs (the fused rule walks, per-file metrics recomputation) only ever
+// touches files whose content changed — which arrive freshly parsed —
+// or asks the owner to hydrate first (core.Assessor re-parses stubs on
+// demand via Rehydrate).
 
 // FuncFacts is the serializable projection of a Func record: everything
 // the warm pipeline reads about a function in an untouched file.
@@ -96,53 +100,22 @@ var stubRet = &ccast.Type{Name: "int"}
 // warm pipeline reads — fabricated declarations have no bodies, so any
 // consumer that needs a real AST must hydrate (re-parse) first.
 //
-// Restore fabricates the whole corpus in one pass, so the per-function
-// nodes come from per-unit backing arrays instead of one allocation
-// per node.
+// Restore fabricates the whole corpus in one pass, so the records and
+// their callee lists come from per-unit backing arrays instead of one
+// allocation per record.
 func UnitFromFacts(file *srcfile.File, uf UnitFacts) (*ccast.TranslationUnit, []*Func) {
-	tu := &ccast.TranslationUnit{File: file}
-	if len(uf.Globals) > 0 {
-		tu.Decls = make([]ccast.Decl, 0, len(uf.Globals))
-		vds := make([]ccast.VarDecl, len(uf.Globals))
-		dls := make([]ccast.Declarator, len(uf.Globals))
-		for i, g := range uf.Globals {
-			dls[i] = ccast.Declarator{Name: g}
-			vds[i] = ccast.VarDecl{Global: true, Names: []*ccast.Declarator{&dls[i]}}
-			tu.Decls = append(tu.Decls, &vds[i])
-		}
-	}
 	module := file.ModuleName()
 	fas := make([]*Func, len(uf.Funcs))
 	fab := make([]Func, len(uf.Funcs))
-	fds := make([]ccast.FuncDecl, len(uf.Funcs))
-	nParams, nCalls := 0, 0
+	nCalls := 0
 	for i := range uf.Funcs {
-		nParams += uf.Funcs[i].Params
 		nCalls += len(uf.Funcs[i].Calls)
-	}
-	params := make([]ccast.Param, nParams)
-	pptrs := make([]*ccast.Param, nParams)
-	for k := range params {
-		pptrs[k] = &params[k]
 	}
 	callees := make([]string, nCalls)
 	for i := range uf.Funcs {
 		ft := &uf.Funcs[i]
-		fd := &fds[i]
-		fd.Name = ft.Name
-		if !ft.Void {
-			fd.Ret = stubRet
-		}
-		if ft.Params > 0 {
-			fd.Params, pptrs = pptrs[:ft.Params:ft.Params], pptrs[ft.Params:]
-		}
-		fd.SetSpan(srcfile.Span{
-			Start: srcfile.Pos{Line: ft.Line, Col: 1},
-			End:   srcfile.Pos{Line: ft.Line, Col: 1},
-		})
 		fa := &fab[i]
 		*fa = Func{
-			Decl:    fd,
 			File:    file,
 			Module:  module,
 			Calls:   ft.Calls,
@@ -159,7 +132,54 @@ func UnitFromFacts(file *srcfile.File, uf UnitFacts) (*ccast.TranslationUnit, []
 		}
 		fas[i] = fa
 	}
-	return tu, fas
+	return stubUnit(file, uf, fas), fas
+}
+
+// stubUnit is the one place stubs are fabricated, for restore
+// (UnitFromFacts) and demotion (Index.Demote) alike. It fabricates the
+// unit's stub — its file-scope variables only — and points each record
+// fas[i] at a fabricated declaration of uf.Funcs[i]: name, voidness,
+// line and parameter count, with no body. The nodes come from per-unit
+// backing arrays instead of one allocation per node.
+func stubUnit(file *srcfile.File, uf UnitFacts, fas []*Func) *ccast.TranslationUnit {
+	tu := &ccast.TranslationUnit{File: file}
+	if len(uf.Globals) > 0 {
+		tu.Decls = make([]ccast.Decl, 0, len(uf.Globals))
+		vds := make([]ccast.VarDecl, len(uf.Globals))
+		dls := make([]ccast.Declarator, len(uf.Globals))
+		for i, g := range uf.Globals {
+			dls[i] = ccast.Declarator{Name: g}
+			vds[i] = ccast.VarDecl{Global: true, Names: []*ccast.Declarator{&dls[i]}}
+			tu.Decls = append(tu.Decls, &vds[i])
+		}
+	}
+	fds := make([]ccast.FuncDecl, len(uf.Funcs))
+	nParams := 0
+	for i := range uf.Funcs {
+		nParams += uf.Funcs[i].Params
+	}
+	params := make([]ccast.Param, nParams)
+	pptrs := make([]*ccast.Param, nParams)
+	for k := range params {
+		pptrs[k] = &params[k]
+	}
+	for i := range uf.Funcs {
+		ft := &uf.Funcs[i]
+		fd := &fds[i]
+		fd.Name = ft.Name
+		if !ft.Void {
+			fd.Ret = stubRet
+		}
+		if ft.Params > 0 {
+			fd.Params, pptrs = pptrs[:ft.Params:ft.Params], pptrs[ft.Params:]
+		}
+		fd.SetSpan(srcfile.Span{
+			Start: srcfile.Pos{Line: ft.Line, Col: 1},
+			End:   srcfile.Pos{Line: ft.Line, Col: 1},
+		})
+		fas[i].Decl = fd
+	}
+	return tu
 }
 
 // AnalyzeUnit runs the per-function analysis walk over one parsed
@@ -229,4 +249,29 @@ func (ix *Index) Rehydrate(tu *ccast.TranslationUnit, recs []*Func) {
 	p := tu.File.Path
 	ix.Units[p] = tu
 	ix.unitFuncs[p] = recs
+}
+
+// Demote replaces the units under paths with the stubs a restore would
+// fabricate from the same facts (stubUnit), releasing their parsed
+// ASTs: it is Rehydrate run in reverse, under the same contract. Each
+// unit's Func records keep their identity — only their declarations
+// become fabricated ones and their memoized CFGs are dropped — so no
+// shard view, champion map, generation (UnitGen included) or change
+// feed entry moves, and every reader observes equal facts. Stubs are
+// fabricated on a worker pool; each writes only its own unit's records.
+//
+// Not safe for concurrent use with readers of the index.
+func (ix *Index) Demote(paths []string) {
+	stubs := make([]*ccast.TranslationUnit, len(paths))
+	par.For(par.Workers(len(paths)), len(paths), func(i int) {
+		p := paths[i]
+		fas := ix.unitFuncs[p]
+		stubs[i] = stubUnit(ix.Units[p].File, ix.UnitFacts(p), fas)
+		for _, fa := range fas {
+			fa.cfgOnce, fa.cfgG = sync.Once{}, nil
+		}
+	})
+	for i, p := range paths {
+		ix.Units[p] = stubs[i]
+	}
 }

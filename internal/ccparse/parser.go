@@ -2033,12 +2033,15 @@ func charValue(text string) int64 {
 // output is deterministic and identical to a sequential parse.
 //
 // Unless the caller supplies them, ParseAll creates one shared identifier
-// table for the whole run and a small pool of arenas that workers reuse
-// across files, so a batch parse performs a handful of slab allocations
-// per file. The resulting units jointly own the arena memory; it is
-// released when the whole batch becomes unreachable (the batch corpus is
-// replaced wholesale, so per-unit eviction granularity is not needed —
-// deltas re-parse single files with private arenas).
+// table for the whole run and one arena per worker, reused across the
+// files that worker parses, so a batch parse performs a handful of slab
+// allocations per file. The resulting units jointly own the arena
+// memory, and nothing else keeps it: it is released when the last unit
+// of the batch becomes unreachable. The batch therefore has one
+// lifetime — core.Assessor demotes all of its units to fact stubs in
+// one pass at the first Assess after the load — while deltas and
+// hydration re-parse single files with private arenas that die one unit
+// at a time.
 func ParseAll(fs *srcfile.FileSet, opts Options) (map[string]*ccast.TranslationUnit, []*Error) {
 	files := fs.Files()
 	workers := opts.Workers
@@ -2052,9 +2055,15 @@ func ParseAll(fs *srcfile.FileSet, opts Options) (map[string]*ccast.TranslationU
 	if !opts.Reference && opts.Intern == nil {
 		opts.Intern = cclex.NewInterner()
 	}
-	var arenas *sync.Pool
+	// Per-worker arenas rather than a sync.Pool: a pool's victim cache
+	// would keep each arena's current chunks, and the nodes in them,
+	// alive through one more collection after the batch is dropped.
+	var arenas []*ccast.Arena
 	if !opts.Reference && opts.Arena == nil {
-		arenas = &sync.Pool{New: func() any { return &ccast.Arena{} }}
+		arenas = make([]*ccast.Arena, max(workers, 1))
+		for w := range arenas {
+			arenas[w] = &ccast.Arena{}
+		}
 	}
 
 	type result struct {
@@ -2062,12 +2071,10 @@ func ParseAll(fs *srcfile.FileSet, opts Options) (map[string]*ccast.TranslationU
 		errs []*Error
 	}
 	results := make([]result, len(files))
-	par.For(workers, len(files), func(i int) {
+	par.ForWorkers(workers, len(files), func(w, i int) {
 		o := opts
 		if arenas != nil {
-			a := arenas.Get().(*ccast.Arena)
-			o.Arena = a
-			defer arenas.Put(a)
+			o.Arena = arenas[w]
 		}
 		tu, es := Parse(files[i], o)
 		results[i] = result{tu, es}

@@ -67,10 +67,12 @@ type Assessor struct {
 	fw       *metrics.FrameworkMetrics
 	arch     []*metrics.ArchMetrics
 
-	// stubs tracks snapshot-restored units that are still fact-carrying
-	// stubs (no statement bodies); hydratePaths re-parses them on
-	// demand. nil for assessors that never restored.
-	stubs map[string]bool
+	// parsed holds the paths whose unit is a parsed AST: the cold batch
+	// until the first Assess, the files a delta parsed, and the stubs
+	// hydratePaths re-parsed. Every other unit is a fact-carrying stub
+	// (no statement bodies), restored or demoted; Assess demotes every
+	// parsed unit and empties the set.
+	parsed map[string]bool
 	// encoded holds each restored shard's snapshot blocks (nil when the
 	// assessor never restored from a snapshot): ExportState hands them
 	// back for shards still sealed in both caches.
@@ -107,13 +109,17 @@ func NewAssessor(cfg Config) *Assessor {
 	if cfg.Rules == nil {
 		cfg.Rules = rules.DefaultRules()
 	}
-	return &Assessor{
+	a := &Assessor{
 		cfg:     cfg,
 		intern:  cclex.NewInterner(),
 		ruleEng: rules.NewSharded(cfg.Rules),
 		mcache:  metrics.NewCache(),
 		acache:  metrics.NewArchCache(),
+		parsed:  make(map[string]bool),
 	}
+	a.ruleEng.Hydrate = a.hydratePaths
+	a.mcache.Hydrate = a.hydratePaths
+	return a
 }
 
 // LoadDefaultCorpus generates and parses the calibrated Apollo-like corpus.
@@ -140,6 +146,10 @@ func (a *Assessor) LoadFileSet(fs *srcfile.FileSet) error {
 	}
 	a.fs = fs
 	a.units = units
+	a.parsed = make(map[string]bool, len(units))
+	for p := range units {
+		a.parsed[p] = true
+	}
 	a.encoded = nil
 	a.ix = nil
 	a.findings = nil
@@ -163,9 +173,6 @@ func (a *Assessor) Index() *artifact.Index {
 // FileSet returns the loaded corpus.
 func (a *Assessor) FileSet() *srcfile.FileSet { return a.fs }
 
-// Units returns the parsed translation units.
-func (a *Assessor) Units() map[string]*ccast.TranslationUnit { return a.units }
-
 // Findings runs (and caches) the rule engine over the shared index. The
 // sharded engine caches per-file findings, keyed by the index's unit
 // generations, inside per-module shard segments, so after an ApplyDelta
@@ -186,8 +193,9 @@ func (a *Assessor) Findings() []rules.Finding {
 // FallbackMetrics are the instruments the assessor's kept slow paths
 // record into. Nil fields record nothing.
 type FallbackMetrics struct {
-	// StubsHydrated counts snapshot-restored stub units re-parsed on
-	// demand because the rule engine had to re-walk them.
+	// StubsHydrated counts stub units — restored, or demoted by an
+	// earlier Assess — re-parsed on demand because the rule engine or
+	// the metrics cache had to re-walk them.
 	StubsHydrated *obs.Counter
 	// FullRechecks counts warm rule runs that re-checked every file
 	// because the engine fell behind the index change feed or the feed
@@ -257,7 +265,9 @@ func (as *Assessment) Gaps() []iso26262.TopicAssessment {
 	return out
 }
 
-// Assess computes the full compliance verdict set.
+// Assess computes the full compliance verdict set. Once every AST
+// reader of the run is done, it demotes each parsed unit to its fact
+// stub (demote), so the warm state it leaves holds facts, not ASTs.
 func (a *Assessor) Assess() *Assessment {
 	a.Findings()
 	fw := a.Metrics()
@@ -269,6 +279,7 @@ func (a *Assessor) Assess() *Assessment {
 	as.Arch = a.assessArch(fw, arch)
 	as.Unit = a.assessUnit(fw, st)
 	as.Observations = a.observations(fw, st, arch)
+	a.demote()
 	return as
 }
 

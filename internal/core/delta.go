@@ -190,7 +190,7 @@ func (a *Assessor) CommitDelta(pd *PreparedDelta) (*DeltaResult, error) {
 	for _, p := range pd.removed {
 		if a.fs.Remove(p) {
 			delete(a.units, p)
-			delete(a.stubs, p)
+			delete(a.parsed, p)
 			removedPaths = append(removedPaths, p)
 			res.Removed++
 		}
@@ -202,7 +202,7 @@ func (a *Assessor) CommitDelta(pd *PreparedDelta) (*DeltaResult, error) {
 		// and rules all observe one File identity per path.
 		pd.parsed[i].File = canon
 		a.units[canon.Path] = pd.parsed[i]
-		delete(a.stubs, canon.Path)
+		a.parsed[canon.Path] = true
 		res.Parsed++
 	}
 	if a.ix != nil {
@@ -229,7 +229,7 @@ func (a *Assessor) CommitDelta(pd *PreparedDelta) (*DeltaResult, error) {
 // ApplyDelta applies a corpus edit in place. Only genuinely changed
 // files are re-parsed and only their shards re-indexed; every warm
 // per-file and per-shard cache (rule finding segments, metrics rows,
-// memoized CFGs, arch partials) survives for untouched shards. The next
+// arch partials) survives for untouched shards. The next
 // Assess/Findings/Metrics call recomputes exactly the dirty remainder
 // and yields results byte-identical to a cold full run over the edited
 // corpus.

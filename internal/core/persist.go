@@ -38,6 +38,12 @@ import (
 // cross-file facts re-walks the untouched files spelling that name and
 // hydrates exactly those). Hydration is content-preserving and moves no
 // unit generation, so every fact and cache key stays valid.
+//
+// Stubs are not restore-only. Every Assess ends by demoting each parsed
+// unit — a cold load's batch, the files a delta parsed, the stubs the
+// run hydrated — to the stub a restore would fabricate from the same
+// facts (demote), so a cold-loaded and a restored assessor hold the
+// same warm state and hydrate alike.
 
 // PersistedFile is the serializable projection of one corpus file.
 type PersistedFile struct {
@@ -243,7 +249,6 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 	})
 	units := make(map[string]*ccast.TranslationUnit, len(st.Files))
 	recs := make(map[string][]*artifact.Func, len(st.Files))
-	stubs := make(map[string]bool, len(st.Files))
 	shardFindings := make(map[string][][]rules.Finding, len(st.Shards))
 	shardRows := make(map[string][]*metrics.FileMetrics, len(st.Shards))
 	encoded := make(map[string]*EncodedShard, len(st.Shards))
@@ -258,7 +263,6 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 				return nil, fmt.Errorf("core: snapshot holds unit %s twice", path)
 			}
 			units[path], recs[path] = p.tus[i], p.fas[i]
-			stubs[path] = true
 		}
 		if len(ps.Findings) == len(ps.Units) {
 			shardFindings[ps.Module] = ps.Findings
@@ -303,9 +307,6 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 	a.encoded = encoded
 	a.ruleEng.RestoreCache(ix, st.CorpusFindings, shardFindings)
 	a.mcache.RestoreRows(ix, shardRows)
-	a.stubs = stubs
-	a.ruleEng.Hydrate = a.hydratePaths
-	a.mcache.Hydrate = a.hydratePaths
 	return a, nil
 }
 
@@ -315,19 +316,20 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 // restored.
 func (a *Assessor) RecomputedBlocks() int { return a.recomputed }
 
-// StubUnits reports how many restored units are still fact-carrying
-// stubs (never re-parsed since restore). Diagnostics and tests only.
-func (a *Assessor) StubUnits() int { return len(a.stubs) }
+// StubUnits reports how many units are fact-carrying stubs rather than
+// parsed ASTs. Diagnostics and tests only.
+func (a *Assessor) StubUnits() int { return len(a.units) - len(a.parsed) }
 
-// hydratePaths re-parses any still-stub units among paths and swaps the
-// real ASTs (and re-analyzed records) into the index in place. Invoked
-// by the rule engine at a sequential point before it walks dirty files.
-// The corpus content of a stub is by construction unchanged since the
-// snapshot, so hydration changes no fact, unit generation, or cache key.
+// hydratePaths re-parses any stub units among paths and swaps the real
+// ASTs (and re-analyzed records) into the index in place. Invoked by the
+// rule engine and the metrics cache at a sequential point before they
+// walk dirty files. A stub's file content is by construction unchanged
+// since its facts were taken (a content edit arrives parsed), so
+// hydration changes no fact, unit generation, or cache key.
 func (a *Assessor) hydratePaths(paths []string) {
 	var todo []string
 	for _, p := range paths {
-		if a.stubs[p] {
+		if !a.parsed[p] {
 			todo = append(todo, p)
 		}
 	}
@@ -341,15 +343,33 @@ func (a *Assessor) hydratePaths(paths []string) {
 	})
 	for i, p := range todo {
 		if tus[i] == nil {
-			// Unreachable for state that parsed before the snapshot was
-			// taken; corrupted snapshots fail their checksums long before
-			// this point.
-			panic(fmt.Sprintf("core: hydrating %s: snapshot source no longer parses", p))
+			// Unreachable: a stub's facts come from a parse of this very
+			// source, before a demotion or a snapshot; corrupted snapshots
+			// fail their checksums long before this point.
+			panic(fmt.Sprintf("core: hydrating %s: a stub's unchanged source no longer parses", p))
 		}
 		a.ix.Rehydrate(tus[i], artifact.AnalyzeUnit(tus[i]))
-		delete(a.stubs, p)
+		a.parsed[p] = true
 	}
 	a.metrics.StubsHydrated.Add(int64(len(todo)))
+}
+
+// demote turns every parsed unit back into the fact stub a restore
+// would fabricate from it (artifact.Index.Demote), so its parse arena
+// can be collected, and empties the parsed set. Assess calls it once
+// every AST reader of the run — the rule walk, the dirty metric rows,
+// the arch fold — is done; with nothing parsed it costs O(1).
+func (a *Assessor) demote() {
+	if len(a.parsed) == 0 {
+		return
+	}
+	paths := make([]string, 0, len(a.parsed))
+	for p := range a.parsed {
+		paths = append(paths, p)
+	}
+	slices.Sort(paths)
+	a.Index().Demote(paths)
+	a.parsed = make(map[string]bool)
 }
 
 func equalStrings(a, b []string) bool {

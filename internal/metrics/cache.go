@@ -27,12 +27,12 @@ import (
 // Cache is not safe for concurrent use; the Assessor serializes access.
 type Cache struct {
 	// Hydrate, when set, is called with the dirty paths of a warm run
-	// before their rows are recomputed. A snapshot-restored assessor
-	// installs it to re-parse stub units on demand: in the normal flow
-	// dirty files arrive freshly parsed and the hook no-ops, but if a
-	// restored shard's row block was left out of the fill, its unchanged
-	// files are recomputed from their stubs — whose fabricated function
-	// spans would yield wrong rows without hydration.
+	// before their rows are recomputed. core.Assessor installs it to
+	// re-parse stub units on demand: in the normal flow dirty files
+	// arrive freshly parsed and the hook no-ops, but if a restored
+	// shard's row block was left out of the fill, its unchanged files
+	// are recomputed from their stubs — whose fabricated function spans
+	// would yield wrong rows without hydration.
 	Hydrate func(paths []string)
 
 	ix     *artifact.Index

@@ -23,7 +23,7 @@ import (
 //     spells (see the Registrar contract), so when the feed reports that
 //     a name's callee voidness or global membership moved, exactly the
 //     files spelling that name at identifier boundaries are re-checked —
-//     restored stubs included, so only those get hydrated;
+//     fact stubs included, so only those get hydrated;
 //   - each shard keeps a presorted finding segment (its files' cached
 //     findings concatenated in shard path order, with per-file offsets)
 //     plus a Stats partial, rebuilt in O(shard) only when one of its
@@ -45,11 +45,12 @@ import (
 // differential harness (internal/difftest).
 type Sharded struct {
 	// Hydrate, when set, is called with the dirty paths of a warm run
-	// before their (re-)walk. A snapshot-restored assessor installs it
-	// to re-parse stub units on demand: restored units carry analysis
-	// facts but no statement bodies, and the fused walk needs real
-	// ASTs. The hook runs at a sequential point of Run (before any
-	// worker starts), so it may replace index entries in place.
+	// before their (re-)walk. core.Assessor installs it to re-parse
+	// stub units on demand: stubs (restored, or demoted after an
+	// assessment) carry analysis facts but no statement bodies, and the
+	// fused walk needs real ASTs. The hook runs at a sequential point
+	// of Run (before any worker starts), so it may replace index
+	// entries in place.
 	Hydrate func(paths []string)
 
 	rules []Rule

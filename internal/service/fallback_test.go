@@ -12,11 +12,13 @@ import (
 
 // TestFallbackSeriesMatchAcks drives a name-changing add, rename, and
 // remove through HTTP against a snapshot-restored corpus and checks the
-// fallback series against what the client and the assessor observed:
-// the re-check histogram holds one observation per ack summing to the
-// acks' rule_files_checked, and the hydration counter equals the drop in
-// restored stubs (no delta touches a stub's own content, so every drop
-// is a hydration).
+// fallback series against what the client observed: the re-check
+// histogram holds one observation per ack summing to the acks'
+// rule_files_checked, and the hydration counter equals the acks'
+// re-checked files minus the files they parsed. Every unit is a stub
+// when a delta arrives (each delta's assessment demotes what it
+// parsed), so every re-checked file the delta did not parse is
+// hydrated.
 func TestFallbackSeriesMatchAcks(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Server {
@@ -97,7 +99,7 @@ func TestFallbackSeriesMatchAcks(t *testing.T) {
 		// Remove: undefines renamed_fn and g_probe.
 		{DeltaRequest{Corpus: "c", Removed: []string{"r/new.c"}}, 2},
 	}
-	sum := 0
+	sum, hydrations := 0, 0
 	for i, d := range deltas {
 		var resp DeltaResponse
 		post(ts2, "/delta", d.req, &resp)
@@ -105,6 +107,7 @@ func TestFallbackSeriesMatchAcks(t *testing.T) {
 			t.Fatalf("delta %d re-checked %d files, want %d", i, got, d.want)
 		}
 		sum += resp.Delta.RuleFilesChecked
+		hydrations += resp.Delta.RuleFilesChecked - resp.Delta.Parsed
 	}
 
 	r, err := http.Get(ts2.URL + "/statz")
@@ -129,9 +132,8 @@ func TestFallbackSeriesMatchAcks(t *testing.T) {
 	if got := series["adserve_delta_rule_files_rechecked/sum"]; got != int64(sum) {
 		t.Errorf("re-check histogram sum = %d, want the acks' total %d", got, sum)
 	}
-	drop := int64(stubsBefore - stubs())
-	if got := series["adserve_stubs_hydrated_total"]; got != drop || drop != 3 {
-		t.Errorf("hydration counter = %d, stub drop = %d, want both 3", got, drop)
+	if got := series["adserve_stubs_hydrated_total"]; got != int64(hydrations) || hydrations != 6 {
+		t.Errorf("hydration counter = %d, acks' re-checked minus parsed = %d, want both 6", got, hydrations)
 	}
 	if got, ok := series["adserve_rule_full_rechecks_total"]; !ok || got != 0 {
 		t.Errorf("full re-check counter = %d (registered %v), want 0", got, ok)

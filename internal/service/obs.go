@@ -87,6 +87,14 @@ type serverMetrics struct {
 	rechecked *obs.Histogram
 	fallback  core.FallbackMetrics
 
+	// blocksRecomputed, journalStale and journalTorn count the recovery
+	// fallbacks NewWithStore's boot took, summed over the corpora it
+	// restored (RestoredCorpus.Recomputed, .Stale, and .Torn as one per
+	// corpus).
+	blocksRecomputed *obs.Counter
+	journalStale     *obs.Counter
+	journalTorn      *obs.Counter
+
 	// journal is handed to every corpus store (store.SetMetrics); all
 	// corpora of the server share these series.
 	journal *store.JournalMetrics
@@ -128,10 +136,16 @@ func newServerMetrics() *serverMetrics {
 		"Files the rule engine re-checked per acknowledged delta (its rule_files_checked).")
 	m.fallback = core.FallbackMetrics{
 		StubsHydrated: reg.Counter("adserve_stubs_hydrated_total",
-			"Snapshot-restored stub units re-parsed because the rule engine re-walked them."),
+			"Fact-stub units (restored, or demoted after an assessment) re-parsed because the rule engine or metrics cache re-walked them."),
 		FullRechecks: reg.Counter("adserve_rule_full_rechecks_total",
 			"Warm rule runs that re-checked every file: behind the index change feed, or too many changed names to scan for."),
 	}
+	m.blocksRecomputed = reg.Counter("adserve_snapshot_blocks_recomputed_total",
+		"Snapshot finding and metric blocks that failed to decode at boot; their shards are recomputed on first use.")
+	m.journalStale = reg.Counter("adserve_journal_records_stale_total",
+		"Journal records skipped at boot because they carry a superseded snapshot generation.")
+	m.journalTorn = reg.Counter("adserve_journal_torn_tails_total",
+		"Corpora that booted with a torn journal tail, dropped at the last complete record.")
 	m.journal = &store.JournalMetrics{
 		Staged: reg.Counter("adserve_journal_records_staged_total",
 			"Journal records staged (one per non-empty commit on persistent servers)."),

@@ -343,6 +343,9 @@ func TestJournalSurvivesTornTail(t *testing.T) {
 	if gotReport != wantReport {
 		t.Fatal("torn-tail restore does not match the state at the last complete record")
 	}
+	if got := statzCounter(t, ts2.URL, "adserve_journal_torn_tails_total", nil); got != 1 {
+		t.Errorf("torn-tail series = %d, want 1 as the boot reported", got)
+	}
 }
 
 // TestBootReportsStaleJournalRecords pins that a boot reports the
@@ -412,5 +415,10 @@ func TestBootReportsStaleJournalRecords(t *testing.T) {
 	defer svc.Close()
 	if len(restored) != 1 || restored[0].Stale != 2 || restored[0].Replayed != 0 {
 		t.Fatalf("restored = %+v, want c1 with 2 stale and 0 replayed records", restored)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	if got := statzCounter(t, ts.URL, "adserve_journal_records_stale_total", nil); got != int64(restored[0].Stale) {
+		t.Errorf("stale-record series = %d, want %d as the boot reported", got, restored[0].Stale)
 	}
 }

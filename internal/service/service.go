@@ -231,6 +231,11 @@ func NewWithStore(d *store.Dir) (*Server, []RestoredCorpus, error) {
 		a.SetCommitHook(cs.Stage)
 		a.SetMetrics(s.obs.fallback)
 		s.corpora[name] = &corpusState{a: a, cs: cs}
+		s.obs.blocksRecomputed.Add(int64(info.Recomputed))
+		s.obs.journalStale.Add(int64(info.Stale))
+		if info.Torn {
+			s.obs.journalTorn.Inc()
+		}
 		restored = append(restored, RestoredCorpus{
 			Name:       name,
 			Files:      a.FileSet().Len(),

@@ -1,0 +1,122 @@
+package store_test
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/corpusgen"
+	"repro/internal/obs"
+	"repro/internal/srcfile"
+	"repro/internal/store"
+)
+
+// TestDemotedStateMatchesRestored pins that Assess leaves a cold-loaded
+// assessor in the state a restore builds. Demotion moves no snapshot
+// byte, and a script of deltas — a body edit, a rename read from
+// another shard, an add, a remove, and a delta moving more names than
+// the engine scans for — answers byte for byte alike on the demoted
+// assessor and on one restored from its export, each hydrating exactly
+// the re-checked files the delta did not parse.
+func TestDemotedStateMatchesRestored(t *testing.T) {
+	gen := corpusgen.New(corpusgen.Params{Modules: 4, FilesPerModule: 40,
+		FuncsPerFile: 3, ViolationsPerFile: 2, CrossFile: true}, 19)
+	fs := gen.FileSet()
+	target, reader := "perception/zz_xtarget.cc", "planning/zz_xreader.cc"
+	fs.AddSource(target, "int ZzTarget(int v) {\n  return v + 1;\n}\n")
+	fs.AddSource(reader, "void ZzReader(int k) {\n  ZzTarget(k);\n}\n")
+	cold := core.NewAssessor(core.DefaultConfig())
+	if err := cold.LoadFileSet(fs); err != nil {
+		t.Fatal(err)
+	}
+	before := store.EncodeSnapshot(mustExport(t, cold), 7)
+	cold.Assess()
+	if n := cold.StubUnits(); n != fs.Len() {
+		t.Fatalf("%d of %d units are stubs after Assess", n, fs.Len())
+	}
+	if after := store.EncodeSnapshot(mustExport(t, cold), 7); !bytes.Equal(before, after) {
+		t.Fatalf("demotion moved the snapshot encode: %d vs %d bytes", len(before), len(after))
+	}
+	restored, err := core.RestoreAssessorFrom(core.DefaultConfig(), mustExport(t, cold))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "restored", cold, restored)
+
+	edited := gen.Paths()[3]
+	if !strings.Contains(gen.Source(edited), "return ") {
+		t.Fatalf("%s has no return statement to edit", edited)
+	}
+	var bulk strings.Builder
+	for i := 0; i < 130; i++ {
+		fmt.Fprintf(&bulk, "int ZzBulk%d(int v) {\n  return v + %d;\n}\n", i, i)
+	}
+	change := func(path, src string) core.Delta {
+		return core.Delta{Changed: []*srcfile.File{{Path: path, Src: src}}}
+	}
+	script := []struct {
+		what string
+		d    core.Delta
+		// readers: the delta re-checks reader, which it does not parse;
+		// full: it moves too many names to scan for.
+		readers, full bool
+	}{
+		{"body edit", change(edited, strings.Replace(gen.Source(edited), "return ", "return 0 + ", 1)), false, false},
+		{"rename read from another shard", change(target, "int ZzRenamed(int v) {\n  return v + 1;\n}\n"), true, false},
+		{"add", change("prediction/zz_xadd.cc", "int ZzTarget(int v) {\n  return v - 1;\n}\n"), true, false},
+		{"remove", core.Delta{Removed: []string{"prediction/zz_xadd.cc"}}, true, false},
+		{"130 names", change("localization/zz_bulk.cc", bulk.String()), false, true},
+	}
+
+	type side struct {
+		a                   *core.Assessor
+		hydrated, fullRuns  *obs.Counter
+		wantHydrated, fulls int64
+	}
+	sides := []*side{{a: cold}, {a: restored}}
+	for _, s := range sides {
+		s.hydrated, s.fullRuns = new(obs.Counter), new(obs.Counter)
+		s.a.SetMetrics(core.FallbackMetrics{StubsHydrated: s.hydrated, FullRechecks: s.fullRuns})
+	}
+	for _, step := range script {
+		var parsed []int
+		for _, s := range sides {
+			res, err := s.a.ApplyDelta(step.d)
+			if err != nil {
+				t.Fatalf("%s: %v", step.what, err)
+			}
+			parsed = append(parsed, res.Parsed)
+		}
+		requireIdentical(t, step.what, cold, restored)
+		for i, s := range sides {
+			checked := s.a.RuleFilesChecked()
+			switch {
+			case step.full:
+				s.fulls++
+				if checked != s.a.FileSet().Len() {
+					t.Fatalf("%s: side %d re-checked %d of %d files, want all", step.what, i, checked, s.a.FileSet().Len())
+				}
+			case step.readers != (checked > parsed[i]):
+				t.Fatalf("%s: side %d re-checked %d files and parsed %d; want a reader re-checked: %v",
+					step.what, i, checked, parsed[i], step.readers)
+			}
+			s.wantHydrated += int64(checked - parsed[i])
+			if got := s.hydrated.Value(); got != s.wantHydrated {
+				t.Fatalf("%s: side %d hydrated %d stubs, want the re-checked files it did not parse, %d total",
+					step.what, i, got, s.wantHydrated)
+			}
+			if got := s.fullRuns.Value(); got != s.fulls {
+				t.Fatalf("%s: side %d counted %d full re-checks, want %d", step.what, i, got, s.fulls)
+			}
+			if n := s.a.StubUnits(); n != s.a.FileSet().Len() {
+				t.Fatalf("%s: side %d holds %d parsed units after Assess", step.what, i, s.a.FileSet().Len()-n)
+			}
+		}
+	}
+	if h := sides[0].hydrated.Value(); h <= int64(cold.FileSet().Len()) {
+		t.Fatalf("the script hydrated %d stubs, want the readers plus a full re-check's worth", h)
+	}
+	requireIdentical(t, "script vs cold", coldAssessor(t, cold), cold)
+}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/corpusgen"
+	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/service"
 	"repro/internal/srcfile"
@@ -162,6 +163,8 @@ func TestRestoredDeltaStaysWarmAndIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hydrated := new(obs.Counter)
+	restored.SetMetrics(core.FallbackMetrics{StubsHydrated: hydrated})
 
 	// A content edit that keeps the exported surface: the restored
 	// engine must re-check exactly the dirty file, not hydrate the
@@ -179,9 +182,8 @@ func TestRestoredDeltaStaysWarmAndIdentical(t *testing.T) {
 	if n := restored.RuleFilesChecked(); n != 1 {
 		t.Fatalf("restored delta re-checked %d files, want 1", n)
 	}
-	if stubs := restored.StubUnits(); stubs != restored.FileSet().Len()-1 {
-		t.Fatalf("delta hydrated more than the edited file: %d stubs of %d files",
-			stubs, restored.FileSet().Len())
+	if n := hydrated.Value(); n != 0 {
+		t.Fatalf("delta hydrated %d stubs, want 0: only the edited file is re-checked, and it arrives parsed", n)
 	}
 	requireIdentical(t, "post-delta vs cold", coldAssessor(t, a), restored)
 }
@@ -221,7 +223,8 @@ func TestRestoredEnvironmentInvalidationHydrates(t *testing.T) {
 	if want != 1 {
 		t.Fatalf("%d snapshot files spell the new names, want only the shadowing probe", want)
 	}
-	before := restored.StubUnits()
+	hydrated := new(obs.Counter)
+	restored.SetMetrics(core.FallbackMetrics{StubsHydrated: hydrated})
 	for _, eng := range []*core.Assessor{a, restored} {
 		if _, err := eng.ApplyDelta(core.Delta{Changed: []*srcfile.File{{
 			Path: add.Path, Src: add.Src}}}); err != nil {
@@ -229,7 +232,7 @@ func TestRestoredEnvironmentInvalidationHydrates(t *testing.T) {
 		}
 	}
 	requireIdentical(t, "post-invalidation", a, restored)
-	if got := before - restored.StubUnits(); got != want {
+	if got := int(hydrated.Value()); got != want {
 		t.Fatalf("name change hydrated %d stubs, want exactly the %d spelling the new names", got, want)
 	}
 	if n := restored.RuleFilesChecked(); n != want+1 {
@@ -335,12 +338,14 @@ func TestReplayedBodyEditsStayWarm(t *testing.T) {
 	if want := rec.FileSet().Len() - files; stubs != want {
 		t.Fatalf("replay left %d stubs, want %d", stubs, want)
 	}
+	hydrated := new(obs.Counter)
+	rec.SetMetrics(core.FallbackMetrics{StubsHydrated: hydrated})
 	requireIdentical(t, "replayed", a, rec)
 	if n := rec.RuleFilesChecked(); n != files {
 		t.Fatalf("first run after replay re-checked %d files, want the %d replayed", n, files)
 	}
-	if n := rec.StubUnits(); n != stubs {
-		t.Fatalf("first run after replay hydrated %d stubs, want 0", stubs-n)
+	if n := hydrated.Value(); n != 0 {
+		t.Fatalf("first run after replay hydrated %d stubs, want 0", n)
 	}
 	requireIdentical(t, "replayed vs cold", coldAssessor(t, a), rec)
 }
