@@ -26,31 +26,32 @@ import (
 	"repro/internal/srcfile"
 )
 
-// Func is the cached analysis record of one function definition.
+// Func is the cached analysis record of one function definition. Its
+// facts (FuncFacts) are the record's one copy of what the warm pipeline
+// reads about the function, in memory and in a snapshot alike; they
+// hold whether or not the owning unit is parsed.
 type Func struct {
+	FuncFacts
+	// Decl is the parsed declaration, set only while the owning unit
+	// holds a parsed AST. A stub unit's records (restored, or demoted
+	// by Index.Demote) have none; Index.Rehydrate points them at a
+	// re-parse. Only walks over a parsed unit's own bodies or spans read
+	// it.
 	Decl   *ccast.FuncDecl
 	File   *srcfile.File
 	Module string
-	// Calls holds the raw callee spellings in traversal order: the full
-	// (possibly qualified) identifier for direct calls, the member name
-	// for method calls.
-	Calls []string
 	// Callees holds the unqualified forms of Calls, precomputed in the
 	// same analysis walk so consumers (the rule engine) never re-derive
 	// them. Index-aligned with Calls.
 	Callees []string
-	// CCN is the Lizard-compatible cyclomatic complexity (identical to
-	// metrics.Cyclomatic, computed in the same walk that gathers Calls).
-	CCN int
-	// Returns is the number of return statements anywhere in the body.
-	Returns int
 
 	cfgOnce sync.Once
 	cfgG    *cfg.Graph
 }
 
 // CFG returns the function's control-flow graph, building it on first use
-// and memoizing it. Safe for concurrent callers.
+// and memoizing it. Safe for concurrent callers. It runs on a parsed
+// unit's records only: the graph is built from Decl's body.
 func (f *Func) CFG() *cfg.Graph {
 	f.cfgOnce.Do(func() { f.cfgG = cfg.Build(f.Decl) })
 	return f.cfgG
@@ -160,7 +161,12 @@ func CalleeName(c *ccast.Call) string {
 // Analyze computes the artifact record for one function definition with a
 // single traversal of its body.
 func Analyze(fn *ccast.FuncDecl, file *srcfile.File, module string) *Func {
-	fa := &Func{Decl: fn, File: file, Module: module}
+	fa := &Func{Decl: fn, File: file, Module: module, FuncFacts: FuncFacts{
+		Name:   fn.Name,
+		Void:   fn.Ret == nil || fn.Ret.IsVoid(),
+		Line:   fn.Span().Start.Line,
+		Params: len(fn.Params),
+	}}
 	if fn.Body == nil {
 		return fa
 	}
@@ -247,7 +253,7 @@ func (ix *Index) rebuildGlobalViews() {
 	ix.lastDef = make(map[string]*Func, n)
 	ix.GlobalNames = make(map[string]string, 2*len(ix.Paths))
 	for _, fa := range ix.Funcs {
-		key := Unqualified(fa.Decl.Name)
+		key := Unqualified(fa.Name)
 		if _, dup := ix.ByName[key]; !dup {
 			ix.ByName[key] = fa
 		}

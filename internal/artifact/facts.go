@@ -21,17 +21,21 @@ import (
 // resolves every name exactly as the pre-snapshot index did and every
 // cache built over it restores warm.
 //
-// Restored units are *stubs*: fabricated fact-carrying nodes with no
-// statement bodies. A parsed unit becomes the same stub once its owner
-// has run every walk that needs its body (Demote), so warm state holds
-// facts, not ASTs, however it was built. Every consumer that walks real
-// ASTs (the fused rule walks, per-file metrics recomputation) only ever
-// touches files whose content changed — which arrive freshly parsed —
-// or asks the owner to hydrate first (core.Assessor re-parses stubs on
-// demand via Rehydrate).
+// Every Func record carries its facts (it embeds FuncFacts), so a unit
+// needs no AST for them. Restored units are *stubs*: a translation unit
+// holding only the file-scope variables, whose records carry facts and
+// no declaration (Decl == nil). A parsed unit becomes the same stub once
+// its owner has run every walk that needs its body (Demote), so warm
+// state holds facts, not ASTs, however it was built. Every consumer that
+// walks real ASTs (the fused rule walks, per-file metrics recomputation)
+// only ever touches files whose content changed — which arrive freshly
+// parsed — or asks the owner to hydrate first (core.Assessor re-parses
+// stubs on demand via Rehydrate). Demotion and hydration keep every
+// record: they only clear or set its Decl.
 
-// FuncFacts is the serializable projection of a Func record: everything
-// the warm pipeline reads about a function in an untouched file.
+// FuncFacts is everything the warm pipeline reads about a function in
+// an untouched file: the facts a Func record embeds and a snapshot
+// persists.
 type FuncFacts struct {
 	// Name is the qualified spelling as written ("Detector::Detect").
 	Name string
@@ -42,10 +46,14 @@ type FuncFacts struct {
 	Line int
 	// Params is the parameter count (architectural interface metrics).
 	Params int
-	// CCN and Returns mirror the Func counters.
-	CCN     int
+	// CCN is the Lizard-compatible cyclomatic complexity (identical to
+	// metrics.Cyclomatic, computed in the same walk that gathers Calls).
+	CCN int
+	// Returns is the number of return statements anywhere in the body.
 	Returns int
-	// Calls holds the raw callee spellings in traversal order.
+	// Calls holds the raw callee spellings in traversal order: the full
+	// (possibly qualified) identifier for direct calls, the member name
+	// for method calls.
 	Calls []string
 }
 
@@ -60,48 +68,36 @@ type UnitFacts struct {
 	Globals []string
 }
 
-// FactsOf extracts the persistent facts from a Func record. It works on
-// fabricated records too (snapshotting a restored assessor round-trips).
-func FactsOf(fa *Func) FuncFacts {
-	return FuncFacts{
-		Name:    fa.Decl.Name,
-		Void:    fa.Decl.Ret == nil || fa.Decl.Ret.IsVoid(),
-		Line:    fa.Decl.Span().Start.Line,
-		Params:  len(fa.Decl.Params),
-		CCN:     fa.CCN,
-		Returns: fa.Returns,
-		Calls:   fa.Calls,
-	}
-}
-
-// UnitFacts extracts the persistent facts of one indexed unit.
+// UnitFacts extracts the persistent facts of one indexed unit, parsed
+// or stub.
 func (ix *Index) UnitFacts(path string) UnitFacts {
-	uf := UnitFacts{Path: path}
+	uf := UnitFacts{Path: path, Globals: globalNames(ix.Units[path])}
 	fas := ix.unitFuncs[path]
 	uf.Funcs = make([]FuncFacts, len(fas))
 	for i, fa := range fas {
-		uf.Funcs[i] = FactsOf(fa)
-	}
-	for _, vd := range ix.Units[path].GlobalVars() {
-		for _, d := range vd.Names {
-			uf.Globals = append(uf.Globals, d.Name)
-		}
+		uf.Funcs[i] = fa.FuncFacts
 	}
 	return uf
 }
 
-// stubRet is the shared non-void placeholder return type of fabricated
-// declarations. Stubs are read-only by contract (consumers needing a
-// real AST hydrate first), so one immutable value serves all of them.
-var stubRet = &ccast.Type{Name: "int"}
+// globalNames lists a unit's file-scope variable names in declaration
+// order.
+func globalNames(tu *ccast.TranslationUnit) []string {
+	var out []string
+	for _, vd := range tu.GlobalVars() {
+		for _, d := range vd.Names {
+			out = append(out, d.Name)
+		}
+	}
+	return out
+}
 
-// UnitFromFacts fabricates a stub translation unit and its function
-// records from persisted facts. The stub carries exactly the facts the
-// warm pipeline reads — fabricated declarations have no bodies, so any
-// consumer that needs a real AST must hydrate (re-parse) first.
+// UnitFromFacts builds a stub translation unit and its function records
+// from persisted facts. The records carry the facts and no declaration,
+// so any consumer that needs a real AST must hydrate (re-parse) first.
 //
-// Restore fabricates the whole corpus in one pass, so the records and
-// their callee lists come from per-unit backing arrays instead of one
+// Restore builds the whole corpus in one pass, so the records and their
+// callee lists come from per-unit backing arrays instead of one
 // allocation per record.
 func UnitFromFacts(file *srcfile.File, uf UnitFacts) (*ccast.TranslationUnit, []*Func) {
 	module := file.ModuleName()
@@ -113,15 +109,8 @@ func UnitFromFacts(file *srcfile.File, uf UnitFacts) (*ccast.TranslationUnit, []
 	}
 	callees := make([]string, nCalls)
 	for i := range uf.Funcs {
-		ft := &uf.Funcs[i]
 		fa := &fab[i]
-		*fa = Func{
-			File:    file,
-			Module:  module,
-			Calls:   ft.Calls,
-			CCN:     ft.CCN,
-			Returns: ft.Returns,
-		}
+		*fa = Func{FuncFacts: uf.Funcs[i], File: file, Module: module}
 		if len(fa.Calls) > 0 {
 			cs := callees[:len(fa.Calls):len(fa.Calls)]
 			callees = callees[len(fa.Calls):]
@@ -132,60 +121,27 @@ func UnitFromFacts(file *srcfile.File, uf UnitFacts) (*ccast.TranslationUnit, []
 		}
 		fas[i] = fa
 	}
-	return stubUnit(file, uf, fas), fas
+	return stubUnit(file, uf.Globals), fas
 }
 
-// stubUnit is the one place stubs are fabricated, for restore
-// (UnitFromFacts) and demotion (Index.Demote) alike. It fabricates the
-// unit's stub — its file-scope variables only — and points each record
-// fas[i] at a fabricated declaration of uf.Funcs[i]: name, voidness,
-// line and parameter count, with no body. The nodes come from per-unit
-// backing arrays instead of one allocation per node.
-func stubUnit(file *srcfile.File, uf UnitFacts, fas []*Func) *ccast.TranslationUnit {
+// stubUnit builds the stub translation unit of file, for restore
+// (UnitFromFacts) and demotion (Index.Demote) alike: its file-scope
+// variables only, from one backing array per node type. Function facts
+// live on the records, not in the unit.
+func stubUnit(file *srcfile.File, globals []string) *ccast.TranslationUnit {
 	tu := &ccast.TranslationUnit{File: file}
-	if len(uf.Globals) > 0 {
-		tu.Decls = make([]ccast.Decl, 0, len(uf.Globals))
-		vds := make([]ccast.VarDecl, len(uf.Globals))
-		dls := make([]ccast.Declarator, len(uf.Globals))
-		for i, g := range uf.Globals {
+	if len(globals) > 0 {
+		tu.Decls = make([]ccast.Decl, len(globals))
+		vds := make([]ccast.VarDecl, len(globals))
+		dls := make([]ccast.Declarator, len(globals))
+		for i, g := range globals {
 			dls[i] = ccast.Declarator{Name: g}
 			vds[i] = ccast.VarDecl{Global: true, Names: []*ccast.Declarator{&dls[i]}}
-			tu.Decls = append(tu.Decls, &vds[i])
+			tu.Decls[i] = &vds[i]
 		}
-	}
-	fds := make([]ccast.FuncDecl, len(uf.Funcs))
-	nParams := 0
-	for i := range uf.Funcs {
-		nParams += uf.Funcs[i].Params
-	}
-	params := make([]ccast.Param, nParams)
-	pptrs := make([]*ccast.Param, nParams)
-	for k := range params {
-		pptrs[k] = &params[k]
-	}
-	for i := range uf.Funcs {
-		ft := &uf.Funcs[i]
-		fd := &fds[i]
-		fd.Name = ft.Name
-		if !ft.Void {
-			fd.Ret = stubRet
-		}
-		if ft.Params > 0 {
-			fd.Params, pptrs = pptrs[:ft.Params:ft.Params], pptrs[ft.Params:]
-		}
-		fd.SetSpan(srcfile.Span{
-			Start: srcfile.Pos{Line: ft.Line, Col: 1},
-			End:   srcfile.Pos{Line: ft.Line, Col: 1},
-		})
-		fas[i].Decl = fd
 	}
 	return tu
 }
-
-// AnalyzeUnit runs the per-function analysis walk over one parsed
-// translation unit, returning its Func records in source order (the
-// unit-granular face of Build, exported for hydration).
-func AnalyzeUnit(tu *ccast.TranslationUnit) []*Func { return analyzeUnit(tu) }
 
 // BuildFromRecords constructs an index from pre-analyzed per-unit
 // records — the restore path, and Build's second half. It partitions the
@@ -234,41 +190,48 @@ func BuildFromRecords(units map[string]*ccast.TranslationUnit, recs map[string][
 	return ix, nil
 }
 
-// Rehydrate replaces one unit's stub AST and fabricated records with a
-// freshly parsed unit and its real analysis records. It deliberately
-// leaves shard views, generations (UnitGen included), and the change
-// feed untouched:
-// hydration is only legal when the file content is unchanged since the
-// facts were extracted, so every fact is identical and downstream
-// caches stay valid. Champion maps keep the old records by pointer
-// until the shard's next refresh; old and new records carry equal
-// facts, so every consumer observes identical output either way.
+// Rehydrate installs tu, a fresh parse of a stub unit's unchanged
+// source, and points each of the unit's records at its parsed
+// declaration: Demote run in reverse. It runs no analysis and creates no
+// record, so every record keeps its identity and its facts, and no
+// shard view, champion map, generation (UnitGen included) or change
+// feed entry moves. Hydration is only legal when the file content is
+// unchanged since the facts were extracted; a parse whose function list
+// disagrees with the records in count or name panics.
 //
 // Not safe for concurrent use with readers of the index.
-func (ix *Index) Rehydrate(tu *ccast.TranslationUnit, recs []*Func) {
+func (ix *Index) Rehydrate(tu *ccast.TranslationUnit) {
 	p := tu.File.Path
+	fas, fns := ix.unitFuncs[p], tu.Funcs()
+	if len(fns) != len(fas) {
+		panic(fmt.Sprintf("artifact: rehydrating %s: %d functions parsed, %d recorded", p, len(fns), len(fas)))
+	}
+	for i, fn := range fns {
+		if fn.Name != fas[i].Name {
+			panic(fmt.Sprintf("artifact: rehydrating %s: function %d parsed as %q, recorded as %q", p, i, fn.Name, fas[i].Name))
+		}
+		fas[i].Decl = fn
+	}
 	ix.Units[p] = tu
-	ix.unitFuncs[p] = recs
 }
 
 // Demote replaces the units under paths with the stubs a restore would
-// fabricate from the same facts (stubUnit), releasing their parsed
-// ASTs: it is Rehydrate run in reverse, under the same contract. Each
-// unit's Func records keep their identity — only their declarations
-// become fabricated ones and their memoized CFGs are dropped — so no
-// shard view, champion map, generation (UnitGen included) or change
-// feed entry moves, and every reader observes equal facts. Stubs are
-// fabricated on a worker pool; each writes only its own unit's records.
+// build from the same facts (stubUnit), releasing their parsed ASTs:
+// each unit's records keep their identity and facts, and only lose
+// their declaration and memoized CFG. So no shard view, champion map,
+// generation (UnitGen included) or change feed entry moves, and every
+// reader observes equal facts. Stubs are built on a worker pool; each
+// writes only its own unit's records.
 //
 // Not safe for concurrent use with readers of the index.
 func (ix *Index) Demote(paths []string) {
 	stubs := make([]*ccast.TranslationUnit, len(paths))
 	par.For(par.Workers(len(paths)), len(paths), func(i int) {
 		p := paths[i]
-		fas := ix.unitFuncs[p]
-		stubs[i] = stubUnit(ix.Units[p].File, ix.UnitFacts(p), fas)
-		for _, fa := range fas {
-			fa.cfgOnce, fa.cfgG = sync.Once{}, nil
+		tu := ix.Units[p]
+		stubs[i] = stubUnit(tu.File, globalNames(tu))
+		for _, fa := range ix.unitFuncs[p] {
+			fa.Decl, fa.cfgOnce, fa.cfgG = nil, sync.Once{}, nil
 		}
 	})
 	for i, p := range paths {

@@ -120,7 +120,7 @@ func championChange(old, new *Func) Change {
 
 // nonVoid reports whether fa is a definition returning a value.
 func nonVoid(fa *Func) bool {
-	return fa != nil && fa.Decl.Ret != nil && !fa.Decl.Ret.IsVoid()
+	return fa != nil && !fa.Void
 }
 
 // funcModule is the module of a last-definition champion ("" for none).

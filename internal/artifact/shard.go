@@ -150,7 +150,7 @@ func (sh *Shard) rebuildViews(ix *Index) {
 	for _, p := range sh.paths {
 		for _, fa := range ix.unitFuncs[p] {
 			sh.funcs = append(sh.funcs, fa)
-			key := Unqualified(fa.Decl.Name)
+			key := Unqualified(fa.Name)
 			if _, dup := sh.byName[key]; !dup {
 				sh.byName[key] = fa
 			}
@@ -356,12 +356,14 @@ func (ix *Index) rebuildShardNames() {
 	sort.Strings(ix.shardNames)
 }
 
-// shardsInPathOrder returns the shards ordered by their smallest path
-// and reports whether their path ranges are pairwise disjoint. Module
-// names normally prefix their paths, so ranges are disjoint and ordered
-// merges degrade to concatenation; explicit File.Module overrides can
-// interleave ranges, in which case callers fall back to a real merge.
-func (ix *Index) shardsInPathOrder() (ordered []*Shard, disjoint bool) {
+// ShardsInPathOrder returns the non-empty shards ordered by their
+// smallest path and reports whether their path ranges are pairwise
+// disjoint. Module names normally prefix their paths, so ranges are
+// disjoint and ordered merges of per-shard lists degrade to
+// concatenation; explicit File.Module overrides can interleave ranges,
+// in which case callers (the index's own global lists, the metrics
+// cache's file rows) stably sort the concatenation by path.
+func (ix *Index) ShardsInPathOrder() (ordered []*Shard, disjoint bool) {
 	ordered = make([]*Shard, 0, len(ix.shardNames))
 	for _, m := range ix.shardNames {
 		if sh := ix.shards[m]; len(sh.paths) > 0 {
@@ -384,7 +386,7 @@ func (ix *Index) shardsInPathOrder() (ordered []*Shard, disjoint bool) {
 
 // rebuildPaths re-derives the global sorted path list from the shards.
 func (ix *Index) rebuildPaths() {
-	ordered, disjoint := ix.shardsInPathOrder()
+	ordered, disjoint := ix.ShardsInPathOrder()
 	n := 0
 	for _, sh := range ordered {
 		n += len(sh.paths)
@@ -404,7 +406,7 @@ func (ix *Index) rebuildPaths() {
 // otherwise the per-shard lists (each path-ordered) are merge-sorted
 // stably so same-path functions keep their source order.
 func (ix *Index) rebuildFuncs() {
-	ordered, disjoint := ix.shardsInPathOrder()
+	ordered, disjoint := ix.ShardsInPathOrder()
 	n := 0
 	for _, sh := range ordered {
 		n += len(sh.funcs)

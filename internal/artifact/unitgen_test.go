@@ -67,7 +67,7 @@ func TestUnitGen(t *testing.T) {
 	before := ix.Gen()
 	re := parseOne(t, "m/b.c", ix.Units["m/b.c"].File.Src)
 	re.File = ix.Units["m/b.c"].File
-	ix.Rehydrate(re, artifact.AnalyzeUnit(re))
+	ix.Rehydrate(re)
 	if ix.Gen() != before {
 		t.Fatalf("Rehydrate moved the index generation: %d -> %d", before, ix.Gen())
 	}

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,19 +107,23 @@ func TestLexParity(t *testing.T) {
 // byte-compares it against the reference heap path, file by file, along
 // with the parse error lists. The render covers every node kind, every
 // salient field, and every span, so any structural or positional drift
-// fails loudly with the first diverging file.
+// fails loudly with the first diverging file. The fast path parses each
+// corpus with one ParseAll worker, so every file comes from one shared
+// arena and one shared identifier table.
 func TestParseParity(t *testing.T) {
 	for _, c := range parityCorpora() {
-		in := cclex.NewInterner()
-		arena := &ccast.Arena{}
+		fast, fastErrs := ccparse.ParseAll(c.fs, ccparse.Options{Workers: 1, Intern: cclex.NewInterner()})
+		errsOf := make(map[string][]string)
+		for _, e := range fastErrs {
+			errsOf[e.File] = append(errsOf[e.File], e.Error())
+		}
 		for _, f := range c.fs.Files() {
 			refTU, refErrs := ccparse.Parse(f, ccparse.Options{Reference: true})
-			fastTU, fastErrs := ccparse.Parse(f, ccparse.Options{Intern: in, Arena: arena})
-			ref, fast := dumpTU(refTU), dumpTU(fastTU)
-			if ref != fast {
-				t.Fatalf("%s/%s: AST diverges\n%s", c.name, f.Path, firstDiff(ref, fast))
+			ref, got := dumpTU(refTU), dumpTU(fast[f.Path])
+			if ref != got {
+				t.Fatalf("%s/%s: AST diverges\n%s", c.name, f.Path, firstDiff(ref, got))
 			}
-			if r, g := errStrings(refErrs), errStrings(fastErrs); !reflect.DeepEqual(r, g) {
+			if r, g := errStrings(refErrs), errsOf[f.Path]; !slices.Equal(r, g) {
 				t.Fatalf("%s/%s: errors %v, reference %v", c.name, f.Path, g, r)
 			}
 		}

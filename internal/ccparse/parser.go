@@ -50,11 +50,6 @@ type Options struct {
 	// corpus-level table so every file's spelling of the same name is one
 	// string. ParseAll supplies a table automatically when none is given.
 	Intern *cclex.Interner
-	// Arena, when set, is the slab allocator AST nodes are carved from;
-	// the caller owns its lifetime (it must outlive the returned unit).
-	// When nil, Parse gives the unit a private arena that is freed
-	// wholesale when the unit becomes unreachable.
-	Arena *ccast.Arena
 	// Reference forces the pre-optimization allocation path: every node
 	// comes from the heap, child lists grow from nil, and identifiers
 	// intern per-file. Differential tests run it against the arena path;
@@ -63,23 +58,27 @@ type Options struct {
 }
 
 // Parse parses one file. The returned unit is non-nil even when errors are
-// reported; unparseable regions appear as BadDecl nodes.
+// reported; unparseable regions appear as BadDecl nodes. Its nodes come
+// from a private arena, freed wholesale when the unit becomes
+// unreachable.
 func Parse(f *srcfile.File, opts Options) (*ccast.TranslationUnit, []*Error) {
+	return parse(f, opts, &ccast.Arena{})
+}
+
+// parse parses one file, carving its nodes from arena a, which must
+// outlive the returned unit. ParseAll passes each worker's own arena.
+func parse(f *srcfile.File, opts Options, a *ccast.Arena) (*ccast.TranslationUnit, []*Error) {
 	lx := cclex.New(f.Src)
 	lx.CUDA = f.Lang == srcfile.LangCUDA
 	lx.KeepComments = true // always collect; surfaced on the unit
 
 	p := getParser()
 	p.file = f
+	p.a = a // untouched in reference mode; keeps alloc sites nil-safe
 	if opts.Reference {
 		p.ref = true
-		p.a = &ccast.Arena{} // untouched; keeps alloc sites nil-safe
 	} else {
 		lx.Intern = opts.Intern
-		p.a = opts.Arena
-		if p.a == nil {
-			p.a = &ccast.Arena{}
-		}
 	}
 	p.prelex(lx)
 
@@ -2032,10 +2031,12 @@ func charValue(text string) int64 {
 // (default GOMAXPROCS); units and errors are merged in file order, so the
 // output is deterministic and identical to a sequential parse.
 //
-// Unless the caller supplies them, ParseAll creates one shared identifier
-// table for the whole run and one arena per worker, reused across the
-// files that worker parses, so a batch parse performs a handful of slab
-// allocations per file. The resulting units jointly own the arena
+// Unless the caller supplies one, ParseAll creates one shared identifier
+// table for the whole run. It gives each worker one arena of its own,
+// reused across the files that worker parses, so a batch parse performs
+// a handful of slab allocations per file. Callers cannot supply an
+// arena: one shared across workers would race, as ccast.Slab is not
+// safe for concurrent use. The resulting units jointly own the arena
 // memory, and nothing else keeps it: it is released when the last unit
 // of the batch becomes unreachable. The batch therefore has one
 // lifetime — core.Assessor demotes all of its units to fact stubs in
@@ -2058,12 +2059,9 @@ func ParseAll(fs *srcfile.FileSet, opts Options) (map[string]*ccast.TranslationU
 	// Per-worker arenas rather than a sync.Pool: a pool's victim cache
 	// would keep each arena's current chunks, and the nodes in them,
 	// alive through one more collection after the batch is dropped.
-	var arenas []*ccast.Arena
-	if !opts.Reference && opts.Arena == nil {
-		arenas = make([]*ccast.Arena, max(workers, 1))
-		for w := range arenas {
-			arenas[w] = &ccast.Arena{}
-		}
+	arenas := make([]*ccast.Arena, max(workers, 1))
+	for w := range arenas {
+		arenas[w] = &ccast.Arena{}
 	}
 
 	type result struct {
@@ -2072,11 +2070,7 @@ func ParseAll(fs *srcfile.FileSet, opts Options) (map[string]*ccast.TranslationU
 	}
 	results := make([]result, len(files))
 	par.ForWorkers(workers, len(files), func(w, i int) {
-		o := opts
-		if arenas != nil {
-			o.Arena = arenas[w]
-		}
-		tu, es := Parse(files[i], o)
+		tu, es := parse(files[i], opts, arenas[w])
 		results[i] = result{tu, es}
 	})
 

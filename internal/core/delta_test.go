@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/rules"
 	"repro/internal/srcfile"
 )
@@ -420,4 +422,62 @@ func TestDeltaModuleOverrideMove(t *testing.T) {
 	if got := coldRender(t, DefaultConfig(), a.FileSet()); !bytes.Equal(warm, got) {
 		t.Fatal("warm assessment after module-override move differs from cold run")
 	}
+}
+
+// TestDeltaInterleavedShardRanges runs a corpus whose module override
+// interleaves two shards' path ranges — m/a.c filed under module z sorts
+// before shard m's m/b.c, and z/c.c after it — through an add under the
+// override and a remove that makes the ranges disjoint again. At every
+// step the warm assessment equals a cold run, and the index's function
+// list and the metrics' file rows follow path order (source order within
+// a file): the stable-sort branches of the index's global lists and of
+// the metrics cache's row merge.
+func TestDeltaInterleavedShardRanges(t *testing.T) {
+	fs := srcfile.NewFileSet()
+	fs.Add(&srcfile.File{Path: "m/a.c", Module: "z", Src: "int fa(int x) { return x; }\nint fa2(void) { return 2; }\n"})
+	fs.AddSource("m/b.c", "int fb(int x) { return fa(x) + 1; }\n")
+	fs.AddSource("m/d.c", "int fd(int x) { if (x) { return 1; } return fb(x); }\n")
+	fs.AddSource("z/c.c", "int gc;\nint fc(int x) { return x + gc; }\n")
+	a := NewAssessor(DefaultConfig())
+	if err := a.LoadFileSet(fs); err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, wantDisjoint bool) {
+		t.Helper()
+		warm := renderAssessment(a, a.Assess())
+		if got := coldRender(t, DefaultConfig(), a.FileSet()); !bytes.Equal(warm, got) {
+			t.Fatalf("%s: warm assessment differs from a cold run", step)
+		}
+		ix := a.Index()
+		if _, disjoint := ix.ShardsInPathOrder(); disjoint != wantDisjoint {
+			t.Fatalf("%s: shard path ranges disjoint = %v, want %v", step, disjoint, wantDisjoint)
+		}
+		var want []*artifact.Func
+		for _, p := range ix.Paths {
+			want = append(want, ix.UnitFuncs(p)...)
+		}
+		if !slices.Equal(ix.Funcs, want) {
+			t.Fatalf("%s: Index().Funcs is not in path order", step)
+		}
+		files := a.Metrics().Files
+		if len(files) != len(ix.Paths) {
+			t.Fatalf("%s: %d metric file rows for %d paths", step, len(files), len(ix.Paths))
+		}
+		for i, fm := range files {
+			if fm.Path != ix.Paths[i] {
+				t.Fatalf("%s: metric file row %d is %s, want %s", step, i, fm.Path, ix.Paths[i])
+			}
+		}
+	}
+	apply := func(d Delta) {
+		t.Helper()
+		if _, err := a.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("cold", false)
+	apply(Delta{Changed: []*srcfile.File{{Path: "m/e.c", Module: "z", Src: "int fe(int x) { return fc(x); }\n"}}})
+	check("add m/e.c under z", false)
+	apply(Delta{Removed: []string{"m/a.c"}})
+	check("remove m/a.c", true)
 }

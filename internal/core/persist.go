@@ -22,9 +22,10 @@ import (
 // A snapshot captures the corpus sources plus every expensive derived
 // artifact: per-unit analysis facts (artifact.UnitFacts), the rule
 // engine's per-file finding segments and corpus segment, and the
-// per-file metric rows. Restore rebuilds the file set, fabricates
-// fact-carrying stub units (no statement bodies — nothing is parsed),
-// reconstructs the sharded index from the facts, and fills the rule and
+// per-file metric rows. Restore rebuilds the file set, builds stub units
+// (file-scope variables only) whose function records carry their facts
+// and no declaration — nothing is parsed — reconstructs the sharded
+// index from the facts, and fills the rule and
 // metrics caches directly — the same per-shard state a cold run leaves,
 // keyed on the restored index's unit generations — so the restored
 // assessor answers Findings / Metrics / Assess byte-identically to the
@@ -36,14 +37,15 @@ import (
 // moment the rule engine needs to re-walk them (a content edit arrives
 // freshly parsed through the delta path; a delta that moves a name's
 // cross-file facts re-walks the untouched files spelling that name and
-// hydrates exactly those). Hydration is content-preserving and moves no
-// unit generation, so every fact and cache key stays valid.
+// hydrates exactly those). Hydration points the unit's existing records
+// at the parsed declarations: it re-analyzes nothing and moves no
+// record, fact or unit generation, so every cache key stays valid.
 //
 // Stubs are not restore-only. Every Assess ends by demoting each parsed
 // unit — a cold load's batch, the files a delta parsed, the stubs the
-// run hydrated — to the stub a restore would fabricate from the same
-// facts (demote), so a cold-loaded and a restored assessor hold the
-// same warm state and hydrate alike.
+// run hydrated — to the stub a restore would build from the same facts
+// (demote), so a cold-loaded and a restored assessor hold the same warm
+// state and hydrate alike.
 
 // PersistedFile is the serializable projection of one corpus file.
 type PersistedFile struct {
@@ -185,7 +187,7 @@ func (a *Assessor) ExportState() (*PersistedState, error) {
 // fact-carrying stubs, hydrated on demand when a cache needs their
 // ASTs. The source yields the whole state (a snapshot decodes every
 // block in one parallel pass); one more parallel pass validates each
-// shard and fabricates its stubs. The sharded index is rebuilt from the
+// shard and builds its stubs. The sharded index is rebuilt from the
 // facts, and the rule and metric caches are filled directly, exactly as
 // a cold run fills them, with every filled shard sealed. A shard whose
 // finding lists or metric rows are missing (a block that failed to
@@ -218,8 +220,8 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 		fs.Add(&srcfile.File{Path: pf.Path, Module: pf.Module, Lang: pf.Lang, Src: pf.Src})
 	}
 
-	// Validate and fabricate each shard's stub units on a worker pool —
-	// the file-set lookups are read-only, and fabrication writes only
+	// Validate and build each shard's stub units on a worker pool —
+	// the file-set lookups are read-only, and the build writes only
 	// shard-local slices. The shared maps are filled (and cross-shard
 	// duplicates detected) in a sequential merge in shard order, so
 	// errors surface exactly as a sequential loop would report them.
@@ -320,12 +322,13 @@ func (a *Assessor) RecomputedBlocks() int { return a.recomputed }
 // parsed ASTs. Diagnostics and tests only.
 func (a *Assessor) StubUnits() int { return len(a.units) - len(a.parsed) }
 
-// hydratePaths re-parses any stub units among paths and swaps the real
-// ASTs (and re-analyzed records) into the index in place. Invoked by the
-// rule engine and the metrics cache at a sequential point before they
-// walk dirty files. A stub's file content is by construction unchanged
-// since its facts were taken (a content edit arrives parsed), so
-// hydration changes no fact, unit generation, or cache key.
+// hydratePaths re-parses any stub units among paths and installs each
+// in the index in place (artifact.Index.Rehydrate), pointing the unit's
+// existing records at the parsed declarations; nothing is re-analyzed.
+// Invoked by the rule engine and the metrics cache at a sequential point
+// before they walk dirty files. A stub's file content is by construction
+// unchanged since its facts were taken (a content edit arrives parsed),
+// so hydration changes no fact, record, unit generation, or cache key.
 func (a *Assessor) hydratePaths(paths []string) {
 	var todo []string
 	for _, p := range paths {
@@ -341,21 +344,19 @@ func (a *Assessor) hydratePaths(paths []string) {
 		tu, _ := ccparse.Parse(a.fs.Lookup(todo[i]), ccparse.Options{Intern: a.intern})
 		tus[i] = tu
 	})
+	// Rehydrate panics if a parse disagrees with the records. That is
+	// unreachable: a stub's facts come from a parse of this very source,
+	// before a demotion or a snapshot, and corrupted snapshots fail their
+	// checksums long before this point.
 	for i, p := range todo {
-		if tus[i] == nil {
-			// Unreachable: a stub's facts come from a parse of this very
-			// source, before a demotion or a snapshot; corrupted snapshots
-			// fail their checksums long before this point.
-			panic(fmt.Sprintf("core: hydrating %s: a stub's unchanged source no longer parses", p))
-		}
-		a.ix.Rehydrate(tus[i], artifact.AnalyzeUnit(tus[i]))
+		a.ix.Rehydrate(tus[i])
 		a.parsed[p] = true
 	}
 	a.metrics.StubsHydrated.Add(int64(len(todo)))
 }
 
 // demote turns every parsed unit back into the fact stub a restore
-// would fabricate from it (artifact.Index.Demote), so its parse arena
+// would build from it (artifact.Index.Demote), so its parse arena
 // can be collected, and empties the parsed set. Assess calls it once
 // every AST reader of the run — the rule walk, the dirty metric rows,
 // the arch fold — is done; with nothing parsed it costs O(1).

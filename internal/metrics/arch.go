@@ -86,7 +86,7 @@ func AnalyzeArchIndexed(ix *artifact.Index) []*ArchMetrics {
 	// used, matching how the corpus calls across modules.
 	funcModule := make(map[string]string, len(ix.Funcs))
 	for _, fa := range ix.Funcs {
-		funcModule[lastName(fa.Decl.Name)] = fa.Module
+		funcModule[lastName(fa.Name)] = fa.Module
 	}
 
 	type modState struct {
@@ -112,11 +112,10 @@ func AnalyzeArchIndexed(ix *artifact.Index) []*ArchMetrics {
 		ms := get(mod)
 		ms.am.LOC += tu.File.LineCount()
 		for _, fa := range ix.UnitFuncs(p) {
-			fn := fa.Decl
 			ms.nFuncs++
-			ms.sumPar += len(fn.Params)
-			if len(fn.Params) > ms.am.MaxInterfaceParams {
-				ms.am.MaxInterfaceParams = len(fn.Params)
+			ms.sumPar += fa.Params
+			if fa.Params > ms.am.MaxInterfaceParams {
+				ms.am.MaxInterfaceParams = fa.Params
 			}
 			for _, callee := range fa.Calls {
 				if schedulingAPIs[callee] {

@@ -180,10 +180,9 @@ func (as *archShard) count(ix *artifact.Index, sh *artifact.Shard) {
 	}
 	for _, fa := range sh.Funcs() {
 		as.nFuncs++
-		np := len(fa.Decl.Params)
-		as.sumPar += np
-		if np > as.maxPar {
-			as.maxPar = np
+		as.sumPar += fa.Params
+		if fa.Params > as.maxPar {
+			as.maxPar = fa.Params
 		}
 		for _, callee := range fa.Calls {
 			if schedulingAPIs[callee] {

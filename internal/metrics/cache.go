@@ -31,8 +31,8 @@ type Cache struct {
 	// re-parse stub units on demand: in the normal flow dirty files
 	// arrive freshly parsed and the hook no-ops, but if a restored
 	// shard's row block was left out of the fill, its unchanged files
-	// are recomputed from their stubs — whose fabricated function spans
-	// would yield wrong rows without hydration.
+	// are recomputed, and a row needs each function's span, which a
+	// stub's records (Decl == nil) do not have.
 	Hydrate func(paths []string)
 
 	ix     *artifact.Index
@@ -191,38 +191,15 @@ func (ms *metricShard) refold() {
 	ms.mm = mm
 }
 
-// mergeFiles assembles the global file-row list in sorted path order
-// from the per-shard lists. Module shards normally own disjoint path
-// ranges (the module is the leading path segment), so this is a
-// concatenation; interleaved ranges (explicit module overrides) fall
-// back to a stable sort.
+// mergeFiles assembles the global file-row list in sorted path order:
+// the per-shard lists concatenated in the index's shard path order
+// (artifact.Index.ShardsInPathOrder), stably sorted by path when
+// explicit module overrides interleave the shards' path ranges.
 func (c *Cache) mergeFiles(ix *artifact.Index) []*FileMetrics {
-	type seg struct {
-		first string
-		last  string
-		files []*FileMetrics
-	}
-	segs := make([]seg, 0, len(c.shards))
-	n := 0
-	for _, m := range ix.ShardNames() {
-		ms := c.shards[m]
-		if len(ms.files) == 0 {
-			continue
-		}
-		segs = append(segs, seg{ms.files[0].Path, ms.files[len(ms.files)-1].Path, ms.files})
-		n += len(ms.files)
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
-	disjoint := true
-	for i := 1; i < len(segs); i++ {
-		if segs[i-1].last > segs[i].first {
-			disjoint = false
-			break
-		}
-	}
-	out := make([]*FileMetrics, 0, n)
-	for _, sg := range segs {
-		out = append(out, sg.files...)
+	ordered, disjoint := ix.ShardsInPathOrder()
+	out := make([]*FileMetrics, 0, len(ix.Paths))
+	for _, sh := range ordered {
+		out = append(out, c.shards[sh.Module].files...)
 	}
 	if !disjoint {
 		sort.SliceStable(out, func(i, j int) bool { return out[i].Path < out[j].Path })

@@ -99,7 +99,7 @@ func TestCacheMatchesAnalyzeIndexed(t *testing.T) {
 		t.Fatal(errs[0])
 	}
 	re.File = fa
-	ix.Rehydrate(re, artifact.AnalyzeUnit(re))
+	ix.Rehydrate(re)
 	sib, errs := ccparse.Parse(&srcfile.File{Path: "m/b.c", Lang: srcfile.LangC,
 		Src: "int fb(void) { return 4; }\n"}, ccparse.Options{})
 	if len(errs) > 0 {

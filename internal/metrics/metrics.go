@@ -135,19 +135,20 @@ type FrameworkMetrics struct {
 // Thresholds used for Figure 3's "functions with CCN over N" bars.
 var Thresholds = []int{10, 20, 50}
 
-// functionRow assembles a metrics row from precomputed traversal facts.
-func functionRow(fn *ccast.FuncDecl, file *srcfile.File, ccn, returns int) *FunctionMetrics {
-	sp := fn.Span()
+// functionRow assembles a metrics row from a parsed unit's record: its
+// facts, plus the declaration's span and kernel marker.
+func functionRow(fa *artifact.Func, file *srcfile.File) *FunctionMetrics {
+	sp := fa.Decl.Span()
 	fm := &FunctionMetrics{
-		Name:      fn.Name,
+		Name:      fa.Name,
 		File:      file.Path,
 		Module:    file.ModuleName(),
-		StartLine: sp.Start.Line,
+		StartLine: fa.Line,
 		EndLine:   sp.End.Line,
-		CCN:       ccn,
-		Params:    len(fn.Params),
-		Returns:   returns,
-		IsKernel:  fn.IsKernel(),
+		CCN:       fa.CCN,
+		Params:    fa.Params,
+		Returns:   fa.Returns,
+		IsKernel:  fa.Decl.IsKernel(),
 	}
 	// Function NLOC: count over the function's source slice.
 	if sp.Start.Offset >= 0 && sp.End.Offset <= len(file.Src) && sp.Start.Offset < sp.End.Offset {
@@ -169,7 +170,7 @@ func analyzeFileIndexed(tu *ccast.TranslationUnit, fas []*artifact.Func) *FileMe
 	}
 	fm.Functions = make([]*FunctionMetrics, 0, len(fas))
 	for _, fa := range fas {
-		fm.Functions = append(fm.Functions, functionRow(fa.Decl, f, fa.CCN, fa.Returns))
+		fm.Functions = append(fm.Functions, functionRow(fa, f))
 	}
 	return fm
 }

@@ -114,7 +114,7 @@ func (r *DefensiveRule) ignoredReturnFinding(ctx *Context, fi *FuncInfo, es *cca
 	}
 	name := CalleeName(call)
 	callee, defined := ctx.ByName[name]
-	if !defined || callee.Decl.Ret == nil || callee.Decl.Ret.IsVoid() {
+	if !defined || callee.Void {
 		return
 	}
 	em.Emit(finding(r.ID(), Warning, fi, es.Span().Start.Line,

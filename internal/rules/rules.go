@@ -61,12 +61,15 @@ func (f *Finding) String() string {
 }
 
 // FuncInfo is the per-function context shared by rules. It IS the
-// artifact cache's record (a type alias): the fields rules read — Decl,
-// File, Module, Callees (unqualified), CCN, Returns — are computed once
-// in the artifact analysis walk, so building a rules context performs no
-// per-function work at all. Earlier revisions copied every record into a
-// rules-local mirror struct on every context build, which made warm
-// re-assessment O(corpus); the alias removes that layer entirely.
+// artifact cache's record (a type alias): the fields rules read — the
+// facts (Name, Line, Void, CCN, Returns), File, Module, Callees
+// (unqualified) and, in per-file walks, Decl — are computed once in the
+// artifact analysis walk, so building a rules context performs no
+// per-function work at all. A record of a stub unit has no Decl, so
+// corpus-level code reads facts only. Earlier revisions copied every
+// record into a rules-local mirror struct on every context build, which
+// made warm re-assessment O(corpus); the alias removes that layer
+// entirely.
 type FuncInfo = artifact.Func
 
 // Context carries the parsed corpus plus cross-file indexes that
@@ -227,7 +230,7 @@ func finding(rule string, sev Severity, fi *FuncInfo, line int, msg string, refs
 	if fi != nil {
 		f.File = fi.File.Path
 		f.Module = fi.Module
-		f.Function = fi.Decl.Name
+		f.Function = fi.Name
 	}
 	return f
 }

@@ -47,8 +47,8 @@ func (r *MultiExitRule) Check(ctx *Context) []Finding {
 // functions with no return have exactly one (fall-through).
 func (r *MultiExitRule) funcFindings(fi *FuncInfo, em *Emitter) {
 	if n := fi.Returns; n > 1 {
-		em.Emit(finding(r.ID(), Violation, fi, fi.Decl.Span().Start.Line,
-			fmt.Sprintf("function %s has %d exit points", fi.Decl.Name, n),
+		em.Emit(finding(r.ID(), Violation, fi, fi.Line,
+			fmt.Sprintf("function %s has %d exit points", fi.Name, n),
 			refSingleExit))
 	}
 }
@@ -296,8 +296,8 @@ func (r *RecursionRule) Check(ctx *Context) []Finding {
 
 // finding renders one on-cycle function's finding from its champion.
 func (r *RecursionRule) finding(fi *FuncInfo) Finding {
-	return finding(r.ID(), Violation, fi, fi.Decl.Span().Start.Line,
-		fmt.Sprintf("function %s participates in recursion", fi.Decl.Name),
+	return finding(r.ID(), Violation, fi, fi.Line,
+		fmt.Sprintf("function %s participates in recursion", fi.Name),
 		refNoRecursion)
 }
 

@@ -53,9 +53,9 @@ func (r *ComplexityRule) funcFindings(fi *FuncInfo, em *Emitter) {
 		if ccn > 20 {
 			sev = Violation
 		}
-		em.Emit(finding(r.ID(), sev, fi, fi.Decl.Span().Start.Line,
+		em.Emit(finding(r.ID(), sev, fi, fi.Line,
 			fmt.Sprintf("function %s has cyclomatic complexity %d (threshold %d, band %s)",
-				fi.Decl.Name, ccn, th, metrics.BandOf(ccn)),
+				fi.Name, ccn, th, metrics.BandOf(ccn)),
 			refLowComplexity))
 	}
 }
@@ -116,8 +116,8 @@ func (r *LanguageSubsetRule) declFindings(tu *ccast.TranslationUnit, n ccast.Nod
 // assessed against any existing safety subset.
 func (r *LanguageSubsetRule) funcEnter(fi *FuncInfo, em *Emitter) {
 	if fi.File.Lang == srcfile.LangCUDA && fi.Decl.IsKernel() {
-		em.Emit(finding(r.ID(), Info, fi, fi.Decl.Span().Start.Line,
-			fmt.Sprintf("__global__ kernel %s cannot be assessed against MISRA C (no GPU subset)", fi.Decl.Name),
+		em.Emit(finding(r.ID(), Info, fi, fi.Line,
+			fmt.Sprintf("__global__ kernel %s cannot be assessed against MISRA C (no GPU subset)", fi.Name),
 			refLangSubset))
 	}
 }

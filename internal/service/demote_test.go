@@ -13,10 +13,10 @@ import (
 )
 
 // TestReplayedBootDemotesUnderReadLock boots over a journal holding two
-// records, so the replay leaves parsed units and the first reads'
-// assessment demotes them under the corpus read lock, and races those
-// reads against deltas, whose prepares hold the same read lock. The
-// final report must equal a fresh assessment of the final files.
+// records, whose replay parses units that the boot's assessment then
+// demotes, and races reads under the corpus read lock against deltas,
+// whose prepares hold the same read lock. The final report must equal a
+// fresh assessment of the final files.
 func TestReplayedBootDemotesUnderReadLock(t *testing.T) {
 	dir := t.TempDir()
 	ts1, _, _ := newPersistentServer(t, dir)

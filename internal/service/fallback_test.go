@@ -139,3 +139,81 @@ func TestFallbackSeriesMatchAcks(t *testing.T) {
 		t.Errorf("full re-check counter = %d (registered %v), want 0", got, ok)
 	}
 }
+
+// TestBootLeavesCorpusAssessed pins that a boot ends with every corpus
+// assessed: after a crash that leaves one name-changing delta in the
+// journal, the replay parses the edited file and the boot's assessment
+// hydrates its reader and demotes both, so every unit is a stub when
+// the server starts and a following /report only reads — it moves
+// neither the stub count nor the hydration counter.
+func TestBootLeavesCorpusAssessed(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Server {
+		d, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _, err := NewWithStore(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	post := func(ts *httptest.Server, path string, req any) {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %d", path, r.StatusCode)
+		}
+	}
+
+	s1 := open()
+	ts1 := httptest.NewServer(s1.Handler())
+	post(ts1, "/assess", AssessRequest{Corpus: "c", Files: map[string]string{
+		"m/lib.c":  "int helper(int x) { return x + 1; }\n",
+		"n/user.c": "void user(void) { helper(1); }\n",
+	}})
+	post(ts1, "/delta", DeltaRequest{Corpus: "c", Changed: map[string]string{
+		"m/lib.c": "int helper2(int x) { return x + 1; }\n"}})
+	ts1.Close() // crash: the rename survives only in the journal
+
+	s2 := open()
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	defer s2.Close()
+	s2.mu.RLock()
+	st := s2.corpora["c"]
+	s2.mu.RUnlock()
+	stubs := func() int {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.a.StubUnits()
+	}
+	hydrated := s2.obs.fallback.StubsHydrated
+	if n := stubs(); n != 2 {
+		t.Fatalf("%d of 2 units are stubs after the boot", n)
+	}
+	before := hydrated.Value()
+	r, err := http.Get(ts2.URL + "/report?corpus=c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("/report = %d", r.StatusCode)
+	}
+	if n := stubs(); n != 2 {
+		t.Fatalf("/report left %d of 2 units stubs", n)
+	}
+	if got := hydrated.Value(); got != before {
+		t.Fatalf("/report hydrated %d stubs", got-before)
+	}
+}

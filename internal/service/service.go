@@ -102,12 +102,12 @@ type Server struct {
 type corpusState struct {
 	// mu guards the assessor: read-held during delta prepares (which
 	// only read the file set) and rendered-projection serves, write-held
-	// for commits and the assessments they trigger. Renderers do mutate
-	// warm caches under the read lock, but only the memoized
-	// whole-corpus fields and per-shard caches — fields no other
-	// RLock-holding path touches (prepares read only the file set and
-	// the interner, which is internally striped) — and projMu serializes
-	// the renderers against each other.
+	// for commits and the assessments they trigger. Every path that
+	// writes the corpus — /assess, /delta, compaction, and the boot that
+	// restores and replays it — ends with the corpus assessed, so a
+	// renderer under the read lock only reads: its caches are warm, and
+	// no unit is parsed, so nothing hydrates or demotes. projMu
+	// serializes the renderers against each other.
 	mu sync.RWMutex
 	a  *core.Assessor
 	// cs is the corpus's persistent store (nil on in-memory servers).
@@ -207,9 +207,10 @@ type RestoredCorpus struct {
 }
 
 // NewWithStore creates a persistent server over a data directory,
-// restoring every stored corpus (snapshot + journal replay, torn tails
-// tolerated) and journaling every subsequent delta before it is
-// acknowledged. The returned list describes what was recovered.
+// restoring and assessing every stored corpus (snapshot + journal
+// replay, torn tails tolerated) and journaling every subsequent delta
+// before it is acknowledged. The returned list describes what was
+// recovered.
 func NewWithStore(d *store.Dir) (*Server, []RestoredCorpus, error) {
 	s := New()
 	s.dataDir = d
@@ -230,6 +231,10 @@ func NewWithStore(d *store.Dir) (*Server, []RestoredCorpus, error) {
 		}
 		a.SetCommitHook(cs.Stage)
 		a.SetMetrics(s.obs.fallback)
+		// Replayed records leave parsed units and cold caches; assessing
+		// here, as every write path does, leaves renderers nothing to
+		// write.
+		a.Assess()
 		s.corpora[name] = &corpusState{a: a, cs: cs}
 		s.obs.blocksRecomputed.Add(int64(info.Recomputed))
 		s.obs.journalStale.Add(int64(info.Stale))

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/corpusgen"
 	"repro/internal/obs"
@@ -19,7 +20,10 @@ import (
 // another shard, an add, a remove, and a delta moving more names than
 // the engine scans for — answers byte for byte alike on the demoted
 // assessor and on one restored from its export, each hydrating exactly
-// the re-checked files the delta did not parse.
+// the re-checked files the delta did not parse. At rest after every
+// step, on both sides, every record the index's views hold is one its
+// unit lists (hydration and demotion keep record identity) and carries
+// no declaration.
 func TestDemotedStateMatchesRestored(t *testing.T) {
 	gen := corpusgen.New(corpusgen.Params{Modules: 4, FilesPerModule: 40,
 		FuncsPerFile: 3, ViolationsPerFile: 2, CrossFile: true}, 19)
@@ -44,6 +48,8 @@ func TestDemotedStateMatchesRestored(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdentical(t, "restored", cold, restored)
+	requireRecordsAtRest(t, "restored", cold)
+	requireRecordsAtRest(t, "restored", restored)
 
 	edited := gen.Paths()[3]
 	if !strings.Contains(gen.Source(edited), "return ") {
@@ -113,10 +119,46 @@ func TestDemotedStateMatchesRestored(t *testing.T) {
 			if n := s.a.StubUnits(); n != s.a.FileSet().Len() {
 				t.Fatalf("%s: side %d holds %d parsed units after Assess", step.what, i, s.a.FileSet().Len()-n)
 			}
+			requireRecordsAtRest(t, fmt.Sprintf("%s: side %d", step.what, i), s.a)
 		}
 	}
 	if h := sides[0].hydrated.Value(); h <= int64(cold.FileSet().Len()) {
 		t.Fatalf("the script hydrated %d stubs, want the readers plus a full re-check's worth", h)
 	}
 	requireIdentical(t, "script vs cold", coldAssessor(t, cold), cold)
+}
+
+// requireRecordsAtRest checks every record in the index's function
+// list, its ByName champions and every shard's function list: each must
+// be a record its unit lists (UnitFuncs), and none may hold a
+// declaration once Assess has demoted every unit.
+func requireRecordsAtRest(t *testing.T, what string, a *core.Assessor) {
+	t.Helper()
+	ix := a.Index()
+	listed := make(map[*artifact.Func]bool, len(ix.Funcs))
+	for _, p := range ix.Paths {
+		for _, fa := range ix.UnitFuncs(p) {
+			listed[fa] = true
+		}
+	}
+	check := func(view string, fa *artifact.Func) {
+		t.Helper()
+		if !listed[fa] {
+			t.Fatalf("%s: %s holds a record of %s its unit no longer lists", what, view, fa.Name)
+		}
+		if fa.Decl != nil {
+			t.Fatalf("%s: %s holds a record of %s with a declaration at rest", what, view, fa.Name)
+		}
+	}
+	for _, fa := range ix.Funcs {
+		check("Funcs", fa)
+	}
+	for name, fa := range ix.ByName {
+		check("ByName["+name+"]", fa)
+	}
+	for _, m := range ix.ShardNames() {
+		for _, fa := range ix.Shard(m).Funcs() {
+			check("shard "+m+" Funcs", fa)
+		}
+	}
 }
