@@ -173,21 +173,39 @@ func (a *Assessor) Index() *artifact.Index {
 // FileSet returns the loaded corpus.
 func (a *Assessor) FileSet() *srcfile.FileSet { return a.fs }
 
-// Findings runs (and caches) the rule engine over the shared index. The
-// sharded engine caches per-file findings, keyed by the index's unit
-// generations, inside per-module shard segments, so after an ApplyDelta
-// only the dirty shard's dirty files are re-checked and the global
-// stream is a k-way merge of the presorted segments.
+// Findings runs the rule engine over the shared index (runRules) and
+// returns (and caches) the global finding stream, a k-way merge of the
+// engine's presorted shard segments.
 func (a *Assessor) Findings() []rules.Finding {
+	a.runRules()
 	if a.findings == nil {
-		ctx := rules.NewContextFromIndex(a.Index())
-		a.findings = a.ruleEng.Run(ctx)
+		a.findings = a.ruleEng.Findings()
+	}
+	return a.findings
+}
+
+// EachFinding calls fn with consecutive runs of the finding stream
+// (Findings), in order, without building or caching it: the runs are
+// views of the rule engine's segments, which fn must not modify.
+func (a *Assessor) EachFinding(fn func([]rules.Finding)) {
+	a.runRules()
+	a.ruleEng.Stream(fn)
+}
+
+// runRules brings the rule engine up to date with the shared index, once
+// per generation. The sharded engine caches per-file findings, keyed by
+// the index's unit generations, inside per-module shard segments, so
+// after an ApplyDelta only the dirty shard's dirty files are re-checked.
+// An assessment reads only the Stats, so a delta that no reader follows
+// never merges the global stream.
+func (a *Assessor) runRules() {
+	if a.stats == nil {
+		a.ruleEng.Update(rules.NewContextFromIndex(a.Index()))
 		a.stats = a.ruleEng.Stats()
 		if a.ruleEng.LastFullRecheck() {
 			a.metrics.FullRechecks.Inc()
 		}
 	}
-	return a.findings
 }
 
 // FallbackMetrics are the instruments the assessor's kept slow paths
@@ -210,7 +228,7 @@ func (a *Assessor) SetMetrics(m FallbackMetrics) { a.metrics = m }
 
 // Stats returns aggregated finding statistics.
 func (a *Assessor) Stats() *rules.Stats {
-	a.Findings()
+	a.runRules()
 	return a.stats
 }
 
@@ -269,7 +287,7 @@ func (as *Assessment) Gaps() []iso26262.TopicAssessment {
 // reader of the run is done, it demotes each parsed unit to its fact
 // stub (demote), so the warm state it leaves holds facts, not ASTs.
 func (a *Assessor) Assess() *Assessment {
-	a.Findings()
+	a.runRules()
 	fw := a.Metrics()
 	arch := a.Arch()
 	st := a.stats
@@ -547,12 +565,7 @@ func (a *Assessor) assessUnit(fw *metrics.FrameworkMetrics, st *rules.Stats) []i
 
 func (a *Assessor) observations(fw *metrics.FrameworkMetrics, st *rules.Stats, arch []*metrics.ArchMetrics) []Observation {
 	multiExit, totalPer := a.multiExitFraction("perception")
-	cudaLaunches := 0
-	for _, f := range a.findings {
-		if f.RuleID == "lang-subset" && f.Module == "perception" {
-			cudaLaunches++
-		}
-	}
+	cudaLaunches := st.ByRuleModule["lang-subset"]["perception"]
 	obs := []Observation{
 		{1, "AD frameworks present a high complexity in terms of cyclomatic complexity.",
 			fmt.Sprintf("%d functions with CCN>=11 (bands: moderate/risky/unstable)", fw.ModerateOrWorse)},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -480,4 +481,40 @@ func TestDeltaInterleavedShardRanges(t *testing.T) {
 	check("add m/e.c under z", false)
 	apply(Delta{Removed: []string{"m/a.c"}})
 	check("remove m/a.c", true)
+}
+
+// TestEachFindingMatchesFindings pins the streamed finding runs to the
+// merged stream, on a cold load and after a delta: EachFinding must
+// yield Findings' sequence, before and after Findings caches it, while
+// caching nothing itself, so a renderer that streams only reads.
+func TestEachFindingMatchesFindings(t *testing.T) {
+	a := NewAssessor(DefaultConfig())
+	if err := a.LoadDefaultCorpus(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string) {
+		t.Helper()
+		a.Assess()
+		var got []rules.Finding
+		a.EachFinding(func(run []rules.Finding) { got = append(got, run...) })
+		if a.findings != nil {
+			t.Fatalf("%s: EachFinding cached the merged stream", step)
+		}
+		want := a.Findings()
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: streamed %d findings, Findings has %d, or their order differs", step, len(got), len(want))
+		}
+		got = got[:0]
+		a.EachFinding(func(run []rules.Finding) { got = append(got, run...) })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: streaming after Findings differs from its stream", step)
+		}
+	}
+	check("cold")
+	victim := a.Index().Paths[len(a.Index().Paths)/2]
+	edited := a.FileSet().Lookup(victim).Src + "\nint stream_probe(int *p) { return *p; }\n"
+	if _, err := a.ApplyDelta(Delta{Changed: []*srcfile.File{{Path: victim, Src: edited}}}); err != nil {
+		t.Fatal(err)
+	}
+	check("delta")
 }

@@ -127,8 +127,8 @@ func ruleIDs(rs []rules.Rule) []string {
 }
 
 // ExportState captures the assessor's corpus and warm caches as a
-// snapshot. It runs Findings and Metrics first (a no-op when already
-// warm) so the exported caches are complete.
+// snapshot. It runs the rule engine and Metrics first (a no-op when
+// already warm) so the exported caches are complete.
 //
 // A restored assessor exports only what moved since the restore: a
 // shard still sealed in both the rule engine and the metrics cache
@@ -140,12 +140,12 @@ func (a *Assessor) ExportState() (*PersistedState, error) {
 	if a.fs == nil {
 		return nil, errors.New("core: ExportState before a corpus is loaded")
 	}
-	a.Findings()
+	a.runRules()
 	a.Metrics()
 	ix := a.Index()
 	corpus, ok := a.ruleEng.CorpusFindings()
 	if !ok {
-		return nil, errors.New("core: rule cache not warm after Findings()")
+		return nil, errors.New("core: rule cache not warm after runRules")
 	}
 	names := ix.ShardNames()
 	st := &PersistedState{

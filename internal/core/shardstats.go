@@ -18,7 +18,7 @@ func (a *Assessor) ShardStats() []ShardStat {
 	if a.fs == nil {
 		return nil
 	}
-	a.Findings()
+	a.runRules()
 	out := make([]ShardStat, 0, len(a.fs.Modules()))
 	for _, mod := range a.fs.Modules() {
 		st := ShardStat{Module: mod, Findings: a.stats.ByModule[mod]}

@@ -29,10 +29,10 @@ func (s *Sharded) Sealed(module string) bool {
 
 // ShardFindings returns a module shard's cached finding lists, one per
 // path of the shard in its sorted order, or ok=false when the shard
-// holds no warm state for the engine's current index — callers run the
-// engine once (core.Assessor.Findings) before snapshotting. The lists
-// are views of the shard's segment, which the engine never writes again
-// (every rebuild fills a fresh one); callers must not mutate them.
+// holds no warm state for the engine's current index — callers Update
+// the engine once before snapshotting. The lists are views of the
+// shard's segment, which the engine never writes again (every rebuild
+// fills a fresh one); callers must not mutate them.
 func (s *Sharded) ShardFindings(module string) ([][]Finding, bool) {
 	if s.ix == nil {
 		return nil, false
@@ -58,7 +58,7 @@ func (s *Sharded) CorpusFindings() ([]Finding, bool) {
 // RestoreCache seeds the engine against a freshly restored index: every
 // shard in shards (per-path finding lists, one per path of the shard in
 // its sorted order) is filled exactly as a cold run fills it and marked
-// sealed. A shard missing from shards is left empty, so the first Run
+// sealed. A shard missing from shards is left empty, so the first Update
 // re-checks exactly that shard.
 // The recursion rule's on-cycle set is read back from the corpus
 // segment, so the first graph change after restore updates it instead
@@ -92,7 +92,7 @@ func (s *Sharded) RestoreCache(ix *artifact.Index, corpus []Finding, shards map[
 			s.shards[names[k]] = seg
 		}
 	}
-	// s.stats is only read after a Run, which folds the partials.
+	// s.stats is only read after an Update, which folds the partials.
 	s.stats = nil
 	s.lastDirty = 0
 }

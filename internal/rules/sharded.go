@@ -34,7 +34,9 @@ import (
 //   - the global finding stream is a k-way merge of the shard segments
 //     (plus the corpus segment), byte-identical to the sequential
 //     reference engine because every segment is sorted under the same
-//     findingLess total order RunSequential sorts with.
+//     findingLess total order RunSequential sorts with. Update leaves
+//     the merge to Findings, so a caller that reads only Stats (an
+//     assessment after a delta) never copies the whole stream.
 //
 // A run re-checks every file instead (LastFullRecheck) when the engine
 // fell further behind the feed than it retains, or when the feed names
@@ -60,7 +62,7 @@ type Sharded struct {
 	cyc         *cycleCache // nil when the rule set has no RecursionRule
 
 	ix *artifact.Index
-	// seen is the index generation of the previous Run.
+	// seen is the index generation of the previous Update.
 	seen uint64
 
 	shards map[string]*shardSeg
@@ -70,6 +72,7 @@ type Sharded struct {
 	corpusSeg  []Finding
 	corpusStat *Stats
 
+	segs            [][]Finding // the previous Update's sorted segments
 	stats           *Stats
 	lastDirty       int
 	lastFullRecheck bool
@@ -142,18 +145,17 @@ func NewSharded(rs []Rule) *Sharded {
 	return s
 }
 
-// LastDirty returns the number of files the previous Run re-checked
+// LastDirty returns the number of files the previous Update re-checked
 // (every file on a cold or invalidated run).
 func (s *Sharded) LastDirty() int { return s.lastDirty }
 
-// LastFullRecheck reports whether the previous warm Run re-checked
+// LastFullRecheck reports whether the previous warm Update re-checked
 // every file because it fell behind the index change feed or the feed
 // named more than maxScanNames changed names.
 func (s *Sharded) LastFullRecheck() bool { return s.lastFullRecheck }
 
-// Stats returns the finding statistics of the previous Run, folded from
-// the per-shard partials. Identical to Aggregate over the returned
-// findings.
+// Stats returns the finding statistics of the previous Update, folded
+// from the per-shard partials. Identical to Aggregate over Findings.
 func (s *Sharded) Stats() *Stats { return s.stats }
 
 // reset drops all engine state (new index ⇒ new corpus).
@@ -162,13 +164,13 @@ func (s *Sharded) reset(ix *artifact.Index) {
 	s.seen = ix.Gen()
 	s.haveCorpus = false
 	s.shards = make(map[string]*shardSeg)
-	s.otherSeg, s.corpusSeg, s.corpusStat = nil, nil, nil
+	s.otherSeg, s.corpusSeg, s.corpusStat, s.segs = nil, nil, nil, nil
 	if s.cyc != nil {
 		s.cyc.ok = false
 	}
 }
 
-// changesSince folds the feed entries since the previous Run into one
+// changesSince folds the feed entries since the previous Update into one
 // change set per name. ok is false when the feed no longer reaches back
 // that far.
 func (s *Sharded) changesSince(ix *artifact.Index) (map[string]artifact.Change, bool) {
@@ -183,12 +185,19 @@ func (s *Sharded) changesSince(ix *artifact.Index) (map[string]artifact.Change, 
 	return changes, true
 }
 
-// Run executes the rules over the context. Output is byte-identical to
-// RunSequential over the same context; a warm run after a delta
-// re-checks only the files whose unit generation moved and the files
-// spelling a name whose cross-file facts moved, and re-aggregates only
-// their shards.
+// Run executes the rules over the context and returns the global
+// finding stream: Update, then Findings. Output is byte-identical to
+// RunSequential over the same context.
 func (s *Sharded) Run(ctx *Context) []Finding {
+	s.Update(ctx)
+	return s.Findings()
+}
+
+// Update brings the engine's per-shard segments and Stats up to date
+// with the context's index: a warm update after a delta re-checks only
+// the files whose unit generation moved and the files spelling a name
+// whose cross-file facts moved, and re-aggregates only their shards.
+func (s *Sharded) Update(ctx *Context) {
 	s.lastFullRecheck = false
 	ix := ctx.Index
 	invalidate := ix != s.ix
@@ -314,8 +323,8 @@ func (s *Sharded) Run(ctx *Context) []Finding {
 		plans[k].seg.fill(plans[k].sh, plans[k].gens, plans[k].files)
 	})
 
-	// Merge the per-shard segments (and the corpus segment) under the
-	// findingLess total order, and fold the stats partials.
+	// Collect the per-shard segments (and the corpus segment) for
+	// Findings to merge, and fold the stats partials.
 	segs := make([][]Finding, 0, len(names)+1)
 	parts := make([]*Stats, 0, len(names)+1)
 	if len(s.corpusSeg) > 0 {
@@ -329,9 +338,18 @@ func (s *Sharded) Run(ctx *Context) []Finding {
 		}
 		parts = append(parts, seg.stats)
 	}
+	s.segs = segs
 	s.stats = MergeStats(parts...)
-	return mergeFindingSegments(segs)
 }
+
+// Findings returns the global finding stream as of the previous Update,
+// merged afresh into a slice the caller may keep.
+func (s *Sharded) Findings() []Finding { return mergeFindingSegments(s.segs) }
+
+// Stream calls fn with consecutive runs of the stream Findings returns,
+// in order, without copying it: each run is a view of a segment, which
+// the engine replaces and never writes, so fn must not modify it.
+func (s *Sharded) Stream(fn func([]Finding)) { mergeRuns(s.segs, fn) }
 
 // maxScanNames is the number of changed names up to which a warm run
 // scans the corpus for their readers; beyond it the run re-checks every
@@ -439,31 +457,29 @@ func isIdentByte(c byte) bool {
 }
 
 // mergeFindingSegments merges sorted finding segments into one sorted
-// stream. Shard path ranges are normally disjoint, so the merge
-// degrades to bulk copies: at each round the segment with the smallest
-// head is copied forward up to the smallest head among the other
-// segments (found by binary search), giving O(total) copies plus
-// O(#segments) comparisons per boundary crossing.
+// stream (mergeRuns) in a fresh slice.
 func mergeFindingSegments(segs [][]Finding) []Finding {
 	total := 0
 	for _, sg := range segs {
 		total += len(sg)
 	}
 	out := make([]Finding, 0, total)
-	switch len(segs) {
-	case 0:
-		return out
-	case 1:
-		return append(out, segs[0]...)
-	}
+	mergeRuns(segs, func(run []Finding) { out = append(out, run...) })
+	return out
+}
+
+// mergeRuns merges sorted finding segments, calling emit with each run
+// of the merged stream in order. Shard path ranges are normally
+// disjoint, so the merge degrades to bulk runs: at each round the
+// segment with the smallest head emits its prefix up to the smallest
+// head among the other segments (found by binary search), giving
+// O(#segments) comparisons per boundary crossing.
+func mergeRuns(segs [][]Finding, emit func([]Finding)) {
 	active := make([][]Finding, 0, len(segs))
 	for _, sg := range segs {
 		if len(sg) > 0 {
 			active = append(active, sg)
 		}
-	}
-	if len(active) == 0 {
-		return out
 	}
 	for len(active) > 1 {
 		// Find the segment with the smallest head and the runner-up head.
@@ -482,19 +498,21 @@ func mergeFindingSegments(segs [][]Finding) []Finding {
 				next = i
 			}
 		}
-		// Copy min's prefix of elements <= the runner-up head.
+		// Emit min's prefix of elements <= the runner-up head.
 		cur := active[min]
 		bound := &active[next][0]
 		n := sort.Search(len(cur), func(i int) bool { return findingLess(bound, &cur[i]) })
 		if n == 0 {
 			n = 1 // heads compare equal: emit one and re-evaluate
 		}
-		out = append(out, cur[:n]...)
+		emit(cur[:n:n])
 		if n == len(cur) {
 			active = append(active[:min], active[min+1:]...)
 		} else {
 			active[min] = cur[n:]
 		}
 	}
-	return append(out, active[0]...)
+	if len(active) == 1 {
+		emit(active[0][:len(active[0]):len(active[0])])
+	}
 }

@@ -862,7 +862,9 @@ func (st *corpusState) renderedFindings(name string) *FindingsResponse {
 	defer st.projMu.Unlock()
 	st.invalidateProjLocked(gen)
 	if st.projFindings == nil {
-		rows := FindingRows(st.a.Findings())
+		// Rows come straight from the engine's segments (EachFinding).
+		rows := make([]FindingRow, 0, st.a.Stats().Total)
+		st.a.EachFinding(func(run []rules.Finding) { rows = appendFindingRows(rows, run) })
 		st.projFindings = &FindingsResponse{Corpus: name, Count: len(rows), Findings: rows}
 	}
 	return st.projFindings
@@ -921,8 +923,13 @@ func (s *Server) handleFindings(w http.ResponseWriter, r *http.Request) {
 // order and every field. The differential harness applies the same
 // projection to in-process findings and compares canonical JSON bytes.
 func FindingRows(fs []rules.Finding) []FindingRow {
-	rows := make([]FindingRow, len(fs))
-	for i, f := range fs {
+	return appendFindingRows(make([]FindingRow, 0, len(fs)), fs)
+}
+
+// appendFindingRows appends the wire rows of fs to rows (FindingRows).
+func appendFindingRows(rows []FindingRow, fs []rules.Finding) []FindingRow {
+	for i := range fs {
+		f := &fs[i]
 		row := FindingRow{
 			Rule:     f.RuleID,
 			Severity: f.Severity.String(),
@@ -935,7 +942,7 @@ func FindingRows(fs []rules.Finding) []FindingRow {
 		for _, ref := range f.Refs {
 			row.Refs = append(row.Refs, ref.String())
 		}
-		rows[i] = row
+		rows = append(rows, row)
 	}
 	return rows
 }
