@@ -9,10 +9,11 @@
 // CFG-based consumers (coverage instrumentation) also construct each
 // graph exactly once.
 //
-// The index is internally sharded by module (see shard.go): Apply
-// rebuilds only the shards a delta touches and patches the global
-// cross-file views from champion diffs, so warm re-indexing after a
-// small edit costs O(dirty shard) instead of O(corpus).
+// The index partitions the files into module shards and resolves
+// cross-file names from one list per name (see shard.go): Apply edits
+// only the list entries of the units a delta changes, so warm
+// re-indexing after a small edit costs O(changed units) instead of
+// O(corpus).
 package artifact
 
 import (
@@ -64,29 +65,34 @@ type Index struct {
 	// Paths lists unit paths in sorted order; every deterministic
 	// iteration in the pipeline follows this order.
 	Paths []string
-	// Funcs lists every function definition in path order.
-	Funcs []*Func
 	// ByName indexes function definitions by unqualified name; multiple
-	// definitions with the same name keep the first (path order).
+	// definitions with the same name keep the first (path order, then
+	// source order).
 	ByName map[string]*Func
-	// GlobalNames maps file-scope variable names to their module (later
-	// files overwrite earlier ones, matching the seed rules.NewContext).
+	// GlobalNames maps file-scope variable names to the module of the
+	// last file declaring them (path order, matching the seed
+	// rules.NewContext).
 	GlobalNames map[string]string
-	// lastDef indexes function definitions by unqualified name keeping
-	// the LAST (path order) — the architectural FuncModule resolution.
-	lastDef map[string]*Func
-	// unitFuncs holds each unit's functions in source order.
-	unitFuncs map[string][]*Func
+	// defs lists every definition of each unqualified function name in
+	// path order, then source order; globals lists every declaration of
+	// each file-scope variable name in path order (shard.go).
+	defs    map[string][]*Func
+	globals map[string][]globalDef
+	// unitFuncs holds each unit's functions in source order, and
+	// unitGlobals its file-scope variable names in declaration order:
+	// the unit's facts, parsed or stub.
+	unitFuncs   map[string][]*Func
+	unitGlobals map[string][]string
 	// unitGen holds, per path, the index generation at which the unit was
 	// last built, restored or upserted (UnitGen).
 	unitGen map[string]uint64
 	// shards partitions the corpus by module.
 	shards     map[string]*Shard
 	shardNames []string
-	// gen counts refreshes; consumers key derived caches on it.
+	// gen counts Builds and Applies; consumers key derived caches on it.
 	gen uint64
-	// refreshSeq issues globally-unique shard generations: every shard
-	// refresh of any shard draws the next value. A shard that is
+	// refreshSeq issues globally-unique shard generations: every
+	// generation any shard draws is the next value. A shard that is
 	// removed and later re-created can therefore never repeat a
 	// generation its predecessor handed out, so (module, Shard.Gen)
 	// keys in downstream caches cannot collide across shard lifetimes.
@@ -100,28 +106,26 @@ type Index struct {
 	feedFloor uint64
 }
 
-// ApplyStats describes what one Apply actually touched — the
-// observability face of the O(dirty shard) claim.
+// ApplyStats describes what one Apply touched.
 type ApplyStats struct {
 	// Upserts is the number of units (re-)analyzed.
 	Upserts int
 	// Removals is the number of paths dropped.
 	Removals int
-	// DirtyShards is the number of shards whose views refreshed (or
-	// drained), out of Shards total.
+	// DirtyShards is the number of shards whose generation moved,
+	// counting a shard that emptied and was dropped, out of Shards
+	// total.
 	DirtyShards int
 	// Shards is the post-apply shard count.
 	Shards int
-	// Width is the worker count the parallel shard refresh ran at.
-	Width int
 }
 
 // LastApply returns the stats of the most recent Apply (zero before
 // any). Like Apply itself it must not race with Apply.
 func (ix *Index) LastApply() ApplyStats { return ix.lastApply }
 
-// Gen returns the index generation, bumped by every Build/Apply
-// refresh. Two reads with equal Gen (and equal Index pointer) observe
+// Gen returns the index generation, bumped by every Build and
+// Apply. Two reads with equal Gen (and equal Index pointer) observe
 // identical cross-file views, so derived caches can key on it. Finer
 // invalidation is available per shard (Shard.Gen) and per name
 // (ChangesSince).
@@ -214,74 +218,53 @@ func SortedPaths(units map[string]*ccast.TranslationUnit) []string {
 	return paths
 }
 
-// analyzeUnit runs the per-function analysis over one translation unit.
-func analyzeUnit(tu *ccast.TranslationUnit) []*Func {
+// analyzeUnit runs the per-function analysis over one translation unit
+// and lists its file-scope variable names: the unit's facts.
+func analyzeUnit(tu *ccast.TranslationUnit) ([]*Func, []string) {
 	mod := tu.File.ModuleName()
 	fns := tu.Funcs()
 	fas := make([]*Func, 0, len(fns))
 	for _, fn := range fns {
 		fas = append(fas, Analyze(fn, tu.File, mod))
 	}
-	return fas
+	return fas, globalNames(tu)
 }
 
 // Build constructs the corpus index. Per-file analysis runs on a worker
-// pool sized to GOMAXPROCS; BuildFromRecords then builds the shard and
-// cross-file views in sorted path order, so the result is deterministic
+// pool sized to GOMAXPROCS; BuildFromRecords then builds the shards and
+// the name lists in sorted path order, so the result is deterministic
 // regardless of scheduling.
 func Build(units map[string]*ccast.TranslationUnit) *Index {
 	paths := SortedPaths(units)
 	perUnit := make([][]*Func, len(paths))
+	perGlobals := make([][]string, len(paths))
 	par.For(par.Workers(len(paths)), len(paths), func(i int) {
-		perUnit[i] = analyzeUnit(units[paths[i]])
+		perUnit[i], perGlobals[i] = analyzeUnit(units[paths[i]])
 	})
 	recs := make(map[string][]*Func, len(paths))
+	globals := make(map[string][]string, len(paths))
 	for i, p := range paths {
-		recs[p] = perUnit[i]
+		recs[p], globals[p] = perUnit[i], perGlobals[i]
 	}
-	ix, _ := BuildFromRecords(units, recs) // one record list per unit: cannot fail
+	ix, _ := BuildFromRecords(units, recs, globals) // one record list per unit: cannot fail
 	return ix
-}
-
-// rebuildGlobalViews re-derives the merged cross-file views from scratch
-// in global path order — the cold path. Warm deltas never come here;
-// they patch the maps via champion diffs instead.
-func (ix *Index) rebuildGlobalViews() {
-	ix.rebuildFuncs()
-	n := len(ix.Funcs)
-	ix.ByName = make(map[string]*Func, n)
-	ix.lastDef = make(map[string]*Func, n)
-	ix.GlobalNames = make(map[string]string, 2*len(ix.Paths))
-	for _, fa := range ix.Funcs {
-		key := Unqualified(fa.Name)
-		if _, dup := ix.ByName[key]; !dup {
-			ix.ByName[key] = fa
-		}
-		ix.lastDef[key] = fa
-	}
-	for _, p := range ix.Paths {
-		tu := ix.Units[p]
-		mod := tu.File.ModuleName()
-		for _, vd := range tu.GlobalVars() {
-			for _, d := range vd.Names {
-				ix.GlobalNames[d.Name] = mod
-			}
-		}
-	}
 }
 
 // Apply updates the index in place for a corpus delta: every unit in
 // upserts is (re-)analyzed and added or replaced under its path, every
-// path in removals is dropped. Only the upserted units are re-walked and
-// only the touched shards rebuild their views; all other units keep
-// their cached Func records (and memoized CFGs) by pointer, and the
-// global cross-file maps are patched for exactly the names whose
-// within-shard champions changed. The net cost of a warm Apply is
-// O(dirty shard), not O(corpus).
+// path in removals is dropped. Only the upserted units are walked; all
+// other units keep their Func records (and memoized CFGs) by pointer.
+// The name lists lose the entries of the dropped and replaced units and
+// gain those of the upserted ones (dropUnit, addUnit: the code a cold
+// build runs), and only the names those entries carry are re-resolved
+// and checked for the change feed. The shards of the changed units draw
+// new generations. The cost of a warm Apply is O(changed units), plus
+// the rebuild of Paths when a path is added or removed.
 //
 // Apply is not safe for concurrent use with readers of the index.
 func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
 	ix.gen++
+	t := make(touched)
 	dirty := make(map[string]bool)
 	pathsChanged := false
 
@@ -293,8 +276,10 @@ func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
 		if sh == nil {
 			continue
 		}
+		ix.dropUnit(p, t)
 		delete(ix.Units, p)
 		delete(ix.unitFuncs, p)
+		delete(ix.unitGlobals, p)
 		delete(ix.unitGen, p)
 		sh.removePath(p)
 		dirty[sh.Module] = true
@@ -302,8 +287,9 @@ func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
 	}
 
 	perUnit := make([][]*Func, len(upserts))
+	perGlobals := make([][]string, len(upserts))
 	par.For(par.Workers(len(upserts)), len(upserts), func(i int) {
-		perUnit[i] = analyzeUnit(upserts[i])
+		perUnit[i], perGlobals[i] = analyzeUnit(upserts[i])
 	})
 	for i, tu := range upserts {
 		p := tu.File.Path
@@ -316,13 +302,16 @@ func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
 		// runs. Shard membership is Apply's private bookkeeping.
 		if oldShard := ix.shardContaining(p); oldShard == nil {
 			pathsChanged = true
-		} else if oldShard.Module != mod {
-			oldShard.removePath(p)
-			dirty[oldShard.Module] = true
+		} else {
+			ix.dropUnit(p, t)
+			if oldShard.Module != mod {
+				oldShard.removePath(p)
+				dirty[oldShard.Module] = true
+			}
 		}
 		ix.Units[p] = tu
-		ix.unitFuncs[p] = perUnit[i]
-		ix.unitGen[p] = ix.gen
+		ix.unitFuncs[p], ix.unitGlobals[p], ix.unitGen[p] = perUnit[i], perGlobals[i], ix.gen
+		ix.addUnit(p, mod, t)
 		sh := ix.shards[mod]
 		if sh == nil {
 			sh = &Shard{Module: mod}
@@ -333,53 +322,34 @@ func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
 		dirty[mod] = true
 	}
 
-	// Refresh dirty shards in sorted module order (determinism), collect
-	// champion diffs, drop emptied shards.
+	// Draw the dirty shards' generations in sorted module order
+	// (determinism) and drop the emptied ones.
 	mods := make([]string, 0, len(dirty))
 	for m := range dirty {
 		mods = append(mods, m)
 	}
 	sort.Strings(mods)
 	shardSetChanged := ix.shardNames == nil
-	// Drain emptied shards and draw generations sequentially in sorted
-	// module order, then refresh the surviving dirty shards' views in
-	// parallel. Each diff lands in its module's slot, so the post-barrier
-	// champion fold below runs in the same deterministic order as the
-	// sequential loop it replaces (a zero-value diff is a no-op).
-	diffs := make([]championDiff, len(mods))
-	var live []*Shard
-	var liveAt []int
-	for i, m := range mods {
+	for _, m := range mods {
 		sh := ix.shards[m]
-		if sh == nil {
-			continue
-		}
 		if len(sh.paths) == 0 {
-			diffs[i] = sh.drainChampions()
 			delete(ix.shards, m)
 			shardSetChanged = true
 			continue
 		}
 		sh.assignGen(ix)
-		live = append(live, sh)
-		liveAt = append(liveAt, i)
 	}
-	par.For(par.Workers(len(live)), len(live), func(k int) {
-		diffs[liveAt[k]] = live[k].refreshViews(ix)
-	})
 	if shardSetChanged {
 		ix.rebuildShardNames()
 	}
-	ix.applyChampionDiffs(diffs)
 	if pathsChanged {
 		ix.rebuildPaths()
 	}
-	ix.rebuildFuncs()
+	ix.recordChanges(t.changes(ix))
 	ix.lastApply = ApplyStats{
 		Upserts:     len(upserts),
 		Removals:    len(removals),
 		DirtyShards: len(mods),
 		Shards:      len(ix.shards),
-		Width:       par.Workers(len(live)),
 	}
 }

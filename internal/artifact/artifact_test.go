@@ -33,10 +33,11 @@ func buildIndex(t *testing.T) *artifact.Index {
 // inventory.
 func TestIndexMatchesReferenceTraversals(t *testing.T) {
 	ix := buildIndex(t)
-	if len(ix.Funcs) == 0 {
+	fas := allFuncs(ix)
+	if len(fas) == 0 {
 		t.Fatal("index has no functions")
 	}
-	for _, fa := range ix.Funcs {
+	for _, fa := range fas {
 		if want := metrics.Cyclomatic(fa.Decl); fa.CCN != want {
 			t.Fatalf("%s: CCN %d, reference %d", fa.Decl.Name, fa.CCN, want)
 		}
@@ -67,13 +68,14 @@ func TestIndexMatchesReferenceTraversals(t *testing.T) {
 // index shape regardless of scheduling.
 func TestBuildDeterministic(t *testing.T) {
 	a, b := buildIndex(t), buildIndex(t)
-	if len(a.Funcs) != len(b.Funcs) || len(a.Paths) != len(b.Paths) {
+	af, bf := allFuncs(a), allFuncs(b)
+	if len(af) != len(bf) || len(a.Paths) != len(b.Paths) {
 		t.Fatalf("index sizes differ: %d/%d funcs, %d/%d paths",
-			len(a.Funcs), len(b.Funcs), len(a.Paths), len(b.Paths))
+			len(af), len(bf), len(a.Paths), len(b.Paths))
 	}
-	for i := range a.Funcs {
-		if a.Funcs[i].Decl.Name != b.Funcs[i].Decl.Name {
-			t.Fatalf("func %d ordering differs: %q vs %q", i, a.Funcs[i].Decl.Name, b.Funcs[i].Decl.Name)
+	for i := range af {
+		if af[i].Decl.Name != bf[i].Decl.Name {
+			t.Fatalf("func %d ordering differs: %q vs %q", i, af[i].Decl.Name, bf[i].Decl.Name)
 		}
 	}
 	if len(a.ByName) != len(b.ByName) || len(a.GlobalNames) != len(b.GlobalNames) {
@@ -89,7 +91,7 @@ func TestBuildDeterministic(t *testing.T) {
 // TestCFGMemoized checks the lazy CFG is built once and shared.
 func TestCFGMemoized(t *testing.T) {
 	ix := buildIndex(t)
-	fa := ix.Funcs[0]
+	fa := allFuncs(ix)[0]
 	g1, g2 := fa.CFG(), fa.CFG()
 	if g1 == nil || g1 != g2 {
 		t.Fatal("CFG not memoized")

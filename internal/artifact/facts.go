@@ -16,22 +16,23 @@ import (
 // warm pipeline actually reads off untouched files (name, return
 // voidness, declaration line, parameter count, complexity, return
 // count, raw callee spellings) and for every unit its file-scope
-// variable names. Those facts are precisely the inputs of the shard
-// views and cross-file maps (shard.go), so an index rebuilt from facts
-// resolves every name exactly as the pre-snapshot index did and every
-// cache built over it restores warm.
+// variable names. Those facts are precisely the inputs of the name
+// lists (shard.go), so an index rebuilt from facts resolves every name
+// exactly as the pre-snapshot index did and every cache built over it
+// restores warm.
 //
-// Every Func record carries its facts (it embeds FuncFacts), so a unit
-// needs no AST for them. Restored units are *stubs*: a translation unit
-// holding only the file-scope variables, whose records carry facts and
-// no declaration (Decl == nil). A parsed unit becomes the same stub once
-// its owner has run every walk that needs its body (Demote), so warm
-// state holds facts, not ASTs, however it was built. Every consumer that
-// walks real ASTs (the fused rule walks, per-file metrics recomputation)
-// only ever touches files whose content changed — which arrive freshly
-// parsed — or asks the owner to hydrate first (core.Assessor re-parses
-// stubs on demand via Rehydrate). Demotion and hydration keep every
-// record: they only clear or set its Decl.
+// Every Func record carries its facts (it embeds FuncFacts), and the
+// index stores each unit's global names, so a unit needs no AST for
+// them. Restored units are *stubs*: a translation unit holding only its
+// file, whose records carry facts and no declaration (Decl == nil). A
+// parsed unit becomes the same stub once its owner has run every walk
+// that needs its body (Demote), so warm state holds facts, not ASTs,
+// however it was built. Every consumer that walks real ASTs (the fused
+// rule walks, per-file metrics recomputation) only ever touches files
+// whose content changed — which arrive freshly parsed — or asks the
+// owner to hydrate first (core.Assessor re-parses stubs on demand via
+// Rehydrate). Demotion and hydration keep every record: they only clear
+// or set its Decl.
 
 // FuncFacts is everything the warm pipeline reads about a function in
 // an untouched file: the facts a Func record embeds and a snapshot
@@ -69,9 +70,9 @@ type UnitFacts struct {
 }
 
 // UnitFacts extracts the persistent facts of one indexed unit, parsed
-// or stub.
+// or stub. Globals is the index's own list, which it never writes.
 func (ix *Index) UnitFacts(path string) UnitFacts {
-	uf := UnitFacts{Path: path, Globals: globalNames(ix.Units[path])}
+	uf := UnitFacts{Path: path, Globals: ix.unitGlobals[path]}
 	fas := ix.unitFuncs[path]
 	uf.Funcs = make([]FuncFacts, len(fas))
 	for i, fa := range fas {
@@ -80,8 +81,8 @@ func (ix *Index) UnitFacts(path string) UnitFacts {
 	return uf
 }
 
-// globalNames lists a unit's file-scope variable names in declaration
-// order.
+// globalNames lists a parsed unit's file-scope variable names in
+// declaration order.
 func globalNames(tu *ccast.TranslationUnit) []string {
 	var out []string
 	for _, vd := range tu.GlobalVars() {
@@ -93,8 +94,10 @@ func globalNames(tu *ccast.TranslationUnit) []string {
 }
 
 // UnitFromFacts builds a stub translation unit and its function records
-// from persisted facts. The records carry the facts and no declaration,
-// so any consumer that needs a real AST must hydrate (re-parse) first.
+// from persisted facts. The stub holds only the file, and the records
+// carry the facts and no declaration, so any consumer that needs a real
+// AST must hydrate (re-parse) first. The unit's global names are
+// uf.Globals, which the caller hands to BuildFromRecords.
 //
 // Restore builds the whole corpus in one pass, so the records and their
 // callee lists come from per-unit backing arrays instead of one
@@ -121,44 +124,37 @@ func UnitFromFacts(file *srcfile.File, uf UnitFacts) (*ccast.TranslationUnit, []
 		}
 		fas[i] = fa
 	}
-	return stubUnit(file, uf.Globals), fas
+	return &ccast.TranslationUnit{File: file}, fas
 }
 
-// stubUnit builds the stub translation unit of file, for restore
-// (UnitFromFacts) and demotion (Index.Demote) alike: its file-scope
-// variables only, from one backing array per node type. Function facts
-// live on the records, not in the unit.
-func stubUnit(file *srcfile.File, globals []string) *ccast.TranslationUnit {
-	tu := &ccast.TranslationUnit{File: file}
-	if len(globals) > 0 {
-		tu.Decls = make([]ccast.Decl, len(globals))
-		vds := make([]ccast.VarDecl, len(globals))
-		dls := make([]ccast.Declarator, len(globals))
-		for i, g := range globals {
-			dls[i] = ccast.Declarator{Name: g}
-			vds[i] = ccast.VarDecl{Global: true, Names: []*ccast.Declarator{&dls[i]}}
-			tu.Decls[i] = &vds[i]
-		}
-	}
-	return tu
-}
-
-// BuildFromRecords constructs an index from pre-analyzed per-unit
-// records — the restore path, and Build's second half. It partitions the
-// units into module shards, rebuilds the per-shard views and global
-// cross-file maps, and stamps every unit with the new generation, so an
-// index restored from facts is observationally identical to the one that
-// produced them; only the generation counters start fresh.
-func BuildFromRecords(units map[string]*ccast.TranslationUnit, recs map[string][]*Func) (*Index, error) {
+// BuildFromRecords constructs an index from pre-analyzed per-unit facts
+// — the restore path, and Build's second half: recs holds each unit's
+// function records and globals its file-scope variable names, and the
+// index keeps both maps. It partitions the units into module shards,
+// appends every unit's entries to the name lists in path order
+// (addUnit, as Apply inserts them), and stamps every unit with the new
+// generation, so an index restored from facts is observationally
+// identical to the one that produced them; only the generation counters
+// start fresh.
+func BuildFromRecords(units map[string]*ccast.TranslationUnit, recs map[string][]*Func, globals map[string][]string) (*Index, error) {
 	if len(units) != len(recs) {
 		return nil, fmt.Errorf("artifact: %d units vs %d record lists", len(units), len(recs))
 	}
+	nrecs := 0
+	for _, fas := range recs {
+		nrecs += len(fas)
+	}
 	ix := &Index{
-		Units:     units,
-		Paths:     SortedPaths(units),
-		unitFuncs: recs,
-		unitGen:   make(map[string]uint64, len(units)),
-		shards:    make(map[string]*Shard),
+		Units:       units,
+		Paths:       SortedPaths(units),
+		ByName:      make(map[string]*Func, nrecs),
+		GlobalNames: make(map[string]string),
+		defs:        make(map[string][]*Func, nrecs),
+		globals:     make(map[string][]globalDef),
+		unitFuncs:   recs,
+		unitGlobals: globals,
+		unitGen:     make(map[string]uint64, len(units)),
+		shards:      make(map[string]*Shard),
 	}
 	ix.gen++
 	for _, p := range ix.Paths {
@@ -166,7 +162,8 @@ func BuildFromRecords(units map[string]*ccast.TranslationUnit, recs map[string][
 			return nil, fmt.Errorf("artifact: unit %s has no function records", p)
 		}
 		ix.unitGen[p] = ix.gen
-		// Paths arrive sorted, so each shard's path list is born sorted.
+		// Paths arrive sorted, so each shard's path list is born sorted
+		// and every name-list insertion appends.
 		mod := units[p].File.ModuleName()
 		sh := ix.shards[mod]
 		if sh == nil {
@@ -174,28 +171,20 @@ func BuildFromRecords(units map[string]*ccast.TranslationUnit, recs map[string][
 			ix.shards[mod] = sh
 		}
 		sh.paths = append(sh.paths, p)
+		ix.addUnit(p, mod, nil)
 	}
 	ix.rebuildShardNames()
-	// Generations are drawn sequentially in sorted module order, then the
-	// shard views — which read only the per-unit maps frozen above —
-	// rebuild on a worker pool.
 	for _, m := range ix.shardNames {
 		ix.shards[m].assignGen(ix)
 	}
-	names := ix.shardNames
-	par.For(par.Workers(len(names)), len(names), func(i int) {
-		ix.shards[names[i]].rebuildViews(ix)
-	})
-	ix.rebuildGlobalViews()
 	return ix, nil
 }
 
 // Rehydrate installs tu, a fresh parse of a stub unit's unchanged
 // source, and points each of the unit's records at its parsed
 // declaration: Demote run in reverse. It runs no analysis and creates no
-// record, so every record keeps its identity and its facts, and no
-// shard view, champion map, generation (UnitGen included) or change
-// feed entry moves. Hydration is only legal when the file content is
+// record, so every record keeps its identity and its facts, and no name
+// list, generation (UnitGen included) or change feed entry moves. Hydration is only legal when the file content is
 // unchanged since the facts were extracted; a parse whose function list
 // disagrees with the records in count or name panics.
 //
@@ -216,25 +205,22 @@ func (ix *Index) Rehydrate(tu *ccast.TranslationUnit) {
 }
 
 // Demote replaces the units under paths with the stubs a restore would
-// build from the same facts (stubUnit), releasing their parsed ASTs:
-// each unit's records keep their identity and facts, and only lose
-// their declaration and memoized CFG. So no shard view, champion map,
-// generation (UnitGen included) or change feed entry moves, and every
-// reader observes equal facts. Stubs are built on a worker pool; each
-// writes only its own unit's records.
+// build from the same facts (a unit holding only its file), releasing
+// their parsed ASTs: each unit's records keep their identity and facts,
+// and only lose their declaration and memoized CFG, and its global names
+// stay where they are, in the index. So no name list, generation
+// (UnitGen included) or change feed entry moves, and every reader
+// observes equal facts. Records are cleared on a worker pool; each
+// worker writes only its own units' records.
 //
 // Not safe for concurrent use with readers of the index.
 func (ix *Index) Demote(paths []string) {
-	stubs := make([]*ccast.TranslationUnit, len(paths))
 	par.For(par.Workers(len(paths)), len(paths), func(i int) {
-		p := paths[i]
-		tu := ix.Units[p]
-		stubs[i] = stubUnit(tu.File, globalNames(tu))
-		for _, fa := range ix.unitFuncs[p] {
+		for _, fa := range ix.unitFuncs[paths[i]] {
 			fa.Decl, fa.cfgOnce, fa.cfgG = nil, sync.Once{}, nil
 		}
 	})
-	for i, p := range paths {
-		ix.Units[p] = stubs[i]
+	for _, p := range paths {
+		ix.Units[p] = &ccast.TranslationUnit{File: ix.Units[p].File}
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // This file implements the index's change feed: for every name whose
-// cross-file resolution an Apply re-ran, which rule-visible fact of the
-// name actually moved. Warm consumers (the sharded rule engine, the
+// definition or declaration list an Apply edited, which rule-visible
+// fact of the name actually moved. Warm consumers (the sharded rule engine, the
 // architectural metrics cache) remember the index generation they last
 // saw and read the names changed since, so a delta that renames one
 // function invalidates the readers of that name instead of every cache
@@ -100,20 +100,51 @@ func (ix *Index) recordChanges(changes map[string]Change) {
 	}
 }
 
-// championChange classifies a ByName champion move from old to new
-// (either may be nil: the name was or became undefined). A new record
-// with the same callees and voidness — what a body edit gives every
-// function of the edited file — moves nothing.
-func championChange(old, new *Func) Change {
-	if old == new {
-		return 0
+// resolution is what the feed compares for one name: its ByName
+// champion, the module of its last definition (FuncModule), and whether
+// it is a file-scope variable (GlobalNames membership).
+type resolution struct {
+	first  *Func
+	module string
+	global bool
+}
+
+// resolve reads name's current resolution.
+func (ix *Index) resolve(name string) resolution {
+	r := resolution{first: ix.ByName[name]}
+	r.module, _ = ix.FuncModule(name)
+	_, r.global = ix.GlobalNames[name]
+	return r
+}
+
+// changes compares every touched name's resolution after an Apply with
+// the one noted before its first edit.
+func (t touched) changes(ix *Index) map[string]Change {
+	out := make(map[string]Change, len(t))
+	for name, was := range t {
+		out[name] = was.change(ix.resolve(name))
 	}
+	return out
+}
+
+// change classifies the move from was to now. A new champion with the
+// same callees and voidness — what a body edit gives every function of
+// the edited file — moves nothing.
+func (was resolution) change(now resolution) Change {
 	var c Change
-	if old == nil || new == nil || !slices.Equal(old.Callees, new.Callees) {
-		c |= GraphChanged
+	if was.first != now.first {
+		if was.first == nil || now.first == nil || !slices.Equal(was.first.Callees, now.first.Callees) {
+			c |= GraphChanged
+		}
+		if nonVoid(was.first) != nonVoid(now.first) {
+			c |= ReturnChanged
+		}
 	}
-	if nonVoid(old) != nonVoid(new) {
-		c |= ReturnChanged
+	if was.module != now.module {
+		c |= ModuleChanged
+	}
+	if was.global != now.global {
+		c |= GlobalChanged
 	}
 	return c
 }
@@ -121,12 +152,4 @@ func championChange(old, new *Func) Change {
 // nonVoid reports whether fa is a definition returning a value.
 func nonVoid(fa *Func) bool {
 	return fa != nil && !fa.Void
-}
-
-// funcModule is the module of a last-definition champion ("" for none).
-func funcModule(fa *Func) string {
-	if fa == nil {
-		return ""
-	}
-	return fa.Module
 }

@@ -5,18 +5,12 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/ccast"
-	"repro/internal/ccparse"
-	"repro/internal/srcfile"
 )
 
 // parseOne parses a single source file into a translation unit.
 func parseOne(t *testing.T, path, src string) *ccast.TranslationUnit {
 	t.Helper()
-	tu, errs := ccparse.Parse(&srcfile.File{Path: path, Lang: srcfile.LanguageForPath(path), Src: src}, ccparse.Options{})
-	if len(errs) > 0 {
-		t.Fatalf("parse %s: %v", path, errs[0])
-	}
-	return tu
+	return parseIn(t, path, "", src)
 }
 
 // smallUnits builds a three-file corpus for delta tests.
@@ -33,6 +27,15 @@ func smallUnits(t *testing.T) map[string]*ccast.TranslationUnit {
 	return units
 }
 
+// allFuncs lists every function record of the index in path order.
+func allFuncs(ix *artifact.Index) []*artifact.Func {
+	var out []*artifact.Func
+	for _, p := range ix.Paths {
+		out = append(out, ix.UnitFuncs(p)...)
+	}
+	return out
+}
+
 // TestApplyReplaceMatchesFullBuild requires an in-place Apply of one
 // edited unit to produce an index equal in every observable way to a
 // cold Build over the edited corpus, while reusing the untouched units'
@@ -44,11 +47,11 @@ func TestApplyReplaceMatchesFullBuild(t *testing.T) {
 
 	// Touch CFGs so memoization carry-over is observable.
 	cfgBefore := map[string]interface{}{}
-	for _, fa := range ix.Funcs {
+	for _, fa := range allFuncs(ix) {
 		cfgBefore[fa.File.Path+"/"+fa.Decl.Name] = fa.CFG()
 	}
 	funcBefore := map[string]*artifact.Func{}
-	for _, fa := range ix.Funcs {
+	for _, fa := range allFuncs(ix) {
 		funcBefore[fa.File.Path+"/"+fa.Decl.Name] = fa
 	}
 
@@ -62,7 +65,7 @@ func TestApplyReplaceMatchesFullBuild(t *testing.T) {
 
 	requireSameIndex(t, ix, cold)
 
-	for _, fa := range ix.Funcs {
+	for _, fa := range allFuncs(ix) {
 		key := fa.File.Path + "/" + fa.Decl.Name
 		if fa.File.Path == "m/b.c" {
 			if funcBefore[key] == fa {
@@ -105,9 +108,9 @@ func TestApplyAddRemove(t *testing.T) {
 	}
 
 	// Removing a path that is not present is a no-op.
-	before := len(ix.Funcs)
+	before := len(allFuncs(ix))
 	ix.Apply(nil, []string{"missing.c"})
-	if len(ix.Funcs) != before {
+	if len(allFuncs(ix)) != before {
 		t.Error("removing a missing path changed the index")
 	}
 }
@@ -123,11 +126,12 @@ func requireSameIndex(t *testing.T, got, want *artifact.Index) {
 			t.Fatalf("paths: %v vs %v", got.Paths, want.Paths)
 		}
 	}
-	if len(got.Funcs) != len(want.Funcs) {
-		t.Fatalf("func counts: %d vs %d", len(got.Funcs), len(want.Funcs))
+	gotFuncs, wantFuncs := allFuncs(got), allFuncs(want)
+	if len(gotFuncs) != len(wantFuncs) {
+		t.Fatalf("func counts: %d vs %d", len(gotFuncs), len(wantFuncs))
 	}
-	for i := range got.Funcs {
-		g, w := got.Funcs[i], want.Funcs[i]
+	for i := range gotFuncs {
+		g, w := gotFuncs[i], wantFuncs[i]
 		if g.Decl.Name != w.Decl.Name || g.File.Path != w.File.Path ||
 			g.Module != w.Module || g.CCN != w.CCN || g.Returns != w.Returns ||
 			len(g.Calls) != len(w.Calls) {

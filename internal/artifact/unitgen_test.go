@@ -30,10 +30,11 @@ func TestUnitGen(t *testing.T) {
 	requireUnitGens(t, "build", ix, map[string]uint64{"m/a.c": g0, "m/b.c": g0, "n/c.c": g0})
 
 	recs := make(map[string][]*artifact.Func, len(ix.Paths))
+	globals := make(map[string][]string, len(ix.Paths))
 	for _, p := range ix.Paths {
-		recs[p] = ix.UnitFuncs(p)
+		recs[p], globals[p] = ix.UnitFuncs(p), ix.UnitFacts(p).Globals
 	}
-	restored, err := artifact.BuildFromRecords(ix.Units, recs)
+	restored, err := artifact.BuildFromRecords(ix.Units, recs, globals)
 	if err != nil {
 		t.Fatal(err)
 	}

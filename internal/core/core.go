@@ -600,16 +600,20 @@ func (a *Assessor) observations(fw *metrics.FrameworkMetrics, st *rules.Stats, a
 }
 
 // multiExitFraction computes the paper's 41% statistic for a module from
-// the cached per-function return counts.
+// the cached per-function return counts of its shard.
 func (a *Assessor) multiExitFraction(module string) (float64, int) {
+	ix := a.Index()
+	sh := ix.Shard(module)
+	if sh == nil {
+		return 0, 0
+	}
 	total, multi := 0, 0
-	for _, fa := range a.Index().Funcs {
-		if fa.Module != module {
-			continue
-		}
-		total++
-		if fa.Returns > 1 {
-			multi++
+	for _, p := range sh.Paths() {
+		for _, fa := range ix.UnitFuncs(p) {
+			total++
+			if fa.Returns > 1 {
+				multi++
+			}
 		}
 	}
 	if total == 0 {

@@ -47,11 +47,10 @@ type DeltaResult struct {
 	// (the journal stage on the persistent path); subtracting it from
 	// the commit's wall time isolates the in-memory index update.
 	HookNs int64
-	// DirtyShards and ParWidth mirror the artifact index's ApplyStats:
-	// how many shards the commit actually refreshed, and at what
-	// parallel width. Zero when the delta touched no built index.
+	// DirtyShards mirrors the artifact index's ApplyStats: how many
+	// shards' generations the commit moved. Zero when the delta touched
+	// no built index.
 	DirtyShards int
-	ParWidth    int
 }
 
 // LoadDir ingests a real on-disk C/C++/CUDA tree (srcfile.LoadDir with
@@ -207,9 +206,7 @@ func (a *Assessor) CommitDelta(pd *PreparedDelta) (*DeltaResult, error) {
 	}
 	if a.ix != nil {
 		a.ix.Apply(pd.parsed, removedPaths)
-		st := a.ix.LastApply()
-		res.DirtyShards = st.DirtyShards
-		res.ParWidth = st.Width
+		res.DirtyShards = a.ix.LastApply().DirtyShards
 	}
 
 	// Drop memoized whole-corpus results; the per-shard caches behind

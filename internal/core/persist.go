@@ -251,6 +251,7 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 	})
 	units := make(map[string]*ccast.TranslationUnit, len(st.Files))
 	recs := make(map[string][]*artifact.Func, len(st.Files))
+	globals := make(map[string][]string, len(st.Files))
 	shardFindings := make(map[string][][]rules.Finding, len(st.Shards))
 	shardRows := make(map[string][]*metrics.FileMetrics, len(st.Shards))
 	encoded := make(map[string]*EncodedShard, len(st.Shards))
@@ -264,7 +265,7 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 			if units[path] != nil {
 				return nil, fmt.Errorf("core: snapshot holds unit %s twice", path)
 			}
-			units[path], recs[path] = p.tus[i], p.fas[i]
+			units[path], recs[path], globals[path] = p.tus[i], p.fas[i], ps.Units[i].Globals
 		}
 		if len(ps.Findings) == len(ps.Units) {
 			shardFindings[ps.Module] = ps.Findings
@@ -283,7 +284,7 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 	if len(units) != len(st.Files) {
 		return nil, fmt.Errorf("core: snapshot has %d files but %d units", len(st.Files), len(units))
 	}
-	ix, err := artifact.BuildFromRecords(units, recs)
+	ix, err := artifact.BuildFromRecords(units, recs, globals)
 	if err != nil {
 		return nil, err
 	}

@@ -101,7 +101,7 @@ func TestSharedIndexReused(t *testing.T) {
 	if a.Index() != ix {
 		t.Fatal("index rebuilt between stages")
 	}
-	if len(ix.Funcs) == 0 {
+	if len(ix.ByName) == 0 {
 		t.Fatal("index empty")
 	}
 	// Reloading must invalidate the cache.

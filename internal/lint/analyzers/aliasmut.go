@@ -33,7 +33,6 @@ var AliasMut = &analysis.Analyzer{
 // "<recv-pkg-base>.<recv-type>.<method>".
 var aliasAccessors = map[string]bool{
 	"artifact.Shard.Paths":         true,
-	"artifact.Shard.Funcs":         true,
 	"artifact.Index.ShardNames":    true,
 	"artifact.Index.UnitFuncs":     true,
 	"srcfile.FileSet.Files":        true,

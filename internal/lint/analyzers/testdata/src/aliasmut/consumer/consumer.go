@@ -34,13 +34,13 @@ func copyInto(sh *artifact.Shard, src []string) {
 	copy(sh.Paths(), src) // want `copy into the slice returned by artifact.Shard.Paths`
 }
 
-func elementFieldWrite(sh *artifact.Shard) {
-	for _, f := range sh.Funcs() {
-		f.Line = 0 // want `writing a field of an element shared with artifact.Shard.Funcs`
+func elementFieldWrite(ix *artifact.Index) {
+	for _, f := range ix.UnitFuncs("m/a.c") {
+		f.Line = 0 // want `writing a field of an element shared with artifact.Index.UnitFuncs`
 	}
-	fs := sh.Funcs()
+	fs := ix.UnitFuncs("m/a.c")
 	first := fs[0]
-	first.Name = "mutated" // want `writing a field of an element shared with artifact.Shard.Funcs`
+	first.Name = "mutated" // want `writing a field of an element shared with artifact.Index.UnitFuncs`
 }
 
 func shardRows(c *metrics.Cache) int {
@@ -60,7 +60,7 @@ func sanctioned(sh *artifact.Shard, ix *artifact.Index) []string {
 	q[0] = "mine"
 	// Reading is always fine.
 	total := 0
-	for _, f := range sh.Funcs() {
+	for _, f := range ix.UnitFuncs("m/a.c") {
 		total += f.Line
 	}
 	_ = total

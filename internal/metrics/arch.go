@@ -12,9 +12,6 @@ import (
 // ISO 26262-6 Table 3 (the paper's Table 2) for one module.
 type ArchMetrics struct {
 	Module string
-	// LOC is the module size; the paper notes Apollo modules span
-	// 5k-60k LOC against an expected restricted component size.
-	LOC int
 	// MaxInterfaceParams is the largest parameter list exposed by any
 	// function in the module ("restricted size of interfaces").
 	MaxInterfaceParams  int
@@ -84,9 +81,11 @@ func AnalyzeArch(units map[string]*ccast.TranslationUnit) []*ArchMetrics {
 func AnalyzeArchIndexed(ix *artifact.Index) []*ArchMetrics {
 	// Function name → defining module. Unqualified last path segment is
 	// used, matching how the corpus calls across modules.
-	funcModule := make(map[string]string, len(ix.Funcs))
-	for _, fa := range ix.Funcs {
-		funcModule[lastName(fa.Name)] = fa.Module
+	funcModule := make(map[string]string, len(ix.ByName))
+	for _, p := range ix.Paths {
+		for _, fa := range ix.UnitFuncs(p) {
+			funcModule[lastName(fa.Name)] = fa.Module
+		}
 	}
 
 	type modState struct {
@@ -107,10 +106,8 @@ func AnalyzeArchIndexed(ix *artifact.Index) []*ArchMetrics {
 	}
 
 	for _, p := range ix.Paths {
-		tu := ix.Units[p]
-		mod := tu.File.ModuleName()
+		mod := ix.Units[p].File.ModuleName()
 		ms := get(mod)
-		ms.am.LOC += tu.File.LineCount()
 		for _, fa := range ix.UnitFuncs(p) {
 			ms.nFuncs++
 			ms.sumPar += fa.Params

@@ -9,8 +9,8 @@ import (
 // architectural metrics are inherently cross-module (fan-in/out and
 // cohesion resolve every call against the corpus-wide function→module
 // table), so the cache keeps two layers per module shard: the shard's
-// content counters (LOC, interface, thread/IRQ counts, and its calls
-// per callee name), valid while the shard's generation holds, and the
+// content counters (interface, thread/IRQ counts, and its calls per
+// callee name), valid while the shard's generation holds, and the
 // calls resolved to target modules, valid until the index change feed
 // reports a module move (artifact.ModuleChanged) for a name the shard
 // calls. A warm call recounts the dirty shards, re-resolves only the
@@ -31,7 +31,6 @@ type archShard struct {
 	gen   uint64
 	valid bool
 
-	loc     int
 	nFuncs  int
 	sumPar  int
 	maxPar  int
@@ -84,7 +83,7 @@ func (c *ArchCache) AnalyzeIndexed(ix *artifact.Index) []*ArchMetrics {
 
 	// Recount the dirty partials and re-resolve every partial that
 	// needs it in parallel: both read only the index's shared read-only
-	// views (paths, funcs, the function→module table) and write only
+	// views (paths, per-unit records, the name lists) and write only
 	// their own partial, and the fold below walks shards in sorted name
 	// order.
 	type staleShard struct {
@@ -133,7 +132,6 @@ func (c *ArchCache) AnalyzeIndexed(ix *artifact.Index) []*ArchMetrics {
 		as := c.shards[m]
 		am := &ArchMetrics{
 			Module:             m,
-			LOC:                as.loc,
 			MaxInterfaceParams: as.maxPar,
 			ThreadPrimitives:   as.threads,
 			InterruptHandlers:  as.irqs,
@@ -170,28 +168,28 @@ func (as *archShard) callsAny(names []string) bool {
 	return false
 }
 
-// count recomputes one shard's content counters in O(shard).
+// count recomputes one shard's content counters in O(shard) from its
+// units' records; it reads no source.
 func (as *archShard) count(ix *artifact.Index, sh *artifact.Shard) {
-	as.loc, as.nFuncs, as.sumPar, as.maxPar = 0, 0, 0, 0
+	as.nFuncs, as.sumPar, as.maxPar = 0, 0, 0
 	as.threads, as.irqs = 0, 0
 	as.byCallee = make(map[string]int)
 	for _, p := range sh.Paths() {
-		as.loc += ix.Units[p].File.LineCount()
-	}
-	for _, fa := range sh.Funcs() {
-		as.nFuncs++
-		as.sumPar += fa.Params
-		if fa.Params > as.maxPar {
-			as.maxPar = fa.Params
-		}
-		for _, callee := range fa.Calls {
-			if schedulingAPIs[callee] {
-				as.threads++
+		for _, fa := range ix.UnitFuncs(p) {
+			as.nFuncs++
+			as.sumPar += fa.Params
+			if fa.Params > as.maxPar {
+				as.maxPar = fa.Params
 			}
-			if interruptAPIs[callee] {
-				as.irqs++
+			for _, callee := range fa.Calls {
+				if schedulingAPIs[callee] {
+					as.threads++
+				}
+				if interruptAPIs[callee] {
+					as.irqs++
+				}
+				as.byCallee[lastName(callee)]++
 			}
-			as.byCallee[lastName(callee)]++
 		}
 	}
 	as.gen, as.valid = sh.Gen(), true

@@ -26,7 +26,7 @@ func (*DefensiveRule) Describe() string {
 // Check implements Rule.
 func (r *DefensiveRule) Check(ctx *Context) []Finding {
 	var out []Finding
-	for _, fi := range ctx.Funcs {
+	for _, fi := range ctx.Funcs() {
 		out = append(out, r.checkParamValidation(fi)...)
 		out = append(out, r.checkIgnoredReturns(ctx, fi)...)
 	}

@@ -111,8 +111,6 @@ type (
 	UnitFn func(tu *ccast.TranslationUnit, em *Emitter)
 	// DeclFn handles one declaration-level node (outside function bodies).
 	DeclFn func(tu *ccast.TranslationUnit, n ccast.Node, em *Emitter)
-	// CorpusFn fires once for the whole corpus (cross-file rules).
-	CorpusFn func(ctx *Context, em *Emitter)
 )
 
 // Registrar collects one engine program: every fused rule's subscriptions
@@ -134,7 +132,6 @@ type Registrar struct {
 	funcWhole []FuncFn
 	units     []UnitFn
 	decls     []DeclFn
-	corpus    []CorpusFn
 	anyNodes  bool
 }
 
@@ -165,18 +162,6 @@ func (rg *Registrar) OnUnit(h UnitFn) { rg.units = append(rg.units, h) }
 // namespace-scope declarations plus record methods, never descending into
 // function bodies.
 func (rg *Registrar) OnDecl(h DeclFn) { rg.decls = append(rg.decls, h) }
-
-// OnCorpus subscribes a corpus-level handler, run exactly once per Run
-// regardless of worker count.
-//
-// Contract: a corpus handler must be a pure function of the artifact
-// index's cross-file views — function records (names, files, declaration
-// lines, complexity, return counts, callee lists) and global variable
-// names. The sharded engine re-runs corpus handlers only after the index
-// changed (and maintains RecursionRule's output from the index change
-// feed instead); a handler reading anything else (statement bodies, file
-// text) would go stale across runs over an unchanged index.
-func (rg *Registrar) OnCorpus(h CorpusFn) { rg.corpus = append(rg.corpus, h) }
 
 // newProgram builds a fresh program over the rules.
 func newProgram(ctx *Context, rs []Rule) *Registrar {
@@ -242,16 +227,6 @@ func (rg *Registrar) runUnit(ctx *Context, path string, em *Emitter) {
 			h(fi, em)
 		}
 	}
-}
-
-// runCorpusHooks builds one program and fires its corpus-level hooks,
-// returning the program so callers can see whether it has any.
-func runCorpusHooks(ctx *Context, rs []Rule, em *Emitter) *Registrar {
-	prog := newProgram(ctx, rs)
-	for _, h := range prog.corpus {
-		h(ctx, em)
-	}
-	return prog
 }
 
 // runUnits executes per-file programs over the given paths on a worker

@@ -26,7 +26,7 @@ func (*MISRAExtraRule) Describe() string {
 // Check implements Rule.
 func (r *MISRAExtraRule) Check(ctx *Context) []Finding {
 	var out []Finding
-	for _, fi := range ctx.Funcs {
+	for _, fi := range ctx.Funcs() {
 		out = append(out, r.checkSwitches(fi)...)
 		out = append(out, r.checkConditions(fi)...)
 		out = append(out, r.checkOctals(fi)...)

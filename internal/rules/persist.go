@@ -68,12 +68,6 @@ func (s *Sharded) RestoreCache(ix *artifact.Index, corpus []Finding, shards map[
 	s.haveCorpus = true
 	s.corpusSeg = corpus
 	s.corpusStat = Aggregate(corpus)
-	s.otherSeg = nil
-	for _, f := range corpus {
-		if s.cyc == nil || f.RuleID != s.cyc.rule.ID() {
-			s.otherSeg = append(s.otherSeg, f)
-		}
-	}
 	if s.cyc != nil {
 		s.cyc.seed(corpus, ix.ByName)
 	}

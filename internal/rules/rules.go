@@ -76,8 +76,6 @@ type FuncInfo = artifact.Func
 // corpus-level rules (recursion, return-value checking) need.
 type Context struct {
 	Units map[string]*ccast.TranslationUnit
-	// Funcs lists every function definition in path order.
-	Funcs []*FuncInfo
 	// ByName indexes function definitions by unqualified name. Multiple
 	// definitions with the same name keep the first.
 	ByName map[string]*FuncInfo
@@ -96,20 +94,29 @@ func NewContext(units map[string]*ccast.TranslationUnit) *Context {
 
 // NewContextFromIndex adapts a prebuilt artifact index into the rules
 // context. Because FuncInfo aliases the artifact record, this is a thin
-// view: the function list, name index, global-name map, and per-unit
-// lists are shared with the index (O(1), no copying). After an
-// Index.Apply, build a fresh context — it is free — rather than reusing
-// an old one (Apply replaces the slices it rebuilds), and never read a
-// context concurrently with Apply.
+// view: the name index, global-name map, and per-unit lists are shared
+// with the index (O(1), no copying). After an Index.Apply, build a fresh
+// context — it is free — rather than reusing an old one, and never read
+// a context concurrently with Apply.
 func NewContextFromIndex(ix *artifact.Index) *Context {
 	return &Context{
 		Units:       ix.Units,
-		Funcs:       ix.Funcs,
 		ByName:      ix.ByName,
 		GlobalNames: ix.GlobalNames,
 		Index:       ix,
 		unitFuncs:   ix.UnitFuncsMap(),
 	}
+}
+
+// Funcs lists every function definition in path order, concatenated
+// from the index's per-unit lists on each call. Only the reference
+// passes (Rule.Check, RunSequential) read it; the engine walks per unit.
+func (ctx *Context) Funcs() []*FuncInfo {
+	var out []*FuncInfo
+	for _, p := range ctx.Index.Paths {
+		out = append(out, ctx.unitFuncs[p]...)
+	}
+	return out
 }
 
 // sortedUnits returns the corpus translation units in path order.
@@ -179,7 +186,7 @@ func Run(ctx *Context, rs []Rule) []Finding {
 func RunSequential(ctx *Context, rs []Rule) []Finding {
 	// Pre-size for the finding density observed on AD-scale corpora
 	// (roughly one finding per three corpus functions per rule).
-	out := make([]Finding, 0, 16+len(rs)*len(ctx.Funcs)/3)
+	out := make([]Finding, 0, 16+len(rs)*len(ctx.ByName)/3)
 	for _, r := range rs {
 		out = append(out, r.Check(ctx)...)
 	}

@@ -387,8 +387,8 @@ func TestContextIndexes(t *testing.T) {
 int helper() { return 1; }
 int caller() { return helper(); }
 `})
-	if len(ctx.Funcs) != 2 {
-		t.Fatalf("funcs = %d", len(ctx.Funcs))
+	if len(ctx.Funcs()) != 2 {
+		t.Fatalf("funcs = %d", len(ctx.Funcs()))
 	}
 	fi := ctx.ByName["caller"]
 	if fi == nil || len(fi.Callees) != 1 || fi.Callees[0] != "helper" {

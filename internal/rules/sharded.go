@@ -28,9 +28,9 @@ import (
 //     findings concatenated in shard path order, with per-file offsets)
 //     plus a Stats partial, rebuilt in O(shard) only when one of its
 //     files was re-checked;
-//   - the recursion rule's on-cycle set is kept across runs and updated
-//     from the changed call-graph nodes (cycleCache); other corpus
-//     hooks re-run after every index change;
+//   - the recursion rule's on-cycle set, the corpus segment, is kept
+//     across runs and updated from the changed call-graph nodes
+//     (cycleCache);
 //   - the global finding stream is a k-way merge of the shard segments
 //     (plus the corpus segment), byte-identical to the sequential
 //     reference engine because every segment is sorted under the same
@@ -56,10 +56,7 @@ type Sharded struct {
 	Hydrate func(paths []string)
 
 	rules []Rule
-	// corpusRules holds the rules whose corpus hooks Run fires: every
-	// rule but RecursionRule, which cyc maintains instead.
-	corpusRules []Rule
-	cyc         *cycleCache // nil when the rule set has no RecursionRule
+	cyc   *cycleCache // nil when the rule set has no RecursionRule
 
 	ix *artifact.Index
 	// seen is the index generation of the previous Update.
@@ -68,8 +65,7 @@ type Sharded struct {
 	shards map[string]*shardSeg
 
 	haveCorpus bool
-	otherSeg   []Finding // findings of corpusFused's corpus hooks
-	corpusSeg  []Finding
+	corpusSeg  []Finding // cyc's segment
 	corpusStat *Stats
 
 	segs            [][]Finding // the previous Update's sorted segments
@@ -138,8 +134,6 @@ func NewSharded(rs []Rule) *Sharded {
 	for _, r := range rs {
 		if rr, ok := r.(*RecursionRule); ok && s.cyc == nil {
 			s.cyc = &cycleCache{rule: rr}
-		} else {
-			s.corpusRules = append(s.corpusRules, r)
 		}
 	}
 	return s
@@ -164,7 +158,7 @@ func (s *Sharded) reset(ix *artifact.Index) {
 	s.seen = ix.Gen()
 	s.haveCorpus = false
 	s.shards = make(map[string]*shardSeg)
-	s.otherSeg, s.corpusSeg, s.corpusStat, s.segs = nil, nil, nil, nil
+	s.corpusSeg, s.corpusStat, s.segs = nil, nil, nil
 	if s.cyc != nil {
 		s.cyc.ok = false
 	}
@@ -282,27 +276,15 @@ func (s *Sharded) Update(ctx *Context) {
 	}
 
 	// Corpus-level output: the recursion rule's on-cycle set follows the
-	// feed; any other corpus hook re-runs whenever the index moved (its
-	// contract only promises purity over the index's cross-file views).
+	// feed.
 	corpusMoved := !s.haveCorpus
-	if len(s.corpusRules) > 0 && (!s.haveCorpus || invalidate || indexMoved) {
-		em := &Emitter{}
-		if prog := runCorpusHooks(ctx, s.corpusRules, em); len(prog.corpus) == 0 {
-			s.corpusRules = nil // no other corpus hooks: stop building the program
-		}
-		sortFindings(em.out)
-		s.otherSeg = em.out
-		corpusMoved = true
-	}
 	if s.cyc != nil && (!s.cyc.ok || indexMoved) {
 		corpusMoved = s.cyc.update(ctx, changes) || corpusMoved
 	}
 	if corpusMoved {
-		var cycSeg []Finding
 		if s.cyc != nil {
-			cycSeg = s.cyc.seg
+			s.corpusSeg = s.cyc.seg
 		}
-		s.corpusSeg = mergeFindingSegments([][]Finding{cycSeg, s.otherSeg})
 		s.corpusStat = Aggregate(s.corpusSeg)
 		s.haveCorpus = true
 	}

@@ -354,47 +354,3 @@ func TestShardedCrossModuleEnv(t *testing.T) {
 		t.Fatal("stale ignored-return finding survived a cross-module voidness flip")
 	}
 }
-
-// corpusCountRule is a test-only fused rule with a corpus hook other
-// than RecursionRule's: one finding naming the defined-function count.
-type corpusCountRule struct{}
-
-func (corpusCountRule) ID() string       { return "zz-corpus-count" }
-func (corpusCountRule) Describe() string { return "test-only corpus-level rule" }
-func (r corpusCountRule) Check(ctx *rules.Context) []rules.Finding {
-	return []rules.Finding{{RuleID: r.ID(), File: "~corpus", Msg: fmt.Sprintf("%d functions", len(ctx.ByName))}}
-}
-func (r corpusCountRule) Fuse(rg *rules.Registrar, ctx *rules.Context) {
-	rg.OnCorpus(func(ctx *rules.Context, em *rules.Emitter) {
-		for _, f := range r.Check(ctx) {
-			em.Emit(f)
-		}
-	})
-}
-
-// TestShardedOtherCorpusHooks pins that corpus hooks besides the
-// recursion rule's re-run whenever the index changed.
-func TestShardedOtherCorpusHooks(t *testing.T) {
-	fs := srcfile.NewFileSet()
-	fs.AddSource("m/a.c", "int fa(int x) { return fa(x); }\n")
-	fs.AddSource("n/b.c", "int fb(int x) { return x; }\n")
-	units, errs := ccparse.ParseAll(fs, ccparse.Options{})
-	if len(errs) > 0 {
-		t.Fatalf("parse: %v", errs[0])
-	}
-	ix := artifact.Build(units)
-	rs := append(rules.DefaultRules(), corpusCountRule{})
-	eng := rules.NewSharded(rs)
-	for step, files := range []map[string]string{
-		nil,
-		{"o/c.c": "int fc(int x) { return x; }\n"},
-		{"m/a.c": "int fa(int x) { return x; }\nint fd(int x) { return x; }\n"},
-	} {
-		applyFiles(t, ix, files)
-		ctx := rules.NewContextFromIndex(ix)
-		warm, cold := eng.Run(ctx), rules.RunSequential(ctx, rs)
-		if got, want := renderFindings(warm), renderFindings(cold); !bytes.Equal(got, want) {
-			t.Fatalf("step %d: sharded output differs from sequential reference\n%s", step, firstDiff(want, got))
-		}
-	}
-}

@@ -36,7 +36,7 @@ func (*MultiExitRule) Describe() string {
 // Check implements Rule.
 func (r *MultiExitRule) Check(ctx *Context) []Finding {
 	em := &Emitter{}
-	for _, fi := range ctx.Funcs {
+	for _, fi := range ctx.Funcs() {
 		r.funcFindings(fi, em)
 	}
 	return em.out
@@ -81,7 +81,7 @@ var allocCalls = map[string]bool{
 // Check implements Rule.
 func (r *DynamicMemoryRule) Check(ctx *Context) []Finding {
 	em := &Emitter{}
-	for _, fi := range ctx.Funcs {
+	for _, fi := range ctx.Funcs() {
 		ccast.WalkExprs(fi.Decl.Body, func(e ccast.Expr) bool {
 			r.nodeFindings(fi, e, em)
 			return true
@@ -127,7 +127,7 @@ func (*PointerRule) Describe() string {
 // Check implements Rule.
 func (r *PointerRule) Check(ctx *Context) []Finding {
 	em := &Emitter{}
-	for _, fi := range ctx.Funcs {
+	for _, fi := range ctx.Funcs() {
 		r.paramFindings(fi, em)
 		ccast.Walk(fi.Decl.Body, func(n ccast.Node) bool {
 			if ds, ok := n.(*ccast.DeclStmt); ok {
@@ -239,7 +239,7 @@ func (*GotoRule) Describe() string {
 // Check implements Rule.
 func (r *GotoRule) Check(ctx *Context) []Finding {
 	em := &Emitter{}
-	for _, fi := range ctx.Funcs {
+	for _, fi := range ctx.Funcs() {
 		ccast.WalkStmts(fi.Decl.Body, func(s ccast.Stmt) bool {
 			if g, ok := s.(*ccast.Goto); ok {
 				r.gotoFinding(fi, g, em)
@@ -367,17 +367,11 @@ func cycleStatus(byName map[string]*FuncInfo, roots []string) map[string]bool {
 	return status
 }
 
-// Fuse implements Rule. Recursion is inherently corpus-level (SCC
-// over the whole call graph), so it registers a corpus hook that runs
-// exactly once per engine run. The sharded engine does not fire this
-// hook: it keeps the on-cycle set across deltas (cycleCache).
-func (r *RecursionRule) Fuse(rg *Registrar, ctx *Context) {
-	rg.OnCorpus(func(ctx *Context, em *Emitter) {
-		for _, f := range r.Check(ctx) {
-			em.Emit(f)
-		}
-	})
-}
+// Fuse implements Rule. Recursion is corpus-level (an SCC over the
+// whole call graph), so it has no per-file handler to register: the
+// sharded engine keeps its findings in cycleCache, updated from the
+// index change feed.
+func (r *RecursionRule) Fuse(rg *Registrar, ctx *Context) {}
 
 // UninitializedRule flags local scalars declared without an initializer
 // that are read before any assignment along straight-line statement order
@@ -396,7 +390,7 @@ func (*UninitializedRule) Describe() string {
 // Check implements Rule.
 func (r *UninitializedRule) Check(ctx *Context) []Finding {
 	var out []Finding
-	for _, fi := range ctx.Funcs {
+	for _, fi := range ctx.Funcs() {
 		out = append(out, checkUninitBlock(r.ID(), fi, fi.Decl.Body)...)
 	}
 	return out
@@ -505,7 +499,7 @@ func (*ShadowRule) Describe() string {
 // Check implements Rule.
 func (r *ShadowRule) Check(ctx *Context) []Finding {
 	var out []Finding
-	for _, fi := range ctx.Funcs {
+	for _, fi := range ctx.Funcs() {
 		out = append(out, r.checkFunc(ctx, fi)...)
 	}
 	return out

@@ -34,7 +34,7 @@ func (*ComplexityRule) Describe() string {
 // Check implements Rule.
 func (r *ComplexityRule) Check(ctx *Context) []Finding {
 	em := &Emitter{}
-	for _, fi := range ctx.Funcs {
+	for _, fi := range ctx.Funcs() {
 		r.funcFindings(fi, em)
 	}
 	return em.out
@@ -85,7 +85,7 @@ func (r *LanguageSubsetRule) Check(ctx *Context) []Finding {
 	for _, tu := range ctx.sortedUnits() {
 		walkDeclNodes(tu, func(n ccast.Node) { r.declFindings(tu, n, em) })
 	}
-	for _, fi := range ctx.Funcs {
+	for _, fi := range ctx.Funcs() {
 		ccast.Walk(fi.Decl.Body, func(n ccast.Node) bool {
 			r.bodyNode(fi, n, em)
 			return true

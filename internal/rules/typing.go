@@ -28,7 +28,7 @@ func (*CastRule) Describe() string {
 // Check implements Rule.
 func (r *CastRule) Check(ctx *Context) []Finding {
 	em := &Emitter{}
-	for _, fi := range ctx.Funcs {
+	for _, fi := range ctx.Funcs() {
 		ccast.WalkExprs(fi.Decl.Body, func(e ccast.Expr) bool {
 			if c, ok := e.(*ccast.Cast); ok {
 				r.castFinding(fi, c, em)
@@ -72,7 +72,7 @@ func (*ImplicitConversionRule) Describe() string {
 func (r *ImplicitConversionRule) Check(ctx *Context) []Finding {
 	em := &Emitter{}
 	localTypes := make(map[string]string)
-	for _, fi := range ctx.Funcs {
+	for _, fi := range ctx.Funcs() {
 		r.seedParams(fi, localTypes)
 		ccast.Walk(fi.Decl.Body, func(n ccast.Node) bool {
 			switch n := n.(type) {

@@ -75,11 +75,9 @@ type serverMetrics struct {
 	// phases holds one histogram per known span phase name.
 	phases map[string]*obs.Histogram
 
-	// dirtyShards observes, per committed delta, how many shards the
-	// index refresh actually touched; parWidth is the worker width the
-	// last shard-parallel refresh ran at.
+	// dirtyShards observes, per committed delta, how many shards'
+	// generations the index update moved.
 	dirtyShards *obs.Histogram
-	parWidth    *obs.Gauge
 
 	// rechecked observes, per acknowledged delta, the files the rule
 	// engine re-checked (the ack's rule_files_checked); fallback is
@@ -129,9 +127,7 @@ func newServerMetrics() *serverMetrics {
 			obs.L("phase", ph))
 	}
 	m.dirtyShards = reg.Histogram("adserve_delta_dirty_shards",
-		"Shards refreshed per committed delta (the O(dirty shard) claim, measured).")
-	m.parWidth = reg.Gauge("adserve_delta_par_width",
-		"Worker width of the most recent shard-parallel index refresh.")
+		"Shards whose generation moved per committed delta.")
 	m.rechecked = reg.Histogram("adserve_delta_rule_files_rechecked",
 		"Files the rule engine re-checked per acknowledged delta (its rule_files_checked).")
 	m.fallback = core.FallbackMetrics{

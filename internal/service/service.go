@@ -724,9 +724,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	sp.Observe("journal_stage", res.HookNs)
 	sp.Observe("commit", time.Since(tCommit).Nanoseconds()-res.HookNs)
 	s.obs.dirtyShards.Observe(int64(res.DirtyShards))
-	if res.ParWidth > 0 {
-		s.obs.parWidth.Set(int64(res.ParWidth))
-	}
 	tAssess := time.Now()
 	as := st.a.Assess()
 	sp.Observe("assess", time.Since(tAssess).Nanoseconds())

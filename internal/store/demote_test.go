@@ -128,14 +128,14 @@ func TestDemotedStateMatchesRestored(t *testing.T) {
 	requireIdentical(t, "script vs cold", coldAssessor(t, cold), cold)
 }
 
-// requireRecordsAtRest checks every record in the index's function
-// list, its ByName champions and every shard's function list: each must
-// be a record its unit lists (UnitFuncs), and none may hold a
-// declaration once Assess has demoted every unit.
+// requireRecordsAtRest checks every record in the index's per-unit
+// lists and its ByName champions: each champion must be a record its
+// unit lists (UnitFuncs), and no record may hold a declaration once
+// Assess has demoted every unit.
 func requireRecordsAtRest(t *testing.T, what string, a *core.Assessor) {
 	t.Helper()
 	ix := a.Index()
-	listed := make(map[*artifact.Func]bool, len(ix.Funcs))
+	listed := make(map[*artifact.Func]bool, len(ix.ByName))
 	for _, p := range ix.Paths {
 		for _, fa := range ix.UnitFuncs(p) {
 			listed[fa] = true
@@ -150,15 +150,12 @@ func requireRecordsAtRest(t *testing.T, what string, a *core.Assessor) {
 			t.Fatalf("%s: %s holds a record of %s with a declaration at rest", what, view, fa.Name)
 		}
 	}
-	for _, fa := range ix.Funcs {
-		check("Funcs", fa)
+	for _, p := range ix.Paths {
+		for _, fa := range ix.UnitFuncs(p) {
+			check("UnitFuncs("+p+")", fa)
+		}
 	}
 	for name, fa := range ix.ByName {
 		check("ByName["+name+"]", fa)
-	}
-	for _, m := range ix.ShardNames() {
-		for _, fa := range ix.Shard(m).Funcs() {
-			check("shard "+m+" Funcs", fa)
-		}
 	}
 }
