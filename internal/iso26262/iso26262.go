@@ -146,16 +146,23 @@ type Ref struct {
 
 // String formats like "T8.2" (".2" for an unknown table).
 func (r Ref) String() string {
-	prefix := "."
+	var buf [24]byte
+	return string(r.AppendTo(buf[:0]))
+}
+
+// AppendTo appends r.String() to b without allocating a string.
+func (r Ref) AppendTo(b []byte) []byte {
 	switch r.Table {
 	case TableCoding:
-		prefix = "T1."
+		b = append(b, "T1."...)
 	case TableArch:
-		prefix = "T3."
+		b = append(b, "T3."...)
 	case TableUnit:
-		prefix = "T8."
+		b = append(b, "T8."...)
+	default:
+		b = append(b, '.')
 	}
-	return prefix + strconv.Itoa(r.Item)
+	return strconv.AppendInt(b, int64(r.Item), 10)
 }
 
 // hh/rr/oo shorthands keep the table literals readable.

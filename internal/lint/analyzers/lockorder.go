@@ -14,7 +14,7 @@ import (
 //	rank 10  per-module locks    (corpusState.lockModules, held across a delta)
 //	rank 20  corpusState.mu      (corpus RWMutex; prepares and projection
 //	                              renders under RLock, commit under Lock)
-//	rank 25  corpusState.projMu  (rendered-projection cache; serializes the
+//	rank 25  corpusState.projMu  (cached response bodies; serializes the
 //	                              render, so it is NOT a leaf: the render
 //	                              itself runs under it)
 //	rank 30  corpusState.shardMu (leaf: guards the module-lock table only)

@@ -18,10 +18,6 @@ type unencodable struct{ Ch chan int }
 
 func TestEncodeFailureAbortsConnection(t *testing.T) {
 	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/gzip" {
-			writeJSONNegotiated(w, r, http.StatusOK, unencodable{})
-			return
-		}
 		writeJSON(w, http.StatusOK, unencodable{})
 	}))
 	// The abort surfaces server-side as a recovered panic; keep its
@@ -30,16 +26,50 @@ func TestEncodeFailureAbortsConnection(t *testing.T) {
 	ts.Start()
 	defer ts.Close()
 
-	for _, path := range []string{"/plain", "/gzip"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			continue // connection died before the status line: aborted, good
+	resp, err := http.Get(ts.URL)
+	if err != nil {
+		return // connection died before the status line: aborted, good
+	}
+	body, rerr := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if rerr == nil {
+		t.Fatalf("encode failure produced a clean %d response with body %q; want an aborted transfer",
+			resp.StatusCode, body)
+	}
+}
+
+// TestAcceptsGzip pins Accept-Encoding parsing: codings and the q
+// parameter are case-insensitive, q=0 refuses, and a coding listed by
+// name takes precedence over * (RFC 9110 §12.4.2, §12.5.3).
+func TestAcceptsGzip(t *testing.T) {
+	for _, c := range []struct {
+		header string
+		want   bool
+	}{
+		{"", false},
+		{"identity", false},
+		{"gzip", true},
+		{"GZIP", true},
+		{"deflate, Gzip", true},
+		{"gzip;q=0", false},
+		{"gzip;Q=0", false},
+		{"gzip; Q=0", false},
+		{"gzip ; q=0.000", false},
+		{"gzip;q=0.5", true},
+		{"*", true},
+		{"*;q=0", false},
+		{"*;Q=0", false},
+		{"*;q=0, gzip", true},
+		{"*, gzip;q=0", false},
+		{"gzip;q=0, *", false},
+		{"identity, *;q=0.1", true},
+	} {
+		r := httptest.NewRequest(http.MethodGet, "/findings", nil)
+		if c.header != "" {
+			r.Header.Set("Accept-Encoding", c.header)
 		}
-		body, rerr := io.ReadAll(resp.Body)
-		_ = resp.Body.Close()
-		if rerr == nil {
-			t.Fatalf("%s: encode failure produced a clean %d response with body %q; want an aborted transfer",
-				path, resp.StatusCode, body)
+		if got := acceptsGzip(r); got != c.want {
+			t.Errorf("acceptsGzip(%q) = %v, want %v", c.header, got, c.want)
 		}
 	}
 }

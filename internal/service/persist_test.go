@@ -276,6 +276,9 @@ func TestContentTypeAndGzip(t *testing.T) {
 		if enc := plainResp.Header.Get("Content-Encoding"); enc != "" {
 			t.Fatalf("%s without Accept-Encoding got Content-Encoding %q", path, enc)
 		}
+		if plainResp.ContentLength != int64(len(plain)) {
+			t.Fatalf("%s identity response Content-Length %d for a %d-byte body", path, plainResp.ContentLength, len(plain))
+		}
 		gzResp, gzBody := fetch(path, "gzip")
 		if enc := gzResp.Header.Get("Content-Encoding"); enc != "gzip" {
 			t.Fatalf("%s with Accept-Encoding: gzip got Content-Encoding %q", path, enc)

@@ -2,13 +2,16 @@ package service
 
 // White-box regression tests for the concurrent read path: /report and
 // /findings must serve under the corpus READ lock from the
-// generation-keyed projection cache. A regression back to the write
-// lock shows up here as a deadlock-timeout, not as a flaky timing
+// generation-keyed cache of rendered bodies. A regression back to the
+// write lock shows up here as a deadlock-timeout, not as a flaky timing
 // assertion.
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/srcfile"
@@ -26,44 +29,47 @@ func loadedState(t *testing.T) *corpusState {
 	return &corpusState{a: a}
 }
 
+// reportOf and findingsOf serve st's cached bodies as the handlers do.
+func reportOf(st *corpusState) []byte   { return st.rendered(&st.projReport, reportBody, "c") }
+func findingsOf(st *corpusState) []byte { return st.rendered(&st.projFindings, findingsBody, "c") }
+
 // TestProjectionsServeUnderReadLock is the blocked-reader probe: a held
 // read lock (a delta prepare in flight) must not block the report and
-// findings projections — they take the read lock too. If either
-// regresses to the write lock, the render never returns.
+// findings renders — they take the read lock too. If either regresses
+// to the write lock, the render never returns.
 func TestProjectionsServeUnderReadLock(t *testing.T) {
 	st := loadedState(t)
 	st.mu.RLock()
-	type rendered struct {
-		r *ReportResponse
-		f *FindingsResponse
-	}
+	type rendered struct{ r, f []byte }
 	done := make(chan rendered, 1)
 	go func() {
-		done <- rendered{st.renderedReport("c"), st.renderedFindings("c")}
+		done <- rendered{reportOf(st), findingsOf(st)}
 	}()
 	var first rendered
 	select {
 	case first = <-done:
 	case <-time.After(10 * time.Second):
 		st.mu.RUnlock()
-		t.Fatal("projections blocked behind a held read lock: the read path takes the write lock")
+		t.Fatal("bodies blocked behind a held read lock: the read path takes the write lock")
 	}
 	st.mu.RUnlock()
-	if first.r == nil || first.f == nil {
-		t.Fatal("nil projection")
+	if len(first.r) == 0 || len(first.f) == 0 {
+		t.Fatal("empty body")
 	}
 
-	// Same generation: the cached responses are served as-is (pointer
-	// identity), so a read burst renders once.
-	if st.renderedReport("c") != first.r {
-		t.Fatal("same-generation report was re-rendered: projection memoization broken")
+	// Same generation: the cached bodies are served as-is (one backing
+	// array), so a read burst renders once.
+	if unsafe.SliceData(reportOf(st)) != unsafe.SliceData(first.r) {
+		t.Fatal("same-generation report was re-rendered: body memoization broken")
 	}
-	if st.renderedFindings("c") != first.f {
-		t.Fatal("same-generation findings were re-rendered: projection memoization broken")
+	if unsafe.SliceData(findingsOf(st)) != unsafe.SliceData(first.f) {
+		t.Fatal("same-generation findings were re-rendered: body memoization broken")
 	}
 
 	// A commit advances the assessor generation and must invalidate both
-	// projections — and the fresh render must reflect the edit.
+	// bodies — the fresh render must reflect the edit and must not reuse
+	// the published arrays a handler may still be writing to a client.
+	firstR, firstF := bytes.Clone(first.r), bytes.Clone(first.f)
 	st.mu.Lock()
 	_, err := st.a.ApplyDelta(core.Delta{Changed: []*srcfile.File{
 		{Path: "m/a.c", Src: "int ga;\nint ga2;\nint fa(int x) { return x; }\n"},
@@ -72,24 +78,34 @@ func TestProjectionsServeUnderReadLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := st.renderedReport("c")
-	if second == first.r {
-		t.Fatal("stale report projection served after a state-changing commit")
+	second, secondF := reportOf(st), findingsOf(st)
+	if unsafe.SliceData(second) == unsafe.SliceData(first.r) {
+		t.Fatal("stale report body served after a state-changing commit")
 	}
-	if st.renderedFindings("c") == first.f {
-		t.Fatal("stale findings projection served after a state-changing commit")
+	if unsafe.SliceData(secondF) == unsafe.SliceData(first.f) {
+		t.Fatal("stale findings body served after a state-changing commit")
 	}
-	if second.Summary.LOC == first.r.Summary.LOC {
-		t.Fatalf("fresh report does not reflect the committed edit (LOC %d unchanged)", second.Summary.LOC)
+	if !bytes.Equal(first.r, firstR) || !bytes.Equal(first.f, firstF) {
+		t.Fatal("a published body was written again after the commit")
+	}
+	var before, after ReportResponse
+	if err := json.Unmarshal(first.r, &before); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(second, &after); err != nil {
+		t.Fatal(err)
+	}
+	if after.Summary.LOC == before.Summary.LOC {
+		t.Fatalf("fresh report does not reflect the committed edit (LOC %d unchanged)", after.Summary.LOC)
 	}
 }
 
 // TestNoOpDeltaKeepsProjection pins the generation contract from the
 // serving side: an all-unchanged delta fires no hook, bumps no
-// generation, and therefore keeps the cached projections valid.
+// generation, and therefore keeps both cached bodies valid.
 func TestNoOpDeltaKeepsProjection(t *testing.T) {
 	st := loadedState(t)
-	first := st.renderedReport("c")
+	first, firstF := reportOf(st), findingsOf(st)
 	st.mu.Lock()
 	res, err := st.a.ApplyDelta(core.Delta{Changed: []*srcfile.File{
 		{Path: "m/a.c", Src: "int ga;\nint fa(int x) { if (x > 0) { return 1; } return 0; }\n"},
@@ -101,7 +117,10 @@ func TestNoOpDeltaKeepsProjection(t *testing.T) {
 	if res.Unchanged != 1 || res.Parsed != 0 {
 		t.Fatalf("delta result %+v, want a pure no-op", res)
 	}
-	if st.renderedReport("c") != first {
-		t.Fatal("no-op delta invalidated the report projection")
+	if unsafe.SliceData(reportOf(st)) != unsafe.SliceData(first) {
+		t.Fatal("no-op delta invalidated the report body")
+	}
+	if unsafe.SliceData(findingsOf(st)) != unsafe.SliceData(firstF) {
+		t.Fatal("no-op delta invalidated the findings body")
 	}
 }

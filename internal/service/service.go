@@ -15,8 +15,8 @@
 //	               absorb the journal (persistent servers only);
 //	GET  /report — return the full report for a loaded corpus;
 //	GET  /findings — return every individual finding for a loaded corpus
-//	               (the differential harness byte-compares these rows
-//	               against the in-process engines).
+//	               (the differential harness byte-compares the served
+//	               body against the in-process engines' findings).
 //
 // A server opened over a data directory (NewWithStore) is persistent:
 // every corpus is restored on boot from its snapshot plus delta-journal
@@ -125,18 +125,18 @@ type corpusState struct {
 	shardMu    sync.Mutex
 	shardLocks map[string]*sync.Mutex
 
-	// projMu guards the rendered-projection cache below. It nests inside
+	// projMu guards the cached response bodies below. It nests inside
 	// mu — renderers hold st.mu.RLock, then projMu — and serializes the
 	// (expensive) render so a burst of reads after one delta renders
-	// once and the rest serve the cached value. The cached responses are
-	// immutable once published (invalidation replaces, never mutates),
-	// so handlers may encode them after releasing every lock.
+	// once and the rest serve the cached bytes. A published body is
+	// immutable (invalidation drops it, and the next render allocates a
+	// fresh buffer), so handlers write it after releasing every lock.
 	projMu sync.Mutex
 	// projGen is the assessor generation projReport/projFindings were
 	// rendered at; a Gen() advance invalidates both.
 	projGen      uint64
-	projReport   *ReportResponse
-	projFindings *FindingsResponse
+	projReport   []byte
+	projFindings []byte
 }
 
 // lockModules acquires the per-module locks for the given paths' modules
@@ -459,7 +459,11 @@ type ReportResponse struct {
 }
 
 // FindingRow is one rule finding with every field the engine reports, so
-// a client can reconstruct the finding stream byte-for-byte.
+// a client can reconstruct the finding stream byte-for-byte. It is the
+// documented wire schema of /findings rows: the server writes it through
+// its own appender (findingsJSON), and TestFindingsBodyMatchesEncodingJSON
+// pins that appender's bytes equal to encoding/json's encoding of
+// FindingsResponse.
 type FindingRow struct {
 	Rule     string   `json:"rule"`
 	Severity string   `json:"severity"`
@@ -826,56 +830,32 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	endRender := spanFrom(r.Context()).Phase("render")
-	resp := st.renderedReport(name)
+	body := st.rendered(&st.projReport, reportBody, name)
 	endRender()
-	writeJSONNegotiated(w, r, http.StatusOK, resp)
+	writeBody(w, r, body)
 }
 
-// renderedReport serves the corpus's report projection, rendering it at
-// most once per assessor generation: concurrent reads share the cached
-// response under the corpus read lock, so they neither block each other
-// nor pay repeated renders, and a write (delta commit) waits only for
-// the render in flight, not for a queue of them.
-func (st *corpusState) renderedReport(name string) *ReportResponse {
+// rendered serves one of the corpus's cached response bodies (slot is
+// &st.projReport or &st.projFindings), rendering it with render at most
+// once per assessor generation: concurrent reads share the cached bytes
+// under the corpus read lock, so they neither block each other nor pay
+// repeated renders, and a write (delta commit) waits only for the render
+// in flight, not for a queue of them. A generation advance drops both
+// bodies; the returned bytes are never written again.
+func (st *corpusState) rendered(slot *[]byte, render func(name string, a *core.Assessor) []byte, name string) []byte {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	gen := st.a.Gen()
 	st.projMu.Lock()
 	defer st.projMu.Unlock()
-	st.invalidateProjLocked(gen)
-	if st.projReport == nil {
-		r := BuildReport(name, st.a)
-		st.projReport = &r
-	}
-	return st.projReport
-}
-
-// renderedFindings is renderedReport for the findings projection.
-func (st *corpusState) renderedFindings(name string) *FindingsResponse {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	gen := st.a.Gen()
-	st.projMu.Lock()
-	defer st.projMu.Unlock()
-	st.invalidateProjLocked(gen)
-	if st.projFindings == nil {
-		// Rows come straight from the engine's segments (EachFinding).
-		rows := make([]FindingRow, 0, st.a.Stats().Total)
-		st.a.EachFinding(func(run []rules.Finding) { rows = appendFindingRows(rows, run) })
-		st.projFindings = &FindingsResponse{Corpus: name, Count: len(rows), Findings: rows}
-	}
-	return st.projFindings
-}
-
-// invalidateProjLocked drops cached projections rendered at a different
-// generation. Callers hold projMu (and st.mu at least read-locked, so
-// gen is current).
-func (st *corpusState) invalidateProjLocked(gen uint64) {
 	if st.projGen != gen {
 		st.projGen = gen
-		st.projReport = nil
-		st.projFindings = nil
+		st.projReport, st.projFindings = nil, nil
 	}
+	if *slot == nil {
+		*slot = render(name, st.a)
+	}
+	return *slot
 }
 
 // BuildReport assembles the full report payload for an assessor. Exported
@@ -911,20 +891,16 @@ func (s *Server) handleFindings(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	endRender := spanFrom(r.Context()).Phase("render")
-	resp := st.renderedFindings(name)
+	body := st.rendered(&st.projFindings, findingsBody, name)
 	endRender()
-	writeJSONNegotiated(w, r, http.StatusOK, resp)
+	writeBody(w, r, body)
 }
 
 // FindingRows projects engine findings onto the wire rows, preserving
 // order and every field. The differential harness applies the same
 // projection to in-process findings and compares canonical JSON bytes.
 func FindingRows(fs []rules.Finding) []FindingRow {
-	return appendFindingRows(make([]FindingRow, 0, len(fs)), fs)
-}
-
-// appendFindingRows appends the wire rows of fs to rows (FindingRows).
-func appendFindingRows(rows []FindingRow, fs []rules.Finding) []FindingRow {
+	rows := make([]FindingRow, 0, len(fs))
 	for i := range fs {
 		f := &fs[i]
 		row := FindingRow{
@@ -1030,49 +1006,65 @@ func abortOnEncodeErr(err error) {
 	panic(http.ErrAbortHandler)
 }
 
-// writeJSONNegotiated is writeJSON plus gzip content negotiation, used
-// by the bulk read endpoints (/report, /findings) whose bodies reach
-// multiple megabytes on large corpora and compress roughly 20x.
-func writeJSONNegotiated(w http.ResponseWriter, r *http.Request, status int, v interface{}) {
+// writeBody writes a cached /report or /findings body with a 200,
+// gzip-compressed when the client accepts it: these bodies reach
+// multiple megabytes on large corpora and compress roughly 20x. The body
+// is already rendered, so nothing can fail before the status line; a
+// write or gzip flush failure after it aborts the connection, as
+// abortOnEncodeErr does, instead of leaving a complete-looking 200.
+func writeBody(w http.ResponseWriter, r *http.Request, body []byte) {
 	// The response varies on Accept-Encoding whichever variant is
 	// chosen; caches must see Vary on the identity branch too. The
-	// projections change on every delta commit, so intermediaries must
-	// not serve a stale body: no-store, never cache.
-	w.Header().Add("Vary", "Accept-Encoding")
-	w.Header().Set("Cache-Control", "no-store")
+	// bodies change on every delta commit, so intermediaries must not
+	// serve a stale one: no-store, never cache.
+	h := w.Header()
+	h.Add("Vary", "Accept-Encoding")
+	h.Set("Cache-Control", "no-store")
+	h.Set("Content-Type", "application/json")
 	if !acceptsGzip(r) {
-		writeJSON(w, status, v)
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		_, err := w.Write(body)
+		abortOnEncodeErr(err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Encoding", "gzip")
-	w.WriteHeader(status)
+	h.Set("Content-Encoding", "gzip")
+	w.WriteHeader(http.StatusOK)
 	gz := gzip.NewWriter(w)
-	abortOnEncodeErr(json.NewEncoder(gz).Encode(v))
-	// A Close failure is a flush that never reached the client: without
-	// the trailing gzip frame the body is undecodable, so abort rather
-	// than leave a 200 with a corrupt payload.
-	abortOnEncodeErr(gz.Close())
+	_, err := gz.Write(body)
+	if err == nil {
+		// A Close failure is a flush that never reached the client:
+		// without the trailing gzip frame the body is undecodable.
+		err = gz.Close()
+	}
+	abortOnEncodeErr(err)
 }
 
-// acceptsGzip reports whether the client's Accept-Encoding admits gzip
-// (a q=0 disables it; any other listing, or a bare *, enables it).
+// acceptsGzip reports whether the client's Accept-Encoding admits gzip.
+// Codings and the q parameter compare case-insensitively, a q of 0
+// refuses a coding, and a coding listed by name takes precedence over *
+// (RFC 9110 §12.5.3); an unlisted gzip with no * is refused.
 func acceptsGzip(r *http.Request) bool {
+	gz, star := 0, 0 // per coding: 0 not listed, 1 accepted, -1 refused
 	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		enc, q, hasQ := strings.Cut(strings.TrimSpace(part), ";")
-		if enc = strings.TrimSpace(enc); enc != "gzip" && enc != "*" {
-			continue
-		}
-		if hasQ {
-			if qv, ok := strings.CutPrefix(strings.TrimSpace(q), "q="); ok {
-				if f, err := strconv.ParseFloat(qv, 64); err == nil && f == 0 {
-					return false
-				}
+		coding, param, _ := strings.Cut(part, ";")
+		verdict := 1
+		if k, v, ok := strings.Cut(strings.TrimSpace(param), "="); ok && strings.EqualFold(strings.TrimSpace(k), "q") {
+			if q, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil && q <= 0 {
+				verdict = -1
 			}
 		}
-		return true
+		switch coding = strings.TrimSpace(coding); {
+		case strings.EqualFold(coding, "gzip"):
+			gz = verdict
+		case coding == "*":
+			star = verdict
+		}
 	}
-	return false
+	if gz != 0 {
+		return gz > 0
+	}
+	return star > 0
 }
 
 func writeErr(w http.ResponseWriter, status int, msg string) {
