@@ -9,9 +9,10 @@
 //	adassess [-asil D] [-table 1|2|3|all] [-dir PATH] [-figure4] [-obs] [-gaps] [-csv] [-shards N]
 //
 // -shards prints per-shard (module) statistics — files, source bytes,
-// findings — for operator visibility into shard balance, which is what
-// warm delta latency scales with: N > 0 shows the N largest shards by
-// file count, -1 shows all, 0 (default) disables the table.
+// findings — for operator visibility into shard balance (a warm body
+// edit's latency follows the edited file, a name-changing delta's the
+// files that spell the moved names): N > 0 shows the N largest shards
+// by file count, -1 shows all, 0 (default) disables the table.
 //
 // Flags are validated before any work happens: bad values exit 2 with a
 // message on stderr and no partial output. Runtime failures exit 1.
@@ -120,7 +121,7 @@ func run() (int, error) {
 	}
 	fw := a.Metrics()
 	fmt.Printf("Corpus: %d files, %d LOC, %d functions across %d modules\n\n",
-		len(fw.Files), fw.TotalLOC, fw.TotalFunc, len(fw.Modules))
+		fw.TotalFiles, fw.TotalLOC, fw.TotalFunc, len(fw.Modules))
 
 	as := a.Assess()
 
@@ -145,7 +146,7 @@ func run() (int, error) {
 	if *shardsFlag != 0 {
 		stats := a.ShardStats()
 		// Largest shards first (by files, ties by module name) — the
-		// imbalance view: warm delta latency follows the dirty shard.
+		// imbalance view.
 		sort.SliceStable(stats, func(i, j int) bool {
 			if stats[i].Files != stats[j].Files {
 				return stats[i].Files > stats[j].Files

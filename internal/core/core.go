@@ -44,9 +44,10 @@ func DefaultConfig() Config {
 
 // Assessor runs the assessment pipeline over a corpus. It keeps warm
 // per-shard caches (rule finding segments, metrics rows and module
-// partials, resolved architectural partials, artifact records) so a
-// re-assessment after ApplyDelta recomputes only the shards the delta
-// touched while producing output byte-identical to a cold full run.
+// partials, architectural counters, artifact records) so a
+// re-assessment after ApplyDelta recomputes only the files the delta
+// touched, and moves every aggregate by their differences, while
+// producing output byte-identical to a cold full run.
 type Assessor struct {
 	cfg   Config
 	fs    *srcfile.FileSet
@@ -417,7 +418,7 @@ func (a *Assessor) assessArch(fw *metrics.FrameworkMetrics, arch []*metrics.Arch
 	out = append(out, iso26262.TopicAssessment{
 		Topic:    topic(iso26262.TableArch, 1),
 		Verdict:  iso26262.Compliant,
-		Evidence: fmt.Sprintf("component tree derivable: %d modules / %d files / %d functions", len(fw.Modules), len(fw.Files), fw.TotalFunc),
+		Evidence: fmt.Sprintf("component tree derivable: %d modules / %d files / %d functions", len(fw.Modules), fw.TotalFiles, fw.TotalFunc),
 	})
 	// 2) Restricted component size: modules of 5k-60k LOC exceed any
 	// plausible restriction (Observation 13).
@@ -564,7 +565,7 @@ func (a *Assessor) assessUnit(fw *metrics.FrameworkMetrics, st *rules.Stats) []i
 }
 
 func (a *Assessor) observations(fw *metrics.FrameworkMetrics, st *rules.Stats, arch []*metrics.ArchMetrics) []Observation {
-	multiExit, totalPer := a.multiExitFraction("perception")
+	multiExit, totalPer := multiExitFraction(fw, "perception")
 	cudaLaunches := st.ByRuleModule["lang-subset"]["perception"]
 	obs := []Observation{
 		{1, "AD frameworks present a high complexity in terms of cyclomatic complexity.",
@@ -599,27 +600,15 @@ func (a *Assessor) observations(fw *metrics.FrameworkMetrics, st *rules.Stats, a
 	return obs
 }
 
-// multiExitFraction computes the paper's 41% statistic for a module from
-// the cached per-function return counts of its shard.
-func (a *Assessor) multiExitFraction(module string) (float64, int) {
-	ix := a.Index()
-	sh := ix.Shard(module)
-	if sh == nil {
+// multiExitFraction computes the paper's 41% statistic for a module
+// from its metrics partial, which the metrics cache keeps up to date by
+// the differences of the rows a delta replaced.
+func multiExitFraction(fw *metrics.FrameworkMetrics, module string) (float64, int) {
+	mm := fw.Module(module)
+	if mm == nil || mm.Functions == 0 {
 		return 0, 0
 	}
-	total, multi := 0, 0
-	for _, p := range sh.Paths() {
-		for _, fa := range ix.UnitFuncs(p) {
-			total++
-			if fa.Returns > 1 {
-				multi++
-			}
-		}
-	}
-	if total == 0 {
-		return 0, 0
-	}
-	return float64(multi) / float64(total), total
+	return float64(mm.MultiExit) / float64(mm.Functions), mm.Functions
 }
 
 func maxModuleLOC(fw *metrics.FrameworkMetrics) int {

@@ -324,7 +324,7 @@ int twice(int x) {
 
 func TestObservation14FractionMatchesPaper(t *testing.T) {
 	a, _ := defaultAssessment(t)
-	frac, total := a.multiExitFraction("perception")
+	frac, total := multiExitFraction(a.Metrics(), "perception")
 	if total == 0 {
 		t.Fatal("no perception functions")
 	}

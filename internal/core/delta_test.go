@@ -40,7 +40,7 @@ func renderAssessment(a *Assessor, as *Assessment) []byte {
 	}
 	fw := a.Metrics()
 	fmt.Fprintf(&buf, "metrics|%d|%d|%d|%d\n", fw.TotalLOC, fw.TotalNLOC, fw.TotalFunc, fw.ModerateOrWorse)
-	for _, fm := range fw.Files {
+	for _, fm := range fw.Files() {
 		fmt.Fprintf(&buf, "file|%s|%s|%d|%d|%d\n", fm.Path, fm.Module, fm.LOC, fm.NLOC, len(fm.Functions))
 		for _, fn := range fm.Functions {
 			fmt.Fprintf(&buf, "fn|%s|%d|%d|%d|%d|%d|%d|%v\n",
@@ -413,9 +413,9 @@ func TestDeltaModuleOverrideMove(t *testing.T) {
 		t.Fatalf("old shard m still owns %d paths after module move", sh.Len())
 	}
 	fw := a.Metrics()
-	if len(fw.Files) != 2 || fw.TotalFunc != 2 {
+	if fw.TotalFiles != 2 || len(fw.Files()) != 2 || fw.TotalFunc != 2 {
 		t.Fatalf("warm metrics double-count after module move: %d files / %d funcs",
-			len(fw.Files), fw.TotalFunc)
+			len(fw.Files()), fw.TotalFunc)
 	}
 	warm := renderAssessment(a, a.Assess())
 	if got := coldRender(t, DefaultConfig(), a.FileSet()); !bytes.Equal(warm, got) {
@@ -450,7 +450,7 @@ func TestDeltaInterleavedShardRanges(t *testing.T) {
 		if _, disjoint := ix.ShardsInPathOrder(); disjoint != wantDisjoint {
 			t.Fatalf("%s: shard path ranges disjoint = %v, want %v", step, disjoint, wantDisjoint)
 		}
-		files := a.Metrics().Files
+		files := a.Metrics().Files()
 		if len(files) != len(ix.Paths) {
 			t.Fatalf("%s: %d metric file rows for %d paths", step, len(files), len(ix.Paths))
 		}

@@ -114,7 +114,7 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 			if !reflect.DeepEqual(rec.Findings(), live.Findings()) {
 				t.Fatal("restored findings differ from the live assessor's")
 			}
-			if !reflect.DeepEqual(rec.Metrics().Files, live.Metrics().Files) {
+			if !reflect.DeepEqual(rec.Metrics().Files(), live.Metrics().Files()) {
 				t.Fatal("restored metric rows differ from the live assessor's")
 			}
 		})

@@ -46,11 +46,11 @@ func TestPipelineDeterministic(t *testing.T) {
 
 	m1, m2 := a1.Metrics(), a2.Metrics()
 	if m1.TotalLOC != m2.TotalLOC || m1.TotalFunc != m2.TotalFunc ||
-		m1.ModerateOrWorse != m2.ModerateOrWorse || len(m1.Files) != len(m2.Files) {
+		m1.ModerateOrWorse != m2.ModerateOrWorse || len(m1.Files()) != len(m2.Files()) {
 		t.Fatalf("metrics differ: %+v vs %+v", m1, m2)
 	}
-	for i := range m1.Files {
-		if m1.Files[i].Path != m2.Files[i].Path || m1.Files[i].NLOC != m2.Files[i].NLOC {
+	for i := range m1.Files() {
+		if m1.Files()[i].Path != m2.Files()[i].Path || m1.Files()[i].NLOC != m2.Files()[i].NLOC {
 			t.Fatalf("file metrics %d differ", i)
 		}
 	}

@@ -3,8 +3,9 @@ package core
 // ShardStat is the operator-facing summary of one corpus shard
 // (module): how many files it owns, how many source bytes they hold,
 // and how many findings the rule engine currently attributes to it.
-// cmd/adassess prints these under -shards; skew across shards predicts
-// warm-delta latency, which is proportional to the dirty shard's size.
+// cmd/adassess prints these under -shards. A body edit's warm latency
+// follows the edited file rather than its shard, and a name-changing
+// delta's follows the files that spell the moved names.
 type ShardStat struct {
 	Module   string
 	Files    int

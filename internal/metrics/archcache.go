@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"slices"
+
 	"repro/internal/artifact"
 	"repro/internal/par"
 )
@@ -10,12 +12,17 @@ import (
 // cohesion resolve every call against the corpus-wide function→module
 // table), so the cache keeps two layers per module shard: the shard's
 // content counters (interface, thread/IRQ counts, and its calls per
-// callee name), valid while the shard's generation holds, and the
-// calls resolved to target modules, valid until the index change feed
-// reports a module move (artifact.ModuleChanged) for a name the shard
-// calls. A warm call recounts the dirty shards, re-resolves only the
-// other shards calling a moved name, then folds the k partials into the
-// final rows. Output is identical to AnalyzeArchIndexed.
+// callee name), and the calls resolved to target modules.
+//
+// Both layers move by difference. When a shard's generation moves, the
+// content counters subtract the records the cache last counted for each
+// replaced or removed file and add the current records of each replaced
+// or added one (count; a cold fill adds every file the same way), and
+// only the callee names whose call count moved are re-resolved. A shard
+// calling a name whose module moved (artifact.ModuleChanged in the index
+// change feed) re-resolves all its calls, as does every shard after a
+// feed overrun. The k partials then fold into the final rows. Output is
+// identical to AnalyzeArchIndexed.
 //
 // ArchCache is not safe for concurrent use; the Assessor serializes
 // access.
@@ -26,16 +33,24 @@ type ArchCache struct {
 	shards map[string]*archShard
 }
 
-// archShard is one module's resolved partial.
+// archShard is one module's partial.
 type archShard struct {
-	gen   uint64
-	valid bool
+	gen uint64 // artifact shard generation the counters match; 0 = never built
+	// paths, gens and recs are the shard's files when last counted, the
+	// unit generation of each, and the records counted for it (the
+	// index's UnitFuncs slice then; Apply installs a fresh slice for a
+	// replaced unit, so recs keeps the old records).
+	paths []string
+	gens  []uint64
+	recs  [][]*artifact.Func
 
 	nFuncs  int
 	sumPar  int
 	maxPar  int
 	threads int
 	irqs    int
+	// lostMax is set when a subtracted record held maxPar.
+	lostMax bool
 	// byCallee counts the shard's calls per unqualified callee name.
 	byCallee map[string]int
 	// calls counts resolved calls by target module.
@@ -50,8 +65,8 @@ func NewArchCache() *ArchCache {
 }
 
 // AnalyzeIndexed computes per-module architectural metrics from the
-// shared artifact cache, reusing per-shard partials for modules whose
-// shard generation is unchanged and none of whose callees moved module.
+// shared artifact cache, updating the partials of the shards whose
+// generation moved or one of whose callees moved module.
 func (c *ArchCache) AnalyzeIndexed(ix *artifact.Index) []*ArchMetrics {
 	var moved []string
 	resolveAll := false // fell behind the feed: every resolution is suspect
@@ -81,35 +96,44 @@ func (c *ArchCache) AnalyzeIndexed(ix *artifact.Index) []*ArchMetrics {
 		}
 	}
 
-	// Recount the dirty partials and re-resolve every partial that
-	// needs it in parallel: both read only the index's shared read-only
-	// views (paths, per-unit records, the name lists) and write only
-	// their own partial, and the fold below walks shards in sorted name
-	// order.
+	// Update the stale partials in parallel: each reads only the index's
+	// shared read-only views (paths, per-unit records, the name lists)
+	// and writes only its own partial, and the fold below walks shards in
+	// sorted name order.
 	type staleShard struct {
-		mod   string
-		sh    *artifact.Shard
-		as    *archShard
-		count bool // content moved: recount before resolving
+		mod string
+		sh  *artifact.Shard
+		as  *archShard
+		// full: re-resolve every call, not only the moved counts.
+		full bool
 	}
 	var stale []staleShard
 	for _, m := range names {
 		sh := ix.Shard(m)
 		as := c.shards[m]
 		if as == nil {
-			as = &archShard{}
+			as = &archShard{byCallee: make(map[string]int), calls: make(map[string]int)}
 			c.shards[m] = as
 		}
-		if count := !as.valid || as.gen != sh.Gen(); count || resolveAll || as.callsAny(moved) {
-			stale = append(stale, staleShard{m, sh, as, count})
+		full := as.gen == 0 || resolveAll || as.callsAny(moved)
+		if full || as.gen != sh.Gen() {
+			stale = append(stale, staleShard{m, sh, as, full})
 		}
 	}
 	par.For(par.Workers(len(stale)), len(stale), func(k int) {
 		d := stale[k]
-		if d.count {
-			d.as.count(ix, d.sh)
+		var diff map[string]int
+		if !d.full {
+			diff = make(map[string]int)
 		}
-		d.as.resolve(ix, d.mod)
+		if d.as.gen != d.sh.Gen() {
+			d.as.update(ix, d.sh, diff)
+		}
+		if d.full {
+			d.as.resolve(ix, d.mod)
+		} else {
+			d.as.resolveDiff(ix, d.mod, diff)
+		}
 	})
 
 	// Fold the partials into the final rows (sorted module order, the
@@ -168,46 +192,112 @@ func (as *archShard) callsAny(names []string) bool {
 	return false
 }
 
-// count recomputes one shard's content counters in O(shard) from its
-// units' records; it reads no source.
-func (as *archShard) count(ix *artifact.Index, sh *artifact.Shard) {
-	as.nFuncs, as.sumPar, as.maxPar = 0, 0, 0
-	as.threads, as.irqs = 0, 0
-	as.byCallee = make(map[string]int)
-	for _, p := range sh.Paths() {
-		for _, fa := range ix.UnitFuncs(p) {
-			as.nFuncs++
-			as.sumPar += fa.Params
-			if fa.Params > as.maxPar {
-				as.maxPar = fa.Params
+// update brings the content counters to the shard's current files by
+// difference: it merge-walks the counted paths against the shard's,
+// subtracts the counted records of every file removed or whose unit
+// generation moved, and adds the current records of every file replaced
+// or added. When diff is non-nil it receives the net change of each
+// callee name's call count. It reads no source.
+func (as *archShard) update(ix *artifact.Index, sh *artifact.Shard, diff map[string]int) {
+	paths := sh.Paths()
+	gens := make([]uint64, len(paths))
+	recs := make([][]*artifact.Func, len(paths))
+	i := 0 // cursor into as.paths
+	for j, p := range paths {
+		gens[j] = ix.UnitGen(p)
+		for i < len(as.paths) && as.paths[i] < p {
+			as.count(as.recs[i], -1, diff) // removed
+			i++
+		}
+		if i < len(as.paths) && as.paths[i] == p {
+			if as.gens[i] == gens[j] {
+				recs[j] = as.recs[i]
+				i++
+				continue
 			}
-			for _, callee := range fa.Calls {
-				if schedulingAPIs[callee] {
-					as.threads++
-				}
-				if interruptAPIs[callee] {
-					as.irqs++
-				}
-				as.byCallee[lastName(callee)]++
+			as.count(as.recs[i], -1, diff) // replaced
+			i++
+		}
+		recs[j] = ix.UnitFuncs(p)
+		as.count(recs[j], 1, diff)
+	}
+	for ; i < len(as.paths); i++ {
+		as.count(as.recs[i], -1, diff) // removed
+	}
+	as.paths, as.gens, as.recs = slices.Clone(paths), gens, recs
+	if as.lostMax {
+		as.maxPar = 0
+		for _, fas := range recs {
+			for _, fa := range fas {
+				as.maxPar = max(as.maxPar, fa.Params)
+			}
+		}
+		as.lostMax = false
+	}
+	as.gen = sh.Gen()
+}
+
+// count adds one file's records (sign +1) to or subtracts them (sign
+// -1) from the content counters, deleting callee counts that reach
+// zero. A subtracted record holding maxPar marks it lost; update
+// rescans for it.
+func (as *archShard) count(fas []*artifact.Func, sign int, diff map[string]int) {
+	for _, fa := range fas {
+		as.nFuncs += sign
+		as.sumPar += sign * fa.Params
+		switch {
+		case sign > 0 && fa.Params > as.maxPar:
+			as.maxPar = fa.Params
+		case sign < 0 && fa.Params == as.maxPar:
+			as.lostMax = true
+		}
+		for k, callee := range fa.Calls {
+			if schedulingAPIs[callee] {
+				as.threads += sign
+			}
+			if interruptAPIs[callee] {
+				as.irqs += sign
+			}
+			name := fa.Callees[k]
+			if as.byCallee[name] += sign; as.byCallee[name] == 0 {
+				delete(as.byCallee, name)
+			}
+			if diff != nil {
+				diff[name] += sign
 			}
 		}
 	}
-	as.gen, as.valid = sh.Gen(), true
 }
 
-// resolve maps the shard's calls to target modules, resolving each
+// resolve maps all the shard's calls to target modules, resolving each
 // distinct callee name once.
 func (as *archShard) resolve(ix *artifact.Index, mod string) {
 	as.internal, as.external = 0, 0
-	as.calls = make(map[string]int)
-	for name, n := range as.byCallee {
-		if tgt, ok := ix.FuncModule(name); ok {
-			as.calls[tgt] += n
-			if tgt == mod {
-				as.internal += n
-			} else {
-				as.external += n
-			}
+	clear(as.calls)
+	as.resolveDiff(ix, mod, as.byCallee)
+}
+
+// resolveDiff adds the signed call counts of diff, per callee name, to
+// the calls resolved to each target module, deleting targets whose
+// count reaches zero (FanOut and FanIn count the keys). Names are
+// resolved against the current index, so a name whose module moved
+// since the calls were resolved must be re-resolved in full (resolve).
+func (as *archShard) resolveDiff(ix *artifact.Index, mod string, diff map[string]int) {
+	for name, n := range diff {
+		if n == 0 {
+			continue
+		}
+		tgt, ok := ix.FuncModule(name)
+		if !ok {
+			continue
+		}
+		if as.calls[tgt] += n; as.calls[tgt] == 0 {
+			delete(as.calls, tgt)
+		}
+		if tgt == mod {
+			as.internal += n
+		} else {
+			as.external += n
 		}
 	}
 }

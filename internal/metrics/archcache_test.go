@@ -67,6 +67,39 @@ func TestArchCacheMatchesAnalyzeArchIndexed(t *testing.T) {
 	}
 	reparse(t, ix, "p/flood.c", flood.String())
 	requireSameArch(t, "feed overrun", c.AnalyzeIndexed(ix), metrics.AnalyzeArchIndexed(ix))
+
+	// The content counters and resolved calls move by each changed
+	// file's difference. m/wide.c holds module m's MaxInterfaceParams;
+	// n/c.c holds shard n's only call into m, so dropping it must delete
+	// the target (FanOut and FanIn count targets).
+	steps := []struct {
+		name    string
+		applies []map[string]string
+	}{
+		{"add the widest interface", []map[string]string{{"m/wide.c": "int fw(int a, int b, int c, int d) { return fb(a) + b + c + d; }\n"}}},
+		{"narrow it", []map[string]string{{"m/wide.c": "int fw(int a) { return a; }\n"}}},
+		{"widen then remove it before one update", []map[string]string{
+			{"m/wide.c": "int fw(int a, int b, int c, int d, int e) { return a + b + c + d + e; }\n"},
+			{"m/wide.c": ""},
+		}},
+		{"last call into a module", []map[string]string{{"n/c.c": "int fe(int x) { return x; }\nint fc(int x) { return x; }\n"}}},
+		// Shard p did not call fe before, so its new calls are resolved
+		// by difference, against fe's new module.
+		{"call a name whose module moves in the same window", []map[string]string{
+			{"p/caller.c": "int fp(int x) { return fe(x) + fe(x); }\n"},
+			{"n/c.c": "int fc(int x) { return x; }\n", "m/fe.c": "int fe(int x) { return x; }\n"},
+		}},
+		{"two applies to one file", []map[string]string{
+			{"p/caller.c": "int fp(int x) { pthread_mutex_lock(0); return fa(x); }\n"},
+			{"p/caller.c": "int fp(int x) { signal(0, 0); return fb(x) + fc(x); }\n"},
+		}},
+	}
+	for _, st := range steps {
+		for _, files := range st.applies {
+			applyMetricFiles(t, ix, files)
+		}
+		requireSameArch(t, st.name, c.AnalyzeIndexed(ix), metrics.AnalyzeArchIndexed(ix))
+	}
 }
 
 // reparse parses one edited file and swaps it into the index.

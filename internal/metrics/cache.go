@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"maps"
 	"sort"
 
 	"repro/internal/artifact"
@@ -8,21 +9,26 @@ import (
 )
 
 // Cache is a shard-aware per-file metrics cache. A warm AnalyzeIndexed
-// consults the index's per-module shard generations: clean shards
-// contribute their cached file rows AND their cached module partial
-// (ModuleMetrics plus the shard's share of the corpus totals) without
-// being scanned at all; dirty shards recompute rows only for files whose
-// unit generation (artifact.Index.UnitGen) moved and re-fold their
-// partial in O(shard). The global result is then a merge of the
-// per-shard row lists (path order) and a fold of the partials —
-// O(dirty shard + #shards), not O(corpus) — and is identical to the
-// cache-free AnalyzeIndexed over the same index.
+// consults the index's per-module shard generations: clean shards keep
+// their cached file rows and module partial without being scanned at
+// all; in a dirty shard only the files whose unit generation
+// (artifact.Index.UnitGen) moved are recomputed, and the shard's module
+// partial moves by those files' differences: the replaced and removed
+// rows are subtracted and the recomputed ones added (count), the same
+// function a cold fill and RestoreRows add every row with. Every
+// counter is an integer, so the result cannot drift; the corpus totals
+// are the sums of the module partials, and the result is identical to
+// the cache-free AnalyzeIndexed over the same index. MaxCCN is the one
+// counter a subtraction cannot undo: the shard's rows are rescanned for
+// it only when a subtracted row held it.
 //
 // File rows depend only on the file's path (module, language) and
 // content (lines, NLOC, per-function facts from the artifact cache), and
 // within one index a unit's generation moves whenever either does, so a
 // (path, UnitGen) key is exact. Cached *FileMetrics and *ModuleMetrics
-// are shared across results; callers must treat them as immutable.
+// are shared across results; callers must treat them as immutable. A
+// changed shard therefore gets a fresh row list and a fresh module
+// partial, and a list or partial handed out is never written again.
 //
 // Cache is not safe for concurrent use; the Assessor serializes access.
 type Cache struct {
@@ -44,7 +50,7 @@ type Cache struct {
 
 // metricShard is the cached state for one module shard: its rows in
 // shard path order, the unit generation each row was computed at, and
-// the folded partials. A cold run, a warm rebuild and a snapshot restore
+// the module partial. A cold run, a warm rebuild and a snapshot restore
 // all fill it the same way.
 type metricShard struct {
 	gen    uint64 // artifact shard generation the rows match; 0 = never built
@@ -52,8 +58,8 @@ type metricShard struct {
 	files  []*FileMetrics
 	gens   []uint64
 	mm     *ModuleMetrics
-	// totals are the shard's contribution to the corpus-wide counters.
-	totLOC, totNLOC, totFunc, modWorse int
+	// lostMax is set when a subtracted row held mm.MaxCCN.
+	lostMax bool
 }
 
 // NewCache returns an empty metrics cache.
@@ -83,7 +89,8 @@ func (c *Cache) AnalyzeIndexed(ix *artifact.Index) *FrameworkMetrics {
 
 	// Pass 1: in every shard whose generation moved, merge-walk the cached
 	// rows against the current sorted paths, reusing a row whose path and
-	// unit generation match and marking the rest dirty.
+	// unit generation match, and subtracting every other cached row from
+	// a fresh copy of the module partial.
 	type slot struct {
 		ms *metricShard
 		i  int // index into ms.files
@@ -104,18 +111,28 @@ func (c *Cache) AnalyzeIndexed(ix *artifact.Index) *FrameworkMetrics {
 		old, oldGens := ms.files, ms.gens
 		ms.files = make([]*FileMetrics, sh.Len())
 		ms.gens = make([]uint64, sh.Len())
+		ms.thaw(m)
 		i := 0 // cursor into old
 		for j, p := range sh.Paths() {
 			ms.gens[j] = ix.UnitGen(p)
 			for i < len(old) && old[i].Path < p {
+				ms.count(old[i], -1) // removed
 				i++
 			}
-			if i < len(old) && old[i].Path == p && oldGens[i] == ms.gens[j] {
-				ms.files[j] = old[i]
-				continue
+			if i < len(old) && old[i].Path == p {
+				if oldGens[i] == ms.gens[j] {
+					ms.files[j] = old[i]
+					i++
+					continue
+				}
+				ms.count(old[i], -1) // replaced
+				i++
 			}
 			dirtyPaths = append(dirtyPaths, p)
 			dirtySlots = append(dirtySlots, slot{ms, j})
+		}
+		for ; i < len(old); i++ {
+			ms.count(old[i], -1) // removed
 		}
 		ms.gen, ms.sealed = sh.Gen(), false
 		dirtyShards = append(dirtyShards, ms)
@@ -126,83 +143,111 @@ func (c *Cache) AnalyzeIndexed(ix *artifact.Index) *FrameworkMetrics {
 	}
 
 	// Pass 2: recompute the dirty rows in parallel (the NLOC text scans
-	// dominate).
+	// dominate), then add them.
 	par.For(par.Workers(len(dirtyPaths)), len(dirtyPaths), func(k int) {
 		p := dirtyPaths[k]
 		dirtySlots[k].ms.files[dirtySlots[k].i] = analyzeFileIndexed(ix.Units[p], ix.UnitFuncs(p))
 	})
+	for _, sl := range dirtySlots {
+		sl.ms.count(sl.ms.files[sl.i], 1)
+	}
+	for _, ms := range dirtyShards {
+		ms.settleMax()
+	}
+	return c.result(ix)
+}
 
-	// Pass 3: re-fold the dirty shards' partials in parallel — refold
-	// reads and writes only shard-local state, and the global fold below
-	// walks shards in sorted name order.
-	par.For(par.Workers(len(dirtyShards)), len(dirtyShards), func(k int) {
-		dirtyShards[k].refold()
-	})
-
-	// Global result: merge row lists in path order, fold partials.
-	out := &FrameworkMetrics{Files: c.mergeFiles(ix)}
-	out.Modules = make([]*ModuleMetrics, 0, len(names))
+// result assembles the framework result from the module partials,
+// summing them into the corpus totals (a function with CCN >= 11 is one
+// over the first threshold, 10). The file-row list is built on first
+// use (Files): the per-shard row lists as they stand now, which later
+// calls never write, concatenated in the index's shard path order
+// (artifact.Index.ShardsInPathOrder) and stably sorted by path when
+// explicit module overrides interleave the shards' path ranges.
+func (c *Cache) result(ix *artifact.Index) *FrameworkMetrics {
+	names := ix.ShardNames()
+	out := &FrameworkMetrics{Modules: make([]*ModuleMetrics, 0, len(names))}
 	for _, m := range names {
-		ms := c.shards[m]
-		if ms.mm != nil {
-			out.Modules = append(out.Modules, ms.mm)
+		mm := c.shards[m].mm
+		out.Modules = append(out.Modules, mm)
+		out.TotalFiles += mm.Files
+		out.TotalLOC += mm.LOC
+		out.TotalNLOC += mm.NLOC
+		out.TotalFunc += mm.Functions
+		out.ModerateOrWorse += mm.OverCCN[10]
+	}
+	ordered, disjoint := ix.ShardsInPathOrder()
+	lists := make([][]*FileMetrics, len(ordered))
+	for i, sh := range ordered {
+		lists[i] = c.shards[sh.Module].files
+	}
+	out.rows = func() []*FileMetrics {
+		rows := make([]*FileMetrics, 0, out.TotalFiles)
+		for _, l := range lists {
+			rows = append(rows, l...)
 		}
-		out.TotalLOC += ms.totLOC
-		out.TotalNLOC += ms.totNLOC
-		out.TotalFunc += ms.totFunc
-		out.ModerateOrWorse += ms.modWorse
+		if !disjoint {
+			sort.SliceStable(rows, func(i, j int) bool { return rows[i].Path < rows[j].Path })
+		}
+		return rows
 	}
 	return out
 }
 
-// refold recomputes the shard's ModuleMetrics and totals from its file
-// rows. Every counter is an integer, so folding per shard and summing
-// across shards yields exactly what a flat aggregate over all files
-// would.
-func (ms *metricShard) refold() {
-	ms.totLOC, ms.totNLOC, ms.totFunc, ms.modWorse = 0, 0, 0, 0
-	var mm *ModuleMetrics
-	for _, fm := range ms.files {
-		if mm == nil {
-			mm = &ModuleMetrics{Name: fm.Module, OverCCN: make(map[int]int)}
-		}
-		mm.Files++
-		mm.LOC += fm.LOC
-		mm.NLOC += fm.NLOC
-		ms.totLOC += fm.LOC
-		ms.totNLOC += fm.NLOC
-		for _, fn := range fm.Functions {
-			mm.Functions++
-			ms.totFunc++
-			mm.SumCCN += fn.CCN
-			if fn.CCN > mm.MaxCCN {
-				mm.MaxCCN = fn.CCN
-			}
-			for _, th := range Thresholds {
-				if fn.CCN > th {
-					mm.OverCCN[th]++
+// thaw gives the shard a fresh module partial equal to its current one
+// (a new, empty one for a new shard), so a partial already handed out
+// is never written again.
+func (ms *metricShard) thaw(module string) {
+	mm := &ModuleMetrics{Name: module, OverCCN: make(map[int]int, len(Thresholds))}
+	if ms.mm != nil {
+		*mm = *ms.mm
+		mm.OverCCN = maps.Clone(ms.mm.OverCCN)
+	}
+	ms.mm, ms.lostMax = mm, false
+}
+
+// count adds one row (sign +1) to or subtracts it (sign -1) from the
+// shard's module partial, deleting OverCCN entries that reach zero. A
+// subtracted row holding the partial's MaxCCN marks it lost; settleMax
+// restores it.
+func (ms *metricShard) count(fm *FileMetrics, sign int) {
+	mm := ms.mm
+	mm.Files += sign
+	mm.LOC += sign * fm.LOC
+	mm.NLOC += sign * fm.NLOC
+	for _, fn := range fm.Functions {
+		mm.Functions += sign
+		mm.SumCCN += sign * fn.CCN
+		for _, th := range Thresholds {
+			if fn.CCN > th {
+				if mm.OverCCN[th] += sign; mm.OverCCN[th] == 0 {
+					delete(mm.OverCCN, th)
 				}
 			}
-			if fn.CCN >= 11 {
-				ms.modWorse++
-			}
+		}
+		if fn.Returns > 1 {
+			mm.MultiExit += sign
+		}
+		switch {
+		case sign > 0 && fn.CCN > mm.MaxCCN:
+			mm.MaxCCN = fn.CCN
+		case sign < 0 && fn.CCN == mm.MaxCCN:
+			ms.lostMax = true
 		}
 	}
-	ms.mm = mm
 }
 
-// mergeFiles assembles the global file-row list in sorted path order:
-// the per-shard lists concatenated in the index's shard path order
-// (artifact.Index.ShardsInPathOrder), stably sorted by path when
-// explicit module overrides interleave the shards' path ranges.
-func (c *Cache) mergeFiles(ix *artifact.Index) []*FileMetrics {
-	ordered, disjoint := ix.ShardsInPathOrder()
-	out := make([]*FileMetrics, 0, len(ix.Paths))
-	for _, sh := range ordered {
-		out = append(out, c.shards[sh.Module].files...)
+// settleMax rescans the shard's rows for MaxCCN when a subtracted row
+// held it.
+func (ms *metricShard) settleMax() {
+	if !ms.lostMax {
+		return
 	}
-	if !disjoint {
-		sort.SliceStable(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	ms.mm.MaxCCN = 0
+	for _, fm := range ms.files {
+		for _, fn := range fm.Functions {
+			ms.mm.MaxCCN = max(ms.mm.MaxCCN, fn.CCN)
+		}
 	}
-	return out
+	ms.lostMax = false
 }

@@ -29,15 +29,16 @@ func parseSet(t *testing.T, srcs map[string]string) *artifact.Index {
 // pointer, since the cache intentionally shares rows).
 func requireSameMetrics(t *testing.T, stage string, got, want *metrics.FrameworkMetrics) {
 	t.Helper()
-	if got.TotalLOC != want.TotalLOC || got.TotalNLOC != want.TotalNLOC ||
+	if got.TotalFiles != want.TotalFiles || got.TotalLOC != want.TotalLOC || got.TotalNLOC != want.TotalNLOC ||
 		got.TotalFunc != want.TotalFunc || got.ModerateOrWorse != want.ModerateOrWorse {
 		t.Fatalf("%s: totals differ: %+v vs %+v", stage, got, want)
 	}
-	if len(got.Files) != len(want.Files) {
-		t.Fatalf("%s: file counts differ: %d vs %d", stage, len(got.Files), len(want.Files))
+	gotFiles, wantFiles := got.Files(), want.Files()
+	if len(gotFiles) != len(wantFiles) || len(wantFiles) != want.TotalFiles {
+		t.Fatalf("%s: file counts differ: %d vs %d (TotalFiles %d)", stage, len(gotFiles), len(wantFiles), want.TotalFiles)
 	}
-	for i := range got.Files {
-		g, w := got.Files[i], want.Files[i]
+	for i := range gotFiles {
+		g, w := gotFiles[i], wantFiles[i]
 		if g.Path != w.Path || g.Module != w.Module || g.Lang != w.Lang ||
 			g.LOC != w.LOC || g.NLOC != w.NLOC || len(g.Functions) != len(w.Functions) {
 			t.Fatalf("%s: file row %s differs", stage, g.Path)
@@ -117,6 +118,65 @@ func TestCacheMatchesAnalyzeIndexed(t *testing.T) {
 	if c.LastDirty() != 0 {
 		t.Fatalf("remove dirty = %d, want 0", c.LastDirty())
 	}
+
+	// The partials move by each changed row's difference. m/big.c holds
+	// module m's MaxCCN and its only CCN>10 function: replacing or
+	// removing it must rescan for the maximum and drop the OverCCN entry
+	// and the moderate-or-worse count it leaves at zero.
+	steps := []struct {
+		name    string
+		applies []map[string]string
+		dirty   int
+	}{
+		{"add the MaxCCN holder", []map[string]string{{"m/big.c": bigCCN}}, 1},
+		{"replace it below every threshold", []map[string]string{{"m/big.c": "int big(int x) { return x; }\n"}}, 1},
+		{"two applies before one update", []map[string]string{
+			{"m/big.c": bigCCN},
+			{"m/b.c": "int fb(void) { if (1) { return 5; } return 6; }\n"},
+		}, 2},
+		{"remove the MaxCCN holder", []map[string]string{{"m/big.c": ""}}, 0},
+		{"a file edited twice and one added and removed", []map[string]string{
+			{"m/b.c": bigCCN + "int fb(void) { return 7; }\n", "m/tmp.c": bigCCN},
+			{"m/b.c": "int fb(void) { return 8; }\n", "m/tmp.c": ""},
+		}, 1},
+	}
+	for _, st := range steps {
+		for _, files := range st.applies {
+			applyMetricFiles(t, ix, files)
+		}
+		requireSameMetrics(t, st.name, c.AnalyzeIndexed(ix), metrics.AnalyzeIndexed(ix))
+		if c.LastDirty() != st.dirty {
+			t.Fatalf("%s dirty = %d, want %d", st.name, c.LastDirty(), st.dirty)
+		}
+	}
+}
+
+// bigCCN defines a function of CCN 12: one above Figure 3's first
+// threshold and in the moderate band.
+const bigCCN = "int big(int x) {\n" +
+	"  if (x > 1) { x++; } if (x > 2) { x++; } if (x > 3) { x++; } if (x > 4) { x++; }\n" +
+	"  if (x > 5) { x++; } if (x > 6) { x++; } if (x > 7) { x++; } if (x > 8) { x++; }\n" +
+	"  if (x > 9) { x++; } if (x > 10) { x++; } if (x > 11) { x++; }\n" +
+	"  return x;\n}\n"
+
+// applyMetricFiles applies one step map (path → new source, "" for a
+// removal) as one Index.Apply.
+func applyMetricFiles(t *testing.T, ix *artifact.Index, files map[string]string) {
+	t.Helper()
+	var upserts []*ccast.TranslationUnit
+	var removals []string
+	for p, src := range files {
+		if src == "" {
+			removals = append(removals, p)
+			continue
+		}
+		tu, errs := ccparse.Parse(&srcfile.File{Path: p, Lang: srcfile.LanguageForPath(p), Src: src}, ccparse.Options{})
+		if len(errs) > 0 {
+			t.Fatalf("parse %s: %v", p, errs[0])
+		}
+		upserts = append(upserts, tu)
+	}
+	ix.Apply(upserts, removals)
 }
 
 // TestCacheShardRecreation is the regression gate for shard-generation

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/artifact"
 	"repro/internal/ccast"
@@ -118,18 +119,40 @@ type ModuleMetrics struct {
 	OverCCN map[int]int
 	MaxCCN  int
 	SumCCN  int
+	// MultiExit counts functions with more than one return statement
+	// (Observation 14's multiple-exit share).
+	MultiExit int
 }
 
 // FrameworkMetrics is the whole-corpus result.
 type FrameworkMetrics struct {
-	Modules   []*ModuleMetrics // sorted by name
-	Files     []*FileMetrics   // corpus order
-	TotalLOC  int
-	TotalNLOC int
-	TotalFunc int
+	Modules    []*ModuleMetrics // sorted by name
+	TotalFiles int
+	TotalLOC   int
+	TotalNLOC  int
+	TotalFunc  int
 	// ModerateOrWorse counts functions with CCN >= 11 framework-wide
 	// (the paper reports 554 for Apollo).
 	ModerateOrWorse int
+
+	// files is the row list Files returns; a cached result builds it
+	// from rows on first use.
+	filesOnce sync.Once
+	files     []*FileMetrics
+	rows      func() []*FileMetrics
+}
+
+// Files returns every file row in sorted path order. A result of
+// Cache.AnalyzeIndexed builds the list on first use; concurrent callers
+// share it. The list and its rows are shared: callers must not modify
+// them.
+func (fw *FrameworkMetrics) Files() []*FileMetrics {
+	fw.filesOnce.Do(func() {
+		if fw.rows != nil {
+			fw.files, fw.rows = fw.rows(), nil
+		}
+	})
+	return fw.files
 }
 
 // Thresholds used for Figure 3's "functions with CCN over N" bars.
@@ -199,10 +222,9 @@ func AnalyzeIndexed(ix *artifact.Index) *FrameworkMetrics {
 // aggregate folds per-file rows (in sorted path order) into the
 // framework-wide result.
 func aggregate(files []*FileMetrics) *FrameworkMetrics {
-	out := &FrameworkMetrics{}
+	out := &FrameworkMetrics{TotalFiles: len(files), files: files}
 	mods := make(map[string]*ModuleMetrics)
 
-	out.Files = files
 	for _, fm := range files {
 		mm := mods[fm.Module]
 		if mm == nil {
@@ -228,6 +250,9 @@ func aggregate(files []*FileMetrics) *FrameworkMetrics {
 			}
 			if fn.CCN >= 11 {
 				out.ModerateOrWorse++
+			}
+			if fn.Returns > 1 {
+				mm.MultiExit++
 			}
 		}
 	}
@@ -255,7 +280,7 @@ func (fw *FrameworkMetrics) Module(name string) *ModuleMetrics {
 // AllFunctions returns every function row across files.
 func (fw *FrameworkMetrics) AllFunctions() []*FunctionMetrics {
 	var out []*FunctionMetrics
-	for _, f := range fw.Files {
+	for _, f := range fw.Files() {
 		out = append(out, f.Functions...)
 	}
 	return out

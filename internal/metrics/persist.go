@@ -2,14 +2,12 @@ package metrics
 
 import (
 	"repro/internal/artifact"
-	"repro/internal/par"
 )
 
 // Persistence boundary of the shard-aware metrics cache. The expensive
 // part of a file row is the NLOC text scan; the snapshot therefore
 // stores the finished *FileMetrics rows and RestoreRows re-derives the
-// cheap per-shard aggregates (module partials, corpus totals) from them
-// against the restored index. The architectural cache (ArchCache) is
+// cheap module partials from them against the restored index. The architectural cache (ArchCache) is
 // deliberately not persisted: its partials fold in O(corpus) from the
 // restored artifact facts with no text scans, so the first warm
 // AnalyzeIndexed rebuilds them for free.
@@ -44,31 +42,27 @@ func (c *Cache) ShardRows(module string) ([]*FileMetrics, bool) {
 
 // RestoreRows seeds the cache against a freshly restored index: every
 // shard in shards (rows, one per path of the shard in its sorted order)
-// is filled at the current unit generations, folded, and marked sealed.
-// A shard missing from shards is left empty, so the first AnalyzeIndexed
-// recomputes exactly that shard.
+// is filled at the current unit generations, its rows added to a fresh
+// module partial as a cold run adds them (count), and marked sealed. A shard missing from shards is left empty, so the first
+// AnalyzeIndexed recomputes exactly that shard.
 func (c *Cache) RestoreRows(ix *artifact.Index, shards map[string][]*FileMetrics) {
 	c.ix = ix
 	c.shards = make(map[string]*metricShard, len(shards))
-	names := ix.ShardNames()
-	mss := make([]*metricShard, len(names))
-	par.For(par.Workers(len(names)), len(names), func(k int) {
-		sh := ix.Shard(names[k])
-		rows, ok := shards[names[k]]
+	for _, m := range ix.ShardNames() {
+		rows, ok := shards[m]
 		if !ok {
-			return
+			continue
 		}
+		sh := ix.Shard(m)
 		ms := &metricShard{gen: sh.Gen(), sealed: true, files: rows, gens: make([]uint64, len(rows))}
 		for i, p := range sh.Paths() {
 			ms.gens[i] = ix.UnitGen(p)
 		}
-		ms.refold()
-		mss[k] = ms
-	})
-	for k, ms := range mss {
-		if ms != nil {
-			c.shards[names[k]] = ms
+		ms.thaw(m)
+		for _, fm := range rows {
+			ms.count(fm, 1)
 		}
+		c.shards[m] = ms
 	}
 	c.lastDirty = 0
 }

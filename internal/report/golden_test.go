@@ -93,7 +93,7 @@ func renderReport(a *core.Assessor) string {
 	asil := as.Target
 
 	fmt.Fprintf(&sb, "Corpus: %d files, %d LOC, %d functions across %d modules\n\n",
-		len(fw.Files), fw.TotalLOC, fw.TotalFunc, len(fw.Modules))
+		fw.TotalFiles, fw.TotalLOC, fw.TotalFunc, len(fw.Modules))
 
 	stats := a.ShardStats()
 	sort.SliceStable(stats, func(i, j int) bool {

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/artifact"
@@ -18,9 +19,15 @@ import (
 // roots C ∪ onCycle therefore visits every name whose status may have
 // moved, and computes each visited name's status exactly; every other
 // name keeps its status. With no graph change Tarjan does not run at all.
-// A finding is rendered from its name's champion, whose line a body edit
-// may move without moving any fact, so every update re-renders the
-// on-cycle names whose champion is a different record.
+//
+// A finding is rendered from its name's champion (ByName), which a body
+// edit may replace without moving any fact, so a line can move with no
+// feed entry. A champion changes only when its file is replaced or
+// removed, or when a changed file inserts an earlier definition of the
+// name, so an update re-checks the champions of exactly those on-cycle
+// names: the ones whose champion lives in a touched file (byPath), and
+// the ones a touched file now defines. A re-rendered finding equal to
+// the cached one only swaps the champion pointer.
 type cycleCache struct {
 	rule *RecursionRule
 	// ok is false until the cache holds the on-cycle set of the current
@@ -29,6 +36,9 @@ type cycleCache struct {
 	// found maps every on-cycle name to its finding and the champion it
 	// was rendered from.
 	found map[string]onCycle
+	// byPath lists, per file, the on-cycle names whose champion it
+	// defines.
+	byPath map[string][]string
 	// seg is found's findings sorted under findingLess.
 	seg []Finding
 }
@@ -39,36 +49,81 @@ type onCycle struct {
 	f     Finding
 }
 
+// reset empties the on-cycle set.
+func (cc *cycleCache) reset() {
+	cc.found = make(map[string]onCycle)
+	cc.byPath = make(map[string][]string)
+}
+
+// set records name's finding and champion, re-indexing the champion's
+// path.
+func (cc *cycleCache) set(name string, oc onCycle) {
+	if old, ok := cc.found[name]; ok {
+		cc.unindex(name, old.champ)
+	}
+	cc.found[name] = oc
+	if oc.champ != nil {
+		p := oc.champ.File.Path
+		cc.byPath[p] = append(cc.byPath[p], name)
+	}
+}
+
+// drop forgets an on-cycle name.
+func (cc *cycleCache) drop(name string) {
+	cc.unindex(name, cc.found[name].champ)
+	delete(cc.found, name)
+}
+
+// unindex removes name from its champion's path entry.
+func (cc *cycleCache) unindex(name string, champ *FuncInfo) {
+	if champ == nil {
+		return
+	}
+	p := champ.File.Path
+	names := cc.byPath[p]
+	if i := slices.Index(names, name); i >= 0 {
+		names = slices.Delete(names, i, i+1)
+	}
+	if len(names) == 0 {
+		delete(cc.byPath, p)
+	} else {
+		cc.byPath[p] = names
+	}
+}
+
 // seed installs a restored corpus segment rendered from byName's
 // champions: every finding of the rule names one on-cycle function (its
 // Function field, unqualified, is the name the graph keys on), so the
 // on-cycle set is read back without an SCC.
 func (cc *cycleCache) seed(corpus []Finding, byName map[string]*FuncInfo) {
-	cc.found = make(map[string]onCycle)
+	cc.reset()
 	for _, f := range corpus {
 		if f.RuleID == cc.rule.ID() {
 			name := artifact.Unqualified(f.Function)
-			cc.found[name] = onCycle{byName[name], f}
+			cc.set(name, onCycle{byName[name], f})
 		}
 	}
 	cc.resort()
 	cc.ok = true
 }
 
-// update brings the cache to the context's index and reports whether
-// its segment changed. changes holds the union of feed entries since
-// the previous update; it is ignored when the cache is not ok (fresh
-// engine, new index, or feed overrun), which runs the full SCC instead.
-func (cc *cycleCache) update(ctx *Context, changes map[string]artifact.Change) bool {
+// update brings the cache to the context's index and returns the
+// findings that left the segment and those that entered it. changes
+// holds the union of feed entries since the previous update, and touched
+// the paths whose unit was replaced, re-checked or removed since then;
+// both are ignored when the cache is not ok (fresh engine, new index, or
+// feed overrun), which runs the full SCC instead.
+func (cc *cycleCache) update(ctx *Context, changes map[string]artifact.Change, touched []string) (left, came []Finding) {
 	if !cc.ok {
-		cc.found = make(map[string]onCycle)
+		left = cc.seg
+		cc.reset()
 		for _, f := range cc.rule.Check(ctx) {
 			name := artifact.Unqualified(f.Function)
-			cc.found[name] = onCycle{ctx.ByName[name], f}
+			cc.set(name, onCycle{ctx.ByName[name], f})
 		}
 		cc.resort()
 		cc.ok = true
-		return true
+		return left, cc.seg
 	}
 	var roots []string
 	for name, what := range changes {
@@ -76,8 +131,13 @@ func (cc *cycleCache) update(ctx *Context, changes map[string]artifact.Change) b
 			roots = append(roots, name)
 		}
 	}
-	moved := false
+	// check collects the names whose champion may have moved: the
+	// graph roots still on a cycle, the names that joined one, and the
+	// on-cycle names a touched file defined or defines.
+	var check []string
+	var joined map[string]bool
 	if len(roots) > 0 {
+		check = append(check, roots...)
 		for name := range cc.found {
 			roots = append(roots, name)
 		}
@@ -85,28 +145,63 @@ func (cc *cycleCache) update(ctx *Context, changes map[string]artifact.Change) b
 		status := cycleStatus(ctx.ByName, roots)
 		// Every previously on-cycle name is a root: it was visited (and
 		// its status recomputed) unless it is no longer defined.
+		var off []string
 		for name := range cc.found {
 			if !status[name] {
-				delete(cc.found, name)
-				moved = true
+				off = append(off, name)
 			}
 		}
+		sort.Strings(off)
+		for _, name := range off {
+			left = append(left, cc.found[name].f)
+			cc.drop(name)
+		}
+		joined = make(map[string]bool)
 		for name, cyclic := range status {
 			if _, was := cc.found[name]; cyclic && !was {
-				cc.found[name] = onCycle{} // rendered below
+				joined[name] = true
+				check = append(check, name)
 			}
 		}
 	}
-	for name, oc := range cc.found {
-		if fa := ctx.ByName[name]; fa != oc.champ {
-			cc.found[name] = onCycle{fa, cc.rule.finding(fa)}
-			moved = true
+	for _, p := range touched {
+		check = append(check, cc.byPath[p]...)
+		for _, fa := range ctx.Index.UnitFuncs(p) {
+			check = append(check, artifact.Unqualified(fa.Name))
 		}
 	}
-	if moved {
+	sort.Strings(check)
+	for _, name := range slices.Compact(check) {
+		oc, was := cc.found[name]
+		fa := ctx.ByName[name]
+		if was && fa == oc.champ {
+			continue
+		}
+		if !was && !joined[name] {
+			continue // not on a cycle
+		}
+		f := cc.rule.finding(fa)
+		if was && sameFinding(&f, &oc.f) {
+			cc.set(name, onCycle{fa, oc.f})
+			continue
+		}
+		if was {
+			left = append(left, oc.f)
+		}
+		came = append(came, f)
+		cc.set(name, onCycle{fa, f})
+	}
+	if len(left) > 0 || len(came) > 0 {
 		cc.resort()
 	}
-	return moved
+	return left, came
+}
+
+// sameFinding reports whether two findings are equal field by field.
+func sameFinding(a, b *Finding) bool {
+	return a.RuleID == b.RuleID && a.Severity == b.Severity && a.File == b.File &&
+		a.Module == b.Module && a.Line == b.Line && a.Msg == b.Msg &&
+		a.Function == b.Function && slices.Equal(a.Refs, b.Refs)
 }
 
 // resort rebuilds the sorted segment from found.

@@ -8,10 +8,10 @@ import (
 // This file is the sharded engine's persistence boundary. The engine's
 // warm state is, per file, the cached finding list, plus the
 // corpus-level segment. Everything else it holds (per-shard segments,
-// stats partials, unit generations, the recursion rule's on-cycle set)
-// is derivable from those lists and the artifact index, so the snapshot
-// stores only the finding lists and RestoreCache rebuilds the rest
-// against the restored index.
+// the finding counts, unit generations, the recursion rule's on-cycle
+// set) is derivable from those lists and the artifact index, so the
+// snapshot stores only the finding lists and RestoreCache rebuilds the
+// rest against the restored index.
 
 // Sealed reports whether a module's shard is still sealed: filled by
 // RestoreCache, never rebuilt since, and valid at the shard's current
@@ -62,12 +62,13 @@ func (s *Sharded) CorpusFindings() ([]Finding, bool) {
 // re-checks exactly that shard.
 // The recursion rule's on-cycle set is read back from the corpus
 // segment, so the first graph change after restore updates it instead
-// of re-running the corpus-wide SCC.
+// of re-running the corpus-wide SCC. The counts are built from zero by
+// adding every restored list, as a cold run adds every checked one.
 func (s *Sharded) RestoreCache(ix *artifact.Index, corpus []Finding, shards map[string][][]Finding) {
 	s.reset(ix)
 	s.haveCorpus = true
 	s.corpusSeg = corpus
-	s.corpusStat = Aggregate(corpus)
+	s.counts = Aggregate(corpus)
 	if s.cyc != nil {
 		s.cyc.seed(corpus, ix.ByName)
 	}
@@ -84,9 +85,8 @@ func (s *Sharded) RestoreCache(ix *artifact.Index, corpus []Finding, shards map[
 	for k, seg := range segs {
 		if seg != nil {
 			s.shards[names[k]] = seg
+			s.counts.count(seg.seg, 1)
 		}
 	}
-	// s.stats is only read after an Update, which folds the partials.
-	s.stats = nil
 	s.lastDirty = 0
 }

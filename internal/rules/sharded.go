@@ -25,12 +25,15 @@ import (
 //     files spelling that name at identifier boundaries are re-checked —
 //     fact stubs included, so only those get hydrated;
 //   - each shard keeps a presorted finding segment (its files' cached
-//     findings concatenated in shard path order, with per-file offsets)
-//     plus a Stats partial, rebuilt in O(shard) only when one of its
-//     files was re-checked;
+//     findings concatenated in shard path order, with per-file offsets),
+//     copied afresh only when one of its files was re-checked;
 //   - the recursion rule's on-cycle set, the corpus segment, is kept
-//     across runs and updated from the changed call-graph nodes
-//     (cycleCache);
+//     across runs and updated from the changed call-graph nodes and the
+//     changed files (cycleCache);
+//   - the finding statistics are one running count set, kept by
+//     difference: a warm run subtracts the cached findings of every
+//     re-checked or dropped file and adds the new lists (Stats.count),
+//     so its cost follows the files it re-checked, not their shards;
 //   - the global finding stream is a k-way merge of the shard segments
 //     (plus the corpus segment), byte-identical to the sequential
 //     reference engine because every segment is sorted under the same
@@ -66,9 +69,13 @@ type Sharded struct {
 
 	haveCorpus bool
 	corpusSeg  []Finding // cyc's segment
-	corpusStat *Stats
 
-	segs            [][]Finding // the previous Update's sorted segments
+	segs [][]Finding // the previous Update's sorted segments
+	// counts are the statistics of the findings in segs, kept up to date
+	// by difference; stats is the read-only copy Stats hands out,
+	// replaced only when counts moved, so a caller writing its maps
+	// cannot make counts drift.
+	counts          *Stats
 	stats           *Stats
 	lastDirty       int
 	lastFullRecheck bool
@@ -87,7 +94,6 @@ type shardSeg struct {
 	gens   []uint64
 	off    []int // file i's findings are seg[off[i]:off[i+1]]
 	seg    []Finding
-	stats  *Stats
 }
 
 // findings returns file i's cached findings (capacity-clipped, so an
@@ -97,8 +103,9 @@ func (seg *shardSeg) findings(i int) []Finding {
 }
 
 // fill rebuilds the segment from per-file finding lists aligned with the
-// shard's current paths, at the given unit generations, and re-folds the
-// stats partial. Distinct segments may fill concurrently.
+// shard's current paths, at the given unit generations. The segment is
+// a fresh copy, because readers hold views of the previous one.
+// Distinct segments may fill concurrently.
 func (seg *shardSeg) fill(sh *artifact.Shard, gens []uint64, files [][]Finding) {
 	total := 0
 	for _, fs := range files {
@@ -112,7 +119,6 @@ func (seg *shardSeg) fill(sh *artifact.Shard, gens []uint64, files [][]Finding) 
 		seg.seg = append(seg.seg, fs...)
 		seg.off[i+1] = len(seg.seg)
 	}
-	seg.stats = Aggregate(seg.seg)
 	seg.gen, seg.sealed = sh.Gen(), false
 }
 
@@ -148,8 +154,9 @@ func (s *Sharded) LastDirty() int { return s.lastDirty }
 // named more than maxScanNames changed names.
 func (s *Sharded) LastFullRecheck() bool { return s.lastFullRecheck }
 
-// Stats returns the finding statistics of the previous Update, folded
-// from the per-shard partials. Identical to Aggregate over Findings.
+// Stats returns the finding statistics of the previous Update,
+// identical to Aggregate over Findings. The value is shared and kept
+// across Updates that move no count; callers must not modify it.
 func (s *Sharded) Stats() *Stats { return s.stats }
 
 // reset drops all engine state (new index ⇒ new corpus).
@@ -158,7 +165,8 @@ func (s *Sharded) reset(ix *artifact.Index) {
 	s.seen = ix.Gen()
 	s.haveCorpus = false
 	s.shards = make(map[string]*shardSeg)
-	s.corpusSeg, s.corpusStat, s.segs = nil, nil, nil
+	s.corpusSeg, s.segs = nil, nil
+	s.counts, s.stats = nil, nil
 	if s.cyc != nil {
 		s.cyc.ok = false
 	}
@@ -190,7 +198,8 @@ func (s *Sharded) Run(ctx *Context) []Finding {
 // Update brings the engine's per-shard segments and Stats up to date
 // with the context's index: a warm update after a delta re-checks only
 // the files whose unit generation moved and the files spelling a name
-// whose cross-file facts moved, and re-aggregates only their shards.
+// whose cross-file facts moved, re-copies only their shards' segments,
+// and moves the counts by those files' differences.
 func (s *Sharded) Update(ctx *Context) {
 	s.lastFullRecheck = false
 	ix := ctx.Index
@@ -213,11 +222,40 @@ func (s *Sharded) Update(ctx *Context) {
 	indexMoved := ix.Gen() != s.seen
 	s.seen = ix.Gen()
 
+	// A warm run collects in diff the net difference of the files it
+	// re-checks or drops: their cached findings subtracted, their new
+	// ones added. A run that re-checks every file rebuilds the counts
+	// from zero instead, as a cold run does, so it only adds.
+	diff := newStats()
+	if invalidate {
+		s.counts = diff
+	}
+	sub := func(fs []Finding) {
+		if !invalidate {
+			diff.count(fs, -1)
+		}
+	}
+	// touched lists the dropped paths, and then the re-checked ones, for
+	// the on-cycle set's champion checks.
+	var touched []string
+	drop := func(seg *shardSeg, i int) {
+		sub(seg.findings(i))
+		touched = append(touched, seg.paths[i])
+	}
+
 	names := ix.ShardNames()
+	var gone []string
 	for m := range s.shards {
 		if ix.Shard(m) == nil {
-			delete(s.shards, m) // the shard no longer exists
+			gone = append(gone, m) // the shard no longer exists
 		}
+	}
+	sort.Strings(gone)
+	for _, m := range gone {
+		for i := range s.shards[m].paths {
+			drop(s.shards[m], i)
+		}
+		delete(s.shards, m)
 	}
 
 	// Files spelling a name whose per-file-visible facts moved, by shard.
@@ -229,7 +267,8 @@ func (s *Sharded) Update(ctx *Context) {
 	// Plan the rebuild of every shard whose generation moved or that has
 	// readers of a changed name: merge-walk the cached and current sorted
 	// path lists, reuse a file's findings when its path and unit
-	// generation match and it spells no changed name, re-check the rest.
+	// generation match and it spells no changed name, re-check the rest,
+	// and subtract the cached findings of every file re-checked or gone.
 	type plan struct {
 		seg   *shardSeg
 		sh    *artifact.Shard
@@ -249,24 +288,36 @@ func (s *Sharded) Update(ctx *Context) {
 		}
 		hits := spelled[m]
 		if !invalidate && seg.gen == sh.Gen() && len(hits) == 0 {
-			continue // clean shard: segment and stats reused as-is
+			continue // clean shard: segment reused as-is
 		}
 		pl := plan{seg: seg, sh: sh, gens: unitGens(ix, sh), files: make([][]Finding, sh.Len())}
 		i, k := 0, 0 // cursors into seg.paths and hits
 		for j, p := range sh.Paths() {
 			for i < len(seg.paths) && seg.paths[i] < p {
+				drop(seg, i)
+				i++
+			}
+			old := -1 // p's index in seg.paths, if cached
+			if i < len(seg.paths) && seg.paths[i] == p {
+				old = i
 				i++
 			}
 			hit := k < len(hits) && hits[k] == p
 			if hit {
 				k++
 			}
-			if !invalidate && !hit && i < len(seg.paths) && seg.paths[i] == p && seg.gens[i] == pl.gens[j] {
-				pl.files[j] = seg.findings(i)
+			if !invalidate && !hit && old >= 0 && seg.gens[old] == pl.gens[j] {
+				pl.files[j] = seg.findings(old)
 				continue
+			}
+			if old >= 0 {
+				sub(seg.findings(old))
 			}
 			dirtyPaths = append(dirtyPaths, p)
 			dirtySlots = append(dirtySlots, slot{len(plans), j})
+		}
+		for ; i < len(seg.paths); i++ {
+			drop(seg, i)
 		}
 		plans = append(plans, pl)
 	}
@@ -275,53 +326,60 @@ func (s *Sharded) Update(ctx *Context) {
 		s.Hydrate(dirtyPaths)
 	}
 
-	// Corpus-level output: the recursion rule's on-cycle set follows the
-	// feed.
-	corpusMoved := !s.haveCorpus
-	if s.cyc != nil && (!s.cyc.ok || indexMoved) {
-		corpusMoved = s.cyc.update(ctx, changes) || corpusMoved
-	}
-	if corpusMoved {
-		if s.cyc != nil {
-			s.corpusSeg = s.cyc.seg
-		}
-		s.corpusStat = Aggregate(s.corpusSeg)
-		s.haveCorpus = true
-	}
-
 	// Re-check the dirty files (parallel across shards), each file's
 	// findings pre-sorted: within a file the findingLess order is
 	// self-contained, so shard segments concatenate without re-sorting.
 	for k, fs := range runUnits(ctx, s.rules, dirtyPaths) {
 		sortFindings(fs)
 		plans[dirtySlots[k].plan].files[dirtySlots[k].file] = fs
+		diff.count(fs, 1)
 	}
 
-	// Rebuild the planned shards' segments and stats partials in
-	// parallel: each reads only its own plan and writes only its own
-	// segment, and the merge below walks shards in sorted name order, so
-	// output is scheduling-independent.
+	// Corpus-level output: the recursion rule's on-cycle set follows the
+	// feed and the touched files.
+	if s.cyc != nil && (!s.cyc.ok || indexMoved) {
+		left, came := s.cyc.update(ctx, changes, append(touched, dirtyPaths...))
+		s.corpusSeg = s.cyc.seg
+		if !invalidate {
+			diff.count(left, -1)
+			diff.count(came, 1)
+		}
+	}
+	if invalidate {
+		diff.count(s.corpusSeg, 1)
+	}
+	s.haveCorpus = true
+
+	// Rebuild the planned shards' segments in parallel: each reads only
+	// its own plan and writes only its own segment, and the merge walks
+	// shards in sorted name order, so output is scheduling-independent.
 	par.For(par.Workers(len(plans)), len(plans), func(k int) {
 		plans[k].seg.fill(plans[k].sh, plans[k].gens, plans[k].files)
 	})
 
 	// Collect the per-shard segments (and the corpus segment) for
-	// Findings to merge, and fold the stats partials.
+	// Findings to merge.
 	segs := make([][]Finding, 0, len(names)+1)
-	parts := make([]*Stats, 0, len(names)+1)
 	if len(s.corpusSeg) > 0 {
 		segs = append(segs, s.corpusSeg)
 	}
-	parts = append(parts, s.corpusStat)
 	for _, m := range names {
-		seg := s.shards[m]
-		if len(seg.seg) > 0 {
+		if seg := s.shards[m]; len(seg.seg) > 0 {
 			segs = append(segs, seg.seg)
 		}
-		parts = append(parts, seg.stats)
 	}
 	s.segs = segs
-	s.stats = MergeStats(parts...)
+
+	// Publish a new Stats only when a count moved: a body edit that
+	// keeps its file's findings leaves the published value as it was.
+	moved := invalidate || s.stats == nil
+	if !invalidate && !diff.empty() {
+		s.counts.apply(diff)
+		moved = true
+	}
+	if moved {
+		s.stats = s.counts.clone()
+	}
 }
 
 // Findings returns the global finding stream as of the previous Update,

@@ -150,10 +150,14 @@ func bodyEdits(path string, n int) []map[string]string {
 	return out
 }
 
+// gotoQuiet is t/unrelated.c's quiet with the base corpus's only goto.
+const gotoQuiet = "int quiet(int k) { if (k > 1) { goto out; } return 0; out: return 1; }\n"
+
 // TestShardedNameDependencies pins the name-level invalidation contract:
 // after a delta, the warm engine re-checks exactly the content-changed
 // files plus the files spelling a name whose callee voidness or global
-// membership moved, and its output stays byte-identical to a cold run.
+// membership moved, its output stays byte-identical to a cold run, and
+// its counts, kept by difference, equal a flat Aggregate.
 func TestShardedNameDependencies(t *testing.T) {
 	forceParallel(t)
 	base := map[string]string{
@@ -237,6 +241,38 @@ func TestShardedNameDependencies(t *testing.T) {
 		{"body edits past the feed bound", []shardedStep{
 			// Body edits record nothing, so no number of them overruns.
 			{"edits", bodyEdits("t/unrelated.c", artifact.FeedRetention+1), 1},
+		}},
+		// The counts move by the edited file's difference. A goto is the
+		// only finding of its rule: removing it takes the rule's count, and
+		// its (rule, module) pair, to zero, and a count kept at zero would
+		// differ from a flat Aggregate.
+		{"findings change in place", []shardedStep{
+			{"add the only goto", []map[string]string{{"t/unrelated.c": gotoQuiet}}, 1},
+			{"drop it again", []map[string]string{{"t/unrelated.c": base["t/unrelated.c"]}}, 1},
+			{"drop the module's last multi-exit", []map[string]string{{"t/unrelated.c": "int quiet(int k) { return k; }\n"}}, 1},
+		}},
+		{"two applies before one run move the counts once", []shardedStep{
+			{"findings change twice", []map[string]string{
+				{"t/unrelated.c": gotoQuiet},
+				{"t/unrelated.c": "int quiet(int k) { return k; }\n"},
+			}, 1},
+			{"a file added and removed", []map[string]string{
+				{"w/gone.c": "int gone(int k) { if (k) { return 1; } return 0; }\n"},
+				{"w/gone.c": del},
+			}, 0},
+		}},
+		// An earlier path's definition with the same callees and voidness
+		// takes over as a cyclic name's champion without a feed entry, so
+		// the cached finding must move with the changed file alone.
+		{"champion taken over without a feed entry", []shardedStep{
+			{"make", []map[string]string{{"u/pong.c": "int pong(int n) { return ping(n); }\n"}}, 2},
+			{"earlier duplicate", []map[string]string{{"a/pong.c": "\nint pong(int n) { return ping(n); }\n"}}, 1},
+			{"re-parse keeps the finding", []map[string]string{{"a/pong.c": "\nint pong(int n) { return ping(n + 0); }\n"}}, 1},
+			{"remove the duplicate", []map[string]string{{"a/pong.c": del}}, 0},
+			{"duplicate added and removed before one run", []map[string]string{
+				{"a/pong.c": "int pong(int n) { return ping(n); }\n"},
+				{"a/pong.c": del},
+			}, 0},
 		}},
 	}
 	for _, tc := range cases {

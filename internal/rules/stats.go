@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"maps"
 	"sort"
 
 	"repro/internal/iso26262"
@@ -16,73 +17,110 @@ type Stats struct {
 	ByRuleModule map[string]map[string]int
 }
 
-// Aggregate computes statistics over findings.
-func Aggregate(fs []Finding) *Stats {
-	s := &Stats{
+// newStats returns an empty Stats.
+func newStats() *Stats {
+	return &Stats{
 		ByRule:       make(map[string]int),
 		ByModule:     make(map[string]int),
 		ByRef:        make(map[iso26262.Ref]int),
 		ByRuleModule: make(map[string]map[string]int),
 	}
-	for _, f := range fs {
-		s.Total++
-		s.ByRule[f.RuleID]++
-		s.ByModule[f.Module]++
+}
+
+// Aggregate computes statistics over findings.
+func Aggregate(fs []Finding) *Stats {
+	s := newStats()
+	s.count(fs, 1)
+	return s
+}
+
+// count adds sign (+1 to add, -1 to subtract) for every finding of fs
+// to each count the finding falls under, and deletes every count that
+// reaches zero (an emptied ByRuleModule inner map too). Every field of
+// Stats is an integer count, so subtracting the findings a change
+// replaced and adding their replacements leaves exactly the Stats an
+// Aggregate over the current findings builds, in any order and without
+// drift: the counting algorithm of incremental view maintenance.
+func (s *Stats) count(fs []Finding, sign int) {
+	for i := range fs {
+		f := &fs[i]
+		s.Total += sign
+		bump(s.ByRule, f.RuleID, sign)
+		bump(s.ByModule, f.Module, sign)
 		for _, ref := range f.Refs {
-			s.ByRef[ref]++
+			bump(s.ByRef, ref, sign)
 		}
 		m := s.ByRuleModule[f.RuleID]
 		if m == nil {
 			m = make(map[string]int)
 			s.ByRuleModule[f.RuleID] = m
 		}
-		m[f.Module]++
+		if bump(m, f.Module, sign); len(m) == 0 {
+			delete(s.ByRuleModule, f.RuleID)
+		}
 	}
-	return s
 }
 
-// add folds the findings counted in other into s. Every field of Stats
-// is an integer count, so folding per-shard partials in any grouping
-// yields exactly the Stats a flat Aggregate over the concatenated
-// findings would.
-func (s *Stats) add(other *Stats) {
-	s.Total += other.Total
-	for r, n := range other.ByRule {
-		s.ByRule[r] += n
+// bump adds d to m[k], deleting the entry when it reaches zero.
+func bump[K comparable](m map[K]int, k K, d int) {
+	if n := m[k] + d; n != 0 {
+		m[k] = n
+	} else {
+		delete(m, k)
 	}
-	for m, n := range other.ByModule {
-		s.ByModule[m] += n
-	}
-	for ref, n := range other.ByRef {
-		s.ByRef[ref] += n
-	}
-	for r, mods := range other.ByRuleModule {
+}
+
+// empty reports whether s counts nothing. A signed difference (count
+// with both signs) can be empty although it counted findings.
+func (s *Stats) empty() bool {
+	return s.Total == 0 && len(s.ByRule) == 0 && len(s.ByModule) == 0 &&
+		len(s.ByRef) == 0 && len(s.ByRuleModule) == 0
+}
+
+// apply adds the signed counts of d to s, deleting every count that
+// reaches zero.
+func (s *Stats) apply(d *Stats) {
+	s.Total += d.Total
+	merge(s.ByRule, d.ByRule)
+	merge(s.ByModule, d.ByModule)
+	merge(s.ByRef, d.ByRef)
+	for r, mods := range d.ByRuleModule {
+		if s.ByRuleModule[r] == nil {
+			s.ByRuleModule[r] = make(map[string]int, len(mods))
+		}
 		dst := s.ByRuleModule[r]
-		if dst == nil {
-			dst = make(map[string]int, len(mods))
-			s.ByRuleModule[r] = dst
-		}
 		for m, n := range mods {
-			dst[m] += n
+			if dst[m] += n; dst[m] == 0 {
+				delete(dst, m)
+			}
+		}
+		if len(dst) == 0 {
+			delete(s.ByRuleModule, r)
 		}
 	}
 }
 
-// MergeStats folds per-segment statistics partials (as produced by
-// Aggregate over each segment) into one corpus-wide Stats. Used by the
-// sharded engine: clean shards contribute their cached partial, so the
-// fold costs O(#shards), not O(#findings). Nil partials are skipped.
-func MergeStats(parts ...*Stats) *Stats {
-	out := &Stats{
-		ByRule:       make(map[string]int),
-		ByModule:     make(map[string]int),
-		ByRef:        make(map[iso26262.Ref]int),
-		ByRuleModule: make(map[string]map[string]int),
-	}
-	for _, p := range parts {
-		if p != nil {
-			out.add(p)
+// merge adds the counts of src to dst, deleting every count that
+// reaches zero.
+func merge[K comparable](dst, src map[K]int) {
+	for k, n := range src {
+		if dst[k] += n; dst[k] == 0 {
+			delete(dst, k)
 		}
+	}
+}
+
+// clone returns a deep copy of s.
+func (s *Stats) clone() *Stats {
+	out := &Stats{
+		Total:        s.Total,
+		ByRule:       maps.Clone(s.ByRule),
+		ByModule:     maps.Clone(s.ByModule),
+		ByRef:        maps.Clone(s.ByRef),
+		ByRuleModule: make(map[string]map[string]int, len(s.ByRuleModule)),
+	}
+	for r, mods := range s.ByRuleModule {
+		out.ByRuleModule[r] = maps.Clone(mods)
 	}
 	return out
 }

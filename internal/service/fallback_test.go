@@ -99,7 +99,7 @@ func TestFallbackSeriesMatchAcks(t *testing.T) {
 		// Remove: undefines renamed_fn and g_probe.
 		{DeltaRequest{Corpus: "c", Removed: []string{"r/new.c"}}, 2},
 	}
-	sum, hydrations := 0, 0
+	sum, hydrations, rows := 0, 0, 0
 	for i, d := range deltas {
 		var resp DeltaResponse
 		post(ts2, "/delta", d.req, &resp)
@@ -108,6 +108,7 @@ func TestFallbackSeriesMatchAcks(t *testing.T) {
 		}
 		sum += resp.Delta.RuleFilesChecked
 		hydrations += resp.Delta.RuleFilesChecked - resp.Delta.Parsed
+		rows += resp.Delta.MetricFilesComputed
 	}
 
 	r, err := http.Get(ts2.URL + "/statz")
@@ -122,7 +123,7 @@ func TestFallbackSeriesMatchAcks(t *testing.T) {
 	series := make(map[string]int64)
 	for _, m := range statz.Metrics {
 		series[m.Name] = m.Value
-		if m.Name == "adserve_delta_rule_files_rechecked" {
+		if m.Name == "adserve_delta_rule_files_rechecked" || m.Name == "adserve_delta_metric_files_recomputed" {
 			series[m.Name+"/sum"] = m.Sum
 		}
 	}
@@ -131,6 +132,14 @@ func TestFallbackSeriesMatchAcks(t *testing.T) {
 	}
 	if got := series["adserve_delta_rule_files_rechecked/sum"]; got != int64(sum) {
 		t.Errorf("re-check histogram sum = %d, want the acks' total %d", got, sum)
+	}
+	// The add and the rename each recompute r/new.c's row; the removal
+	// recomputes none.
+	if got := series["adserve_delta_metric_files_recomputed"]; got != int64(len(deltas)) {
+		t.Errorf("metric-row histogram count = %d, want %d acks", got, len(deltas))
+	}
+	if got := series["adserve_delta_metric_files_recomputed/sum"]; got != int64(rows) || rows != 2 {
+		t.Errorf("metric-row histogram sum = %d, acks' total = %d, want both 2", got, rows)
 	}
 	if got := series["adserve_stubs_hydrated_total"]; got != int64(hydrations) || hydrations != 6 {
 		t.Errorf("hydration counter = %d, acks' re-checked minus parsed = %d, want both 6", got, hydrations)

@@ -79,11 +79,14 @@ type serverMetrics struct {
 	// generations the index update moved.
 	dirtyShards *obs.Histogram
 
-	// rechecked observes, per acknowledged delta, the files the rule
-	// engine re-checked (the ack's rule_files_checked); fallback is
-	// handed to every corpus's assessor (core.Assessor.SetMetrics).
-	rechecked *obs.Histogram
-	fallback  core.FallbackMetrics
+	// rechecked and recomputed observe, per acknowledged delta, the
+	// files the rule engine re-checked and the metric rows the metrics
+	// cache recomputed (the ack's rule_files_checked and
+	// metric_files_computed); fallback is handed to every corpus's
+	// assessor (core.Assessor.SetMetrics).
+	rechecked  *obs.Histogram
+	recomputed *obs.Histogram
+	fallback   core.FallbackMetrics
 
 	// blocksRecomputed, journalStale and journalTorn count the recovery
 	// fallbacks NewWithStore's boot took, summed over the corpora it
@@ -130,6 +133,8 @@ func newServerMetrics() *serverMetrics {
 		"Shards whose generation moved per committed delta.")
 	m.rechecked = reg.Histogram("adserve_delta_rule_files_rechecked",
 		"Files the rule engine re-checked per acknowledged delta (its rule_files_checked).")
+	m.recomputed = reg.Histogram("adserve_delta_metric_files_recomputed",
+		"Metric file rows the metrics cache recomputed per acknowledged delta (its metric_files_computed).")
 	m.fallback = core.FallbackMetrics{
 		StubsHydrated: reg.Counter("adserve_stubs_hydrated_total",
 			"Fact-stub units (restored, or demoted after an assessment) re-parsed because the rule engine or metrics cache re-walked them."),

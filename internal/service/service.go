@@ -778,6 +778,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	s.obs.deltasAcked.Inc()
 	s.obs.deltaFilesAcked.Add(int64(len(req.Changed) + len(req.Removed)))
 	s.obs.rechecked.Observe(int64(resp.Delta.RuleFilesChecked))
+	s.obs.recomputed.Observe(int64(resp.Delta.MetricFilesComputed))
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -944,7 +945,7 @@ func summarize(name string, a *core.Assessor, as *core.Assessment) Summary {
 	return Summary{
 		Corpus:    name,
 		Target:    as.Target.String(),
-		Files:     len(fw.Files),
+		Files:     fw.TotalFiles,
 		LOC:       fw.TotalLOC,
 		Functions: fw.TotalFunc,
 		Findings:  st.Total,
