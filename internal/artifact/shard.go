@@ -64,6 +64,47 @@ func (sh *Shard) removePath(p string) {
 	sh.paths = append(sh.paths[:i], sh.paths[i+1:]...)
 }
 
+// UnitGens returns the unit generation (UnitGen) of each of the shard's
+// paths, in its path order.
+func (ix *Index) UnitGens(sh *Shard) []uint64 {
+	gens := make([]uint64, len(sh.paths))
+	for i, p := range sh.paths {
+		gens[i] = ix.unitGen[p]
+	}
+	return gens
+}
+
+// WalkShard is the merge-walk a per-file cache over a shard brings
+// itself up to date with. paths and gens are the cache's record of the
+// shard: its sorted paths when the cache last computed them, and the
+// unit generation of each then. fn is called once per file of either
+// list, in path order, with the file's position in each (-1 where it is
+// absent): (i, -1) for a removed file, (-1, j) for an added one, and
+// (i, j) for a file in both, with same set when its unit generation did
+// not move, so what the cache holds for it is still exact. WalkShard
+// returns the current generations (UnitGens), which the cache records
+// for its next walk.
+func (ix *Index) WalkShard(sh *Shard, paths []string, gens []uint64, fn func(i, j int, same bool)) []uint64 {
+	now := ix.UnitGens(sh)
+	i := 0
+	for j, p := range sh.paths {
+		for i < len(paths) && paths[i] < p {
+			fn(i, -1, false)
+			i++
+		}
+		if i < len(paths) && paths[i] == p {
+			fn(i, j, gens[i] == now[j])
+			i++
+		} else {
+			fn(-1, j, false)
+		}
+	}
+	for ; i < len(paths); i++ {
+		fn(i, -1, false)
+	}
+	return now
+}
+
 // assignGen draws the shard's next generation from the index-wide
 // refreshSeq, so generations are unique across shards and across shard
 // lifetimes. Build and Apply draw them in sorted module order, so the

@@ -16,9 +16,10 @@ import (
 // cold assessor. It applies random deltas to a small generated corpus:
 // plain adds, edits and removals, and the cross-file kinds, which
 // rename, flip voidness, and make and break two-file call cycles. Up to
-// four deltas are applied between two assessments, and one step may
-// swap the warm assessor for one restored from its exported state, so
-// the cold fill, the restore and the warm update all feed the
+// four deltas are applied between two assessments, and when restoreAt is
+// non-zero the first assessment at or after step restoreAt (modulo the
+// step count) swaps the warm assessor for one restored from its exported
+// state, so the cold fill, the restore and the warm update all feed the
 // comparison.
 func FuzzIncrementalAggregates(f *testing.F) {
 	f.Add(int64(26262), uint8(24), uint8(0), uint8(0))
@@ -34,6 +35,7 @@ func FuzzIncrementalAggregates(f *testing.F) {
 		warm.Assess()
 		steps := int(k%48) + 1
 		group := int(per%4) + 1 // deltas applied between two assessments
+		restored := false
 		for i := 0; i < steps; i++ {
 			m := g.Mutate()
 			var d Delta
@@ -48,7 +50,7 @@ func FuzzIncrementalAggregates(f *testing.F) {
 			if (i+1)%group != 0 && i+1 < steps {
 				continue
 			}
-			if restoreAt > 0 && i == int(restoreAt)%steps {
+			if restoreAt > 0 && !restored && i >= int(restoreAt)%steps {
 				st, err := warm.ExportState()
 				if err != nil {
 					t.Fatal(err)
@@ -56,8 +58,12 @@ func FuzzIncrementalAggregates(f *testing.F) {
 				if warm, err = RestoreAssessorFrom(DefaultConfig(), st); err != nil {
 					t.Fatal(err)
 				}
+				restored = true
 			}
 			requireColdAggregates(t, i, warm, g.FileSet())
+		}
+		if restoreAt > 0 && !restored {
+			t.Fatal("the restore leg never ran")
 		}
 	})
 }

@@ -84,15 +84,12 @@ func (c *ArchCache) AnalyzeIndexed(ix *artifact.Index) []*ArchMetrics {
 	}
 	c.seen = ix.Gen()
 	names := ix.ShardNames()
-	if len(c.shards) > len(names) {
-		live := make(map[string]bool, len(names))
-		for _, m := range names {
-			live[m] = true
-		}
-		for m := range c.shards {
-			if !live[m] {
-				delete(c.shards, m)
-			}
+	// A shard absent at a call is dropped, however many others came, so
+	// every partial kept was updated at every call since it was built:
+	// the name moves it missed would otherwise go unresolved.
+	for m := range c.shards {
+		if ix.Shard(m) == nil {
+			delete(c.shards, m)
 		}
 	}
 
@@ -193,41 +190,32 @@ func (as *archShard) callsAny(names []string) bool {
 }
 
 // update brings the content counters to the shard's current files by
-// difference: it merge-walks the counted paths against the shard's,
-// subtracts the counted records of every file removed or whose unit
-// generation moved, and adds the current records of every file replaced
-// or added. When diff is non-nil it receives the net change of each
-// callee name's call count. It reads no source.
+// difference: it merge-walks the counted paths against the shard's
+// (artifact.Index.WalkShard), subtracts the counted records of every
+// file removed or whose unit generation moved, and adds the current
+// records of every file replaced or added. When diff is non-nil it
+// receives the net change of each callee name's call count. It reads no
+// source.
 func (as *archShard) update(ix *artifact.Index, sh *artifact.Shard, diff map[string]int) {
-	paths := sh.Paths()
-	gens := make([]uint64, len(paths))
-	recs := make([][]*artifact.Func, len(paths))
-	i := 0 // cursor into as.paths
-	for j, p := range paths {
-		gens[j] = ix.UnitGen(p)
-		for i < len(as.paths) && as.paths[i] < p {
-			as.count(as.recs[i], -1, diff) // removed
-			i++
+	old := as.recs
+	as.recs = make([][]*artifact.Func, sh.Len())
+	as.gens = ix.WalkShard(sh, as.paths, as.gens, func(i, j int, same bool) {
+		if same {
+			as.recs[j] = old[i]
+			return
 		}
-		if i < len(as.paths) && as.paths[i] == p {
-			if as.gens[i] == gens[j] {
-				recs[j] = as.recs[i]
-				i++
-				continue
-			}
-			as.count(as.recs[i], -1, diff) // replaced
-			i++
+		if i >= 0 {
+			as.count(old[i], -1, diff) // replaced or removed
 		}
-		recs[j] = ix.UnitFuncs(p)
-		as.count(recs[j], 1, diff)
-	}
-	for ; i < len(as.paths); i++ {
-		as.count(as.recs[i], -1, diff) // removed
-	}
-	as.paths, as.gens, as.recs = slices.Clone(paths), gens, recs
+		if j >= 0 {
+			as.recs[j] = ix.UnitFuncs(sh.Paths()[j])
+			as.count(as.recs[j], 1, diff)
+		}
+	})
+	as.paths = slices.Clone(sh.Paths()) // Apply edits the shard's list in place
 	if as.lostMax {
 		as.maxPar = 0
-		for _, fas := range recs {
+		for _, fas := range as.recs {
 			for _, fa := range fas {
 				as.maxPar = max(as.maxPar, fa.Params)
 			}

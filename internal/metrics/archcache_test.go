@@ -93,6 +93,17 @@ func TestArchCacheMatchesAnalyzeArchIndexed(t *testing.T) {
 			{"p/caller.c": "int fp(int x) { pthread_mutex_lock(0); return fa(x); }\n"},
 			{"p/caller.c": "int fp(int x) { signal(0, 0); return fb(x) + fc(x); }\n"},
 		}},
+		// Module s vanishes while fx moves to the new module t, so the
+		// module count holds; when s comes back calling fx, its calls
+		// must resolve to t, not to where fx was when s last counted.
+		{"add a caller module and its callee", []map[string]string{{
+			"s/a.c": "int fs(int x) { return fx(x); }\n",
+			"m/x.c": "int fx(int x) { return x; }\n",
+		}}},
+		{"empty the caller module while its callee moves to a new one", []map[string]string{{
+			"s/a.c": "", "m/x.c": "", "t/x.c": "int fx(int x) { return x; }\n",
+		}}},
+		{"bring the caller module back", []map[string]string{{"s/a.c": "int fs(int x) { return fx(x); }\n"}}},
 	}
 	for _, st := range steps {
 		for _, files := range st.applies {

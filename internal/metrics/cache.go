@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/artifact"
@@ -48,13 +49,14 @@ type Cache struct {
 	lastDirty int
 }
 
-// metricShard is the cached state for one module shard: its rows in
-// shard path order, the unit generation each row was computed at, and
-// the module partial. A cold run, a warm rebuild and a snapshot restore
-// all fill it the same way.
+// metricShard is the cached state for one module shard: its sorted
+// paths when last computed, the row of each and the unit generation it
+// was computed at, and the module partial. A cold run, a warm rebuild
+// and a snapshot restore all fill it the same way.
 type metricShard struct {
 	gen    uint64 // artifact shard generation the rows match; 0 = never built
 	sealed bool   // filled by RestoreRows and not rebuilt since
+	paths  []string
 	files  []*FileMetrics
 	gens   []uint64
 	mm     *ModuleMetrics
@@ -88,9 +90,9 @@ func (c *Cache) AnalyzeIndexed(ix *artifact.Index) *FrameworkMetrics {
 	}
 
 	// Pass 1: in every shard whose generation moved, merge-walk the cached
-	// rows against the current sorted paths, reusing a row whose path and
-	// unit generation match, and subtracting every other cached row from
-	// a fresh copy of the module partial.
+	// rows against the current sorted paths (artifact.Index.WalkShard),
+	// reusing a row whose path and unit generation match, and subtracting
+	// every other cached row from a fresh copy of the module partial.
 	type slot struct {
 		ms *metricShard
 		i  int // index into ms.files
@@ -108,32 +110,23 @@ func (c *Cache) AnalyzeIndexed(ix *artifact.Index) *FrameworkMetrics {
 		if ms.gen == sh.Gen() {
 			continue
 		}
-		old, oldGens := ms.files, ms.gens
+		old := ms.files
 		ms.files = make([]*FileMetrics, sh.Len())
-		ms.gens = make([]uint64, sh.Len())
 		ms.thaw(m)
-		i := 0 // cursor into old
-		for j, p := range sh.Paths() {
-			ms.gens[j] = ix.UnitGen(p)
-			for i < len(old) && old[i].Path < p {
-				ms.count(old[i], -1) // removed
-				i++
+		ms.gens = ix.WalkShard(sh, ms.paths, ms.gens, func(i, j int, same bool) {
+			if same {
+				ms.files[j] = old[i]
+				return
 			}
-			if i < len(old) && old[i].Path == p {
-				if oldGens[i] == ms.gens[j] {
-					ms.files[j] = old[i]
-					i++
-					continue
-				}
-				ms.count(old[i], -1) // replaced
-				i++
+			if i >= 0 {
+				ms.count(old[i], -1) // replaced or removed
 			}
-			dirtyPaths = append(dirtyPaths, p)
-			dirtySlots = append(dirtySlots, slot{ms, j})
-		}
-		for ; i < len(old); i++ {
-			ms.count(old[i], -1) // removed
-		}
+			if j >= 0 {
+				dirtyPaths = append(dirtyPaths, sh.Paths()[j])
+				dirtySlots = append(dirtySlots, slot{ms, j})
+			}
+		})
+		ms.paths = slices.Clone(sh.Paths()) // Apply edits the shard's list in place
 		ms.gen, ms.sealed = sh.Gen(), false
 		dirtyShards = append(dirtyShards, ms)
 	}

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"slices"
+
 	"repro/internal/artifact"
 )
 
@@ -43,8 +45,9 @@ func (c *Cache) ShardRows(module string) ([]*FileMetrics, bool) {
 // RestoreRows seeds the cache against a freshly restored index: every
 // shard in shards (rows, one per path of the shard in its sorted order)
 // is filled at the current unit generations, its rows added to a fresh
-// module partial as a cold run adds them (count), and marked sealed. A shard missing from shards is left empty, so the first
-// AnalyzeIndexed recomputes exactly that shard.
+// module partial as a cold run adds them (count), and marked sealed. A
+// shard missing from shards is left empty, so the first AnalyzeIndexed
+// recomputes exactly that shard.
 func (c *Cache) RestoreRows(ix *artifact.Index, shards map[string][]*FileMetrics) {
 	c.ix = ix
 	c.shards = make(map[string]*metricShard, len(shards))
@@ -54,10 +57,7 @@ func (c *Cache) RestoreRows(ix *artifact.Index, shards map[string][]*FileMetrics
 			continue
 		}
 		sh := ix.Shard(m)
-		ms := &metricShard{gen: sh.Gen(), sealed: true, files: rows, gens: make([]uint64, len(rows))}
-		for i, p := range sh.Paths() {
-			ms.gens[i] = ix.UnitGen(p)
-		}
+		ms := &metricShard{gen: sh.Gen(), sealed: true, paths: slices.Clone(sh.Paths()), files: rows, gens: ix.UnitGens(sh)}
 		ms.thaw(m)
 		for _, fm := range rows {
 			ms.count(fm, 1)

@@ -25,9 +25,11 @@ import (
 // feed entry. A champion changes only when its file is replaced or
 // removed, or when a changed file inserts an earlier definition of the
 // name, so an update re-checks the champions of exactly those on-cycle
-// names: the ones whose champion lives in a touched file (byPath), and
-// the ones a touched file now defines. A re-rendered finding equal to
-// the cached one only swaps the champion pointer.
+// names: the ones whose champion lives in a touched file, and the ones a
+// touched file now defines. A finding's File is its champion's path (an
+// equal re-render keeps both), so the first are the Function names of
+// the segment's run for that file. A re-rendered finding equal to the
+// cached one only swaps the champion pointer.
 type cycleCache struct {
 	rule *RecursionRule
 	// ok is false until the cache holds the on-cycle set of the current
@@ -36,9 +38,6 @@ type cycleCache struct {
 	// found maps every on-cycle name to its finding and the champion it
 	// was rendered from.
 	found map[string]onCycle
-	// byPath lists, per file, the on-cycle names whose champion it
-	// defines.
-	byPath map[string][]string
 	// seg is found's findings sorted under findingLess.
 	seg []Finding
 }
@@ -49,58 +48,16 @@ type onCycle struct {
 	f     Finding
 }
 
-// reset empties the on-cycle set.
-func (cc *cycleCache) reset() {
-	cc.found = make(map[string]onCycle)
-	cc.byPath = make(map[string][]string)
-}
-
-// set records name's finding and champion, re-indexing the champion's
-// path.
-func (cc *cycleCache) set(name string, oc onCycle) {
-	if old, ok := cc.found[name]; ok {
-		cc.unindex(name, old.champ)
-	}
-	cc.found[name] = oc
-	if oc.champ != nil {
-		p := oc.champ.File.Path
-		cc.byPath[p] = append(cc.byPath[p], name)
-	}
-}
-
-// drop forgets an on-cycle name.
-func (cc *cycleCache) drop(name string) {
-	cc.unindex(name, cc.found[name].champ)
-	delete(cc.found, name)
-}
-
-// unindex removes name from its champion's path entry.
-func (cc *cycleCache) unindex(name string, champ *FuncInfo) {
-	if champ == nil {
-		return
-	}
-	p := champ.File.Path
-	names := cc.byPath[p]
-	if i := slices.Index(names, name); i >= 0 {
-		names = slices.Delete(names, i, i+1)
-	}
-	if len(names) == 0 {
-		delete(cc.byPath, p)
-	} else {
-		cc.byPath[p] = names
-	}
-}
-
 // seed installs a restored corpus segment rendered from byName's
 // champions: every finding of the rule names one on-cycle function (its
 // Function field, unqualified, is the name the graph keys on), so the
 // on-cycle set is read back without an SCC.
 func (cc *cycleCache) seed(corpus []Finding, byName map[string]*FuncInfo) {
-	cc.reset()
+	cc.found = make(map[string]onCycle)
 	for _, f := range corpus {
 		if f.RuleID == cc.rule.ID() {
 			name := artifact.Unqualified(f.Function)
-			cc.set(name, onCycle{byName[name], f})
+			cc.found[name] = onCycle{byName[name], f}
 		}
 	}
 	cc.resort()
@@ -116,10 +73,10 @@ func (cc *cycleCache) seed(corpus []Finding, byName map[string]*FuncInfo) {
 func (cc *cycleCache) update(ctx *Context, changes map[string]artifact.Change, touched []string) (left, came []Finding) {
 	if !cc.ok {
 		left = cc.seg
-		cc.reset()
+		cc.found = make(map[string]onCycle)
 		for _, f := range cc.rule.Check(ctx) {
 			name := artifact.Unqualified(f.Function)
-			cc.set(name, onCycle{ctx.ByName[name], f})
+			cc.found[name] = onCycle{ctx.ByName[name], f}
 		}
 		cc.resort()
 		cc.ok = true
@@ -154,7 +111,7 @@ func (cc *cycleCache) update(ctx *Context, changes map[string]artifact.Change, t
 		sort.Strings(off)
 		for _, name := range off {
 			left = append(left, cc.found[name].f)
-			cc.drop(name)
+			delete(cc.found, name)
 		}
 		joined = make(map[string]bool)
 		for name, cyclic := range status {
@@ -165,7 +122,12 @@ func (cc *cycleCache) update(ctx *Context, changes map[string]artifact.Change, t
 		}
 	}
 	for _, p := range touched {
-		check = append(check, cc.byPath[p]...)
+		// seg is as of the previous update; a name it lists that has
+		// since left the cycle fails the on-cycle test below.
+		i := sort.Search(len(cc.seg), func(i int) bool { return cc.seg[i].File >= p })
+		for ; i < len(cc.seg) && cc.seg[i].File == p; i++ {
+			check = append(check, artifact.Unqualified(cc.seg[i].Function))
+		}
 		for _, fa := range ctx.Index.UnitFuncs(p) {
 			check = append(check, artifact.Unqualified(fa.Name))
 		}
@@ -182,14 +144,14 @@ func (cc *cycleCache) update(ctx *Context, changes map[string]artifact.Change, t
 		}
 		f := cc.rule.finding(fa)
 		if was && sameFinding(&f, &oc.f) {
-			cc.set(name, onCycle{fa, oc.f})
+			cc.found[name] = onCycle{fa, oc.f}
 			continue
 		}
 		if was {
 			left = append(left, oc.f)
 		}
 		came = append(came, f)
-		cc.set(name, onCycle{fa, f})
+		cc.found[name] = onCycle{fa, f}
 	}
 	if len(left) > 0 || len(came) > 0 {
 		cc.resort()

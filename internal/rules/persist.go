@@ -78,7 +78,7 @@ func (s *Sharded) RestoreCache(ix *artifact.Index, corpus []Finding, shards map[
 		sh := ix.Shard(names[k])
 		if files, ok := shards[names[k]]; ok {
 			segs[k] = &shardSeg{}
-			segs[k].fill(sh, unitGens(ix, sh), files)
+			segs[k].fill(sh, ix.UnitGens(sh), files)
 			segs[k].sealed = true
 		}
 	})

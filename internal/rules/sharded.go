@@ -122,15 +122,6 @@ func (seg *shardSeg) fill(sh *artifact.Shard, gens []uint64, files [][]Finding) 
 	seg.gen, seg.sealed = sh.Gen(), false
 }
 
-// unitGens returns the unit generations of a shard's paths.
-func unitGens(ix *artifact.Index, sh *artifact.Shard) []uint64 {
-	gens := make([]uint64, sh.Len())
-	for i, p := range sh.Paths() {
-		gens[i] = ix.UnitGen(p)
-	}
-	return gens
-}
-
 // NewSharded creates a sharded incremental engine over the given rule
 // set. Run reads the artifact index and the per-unit function lists
 // behind its context, so the context must come from NewContext or
@@ -266,9 +257,10 @@ func (s *Sharded) Update(ctx *Context) {
 
 	// Plan the rebuild of every shard whose generation moved or that has
 	// readers of a changed name: merge-walk the cached and current sorted
-	// path lists, reuse a file's findings when its path and unit
-	// generation match and it spells no changed name, re-check the rest,
-	// and subtract the cached findings of every file re-checked or gone.
+	// path lists (artifact.Index.WalkShard), reuse a file's findings when
+	// its path and unit generation match and it spells no changed name,
+	// re-check the rest, and subtract the cached findings of every file
+	// re-checked or gone.
 	type plan struct {
 		seg   *shardSeg
 		sh    *artifact.Shard
@@ -290,35 +282,28 @@ func (s *Sharded) Update(ctx *Context) {
 		if !invalidate && seg.gen == sh.Gen() && len(hits) == 0 {
 			continue // clean shard: segment reused as-is
 		}
-		pl := plan{seg: seg, sh: sh, gens: unitGens(ix, sh), files: make([][]Finding, sh.Len())}
-		i, k := 0, 0 // cursors into seg.paths and hits
-		for j, p := range sh.Paths() {
-			for i < len(seg.paths) && seg.paths[i] < p {
+		pl := plan{seg: seg, sh: sh, files: make([][]Finding, sh.Len())}
+		k := 0 // cursor into hits
+		pl.gens = ix.WalkShard(sh, seg.paths, seg.gens, func(i, j int, same bool) {
+			if j < 0 {
 				drop(seg, i)
-				i++
+				return
 			}
-			old := -1 // p's index in seg.paths, if cached
-			if i < len(seg.paths) && seg.paths[i] == p {
-				old = i
-				i++
-			}
+			p := sh.Paths()[j]
 			hit := k < len(hits) && hits[k] == p
 			if hit {
 				k++
 			}
-			if !invalidate && !hit && old >= 0 && seg.gens[old] == pl.gens[j] {
-				pl.files[j] = seg.findings(old)
-				continue
+			if same && !invalidate && !hit {
+				pl.files[j] = seg.findings(i)
+				return
 			}
-			if old >= 0 {
-				sub(seg.findings(old))
+			if i >= 0 {
+				sub(seg.findings(i))
 			}
 			dirtyPaths = append(dirtyPaths, p)
 			dirtySlots = append(dirtySlots, slot{len(plans), j})
-		}
-		for ; i < len(seg.paths); i++ {
-			drop(seg, i)
-		}
+		})
 		plans = append(plans, pl)
 	}
 	s.lastDirty = len(dirtyPaths)

@@ -85,10 +85,13 @@ func (s *Stats) apply(d *Stats) {
 	merge(s.ByModule, d.ByModule)
 	merge(s.ByRef, d.ByRef)
 	for r, mods := range d.ByRuleModule {
-		if s.ByRuleModule[r] == nil {
-			s.ByRuleModule[r] = make(map[string]int, len(mods))
-		}
 		dst := s.ByRuleModule[r]
+		if dst == nil {
+			dst = make(map[string]int, len(mods))
+			s.ByRuleModule[r] = dst
+		}
+		// merge's loop, inline: a call inside a map range is flagged
+		// by adlint's detrange.
 		for m, n := range mods {
 			if dst[m] += n; dst[m] == 0 {
 				delete(dst, m)
