@@ -6,6 +6,8 @@
 package repro_test
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -383,6 +385,94 @@ func BenchmarkGeneratedScale(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkManyNameDelta measures deltas that move many names at once,
+// on the seed-26262 10k-file corpusgen tree: each op renames the first
+// filler function of n C++ files in one delta (two names move per
+// file) and assesses, for n = 1, 16, 128 and 512, on a cold-loaded
+// assessor and on one restored from its exported state. No other file
+// spells those names, so the rule engine re-checks exactly the renamed
+// files; files/op reports that count, which latency follows. Each
+// assessor takes one untimed rename first, which builds the index's
+// identifier postings and gives its on-cycle names their components.
+func BenchmarkManyNameDelta(b *testing.B) {
+	gen := corpusgen.New(corpusgen.Params{Modules: 20, FilesPerModule: 499,
+		FuncsPerFile: 3, ViolationsPerFile: 2, CUDAFiles: 1}, 26262)
+	var cc []string
+	for _, p := range gen.Paths() {
+		if strings.HasSuffix(p, ".cc") {
+			cc = append(cc, p)
+		}
+	}
+	// rename toggles the first filler function of each file between its
+	// generated name (…M<m>X<f>N0) and a renamed one (…M<m>X<f>R0).
+	rename := func(a *core.Assessor, paths []string) core.Delta {
+		var d core.Delta
+		for _, p := range paths {
+			var mi, ord int
+			fmt.Sscanf(p[strings.LastIndexByte(p, '_')+1:], "m%df%d.cc", &mi, &ord)
+			from, to := fmt.Sprintf("M%dX%dN0(", mi, ord), fmt.Sprintf("M%dX%dR0(", mi, ord)
+			src := a.FileSet().Lookup(p).Src
+			if !strings.Contains(src, from) {
+				from, to = to, from
+			}
+			d.Changed = append(d.Changed, &srcfile.File{Path: p, Src: strings.ReplaceAll(src, from, to)})
+		}
+		return d
+	}
+	warm := func(a *core.Assessor) *core.Assessor {
+		a.Assess()
+		if _, err := a.ApplyDelta(rename(a, cc[:1])); err != nil {
+			b.Fatal(err)
+		}
+		a.Assess()
+		return a
+	}
+	cold := core.NewAssessor(core.DefaultConfig())
+	if err := cold.LoadFileSet(gen.FileSet()); err != nil {
+		b.Fatal(err)
+	}
+	st, err := warm(cold).ExportState()
+	if err != nil {
+		b.Fatal(err)
+	}
+	restored, err := core.RestoreAssessorFrom(core.DefaultConfig(), st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	warm(restored)
+
+	for _, side := range []struct {
+		name string
+		a    *core.Assessor
+	}{{"cold", cold}, {"restored", restored}} {
+		for _, n := range []int{1, 16, 128, 512} {
+			paths := make([]string, n)
+			for k := range paths {
+				paths[k] = cc[k*len(cc)/n]
+			}
+			b.Run(fmt.Sprintf("%s/files-%d", side.name, n), func(b *testing.B) {
+				a := side.a
+				checked := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := a.ApplyDelta(rename(a, paths))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Parsed != n {
+						b.Fatalf("delta parsed %d files, want %d", res.Parsed, n)
+					}
+					if as := a.Assess(); len(as.Observations) != 14 {
+						b.Fatal("observations")
+					}
+					checked += a.RuleFilesChecked()
+				}
+				b.ReportMetric(float64(checked)/float64(b.N), "files/op")
+			})
+		}
+	}
 }
 
 // BenchmarkSnapshotLoad measures the persistent corpus store

@@ -13,7 +13,9 @@
 // cross-file names from one list per name (see shard.go): Apply edits
 // only the list entries of the units a delta changes, so warm
 // re-indexing after a small edit costs O(changed units) instead of
-// O(corpus).
+// O(corpus). The same holds for its identifier postings (spell.go),
+// which name the files spelling an identifier and are built on first
+// use.
 package artifact
 
 import (
@@ -104,6 +106,9 @@ type Index struct {
 	// generations up to feedFloor may have been dropped.
 	feed      []NameChange
 	feedFloor uint64
+	// spell is the identifier postings (spell.go): nil until the first
+	// Spellers call builds them, kept current by Apply from then on.
+	spell *spellers
 }
 
 // ApplyStats describes what one Apply touched.
@@ -258,8 +263,10 @@ func Build(units map[string]*ccast.TranslationUnit) *Index {
 // gain those of the upserted ones (dropUnit, addUnit: the code a cold
 // build runs), and only the names those entries carry are re-resolved
 // and checked for the change feed. The shards of the changed units draw
-// new generations. The cost of a warm Apply is O(changed units), plus
-// the rebuild of Paths when a path is added or removed.
+// new generations. Once built (Spellers), the identifier postings move
+// by the words each changed file gained or lost. The cost of a warm
+// Apply is O(changed units), plus the rebuild of Paths when a path is
+// added or removed.
 //
 // Apply is not safe for concurrent use with readers of the index.
 func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
@@ -277,6 +284,7 @@ func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
 			continue
 		}
 		ix.dropUnit(p, t)
+		ix.spell.remove(p)
 		delete(ix.Units, p)
 		delete(ix.unitFuncs, p)
 		delete(ix.unitGlobals, p)
@@ -312,6 +320,7 @@ func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
 		ix.Units[p] = tu
 		ix.unitFuncs[p], ix.unitGlobals[p], ix.unitGen[p] = perUnit[i], perGlobals[i], ix.gen
 		ix.addUnit(p, mod, t)
+		ix.spell.upsert(p, tu.File.Src)
 		sh := ix.shards[mod]
 		if sh == nil {
 			sh = &Shard{Module: mod}

@@ -217,9 +217,8 @@ type FallbackMetrics struct {
 	// the metrics cache had to re-walk them.
 	StubsHydrated *obs.Counter
 	// FullRechecks counts warm rule runs that re-checked every file
-	// because the engine fell behind the index change feed or the feed
-	// named too many changed names to scan for (rules.Sharded
-	// .LastFullRecheck).
+	// because the engine fell behind the index change feed
+	// (rules.Sharded.LastFullRecheck).
 	FullRechecks *obs.Counter
 }
 

@@ -12,13 +12,25 @@ import (
 // deltas and updated from the index change feed instead of re-running
 // the corpus-wide SCC.
 //
-// A name's status can change only if it lies on a cycle through a
-// changed node C (a name defined or undefined, or whose champion's
-// callee list changed): in the old graph such a name was already on a
-// cycle, and in the new graph it is reachable from C. Tarjan from the
-// roots C ∪ onCycle therefore visits every name whose status may have
-// moved, and computes each visited name's status exactly; every other
-// name keeps its status. With no graph change Tarjan does not run at all.
+// Each on-cycle name carries the id of its strongly connected
+// component, drawn from a counter, or 0 while it is unknown: the names
+// seeded from a snapshot or found by a full run. A graph-changing update
+// roots Tarjan at the changed nodes C (names defined or undefined, or
+// whose champion's callee list changed), at every member of a component
+// that holds one of them, and at every name whose component is unknown.
+// That is exact, for three reasons:
+//
+//   - A component with no changed node keeps all its edges: edges come
+//     from champions' callee lists and from definedness, and any change
+//     to either is a GraphChanged entry. So it stays strongly connected.
+//   - Any new cycle passes through a changed node, so Tarjan reaches it
+//     from the roots, along with every old component it merged.
+//   - Tarjan's components over the subgraph it reaches are exact.
+//
+// Visited names take their new status and id. An on-cycle name Tarjan
+// did not visit lies in an unchanged component that merged with none,
+// so it keeps both; a root it did not visit is undefined, so it leaves
+// the set. With no graph change Tarjan does not run at all.
 //
 // A finding is rendered from its name's champion (ByName), which a body
 // edit may replace without moving any fact, so a line can move with no
@@ -35,17 +47,22 @@ type cycleCache struct {
 	// ok is false until the cache holds the on-cycle set of the current
 	// index; the next update then runs the full SCC.
 	ok bool
-	// found maps every on-cycle name to its finding and the champion it
-	// was rendered from.
+	// found maps every on-cycle name to its finding, the champion it
+	// was rendered from, and its component.
 	found map[string]onCycle
 	// seg is found's findings sorted under findingLess.
 	seg []Finding
+	// comps is the last component id drawn.
+	comps int
 }
 
-// onCycle is one on-cycle name's rendered finding.
+// onCycle is one on-cycle name's rendered finding and component.
 type onCycle struct {
 	champ *FuncInfo
 	f     Finding
+	// comp is the id of the name's strongly connected component, shared
+	// exactly by the names of that component, or 0 while unknown.
+	comp int
 }
 
 // seed installs a restored corpus segment rendered from byName's
@@ -57,7 +74,7 @@ func (cc *cycleCache) seed(corpus []Finding, byName map[string]*FuncInfo) {
 	for _, f := range corpus {
 		if f.RuleID == cc.rule.ID() {
 			name := artifact.Unqualified(f.Function)
-			cc.found[name] = onCycle{byName[name], f}
+			cc.found[name] = onCycle{champ: byName[name], f: f}
 		}
 	}
 	cc.resort()
@@ -76,48 +93,68 @@ func (cc *cycleCache) update(ctx *Context, changes map[string]artifact.Change, t
 		cc.found = make(map[string]onCycle)
 		for _, f := range cc.rule.Check(ctx) {
 			name := artifact.Unqualified(f.Function)
-			cc.found[name] = onCycle{ctx.ByName[name], f}
+			cc.found[name] = onCycle{champ: ctx.ByName[name], f: f}
 		}
 		cc.resort()
 		cc.ok = true
 		return left, cc.seg
 	}
-	var roots []string
+	var changed []string
 	for name, what := range changes {
 		if what&artifact.GraphChanged != 0 {
-			roots = append(roots, name)
+			changed = append(changed, name)
 		}
 	}
+	sort.Strings(changed)
 	// check collects the names whose champion may have moved: the
-	// graph roots still on a cycle, the names that joined one, and the
-	// on-cycle names a touched file defined or defines.
-	var check []string
-	var joined map[string]bool
-	if len(roots) > 0 {
-		check = append(check, roots...)
-		for name := range cc.found {
-			roots = append(roots, name)
+	// changed names still on a cycle, the names that joined one, and the
+	// on-cycle names a touched file defined or defines. joined maps each
+	// name that joined a cycle to its component.
+	check := slices.Clone(changed)
+	var joined map[string]int
+	if len(changed) > 0 {
+		hit := make(map[int]bool)
+		for _, name := range changed {
+			if oc, was := cc.found[name]; was && oc.comp != 0 {
+				hit[oc.comp] = true
+			}
+		}
+		roots := changed
+		for name, oc := range cc.found {
+			if oc.comp == 0 || hit[oc.comp] {
+				roots = append(roots, name)
+			}
 		}
 		sort.Strings(roots)
-		status := cycleStatus(ctx.ByName, roots)
-		// Every previously on-cycle name is a root: it was visited (and
-		// its status recomputed) unless it is no longer defined.
+		roots = slices.Compact(roots)
+		comp, n := cycleStatus(ctx.ByName, roots)
+		base := cc.comps
+		cc.comps += n
 		var off []string
-		for name := range cc.found {
-			if !status[name] {
+		for _, name := range roots {
+			if _, visited := comp[name]; !visited {
+				off = append(off, name) // undefined
+			}
+		}
+		joined = make(map[string]int)
+		for name, c := range comp {
+			oc, was := cc.found[name]
+			switch {
+			case c == 0:
 				off = append(off, name)
+			case was:
+				oc.comp = base + c
+				cc.found[name] = oc
+			default:
+				joined[name] = base + c
+				check = append(check, name)
 			}
 		}
 		sort.Strings(off)
 		for _, name := range off {
-			left = append(left, cc.found[name].f)
-			delete(cc.found, name)
-		}
-		joined = make(map[string]bool)
-		for name, cyclic := range status {
-			if _, was := cc.found[name]; cyclic && !was {
-				joined[name] = true
-				check = append(check, name)
+			if oc, was := cc.found[name]; was {
+				left = append(left, oc.f)
+				delete(cc.found, name)
 			}
 		}
 	}
@@ -139,19 +176,22 @@ func (cc *cycleCache) update(ctx *Context, changes map[string]artifact.Change, t
 		if was && fa == oc.champ {
 			continue
 		}
-		if !was && !joined[name] {
-			continue // not on a cycle
+		if !was {
+			oc.comp = joined[name]
+			if oc.comp == 0 {
+				continue // not on a cycle
+			}
 		}
 		f := cc.rule.finding(fa)
 		if was && sameFinding(&f, &oc.f) {
-			cc.found[name] = onCycle{fa, oc.f}
+			cc.found[name] = onCycle{fa, oc.f, oc.comp}
 			continue
 		}
 		if was {
 			left = append(left, oc.f)
 		}
 		came = append(came, f)
-		cc.found[name] = onCycle{fa, f}
+		cc.found[name] = onCycle{fa, f, oc.comp}
 	}
 	if len(left) > 0 || len(came) > 0 {
 		cc.resort()

@@ -62,7 +62,8 @@ func (s *Sharded) CorpusFindings() ([]Finding, bool) {
 // re-checks exactly that shard.
 // The recursion rule's on-cycle set is read back from the corpus
 // segment, so the first graph change after restore updates it instead
-// of re-running the corpus-wide SCC. The counts are built from zero by
+// of re-running the corpus-wide SCC; the segment records no components,
+// so that update roots Tarjan at every on-cycle name, once. The counts are built from zero by
 // adding every restored list, as a cold run adds every checked one.
 func (s *Sharded) RestoreCache(ix *artifact.Index, corpus []Finding, shards map[string][][]Finding) {
 	s.reset(ix)

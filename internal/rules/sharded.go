@@ -3,7 +3,6 @@ package rules
 import (
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/artifact"
 	"repro/internal/par"
@@ -23,7 +22,9 @@ import (
 //     spells (see the Registrar contract), so when the feed reports that
 //     a name's callee voidness or global membership moved, exactly the
 //     files spelling that name at identifier boundaries are re-checked —
-//     fact stubs included, so only those get hydrated;
+//     fact stubs included, so only those get hydrated. The index's
+//     identifier postings (artifact.Index.Spellers) name those files, so
+//     finding them costs O(readers), however many names moved;
 //   - each shard keeps a presorted finding segment (its files' cached
 //     findings concatenated in shard path order, with per-file offsets),
 //     copied afresh only when one of its files was re-checked;
@@ -42,8 +43,8 @@ import (
 //     assessment after a delta) never copies the whole stream.
 //
 // A run re-checks every file instead (LastFullRecheck) when the engine
-// fell further behind the feed than it retains, or when the feed names
-// more than maxScanNames changed names; it never serves stale output.
+// fell further behind the feed than it retains; it never serves stale
+// output.
 //
 // Output equivalence with RunSequential over the same context is pinned
 // by TestShardedMatchesColdRun and exercised at scale by the
@@ -141,8 +142,7 @@ func NewSharded(rs []Rule) *Sharded {
 func (s *Sharded) LastDirty() int { return s.lastDirty }
 
 // LastFullRecheck reports whether the previous warm Update re-checked
-// every file because it fell behind the index change feed or the feed
-// named more than maxScanNames changed names.
+// every file because it fell behind the index change feed.
 func (s *Sharded) LastFullRecheck() bool { return s.lastFullRecheck }
 
 // Stats returns the finding statistics of the previous Update,
@@ -196,7 +196,6 @@ func (s *Sharded) Update(ctx *Context) {
 	ix := ctx.Index
 	invalidate := ix != s.ix
 	var changes map[string]artifact.Change
-	var keys []string // identifiers to scan the corpus for
 	if invalidate {
 		s.reset(ix)
 	} else if ix.Gen() != s.seen {
@@ -206,8 +205,6 @@ func (s *Sharded) Update(ctx *Context) {
 			if s.cyc != nil {
 				s.cyc.ok = false
 			}
-		} else if keys = spellKeys(changes); len(keys) > maxScanNames {
-			invalidate, s.lastFullRecheck = true, true
 		}
 	}
 	indexMoved := ix.Gen() != s.seen
@@ -252,7 +249,7 @@ func (s *Sharded) Update(ctx *Context) {
 	// Files spelling a name whose per-file-visible facts moved, by shard.
 	var spelled map[string][]string
 	if !invalidate {
-		spelled = spellingFiles(ctx, names, keys)
+		spelled = spellingFiles(ctx, spellKeys(changes))
 	}
 
 	// Plan the rebuild of every shard whose generation moved or that has
@@ -376,15 +373,6 @@ func (s *Sharded) Findings() []Finding { return mergeFindingSegments(s.segs) }
 // the engine replaces and never writes, so fn must not modify it.
 func (s *Sharded) Stream(fn func([]Finding)) { mergeRuns(s.segs, fn) }
 
-// maxScanNames is the number of changed names up to which a warm run
-// scans the corpus for their readers; beyond it the run re-checks every
-// file instead. On the 19.6 MB perfbench corpus (2-CPU Xeon) one
-// identifier-boundary pass per name costs 1.3–1.6 ms and a full
-// re-check about 320 ms plus any stub hydration; both grow with corpus
-// bytes, so at this bound the scan still costs well under a full
-// re-check. Renames, adds and removes move a handful of names each.
-const maxScanNames = 128
-
 // spellKeys returns the sorted, deduplicated identifiers (identKey) of
 // the names whose per-file-visible facts — callee voidness, global
 // membership — moved.
@@ -400,85 +388,44 @@ func spellKeys(changes map[string]artifact.Change) []string {
 }
 
 // spellingFiles returns, per shard in the shard's path order, the files
-// whose source spells one of keys at identifier boundaries. Per-file
+// whose source spells one of keys at identifier boundaries, read from
+// the index's identifier postings (artifact.Index.Spellers). Per-file
 // handlers read cross-file facts only through names spelled in their
 // own file (the Registrar contract), so every other file's cached
-// findings stay valid. The scan runs only when keys is non-empty, one
-// shard per worker.
-func spellingFiles(ctx *Context, shards []string, keys []string) map[string][]string {
+// findings stay valid. The postings are built on the first call with a
+// key, so a run that moved no per-file fact never builds them.
+func spellingFiles(ctx *Context, keys []string) map[string][]string {
 	if len(keys) == 0 {
 		return nil
 	}
-	every := keys[0] == "" // a name with no identifier: every file may read it
-	hits := make([][]string, len(shards))
-	par.For(par.Workers(len(shards)), len(shards), func(i int) {
-		for _, p := range ctx.Index.Shard(shards[i]).Paths() {
-			if every || spellsAny(ctx.Units[p].File.Src, keys) {
-				hits[i] = append(hits[i], p)
-			}
-		}
-	})
-	out := make(map[string][]string, len(shards))
-	for i, m := range shards {
-		if len(hits[i]) > 0 {
-			out[m] = hits[i]
-		}
+	var paths []string
+	for _, key := range keys {
+		paths = append(paths, ctx.Index.Spellers(key)...)
+	}
+	sort.Strings(paths)
+	out := make(map[string][]string)
+	for _, p := range slices.Compact(paths) {
+		m := ctx.Units[p].File.ModuleName()
+		out[m] = append(out[m], p)
 	}
 	return out
 }
 
-// identKey returns the identifier to scan for when a name changed: the
+// identKey returns the identifier to look up when a name changed: the
 // name itself when it is one identifier, otherwise its first identifier
 // run (a destructor's class name, a template name before its arguments,
 // "operator"), which every spelling of the name contains. A name with
-// no identifier characters yields "".
+// no identifier characters yields "", which selects every file.
 func identKey(name string) string {
 	i := 0
-	for i < len(name) && !isIdentByte(name[i]) {
+	for i < len(name) && !artifact.IsIdentByte(name[i]) {
 		i++
 	}
 	j := i
-	for j < len(name) && isIdentByte(name[j]) {
+	for j < len(name) && artifact.IsIdentByte(name[j]) {
 		j++
 	}
 	return name[i:j]
-}
-
-// spellsAny reports whether src contains one of keys as a whole
-// identifier: an occurrence not preceded or followed by an identifier
-// character (the lexer's own identifier alphabet, so every identifier
-// token qualifies), found with one strings.Index pass per key.
-// Occurrences in comments and string literals count too, which only ever
-// re-checks a file that did not need it.
-func spellsAny(src string, keys []string) bool {
-	for _, key := range keys {
-		if spellsIdent(src, key) {
-			return true
-		}
-	}
-	return false
-}
-
-// spellsIdent reports whether src contains the non-empty key as a whole
-// identifier.
-func spellsIdent(src, key string) bool {
-	for i := 0; ; {
-		j := strings.Index(src[i:], key)
-		if j < 0 {
-			return false
-		}
-		j += i
-		end := j + len(key)
-		if (j == 0 || !isIdentByte(src[j-1])) && (end == len(src) || !isIdentByte(src[end])) {
-			return true
-		}
-		i = j + 1
-	}
-}
-
-// isIdentByte reports whether c can continue a C/C++ identifier.
-func isIdentByte(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 }
 
 // mergeFindingSegments merges sorted finding segments into one sorted

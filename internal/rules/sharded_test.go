@@ -83,7 +83,9 @@ const del = "\x00removed"
 
 // shardedStep is one round of TestShardedNameDependencies: one Apply per
 // map (path → new source, or del), then one Run that must match a cold
-// run and re-check exactly dirty files.
+// run and re-check exactly dirty files. A step named "restored ..."
+// first swaps the engine for one seeded by RestoreCache from its state;
+// one named "full ..." must re-check every file as a fallback.
 type shardedStep struct {
 	name    string
 	applies []map[string]string
@@ -217,9 +219,10 @@ func TestShardedNameDependencies(t *testing.T) {
 			}, 4},
 		}},
 		{"more names than the scan takes", []shardedStep{
-			// Past the scan bound every file is re-checked.
-			{"full add", []map[string]string{{"g/many.c": manyGlobals(200) + "int g_probe;\n"}}, 9},
-			{"full remove", []map[string]string{{"g/many.c": del}}, 8},
+			// However many names move, only their readers are re-checked:
+			// the added file and o/shadow.c, which spells g_probe.
+			{"add", []map[string]string{{"g/many.c": manyGlobals(200) + "int g_probe;\n"}}, 2},
+			{"remove", []map[string]string{{"g/many.c": del}}, 1},
 			{"body edit after", []map[string]string{{"t/unrelated.c": "int quiet(int k) { return k; }\n"}}, 1},
 		}},
 		{"one apply larger than the feed bound", []shardedStep{
@@ -274,6 +277,33 @@ func TestShardedNameDependencies(t *testing.T) {
 				{"a/pong.c": del},
 			}, 0},
 		}},
+		// The on-cycle set's component bookkeeping. Each row ends by
+		// breaking a cycle at a node that no longer reaches its
+		// cycle-mates, which leave the set only if the node's component
+		// roots them.
+		{"two disjoint cycles, one broken", []shardedStep{
+			{"make both", []map[string]string{{"u/pong.c": pongCalls("ping(n)"), "v/one.c": oneCalls("two(n)"), "v/two.c": twoCalls("one(n)")}}, 4},
+			{"break one, the other stays", []map[string]string{{"u/pong.c": pongCalls("n")}}, 1},
+			{"break the other", []map[string]string{{"v/one.c": oneCalls("n")}}, 1},
+		}},
+		{"a new edge merges two cycles, its removal splits them", []shardedStep{
+			{"make both, linked one way", []map[string]string{{"u/pong.c": pongCalls("ping(n)"), "v/one.c": oneCalls("two(n)"), "v/two.c": twoCalls("one(n) + ping(n)")}}, 4},
+			{"merge", []map[string]string{{"u/pong.c": pongCalls("ping(n) + one(n)")}}, 1},
+			{"split", []map[string]string{{"u/pong.c": pongCalls("ping(n)")}}, 1},
+			{"break the first", []map[string]string{{"v/one.c": oneCalls("n")}}, 1},
+			{"break the second", []map[string]string{{"u/pong.c": pongCalls("n")}}, 1},
+		}},
+		{"first graph change on a restored engine", []shardedStep{
+			{"make both", []map[string]string{{"u/pong.c": pongCalls("ping(n)"), "v/one.c": oneCalls("two(n)"), "v/two.c": twoCalls("one(n)")}}, 4},
+			{"restored, break one", []map[string]string{{"u/pong.c": pongCalls("n")}}, 1},
+			{"restored again, break the other", []map[string]string{{"v/one.c": oneCalls("n")}}, 1},
+		}},
+		{"joining a cycle through a node that was acyclic", []shardedStep{
+			{"make", []map[string]string{{"u/pong.c": pongCalls("ping(n)")}}, 2},
+			{"add an acyclic chain into it", []map[string]string{{"x/hop.c": "int hop(int n) { return ping(n); }\n", "y/far.c": "int far(int n) { return hop(n); }\n"}}, 2},
+			{"close the chain", []map[string]string{{"u/pong.c": pongCalls("ping(n) + far(n)")}}, 1},
+			{"open it again", []map[string]string{{"u/pong.c": pongCalls("ping(n)")}}, 1},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -289,6 +319,9 @@ func TestShardedNameDependencies(t *testing.T) {
 			eng := rules.NewSharded(rules.DefaultRules())
 			shardedCheck(t, "cold", eng, ix, len(base))
 			for _, st := range tc.steps {
+				if strings.HasPrefix(st.name, "restored") {
+					eng = restoredEngine(t, eng, ix)
+				}
 				for _, files := range st.applies {
 					applyFiles(t, ix, files)
 				}
@@ -300,6 +333,31 @@ func TestShardedNameDependencies(t *testing.T) {
 			}
 		})
 	}
+}
+
+// pongCalls, oneCalls and twoCalls return the sources of u/pong.c,
+// v/one.c and v/two.c, whose one function returns expr.
+func pongCalls(expr string) string { return "int pong(int n) { return " + expr + "; }\n" }
+func oneCalls(expr string) string  { return "int one(int n) { return " + expr + "; }\n" }
+func twoCalls(expr string) string  { return "int two(int n) { return " + expr + "; }\n" }
+
+// restoredEngine returns a new engine seeded by RestoreCache from eng's
+// state over ix, as a snapshot restore seeds one.
+func restoredEngine(t *testing.T, eng *rules.Sharded, ix *artifact.Index) *rules.Sharded {
+	t.Helper()
+	corpus, ok := eng.CorpusFindings()
+	if !ok {
+		t.Fatal("no corpus segment to restore from")
+	}
+	shards := make(map[string][][]rules.Finding)
+	for _, m := range ix.ShardNames() {
+		if files, ok := eng.ShardFindings(m); ok {
+			shards[m] = files
+		}
+	}
+	restored := rules.NewSharded(rules.DefaultRules())
+	restored.RestoreCache(ix, corpus, shards)
+	return restored
 }
 
 // TestShardedBodyEditChecksOneFile pins the O(dirty shard) fast path: a

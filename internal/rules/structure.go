@@ -284,10 +284,10 @@ func (r *RecursionRule) Check(ctx *Context) []Finding {
 		names = append(names, n)
 	}
 	sort.Strings(names) // deterministic traversal order
-	status := cycleStatus(ctx.ByName, names)
+	comp, _ := cycleStatus(ctx.ByName, names)
 	var out []Finding
 	for _, n := range names {
-		if status[n] {
+		if comp[n] != 0 {
 			out = append(out, r.finding(ctx.ByName[n]))
 		}
 	}
@@ -304,12 +304,14 @@ func (r *RecursionRule) finding(fi *FuncInfo) Finding {
 // cycleStatus runs Tarjan's SCC algorithm over the call graph of the
 // defined functions (edges: a champion's callees that are themselves
 // defined) from the given roots, in order, and returns every visited
-// name mapped to whether it lies on a cycle — a multi-node component or
-// a self-loop. Roots that are not defined are skipped. Every name
-// reachable from a root is visited, and each visited name's component
-// is complete, so its status is exact however few roots are given.
-func cycleStatus(byName map[string]*FuncInfo, roots []string) map[string]bool {
-	status := make(map[string]bool)
+// name mapped to its component: 0 when the name lies on no cycle, else
+// the number, from 1 to n, of its strongly connected component, which
+// is a multi-node component or a self-loop. Roots that are not defined
+// are skipped. Every name reachable from a root is visited, and each
+// visited name's component is complete, so its component is exact
+// however few roots are given.
+func cycleStatus(byName map[string]*FuncInfo, roots []string) (comp map[string]int, n int) {
+	comp = make(map[string]int)
 	var stack []string
 	index := make(map[string]int)
 	low := make(map[string]int)
@@ -340,31 +342,35 @@ func cycleStatus(byName map[string]*FuncInfo, roots []string) map[string]bool {
 			}
 		}
 		if low[v] == index[v] {
-			var comp []string
+			var members []string
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w] = false
-				comp = append(comp, w)
+				members = append(members, w)
 				if w == v {
 					break
 				}
 			}
-			cyclic := len(comp) > 1 || selfLoop
-			for _, w := range comp {
-				status[w] = cyclic
+			id := 0
+			if len(members) > 1 || selfLoop {
+				n++
+				id = n
+			}
+			for _, w := range members {
+				comp[w] = id
 			}
 		}
 	}
-	for _, n := range roots {
-		if _, defined := byName[n]; !defined {
+	for _, r := range roots {
+		if _, defined := byName[r]; !defined {
 			continue
 		}
-		if _, seen := index[n]; !seen {
-			strongconnect(n)
+		if _, seen := index[r]; !seen {
+			strongconnect(r)
 		}
 	}
-	return status
+	return comp, n
 }
 
 // Fuse implements Rule. Recursion is corpus-level (an SCC over the

@@ -139,7 +139,7 @@ func newServerMetrics() *serverMetrics {
 		StubsHydrated: reg.Counter("adserve_stubs_hydrated_total",
 			"Fact-stub units (restored, or demoted after an assessment) re-parsed because the rule engine or metrics cache re-walked them."),
 		FullRechecks: reg.Counter("adserve_rule_full_rechecks_total",
-			"Warm rule runs that re-checked every file: behind the index change feed, or too many changed names to scan for."),
+			"Warm rule runs that re-checked every file because they fell behind the index change feed."),
 	}
 	m.blocksRecomputed = reg.Counter("adserve_snapshot_blocks_recomputed_total",
 		"Snapshot finding and metric blocks that failed to decode at boot; their shards are recomputed on first use.")

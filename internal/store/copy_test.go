@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/corpusgen"
 	"repro/internal/obs"
@@ -127,38 +128,45 @@ func TestSnapshotWriteCopiesUntouchedShards(t *testing.T) {
 	compactAndCompare(t, "restored, unchanged", cs, cdir, w, rec, shards, 0)
 	compactAndCompare(t, "restored, unchanged, again", cs, cdir, w, rec, shards, 0)
 
-	var many strings.Builder
+	var many, flood strings.Builder
 	for i := 0; i < 130; i++ {
 		fmt.Fprintf(&many, "int ZzCopyMany%03d(int v) {\n  return v;\n}\n", i)
 	}
+	for i := 0; i <= artifact.FeedRetention; i++ {
+		fmt.Fprintf(&flood, "void ZzCopyFlood%d(void) {\n}\n", i)
+	}
+	change := func(path, src string) core.Delta {
+		return core.Delta{Changed: []*srcfile.File{{Path: path, Src: src}}}
+	}
 	steps := []struct {
 		what string
-		d    core.Delta
+		ds   []core.Delta
 		// rechecked is the number of files the rule engine must re-check,
-		// touched the shards touched since the restore after this delta.
+		// touched the shards touched since the restore after these deltas.
 		rechecked int
 		touched   int64
 	}{
-		{"body edit", core.Delta{Changed: []*srcfile.File{{Path: "planning/zz_copy_lib.cc",
-			Src: "int ZzCopyLib(int v) {\n  return v + 2;\n}\n"}}}, 1, 1},
-		{"rename", core.Delta{Changed: []*srcfile.File{{Path: "perception/zz_copy_solo.cc",
-			Src: "int ZzCopySoloB(int v) {\n  return v;\n}\n"}}}, 1, 2},
-		{"add", core.Delta{Changed: []*srcfile.File{{Path: "localization/zz_copy_added.cc",
-			Src: "int ZzCopyAdded(int v) {\n  return v * 2;\n}\n"}}}, 1, 3},
-		{"remove", core.Delta{Removed: []string{"prediction/zz_copy_gone.cc"}}, 0, 4},
+		{"body edit", []core.Delta{change("planning/zz_copy_lib.cc", "int ZzCopyLib(int v) {\n  return v + 2;\n}\n")}, 1, 1},
+		{"rename", []core.Delta{change("perception/zz_copy_solo.cc", "int ZzCopySoloB(int v) {\n  return v;\n}\n")}, 1, 2},
+		{"add", []core.Delta{change("localization/zz_copy_added.cc", "int ZzCopyAdded(int v) {\n  return v * 2;\n}\n")}, 1, 3},
+		{"remove", []core.Delta{{Removed: []string{"prediction/zz_copy_gone.cc"}}}, 0, 4},
 		// ZzCopyLib's only caller lives in control: its file is re-checked
 		// there, so control's rule segment is rebuilt while its metric rows
 		// stay sealed — sealed in one cache only is not copied.
-		{"cross-file rename", core.Delta{Changed: []*srcfile.File{{Path: "planning/zz_copy_lib.cc",
-			Src: "int ZzCopyLibR(int v) {\n  return v + 2;\n}\n"}}}, 2, 5},
-		// 130 changed names exceed the scan bound: every file is
-		// re-checked and no shard stays sealed.
-		{"more than 128 names", core.Delta{Changed: []*srcfile.File{{Path: "planning/zz_copy_many.cc",
-			Src: many.String()}}}, -1, shards},
+		{"cross-file rename", []core.Delta{change("planning/zz_copy_lib.cc", "int ZzCopyLibR(int v) {\n  return v + 2;\n}\n")}, 2, 5},
+		// 130 changed names that no other file spells: only the new file
+		// is re-checked.
+		{"more than 128 names", []core.Delta{change("planning/zz_copy_many.cc", many.String())}, 1, 5},
+		// The body edit drops the flood's feed entries before the engine
+		// reads them: every file is re-checked and no shard stays sealed.
+		{"feed overrun", []core.Delta{change("planning/zz_copy_flood.cc", flood.String()),
+			change("planning/zz_copy_lib.cc", "int ZzCopyLibR(int v) {\n  return v + 3;\n}\n")}, -1, shards},
 	}
 	for _, s := range steps {
-		if _, err := rec.ApplyDelta(s.d); err != nil {
-			t.Fatalf("%s: %v", s.what, err)
+		for _, d := range s.ds {
+			if _, err := rec.ApplyDelta(d); err != nil {
+				t.Fatalf("%s: %v", s.what, err)
+			}
 		}
 		rec.Findings()
 		want := s.rechecked

@@ -17,13 +17,13 @@ import (
 // TestDemotedStateMatchesRestored pins that Assess leaves a cold-loaded
 // assessor in the state a restore builds. Demotion moves no snapshot
 // byte, and a script of deltas — a body edit, a rename read from
-// another shard, an add, a remove, and a delta moving more names than
-// the engine scans for — answers byte for byte alike on the demoted
-// assessor and on one restored from its export, each hydrating exactly
-// the re-checked files the delta did not parse. At rest after every
-// step, on both sides, every record the index's views hold is one its
-// unit lists (hydration and demotion keep record identity) and carries
-// no declaration.
+// another shard, an add, a remove, a delta moving 130 names, and two
+// deltas before one assessment that overrun the change feed — answers
+// byte for byte alike on the demoted assessor and on one restored from
+// its export, each hydrating exactly the re-checked files the deltas
+// did not parse. At rest after every step, on both sides, every record
+// the index's views hold is one its unit lists (hydration and demotion
+// keep record identity) and carries no declaration.
 func TestDemotedStateMatchesRestored(t *testing.T) {
 	gen := corpusgen.New(corpusgen.Params{Modules: 4, FilesPerModule: 40,
 		FuncsPerFile: 3, ViolationsPerFile: 2, CrossFile: true}, 19)
@@ -55,25 +55,31 @@ func TestDemotedStateMatchesRestored(t *testing.T) {
 	if !strings.Contains(gen.Source(edited), "return ") {
 		t.Fatalf("%s has no return statement to edit", edited)
 	}
-	var bulk strings.Builder
+	var bulk, flood strings.Builder
 	for i := 0; i < 130; i++ {
 		fmt.Fprintf(&bulk, "int ZzBulk%d(int v) {\n  return v + %d;\n}\n", i, i)
 	}
-	change := func(path, src string) core.Delta {
-		return core.Delta{Changed: []*srcfile.File{{Path: path, Src: src}}}
+	for i := 0; i <= artifact.FeedRetention; i++ {
+		fmt.Fprintf(&flood, "void ZzFlood%d(void) {\n}\n", i)
+	}
+	change := func(path, src string) []core.Delta {
+		return []core.Delta{{Changed: []*srcfile.File{{Path: path, Src: src}}}}
 	}
 	script := []struct {
 		what string
-		d    core.Delta
-		// readers: the delta re-checks reader, which it does not parse;
-		// full: it moves too many names to scan for.
+		ds   []core.Delta
+		// readers: the deltas re-check reader, which they do not parse;
+		// full: the second delta drops the first's feed entries before
+		// the engine reads them, so every file is re-checked.
 		readers, full bool
 	}{
 		{"body edit", change(edited, strings.Replace(gen.Source(edited), "return ", "return 0 + ", 1)), false, false},
 		{"rename read from another shard", change(target, "int ZzRenamed(int v) {\n  return v + 1;\n}\n"), true, false},
 		{"add", change("prediction/zz_xadd.cc", "int ZzTarget(int v) {\n  return v - 1;\n}\n"), true, false},
-		{"remove", core.Delta{Removed: []string{"prediction/zz_xadd.cc"}}, true, false},
-		{"130 names", change("localization/zz_bulk.cc", bulk.String()), false, true},
+		{"remove", []core.Delta{{Removed: []string{"prediction/zz_xadd.cc"}}}, true, false},
+		{"130 names", change("localization/zz_bulk.cc", bulk.String()), false, false},
+		{"feed overrun", append(change("localization/zz_flood.cc", flood.String()),
+			change(edited, gen.Source(edited))...), false, true},
 	}
 
 	type side struct {
@@ -87,13 +93,15 @@ func TestDemotedStateMatchesRestored(t *testing.T) {
 		s.a.SetMetrics(core.FallbackMetrics{StubsHydrated: s.hydrated, FullRechecks: s.fullRuns})
 	}
 	for _, step := range script {
-		var parsed []int
-		for _, s := range sides {
-			res, err := s.a.ApplyDelta(step.d)
-			if err != nil {
-				t.Fatalf("%s: %v", step.what, err)
+		parsed := make([]int, len(sides))
+		for i, s := range sides {
+			for _, d := range step.ds {
+				res, err := s.a.ApplyDelta(d)
+				if err != nil {
+					t.Fatalf("%s: %v", step.what, err)
+				}
+				parsed[i] += res.Parsed
 			}
-			parsed = append(parsed, res.Parsed)
 		}
 		requireIdentical(t, step.what, cold, restored)
 		for i, s := range sides {
