@@ -187,7 +187,10 @@ func (a *Assessor) Findings() []rules.Finding {
 
 // EachFinding calls fn with consecutive runs of the finding stream
 // (Findings), in order, without building or caching it: the runs are
-// views of the rule engine's segments, which fn must not modify.
+// views of the rule engine's segments, which fn must not modify. Runs
+// keep rules.Sharded.Stream's contract: none is empty, none is written
+// after it is yielded, and one with the same first element and length
+// as an earlier run the caller still holds has the same findings.
 func (a *Assessor) EachFinding(fn func([]rules.Finding)) {
 	a.runRules()
 	a.ruleEng.Stream(fn)

@@ -59,7 +59,8 @@ func (s *Sharded) CorpusFindings() ([]Finding, bool) {
 // shard in shards (per-path finding lists, one per path of the shard in
 // its sorted order) is filled exactly as a cold run fills it and marked
 // sealed. A shard missing from shards is left empty, so the first Update
-// re-checks exactly that shard.
+// re-checks exactly that shard. The engine keeps corpus itself as its
+// corpus segment, so the caller must not write it afterwards (Stream).
 // The recursion rule's on-cycle set is read back from the corpus
 // segment, so the first graph change after restore updates it instead
 // of re-running the corpus-wide SCC; the segment records no components,

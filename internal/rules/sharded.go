@@ -369,8 +369,22 @@ func (s *Sharded) Update(ctx *Context) {
 func (s *Sharded) Findings() []Finding { return mergeFindingSegments(s.segs) }
 
 // Stream calls fn with consecutive runs of the stream Findings returns,
-// in order, without copying it: each run is a view of a segment, which
-// the engine replaces and never writes, so fn must not modify it.
+// in order, without copying it. Each run is a view of a segment, which
+// the engine replaces and never writes, so fn must not modify it, and:
+//
+//   - a run is never empty;
+//   - a run's elements are never written after it is yielded, by any
+//     later Update or RestoreCache (fill and cycleCache.resort build
+//     fresh slices, and RestoreCache's caller hands over its corpus
+//     segment);
+//   - a run with the same first element and length as an earlier run
+//     the caller still holds has the same findings: holding it keeps
+//     its segment from being freed, so no other segment can take its
+//     address.
+//
+// The /findings body cache rests on these (TestStreamRunsNeverWritten):
+// an engine that refilled a segment in place would have to key that
+// cache otherwise.
 func (s *Sharded) Stream(fn func([]Finding)) { mergeRuns(s.segs, fn) }
 
 // spellKeys returns the sorted, deduplicated identifiers (identKey) of

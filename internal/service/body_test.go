@@ -14,6 +14,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/iso26262"
@@ -44,6 +46,29 @@ func encodedFindings(t testing.TB, corpus string, runs [][]rules.Finding) []byte
 		t.Fatal(err)
 	}
 	return b.Bytes()
+}
+
+// findingsJSON renders runs through an empty cache, as the first
+// /findings read after /assess does.
+func findingsJSON(name string, runs [][]rules.Finding) []byte {
+	var c findingsCache
+	return c.renderRuns(name, runs)
+}
+
+// findingsLen returns the length findingsJSON's body would have if no
+// string needed escaping, from the sizing an encoded run takes (rowsLen),
+// and the number of findings in the runs.
+func findingsLen(name string, runs [][]rules.Finding) (size, n int) {
+	size = len(`{"corpus":"","count":,"findings":[]}`+"\n") + len(name)
+	parts := 0
+	for _, run := range runs {
+		if len(run) > 0 {
+			size += rowsLen(run)
+			n += len(run)
+			parts++
+		}
+	}
+	return size + max(parts-1, 0) + len(strconv.Itoa(n)), n
 }
 
 // checkFindingsBody compares the appender with the oracle and checks that
@@ -223,12 +248,16 @@ func gunzip(t testing.TB, b []byte) []byte {
 // FuzzFindingsBody checks the appender against encoding/json for
 // arbitrary strings in every field and the corpus name, any line,
 // severity, ref table and item, and a run split anywhere in the stream.
+// It renders twice through one cache: the second stream takes each run
+// of the first as it is, re-split, shortened, as a fresh copy (equal or
+// altered), dropped, or after an inserted run, so copied and encoded
+// rows mix in every order.
 func FuzzFindingsBody(f *testing.F) {
 	for i, s := range escapeCases {
-		f.Add(s, "rule", "m/a.c", "m", s, "msg "+s, i*7-20, i%5-1, i%4, i, uint8(i))
+		f.Add(s, "rule", "m/a.c", "m", s, "msg "+s, i*7-20, i%5-1, i%4, i, uint8(i), uint16(i*2731))
 	}
-	f.Add("c", "", "", "", "", "", math.MinInt, math.MaxInt, -1, math.MinInt, uint8(255))
-	f.Fuzz(func(t *testing.T, corpus, rule, file, module, function, msg string, line, sev, table, item int, split uint8) {
+	f.Add("c", "", "", "", "", "", math.MinInt, math.MaxInt, -1, math.MinInt, uint8(255), uint16(0xffff))
+	f.Fuzz(func(t *testing.T, corpus, rule, file, module, function, msg string, line, sev, table, item int, split uint8, edits uint16) {
 		fs := []rules.Finding{
 			{RuleID: rule, Severity: rules.Severity(sev), File: file, Module: module, Line: line, Function: function, Msg: msg,
 				Refs: []iso26262.Ref{{Table: iso26262.TableID(table), Item: item}, {Table: iso26262.TableUnit, Item: 2}}},
@@ -236,6 +265,38 @@ func FuzzFindingsBody(f *testing.F) {
 			{RuleID: file, Module: corpus, Msg: corpus, Refs: []iso26262.Ref{}},
 		}
 		k := int(split) % (len(fs) + 1)
-		checkFindingsBody(t, corpus, [][]rules.Finding{fs[:k], nil, fs[k:]})
+		first := [][]rules.Finding{fs[:k], nil, fs[k:]}
+		checkFindingsBody(t, corpus, first)
+
+		var c findingsCache
+		render := func(runs [][]rules.Finding) {
+			t.Helper()
+			if got, want := c.renderRuns(corpus, runs), encodedFindings(t, corpus, runs); !bytes.Equal(got, want) {
+				t.Fatalf("cached render differs from encoding/json:\n got %q\nwant %q", got, want)
+			}
+		}
+		render(first)
+		var second [][]rules.Finding
+		for i, run := range first {
+			switch op := edits >> (3 * i) & 7; {
+			case op == 1 && len(run) > 1:
+				second = append(second, run[:1], run[1:])
+			case op == 2 && len(run) > 0:
+				second = append(second, run[:len(run)-1])
+			case op == 3:
+				second = append(second, slices.Clone(run))
+			case op == 4 && len(run) > 0:
+				alt := slices.Clone(run)
+				alt[0].Msg += "~"
+				second = append(second, alt)
+			case op == 5:
+				// dropped
+			case op == 6:
+				second = append(second, []rules.Finding{{RuleID: function, File: msg, Line: item}}, run)
+			default:
+				second = append(second, run)
+			}
+		}
+		render(second)
 	})
 }

@@ -88,6 +88,12 @@ type serverMetrics struct {
 	recomputed *obs.Histogram
 	fallback   core.FallbackMetrics
 
+	// findingsEncoded observes, per /findings render, the finding rows
+	// it encoded; rows copied from the previous body are not counted,
+	// and a read served from the cached body observes nothing. It is
+	// handed to every corpus's findingsCache.
+	findingsEncoded *obs.Histogram
+
 	// blocksRecomputed, journalStale and journalTorn count the recovery
 	// fallbacks NewWithStore's boot took, summed over the corpora it
 	// restored (RestoredCorpus.Recomputed, .Stale, and .Torn as one per
@@ -135,6 +141,8 @@ func newServerMetrics() *serverMetrics {
 		"Files the rule engine re-checked per acknowledged delta (its rule_files_checked).")
 	m.recomputed = reg.Histogram("adserve_delta_metric_files_recomputed",
 		"Metric file rows the metrics cache recomputed per acknowledged delta (its metric_files_computed).")
+	m.findingsEncoded = reg.Histogram("adserve_findings_rows_encoded",
+		"Finding rows each /findings render encoded; rows copied from the previous body are not counted, and a read of the cached body renders nothing.")
 	m.fallback = core.FallbackMetrics{
 		StubsHydrated: reg.Counter("adserve_stubs_hydrated_total",
 			"Fact-stub units (restored, or demoted after an assessment) re-parsed because the rule engine or metrics cache re-walked them."),

@@ -30,8 +30,10 @@ func loadedState(t *testing.T) *corpusState {
 }
 
 // reportOf and findingsOf serve st's cached bodies as the handlers do.
-func reportOf(st *corpusState) []byte   { return st.rendered(&st.projReport, reportBody, "c") }
-func findingsOf(st *corpusState) []byte { return st.rendered(&st.projFindings, findingsBody, "c") }
+func reportOf(st *corpusState) []byte { return st.rendered(&st.projReport, reportBody, "c") }
+func findingsOf(st *corpusState) []byte {
+	return st.rendered(&st.projFindings, st.findings.render, "c")
+}
 
 // TestProjectionsServeUnderReadLock is the blocked-reader probe: a held
 // read lock (a delta prepare in flight) must not block the report and

@@ -125,18 +125,23 @@ type corpusState struct {
 	shardMu    sync.Mutex
 	shardLocks map[string]*sync.Mutex
 
-	// projMu guards the cached response bodies below. It nests inside
-	// mu — renderers hold st.mu.RLock, then projMu — and serializes the
-	// (expensive) render so a burst of reads after one delta renders
-	// once and the rest serve the cached bytes. A published body is
-	// immutable (invalidation drops it, and the next render allocates a
-	// fresh buffer), so handlers write it after releasing every lock.
+	// projMu guards the cached response bodies and the findings cache
+	// below. It nests inside mu — renderers hold st.mu.RLock, then
+	// projMu — and serializes the (expensive) render so a burst of reads
+	// after one delta renders once and the rest serve the cached bytes.
+	// A published body is immutable (invalidation drops it, and the
+	// next render allocates a fresh buffer and only reads the previous
+	// one), so handlers write it after releasing every lock.
 	projMu sync.Mutex
 	// projGen is the assessor generation projReport/projFindings were
 	// rendered at; a Gen() advance invalidates both.
 	projGen      uint64
 	projReport   []byte
 	projFindings []byte
+	// findings renders projFindings, copying from the previous
+	// /findings body the rows of the runs a delta left in place. It
+	// survives generation advances: it is the previous body.
+	findings findingsCache
 }
 
 // lockModules acquires the per-module locks for the given paths' modules
@@ -235,7 +240,7 @@ func NewWithStore(d *store.Dir) (*Server, []RestoredCorpus, error) {
 		// here, as every write path does, leaves renderers nothing to
 		// write.
 		a.Assess()
-		s.corpora[name] = &corpusState{a: a, cs: cs}
+		s.corpora[name] = &corpusState{a: a, cs: cs, findings: findingsCache{encoded: s.obs.findingsEncoded}}
 		s.obs.blocksRecomputed.Add(int64(info.Recomputed))
 		s.obs.journalStale.Add(int64(info.Stale))
 		if info.Torn {
@@ -461,7 +466,7 @@ type ReportResponse struct {
 // FindingRow is one rule finding with every field the engine reports, so
 // a client can reconstruct the finding stream byte-for-byte. It is the
 // documented wire schema of /findings rows: the server writes it through
-// its own appender (findingsJSON), and TestFindingsBodyMatchesEncodingJSON
+// its own appender (findingsCache), and TestFindingsBodyMatchesEncodingJSON
 // pins that appender's bytes equal to encoding/json's encoding of
 // FindingsResponse.
 type FindingRow struct {
@@ -568,7 +573,7 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	st := &corpusState{a: a}
+	st := &corpusState{a: a, findings: findingsCache{encoded: s.obs.findingsEncoded}}
 	st.mu.Lock()
 	s.mu.Lock()
 	old := s.corpora[name]
@@ -842,7 +847,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // under the corpus read lock, so they neither block each other nor pay
 // repeated renders, and a write (delta commit) waits only for the render
 // in flight, not for a queue of them. A generation advance drops both
-// bodies; the returned bytes are never written again.
+// bodies (st.findings keeps the previous /findings body to copy from);
+// the returned bytes are never written again.
 func (st *corpusState) rendered(slot *[]byte, render func(name string, a *core.Assessor) []byte, name string) []byte {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -892,7 +898,7 @@ func (s *Server) handleFindings(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	endRender := spanFrom(r.Context()).Phase("render")
-	body := st.rendered(&st.projFindings, findingsBody, name)
+	body := st.rendered(&st.projFindings, st.findings.render, name)
 	endRender()
 	writeBody(w, r, body)
 }

@@ -10,6 +10,7 @@ package service_test
 // race delta prepares.
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -74,13 +75,29 @@ func TestSameCorpusDeltaStorm(t *testing.T) {
 						errc <- fmt.Errorf("worker %d round %d: delta = %d: %s", g, r, code, body)
 						return
 					}
-					// A third of the workers read mid-storm, exercising
-					// the projection render concurrently with prepares.
-					if g%3 == 0 {
+					// A third of the workers read mid-storm, alternating
+					// /report and /findings, exercising the body renders
+					// (and the findings cache) concurrently with prepares
+					// and commits.
+					if g%3 != 0 {
+						continue
+					}
+					if (g/3+r)%2 == 0 {
 						if code, body := getJSON(t, ts.URL+"/report?corpus=storm", nil); code != http.StatusOK {
 							errc <- fmt.Errorf("worker %d round %d: report = %d: %s", g, r, code, body)
 							return
 						}
+						continue
+					}
+					code, body = getJSON(t, ts.URL+"/findings?corpus=storm", nil)
+					if code != http.StatusOK {
+						errc <- fmt.Errorf("worker %d round %d: findings = %d: %s", g, r, code, body)
+						return
+					}
+					var fr service.FindingsResponse
+					if err := json.Unmarshal([]byte(body), &fr); err != nil || fr.Count != len(fr.Findings) {
+						errc <- fmt.Errorf("worker %d round %d: findings body (%v) counts %d of %d rows", g, r, err, fr.Count, len(fr.Findings))
+						return
 					}
 				}
 				errc <- nil
