@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 	"sync"
@@ -391,11 +392,13 @@ func BenchmarkGeneratedScale(b *testing.B) {
 // on the seed-26262 10k-file corpusgen tree: each op renames the first
 // filler function of n C++ files in one delta (two names move per
 // file) and assesses, for n = 1, 16, 128 and 512, on a cold-loaded
-// assessor and on one restored from its exported state. No other file
-// spells those names, so the rule engine re-checks exactly the renamed
-// files; files/op reports that count, which latency follows. Each
-// assessor takes one untimed rename first, which builds the index's
-// identifier postings and gives its on-cycle names their components.
+// assessor and on one restored from its exported state. The rule engine
+// walks exactly the renamed files; files/op reports that count, which
+// latency follows. Each assessor takes one untimed rename first, which
+// gives its on-cycle names their components. The first rows time that
+// first rename (n = 1) on a freshly loaded, assessed assessor, beside
+// files-1's later ones; each of their ops loads a fresh assessor
+// untimed, so they run only under -benchtime Nx.
 func BenchmarkManyNameDelta(b *testing.B) {
 	gen := corpusgen.New(corpusgen.Params{Modules: 20, FilesPerModule: 499,
 		FuncsPerFile: 3, ViolationsPerFile: 2, CUDAFiles: 1}, 26262)
@@ -444,9 +447,40 @@ func BenchmarkManyNameDelta(b *testing.B) {
 	warm(restored)
 
 	for _, side := range []struct {
-		name string
-		a    *core.Assessor
-	}{{"cold", cold}, {"restored", restored}} {
+		name  string
+		a     *core.Assessor
+		fresh func() *core.Assessor
+	}{{"cold", cold, func() *core.Assessor {
+		a := core.NewAssessor(core.DefaultConfig())
+		if err := a.LoadFileSet(gen.FileSet()); err != nil {
+			b.Fatal(err)
+		}
+		a.Assess()
+		return a
+	}}, {"restored", restored, func() *core.Assessor {
+		a, err := core.RestoreAssessorFrom(core.DefaultConfig(), st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a.Assess()
+		return a
+	}}} {
+		b.Run(side.name+"/first", func(b *testing.B) {
+			if !strings.HasSuffix(flag.Lookup("test.benchtime").Value.String(), "x") {
+				b.Skip("each op loads a fresh assessor: run with -benchtime Nx")
+			}
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				a := side.fresh()
+				b.StartTimer()
+				if _, err := a.ApplyDelta(rename(a, cc[:1])); err != nil {
+					b.Fatal(err)
+				}
+				if as := a.Assess(); len(as.Observations) != 14 {
+					b.Fatal("observations")
+				}
+			}
+		})
 		for _, n := range []int{1, 16, 128, 512} {
 			paths := make([]string, n)
 			for k := range paths {

@@ -9,9 +9,8 @@
 //	adassess [-asil D] [-table 1|2|3|all] [-dir PATH] [-figure4] [-obs] [-gaps] [-csv] [-shards N]
 //
 // -shards prints per-shard (module) statistics — files, source bytes,
-// findings — for operator visibility into shard balance (a warm body
-// edit's latency follows the edited file, a name-changing delta's the
-// files that spell the moved names): N > 0 shows the N largest shards
+// findings — for operator visibility into shard balance (a warm delta's
+// latency follows the files it edits): N > 0 shows the N largest shards
 // by file count, -1 shows all, 0 (default) disables the table.
 //
 // Flags are validated before any work happens: bad values exit 2 with a

@@ -67,8 +67,8 @@ func TestDeltaLatencySmoke(t *testing.T) {
 			t.Fatal("no findings after delta")
 		}
 	}
-	// Warm-up: the first probe appearance defines a new name (only the
-	// edited file spells it, so one file is re-checked), and a few more
+	// Warm-up: the first probe appearance defines a new name (no other
+	// file reads it, so one file is re-checked), and a few more
 	// rounds settle allocator and cache state into the steady state the
 	// benchmark measures.
 	for i := 1; i < 6; i++ {
@@ -91,10 +91,9 @@ func TestDeltaLatencySmoke(t *testing.T) {
 		t.Fatalf("warm delta latency regressed: best %v exceeds 2x recorded baseline %v", best, baseline)
 	}
 
-	// Name-changing delta classes on the same corpus re-check only the
-	// files spelling a changed name — every generated name embeds its
-	// file's slug, so that is the edited file alone, and nothing for a
-	// removal. These rows pin counts, not timings.
+	// Name-changing delta classes on the same corpus walk only the files
+	// they parse: the edited file alone, and nothing for a removal. These
+	// rows pin counts, not timings.
 	other := gen.Paths()[len(gen.Paths())/3]
 	var mi, ord int
 	if _, err := fmt.Sscanf(other[strings.LastIndexByte(other, '_')+1:], "m%df%d.cc", &mi, &ord); err != nil {

@@ -13,9 +13,7 @@
 // cross-file names from one list per name (see shard.go): Apply edits
 // only the list entries of the units a delta changes, so warm
 // re-indexing after a small edit costs O(changed units) instead of
-// O(corpus). The same holds for its identifier postings (spell.go),
-// which name the files spelling an identifier and are built on first
-// use.
+// O(corpus).
 package artifact
 
 import (
@@ -37,9 +35,8 @@ type Func struct {
 	FuncFacts
 	// Decl is the parsed declaration, set only while the owning unit
 	// holds a parsed AST. A stub unit's records (restored, or demoted
-	// by Index.Demote) have none; Index.Rehydrate points them at a
-	// re-parse. Only walks over a parsed unit's own bodies or spans read
-	// it.
+	// by Index.Demote) have none. Only walks over a parsed unit's own
+	// bodies or spans read it.
 	Decl   *ccast.FuncDecl
 	File   *srcfile.File
 	Module string
@@ -106,9 +103,6 @@ type Index struct {
 	// generations up to feedFloor may have been dropped.
 	feed      []NameChange
 	feedFloor uint64
-	// spell is the identifier postings (spell.go): nil until the first
-	// Spellers call builds them, kept current by Apply from then on.
-	spell *spellers
 }
 
 // ApplyStats describes what one Apply touched.
@@ -141,7 +135,7 @@ func (ix *Index) UnitFuncs(path string) []*Func { return ix.unitFuncs[path] }
 
 // UnitGen returns the index generation at which the unit under path was
 // last built, restored or upserted by Apply (0 for a path not indexed).
-// Rehydrate leaves it alone. Within one index, equal (path, UnitGen)
+// Demote leaves it alone. Within one index, equal (path, UnitGen)
 // pairs denote the same unit content, so per-file caches key on it.
 func (ix *Index) UnitGen(path string) uint64 { return ix.unitGen[path] }
 
@@ -223,9 +217,10 @@ func SortedPaths(units map[string]*ccast.TranslationUnit) []string {
 	return paths
 }
 
-// analyzeUnit runs the per-function analysis over one translation unit
-// and lists its file-scope variable names: the unit's facts.
-func analyzeUnit(tu *ccast.TranslationUnit) ([]*Func, []string) {
+// AnalyzeUnit runs the per-function analysis over one translation unit
+// and lists its file-scope variable names: the unit's records and
+// globals, as Build and Apply derive them, for BuildFromRecords.
+func AnalyzeUnit(tu *ccast.TranslationUnit) ([]*Func, []string) {
 	mod := tu.File.ModuleName()
 	fns := tu.Funcs()
 	fas := make([]*Func, 0, len(fns))
@@ -244,7 +239,7 @@ func Build(units map[string]*ccast.TranslationUnit) *Index {
 	perUnit := make([][]*Func, len(paths))
 	perGlobals := make([][]string, len(paths))
 	par.For(par.Workers(len(paths)), len(paths), func(i int) {
-		perUnit[i], perGlobals[i] = analyzeUnit(units[paths[i]])
+		perUnit[i], perGlobals[i] = AnalyzeUnit(units[paths[i]])
 	})
 	recs := make(map[string][]*Func, len(paths))
 	globals := make(map[string][]string, len(paths))
@@ -263,10 +258,8 @@ func Build(units map[string]*ccast.TranslationUnit) *Index {
 // gain those of the upserted ones (dropUnit, addUnit: the code a cold
 // build runs), and only the names those entries carry are re-resolved
 // and checked for the change feed. The shards of the changed units draw
-// new generations. Once built (Spellers), the identifier postings move
-// by the words each changed file gained or lost. The cost of a warm
-// Apply is O(changed units), plus the rebuild of Paths when a path is
-// added or removed.
+// new generations. The cost of a warm Apply is O(changed units), plus
+// the rebuild of Paths when a path is added or removed.
 //
 // Apply is not safe for concurrent use with readers of the index.
 func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
@@ -284,7 +277,6 @@ func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
 			continue
 		}
 		ix.dropUnit(p, t)
-		ix.spell.remove(p)
 		delete(ix.Units, p)
 		delete(ix.unitFuncs, p)
 		delete(ix.unitGlobals, p)
@@ -297,7 +289,7 @@ func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
 	perUnit := make([][]*Func, len(upserts))
 	perGlobals := make([][]string, len(upserts))
 	par.For(par.Workers(len(upserts)), len(upserts), func(i int) {
-		perUnit[i], perGlobals[i] = analyzeUnit(upserts[i])
+		perUnit[i], perGlobals[i] = AnalyzeUnit(upserts[i])
 	})
 	for i, tu := range upserts {
 		p := tu.File.Path
@@ -320,7 +312,6 @@ func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
 		ix.Units[p] = tu
 		ix.unitFuncs[p], ix.unitGlobals[p], ix.unitGen[p] = perUnit[i], perGlobals[i], ix.gen
 		ix.addUnit(p, mod, t)
-		ix.spell.upsert(p, tu.File.Src)
 		sh := ix.shards[mod]
 		if sh == nil {
 			sh = &Shard{Module: mod}

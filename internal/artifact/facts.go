@@ -29,10 +29,9 @@ import (
 // that needs its body (Demote), so warm state holds facts, not ASTs,
 // however it was built. Every consumer that walks real ASTs (the fused
 // rule walks, per-file metrics recomputation) only ever touches files
-// whose content changed — which arrive freshly parsed — or asks the
-// owner to hydrate first (core.Assessor re-parses stubs on demand via
-// Rehydrate). Demotion and hydration keep every record: they only clear
-// or set its Decl.
+// whose content changed, which arrive freshly parsed, or files its owner
+// parsed because their cached results were unusable (core.Assessor at
+// restore). Demotion keeps every record: it only clears its Decl.
 
 // FuncFacts is everything the warm pipeline reads about a function in
 // an untouched file: the facts a Func record embeds and a snapshot
@@ -95,9 +94,9 @@ func globalNames(tu *ccast.TranslationUnit) []string {
 
 // UnitFromFacts builds a stub translation unit and its function records
 // from persisted facts. The stub holds only the file, and the records
-// carry the facts and no declaration, so any consumer that needs a real
-// AST must hydrate (re-parse) first. The unit's global names are
-// uf.Globals, which the caller hands to BuildFromRecords.
+// carry the facts and no declaration, so no walk may visit it. The
+// unit's global names are uf.Globals, which the caller hands to
+// BuildFromRecords.
 //
 // Restore builds the whole corpus in one pass, so the records and their
 // callee lists come from per-unit backing arrays instead of one
@@ -178,30 +177,6 @@ func BuildFromRecords(units map[string]*ccast.TranslationUnit, recs map[string][
 		ix.shards[m].assignGen(ix)
 	}
 	return ix, nil
-}
-
-// Rehydrate installs tu, a fresh parse of a stub unit's unchanged
-// source, and points each of the unit's records at its parsed
-// declaration: Demote run in reverse. It runs no analysis and creates no
-// record, so every record keeps its identity and its facts, and no name
-// list, generation (UnitGen included) or change feed entry moves. Hydration is only legal when the file content is
-// unchanged since the facts were extracted; a parse whose function list
-// disagrees with the records in count or name panics.
-//
-// Not safe for concurrent use with readers of the index.
-func (ix *Index) Rehydrate(tu *ccast.TranslationUnit) {
-	p := tu.File.Path
-	fas, fns := ix.unitFuncs[p], tu.Funcs()
-	if len(fns) != len(fas) {
-		panic(fmt.Sprintf("artifact: rehydrating %s: %d functions parsed, %d recorded", p, len(fns), len(fas)))
-	}
-	for i, fn := range fns {
-		if fn.Name != fas[i].Name {
-			panic(fmt.Sprintf("artifact: rehydrating %s: function %d parsed as %q, recorded as %q", p, i, fn.Name, fas[i].Name))
-		}
-		fas[i].Decl = fn
-	}
-	ix.Units[p] = tu
 }
 
 // Demote replaces the units under paths with the stubs a restore would

@@ -14,8 +14,8 @@ import (
 // in the corpus — the fine-grained dependency and early-cutoff idea of
 // "Build Systems à la Carte" (Mokhov, Mitchell, Peyton Jones, ICFP 2018).
 //
-// Only Apply records. Build, BuildFromRecords, and Rehydrate record
-// nothing: a new index is a new corpus to its consumers, and hydration
+// Only Apply records. Build, BuildFromRecords and Demote record
+// nothing: a new index is a new corpus to its consumers, and demotion
 // moves no fact by construction.
 
 // Change is the set of rule-visible facts that moved for one name.
@@ -38,9 +38,6 @@ const (
 	// (FuncModule, the architectural call resolution).
 	ModuleChanged
 )
-
-// FileFacts are the changes a per-file rule handler can observe.
-const FileFacts = ReturnChanged | GlobalChanged
 
 // NameChange is one feed entry.
 type NameChange struct {

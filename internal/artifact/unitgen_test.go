@@ -20,7 +20,7 @@ func requireUnitGens(t *testing.T, stage string, ix *artifact.Index, want map[st
 // TestUnitGen pins the per-unit generation the rule and metrics caches
 // key on: a build or restore stamps every unit with the index
 // generation, Apply moves exactly the upserted paths (a module-override
-// move included), a removed path reads 0, and Rehydrate moves nothing.
+// move included), a removed path reads 0, and Demote moves nothing.
 func TestUnitGen(t *testing.T) {
 	ix := artifact.Build(smallUnits(t))
 	g0 := ix.Gen()
@@ -64,15 +64,13 @@ func TestUnitGen(t *testing.T) {
 	ix.Apply(nil, []string{"m/a.c"})
 	requireUnitGens(t, "remove", ix, map[string]uint64{"m/a.c": 0, "m/b.c": g1, "n/c.c": g2})
 
-	// Rehydrate swaps in an identical re-parse without moving anything.
+	// Demote swaps in the unit's fact stub without moving anything.
 	before := ix.Gen()
-	re := parseOne(t, "m/b.c", ix.Units["m/b.c"].File.Src)
-	re.File = ix.Units["m/b.c"].File
-	ix.Rehydrate(re)
+	ix.Demote([]string{"m/b.c"})
 	if ix.Gen() != before {
-		t.Fatalf("Rehydrate moved the index generation: %d -> %d", before, ix.Gen())
+		t.Fatalf("Demote moved the index generation: %d -> %d", before, ix.Gen())
 	}
-	requireUnitGens(t, "rehydrate", ix, map[string]uint64{"m/b.c": g1, "n/c.c": g2})
+	requireUnitGens(t, "demote", ix, map[string]uint64{"m/b.c": g1, "n/c.c": g2})
 	if ix.UnitGen("nope/absent.c") != 0 {
 		t.Fatal("an unknown path has a generation")
 	}

@@ -2041,7 +2041,7 @@ func charValue(text string) int64 {
 // of the batch becomes unreachable. The batch therefore has one
 // lifetime — core.Assessor demotes all of its units to fact stubs in
 // one pass at the first Assess after the load — while deltas and
-// hydration re-parse single files with private arenas that die one unit
+// restores re-parse single files with private arenas that die one unit
 // at a time.
 func ParseAll(fs *srcfile.FileSet, opts Options) (map[string]*ccast.TranslationUnit, []*Error) {
 	files := fs.Files()

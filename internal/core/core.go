@@ -54,7 +54,7 @@ type Assessor struct {
 	units map[string]*ccast.TranslationUnit
 
 	// intern is the corpus-level identifier table: every parse this
-	// assessor performs (cold load, delta, stub hydration) canonicalizes
+	// assessor performs (cold load, delta, restore) canonicalizes
 	// identifier spellings against it, so repeated names across 10k files
 	// share one string.
 	intern *cclex.Interner
@@ -69,17 +69,17 @@ type Assessor struct {
 	arch     []*metrics.ArchMetrics
 
 	// parsed holds the paths whose unit is a parsed AST: the cold batch
-	// until the first Assess, the files a delta parsed, and the stubs
-	// hydratePaths re-parsed. Every other unit is a fact-carrying stub
-	// (no statement bodies), restored or demoted; Assess demotes every
-	// parsed unit and empties the set.
+	// until the first Assess, the files a delta parsed, and the files of
+	// shards a restore parsed because a cached block was unusable. Every
+	// other unit is a fact-carrying stub (no statement bodies), restored
+	// or demoted; Assess demotes every parsed unit and empties the set.
 	parsed map[string]bool
 	// encoded holds each restored shard's snapshot blocks (nil when the
 	// assessor never restored from a snapshot): ExportState hands them
 	// back for shards still sealed in both caches.
 	encoded map[string]*EncodedShard
-	// recomputed counts the snapshot blocks that failed to decode at
-	// restore (RecomputedBlocks).
+	// recomputed counts the snapshot blocks restore found unusable
+	// (RecomputedBlocks).
 	recomputed int
 	// commitHook, when set, observes every CommitDelta before any state
 	// mutates — the write-ahead-journal hook of the persistence layer.
@@ -118,8 +118,6 @@ func NewAssessor(cfg Config) *Assessor {
 		acache:  metrics.NewArchCache(),
 		parsed:  make(map[string]bool),
 	}
-	a.ruleEng.Hydrate = a.hydratePaths
-	a.mcache.Hydrate = a.hydratePaths
 	return a
 }
 
@@ -215,12 +213,8 @@ func (a *Assessor) runRules() {
 // FallbackMetrics are the instruments the assessor's kept slow paths
 // record into. Nil fields record nothing.
 type FallbackMetrics struct {
-	// StubsHydrated counts stub units — restored, or demoted by an
-	// earlier Assess — re-parsed on demand because the rule engine or
-	// the metrics cache had to re-walk them.
-	StubsHydrated *obs.Counter
-	// FullRechecks counts warm rule runs that re-checked every file
-	// because the engine fell behind the index change feed
+	// FullRechecks counts warm rule runs that fell behind the index
+	// change feed and so re-evaluated every conditioned finding
 	// (rules.Sharded.LastFullRecheck).
 	FullRechecks *obs.Counter
 }

@@ -332,8 +332,13 @@ func (a *Assessor) SetCommitHook(h func(changed []*srcfile.File, removed []strin
 }
 
 // RuleFilesChecked returns how many files the last Findings() run
-// re-checked (diagnostics for the serving layer).
+// walked: after a delta, the files it parsed (diagnostics for the
+// serving layer).
 func (a *Assessor) RuleFilesChecked() int { return a.ruleEng.LastDirty() }
+
+// RuleConditionsEvaluated returns how many conditioned findings the last
+// Findings() run re-evaluated because a name they wait on moved.
+func (a *Assessor) RuleConditionsEvaluated() int { return a.ruleEng.LastConditions() }
 
 // MetricFilesComputed returns how many per-file metric rows the last
 // Metrics() run recomputed.

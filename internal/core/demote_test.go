@@ -30,9 +30,10 @@ func bodyRefs(a *Assessor, paths ...string) []weak.Pointer[byte] {
 
 // TestAssessReleasesASTs pins that Assess leaves facts, not ASTs: body
 // nodes of units from one ParseAll batch, of a delta-parsed unit and of
-// a hydrated unit all die at the first collection after the Assess that
-// demotes them. A batch unit that survived would keep its worker
-// arena's chunks, and with them its neighbours' nodes, alive.
+// a unit a restore parsed (its shard's finding block unusable) all die
+// at the first collection after the Assess that demotes them. A batch
+// unit that survived would keep its worker arena's chunks, and with them
+// its neighbours' nodes, alive.
 func TestAssessReleasesASTs(t *testing.T) {
 	fs := srcfile.NewFileSet()
 	for i := 0; i < 12; i++ {
@@ -52,32 +53,54 @@ func TestAssessReleasesASTs(t *testing.T) {
 	wps := bodyRefs(a, batch...)
 	a.Assess()
 
-	// Renaming libfn moves a name o/reader.c spells: the delta parses
-	// n/lib.c and the rule walk hydrates the demoted o/reader.c.
+	// Renaming libfn moves a name o/reader.c reads: the delta parses
+	// n/lib.c, and o/reader.c's finding flips without a walk.
 	if _, err := a.ApplyDelta(Delta{Changed: []*srcfile.File{{Path: "n/lib.c",
 		Src: "int libfn2(int v) { if (v) { return v; } return 2; }\n"}}}); err != nil {
 		t.Fatal(err)
 	}
 	a.Findings()
-	if n := a.RuleFilesChecked(); n != 2 {
-		t.Fatalf("rename re-checked %d files, want the edited file and its reader", n)
+	if n := a.RuleFilesChecked(); n != 1 {
+		t.Fatalf("rename walked %d files, want the edited file", n)
 	}
 	parsed := bodyRefs(a, "n/lib.c")
-	hydrated := bodyRefs(a, "o/reader.c")
-	if len(wps) == 0 || len(parsed) == 0 || len(hydrated) == 0 {
-		t.Fatalf("body nodes tracked: %d batch, %d delta-parsed, %d hydrated; want some of each",
-			len(wps), len(parsed), len(hydrated))
-	}
 	a.Assess()
 	if n := a.StubUnits(); n != fs.Len() {
 		t.Fatalf("%d of %d units are stubs after Assess", n, fs.Len())
+	}
+
+	// A restore whose o/ shard lost its finding block parses that shard.
+	st, err := a.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range st.Shards {
+		if st.Shards[i].Module == "o" {
+			st.Shards[i].Findings = nil
+		}
+	}
+	r, err := RestoreAssessorFrom(DefaultConfig(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.StubUnits(); n != fs.Len()-1 {
+		t.Fatalf("restore left %d of %d units stubs, want all but o/reader.c", n, fs.Len())
+	}
+	restored := bodyRefs(r, "o/reader.c")
+	if len(wps) == 0 || len(parsed) == 0 || len(restored) == 0 {
+		t.Fatalf("body nodes tracked: %d batch, %d delta-parsed, %d restore-parsed; want some of each",
+			len(wps), len(parsed), len(restored))
+	}
+	r.Assess()
+	if n := r.StubUnits(); n != fs.Len() {
+		t.Fatalf("%d of %d restored units are stubs after Assess", n, fs.Len())
 	}
 
 	runtime.GC()
 	for _, c := range []struct {
 		what string
 		wps  []weak.Pointer[byte]
-	}{{"batch", wps}, {"delta-parsed", parsed}, {"hydrated", hydrated}} {
+	}{{"batch", wps}, {"delta-parsed", parsed}, {"restore-parsed", restored}} {
 		live := 0
 		for _, wp := range c.wps {
 			if wp.Value() != nil {
@@ -89,4 +112,5 @@ func TestAssessReleasesASTs(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(a)
+	runtime.KeepAlive(r)
 }

@@ -21,31 +21,31 @@ import (
 //
 // A snapshot captures the corpus sources plus every expensive derived
 // artifact: per-unit analysis facts (artifact.UnitFacts), the rule
-// engine's per-file finding segments and corpus segment, and the
-// per-file metric rows. Restore rebuilds the file set, builds stub units
-// (file-scope variables only) whose function records carry their facts
-// and no declaration — nothing is parsed — reconstructs the sharded
-// index from the facts, and fills the rule and
-// metrics caches directly — the same per-shard state a cold run leaves,
-// keyed on the restored index's unit generations — so the restored
-// assessor answers Findings / Metrics / Assess byte-identically to the
-// snapshotted one in O(load) and its first delta costs the same as a
-// delta on the never-restarted process. Architectural partials are not
-// persisted; they re-fold from the restored facts without text scans.
+// engine's per-file finding lists and conditions and its corpus segment,
+// and the per-file metric rows. Restore rebuilds the file set, builds
+// stub units (file-scope variables only) whose function records carry
+// their facts and no declaration — nothing is parsed — reconstructs the
+// sharded index from the facts, and fills the rule and metrics caches
+// directly — the same per-shard state a cold run leaves, keyed on the
+// restored index's unit generations — so the restored assessor answers
+// Findings / Metrics / Assess byte-identically to the snapshotted one
+// in O(load) and its first delta costs the same as a delta on the
+// never-restarted process. Architectural partials are not persisted;
+// they re-fold from the restored facts without text scans.
 //
-// Stub units are hydrated — re-parsed into real ASTs — lazily, the
-// moment the rule engine needs to re-walk them (a content edit arrives
-// freshly parsed through the delta path; a delta that moves a name's
-// cross-file facts re-walks the untouched files spelling that name and
-// hydrates exactly those). Hydration points the unit's existing records
-// at the parsed declarations: it re-analyzes nothing and moves no
-// record, fact or unit generation, so every cache key stays valid.
+// No stub is ever parsed later: a delta walks only the files it
+// changed, which arrive parsed, and a name whose cross-file facts move
+// flips the rule engine's conditioned findings without a walk. The one
+// exception is settled at restore: a shard whose finding or metric block
+// is unusable (it failed to decode, or an older format holds no
+// conditions) is parsed and analyzed then, as a cold load would, and
+// left out of that cache's fill, so the cache recomputes it on first
+// use.
 //
 // Stubs are not restore-only. Every Assess ends by demoting each parsed
-// unit — a cold load's batch, the files a delta parsed, the stubs the
-// run hydrated — to the stub a restore would build from the same facts
-// (demote), so a cold-loaded and a restored assessor hold the same warm
-// state and hydrate alike.
+// unit — a cold load's batch, the files a delta or a restore parsed —
+// to the stub a restore would build from the same facts (demote), so a
+// cold-loaded and a restored assessor hold the same warm state.
 
 // PersistedFile is the serializable projection of one corpus file.
 type PersistedFile struct {
@@ -77,8 +77,9 @@ type PersistedState struct {
 	CorpusFindings []rules.Finding
 }
 
-// PersistedShard is one module shard's state. Units, Findings and Rows
-// are positional: entry i of each belongs to the unit at Units[i].
+// PersistedShard is one module shard's state. Units, Findings, Conds'
+// files and Rows are positional: entry i of each belongs to the unit at
+// Units[i].
 //
 // A shard carrying only Module and Encoded (ExportState's form for a
 // shard unchanged since its restore) is input for encoders only;
@@ -87,9 +88,11 @@ type PersistedShard struct {
 	Module string
 	// Units holds the shard's per-unit facts in sorted path order.
 	Units []artifact.UnitFacts
-	// Findings holds one cached finding list per unit; nil when its
-	// snapshot block did not decode.
+	// Findings holds one cached finding list per unit, and Conds its
+	// conditioned findings; both nil when its snapshot block is
+	// unusable.
 	Findings [][]rules.Finding
+	Conds    *rules.Conditions
 	// Rows holds one metrics row per unit; nil when its snapshot block
 	// did not decode.
 	Rows []*metrics.FileMetrics
@@ -165,7 +168,7 @@ func (a *Assessor) ExportState() (*PersistedState, error) {
 			ps.Encoded = enc
 			continue
 		}
-		if ps.Findings, ok = a.ruleEng.ShardFindings(m); !ok {
+		if ps.Findings, ps.Conds, ok = a.ruleEng.ShardFindings(m); !ok {
 			return nil, errors.New("core: rule cache not warm after Findings()")
 		}
 		if ps.Rows, ok = a.mcache.ShardRows(m); !ok {
@@ -183,17 +186,17 @@ func (a *Assessor) ExportState() (*PersistedState, error) {
 // RestoreAssessorFrom rebuilds a warm assessor from a state source.
 // The target ASIL comes from the snapshot; cfg supplies everything else
 // (a nil cfg.Rules means rules.DefaultRules, which must match the
-// snapshot's rule fingerprint). No source is parsed: units are
-// fact-carrying stubs, hydrated on demand when a cache needs their
-// ASTs. The source yields the whole state (a snapshot decodes every
-// block in one parallel pass); one more parallel pass validates each
-// shard and builds its stubs. The sharded index is rebuilt from the
-// facts, and the rule and metric caches are filled directly, exactly as
-// a cold run fills them, with every filled shard sealed. A shard whose
-// finding lists or metric rows are missing (a block that failed to
-// decode) or of the wrong length is left out of that cache's fill and
-// counted (RecomputedBlocks): the cache recomputes exactly that shard on
-// first use, hydrating its stubs, never serving stale or wrong output.
+// snapshot's rule fingerprint). Units are fact-carrying stubs. The
+// source yields the whole state (a snapshot decodes every block in one
+// parallel pass); one more parallel pass validates each shard and builds
+// its stubs. The sharded index is rebuilt from the facts, and the rule
+// and metric caches are filled directly, exactly as a cold run fills
+// them, with every filled shard sealed. A shard whose finding lists,
+// conditions or metric rows are missing (a block that failed to decode,
+// or a finding block of an older format) or do not fit its units is
+// parsed and analyzed instead of stubbed, left out of that cache's fill
+// and counted (RecomputedBlocks): the cache recomputes exactly that
+// shard on first use, never serving stale or wrong output.
 func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 	st, err := src.State()
 	if err != nil {
@@ -226,15 +229,24 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 	// duplicates detected) in a sequential merge in shard order, so
 	// errors surface exactly as a sequential loop would report them.
 	type shardStubs struct {
-		tus []*ccast.TranslationUnit
-		fas [][]*artifact.Func
-		err error
+		tus     []*ccast.TranslationUnit
+		fas     [][]*artifact.Func
+		globals [][]string
+		// findings and rows report whether the shard's cached lists and
+		// rows are usable; parsed whether its units were parsed because
+		// one of them is not.
+		findings, rows, parsed bool
+		err                    error
 	}
 	parts := make([]shardStubs, len(st.Shards))
 	par.For(par.Workers(len(parts)), len(parts), func(k int) {
 		ps, p := &st.Shards[k], &parts[k]
+		p.findings = len(ps.Findings) == len(ps.Units) && condsFit(ps)
+		p.rows = len(ps.Rows) == len(ps.Units) && !slices.Contains(ps.Rows, nil)
+		p.parsed = !p.findings || !p.rows
 		p.tus = make([]*ccast.TranslationUnit, len(ps.Units))
 		p.fas = make([][]*artifact.Func, len(ps.Units))
+		p.globals = make([][]string, len(ps.Units))
 		for i := range ps.Units {
 			uf := ps.Units[i]
 			f := fs.Lookup(uf.Path)
@@ -246,13 +258,25 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 				p.err = fmt.Errorf("core: snapshot unit %s filed under shard %q but its module is %q", uf.Path, ps.Module, f.ModuleName())
 				return
 			}
-			p.tus[i], p.fas[i] = artifact.UnitFromFacts(f, uf)
+			if !p.parsed {
+				p.tus[i], p.fas[i] = artifact.UnitFromFacts(f, uf)
+				p.globals[i] = uf.Globals
+				continue
+			}
+			tu, errs := ccparse.Parse(f, ccparse.Options{Intern: a.intern})
+			if tu == nil {
+				p.err = fmt.Errorf("core: file %s failed to parse: %v", uf.Path, errs)
+				return
+			}
+			p.tus[i] = tu
+			p.fas[i], p.globals[i] = artifact.AnalyzeUnit(tu)
 		}
 	})
 	units := make(map[string]*ccast.TranslationUnit, len(st.Files))
 	recs := make(map[string][]*artifact.Func, len(st.Files))
 	globals := make(map[string][]string, len(st.Files))
 	shardFindings := make(map[string][][]rules.Finding, len(st.Shards))
+	shardConds := make(map[string]*rules.Conditions, len(st.Shards))
 	shardRows := make(map[string][]*metrics.FileMetrics, len(st.Shards))
 	encoded := make(map[string]*EncodedShard, len(st.Shards))
 	for k := range st.Shards {
@@ -265,14 +289,17 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 			if units[path] != nil {
 				return nil, fmt.Errorf("core: snapshot holds unit %s twice", path)
 			}
-			units[path], recs[path], globals[path] = p.tus[i], p.fas[i], ps.Units[i].Globals
+			units[path], recs[path], globals[path] = p.tus[i], p.fas[i], p.globals[i]
+			if p.parsed {
+				a.parsed[path] = true
+			}
 		}
-		if len(ps.Findings) == len(ps.Units) {
-			shardFindings[ps.Module] = ps.Findings
+		if p.findings {
+			shardFindings[ps.Module], shardConds[ps.Module] = ps.Findings, ps.Conds
 		} else {
 			a.recomputed++
 		}
-		if len(ps.Rows) == len(ps.Units) && !slices.Contains(ps.Rows, nil) {
+		if p.rows {
 			shardRows[ps.Module] = ps.Rows
 		} else {
 			a.recomputed++
@@ -308,53 +335,20 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 
 	a.fs, a.units, a.ix = fs, units, ix
 	a.encoded = encoded
-	a.ruleEng.RestoreCache(ix, st.CorpusFindings, shardFindings)
+	a.ruleEng.RestoreCache(ix, st.CorpusFindings, shardFindings, shardConds)
 	a.mcache.RestoreRows(ix, shardRows)
 	return a, nil
 }
 
 // RecomputedBlocks returns how many snapshot finding and metric blocks
-// failed to decode when the assessor was restored; each leaves its shard
-// to be recomputed in that cache. Zero for assessors that never
-// restored.
+// were unusable when the assessor was restored (they failed to decode,
+// or an older format wrote them); each leaves its shard to be
+// recomputed in that cache. Zero for assessors that never restored.
 func (a *Assessor) RecomputedBlocks() int { return a.recomputed }
 
 // StubUnits reports how many units are fact-carrying stubs rather than
 // parsed ASTs. Diagnostics and tests only.
 func (a *Assessor) StubUnits() int { return len(a.units) - len(a.parsed) }
-
-// hydratePaths re-parses any stub units among paths and installs each
-// in the index in place (artifact.Index.Rehydrate), pointing the unit's
-// existing records at the parsed declarations; nothing is re-analyzed.
-// Invoked by the rule engine and the metrics cache at a sequential point
-// before they walk dirty files. A stub's file content is by construction
-// unchanged since its facts were taken (a content edit arrives parsed),
-// so hydration changes no fact, record, unit generation, or cache key.
-func (a *Assessor) hydratePaths(paths []string) {
-	var todo []string
-	for _, p := range paths {
-		if !a.parsed[p] {
-			todo = append(todo, p)
-		}
-	}
-	if len(todo) == 0 {
-		return
-	}
-	tus := make([]*ccast.TranslationUnit, len(todo))
-	par.For(par.Workers(len(todo)), len(todo), func(i int) {
-		tu, _ := ccparse.Parse(a.fs.Lookup(todo[i]), ccparse.Options{Intern: a.intern})
-		tus[i] = tu
-	})
-	// Rehydrate panics if a parse disagrees with the records. That is
-	// unreachable: a stub's facts come from a parse of this very source,
-	// before a demotion or a snapshot, and corrupted snapshots fail their
-	// checksums long before this point.
-	for i, p := range todo {
-		a.ix.Rehydrate(tus[i])
-		a.parsed[p] = true
-	}
-	a.metrics.StubsHydrated.Add(int64(len(todo)))
-}
 
 // demote turns every parsed unit back into the fact stub a restore
 // would build from it (artifact.Index.Demote), so its parse arena
@@ -372,6 +366,26 @@ func (a *Assessor) demote() {
 	slices.Sort(paths)
 	a.Index().Demote(paths)
 	a.parsed = make(map[string]bool)
+}
+
+// condsFit reports whether a shard's conditions fit its units: one list
+// per unit, each naming an entry of Names and a function of its unit.
+func condsFit(ps *PersistedShard) bool {
+	c := ps.Conds
+	if c == nil || len(c.Off) != len(ps.Units)+1 || c.Off[0] != 0 || c.Off[len(ps.Units)] != len(c.Conds) {
+		return false
+	}
+	for i := range ps.Units {
+		if c.Off[i] > c.Off[i+1] {
+			return false
+		}
+		for _, cd := range c.Conds[c.Off[i]:c.Off[i+1]] {
+			if int(cd.Name) >= len(c.Names) || int(cd.Func) >= len(ps.Units[i].Funcs) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func equalStrings(a, b []string) bool {

@@ -4,8 +4,9 @@ package core
 // (module): how many files it owns, how many source bytes they hold,
 // and how many findings the rule engine currently attributes to it.
 // cmd/adassess prints these under -shards. A body edit's warm latency
-// follows the edited file rather than its shard, and a name-changing
-// delta's follows the files that spell the moved names.
+// follows the edited file rather than its shard, and so does a
+// name-changing delta's: the files reading a moved name only flip
+// conditioned findings.
 type ShardStat struct {
 	Module   string
 	Files    int

@@ -31,17 +31,10 @@ import (
 // changed shard therefore gets a fresh row list and a fresh module
 // partial, and a list or partial handed out is never written again.
 //
-// Cache is not safe for concurrent use; the Assessor serializes access.
+// A recomputed row reads each function's span, so every dirty file must
+// be parsed (core.Assessor parses a restored shard it leaves out). Cache
+// is not safe for concurrent use; the Assessor serializes access.
 type Cache struct {
-	// Hydrate, when set, is called with the dirty paths of a warm run
-	// before their rows are recomputed. core.Assessor installs it to
-	// re-parse stub units on demand: in the normal flow dirty files
-	// arrive freshly parsed and the hook no-ops, but if a restored
-	// shard's row block was left out of the fill, its unchanged files
-	// are recomputed, and a row needs each function's span, which a
-	// stub's records (Decl == nil) do not have.
-	Hydrate func(paths []string)
-
 	ix     *artifact.Index
 	shards map[string]*metricShard
 	// lastDirty records how many rows the previous AnalyzeIndexed
@@ -131,9 +124,6 @@ func (c *Cache) AnalyzeIndexed(ix *artifact.Index) *FrameworkMetrics {
 		dirtyShards = append(dirtyShards, ms)
 	}
 	c.lastDirty = len(dirtyPaths)
-	if c.Hydrate != nil && len(dirtyPaths) > 0 {
-		c.Hydrate(dirtyPaths)
-	}
 
 	// Pass 2: recompute the dirty rows in parallel (the NLOC text scans
 	// dominate), then add them.

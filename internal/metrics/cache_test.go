@@ -90,26 +90,24 @@ func TestCacheMatchesAnalyzeIndexed(t *testing.T) {
 		t.Fatalf("edit dirty = %d, want 1", c.LastDirty())
 	}
 
-	// Rehydrate m/a.c with an identical re-parse, as a restored assessor
-	// does to a stub, then edit its shard sibling m/b.c. The shard's
-	// generation moves, so the cache compares unit generations: a
-	// rehydrate moves none, and only the edited file recomputes.
-	fa := ix.Units["m/a.c"].File
-	re, errs := ccparse.Parse(&srcfile.File{Path: fa.Path, Lang: fa.Lang, Src: fa.Src}, ccparse.Options{})
-	if len(errs) > 0 {
-		t.Fatal(errs[0])
-	}
-	re.File = fa
-	ix.Rehydrate(re)
+	// Demote m/a.c to its fact stub, as an assessment does, then edit its
+	// shard sibling m/b.c. The shard's generation moves, so the cache
+	// compares unit generations: a demotion moves none, and only the
+	// edited file recomputes, so the stub is never read for a row.
+	ix.Demote([]string{"m/a.c"})
 	sib, errs := ccparse.Parse(&srcfile.File{Path: "m/b.c", Lang: srcfile.LangC,
 		Src: "int fb(void) { return 4; }\n"}, ccparse.Options{})
 	if len(errs) > 0 {
 		t.Fatal(errs[0])
 	}
 	ix.Apply([]*ccast.TranslationUnit{sib}, nil)
-	requireSameMetrics(t, "rehydrate then sibling edit", c.AnalyzeIndexed(ix), metrics.AnalyzeIndexed(ix))
+	srcs := make(map[string]string, len(ix.Paths))
+	for _, p := range ix.Paths {
+		srcs[p] = ix.Units[p].File.Src
+	}
+	requireSameMetrics(t, "demote then sibling edit", c.AnalyzeIndexed(ix), metrics.AnalyzeIndexed(parseSet(t, srcs)))
 	if c.LastDirty() != 1 {
-		t.Fatalf("rehydrate then sibling edit dirty = %d, want 1", c.LastDirty())
+		t.Fatalf("demote then sibling edit dirty = %d, want 1", c.LastDirty())
 	}
 
 	// Remove one file: nothing recomputes, stale entry dropped.

@@ -30,7 +30,10 @@ import (
 // Visited names take their new status and id. An on-cycle name Tarjan
 // did not visit lies in an unchanged component that merged with none,
 // so it keeps both; a root it did not visit is undefined, so it leaves
-// the set. With no graph change Tarjan does not run at all.
+// the set. With no graph change Tarjan does not run at all. The members
+// index (component id to names) finds a component's members without a
+// pass over the whole set; an update drops the list of every component
+// a visited or leaving name was in.
 //
 // A finding is rendered from its name's champion (ByName), which a body
 // edit may replace without moving any fact, so a line can move with no
@@ -48,8 +51,12 @@ type cycleCache struct {
 	// index; the next update then runs the full SCC.
 	ok bool
 	// found maps every on-cycle name to its finding, the champion it
-	// was rendered from, and its component.
-	found map[string]onCycle
+	// was rendered from, and its component; members maps each known
+	// component to its names. Components are either all unknown (after a
+	// seed or a full run) or all known (after a graph-changing update).
+	found   map[string]onCycle
+	members map[int][]string
+	known   bool
 	// seg is found's findings sorted under findingLess.
 	seg []Finding
 	// comps is the last component id drawn.
@@ -77,8 +84,40 @@ func (cc *cycleCache) seed(corpus []Finding, byName map[string]*FuncInfo) {
 			cc.found[name] = onCycle{champ: byName[name], f: f}
 		}
 	}
+	cc.members, cc.known = make(map[int][]string), false
 	cc.resort()
 	cc.ok = true
+}
+
+// graphChanged lists, sorted, the names whose call-graph node changed.
+func graphChanged(changes map[string]artifact.Change) []string {
+	var changed []string
+	for name, what := range changes {
+		if what&artifact.GraphChanged != 0 {
+			changed = append(changed, name)
+		}
+	}
+	sort.Strings(changed)
+	return changed
+}
+
+// roots returns, sorted, the names an update over the changed nodes
+// roots Tarjan at: the changed names, the members of every component
+// holding one, and every on-cycle name while components are unknown.
+func (cc *cycleCache) roots(changed []string) []string {
+	roots := slices.Clone(changed)
+	if !cc.known {
+		for name := range cc.found {
+			roots = append(roots, name)
+		}
+	}
+	for _, name := range changed {
+		if oc, was := cc.found[name]; was {
+			roots = append(roots, cc.members[oc.comp]...)
+		}
+	}
+	sort.Strings(roots)
+	return slices.Compact(roots)
 }
 
 // update brings the cache to the context's index and returns the
@@ -95,17 +134,12 @@ func (cc *cycleCache) update(ctx *Context, changes map[string]artifact.Change, t
 			name := artifact.Unqualified(f.Function)
 			cc.found[name] = onCycle{champ: ctx.ByName[name], f: f}
 		}
+		cc.members, cc.known = make(map[int][]string), false
 		cc.resort()
 		cc.ok = true
 		return left, cc.seg
 	}
-	var changed []string
-	for name, what := range changes {
-		if what&artifact.GraphChanged != 0 {
-			changed = append(changed, name)
-		}
-	}
-	sort.Strings(changed)
+	changed := graphChanged(changes)
 	// check collects the names whose champion may have moved: the
 	// changed names still on a cycle, the names that joined one, and the
 	// on-cycle names a touched file defined or defines. joined maps each
@@ -113,20 +147,8 @@ func (cc *cycleCache) update(ctx *Context, changes map[string]artifact.Change, t
 	check := slices.Clone(changed)
 	var joined map[string]int
 	if len(changed) > 0 {
-		hit := make(map[int]bool)
-		for _, name := range changed {
-			if oc, was := cc.found[name]; was && oc.comp != 0 {
-				hit[oc.comp] = true
-			}
-		}
-		roots := changed
-		for name, oc := range cc.found {
-			if oc.comp == 0 || hit[oc.comp] {
-				roots = append(roots, name)
-			}
-		}
-		sort.Strings(roots)
-		roots = slices.Compact(roots)
+		roots := cc.roots(changed)
+		cc.known = true
 		comp, n := cycleStatus(ctx.ByName, roots)
 		base := cc.comps
 		cc.comps += n
@@ -139,14 +161,21 @@ func (cc *cycleCache) update(ctx *Context, changes map[string]artifact.Change, t
 		joined = make(map[string]int)
 		for name, c := range comp {
 			oc, was := cc.found[name]
+			if was {
+				// Tarjan visited the name's whole old component (or the
+				// rest left the set), so its members take new ones.
+				delete(cc.members, oc.comp)
+			}
 			switch {
 			case c == 0:
 				off = append(off, name)
 			case was:
 				oc.comp = base + c
 				cc.found[name] = oc
+				cc.members[base+c] = append(cc.members[base+c], name)
 			default:
 				joined[name] = base + c
+				cc.members[base+c] = append(cc.members[base+c], name)
 				check = append(check, name)
 			}
 		}
@@ -155,6 +184,7 @@ func (cc *cycleCache) update(ctx *Context, changes map[string]artifact.Change, t
 			if oc, was := cc.found[name]; was {
 				left = append(left, oc.f)
 				delete(cc.found, name)
+				delete(cc.members, oc.comp)
 			}
 		}
 	}

@@ -18,26 +18,21 @@ type DefensiveRule struct{}
 // ID implements Rule.
 func (*DefensiveRule) ID() string { return "defensive" }
 
-// Describe implements Rule.
-func (*DefensiveRule) Describe() string {
-	return "use defensive implementation techniques (ISO26262-6 T1.4)"
-}
-
 // Check implements Rule.
 func (r *DefensiveRule) Check(ctx *Context) []Finding {
-	var out []Finding
+	em := &Emitter{ctx: ctx}
 	for _, fi := range ctx.Funcs() {
-		out = append(out, r.checkParamValidation(fi)...)
-		out = append(out, r.checkIgnoredReturns(ctx, fi)...)
+		r.checkParamValidation(fi, em)
+		r.checkIgnoredReturns(fi, em)
 	}
-	return out
+	return em.out
 }
 
 // Fuse implements Rule. Pointer-parameter tracking keeps the
 // checked/used maps in the worker closure, fed by If/Index/Unary/Member
 // events from the shared walk; ignored returns dispatch off ExprStmt
 // events directly.
-func (r *DefensiveRule) Fuse(rg *Registrar, ctx *Context) {
+func (r *DefensiveRule) Fuse(rg *Registrar) {
 	var ptrParams []string
 	checked := make(map[string]bool)
 	used := make(map[string]int)
@@ -56,7 +51,7 @@ func (r *DefensiveRule) Fuse(rg *Registrar, ctx *Context) {
 	rg.OnNode(func(fi *FuncInfo, n ccast.Node, em *Emitter) {
 		if len(ptrParams) == 0 {
 			if es, ok := n.(*ccast.ExprStmt); ok {
-				r.ignoredReturnFinding(ctx, fi, es, em)
+				ignoredReturn(fi, es, em)
 			}
 			return
 		}
@@ -82,7 +77,7 @@ func (r *DefensiveRule) Fuse(rg *Registrar, ctx *Context) {
 				}
 			}
 		case *ccast.ExprStmt:
-			r.ignoredReturnFinding(ctx, fi, n, em)
+			ignoredReturn(fi, n, em)
 		}
 	}, KIf, KIndex, KUnary, KMember, KExprStmt)
 	rg.OnFuncExit(func(fi *FuncInfo, em *Emitter) {
@@ -105,26 +100,18 @@ func (r *DefensiveRule) uncheckedDerefFindings(fi *FuncInfo, ptrParams []string,
 	}
 }
 
-// ignoredReturnFinding flags one expression statement discarding the
-// result of a non-void defined function.
-func (r *DefensiveRule) ignoredReturnFinding(ctx *Context, fi *FuncInfo, es *ccast.ExprStmt, em *Emitter) {
-	call, ok := es.X.(*ccast.Call)
-	if !ok {
-		return
+// ignoredReturn flags one expression statement calling a function,
+// under the condition that the callee is a defined non-void function:
+// then the statement discards its result.
+func ignoredReturn(fi *FuncInfo, es *ccast.ExprStmt, em *Emitter) {
+	if call, ok := es.X.(*ccast.Call); ok {
+		em.EmitIf(CondName{NonVoidCallee, CalleeName(call)}, fi, es.Span().Start.Line)
 	}
-	name := CalleeName(call)
-	callee, defined := ctx.ByName[name]
-	if !defined || callee.Void {
-		return
-	}
-	em.Emit(finding(r.ID(), Warning, fi, es.Span().Start.Line,
-		fmt.Sprintf("return value of %s() ignored", name), refDefensive))
 }
 
 // checkParamValidation flags pointer parameters used without a preceding
 // null check anywhere in the function.
-func (r *DefensiveRule) checkParamValidation(fi *FuncInfo) []Finding {
-	var out []Finding
+func (r *DefensiveRule) checkParamValidation(fi *FuncInfo, em *Emitter) {
 	var ptrParams []string
 	for _, p := range fi.Decl.Params {
 		if p.Name != "" && p.Type.IsPointer() {
@@ -132,7 +119,7 @@ func (r *DefensiveRule) checkParamValidation(fi *FuncInfo) []Finding {
 		}
 	}
 	if len(ptrParams) == 0 {
-		return nil
+		return
 	}
 	checked := make(map[string]bool)
 	used := make(map[string]int) // name → first use line
@@ -161,9 +148,7 @@ func (r *DefensiveRule) checkParamValidation(fi *FuncInfo) []Finding {
 		}
 		return true
 	})
-	em := &Emitter{}
 	r.uncheckedDerefFindings(fi, ptrParams, checked, used, em)
-	return append(out, em.out...)
 }
 
 func noteUse(used map[string]int, id *ccast.Ident) {
@@ -225,13 +210,11 @@ func isNullish(e ccast.Expr) bool {
 
 // checkIgnoredReturns flags expression statements that call a non-void
 // defined function and discard its result.
-func (r *DefensiveRule) checkIgnoredReturns(ctx *Context, fi *FuncInfo) []Finding {
-	em := &Emitter{}
+func (r *DefensiveRule) checkIgnoredReturns(fi *FuncInfo, em *Emitter) {
 	ccast.WalkStmts(fi.Decl.Body, func(s ccast.Stmt) bool {
 		if es, ok := s.(*ccast.ExprStmt); ok {
-			r.ignoredReturnFinding(ctx, fi, es, em)
+			ignoredReturn(fi, es, em)
 		}
 		return true
 	})
-	return em.out
 }

@@ -1,6 +1,8 @@
 package rules
 
 import (
+	"slices"
+
 	"repro/internal/ccast"
 	"repro/internal/par"
 )
@@ -91,15 +93,34 @@ func kindOf(n ccast.Node) NodeKind {
 	}
 }
 
-// Emitter collects findings during a pass. Rules call Emit; the engine
-// owns the buffer and drains it per file so parallel workers never share
-// finding slices.
+// Emitter collects findings during a pass. Rules call Emit and EmitIf;
+// the engine owns the buffer and drains it per file so parallel workers
+// never share finding slices.
 type Emitter struct {
 	out []Finding
+	// ctx, set in the reference pass (Rule.Check), evaluates each
+	// condition at once. The engine leaves it nil and collects the
+	// conditions in conds, fn being the index of the function its walk
+	// is in.
+	ctx   *Context
+	conds []condAt
+	fn    int
 }
 
 // Emit appends one finding.
 func (em *Emitter) Emit(f Finding) { em.out = append(em.out, f) }
+
+// EmitIf emits the finding cn renders at line inside fi exactly while
+// cn's predicate holds: at once in the reference pass, and in the engine
+// for as long as the predicate holds, which it tracks without walking
+// the file again.
+func (em *Emitter) EmitIf(cn CondName, fi *FuncInfo, line int) {
+	if em.ctx == nil {
+		em.conds = append(em.conds, condAt{cn, em.fn, line})
+	} else if cn.holds(em.ctx) {
+		em.Emit(cn.finding(fi, line))
+	}
+}
 
 // Handler signatures for each event class.
 type (
@@ -117,14 +138,10 @@ type (
 // for one worker. Rule closures may keep per-function state; a program is
 // never shared between goroutines.
 //
-// Contract for per-file handlers (OnNode, OnFunc*, OnUnit, OnDecl): a
-// handler reads cross-file facts (Context.ByName, Context.GlobalNames)
-// only through names spelled in its own file — a call's CalleeName, a
-// local declarator's name. The frontend does no macro expansion, so such
-// a name occurs as an identifier in the file's source, and the sharded
-// engine re-checks, after a delta, only the files spelling a name whose
-// facts moved. A handler looking a fact up under a name its file does
-// not spell would go stale.
+// Per-file handlers (OnNode, OnFunc*, OnUnit, OnDecl) see only their own
+// file: Fuse gets no Context, so a handler cannot read a cross-file fact.
+// A finding that depends on one is emitted under a condition instead
+// (Emitter.EmitIf), which the engine evaluates and keeps current.
 type Registrar struct {
 	nodes     [numNodeKinds][]NodeFn
 	funcEnter []FuncFn
@@ -164,10 +181,10 @@ func (rg *Registrar) OnUnit(h UnitFn) { rg.units = append(rg.units, h) }
 func (rg *Registrar) OnDecl(h DeclFn) { rg.decls = append(rg.decls, h) }
 
 // newProgram builds a fresh program over the rules.
-func newProgram(ctx *Context, rs []Rule) *Registrar {
+func newProgram(rs []Rule) *Registrar {
 	rg := &Registrar{}
 	for _, r := range rs {
-		r.Fuse(rg, ctx)
+		r.Fuse(rg)
 	}
 	return rg
 }
@@ -206,7 +223,8 @@ func (rg *Registrar) runUnit(ctx *Context, path string, em *Emitter) {
 			}
 		})
 	}
-	for _, fi := range ctx.unitFuncs[path] {
+	for i, fi := range ctx.unitFuncs[path] {
+		em.fn = i
 		for _, h := range rg.funcEnter {
 			h(fi, em)
 		}
@@ -230,25 +248,34 @@ func (rg *Registrar) runUnit(ctx *Context, path string, em *Emitter) {
 }
 
 // runUnits executes per-file programs over the given paths on a worker
-// pool and returns the findings of each path, index-aligned. Each worker
-// builds its own program: rule closures carry per-function state, so a
-// program is never shared between goroutines.
-func runUnits(ctx *Context, rs []Rule, paths []string) [][]Finding {
+// pool and returns each path's findings, sorted under findingLess with
+// those of its conditions that hold, and its conditions, index-aligned.
+// Each worker builds its own program: rule closures carry per-function
+// state, so a program is never shared between goroutines.
+func runUnits(ctx *Context, rs []Rule, paths []string) ([][]Finding, [][]condAt) {
 	if len(paths) == 0 {
-		return nil
+		return nil, nil
 	}
 	perFile := make([][]Finding, len(paths))
+	conds := make([][]condAt, len(paths))
 	workers := par.Workers(len(paths))
 	progs := make([]*Registrar, workers)
 	ems := make([]*Emitter, workers)
 	for w := range progs {
-		progs[w], ems[w] = newProgram(ctx, rs), &Emitter{}
+		progs[w], ems[w] = newProgram(rs), &Emitter{}
 	}
 	par.ForWorkers(workers, len(paths), func(w, i int) {
 		em := ems[w]
-		em.out = nil
+		em.out, em.conds = nil, em.conds[:0]
 		progs[w].runUnit(ctx, paths[i], em)
-		perFile[i] = em.out
+		funcs := ctx.unitFuncs[paths[i]]
+		for _, c := range em.conds {
+			if c.holds(ctx) {
+				em.out = append(em.out, c.finding(funcs[c.fn], c.line))
+			}
+		}
+		sortFindings(em.out)
+		perFile[i], conds[i] = em.out, slices.Clone(em.conds)
 	})
-	return perFile
+	return perFile, conds
 }

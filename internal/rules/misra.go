@@ -18,11 +18,6 @@ type MISRAExtraRule struct{}
 // ID implements Rule.
 func (*MISRAExtraRule) ID() string { return "misra-extra" }
 
-// Describe implements Rule.
-func (*MISRAExtraRule) Describe() string {
-	return "additional MISRA C:2012 decidable rules (ISO26262-6 T1.2)"
-}
-
 // Check implements Rule.
 func (r *MISRAExtraRule) Check(ctx *Context) []Finding {
 	var out []Finding
@@ -38,7 +33,7 @@ func (r *MISRAExtraRule) Check(ctx *Context) []Finding {
 // Fuse implements Rule. Switch hygiene, condition assignments, and
 // octal literals dispatch off single node events; unused-parameter
 // tracking accumulates identifier uses across the function walk.
-func (r *MISRAExtraRule) Fuse(rg *Registrar, ctx *Context) {
+func (r *MISRAExtraRule) Fuse(rg *Registrar) {
 	rg.OnNode(func(fi *FuncInfo, n ccast.Node, em *Emitter) {
 		r.switchFindings(fi, n.(*ccast.Switch), em)
 	}, KSwitch)

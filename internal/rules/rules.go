@@ -142,14 +142,13 @@ func (ctx *Context) sortedUnits() []*ccast.TranslationUnit {
 type Rule interface {
 	// ID is a short stable identifier, e.g. "cast".
 	ID() string
-	// Describe is a one-line human description.
-	Describe() string
 	// Check runs the rule over the whole context.
 	Check(ctx *Context) []Finding
 	// Fuse registers the rule's event subscriptions with the fused
 	// engine. Called once per worker; closures may carry per-function
-	// mutable state.
-	Fuse(rg *Registrar, ctx *Context)
+	// mutable state. It gets no Context: a per-file handler reads no
+	// cross-file fact (see Registrar).
+	Fuse(rg *Registrar)
 }
 
 // DefaultRules returns the full checker set in a stable order.

@@ -11,30 +11,33 @@ import (
 // This file implements the sharded incremental rule engine, the one rule
 // engine: a cold run (rules.Run, a fresh engine's first Run) and every
 // warm run of core.Assessor go through it. It caches per-file findings
-// and rides the artifact index's module shards, its per-unit generations
-// (artifact.Index.UnitGen) and its per-name change feed
-// (artifact.Index.ChangesSince):
+// and conditions (cond.go) and rides the artifact index's module shards,
+// its per-unit generations (artifact.Index.UnitGen) and its per-name
+// change feed (artifact.Index.ChangesSince):
 //
 //   - dirty detection consults per-shard generations, so a warm run
 //     looks only at the files of shards a delta touched, and within
-//     them re-checks a file only when its unit generation moved;
-//   - a file depends on a cross-file fact only through a name its source
-//     spells (see the Registrar contract), so when the feed reports that
-//     a name's callee voidness or global membership moved, exactly the
-//     files spelling that name at identifier boundaries are re-checked —
-//     fact stubs included, so only those get hydrated. The index's
-//     identifier postings (artifact.Index.Spellers) name those files, so
-//     finding them costs O(readers), however many names moved;
+//     them walks a file only when its unit generation moved. Such a file
+//     arrives parsed, and no other file is ever walked, so the engine
+//     runs over fact stubs;
+//   - a walk evaluates the file's conditions and merges the findings of
+//     those that hold into the file's list. When the feed reports that
+//     a name's callee voidness or global membership moved, the engine
+//     re-evaluates that name's predicates in its name table (condTable)
+//     and moves the list of each file holding a condition that flipped
+//     by the finding the condition renders, inserted or removed. Each
+//     shard counts its conditions per name, so only the shards reading
+//     a flipped name are looked at, and no file is parsed or walked;
 //   - each shard keeps a presorted finding segment (its files' cached
 //     findings concatenated in shard path order, with per-file offsets),
-//     copied afresh only when one of its files was re-checked;
+//     copied afresh only when one of its files' lists was replaced;
 //   - the recursion rule's on-cycle set, the corpus segment, is kept
 //     across runs and updated from the changed call-graph nodes and the
 //     changed files (cycleCache);
 //   - the finding statistics are one running count set, kept by
 //     difference: a warm run subtracts the cached findings of every
-//     re-checked or dropped file and adds the new lists (Stats.count),
-//     so its cost follows the files it re-checked, not their shards;
+//     replaced or dropped list and adds the new lists (Stats.count),
+//     so its cost follows the files it touched, not their shards;
 //   - the global finding stream is a k-way merge of the shard segments
 //     (plus the corpus segment), byte-identical to the sequential
 //     reference engine because every segment is sorted under the same
@@ -42,23 +45,14 @@ import (
 //     the merge to Findings, so a caller that reads only Stats (an
 //     assessment after a delta) never copies the whole stream.
 //
-// A run re-checks every file instead (LastFullRecheck) when the engine
-// fell further behind the feed than it retains; it never serves stale
-// output.
+// A run that fell further behind the feed than it retains
+// (LastFullRecheck) re-evaluates every name of the table and re-runs the
+// recursion rule's SCC instead; it never serves stale output.
 //
 // Output equivalence with RunSequential over the same context is pinned
 // by TestShardedMatchesColdRun and exercised at scale by the
 // differential harness (internal/difftest).
 type Sharded struct {
-	// Hydrate, when set, is called with the dirty paths of a warm run
-	// before their (re-)walk. core.Assessor installs it to re-parse
-	// stub units on demand: stubs (restored, or demoted after an
-	// assessment) carry analysis facts but no statement bodies, and the
-	// fused walk needs real ASTs. The hook runs at a sequential point
-	// of Run (before any worker starts), so it may replace index
-	// entries in place.
-	Hydrate func(paths []string)
-
 	rules []Rule
 	cyc   *cycleCache // nil when the rule set has no RecursionRule
 
@@ -67,6 +61,8 @@ type Sharded struct {
 	seen uint64
 
 	shards map[string]*shardSeg
+	// names is the table of what the shards' conditions wait on.
+	names *condTable
 
 	haveCorpus bool
 	corpusSeg  []Finding // cyc's segment
@@ -79,15 +75,16 @@ type Sharded struct {
 	counts          *Stats
 	stats           *Stats
 	lastDirty       int
+	lastConds       int
 	lastFullRecheck bool
 }
 
 // shardSeg is the engine's cached state for one module shard, laid out
 // positionally as the snapshot's finding block is: the shard's sorted
 // paths when the segment was built, the unit generation each file's
-// findings were computed at, and offsets into the presorted segment.
-// A cold run, a warm rebuild and a snapshot restore all fill it the
-// same way (fill).
+// findings were computed at, offsets into the presorted segment, and the
+// files' conditions laid out the same way. A cold run, a warm rebuild
+// and a snapshot restore all fill it the same way (fill).
 type shardSeg struct {
 	gen    uint64 // artifact shard generation this segment matches; 0 = never built
 	sealed bool   // filled by RestoreCache and not rebuilt since
@@ -95,6 +92,12 @@ type shardSeg struct {
 	gens   []uint64
 	off    []int // file i's findings are seg[off[i]:off[i+1]]
 	seg    []Finding
+	// coff and conds hold file i's conditions at conds[coff[i]:coff[i+1]],
+	// their names as ids into the engine's table; readers counts them
+	// per id.
+	coff    []int
+	conds   []Cond
+	readers map[uint32]int
 }
 
 // findings returns file i's cached findings (capacity-clipped, so an
@@ -103,24 +106,41 @@ func (seg *shardSeg) findings(i int) []Finding {
 	return seg.seg[seg.off[i]:seg.off[i+1]:seg.off[i+1]]
 }
 
-// fill rebuilds the segment from per-file finding lists aligned with the
-// shard's current paths, at the given unit generations. The segment is
-// a fresh copy, because readers hold views of the previous one.
-// Distinct segments may fill concurrently.
-func (seg *shardSeg) fill(sh *artifact.Shard, gens []uint64, files [][]Finding) {
-	total := 0
-	for _, fs := range files {
-		total += len(fs)
-	}
+// condsOf returns file i's conditions.
+func (seg *shardSeg) condsOf(i int) []Cond {
+	return seg.conds[seg.coff[i]:seg.coff[i+1]:seg.coff[i+1]]
+}
+
+// fill rebuilds the segment from per-file finding and condition lists
+// aligned with the shard's current paths, at the given unit generations.
+// The finding segment is a fresh copy, because readers hold views of the
+// previous one. No reader sees the conditions, so they are laid out
+// again only when moved says a list changed. Distinct segments may fill
+// concurrently.
+func (seg *shardSeg) fill(sh *artifact.Shard, gens []uint64, files [][]Finding, conds [][]Cond, moved bool) {
 	seg.paths = slices.Clone(sh.Paths()) // Apply edits the shard's list in place
 	seg.gens = gens
-	seg.off = make([]int, len(files)+1)
-	seg.seg = make([]Finding, 0, total)
-	for i, fs := range files {
-		seg.seg = append(seg.seg, fs...)
-		seg.off[i+1] = len(seg.seg)
+	seg.off, seg.seg = concat(files)
+	if moved {
+		seg.coff, seg.conds = concat(conds)
 	}
 	seg.gen, seg.sealed = sh.Gen(), false
+}
+
+// concat lays lists out back to back in a fresh slice: list i is
+// out[off[i]:off[i+1]].
+func concat[T any](lists [][]T) (off []int, out []T) {
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	off = make([]int, len(lists)+1)
+	out = make([]T, 0, total)
+	for i, l := range lists {
+		out = append(out, l...)
+		off[i+1] = len(out)
+	}
+	return off, out
 }
 
 // NewSharded creates a sharded incremental engine over the given rule
@@ -128,7 +148,7 @@ func (seg *shardSeg) fill(sh *artifact.Shard, gens []uint64, files [][]Finding) 
 // behind its context, so the context must come from NewContext or
 // NewContextFromIndex.
 func NewSharded(rs []Rule) *Sharded {
-	s := &Sharded{rules: rs, shards: make(map[string]*shardSeg)}
+	s := &Sharded{rules: rs, shards: make(map[string]*shardSeg), names: newCondTable()}
 	for _, r := range rs {
 		if rr, ok := r.(*RecursionRule); ok && s.cyc == nil {
 			s.cyc = &cycleCache{rule: rr}
@@ -137,12 +157,18 @@ func NewSharded(rs []Rule) *Sharded {
 	return s
 }
 
-// LastDirty returns the number of files the previous Update re-checked
-// (every file on a cold or invalidated run).
+// LastDirty returns the number of files the previous Update walked:
+// every file on a cold run, then the files whose unit generation moved.
 func (s *Sharded) LastDirty() int { return s.lastDirty }
 
-// LastFullRecheck reports whether the previous warm Update re-checked
-// every file because it fell behind the index change feed.
+// LastConditions returns the number of stored conditions whose predicate
+// the previous Update re-evaluated because the change feed named it
+// (every condition when it fell behind the feed).
+func (s *Sharded) LastConditions() int { return s.lastConds }
+
+// LastFullRecheck reports whether the previous warm Update fell behind
+// the index change feed, so that it re-evaluated every condition and
+// re-ran the recursion rule's SCC.
 func (s *Sharded) LastFullRecheck() bool { return s.lastFullRecheck }
 
 // Stats returns the finding statistics of the previous Update,
@@ -156,6 +182,7 @@ func (s *Sharded) reset(ix *artifact.Index) {
 	s.seen = ix.Gen()
 	s.haveCorpus = false
 	s.shards = make(map[string]*shardSeg)
+	s.names = newCondTable()
 	s.corpusSeg, s.segs = nil, nil
 	s.counts, s.stats = nil, nil
 	if s.cyc != nil {
@@ -187,21 +214,21 @@ func (s *Sharded) Run(ctx *Context) []Finding {
 }
 
 // Update brings the engine's per-shard segments and Stats up to date
-// with the context's index: a warm update after a delta re-checks only
-// the files whose unit generation moved and the files spelling a name
-// whose cross-file facts moved, re-copies only their shards' segments,
-// and moves the counts by those files' differences.
+// with the context's index: a warm update after a delta walks only the
+// files whose unit generation moved, flips the conditions of the names
+// whose facts moved, re-copies only the segments of shards whose lists
+// moved, and moves the counts by those lists' differences.
 func (s *Sharded) Update(ctx *Context) {
 	s.lastFullRecheck = false
 	ix := ctx.Index
-	invalidate := ix != s.ix
+	fresh := ix != s.ix
 	var changes map[string]artifact.Change
-	if invalidate {
+	if fresh {
 		s.reset(ix)
 	} else if ix.Gen() != s.seen {
 		var ok bool
 		if changes, ok = s.changesSince(ix); !ok {
-			invalidate, s.lastFullRecheck = true, true
+			s.lastFullRecheck = true
 			if s.cyc != nil {
 				s.cyc.ok = false
 			}
@@ -210,24 +237,31 @@ func (s *Sharded) Update(ctx *Context) {
 	indexMoved := ix.Gen() != s.seen
 	s.seen = ix.Gen()
 
-	// A warm run collects in diff the net difference of the files it
-	// re-checks or drops: their cached findings subtracted, their new
-	// ones added. A run that re-checks every file rebuilds the counts
-	// from zero instead, as a cold run does, so it only adds.
+	// Re-evaluate the predicates the feed names (all of them when the
+	// engine fell behind it); the flipped ones move their files' lists.
+	s.lastConds = s.names.flip(ctx, changes, s.lastFullRecheck)
+
+	// A warm run collects in diff the net difference of the lists it
+	// replaces or drops: their cached findings subtracted, their new
+	// ones added. A cold run builds the counts from zero instead, so it
+	// only adds.
 	diff := newStats()
-	if invalidate {
+	if fresh {
 		s.counts = diff
 	}
-	sub := func(fs []Finding) {
-		if !invalidate {
-			diff.count(fs, -1)
-		}
-	}
-	// touched lists the dropped paths, and then the re-checked ones, for
-	// the on-cycle set's champion checks.
+	// touched lists the replaced and dropped paths, and then the walked
+	// ones, for the on-cycle set's champion checks. released holds their
+	// conditions, uncounted once the walks' are counted, so a name both
+	// hold keeps its id.
 	var touched []string
+	type heldConds struct {
+		seg   *shardSeg
+		conds []Cond
+	}
+	var released []heldConds
 	drop := func(seg *shardSeg, i int) {
-		sub(seg.findings(i))
+		diff.count(seg.findings(i), -1)
+		released = append(released, heldConds{seg, seg.condsOf(i)})
 		touched = append(touched, seg.paths[i])
 	}
 
@@ -246,25 +280,21 @@ func (s *Sharded) Update(ctx *Context) {
 		delete(s.shards, m)
 	}
 
-	// Files spelling a name whose per-file-visible facts moved, by shard.
-	var spelled map[string][]string
-	if !invalidate {
-		spelled = spellingFiles(ctx, spellKeys(changes))
-	}
-
-	// Plan the rebuild of every shard whose generation moved or that has
-	// readers of a changed name: merge-walk the cached and current sorted
-	// path lists (artifact.Index.WalkShard), reuse a file's findings when
-	// its path and unit generation match and it spells no changed name,
-	// re-check the rest, and subtract the cached findings of every file
-	// re-checked or gone.
+	// Plan the rebuild of every shard whose generation moved or that
+	// reads a flipped name: merge-walk the cached and current sorted path
+	// lists (artifact.Index.WalkShard), keep a file's findings when its
+	// path and unit generation match (moved by its flipped conditions),
+	// walk the rest, and subtract the cached findings of every file
+	// walked or gone.
 	type plan struct {
 		seg   *shardSeg
 		sh    *artifact.Shard
 		gens  []uint64
 		files [][]Finding
+		conds [][]Cond // laid out anew only when moved
+		moved bool     // a condition list changed
 	}
-	type slot struct{ plan, file int }
+	type slot struct{ plan, file, old int }
 	var plans []plan
 	var dirtyPaths []string
 	var dirtySlots []slot
@@ -272,49 +302,77 @@ func (s *Sharded) Update(ctx *Context) {
 		sh := ix.Shard(m)
 		seg := s.shards[m]
 		if seg == nil {
-			seg = &shardSeg{}
+			seg = &shardSeg{readers: make(map[uint32]int)}
 			s.shards[m] = seg
 		}
-		hits := spelled[m]
-		if !invalidate && seg.gen == sh.Gen() && len(hits) == 0 {
+		flips := slices.ContainsFunc(s.names.flipped, func(id uint32) bool { return seg.readers[id] > 0 })
+		if !fresh && seg.gen == sh.Gen() && !flips {
 			continue // clean shard: segment reused as-is
 		}
-		pl := plan{seg: seg, sh: sh, files: make([][]Finding, sh.Len())}
-		k := 0 // cursor into hits
+		pl := plan{seg: seg, sh: sh, files: make([][]Finding, sh.Len()), moved: seg.coff == nil}
 		pl.gens = ix.WalkShard(sh, seg.paths, seg.gens, func(i, j int, same bool) {
-			if j < 0 {
-				drop(seg, i)
-				return
-			}
-			p := sh.Paths()[j]
-			hit := k < len(hits) && hits[k] == p
-			if hit {
-				k++
-			}
-			if same && !invalidate && !hit {
-				pl.files[j] = seg.findings(i)
+			if same {
+				fs, cs := seg.findings(i), seg.condsOf(i)
+				if flips {
+					if moved, ok := s.reflip(ix.UnitFuncs(sh.Paths()[j]), fs, cs); ok {
+						diff.count(fs, -1)
+						diff.count(moved, 1)
+						fs = moved
+					}
+				}
+				pl.files[j] = fs
 				return
 			}
 			if i >= 0 {
-				sub(seg.findings(i))
+				drop(seg, i)
 			}
-			dirtyPaths = append(dirtyPaths, p)
-			dirtySlots = append(dirtySlots, slot{len(plans), j})
+			if i < 0 || j < 0 {
+				pl.moved = true // a file came or went
+			}
+			if j >= 0 {
+				dirtyPaths = append(dirtyPaths, sh.Paths()[j])
+				dirtySlots = append(dirtySlots, slot{len(plans), j, i})
+			}
 		})
 		plans = append(plans, pl)
 	}
 	s.lastDirty = len(dirtyPaths)
-	if s.Hydrate != nil && len(dirtyPaths) > 0 {
-		s.Hydrate(dirtyPaths)
-	}
 
-	// Re-check the dirty files (parallel across shards), each file's
+	// Walk the dirty files (parallel across shards), each file's
 	// findings pre-sorted: within a file the findingLess order is
 	// self-contained, so shard segments concatenate without re-sorting.
-	for k, fs := range runUnits(ctx, s.rules, dirtyPaths) {
-		sortFindings(fs)
-		plans[dirtySlots[k].plan].files[dirtySlots[k].file] = fs
+	walked, conds := runUnits(ctx, s.rules, dirtyPaths)
+	held := make([][]Cond, len(walked))
+	for k, fs := range walked {
+		sl := dirtySlots[k]
+		pl := &plans[sl.plan]
+		held[k] = s.hold(ctx, pl.seg, conds[k])
+		if sl.old < 0 || !slices.Equal(held[k], pl.seg.condsOf(sl.old)) {
+			pl.moved = true
+		}
+		pl.files[sl.file] = fs
 		diff.count(fs, 1)
+	}
+	// A shard whose condition lists moved gets them laid out anew: the
+	// kept files' from the segment, the walked files' just held. Name-
+	// stable body edits, the common delta, move none.
+	for k := range plans {
+		if pl := &plans[k]; pl.moved {
+			pl.conds = make([][]Cond, pl.sh.Len())
+			ix.WalkShard(pl.sh, pl.seg.paths, pl.seg.gens, func(i, j int, same bool) {
+				if same {
+					pl.conds[j] = pl.seg.condsOf(i)
+				}
+			})
+		}
+	}
+	for k, sl := range dirtySlots {
+		if pl := &plans[sl.plan]; pl.moved {
+			pl.conds[sl.file] = held[k]
+		}
+	}
+	for _, r := range released {
+		s.tally(r.seg, r.conds, -1)
 	}
 
 	// Corpus-level output: the recursion rule's on-cycle set follows the
@@ -322,12 +380,12 @@ func (s *Sharded) Update(ctx *Context) {
 	if s.cyc != nil && (!s.cyc.ok || indexMoved) {
 		left, came := s.cyc.update(ctx, changes, append(touched, dirtyPaths...))
 		s.corpusSeg = s.cyc.seg
-		if !invalidate {
+		if !fresh {
 			diff.count(left, -1)
 			diff.count(came, 1)
 		}
 	}
-	if invalidate {
+	if fresh {
 		diff.count(s.corpusSeg, 1)
 	}
 	s.haveCorpus = true
@@ -336,7 +394,8 @@ func (s *Sharded) Update(ctx *Context) {
 	// its own plan and writes only its own segment, and the merge walks
 	// shards in sorted name order, so output is scheduling-independent.
 	par.For(par.Workers(len(plans)), len(plans), func(k int) {
-		plans[k].seg.fill(plans[k].sh, plans[k].gens, plans[k].files)
+		pl := &plans[k]
+		pl.seg.fill(pl.sh, pl.gens, pl.files, pl.conds, pl.moved)
 	})
 
 	// Collect the per-shard segments (and the corpus segment) for
@@ -354,13 +413,68 @@ func (s *Sharded) Update(ctx *Context) {
 
 	// Publish a new Stats only when a count moved: a body edit that
 	// keeps its file's findings leaves the published value as it was.
-	moved := invalidate || s.stats == nil
-	if !invalidate && !diff.empty() {
+	moved := fresh || s.stats == nil
+	if !fresh && !diff.empty() {
 		s.counts.apply(diff)
 		moved = true
 	}
 	if moved {
 		s.stats = s.counts.clone()
+	}
+}
+
+// reflip returns a file's list fs with the finding of each of its
+// conditions cs that flipped inserted (its predicate now holds) or
+// removed (it no longer does), and ok=false when none flipped. funcs is
+// the file's function list, which the conditions index. fs holds
+// exactly the findings of the conditions that held, so a removed
+// finding is always there; findings are values, and two conditions
+// rendering equal findings stand for equal entries of fs.
+func (s *Sharded) reflip(funcs []*FuncInfo, fs []Finding, cs []Cond) (out []Finding, ok bool) {
+	for _, c := range cs {
+		e := &s.names.by[c.Name]
+		if !e.flipped {
+			continue
+		}
+		if !ok {
+			out, ok = slices.Clone(fs), true
+		}
+		f := e.finding(funcs[c.Func], int(c.Line))
+		i := sort.Search(len(out), func(k int) bool { return !findingLess(&out[k], &f) })
+		switch {
+		case e.truth:
+			out = slices.Insert(out, i, f)
+		case i < len(out) && !findingLess(&f, &out[i]):
+			out = slices.Delete(out, i, i+1)
+		default:
+			panic("rules: a condition that held has no finding in its file's list: " + f.String())
+		}
+	}
+	return out, ok
+}
+
+// hold stores a walk's conditions with their names as the table's ids,
+// and counts them.
+func (s *Sharded) hold(ctx *Context, seg *shardSeg, conds []condAt) []Cond {
+	if len(conds) == 0 {
+		return nil
+	}
+	out := make([]Cond, len(conds))
+	for i, c := range conds {
+		out[i] = Cond{Name: s.names.id(ctx, c.CondName), Func: uint32(c.fn), Line: uint32(c.line)}
+	}
+	s.tally(seg, out, 1)
+	return out
+}
+
+// tally adds d to the counts of each condition's id, in the table and in
+// the shard's readers.
+func (s *Sharded) tally(seg *shardSeg, conds []Cond, d int) {
+	for _, c := range conds {
+		s.names.ref(c.Name, d)
+		if seg.readers[c.Name] += d; seg.readers[c.Name] == 0 {
+			delete(seg.readers, c.Name)
+		}
 	}
 }
 
@@ -386,61 +500,6 @@ func (s *Sharded) Findings() []Finding { return mergeFindingSegments(s.segs) }
 // an engine that refilled a segment in place would have to key that
 // cache otherwise.
 func (s *Sharded) Stream(fn func([]Finding)) { mergeRuns(s.segs, fn) }
-
-// spellKeys returns the sorted, deduplicated identifiers (identKey) of
-// the names whose per-file-visible facts — callee voidness, global
-// membership — moved.
-func spellKeys(changes map[string]artifact.Change) []string {
-	var keys []string
-	for name, what := range changes {
-		if what&artifact.FileFacts != 0 {
-			keys = append(keys, identKey(name))
-		}
-	}
-	sort.Strings(keys)
-	return slices.Compact(keys)
-}
-
-// spellingFiles returns, per shard in the shard's path order, the files
-// whose source spells one of keys at identifier boundaries, read from
-// the index's identifier postings (artifact.Index.Spellers). Per-file
-// handlers read cross-file facts only through names spelled in their
-// own file (the Registrar contract), so every other file's cached
-// findings stay valid. The postings are built on the first call with a
-// key, so a run that moved no per-file fact never builds them.
-func spellingFiles(ctx *Context, keys []string) map[string][]string {
-	if len(keys) == 0 {
-		return nil
-	}
-	var paths []string
-	for _, key := range keys {
-		paths = append(paths, ctx.Index.Spellers(key)...)
-	}
-	sort.Strings(paths)
-	out := make(map[string][]string)
-	for _, p := range slices.Compact(paths) {
-		m := ctx.Units[p].File.ModuleName()
-		out[m] = append(out[m], p)
-	}
-	return out
-}
-
-// identKey returns the identifier to look up when a name changed: the
-// name itself when it is one identifier, otherwise its first identifier
-// run (a destructor's class name, a template name before its arguments,
-// "operator"), which every spelling of the name contains. A name with
-// no identifier characters yields "", which selects every file.
-func identKey(name string) string {
-	i := 0
-	for i < len(name) && !artifact.IsIdentByte(name[i]) {
-		i++
-	}
-	j := i
-	for j < len(name) && artifact.IsIdentByte(name[j]) {
-		j++
-	}
-	return name[i:j]
-}
 
 // mergeFindingSegments merges sorted finding segments into one sorted
 // stream (mergeRuns) in a fresh slice.

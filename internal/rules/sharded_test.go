@@ -65,14 +65,14 @@ func TestShardedMatchesColdRun(t *testing.T) {
 	shardedCheck(t, "no-op rerun", eng, ix, 0)
 
 	// Adding a non-void function moves the callee voidness of a name no
-	// other file spells: only the edited file is re-checked.
+	// other file calls: only the edited file is walked.
 	victim := ix.Paths[len(ix.Paths)/2]
 	reparse(t, ix, victim, ix.Units[victim].File.Src+
 		"\nint sharded_probe(int x) { if (x > 2) { return 1; } return 0; }\n")
 	shardedCheck(t, "new-function edit", eng, ix, 1)
 
 	// Removing the file undefines its functions, but no remaining file
-	// spells their names, so nothing is re-checked.
+	// calls them, so nothing is walked.
 	ix.Apply(nil, []string{victim})
 	shardedCheck(t, "removal", eng, ix, 0)
 	shardedCheck(t, "post-removal rerun", eng, ix, 0)
@@ -83,13 +83,15 @@ const del = "\x00removed"
 
 // shardedStep is one round of TestShardedNameDependencies: one Apply per
 // map (path → new source, or del), then one Run that must match a cold
-// run and re-check exactly dirty files. A step named "restored ..."
-// first swaps the engine for one seeded by RestoreCache from its state;
-// one named "full ..." must re-check every file as a fallback.
+// run and walk exactly dirty files. A step named "restored ..." first
+// swaps the engine for one seeded by RestoreCache from its state; one
+// named "full ..." must fall behind the change feed. When roots is set,
+// the run's recursion update must root Tarjan at exactly those names.
 type shardedStep struct {
 	name    string
 	applies []map[string]string
 	dirty   int
+	roots   []string
 }
 
 // applyFiles parses the upserts of one step map and applies them, with
@@ -156,10 +158,11 @@ func bodyEdits(path string, n int) []map[string]string {
 const gotoQuiet = "int quiet(int k) { if (k > 1) { goto out; } return 0; out: return 1; }\n"
 
 // TestShardedNameDependencies pins the name-level invalidation contract:
-// after a delta, the warm engine re-checks exactly the content-changed
-// files plus the files spelling a name whose callee voidness or global
-// membership moved, its output stays byte-identical to a cold run, and
-// its counts, kept by difference, equal a flat Aggregate.
+// after a delta, the warm engine walks exactly the content-changed files,
+// however the callee voidness or global membership of names other files
+// read moved (their conditioned findings flip without a walk), its output
+// stays byte-identical to a cold run, and its counts, kept by
+// difference, equal a flat Aggregate.
 func TestShardedNameDependencies(t *testing.T) {
 	forceParallel(t)
 	base := map[string]string{
@@ -176,133 +179,136 @@ func TestShardedNameDependencies(t *testing.T) {
 		name  string
 		steps []shardedStep
 	}{
-		// 3 re-checked files: m/lib.c (edited), n/caller.c (calls helper),
-		// and p/note.c, which spells helper only in a comment — re-checked
-		// conservatively, with output still identical.
+		// Only m/lib.c (edited) is walked: n/caller.c's ignored-return
+		// finding on helper flips without a walk.
 		{"callee voidness flip", []shardedStep{
-			{"to void", []map[string]string{{"m/lib.c": "void helper(int x) { (void)x; }\nint g_seen;\n"}}, 3},
-			{"back to int", []map[string]string{{"m/lib.c": base["m/lib.c"]}}, 3},
+			{"to void", []map[string]string{{"m/lib.c": "void helper(int x) { (void)x; }\nint g_seen;\n"}}, 1, nil},
+			{"back to int", []map[string]string{{"m/lib.c": base["m/lib.c"]}}, 1, nil},
 		}},
 		{"callee rename", []shardedStep{
-			{"rename", []map[string]string{{"m/lib.c": "int helper2(int x) { return x + 1; }\nint g_seen;\n"}}, 3},
-			{"rename back", []map[string]string{{"m/lib.c": base["m/lib.c"]}}, 3},
+			{"rename", []map[string]string{{"m/lib.c": "int helper2(int x) { return x + 1; }\nint g_seen;\n"}}, 1, nil},
+			{"rename back", []map[string]string{{"m/lib.c": base["m/lib.c"]}}, 1, nil},
 		}},
 		{"remove then re-add", []shardedStep{
-			{"remove", []map[string]string{{"m/lib.c": del}}, 2},
-			{"re-add", []map[string]string{{"m/lib.c": base["m/lib.c"]}}, 3},
+			{"remove", []map[string]string{{"m/lib.c": del}}, 0, nil},
+			{"re-add", []map[string]string{{"m/lib.c": base["m/lib.c"]}}, 1, nil},
 		}},
 		{"earlier-path duplicate flips the champion", []shardedStep{
-			{"add void dup first in path order", []map[string]string{{"a/early.c": "void dup(int x) { (void)x; }\n"}}, 3},
-			{"remove it", []map[string]string{{"a/early.c": del}}, 2},
+			{"add void dup first in path order", []map[string]string{{"a/early.c": "void dup(int x) { (void)x; }\n"}}, 1, nil},
+			{"remove it", []map[string]string{{"a/early.c": del}}, 0, nil},
 		}},
 		{"shadowed global added and removed", []shardedStep{
-			{"add global", []map[string]string{{"g/glob.c": "int g_probe = 0;\n"}}, 2},
-			{"remove global", []map[string]string{{"g/glob.c": del}}, 1},
+			{"add global", []map[string]string{{"g/glob.c": "int g_probe = 0;\n"}}, 1, nil},
+			{"remove global", []map[string]string{{"g/glob.c": del}}, 0, nil},
 		}},
 		{"cross-file cycle made and broken", []shardedStep{
-			{"make", []map[string]string{{"u/pong.c": "int pong(int n) { return ping(n); }\n"}}, 2},
+			{"make", []map[string]string{{"u/pong.c": "int pong(int n) { return ping(n); }\n"}}, 1, nil},
 			// A body edit moves a member's line, not the graph: its finding
 			// is re-rendered without an SCC.
-			{"move a member's line", []map[string]string{{"s/ping.c": "\n" + base["s/ping.c"]}}, 1},
-			{"break by callee change", []map[string]string{{"u/pong.c": "int pong(int n) { return n; }\n"}}, 1},
-			{"remake", []map[string]string{{"u/pong.c": "int pong(int n) { return ping(n); }\n"}}, 1},
-			{"break by removal", []map[string]string{{"u/pong.c": del}}, 1},
+			{"move a member's line", []map[string]string{{"s/ping.c": "\n" + base["s/ping.c"]}}, 1, nil},
+			{"break by callee change", []map[string]string{{"u/pong.c": "int pong(int n) { return n; }\n"}}, 1, nil},
+			{"remake", []map[string]string{{"u/pong.c": "int pong(int n) { return ping(n); }\n"}}, 1, nil},
+			{"break by removal", []map[string]string{{"u/pong.c": del}}, 0, nil},
 		}},
 		{"two applies between one pair of runs", []shardedStep{
 			{"flip and add global", []map[string]string{
 				{"m/lib.c": "void helper(int x) { (void)x; }\nint g_seen;\n"},
 				{"g/glob.c": "int g_probe = 0;\n"},
-			}, 5},
+			}, 2, nil},
 			{"flip back and body edit", []map[string]string{
 				{"m/lib.c": base["m/lib.c"]},
 				{"t/unrelated.c": "int quiet(int k) { return k; }\n"},
-			}, 4},
+			}, 2, nil},
 		}},
 		{"more names than the scan takes", []shardedStep{
-			// However many names move, only their readers are re-checked:
-			// the added file and o/shadow.c, which spells g_probe.
-			{"add", []map[string]string{{"g/many.c": manyGlobals(200) + "int g_probe;\n"}}, 2},
-			{"remove", []map[string]string{{"g/many.c": del}}, 1},
-			{"body edit after", []map[string]string{{"t/unrelated.c": "int quiet(int k) { return k; }\n"}}, 1},
+			// However many names move, only the added file is walked;
+			// o/shadow.c's local g_probe flips to a shadowing finding.
+			{"add", []map[string]string{{"g/many.c": manyGlobals(200) + "int g_probe;\n"}}, 1, nil},
+			{"remove", []map[string]string{{"g/many.c": del}}, 0, nil},
+			{"body edit after", []map[string]string{{"t/unrelated.c": "int quiet(int k) { return k; }\n"}}, 1, nil},
 		}},
 		{"one apply larger than the feed bound", []shardedStep{
 			// The newest generation is never dropped: a run one Apply
-			// behind still reads all of it. Void definitions move only
-			// graph facts, so the one shadowed global is the only name
-			// scanned for.
-			{"flood", []map[string]string{{"z/flood.c": manyVoids(artifact.FeedRetention+1) + "int g_probe;\n"}}, 2},
+			// behind still reads all of it, so the one shadowed global
+			// flips o/shadow.c's condition.
+			{"flood", []map[string]string{{"z/flood.c": manyVoids(artifact.FeedRetention+1) + "int g_probe;\n"}}, 1, nil},
 		}},
 		{"feed overrun", []shardedStep{
 			// The body edit's Apply drops the flood generation, which the
-			// engine had not read, shadowed global included.
+			// engine had not read, shadowed global included: every
+			// condition is re-evaluated, and only the two changed files
+			// are walked.
 			{"full flood then body edit", []map[string]string{
 				{"z/flood.c": manyVoids(artifact.FeedRetention+1) + "int g_probe;\n"},
 				{"t/unrelated.c": "int quiet(int k) { return k; }\n"},
-			}, 9},
-			{"body edit after overrun", []map[string]string{{"t/unrelated.c": base["t/unrelated.c"]}}, 1},
+			}, 2, nil},
+			{"body edit after overrun", []map[string]string{{"t/unrelated.c": base["t/unrelated.c"]}}, 1, nil},
 		}},
 		{"body edits past the feed bound", []shardedStep{
 			// Body edits record nothing, so no number of them overruns.
-			{"edits", bodyEdits("t/unrelated.c", artifact.FeedRetention+1), 1},
+			{"edits", bodyEdits("t/unrelated.c", artifact.FeedRetention+1), 1, nil},
 		}},
 		// The counts move by the edited file's difference. A goto is the
 		// only finding of its rule: removing it takes the rule's count, and
 		// its (rule, module) pair, to zero, and a count kept at zero would
 		// differ from a flat Aggregate.
 		{"findings change in place", []shardedStep{
-			{"add the only goto", []map[string]string{{"t/unrelated.c": gotoQuiet}}, 1},
-			{"drop it again", []map[string]string{{"t/unrelated.c": base["t/unrelated.c"]}}, 1},
-			{"drop the module's last multi-exit", []map[string]string{{"t/unrelated.c": "int quiet(int k) { return k; }\n"}}, 1},
+			{"add the only goto", []map[string]string{{"t/unrelated.c": gotoQuiet}}, 1, nil},
+			{"drop it again", []map[string]string{{"t/unrelated.c": base["t/unrelated.c"]}}, 1, nil},
+			{"drop the module's last multi-exit", []map[string]string{{"t/unrelated.c": "int quiet(int k) { return k; }\n"}}, 1, nil},
 		}},
 		{"two applies before one run move the counts once", []shardedStep{
 			{"findings change twice", []map[string]string{
 				{"t/unrelated.c": gotoQuiet},
 				{"t/unrelated.c": "int quiet(int k) { return k; }\n"},
-			}, 1},
+			}, 1, nil},
 			{"a file added and removed", []map[string]string{
 				{"w/gone.c": "int gone(int k) { if (k) { return 1; } return 0; }\n"},
 				{"w/gone.c": del},
-			}, 0},
+			}, 0, nil},
 		}},
 		// An earlier path's definition with the same callees and voidness
 		// takes over as a cyclic name's champion without a feed entry, so
 		// the cached finding must move with the changed file alone.
 		{"champion taken over without a feed entry", []shardedStep{
-			{"make", []map[string]string{{"u/pong.c": "int pong(int n) { return ping(n); }\n"}}, 2},
-			{"earlier duplicate", []map[string]string{{"a/pong.c": "\nint pong(int n) { return ping(n); }\n"}}, 1},
-			{"re-parse keeps the finding", []map[string]string{{"a/pong.c": "\nint pong(int n) { return ping(n + 0); }\n"}}, 1},
-			{"remove the duplicate", []map[string]string{{"a/pong.c": del}}, 0},
+			{"make", []map[string]string{{"u/pong.c": "int pong(int n) { return ping(n); }\n"}}, 1, nil},
+			{"earlier duplicate", []map[string]string{{"a/pong.c": "\nint pong(int n) { return ping(n); }\n"}}, 1, nil},
+			{"re-parse keeps the finding", []map[string]string{{"a/pong.c": "\nint pong(int n) { return ping(n + 0); }\n"}}, 1, nil},
+			{"remove the duplicate", []map[string]string{{"a/pong.c": del}}, 0, nil},
 			{"duplicate added and removed before one run", []map[string]string{
 				{"a/pong.c": "int pong(int n) { return ping(n); }\n"},
 				{"a/pong.c": del},
-			}, 0},
+			}, 0, nil},
 		}},
 		// The on-cycle set's component bookkeeping. Each row ends by
 		// breaking a cycle at a node that no longer reaches its
 		// cycle-mates, which leave the set only if the node's component
-		// roots them.
+		// roots them. A change touching one component roots Tarjan at its
+		// members alone; a restored engine knows no component, so its
+		// first graph change roots at every on-cycle name.
 		{"two disjoint cycles, one broken", []shardedStep{
-			{"make both", []map[string]string{{"u/pong.c": pongCalls("ping(n)"), "v/one.c": oneCalls("two(n)"), "v/two.c": twoCalls("one(n)")}}, 4},
-			{"break one, the other stays", []map[string]string{{"u/pong.c": pongCalls("n")}}, 1},
-			{"break the other", []map[string]string{{"v/one.c": oneCalls("n")}}, 1},
+			{"make both", []map[string]string{{"u/pong.c": pongCalls("ping(n)"), "v/one.c": oneCalls("two(n)"), "v/two.c": twoCalls("one(n)")}}, 3,
+				[]string{"one", "pong", "two"}},
+			{"break one, the other stays", []map[string]string{{"u/pong.c": pongCalls("n")}}, 1, []string{"ping", "pong"}},
+			{"break the other", []map[string]string{{"v/one.c": oneCalls("n")}}, 1, []string{"one", "two"}},
 		}},
 		{"a new edge merges two cycles, its removal splits them", []shardedStep{
-			{"make both, linked one way", []map[string]string{{"u/pong.c": pongCalls("ping(n)"), "v/one.c": oneCalls("two(n)"), "v/two.c": twoCalls("one(n) + ping(n)")}}, 4},
-			{"merge", []map[string]string{{"u/pong.c": pongCalls("ping(n) + one(n)")}}, 1},
-			{"split", []map[string]string{{"u/pong.c": pongCalls("ping(n)")}}, 1},
-			{"break the first", []map[string]string{{"v/one.c": oneCalls("n")}}, 1},
-			{"break the second", []map[string]string{{"u/pong.c": pongCalls("n")}}, 1},
+			{"make both, linked one way", []map[string]string{{"u/pong.c": pongCalls("ping(n)"), "v/one.c": oneCalls("two(n)"), "v/two.c": twoCalls("one(n) + ping(n)")}}, 3, nil},
+			{"merge", []map[string]string{{"u/pong.c": pongCalls("ping(n) + one(n)")}}, 1, []string{"ping", "pong"}},
+			{"split", []map[string]string{{"u/pong.c": pongCalls("ping(n)")}}, 1, []string{"one", "ping", "pong", "two"}},
+			{"break the first", []map[string]string{{"v/one.c": oneCalls("n")}}, 1, []string{"one", "two"}},
+			{"break the second", []map[string]string{{"u/pong.c": pongCalls("n")}}, 1, []string{"ping", "pong"}},
 		}},
 		{"first graph change on a restored engine", []shardedStep{
-			{"make both", []map[string]string{{"u/pong.c": pongCalls("ping(n)"), "v/one.c": oneCalls("two(n)"), "v/two.c": twoCalls("one(n)")}}, 4},
-			{"restored, break one", []map[string]string{{"u/pong.c": pongCalls("n")}}, 1},
-			{"restored again, break the other", []map[string]string{{"v/one.c": oneCalls("n")}}, 1},
+			{"make both", []map[string]string{{"u/pong.c": pongCalls("ping(n)"), "v/one.c": oneCalls("two(n)"), "v/two.c": twoCalls("one(n)")}}, 3, nil},
+			{"restored, break one", []map[string]string{{"u/pong.c": pongCalls("n")}}, 1, []string{"one", "ping", "pong", "two"}},
+			{"restored again, break the other", []map[string]string{{"v/one.c": oneCalls("n")}}, 1, []string{"one", "two"}},
 		}},
 		{"joining a cycle through a node that was acyclic", []shardedStep{
-			{"make", []map[string]string{{"u/pong.c": pongCalls("ping(n)")}}, 2},
-			{"add an acyclic chain into it", []map[string]string{{"x/hop.c": "int hop(int n) { return ping(n); }\n", "y/far.c": "int far(int n) { return hop(n); }\n"}}, 2},
-			{"close the chain", []map[string]string{{"u/pong.c": pongCalls("ping(n) + far(n)")}}, 1},
-			{"open it again", []map[string]string{{"u/pong.c": pongCalls("ping(n)")}}, 1},
+			{"make", []map[string]string{{"u/pong.c": pongCalls("ping(n)")}}, 1, nil},
+			{"add an acyclic chain into it", []map[string]string{{"x/hop.c": "int hop(int n) { return ping(n); }\n", "y/far.c": "int far(int n) { return hop(n); }\n"}}, 2, nil},
+			{"close the chain", []map[string]string{{"u/pong.c": pongCalls("ping(n) + far(n)")}}, 1, nil},
+			{"open it again", []map[string]string{{"u/pong.c": pongCalls("ping(n)")}}, 1, nil},
 		}},
 	}
 	for _, tc := range cases {
@@ -324,6 +330,11 @@ func TestShardedNameDependencies(t *testing.T) {
 				}
 				for _, files := range st.applies {
 					applyFiles(t, ix, files)
+				}
+				if st.roots != nil {
+					if got := rules.CycleRoots(eng, ix); !reflect.DeepEqual(got, st.roots) {
+						t.Fatalf("%s: Tarjan roots = %q, want %q", st.name, got, st.roots)
+					}
 				}
 				shardedCheck(t, st.name, eng, ix, st.dirty)
 				if full := eng.LastFullRecheck(); full != strings.HasPrefix(st.name, "full") {
@@ -350,13 +361,14 @@ func restoredEngine(t *testing.T, eng *rules.Sharded, ix *artifact.Index) *rules
 		t.Fatal("no corpus segment to restore from")
 	}
 	shards := make(map[string][][]rules.Finding)
+	conds := make(map[string]*rules.Conditions)
 	for _, m := range ix.ShardNames() {
-		if files, ok := eng.ShardFindings(m); ok {
-			shards[m] = files
+		if files, c, ok := eng.ShardFindings(m); ok {
+			shards[m], conds[m] = files, c
 		}
 	}
 	restored := rules.NewSharded(rules.DefaultRules())
-	restored.RestoreCache(ix, corpus, shards)
+	restored.RestoreCache(ix, corpus, shards, conds)
 	return restored
 }
 
@@ -441,9 +453,10 @@ func TestShardedCrossModuleEnv(t *testing.T) {
 	if !hasIgnored() {
 		t.Fatal("ignored-return finding missing before the edit")
 	}
-	// helper becomes void: n/b.c's cached finding is stale and must go.
+	// helper becomes void: n/b.c's cached finding is stale and must go,
+	// without a walk of n/b.c.
 	reparse(t, ix, "m/a.c", "void helper(int x) { (void)x; }\n")
-	shardedCheck(t, "voidness flip", eng, ix, 2)
+	shardedCheck(t, "voidness flip", eng, ix, 1)
 	if hasIgnored() {
 		t.Fatal("stale ignored-return finding survived a cross-module voidness flip")
 	}

@@ -28,11 +28,6 @@ type MultiExitRule struct{}
 // ID implements Rule.
 func (*MultiExitRule) ID() string { return "multi-exit" }
 
-// Describe implements Rule.
-func (*MultiExitRule) Describe() string {
-	return "functions must have one entry and one exit point (ISO26262-6 T8.1)"
-}
-
 // Check implements Rule.
 func (r *MultiExitRule) Check(ctx *Context) []Finding {
 	em := &Emitter{}
@@ -54,7 +49,7 @@ func (r *MultiExitRule) funcFindings(fi *FuncInfo, em *Emitter) {
 }
 
 // Fuse implements Rule.
-func (r *MultiExitRule) Fuse(rg *Registrar, ctx *Context) {
+func (r *MultiExitRule) Fuse(rg *Registrar) {
 	rg.OnFuncExit(r.funcFindings)
 }
 
@@ -64,11 +59,6 @@ type DynamicMemoryRule struct{}
 
 // ID implements Rule.
 func (*DynamicMemoryRule) ID() string { return "dynamic-memory" }
-
-// Describe implements Rule.
-func (*DynamicMemoryRule) Describe() string {
-	return "no dynamic objects or variables (ISO26262-6 T8.2)"
-}
 
 // allocCalls are allocation entry points; cudaMalloc/cudaFree evidence the
 // paper's finding that CUDA intrinsically depends on dynamic memory.
@@ -108,7 +98,7 @@ func (r *DynamicMemoryRule) nodeFindings(fi *FuncInfo, n ccast.Node, em *Emitter
 }
 
 // Fuse implements Rule.
-func (r *DynamicMemoryRule) Fuse(rg *Registrar, ctx *Context) {
+func (r *DynamicMemoryRule) Fuse(rg *Registrar) {
 	rg.OnNode(r.nodeFindings, KCall, KNew, KDelete)
 }
 
@@ -118,11 +108,6 @@ type PointerRule struct{}
 
 // ID implements Rule.
 func (*PointerRule) ID() string { return "pointer" }
-
-// Describe implements Rule.
-func (*PointerRule) Describe() string {
-	return "limited use of pointers (ISO26262-6 T8.6)"
-}
 
 // Check implements Rule.
 func (r *PointerRule) Check(ctx *Context) []Finding {
@@ -178,7 +163,7 @@ func (r *PointerRule) unitFindings(tu *ccast.TranslationUnit, em *Emitter) {
 }
 
 // Fuse implements Rule.
-func (r *PointerRule) Fuse(rg *Registrar, ctx *Context) {
+func (r *PointerRule) Fuse(rg *Registrar) {
 	rg.OnFuncEnter(r.paramFindings)
 	rg.OnNode(func(fi *FuncInfo, n ccast.Node, em *Emitter) {
 		r.declStmtFindings(fi, n.(*ccast.DeclStmt), em)
@@ -192,11 +177,6 @@ type GlobalVarRule struct{}
 
 // ID implements Rule.
 func (*GlobalVarRule) ID() string { return "global-var" }
-
-// Describe implements Rule.
-func (*GlobalVarRule) Describe() string {
-	return "avoid global variables or justify usage (ISO26262-6 T8.5, T1.5)"
-}
 
 // Check implements Rule.
 func (r *GlobalVarRule) Check(ctx *Context) []Finding {
@@ -221,7 +201,7 @@ func (r *GlobalVarRule) unitFindings(tu *ccast.TranslationUnit, em *Emitter) {
 }
 
 // Fuse implements Rule.
-func (r *GlobalVarRule) Fuse(rg *Registrar, ctx *Context) {
+func (r *GlobalVarRule) Fuse(rg *Registrar) {
 	rg.OnUnit(r.unitFindings)
 }
 
@@ -230,11 +210,6 @@ type GotoRule struct{}
 
 // ID implements Rule.
 func (*GotoRule) ID() string { return "goto" }
-
-// Describe implements Rule.
-func (*GotoRule) Describe() string {
-	return "no unconditional jumps (ISO26262-6 T8.9)"
-}
 
 // Check implements Rule.
 func (r *GotoRule) Check(ctx *Context) []Finding {
@@ -257,7 +232,7 @@ func (r *GotoRule) gotoFinding(fi *FuncInfo, g *ccast.Goto, em *Emitter) {
 }
 
 // Fuse implements Rule.
-func (r *GotoRule) Fuse(rg *Registrar, ctx *Context) {
+func (r *GotoRule) Fuse(rg *Registrar) {
 	rg.OnNode(func(fi *FuncInfo, n ccast.Node, em *Emitter) {
 		r.gotoFinding(fi, n.(*ccast.Goto), em)
 	}, KGoto)
@@ -269,11 +244,6 @@ type RecursionRule struct{}
 
 // ID implements Rule.
 func (*RecursionRule) ID() string { return "recursion" }
-
-// Describe implements Rule.
-func (*RecursionRule) Describe() string {
-	return "no recursions (ISO26262-6 T8.10)"
-}
 
 // Check implements Rule. It is the full SCC over every defined name;
 // the sharded engine maintains the same on-cycle set incrementally
@@ -377,7 +347,7 @@ func cycleStatus(byName map[string]*FuncInfo, roots []string) (comp map[string]i
 // whole call graph), so it has no per-file handler to register: the
 // sharded engine keeps its findings in cycleCache, updated from the
 // index change feed.
-func (r *RecursionRule) Fuse(rg *Registrar, ctx *Context) {}
+func (r *RecursionRule) Fuse(rg *Registrar) {}
 
 // UninitializedRule flags local scalars declared without an initializer
 // that are read before any assignment along straight-line statement order
@@ -387,11 +357,6 @@ type UninitializedRule struct{}
 
 // ID implements Rule.
 func (*UninitializedRule) ID() string { return "uninit" }
-
-// Describe implements Rule.
-func (*UninitializedRule) Describe() string {
-	return "initialization of variables (ISO26262-6 T8.3)"
-}
 
 // Check implements Rule.
 func (r *UninitializedRule) Check(ctx *Context) []Finding {
@@ -405,7 +370,7 @@ func (r *UninitializedRule) Check(ctx *Context) []Finding {
 // Fuse implements Rule. The straight-line initialization analysis
 // needs its own block-structured traversal (it prunes under address-of
 // and tracks per-block state), so it registers as a whole-function pass.
-func (r *UninitializedRule) Fuse(rg *Registrar, ctx *Context) {
+func (r *UninitializedRule) Fuse(rg *Registrar) {
 	rg.OnFunc(func(fi *FuncInfo, em *Emitter) {
 		for _, f := range checkUninitBlock(r.ID(), fi, fi.Decl.Body) {
 			em.Emit(f)
@@ -497,37 +462,27 @@ type ShadowRule struct{}
 // ID implements Rule.
 func (*ShadowRule) ID() string { return "shadow" }
 
-// Describe implements Rule.
-func (*ShadowRule) Describe() string {
-	return "no multiple use of variable names (ISO26262-6 T8.4)"
-}
-
 // Check implements Rule.
 func (r *ShadowRule) Check(ctx *Context) []Finding {
-	var out []Finding
+	em := &Emitter{ctx: ctx}
 	for _, fi := range ctx.Funcs() {
-		out = append(out, r.checkFunc(ctx, fi)...)
+		r.checkFunc(fi, em)
 	}
-	return out
+	return em.out
 }
 
 // Fuse implements Rule. Shadowing requires scope-aware recursion
 // through nested blocks, so it registers as a whole-function pass.
-func (r *ShadowRule) Fuse(rg *Registrar, ctx *Context) {
-	rg.OnFunc(func(fi *FuncInfo, em *Emitter) {
-		for _, f := range r.checkFunc(ctx, fi) {
-			em.Emit(f)
-		}
-	})
-}
+func (r *ShadowRule) Fuse(rg *Registrar) { rg.OnFunc(r.checkFunc) }
 
 // checkFunc runs the scoped shadowing analysis over one function. Scopes
 // are kept on one name stack with frame marks instead of per-block map
 // copies: function scopes hold a handful of names, so a linear scan beats
 // allocating and copying a map at every nesting level (this is the rule
-// engine's hottest allocation site on large corpora).
-func (r *ShadowRule) checkFunc(ctx *Context, fi *FuncInfo) []Finding {
-	var out []Finding
+// engine's hottest allocation site on large corpora). A local that no
+// outer declaration holds is emitted under the condition that its name
+// is a global variable.
+func (r *ShadowRule) checkFunc(fi *FuncInfo, em *Emitter) {
 	var names []string
 	for _, p := range fi.Decl.Params {
 		names = append(names, p.Name)
@@ -556,13 +511,11 @@ func (r *ShadowRule) checkFunc(ctx *Context, fi *FuncInfo) []Finding {
 			case *ccast.DeclStmt:
 				for _, d := range s.Decl.Names {
 					if inScope(d.Name) {
-						out = append(out, finding(r.ID(), Warning, fi, d.Span().Start.Line,
+						em.Emit(finding(r.ID(), Warning, fi, d.Span().Start.Line,
 							fmt.Sprintf("declaration of %q shadows an outer declaration", d.Name),
 							refUniqueNames, refNoHiddenFlow))
-					} else if _, isGlobal := ctx.GlobalNames[d.Name]; isGlobal {
-						out = append(out, finding(r.ID(), Warning, fi, d.Span().Start.Line,
-							fmt.Sprintf("declaration of %q shadows a global variable", d.Name),
-							refUniqueNames, refNoHiddenFlow))
+					} else {
+						em.EmitIf(CondName{GlobalVar, d.Name}, fi, d.Span().Start.Line)
 					}
 					names = append(names, d.Name)
 				}
@@ -597,5 +550,4 @@ func (r *ShadowRule) checkFunc(ctx *Context, fi *FuncInfo) []Finding {
 		names = names[:mark]
 	}
 	walkBlock(fi.Decl.Body)
-	return out
 }

@@ -26,11 +26,6 @@ type ComplexityRule struct {
 // ID implements Rule.
 func (*ComplexityRule) ID() string { return "complexity" }
 
-// Describe implements Rule.
-func (*ComplexityRule) Describe() string {
-	return "enforcement of low complexity (ISO26262-6 T1.1)"
-}
-
 // Check implements Rule.
 func (r *ComplexityRule) Check(ctx *Context) []Finding {
 	em := &Emitter{}
@@ -61,7 +56,7 @@ func (r *ComplexityRule) funcFindings(fi *FuncInfo, em *Emitter) {
 }
 
 // Fuse implements Rule.
-func (r *ComplexityRule) Fuse(rg *Registrar, ctx *Context) {
+func (r *ComplexityRule) Fuse(rg *Registrar) {
 	rg.OnFuncExit(r.funcFindings)
 }
 
@@ -73,11 +68,6 @@ type LanguageSubsetRule struct{}
 
 // ID implements Rule.
 func (*LanguageSubsetRule) ID() string { return "lang-subset" }
-
-// Describe implements Rule.
-func (*LanguageSubsetRule) Describe() string {
-	return "use language subsets / MISRA C (ISO26262-6 T1.2)"
-}
 
 // Check implements Rule.
 func (r *LanguageSubsetRule) Check(ctx *Context) []Finding {
@@ -142,7 +132,7 @@ func (r *LanguageSubsetRule) bodyNode(fi *FuncInfo, n ccast.Node, em *Emitter) {
 }
 
 // Fuse implements Rule.
-func (r *LanguageSubsetRule) Fuse(rg *Registrar, ctx *Context) {
+func (r *LanguageSubsetRule) Fuse(rg *Registrar) {
 	rg.OnDecl(r.declFindings)
 	rg.OnFuncEnter(r.funcEnter)
 	rg.OnNode(r.bodyNode, KComma, KKernelLaunch, KCall)
@@ -169,11 +159,6 @@ var refStyle = iso26262.Ref{Table: iso26262.TableCoding, Item: 7}
 
 // ID implements Rule.
 func (*StyleRule) ID() string { return "style" }
-
-// Describe implements Rule.
-func (*StyleRule) Describe() string {
-	return "use style guides (ISO26262-6 T1.7)"
-}
 
 // Check implements Rule.
 func (r *StyleRule) Check(ctx *Context) []Finding {
@@ -212,7 +197,7 @@ func (r *StyleRule) scanUnit(tu *ccast.TranslationUnit, em *Emitter) {
 }
 
 // Fuse implements Rule.
-func (r *StyleRule) Fuse(rg *Registrar, ctx *Context) {
+func (r *StyleRule) Fuse(rg *Registrar) {
 	rg.OnUnit(r.scanUnit)
 }
 
@@ -225,11 +210,6 @@ var refNaming = iso26262.Ref{Table: iso26262.TableCoding, Item: 8}
 
 // ID implements Rule.
 func (*NamingRule) ID() string { return "naming" }
-
-// Describe implements Rule.
-func (*NamingRule) Describe() string {
-	return "use naming conventions (ISO26262-6 T1.8)"
-}
 
 // Check implements Rule.
 func (r *NamingRule) Check(ctx *Context) []Finding {
@@ -272,7 +252,7 @@ func (r *NamingRule) declFindings(tu *ccast.TranslationUnit, n ccast.Node, em *E
 }
 
 // Fuse implements Rule.
-func (r *NamingRule) Fuse(rg *Registrar, ctx *Context) {
+func (r *NamingRule) Fuse(rg *Registrar) {
 	rg.OnDecl(r.declFindings)
 }
 

@@ -20,11 +20,6 @@ type CastRule struct{}
 // ID implements Rule.
 func (*CastRule) ID() string { return "cast" }
 
-// Describe implements Rule.
-func (*CastRule) Describe() string {
-	return "explicit type casts weaken strong typing (ISO26262-6 T1.3)"
-}
-
 // Check implements Rule.
 func (r *CastRule) Check(ctx *Context) []Finding {
 	em := &Emitter{}
@@ -47,7 +42,7 @@ func (r *CastRule) castFinding(fi *FuncInfo, c *ccast.Cast, em *Emitter) {
 }
 
 // Fuse implements Rule.
-func (r *CastRule) Fuse(rg *Registrar, ctx *Context) {
+func (r *CastRule) Fuse(rg *Registrar) {
 	rg.OnNode(func(fi *FuncInfo, n ccast.Node, em *Emitter) {
 		r.castFinding(fi, n.(*ccast.Cast), em)
 	}, KCast)
@@ -62,11 +57,6 @@ type ImplicitConversionRule struct{}
 
 // ID implements Rule.
 func (*ImplicitConversionRule) ID() string { return "implicit-conv" }
-
-// Describe implements Rule.
-func (*ImplicitConversionRule) Describe() string {
-	return "implicit arithmetic conversions (ISO26262-6 T8.7)"
-}
 
 // Check implements Rule.
 func (r *ImplicitConversionRule) Check(ctx *Context) []Finding {
@@ -135,7 +125,7 @@ func (r *ImplicitConversionRule) assignFindings(fi *FuncInfo, n *ccast.Assign, l
 // closure and is reseeded at every function entry; DeclStmt and Assign
 // events arrive in the same DFS order the sequential walk used, so the
 // table evolves identically.
-func (r *ImplicitConversionRule) Fuse(rg *Registrar, ctx *Context) {
+func (r *ImplicitConversionRule) Fuse(rg *Registrar) {
 	localTypes := make(map[string]string)
 	rg.OnFuncEnter(func(fi *FuncInfo, em *Emitter) {
 		r.seedParams(fi, localTypes)

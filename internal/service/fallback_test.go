@@ -12,13 +12,11 @@ import (
 
 // TestFallbackSeriesMatchAcks drives a name-changing add, rename, and
 // remove through HTTP against a snapshot-restored corpus and checks the
-// fallback series against what the client observed: the re-check
-// histogram holds one observation per ack summing to the acks'
-// rule_files_checked, and the hydration counter equals the acks'
-// re-checked files minus the files they parsed. Every unit is a stub
-// when a delta arrives (each delta's assessment demotes what it
-// parsed), so every re-checked file the delta did not parse is
-// hydrated.
+// fallback series against what the client and the assessor observed:
+// the re-check histogram holds one observation per ack summing to the
+// acks' rule_files_checked, which are the files each delta parsed, and
+// the condition histogram one per ack summing to the conditioned
+// findings the assessor re-evaluated for each.
 func TestFallbackSeriesMatchAcks(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Server {
@@ -87,27 +85,35 @@ func TestFallbackSeriesMatchAcks(t *testing.T) {
 	}
 
 	deltas := []struct {
-		req  DeltaRequest
-		want int
+		req         DeltaRequest
+		want, conds int
 	}{
 		// Add: defines added_fn and g_probe (read by n/user.c, o/shadow.c).
 		{DeltaRequest{Corpus: "c", Changed: map[string]string{
-			"r/new.c": "int g_probe;\nint added_fn(int x) { return x; }\n"}}, 3},
+			"r/new.c": "int g_probe;\nint added_fn(int x) { return x; }\n"}}, 1, 2},
 		// Rename: added_fn becomes renamed_fn (read by p/later.c).
 		{DeltaRequest{Corpus: "c", Changed: map[string]string{
-			"r/new.c": "int g_probe;\nint renamed_fn(int x) { return x; }\n"}}, 3},
+			"r/new.c": "int g_probe;\nint renamed_fn(int x) { return x; }\n"}}, 1, 2},
 		// Remove: undefines renamed_fn and g_probe.
-		{DeltaRequest{Corpus: "c", Removed: []string{"r/new.c"}}, 2},
+		{DeltaRequest{Corpus: "c", Removed: []string{"r/new.c"}}, 0, 2},
 	}
-	sum, hydrations, rows := 0, 0, 0
+	evaluated := func() int {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.a.RuleConditionsEvaluated()
+	}
+	sum, conds, rows := 0, 0, 0
 	for i, d := range deltas {
 		var resp DeltaResponse
 		post(ts2, "/delta", d.req, &resp)
-		if got := resp.Delta.RuleFilesChecked; got != d.want {
-			t.Fatalf("delta %d re-checked %d files, want %d", i, got, d.want)
+		if got := resp.Delta.RuleFilesChecked; got != d.want || got != resp.Delta.Parsed {
+			t.Fatalf("delta %d re-checked %d files and parsed %d, want %d", i, got, resp.Delta.Parsed, d.want)
+		}
+		if got := evaluated(); got != d.conds {
+			t.Fatalf("delta %d re-evaluated %d conditions, want %d", i, got, d.conds)
 		}
 		sum += resp.Delta.RuleFilesChecked
-		hydrations += resp.Delta.RuleFilesChecked - resp.Delta.Parsed
+		conds += evaluated()
 		rows += resp.Delta.MetricFilesComputed
 	}
 
@@ -123,7 +129,8 @@ func TestFallbackSeriesMatchAcks(t *testing.T) {
 	series := make(map[string]int64)
 	for _, m := range statz.Metrics {
 		series[m.Name] = m.Value
-		if m.Name == "adserve_delta_rule_files_rechecked" || m.Name == "adserve_delta_metric_files_recomputed" {
+		if m.Name == "adserve_delta_rule_files_rechecked" || m.Name == "adserve_delta_metric_files_recomputed" ||
+			m.Name == "adserve_delta_rule_conditions_evaluated" {
 			series[m.Name+"/sum"] = m.Sum
 		}
 	}
@@ -141,8 +148,11 @@ func TestFallbackSeriesMatchAcks(t *testing.T) {
 	if got := series["adserve_delta_metric_files_recomputed/sum"]; got != int64(rows) || rows != 2 {
 		t.Errorf("metric-row histogram sum = %d, acks' total = %d, want both 2", got, rows)
 	}
-	if got := series["adserve_stubs_hydrated_total"]; got != int64(hydrations) || hydrations != 6 {
-		t.Errorf("hydration counter = %d, acks' re-checked minus parsed = %d, want both 6", got, hydrations)
+	if got := series["adserve_delta_rule_conditions_evaluated"]; got != int64(len(deltas)) {
+		t.Errorf("condition histogram count = %d, want %d acks", got, len(deltas))
+	}
+	if got := series["adserve_delta_rule_conditions_evaluated/sum"]; got != int64(conds) || conds != 6 {
+		t.Errorf("condition histogram sum = %d, assessor's total = %d, want both 6", got, conds)
 	}
 	if got, ok := series["adserve_rule_full_rechecks_total"]; !ok || got != 0 {
 		t.Errorf("full re-check counter = %d (registered %v), want 0", got, ok)
@@ -152,9 +162,9 @@ func TestFallbackSeriesMatchAcks(t *testing.T) {
 // TestBootLeavesCorpusAssessed pins that a boot ends with every corpus
 // assessed: after a crash that leaves one name-changing delta in the
 // journal, the replay parses the edited file and the boot's assessment
-// hydrates its reader and demotes both, so every unit is a stub when
-// the server starts and a following /report only reads — it moves
-// neither the stub count nor the hydration counter.
+// flips its reader's finding and demotes the edited file, so every unit
+// is a stub when the server starts and a following /report only reads —
+// it does not move the stub count.
 func TestBootLeavesCorpusAssessed(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Server {
@@ -206,11 +216,9 @@ func TestBootLeavesCorpusAssessed(t *testing.T) {
 		defer st.mu.Unlock()
 		return st.a.StubUnits()
 	}
-	hydrated := s2.obs.fallback.StubsHydrated
 	if n := stubs(); n != 2 {
 		t.Fatalf("%d of 2 units are stubs after the boot", n)
 	}
-	before := hydrated.Value()
 	r, err := http.Get(ts2.URL + "/report?corpus=c")
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +229,5 @@ func TestBootLeavesCorpusAssessed(t *testing.T) {
 	}
 	if n := stubs(); n != 2 {
 		t.Fatalf("/report left %d of 2 units stubs", n)
-	}
-	if got := hydrated.Value(); got != before {
-		t.Fatalf("/report hydrated %d stubs", got-before)
 	}
 }

@@ -82,10 +82,12 @@ type serverMetrics struct {
 	// rechecked and recomputed observe, per acknowledged delta, the
 	// files the rule engine re-checked and the metric rows the metrics
 	// cache recomputed (the ack's rule_files_checked and
-	// metric_files_computed); fallback is handed to every corpus's
-	// assessor (core.Assessor.SetMetrics).
+	// metric_files_computed), and conditions the conditioned findings it
+	// re-evaluated (core.Assessor.RuleConditionsEvaluated); fallback is
+	// handed to every corpus's assessor (core.Assessor.SetMetrics).
 	rechecked  *obs.Histogram
 	recomputed *obs.Histogram
+	conditions *obs.Histogram
 	fallback   core.FallbackMetrics
 
 	// findingsEncoded observes, per /findings render, the finding rows
@@ -143,14 +145,14 @@ func newServerMetrics() *serverMetrics {
 		"Metric file rows the metrics cache recomputed per acknowledged delta (its metric_files_computed).")
 	m.findingsEncoded = reg.Histogram("adserve_findings_rows_encoded",
 		"Finding rows each /findings render encoded; rows copied from the previous body are not counted, and a read of the cached body renders nothing.")
+	m.conditions = reg.Histogram("adserve_delta_rule_conditions_evaluated",
+		"Conditioned findings the rule engine re-evaluated per acknowledged delta because a name they wait on moved.")
 	m.fallback = core.FallbackMetrics{
-		StubsHydrated: reg.Counter("adserve_stubs_hydrated_total",
-			"Fact-stub units (restored, or demoted after an assessment) re-parsed because the rule engine or metrics cache re-walked them."),
 		FullRechecks: reg.Counter("adserve_rule_full_rechecks_total",
-			"Warm rule runs that re-checked every file because they fell behind the index change feed."),
+			"Warm rule runs that fell behind the index change feed and so re-evaluated every conditioned finding."),
 	}
 	m.blocksRecomputed = reg.Counter("adserve_snapshot_blocks_recomputed_total",
-		"Snapshot finding and metric blocks that failed to decode at boot; their shards are recomputed on first use.")
+		"Snapshot finding and metric blocks that failed to decode at boot or were written by an older format; their shards are parsed at boot and recomputed on first use.")
 	m.journalStale = reg.Counter("adserve_journal_records_stale_total",
 		"Journal records skipped at boot because they carry a superseded snapshot generation.")
 	m.journalTorn = reg.Counter("adserve_journal_torn_tails_total",

@@ -106,7 +106,7 @@ type corpusState struct {
 	// writes the corpus — /assess, /delta, compaction, and the boot that
 	// restores and replays it — ends with the corpus assessed, so a
 	// renderer under the read lock only reads: its caches are warm, and
-	// no unit is parsed, so nothing hydrates or demotes. projMu
+	// no unit is parsed, so nothing parses or demotes. projMu
 	// serializes the renderers against each other.
 	mu sync.RWMutex
 	a  *core.Assessor
@@ -204,7 +204,8 @@ type RestoredCorpus struct {
 	// Torn reports that a torn journal tail was dropped.
 	Torn bool
 	// Recomputed is the number of snapshot finding and metric blocks that
-	// failed to decode; their shards are recomputed on first use.
+	// failed to decode or were written by an older format; their shards
+	// are recomputed on first use.
 	Recomputed int
 	// Clean reports the previous process shut down cleanly (marker
 	// present, nothing to replay).
@@ -746,6 +747,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			MetricFilesComputed: st.a.MetricFilesComputed(),
 		},
 	}
+	conditions := st.a.RuleConditionsEvaluated()
 	var syncJournal func() (int64, error)
 	if st.cs != nil {
 		js := &JournalStats{}
@@ -784,6 +786,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	s.obs.deltaFilesAcked.Add(int64(len(req.Changed) + len(req.Removed)))
 	s.obs.rechecked.Observe(int64(resp.Delta.RuleFilesChecked))
 	s.obs.recomputed.Observe(int64(resp.Delta.MetricFilesComputed))
+	s.obs.conditions.Observe(int64(conditions))
 	writeJSON(w, http.StatusOK, resp)
 }
 

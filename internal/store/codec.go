@@ -125,6 +125,16 @@ func (d *dec) int() int {
 	return int(v)
 }
 
+// uint32 decodes a value that must fit in 32 bits.
+func (d *dec) uint32() uint32 {
+	v := d.uvarint()
+	if d.err == nil && v > 1<<32-1 {
+		d.fail("varint out of uint32 range")
+		return 0
+	}
+	return uint32(v)
+}
+
 // length decodes a count/length field and bounds it by the remaining
 // buffer so corrupt counts cannot drive huge allocations.
 func (d *dec) length() int {

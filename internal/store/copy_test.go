@@ -141,7 +141,7 @@ func TestSnapshotWriteCopiesUntouchedShards(t *testing.T) {
 	steps := []struct {
 		what string
 		ds   []core.Delta
-		// rechecked is the number of files the rule engine must re-check,
+		// rechecked is the number of files the rule engine must walk,
 		// touched the shards touched since the restore after these deltas.
 		rechecked int
 		touched   int64
@@ -150,17 +150,20 @@ func TestSnapshotWriteCopiesUntouchedShards(t *testing.T) {
 		{"rename", []core.Delta{change("perception/zz_copy_solo.cc", "int ZzCopySoloB(int v) {\n  return v;\n}\n")}, 1, 2},
 		{"add", []core.Delta{change("localization/zz_copy_added.cc", "int ZzCopyAdded(int v) {\n  return v * 2;\n}\n")}, 1, 3},
 		{"remove", []core.Delta{{Removed: []string{"prediction/zz_copy_gone.cc"}}}, 0, 4},
-		// ZzCopyLib's only caller lives in control: its file is re-checked
-		// there, so control's rule segment is rebuilt while its metric rows
-		// stay sealed — sealed in one cache only is not copied.
-		{"cross-file rename", []core.Delta{change("planning/zz_copy_lib.cc", "int ZzCopyLibR(int v) {\n  return v + 2;\n}\n")}, 2, 5},
-		// 130 changed names that no other file spells: only the new file
-		// is re-checked.
+		// ZzCopyLib's only caller lives in control: its ignored-return
+		// finding flips without a walk, so control's rule segment is
+		// rebuilt while its metric rows stay sealed — sealed in one cache
+		// only is not copied.
+		{"cross-file rename", []core.Delta{change("planning/zz_copy_lib.cc", "int ZzCopyLibR(int v) {\n  return v + 2;\n}\n")}, 1, 5},
+		// 130 changed names that no other file reads: only the new file
+		// is walked.
 		{"more than 128 names", []core.Delta{change("planning/zz_copy_many.cc", many.String())}, 1, 5},
 		// The body edit drops the flood's feed entries before the engine
-		// reads them: every file is re-checked and no shard stays sealed.
+		// reads them: every condition is re-evaluated and none flips, so
+		// only the two edited files are walked and no other shard is
+		// rebuilt.
 		{"feed overrun", []core.Delta{change("planning/zz_copy_flood.cc", flood.String()),
-			change("planning/zz_copy_lib.cc", "int ZzCopyLibR(int v) {\n  return v + 3;\n}\n")}, -1, shards},
+			change("planning/zz_copy_lib.cc", "int ZzCopyLibR(int v) {\n  return v + 3;\n}\n")}, 2, 5},
 	}
 	for _, s := range steps {
 		for _, d := range s.ds {
@@ -169,12 +172,8 @@ func TestSnapshotWriteCopiesUntouchedShards(t *testing.T) {
 			}
 		}
 		rec.Findings()
-		want := s.rechecked
-		if want < 0 {
-			want = rec.FileSet().Len()
-		}
-		if n := rec.RuleFilesChecked(); n != want {
-			t.Fatalf("%s: re-checked %d files, want %d", s.what, n, want)
+		if n := rec.RuleFilesChecked(); n != s.rechecked {
+			t.Fatalf("%s: re-checked %d files, want %d", s.what, n, s.rechecked)
 		}
 		compactAndCompare(t, s.what, cs, cdir, w, rec, shards-s.touched, s.touched)
 		if s.what == "body edit" {

@@ -20,10 +20,11 @@ import (
 // another shard, an add, a remove, a delta moving 130 names, and two
 // deltas before one assessment that overrun the change feed — answers
 // byte for byte alike on the demoted assessor and on one restored from
-// its export, each hydrating exactly the re-checked files the deltas
-// did not parse. At rest after every step, on both sides, every record
-// the index's views hold is one its unit lists (hydration and demotion
-// keep record identity) and carries no declaration.
+// its export, each walking exactly the files the deltas parsed, and
+// re-evaluating conditioned findings exactly when a delta moved a name
+// one waits on. At rest after every step, on both sides, every record
+// the index's views hold is one its unit lists (demotion keeps record
+// identity) and carries no declaration.
 func TestDemotedStateMatchesRestored(t *testing.T) {
 	gen := corpusgen.New(corpusgen.Params{Modules: 4, FilesPerModule: 40,
 		FuncsPerFile: 3, ViolationsPerFile: 2, CrossFile: true}, 19)
@@ -68,10 +69,11 @@ func TestDemotedStateMatchesRestored(t *testing.T) {
 	script := []struct {
 		what string
 		ds   []core.Delta
-		// readers: the deltas re-check reader, which they do not parse;
-		// full: the second delta drops the first's feed entries before
-		// the engine reads them, so every file is re-checked.
-		readers, full bool
+		// reads: the deltas move a name reader's conditioned finding
+		// waits on; full: the second delta drops the first's feed
+		// entries before the engine reads them, so every condition is
+		// re-evaluated.
+		reads, full bool
 	}{
 		{"body edit", change(edited, strings.Replace(gen.Source(edited), "return ", "return 0 + ", 1)), false, false},
 		{"rename read from another shard", change(target, "int ZzRenamed(int v) {\n  return v + 1;\n}\n"), true, false},
@@ -83,14 +85,14 @@ func TestDemotedStateMatchesRestored(t *testing.T) {
 	}
 
 	type side struct {
-		a                   *core.Assessor
-		hydrated, fullRuns  *obs.Counter
-		wantHydrated, fulls int64
+		a        *core.Assessor
+		fullRuns *obs.Counter
+		fulls    int64
 	}
 	sides := []*side{{a: cold}, {a: restored}}
 	for _, s := range sides {
-		s.hydrated, s.fullRuns = new(obs.Counter), new(obs.Counter)
-		s.a.SetMetrics(core.FallbackMetrics{StubsHydrated: s.hydrated, FullRechecks: s.fullRuns})
+		s.fullRuns = new(obs.Counter)
+		s.a.SetMetrics(core.FallbackMetrics{FullRechecks: s.fullRuns})
 	}
 	for _, step := range script {
 		parsed := make([]int, len(sides))
@@ -105,21 +107,14 @@ func TestDemotedStateMatchesRestored(t *testing.T) {
 		}
 		requireIdentical(t, step.what, cold, restored)
 		for i, s := range sides {
-			checked := s.a.RuleFilesChecked()
-			switch {
-			case step.full:
-				s.fulls++
-				if checked != s.a.FileSet().Len() {
-					t.Fatalf("%s: side %d re-checked %d of %d files, want all", step.what, i, checked, s.a.FileSet().Len())
-				}
-			case step.readers != (checked > parsed[i]):
-				t.Fatalf("%s: side %d re-checked %d files and parsed %d; want a reader re-checked: %v",
-					step.what, i, checked, parsed[i], step.readers)
+			if checked := s.a.RuleFilesChecked(); checked != parsed[i] {
+				t.Fatalf("%s: side %d walked %d files, want the %d it parsed", step.what, i, checked, parsed[i])
 			}
-			s.wantHydrated += int64(checked - parsed[i])
-			if got := s.hydrated.Value(); got != s.wantHydrated {
-				t.Fatalf("%s: side %d hydrated %d stubs, want the re-checked files it did not parse, %d total",
-					step.what, i, got, s.wantHydrated)
+			if conds := s.a.RuleConditionsEvaluated(); (conds > 0) != (step.reads || step.full) {
+				t.Fatalf("%s: side %d re-evaluated %d conditions; want some: %v", step.what, i, conds, step.reads || step.full)
+			}
+			if step.full {
+				s.fulls++
 			}
 			if got := s.fullRuns.Value(); got != s.fulls {
 				t.Fatalf("%s: side %d counted %d full re-checks, want %d", step.what, i, got, s.fulls)
@@ -129,9 +124,6 @@ func TestDemotedStateMatchesRestored(t *testing.T) {
 			}
 			requireRecordsAtRest(t, fmt.Sprintf("%s: side %d", step.what, i), s.a)
 		}
-	}
-	if h := sides[0].hydrated.Value(); h <= int64(cold.FileSet().Len()) {
-		t.Fatalf("the script hydrated %d stubs, want the readers plus a full re-check's worth", h)
 	}
 	requireIdentical(t, "script vs cold", coldAssessor(t, cold), cold)
 }

@@ -13,10 +13,10 @@ import (
 	"repro/internal/srcfile"
 )
 
-// Snapshot format, version 2.
+// Snapshot format, version 3.
 //
 //	magic   "ADSNAP01"                         (8 bytes)
-//	version u32 little-endian                  (= 2)
+//	version u32 little-endian                  (= 3)
 //	section*                                   (one per tag, any order)
 //	  tag      u8      ('H', 'D', 'F', 'U', 'R', 'M')
 //	  length   u32 LE  (payload bytes)
@@ -30,9 +30,17 @@ import (
 // concatenated per-shard blocks:
 //
 //	U  per shard: the shard's unit facts in sorted path order;
-//	R  per shard: one finding list per path (positional — paths come
-//	   from the shard's U block), then one trailing corpus-level block;
+//	R  per shard: the names its conditioned findings wait on (kind and
+//	   name) and the number of its conditions, then per path
+//	   (positional — paths come from the shard's U block) its finding
+//	   list and its conditions (name index, function index, line); then
+//	   one trailing corpus-level finding list;
 //	M  per shard: one metric row per path (positional).
+//
+// A shard's finding names its rule by its index in H's rule list and
+// leaves out its file and module, which its path and shard give. The
+// corpus list is written in full: a finding's file there is the path of
+// the function it reports.
 //
 // D is the shard directory: for every shard its module, file count, a
 // signature slot, and the (offset, length) extents of its U, R, and M
@@ -43,6 +51,11 @@ import (
 // makes every shard's blocks reachable without scanning: a restore
 // decodes them one shard per worker, and a write copies an unchanged
 // shard's blocks verbatim.
+//
+// Version 2 differs only in R's shard blocks: full findings and no
+// conditions. A reader takes them as unusable, so a restore recomputes
+// those shards, and the first write encodes every shard afresh as
+// version 3. Version 1 is refused.
 //
 // Every section must appear exactly once and is CRC-checked eagerly at
 // open, so no block decode reads unchecksummed bytes. Integers
@@ -59,7 +72,9 @@ import (
 
 const (
 	snapMagic   = "ADSNAP01"
-	snapVersion = 2
+	snapVersion = 3
+	// oldVersion is the one older version a reader still opens.
+	oldVersion = 2
 )
 
 var snapTags = []byte{'H', 'D', 'F', 'U', 'R', 'M'}
@@ -125,13 +140,17 @@ func encodeSnapshot(st *core.PersistedState, gen uint64) ([]byte, int, int, erro
 	// them out in state order.
 	blocks := make([]shardBlocks, len(st.Shards))
 	errs := make([]error, len(st.Shards))
+	rix := make(map[string]int, len(st.RuleIDs))
+	for i, id := range st.RuleIDs {
+		rix[id] = i
+	}
 	par.For(par.Workers(len(blocks)), len(blocks), func(k int) {
 		ps, b := &st.Shards[k], &blocks[k]
 		if ps.Encoded != nil {
 			b.files, b.raw = ps.Encoded.Files, ps.Encoded.Blocks
 			return
 		}
-		errs[k] = encodeShard(ps, b)
+		errs[k] = encodeShard(ps, rix, b)
 	})
 	copied := 0
 	for k, err := range errs {
@@ -143,7 +162,7 @@ func encodeSnapshot(st *core.PersistedState, gen uint64) ([]byte, int, int, erro
 		}
 	}
 	var corpus enc
-	encodeFindings(&corpus, st.CorpusFindings)
+	encodeFindings(&corpus, st.CorpusFindings, nil)
 
 	var h enc
 	h.uvarint(gen)
@@ -205,16 +224,37 @@ func encodeSnapshot(st *core.PersistedState, gen uint64) ([]byte, int, int, erro
 	return out.buf, copied, len(blocks) - copied, nil
 }
 
-// encodeShard encodes one shard's U, R and M blocks.
-func encodeShard(ps *core.PersistedShard, b *shardBlocks) error {
+// encodeShard encodes one shard's U, R and M blocks; rix maps each rule
+// ID to its index in the header's rule list.
+func encodeShard(ps *core.PersistedShard, rix map[string]int, b *shardBlocks) error {
 	ufs, fss, rows := ps.Units, ps.Findings, ps.Rows
-	if len(fss) != len(ufs) || len(rows) != len(ufs) || slices.Contains(rows, nil) {
-		return fmt.Errorf("shard %q has %d units, %d finding lists and %d metric rows", ps.Module, len(ufs), len(fss), len(rows))
+	if len(fss) != len(ufs) || ps.Conds == nil || len(ps.Conds.Off) != len(ufs)+1 ||
+		len(rows) != len(ufs) || slices.Contains(rows, nil) {
+		return fmt.Errorf("shard %q has %d units and not as many finding lists, condition lists and metric rows", ps.Module, len(ufs))
 	}
 	var u, r, mm enc
+	r.int(len(ps.Conds.Names))
+	for _, cn := range ps.Conds.Names {
+		r.byte(byte(cn.Kind))
+		r.string(cn.Name)
+	}
+	r.int(len(ps.Conds.Conds))
 	for i := range ufs {
 		encodeUnit(&u, &ufs[i])
-		encodeFindings(&r, fss[i])
+		for k := range fss[i] {
+			f := &fss[i][k]
+			if _, ok := rix[f.RuleID]; !ok || f.File != ufs[i].Path || f.Module != ps.Module {
+				return fmt.Errorf("shard %q: finding %s is not its unit's, or its rule is not the header's", ps.Module, f)
+			}
+		}
+		encodeFindings(&r, fss[i], rix)
+		cs := ps.Conds.Conds[ps.Conds.Off[i]:ps.Conds.Off[i+1]]
+		r.int(len(cs))
+		for _, c := range cs {
+			r.uvarint(uint64(c.Name))
+			r.uvarint(uint64(c.Func))
+			r.uvarint(uint64(c.Line))
+		}
 		encodeMetricRow(&mm, rows[i])
 	}
 	b.files = len(ufs)
@@ -254,6 +294,7 @@ func filesSize(files []core.PersistedFile) int {
 // holding any of them (the restored corpus does) pins the buffer,
 // which is dominated by the sources the corpus needs resident anyway.
 type Snapshot struct {
+	version uint32
 	gen     uint64
 	target  iso26262.ASIL
 	ruleIDs []string
@@ -282,8 +323,9 @@ func openSnapshot(all string) (*Snapshot, error) {
 	if all[:len(snapMagic)] != snapMagic {
 		return nil, fmt.Errorf("%w: bad snapshot magic", errCorrupt)
 	}
-	if v := getU32s(all[len(snapMagic):]); v != snapVersion {
-		return nil, fmt.Errorf("unsupported snapshot version %d (this build reads %d)", v, snapVersion)
+	version := getU32s(all[len(snapMagic):])
+	if version != snapVersion && version != oldVersion {
+		return nil, fmt.Errorf("unsupported snapshot version %d (this build reads %d)", version, snapVersion)
 	}
 	type section struct {
 		payload string
@@ -337,7 +379,8 @@ func openSnapshot(all string) (*Snapshot, error) {
 	}
 
 	s := &Snapshot{
-		fRaw: sections['F'].payload, fBase: sections['F'].base,
+		version: version,
+		fRaw:    sections['F'].payload, fBase: sections['F'].base,
 		uRaw: sections['U'].payload, uBase: sections['U'].base,
 		rRaw: sections['R'].payload, rBase: sections['R'].base,
 		mRaw: sections['M'].payload, mBase: sections['M'].base,
@@ -349,6 +392,13 @@ func openSnapshot(all string) (*Snapshot, error) {
 	s.ruleIDs = h.stringsList()
 	if err := h.done(); err != nil {
 		return nil, fmt.Errorf("snapshot header: %w", err)
+	}
+	// Restored findings carry the default rules' own ID strings: the
+	// strings the engine's walks emit, which compare equal by pointer.
+	for _, r := range rules.DefaultRules() {
+		if i := slices.Index(s.ruleIDs, r.ID()); i >= 0 {
+			s.ruleIDs[i] = r.ID()
+		}
 	}
 
 	d := &dec{buf: sections['D'].payload}
@@ -462,7 +512,7 @@ func (s *Snapshot) State() (*core.PersistedState, error) {
 		return nil, err
 	}
 	d := &dec{buf: s.rRaw[s.corpus.Off : s.corpus.Off+s.corpus.Len]}
-	corpus := decodeFindings(d)
+	corpus := decodeFindings(d, nil, "", "")
 	if err := d.done(); err != nil {
 		return nil, fmt.Errorf("snapshot corpus findings: %w", err)
 	}
@@ -480,7 +530,10 @@ func (s *Snapshot) State() (*core.PersistedState, error) {
 	return st, nil
 }
 
-// decodeShard decodes one directory entry's blocks into ps.
+// decodeShard decodes one directory entry's blocks into ps. A finding
+// block of version 2 holds no conditions, so it is left undecoded, as
+// one that fails to decode is, and the shard's blocks are not handed on
+// for copying: a write encodes them afresh.
 func (s *Snapshot) decodeShard(sh *SnapShard, ps *core.PersistedShard) error {
 	e := &core.EncodedShard{Files: sh.Files, Blocks: [3]string{
 		s.uRaw[sh.Units.Off : sh.Units.Off+sh.Units.Len],
@@ -491,12 +544,46 @@ func (s *Snapshot) decodeShard(sh *SnapShard, ps *core.PersistedShard) error {
 	if err != nil {
 		return fmt.Errorf("snapshot shard %q units: %w", sh.Module, err)
 	}
-	*ps = core.PersistedShard{Module: sh.Module, Units: ufs, Encoded: e}
-	ps.Findings, _ = decodeBlock(e.Blocks[1], sh.Files, func(d *dec, _ int) []rules.Finding { return decodeFindings(d) })
+	*ps = core.PersistedShard{Module: sh.Module, Units: ufs}
+	if s.version == snapVersion {
+		ps.Encoded = e
+		ps.Findings, ps.Conds = s.decodeShardRules(e.Blocks[1], sh.Module, ufs)
+	}
 	// Rows are positional on the wire: each takes its path from the unit
 	// block.
 	ps.Rows, _ = decodeBlock(e.Blocks[2], sh.Files, func(d *dec, i int) *metrics.FileMetrics { return decodeMetricRow(d, ufs[i].Path) })
 	return nil
+}
+
+// decodeShardRules decodes a shard's R block: its finding lists, each
+// finding taking its file from its unit and its module from the shard,
+// and its conditions. Both are nil when the block fails to decode.
+func (s *Snapshot) decodeShardRules(raw, module string, ufs []artifact.UnitFacts) ([][]rules.Finding, *rules.Conditions) {
+	d := &dec{buf: raw}
+	c := &rules.Conditions{Off: make([]int, len(ufs)+1)}
+	n := d.length()
+	for k := 0; k < n && d.err == nil; k++ {
+		kind := rules.CondKind(d.byte())
+		if kind > rules.GlobalVar {
+			d.fail("unknown condition kind")
+		}
+		c.Names = append(c.Names, rules.CondName{Kind: kind, Name: d.string()})
+	}
+	total := d.length()
+	c.Conds = make([]rules.Cond, 0, total)
+	fss := make([][]rules.Finding, len(ufs))
+	for i := 0; i < len(ufs) && d.err == nil; i++ {
+		fss[i] = decodeFindings(d, s.ruleIDs, ufs[i].Path, module)
+		n := d.length()
+		for k := 0; k < n && d.err == nil; k++ {
+			c.Conds = append(c.Conds, rules.Cond{Name: d.uint32(), Func: d.uint32(), Line: d.uint32()})
+		}
+		c.Off[i+1] = len(c.Conds)
+	}
+	if d.done() != nil || len(c.Conds) != total {
+		return nil, nil
+	}
+	return fss, c
 }
 
 // decodeBlock decodes a block of n entries (n < 0: a length-prefixed
@@ -554,14 +641,22 @@ func decodeUnit(d *dec) artifact.UnitFacts {
 	return uf
 }
 
-func encodeFindings(e *enc, fs []rules.Finding) {
+// encodeFindings writes a finding list: in full for the corpus block
+// (rix nil), and for a shard without file and module, its rule as an
+// index (rix) into the header's rule list.
+func encodeFindings(e *enc, fs []rules.Finding, rix map[string]int) {
 	e.int(len(fs))
 	for i := range fs {
 		fd := &fs[i]
-		e.string(fd.RuleID)
-		e.byte(byte(fd.Severity))
-		e.string(fd.File)
-		e.string(fd.Module)
+		if rix == nil {
+			e.string(fd.RuleID)
+			e.byte(byte(fd.Severity))
+			e.string(fd.File)
+			e.string(fd.Module)
+		} else {
+			e.int(rix[fd.RuleID])
+			e.byte(byte(fd.Severity))
+		}
 		e.int(fd.Line)
 		e.string(fd.Msg)
 		e.string(fd.Function)
@@ -573,30 +668,29 @@ func encodeFindings(e *enc, fs []rules.Finding) {
 	}
 }
 
-func decodeFindings(d *dec) []rules.Finding {
+// decodeFindings reads a list encodeFindings wrote: in full when path is
+// empty, and otherwise a shard's, each finding in file path and module
+// module, its rule named by index into ruleIDs.
+func decodeFindings(d *dec, ruleIDs []string, path, module string) []rules.Finding {
 	n := d.length()
 	if d.err != nil || n == 0 {
 		return nil
 	}
 	out := make([]rules.Finding, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
-		fd := rules.Finding{
-			RuleID:   d.string(),
-			Severity: rules.Severity(d.byte()),
-			File:     d.string(),
-			Module:   d.string(),
-			Line:     d.int(),
-			Msg:      d.string(),
-			Function: d.string(),
+		fd := rules.Finding{File: path, Module: module}
+		if path == "" {
+			fd.RuleID, fd.Severity, fd.File, fd.Module = d.string(), rules.Severity(d.byte()), d.string(), d.string()
+		} else if rule := d.int(); rule < len(ruleIDs) {
+			fd.RuleID, fd.Severity = ruleIDs[rule], rules.Severity(d.byte())
+		} else {
+			d.fail("rule index out of range")
 		}
-		nr := d.length()
-		if nr > 0 {
+		fd.Line, fd.Msg, fd.Function = d.int(), d.string(), d.string()
+		if nr := d.length(); nr > 0 {
 			fd.Refs = make([]iso26262.Ref, 0, nr)
 			for k := 0; k < nr && d.err == nil; k++ {
-				fd.Refs = append(fd.Refs, iso26262.Ref{
-					Table: iso26262.TableID(d.int()),
-					Item:  d.int(),
-				})
+				fd.Refs = append(fd.Refs, iso26262.Ref{Table: iso26262.TableID(d.int()), Item: d.int()})
 			}
 		}
 		out = append(out, fd)

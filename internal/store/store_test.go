@@ -16,7 +16,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/corpusgen"
-	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/service"
 	"repro/internal/srcfile"
@@ -163,12 +162,9 @@ func TestRestoredDeltaStaysWarmAndIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hydrated := new(obs.Counter)
-	restored.SetMetrics(core.FallbackMetrics{StubsHydrated: hydrated})
-
 	// A content edit that keeps the exported surface: the restored
-	// engine must re-check exactly the dirty file, not hydrate the
-	// corpus.
+	// engine must walk exactly the dirty file, which arrives parsed, and
+	// parse no stub.
 	victim := gen.Paths()[len(gen.Paths())/2]
 	edit := gen.Source(victim) + "\n// trailing comment\n"
 	d := core.Delta{Changed: []*srcfile.File{{Path: victim, Src: edit}}}
@@ -178,17 +174,22 @@ func TestRestoredDeltaStaysWarmAndIdentical(t *testing.T) {
 	if _, err := a.ApplyDelta(core.Delta{Changed: []*srcfile.File{{Path: victim, Src: edit}}}); err != nil {
 		t.Fatal(err)
 	}
+	restored.Findings()
+	if n, want := restored.StubUnits(), restored.FileSet().Len()-1; n != want {
+		t.Fatalf("restored delta left %d stubs, want %d: only the edited file is parsed", n, want)
+	}
 	requireIdentical(t, "post-delta", a, restored)
 	if n := restored.RuleFilesChecked(); n != 1 {
 		t.Fatalf("restored delta re-checked %d files, want 1", n)
 	}
-	if n := hydrated.Value(); n != 0 {
-		t.Fatalf("delta hydrated %d stubs, want 0: only the edited file is re-checked, and it arrives parsed", n)
-	}
 	requireIdentical(t, "post-delta vs cold", coldAssessor(t, a), restored)
 }
 
-func TestRestoredEnvironmentInvalidationHydrates(t *testing.T) {
+// TestRestoredNameChangeFlipsWithoutParsing adds a global another file's
+// local shadows to a restored assessor: the reader's finding flips
+// through its conditioned finding, and only the added file is parsed
+// and walked.
+func TestRestoredNameChangeFlipsWithoutParsing(t *testing.T) {
 	a, _ := newWarmAssessor(t, 26262)
 	// A file that declares a local named after a global nobody defines
 	// yet: it shadows the global once a later delta adds it.
@@ -207,10 +208,8 @@ func TestRestoredEnvironmentInvalidationHydrates(t *testing.T) {
 	}
 
 	// Adding a file with a fresh global variable and a fresh non-void
-	// function moves the facts of exactly those two names. The fused
-	// engine re-walks the files spelling them — on a restored assessor
-	// it must hydrate exactly those stubs, not walk bodyless
-	// fabrications and not re-parse the rest of the corpus.
+	// function moves the facts of exactly those two names. The probe's
+	// local is the one condition waiting on either.
 	add := &srcfile.File{Path: "perception/zz_new_global.cc",
 		Src: "int g_store_test_probe = 4;\nint UseProbe() { return g_store_test_probe; }\n"}
 	spells := regexp.MustCompile(`\b(g_store_test_probe|UseProbe)\b`)
@@ -223,20 +222,22 @@ func TestRestoredEnvironmentInvalidationHydrates(t *testing.T) {
 	if want != 1 {
 		t.Fatalf("%d snapshot files spell the new names, want only the shadowing probe", want)
 	}
-	hydrated := new(obs.Counter)
-	restored.SetMetrics(core.FallbackMetrics{StubsHydrated: hydrated})
 	for _, eng := range []*core.Assessor{a, restored} {
 		if _, err := eng.ApplyDelta(core.Delta{Changed: []*srcfile.File{{
 			Path: add.Path, Src: add.Src}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	requireIdentical(t, "post-invalidation", a, restored)
-	if got := int(hydrated.Value()); got != want {
-		t.Fatalf("name change hydrated %d stubs, want exactly the %d spelling the new names", got, want)
+	restored.Findings()
+	if n, stubs := restored.StubUnits(), restored.FileSet().Len()-1; n != stubs {
+		t.Fatalf("name change left %d stubs, want %d: only the added file is parsed", n, stubs)
 	}
-	if n := restored.RuleFilesChecked(); n != want+1 {
-		t.Fatalf("name change re-checked %d files, want the added file plus %d readers", n, want)
+	requireIdentical(t, "post-invalidation", a, restored)
+	if n := restored.RuleFilesChecked(); n != 1 {
+		t.Fatalf("name change walked %d files, want the added file", n)
+	}
+	if n := restored.RuleConditionsEvaluated(); n != want {
+		t.Fatalf("name change re-evaluated %d conditions, want the probe's %d", n, want)
 	}
 	requireIdentical(t, "post-invalidation vs cold", coldAssessor(t, a), restored)
 }
@@ -276,7 +277,7 @@ func putU32Slice(b []byte, off int, v uint32) {
 // TestReplayedBodyEditsStayWarm replays more body-edit records than the
 // index change feed retains entries for, with no rule run in between.
 // Body edits move no cross-file fact, so the first run after recovery
-// must re-check exactly the replayed files and hydrate no stub.
+// must re-check exactly the replayed files and parse no stub.
 func TestReplayedBodyEditsStayWarm(t *testing.T) {
 	a, _ := newWarmAssessor(t, 26262)
 	const files, funcs = 4, 40
@@ -338,14 +339,13 @@ func TestReplayedBodyEditsStayWarm(t *testing.T) {
 	if want := rec.FileSet().Len() - files; stubs != want {
 		t.Fatalf("replay left %d stubs, want %d", stubs, want)
 	}
-	hydrated := new(obs.Counter)
-	rec.SetMetrics(core.FallbackMetrics{StubsHydrated: hydrated})
+	rec.Findings()
+	if n := rec.StubUnits(); n != stubs {
+		t.Fatalf("first run after replay left %d stubs, want %d", n, stubs)
+	}
 	requireIdentical(t, "replayed", a, rec)
 	if n := rec.RuleFilesChecked(); n != files {
 		t.Fatalf("first run after replay re-checked %d files, want the %d replayed", n, files)
-	}
-	if n := hydrated.Value(); n != 0 {
-		t.Fatalf("first run after replay hydrated %d stubs, want 0", n)
 	}
 	requireIdentical(t, "replayed vs cold", coldAssessor(t, a), rec)
 }
