@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 	"time"
 
@@ -18,10 +19,14 @@ import (
 // the baselines recorded in BENCH_pipeline.json under "coldpath" — the
 // numbers the []byte lexer fast path, the arena parser, and the lazy
 // per-shard snapshot decode are pinned to. It also gates memory
-// relative to the restore: once assessed, a cold-loaded assessor must
-// hold at most 1.25x the live heap of one restored from its snapshot,
-// since both hold facts, not ASTs. Opt-in via COLD_SMOKE=1 (CI sets it)
-// so ordinary test runs stay fast.
+// relative to the restore, twice: once assessed, a cold-loaded assessor
+// must hold at most 1.25x the live heap of one restored from its
+// snapshot, since both hold facts, not ASTs; and while LoadFileSet runs,
+// the live heap the collector finds (runtime/metrics'
+// /gc/heap/live:bytes, sampled every millisecond) must stay under 2x
+// the restored one, since the load keeps no AST beyond its own file's
+// step. Opt-in via COLD_SMOKE=1 (CI sets it) so ordinary test runs stay
+// fast.
 func TestColdLatencySmoke(t *testing.T) {
 	if os.Getenv("COLD_SMOKE") == "" {
 		t.Skip("set COLD_SMOKE=1 to run the cold-latency regression gate")
@@ -54,13 +59,20 @@ func TestColdLatencySmoke(t *testing.T) {
 	// Cold leg: LoadFileSet + Findings from nothing. Best of a few runs —
 	// the gate asks "can the machine still do it this fast", so
 	// scheduling noise must not fail it (see TestDeltaLatencySmoke).
+	// Only one cold assessor is live at a time, so the load's peak live
+	// heap holds the generator, its sources and the load itself.
 	var want int
 	coldBest := time.Duration(1<<63 - 1)
 	var warm *core.Assessor
+	var loadPeak float64
 	for i := 0; i < 3; i++ {
+		warm = nil
+		fs := gen.FileSet()
 		start := time.Now()
 		a := core.NewAssessor(core.DefaultConfig())
-		if err := a.LoadFileSet(gen.FileSet()); err != nil {
+		var err error
+		loadPeak = max(loadPeak, peakLiveMBDuring(func() { err = a.LoadFileSet(fs) }))
+		if err != nil {
 			t.Fatal(err)
 		}
 		n := len(a.Findings())
@@ -128,6 +140,11 @@ func TestColdLatencySmoke(t *testing.T) {
 	if coldHeap > heapLimit {
 		t.Errorf("cold-loaded assessor holds %.1f MB live after Assess, over 1.25x the restored %.1f MB", coldHeap, restoredHeap)
 	}
+	peakLimit := 2 * restoredHeap
+	t.Logf("peak live heap while LoadFileSet runs: %.1f MB (limit %.1f MB)", loadPeak, peakLimit)
+	if loadPeak >= peakLimit {
+		t.Errorf("the cold load's live heap peaked at %.1f MB, not under 2x the restored %.1f MB", loadPeak, restoredHeap)
+	}
 
 	if coldBest > coldLimit {
 		t.Errorf("cold 10k latency regressed: best %v exceeds 2x recorded baseline %v", coldBest, coldBase)
@@ -135,6 +152,35 @@ func TestColdLatencySmoke(t *testing.T) {
 	if restoreBest > restoreLimit {
 		t.Errorf("restore 10k latency regressed: best %v exceeds 2x recorded baseline %v", restoreBest, restoreBase)
 	}
+}
+
+// peakLiveMBDuring runs fn while a sampler reads the live heap the last
+// collection marked (/gc/heap/live:bytes) every millisecond, and returns
+// the largest reading in MB, including one taken after fn returns.
+func peakLiveMBDuring(fn func()) float64 {
+	done := make(chan struct{})
+	peak := make(chan uint64)
+	go func() {
+		sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		var max uint64
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			metrics.Read(sample)
+			if v := sample[0].Value.Uint64(); v > max {
+				max = v
+			}
+			select {
+			case <-done:
+				peak <- max
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	fn()
+	close(done)
+	return float64(<-peak) / 1e6
 }
 
 // liveHeapMB returns the live heap in MB after two collections.

@@ -57,6 +57,11 @@ func (f *Func) CFG() *cfg.Graph {
 	return f.cfgG
 }
 
+// Demote drops everything of the record that points into its unit's
+// AST, the declaration and the memoized CFG, and keeps its facts: the
+// record a stub unit carries.
+func (f *Func) Demote() { f.Decl, f.cfgOnce, f.cfgG = nil, sync.Once{}, nil }
+
 // Index is the corpus-wide artifact cache shared by the rule engine,
 // metrics, architectural analysis, and coverage instrumentation.
 type Index struct {

@@ -2,7 +2,6 @@ package artifact
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/ccast"
 	"repro/internal/par"
@@ -25,13 +24,14 @@ import (
 // index stores each unit's global names, so a unit needs no AST for
 // them. Restored units are *stubs*: a translation unit holding only its
 // file, whose records carry facts and no declaration (Decl == nil). A
-// parsed unit becomes the same stub once its owner has run every walk
-// that needs its body (Demote), so warm state holds facts, not ASTs,
-// however it was built. Every consumer that walks real ASTs (the fused
-// rule walks, per-file metrics recomputation) only ever touches files
-// whose content changed, which arrive freshly parsed, or files its owner
-// parsed because their cached results were unusable (core.Assessor at
-// restore). Demotion keeps every record: it only clears its Decl.
+// cold load builds the same stubs (core.Assessor parses each file,
+// analyzes it, demotes its records (Func.Demote) and hands them to
+// BuildFromRecords), and a delta-parsed unit becomes one once its owner
+// has run every walk that needs its body (Demote), so warm state holds
+// facts, not ASTs, however it was built. Every consumer that walks real
+// ASTs (the fused rule walks, per-file metrics recomputation) only ever
+// touches files whose content changed, which arrive freshly parsed.
+// Demotion keeps every record: it only clears its Decl and CFG.
 
 // FuncFacts is everything the warm pipeline reads about a function in
 // an untouched file: the facts a Func record embeds and a snapshot
@@ -192,7 +192,7 @@ func BuildFromRecords(units map[string]*ccast.TranslationUnit, recs map[string][
 func (ix *Index) Demote(paths []string) {
 	par.For(par.Workers(len(paths)), len(paths), func(i int) {
 		for _, fa := range ix.unitFuncs[paths[i]] {
-			fa.Decl, fa.cfgOnce, fa.cfgG = nil, sync.Once{}, nil
+			fa.Demote()
 		}
 	})
 	for _, p := range paths {

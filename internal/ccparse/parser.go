@@ -62,12 +62,14 @@ type Options struct {
 // from a private arena, freed wholesale when the unit becomes
 // unreachable.
 func Parse(f *srcfile.File, opts Options) (*ccast.TranslationUnit, []*Error) {
-	return parse(f, opts, &ccast.Arena{})
+	return ParseInto(f, opts, &ccast.Arena{})
 }
 
-// parse parses one file, carving its nodes from arena a, which must
-// outlive the returned unit. ParseAll passes each worker's own arena.
-func parse(f *srcfile.File, opts Options, a *ccast.Arena) (*ccast.TranslationUnit, []*Error) {
+// ParseInto is Parse carving the unit's nodes from the caller's arena a
+// (ignored in reference mode). The unit is valid until a is reset: a
+// caller that reuses one arena across files, as ParseAll's workers and
+// core.Assessor's cold load do, keeps nothing of a unit it resets.
+func ParseInto(f *srcfile.File, opts Options, a *ccast.Arena) (*ccast.TranslationUnit, []*Error) {
 	lx := cclex.New(f.Src)
 	lx.CUDA = f.Lang == srcfile.LangCUDA
 	lx.KeepComments = true // always collect; surfaced on the unit
@@ -2033,16 +2035,17 @@ func charValue(text string) int64 {
 //
 // Unless the caller supplies one, ParseAll creates one shared identifier
 // table for the whole run. It gives each worker one arena of its own,
-// reused across the files that worker parses, so a batch parse performs
-// a handful of slab allocations per file. Callers cannot supply an
-// arena: one shared across workers would race, as ccast.Slab is not
-// safe for concurrent use. The resulting units jointly own the arena
-// memory, and nothing else keeps it: it is released when the last unit
-// of the batch becomes unreachable. The batch therefore has one
-// lifetime — core.Assessor demotes all of its units to fact stubs in
-// one pass at the first Assess after the load — while deltas and
-// restores re-parse single files with private arenas that die one unit
-// at a time.
+// reused across the files that worker parses and never reset, so a
+// batch parse performs a handful of slab allocations per file. Callers
+// cannot supply an arena: one shared across workers would race, as
+// ccast.Slab is not safe for concurrent use. The resulting units
+// jointly own the arena memory, and nothing else keeps it: it is
+// released when the last unit of the batch becomes unreachable, so the
+// batch has one lifetime. It serves callers that keep every AST at
+// once (the reference engines and the figure experiments);
+// core.Assessor's cold load keeps none and parses one file at a time
+// into a worker arena it resets (ParseInto), and deltas parse single
+// files with private arenas that die one unit at a time.
 func ParseAll(fs *srcfile.FileSet, opts Options) (map[string]*ccast.TranslationUnit, []*Error) {
 	files := fs.Files()
 	workers := opts.Workers
@@ -2070,7 +2073,7 @@ func ParseAll(fs *srcfile.FileSet, opts Options) (map[string]*ccast.TranslationU
 	}
 	results := make([]result, len(files))
 	par.ForWorkers(workers, len(files), func(w, i int) {
-		tu, es := parse(files[i], opts, arenas[w])
+		tu, es := ParseInto(files[i], opts, arenas[w])
 		results[i] = result{tu, es}
 	})
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/ccast"
 	"repro/internal/cclex"
-	"repro/internal/ccparse"
 	"repro/internal/coverage"
 	"repro/internal/iso26262"
 	"repro/internal/metrics"
@@ -68,11 +67,10 @@ type Assessor struct {
 	fw       *metrics.FrameworkMetrics
 	arch     []*metrics.ArchMetrics
 
-	// parsed holds the paths whose unit is a parsed AST: the cold batch
-	// until the first Assess, the files a delta parsed, and the files of
-	// shards a restore parsed because a cached block was unusable. Every
-	// other unit is a fact-carrying stub (no statement bodies), restored
-	// or demoted; Assess demotes every parsed unit and empties the set.
+	// parsed holds the paths whose unit is a parsed AST: the files a
+	// delta parsed, until the next Assess demotes them and empties the
+	// set. Every other unit is a fact-carrying stub (no statement
+	// bodies), loaded, restored or demoted.
 	parsed map[string]bool
 	// encoded holds each restored shard's snapshot blocks (nil when the
 	// assessor never restored from a snapshot): ExportState hands them
@@ -130,44 +128,11 @@ func (a *Assessor) LoadDefaultCorpus() error {
 	return a.LoadFileSet(apollocorpus.Generate(specs, a.cfg.Seed))
 }
 
-// LoadFileSet parses an arbitrary corpus (user-provided source trees take
-// this path).
-func (a *Assessor) LoadFileSet(fs *srcfile.FileSet) error {
-	units, errs := ccparse.ParseAll(fs, ccparse.Options{Intern: a.intern})
-	if len(errs) > 0 {
-		// Error-tolerant parsing yields BadDecls; only fail when a file
-		// produced nothing at all.
-		for _, f := range fs.Files() {
-			if tu := units[f.Path]; tu == nil {
-				return fmt.Errorf("core: file %s failed to parse: %v", f.Path, errs[0])
-			}
-		}
-	}
-	a.fs = fs
-	a.units = units
-	a.parsed = make(map[string]bool, len(units))
-	for p := range units {
-		a.parsed[p] = true
-	}
-	a.encoded = nil
-	a.ix = nil
-	a.findings = nil
-	a.stats = nil
-	a.fw = nil
-	a.arch = nil
-	a.gen++
-	return nil
-}
-
-// Index returns (and caches) the shared artifact index: one analysis walk
-// per function, reused by the rule engine, metrics, architectural
-// analysis, and coverage instrumentation.
-func (a *Assessor) Index() *artifact.Index {
-	if a.ix == nil {
-		a.ix = artifact.Build(a.units)
-	}
-	return a.ix
-}
+// Index returns the shared artifact index: one analysis walk per
+// function, reused by the rule engine, metrics, architectural analysis,
+// and coverage instrumentation. The load (or restore) builds it and
+// every delta updates it; nil before a corpus is loaded.
+func (a *Assessor) Index() *artifact.Index { return a.ix }
 
 // FileSet returns the loaded corpus.
 func (a *Assessor) FileSet() *srcfile.FileSet { return a.fs }
@@ -281,8 +246,9 @@ func (as *Assessment) Gaps() []iso26262.TopicAssessment {
 }
 
 // Assess computes the full compliance verdict set. Once every AST
-// reader of the run is done, it demotes each parsed unit to its fact
-// stub (demote), so the warm state it leaves holds facts, not ASTs.
+// reader of the run is done, it demotes each unit a delta parsed to its
+// fact stub (demote), so the warm state it leaves holds facts, not
+// ASTs.
 func (a *Assessor) Assess() *Assessment {
 	a.runRules()
 	fw := a.Metrics()

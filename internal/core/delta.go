@@ -48,8 +48,7 @@ type DeltaResult struct {
 	// the commit's wall time isolates the in-memory index update.
 	HookNs int64
 	// DirtyShards mirrors the artifact index's ApplyStats: how many
-	// shards' generations the commit moved. Zero when the delta touched
-	// no built index.
+	// shards' generations the commit moved.
 	DirtyShards int
 }
 
@@ -141,7 +140,9 @@ func (a *Assessor) PrepareDelta(d Delta) (*PreparedDelta, error) {
 	}
 
 	// Parse the dirty files before any state can be touched, mirroring
-	// LoadFileSet's tolerance: BadDecls are fine, a nil unit is not.
+	// LoadFileSet's tolerance: BadDecls are fine, a nil unit is not. Each
+	// unit gets a private arena: it lives until the next Assess demotes
+	// it.
 	parseStart := time.Now()
 	pd.parsed = make([]*ccast.TranslationUnit, len(pd.dirty))
 	perr := make([]*ccparse.Error, len(pd.dirty))
@@ -161,9 +162,9 @@ func (a *Assessor) PrepareDelta(d Delta) (*PreparedDelta, error) {
 	return pd, nil
 }
 
-// CommitDelta applies a prepared delta: file set, parse map, and (when
-// built) the artifact index, which re-analyzes only the upserted units
-// and rebuilds only the dirty shards. Callers must serialize commits
+// CommitDelta applies a prepared delta: file set, parse map, and the
+// artifact index, which re-analyzes only the upserted units and
+// rebuilds only the dirty shards. Callers must serialize commits
 // (and any reads) on the assessor.
 func (a *Assessor) CommitDelta(pd *PreparedDelta) (*DeltaResult, error) {
 	if pd == nil || pd.a != a {
@@ -204,10 +205,8 @@ func (a *Assessor) CommitDelta(pd *PreparedDelta) (*DeltaResult, error) {
 		a.parsed[canon.Path] = true
 		res.Parsed++
 	}
-	if a.ix != nil {
-		a.ix.Apply(pd.parsed, removedPaths)
-		res.DirtyShards = a.ix.LastApply().DirtyShards
-	}
+	a.ix.Apply(pd.parsed, removedPaths)
+	res.DirtyShards = a.ix.LastApply().DirtyShards
 
 	// Drop memoized whole-corpus results; the per-shard caches behind
 	// them make the recomputation proportional to the delta. The

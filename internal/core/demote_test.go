@@ -28,12 +28,26 @@ func bodyRefs(a *Assessor, paths ...string) []weak.Pointer[byte] {
 	return wps
 }
 
-// TestAssessReleasesASTs pins that Assess leaves facts, not ASTs: body
-// nodes of units from one ParseAll batch, of a delta-parsed unit and of
-// a unit a restore parsed (its shard's finding block unusable) all die
-// at the first collection after the Assess that demotes them. A batch
-// unit that survived would keep its worker arena's chunks, and with them
-// its neighbours' nodes, alive.
+// requireNoDecls fails if any record of the assessor's index still
+// holds a declaration, that is, a node of a parsed unit.
+func requireNoDecls(t *testing.T, what string, a *Assessor) {
+	t.Helper()
+	for _, p := range a.Index().Paths {
+		for _, fa := range a.Index().UnitFuncs(p) {
+			if fa.Decl != nil {
+				t.Fatalf("%s: record %s of %s holds its declaration", what, fa.Name, p)
+			}
+		}
+	}
+}
+
+// TestAssessReleasesASTs pins that no AST outlives the step that needs
+// it. A cold load keeps none: right after LoadFileSet every unit is a
+// stub and no record holds a declaration, yet the rule engine and the
+// metrics cache have read every file. A restore whose o/ shard lost its
+// finding block runs that shard through the same per-file step, so
+// nothing is parsed after it either. A delta-parsed unit's body nodes
+// die at the first collection after the Assess that demotes it.
 func TestAssessReleasesASTs(t *testing.T) {
 	fs := srcfile.NewFileSet()
 	for i := 0; i < 12; i++ {
@@ -46,11 +60,16 @@ func TestAssessReleasesASTs(t *testing.T) {
 	if err := a.LoadFileSet(fs); err != nil {
 		t.Fatal(err)
 	}
-	var batch []string
-	for _, f := range fs.Files() {
-		batch = append(batch, f.Path)
+	if n := a.StubUnits(); n != fs.Len() {
+		t.Fatalf("%d of %d units are stubs after the load", n, fs.Len())
 	}
-	wps := bodyRefs(a, batch...)
+	if g := a.Gen(); g != 1 {
+		t.Fatalf("the load moved Gen to %d, want 1", g)
+	}
+	if r, m := a.RuleFilesChecked(), a.MetricFilesComputed(); r != fs.Len() || m != fs.Len() {
+		t.Fatalf("the load walked %d files and computed %d metric rows, want %d of each", r, m, fs.Len())
+	}
+	requireNoDecls(t, "after the load", a)
 	a.Assess()
 
 	// Renaming libfn moves a name o/reader.c reads: the delta parses
@@ -64,12 +83,16 @@ func TestAssessReleasesASTs(t *testing.T) {
 		t.Fatalf("rename walked %d files, want the edited file", n)
 	}
 	parsed := bodyRefs(a, "n/lib.c")
+	if len(parsed) == 0 {
+		t.Fatal("no delta-parsed body nodes tracked")
+	}
 	a.Assess()
 	if n := a.StubUnits(); n != fs.Len() {
 		t.Fatalf("%d of %d units are stubs after Assess", n, fs.Len())
 	}
 
-	// A restore whose o/ shard lost its finding block parses that shard.
+	// A restore whose o/ shard lost its finding block recomputes it and
+	// parses nothing that outlives the restore.
 	st, err := a.ExportState()
 	if err != nil {
 		t.Fatal(err)
@@ -83,33 +106,23 @@ func TestAssessReleasesASTs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := r.StubUnits(); n != fs.Len()-1 {
-		t.Fatalf("restore left %d of %d units stubs, want all but o/reader.c", n, fs.Len())
-	}
-	restored := bodyRefs(r, "o/reader.c")
-	if len(wps) == 0 || len(parsed) == 0 || len(restored) == 0 {
-		t.Fatalf("body nodes tracked: %d batch, %d delta-parsed, %d restore-parsed; want some of each",
-			len(wps), len(parsed), len(restored))
-	}
-	r.Assess()
 	if n := r.StubUnits(); n != fs.Len() {
-		t.Fatalf("%d of %d restored units are stubs after Assess", n, fs.Len())
+		t.Fatalf("restore left %d of %d units stubs, want all", n, fs.Len())
+	}
+	requireNoDecls(t, "after the restore", r)
+	if !reflect.DeepEqual(r.Findings(), a.Findings()) {
+		t.Fatal("restored findings differ from the live assessor's")
 	}
 
 	runtime.GC()
-	for _, c := range []struct {
-		what string
-		wps  []weak.Pointer[byte]
-	}{{"batch", wps}, {"delta-parsed", parsed}, {"restore-parsed", restored}} {
-		live := 0
-		for _, wp := range c.wps {
-			if wp.Value() != nil {
-				live++
-			}
+	live := 0
+	for _, wp := range parsed {
+		if wp.Value() != nil {
+			live++
 		}
-		if live > 0 {
-			t.Errorf("%d of %d %s body nodes survive one collection after Assess", live, len(c.wps), c.what)
-		}
+	}
+	if live > 0 {
+		t.Errorf("%d of %d delta-parsed body nodes survive one collection after Assess", live, len(parsed))
 	}
 	runtime.KeepAlive(a)
 	runtime.KeepAlive(r)

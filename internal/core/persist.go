@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/ccast"
-	"repro/internal/ccparse"
 	"repro/internal/iso26262"
 	"repro/internal/metrics"
 	"repro/internal/par"
@@ -35,17 +34,17 @@ import (
 //
 // No stub is ever parsed later: a delta walks only the files it
 // changed, which arrive parsed, and a name whose cross-file facts move
-// flips the rule engine's conditioned findings without a walk. The one
-// exception is settled at restore: a shard whose finding or metric block
-// is unusable (it failed to decode, or an older format holds no
-// conditions) is parsed and analyzed then, as a cold load would, and
-// left out of that cache's fill, so the cache recomputes it on first
-// use.
+// flips the rule engine's conditioned findings without a walk. A shard
+// whose finding or metric block is unusable (it failed to decode, or an
+// older format holds no conditions) goes through the cold load's
+// per-file step at restore (load.go), so its files are parsed, walked
+// and dropped one at a time, and both caches are filled completely.
 //
-// Stubs are not restore-only. Every Assess ends by demoting each parsed
-// unit — a cold load's batch, the files a delta or a restore parsed —
-// to the stub a restore would build from the same facts (demote), so a
-// cold-loaded and a restored assessor hold the same warm state.
+// A cold load is this same fill fed by per-file records instead of a
+// snapshot (LoadFileSet), so a cold-loaded and a restored assessor hold
+// the same warm state: stubs, facts, finding lists and rows. The only
+// units ever parsed in the warm state are a delta's, until the next
+// Assess demotes them to the stub a restore would build (demote).
 
 // PersistedFile is the serializable projection of one corpus file.
 type PersistedFile struct {
@@ -190,13 +189,14 @@ func (a *Assessor) ExportState() (*PersistedState, error) {
 // source yields the whole state (a snapshot decodes every block in one
 // parallel pass); one more parallel pass validates each shard and builds
 // its stubs. The sharded index is rebuilt from the facts, and the rule
-// and metric caches are filled directly, exactly as a cold run fills
-// them, with every filled shard sealed. A shard whose finding lists,
-// conditions or metric rows are missing (a block that failed to decode,
-// or a finding block of an older format) or do not fit its units is
-// parsed and analyzed instead of stubbed, left out of that cache's fill
-// and counted (RecomputedBlocks): the cache recomputes exactly that
-// shard on first use, never serving stale or wrong output.
+// and metric caches are filled directly, as a cold load fills them,
+// with every shard filled from its blocks sealed. A shard whose finding
+// lists, conditions or metric rows are missing (a block that failed to
+// decode, or a finding block of an older format) or do not fit its
+// units goes through the cold load's per-file step instead: both caches
+// take that shard from the step's walks and rows, unsealed, and it is
+// left out of the blocks ExportState hands back, so the next snapshot
+// encodes it afresh. Each unusable block is counted (RecomputedBlocks).
 func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 	st, err := src.State()
 	if err != nil {
@@ -225,25 +225,38 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 
 	// Validate and build each shard's stub units on a worker pool —
 	// the file-set lookups are read-only, and the build writes only
-	// shard-local slices. The shared maps are filled (and cross-shard
-	// duplicates detected) in a sequential merge in shard order, so
-	// errors surface exactly as a sequential loop would report them.
+	// shard-local slices. A shard whose finding or metric block is
+	// unusable goes through the per-file step instead, on the worker's
+	// own loader. The shared maps are filled (and cross-shard duplicates
+	// detected) in a sequential merge in shard order, so errors surface
+	// exactly as a sequential loop would report them.
 	type shardStubs struct {
 		tus     []*ccast.TranslationUnit
 		fas     [][]*artifact.Func
 		globals [][]string
 		// findings and rows report whether the shard's cached lists and
-		// rows are usable; parsed whether its units were parsed because
-		// one of them is not.
-		findings, rows, parsed bool
-		err                    error
+		// rows are usable; when one is not, walks and computed hold the
+		// per-file step's walk and row of each unit.
+		findings, rows bool
+		walks          []rules.FileWalk
+		computed       []*metrics.FileMetrics
+		err            error
 	}
 	parts := make([]shardStubs, len(st.Shards))
-	par.For(par.Workers(len(parts)), len(parts), func(k int) {
+	workers := par.Workers(len(parts))
+	loaders := make([]*loader, workers)
+	par.ForWorkers(workers, len(parts), func(w, k int) {
 		ps, p := &st.Shards[k], &parts[k]
 		p.findings = len(ps.Findings) == len(ps.Units) && condsFit(ps)
 		p.rows = len(ps.Rows) == len(ps.Units) && !slices.Contains(ps.Rows, nil)
-		p.parsed = !p.findings || !p.rows
+		step := !p.findings || !p.rows
+		if step {
+			if loaders[w] == nil {
+				loaders[w] = a.newLoader()
+			}
+			p.walks = make([]rules.FileWalk, len(ps.Units))
+			p.computed = make([]*metrics.FileMetrics, len(ps.Units))
+		}
 		p.tus = make([]*ccast.TranslationUnit, len(ps.Units))
 		p.fas = make([][]*artifact.Func, len(ps.Units))
 		p.globals = make([][]string, len(ps.Units))
@@ -258,18 +271,19 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 				p.err = fmt.Errorf("core: snapshot unit %s filed under shard %q but its module is %q", uf.Path, ps.Module, f.ModuleName())
 				return
 			}
-			if !p.parsed {
+			if !step {
 				p.tus[i], p.fas[i] = artifact.UnitFromFacts(f, uf)
 				p.globals[i] = uf.Globals
 				continue
 			}
-			tu, errs := ccparse.Parse(f, ccparse.Options{Intern: a.intern})
-			if tu == nil {
-				p.err = fmt.Errorf("core: file %s failed to parse: %v", uf.Path, errs)
+			fst, err := loaders[w].load(f)
+			if err != nil {
+				p.err = err
 				return
 			}
-			p.tus[i] = tu
-			p.fas[i], p.globals[i] = artifact.AnalyzeUnit(tu)
+			p.tus[i] = &ccast.TranslationUnit{File: f}
+			p.fas[i], p.globals[i] = fst.recs, fst.globals
+			p.walks[i], p.computed[i] = fst.walk, fst.row
 		}
 	})
 	units := make(map[string]*ccast.TranslationUnit, len(st.Files))
@@ -278,6 +292,8 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 	shardFindings := make(map[string][][]rules.Finding, len(st.Shards))
 	shardConds := make(map[string]*rules.Conditions, len(st.Shards))
 	shardRows := make(map[string][]*metrics.FileMetrics, len(st.Shards))
+	walked := make(map[string][]rules.FileWalk)
+	computed := make(map[string][]*metrics.FileMetrics)
 	encoded := make(map[string]*EncodedShard, len(st.Shards))
 	for k := range st.Shards {
 		ps, p := &st.Shards[k], &parts[k]
@@ -290,20 +306,21 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 				return nil, fmt.Errorf("core: snapshot holds unit %s twice", path)
 			}
 			units[path], recs[path], globals[path] = p.tus[i], p.fas[i], p.globals[i]
-			if p.parsed {
-				a.parsed[path] = true
-			}
 		}
-		if p.findings {
-			shardFindings[ps.Module], shardConds[ps.Module] = ps.Findings, ps.Conds
-		} else {
+		if !p.findings {
 			a.recomputed++
 		}
-		if p.rows {
-			shardRows[ps.Module] = ps.Rows
-		} else {
+		if !p.rows {
 			a.recomputed++
 		}
+		if p.walks != nil {
+			// The step's walks and rows fill both caches, and the shard
+			// stays out of encoded, so ExportState encodes it afresh.
+			walked[ps.Module], computed[ps.Module] = p.walks, p.computed
+			continue
+		}
+		shardFindings[ps.Module], shardConds[ps.Module] = ps.Findings, ps.Conds
+		shardRows[ps.Module] = ps.Rows
 		if ps.Encoded != nil {
 			encoded[ps.Module] = ps.Encoded
 		}
@@ -335,26 +352,26 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 
 	a.fs, a.units, a.ix = fs, units, ix
 	a.encoded = encoded
-	a.ruleEng.RestoreCache(ix, st.CorpusFindings, shardFindings, shardConds)
-	a.mcache.RestoreRows(ix, shardRows)
+	a.ruleEng.RestoreCache(ix, st.CorpusFindings, shardFindings, shardConds, walked)
+	a.mcache.RestoreRows(ix, shardRows, computed)
 	return a, nil
 }
 
 // RecomputedBlocks returns how many snapshot finding and metric blocks
 // were unusable when the assessor was restored (they failed to decode,
-// or an older format wrote them); each leaves its shard to be
-// recomputed in that cache. Zero for assessors that never restored.
+// or an older format wrote them); the restore recomputed each one's
+// shard. Zero for assessors that never restored.
 func (a *Assessor) RecomputedBlocks() int { return a.recomputed }
 
 // StubUnits reports how many units are fact-carrying stubs rather than
 // parsed ASTs. Diagnostics and tests only.
 func (a *Assessor) StubUnits() int { return len(a.units) - len(a.parsed) }
 
-// demote turns every parsed unit back into the fact stub a restore
-// would build from it (artifact.Index.Demote), so its parse arena
-// can be collected, and empties the parsed set. Assess calls it once
-// every AST reader of the run — the rule walk, the dirty metric rows,
-// the arch fold — is done; with nothing parsed it costs O(1).
+// demote turns every unit a delta parsed back into the fact stub a
+// restore would build from it (artifact.Index.Demote), so its parse
+// arena can be collected, and empties the parsed set. Assess calls it
+// once every AST reader of the run — the rule walk, the dirty metric
+// rows, the arch fold — is done; with nothing parsed it costs O(1).
 func (a *Assessor) demote() {
 	if len(a.parsed) == 0 {
 		return

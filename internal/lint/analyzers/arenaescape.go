@@ -37,9 +37,11 @@ var longLived = map[string]map[string]bool{
 	"store":   nil,
 	"service": nil,
 	"cclex":   {"Interner": true},
-	"rules":   {"Sharded": true, "Finding": true, "Stats": true},
-	"metrics": {"Cache": true, "ArchCache": true, "FileMetrics": true, "ModuleMetrics": true, "ArchMetrics": true},
-	"core":    {"PersistedState": true, "PersistedShard": true, "EncodedShard": true},
+	"rules":   {"Sharded": true, "Finding": true, "Stats": true, "FileWalk": true, "Conditions": true},
+	"metrics": {"Cache": true, "ArchCache": true, "FileMetrics": true, "FunctionMetrics": true, "ModuleMetrics": true, "ArchMetrics": true},
+	// fileState is what the cold load's per-file step keeps once it has
+	// reset the worker's arena.
+	"core": {"PersistedState": true, "PersistedShard": true, "EncodedShard": true, "fileState": true},
 	"artifact": {
 		// Facts are the persisted, AST-free projection of a unit; a
 		// node smuggled into them defeats the whole snapshot design.

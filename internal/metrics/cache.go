@@ -32,8 +32,9 @@ import (
 // partial, and a list or partial handed out is never written again.
 //
 // A recomputed row reads each function's span, so every dirty file must
-// be parsed (core.Assessor parses a restored shard it leaves out). Cache
-// is not safe for concurrent use; the Assessor serializes access.
+// be parsed: a delta's files are, and a load fills every other row
+// (Fill, RestoreRows). Cache is not safe for concurrent use; the
+// Assessor serializes access.
 type Cache struct {
 	ix     *artifact.Index
 	shards map[string]*metricShard
@@ -129,7 +130,7 @@ func (c *Cache) AnalyzeIndexed(ix *artifact.Index) *FrameworkMetrics {
 	// dominate), then add them.
 	par.For(par.Workers(len(dirtyPaths)), len(dirtyPaths), func(k int) {
 		p := dirtyPaths[k]
-		dirtySlots[k].ms.files[dirtySlots[k].i] = analyzeFileIndexed(ix.Units[p], ix.UnitFuncs(p))
+		dirtySlots[k].ms.files[dirtySlots[k].i] = FileRow(ix.Units[p], ix.UnitFuncs(p))
 	})
 	for _, sl := range dirtySlots {
 		sl.ms.count(sl.ms.files[sl.i], 1)

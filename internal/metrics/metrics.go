@@ -180,9 +180,11 @@ func functionRow(fa *artifact.Func, file *srcfile.File) *FunctionMetrics {
 	return fm
 }
 
-// analyzeFileIndexed builds file metrics reusing the artifact cache's
-// per-function CCN and return counts instead of re-walking bodies.
-func analyzeFileIndexed(tu *ccast.TranslationUnit, fas []*artifact.Func) *FileMetrics {
+// FileRow builds a parsed unit's metrics row from its artifact records,
+// reusing their CCN and return counts instead of re-walking bodies; it
+// reads each declaration's span and kernel marker. The row holds facts
+// only, never a node of the unit.
+func FileRow(tu *ccast.TranslationUnit, fas []*artifact.Func) *FileMetrics {
 	f := tu.File
 	fm := &FileMetrics{
 		Path:   f.Path,
@@ -214,7 +216,7 @@ func AnalyzeIndexed(ix *artifact.Index) *FrameworkMetrics {
 	files := make([]*FileMetrics, len(paths))
 	par.For(par.Workers(len(paths)), len(paths), func(i int) {
 		p := paths[i]
-		files[i] = analyzeFileIndexed(ix.Units[p], ix.UnitFuncs(p))
+		files[i] = FileRow(ix.Units[p], ix.UnitFuncs(p))
 	})
 	return aggregate(files)
 }

@@ -43,26 +43,40 @@ func (c *Cache) ShardRows(module string) ([]*FileMetrics, bool) {
 }
 
 // RestoreRows seeds the cache against a freshly restored index: every
-// shard in shards (rows, one per path of the shard in its sorted order)
-// is filled at the current unit generations, its rows added to a fresh
-// module partial as a cold run adds them (count), and marked sealed. A
-// shard missing from shards is left empty, so the first AnalyzeIndexed
-// recomputes exactly that shard.
-func (c *Cache) RestoreRows(ix *artifact.Index, shards map[string][]*FileMetrics) {
+// shard in stored (rows read from a snapshot, one per path of the shard
+// in its sorted order) is filled at the current unit generations, its
+// rows added to a fresh module partial as a cold run adds them (count),
+// and marked sealed; every shard in computed (rows the restore computed
+// afresh because its stored block was unusable) is filled the same way,
+// unsealed. A shard in neither is left empty, so the first
+// AnalyzeIndexed recomputes exactly that shard.
+func (c *Cache) RestoreRows(ix *artifact.Index, stored, computed map[string][]*FileMetrics) {
 	c.ix = ix
-	c.shards = make(map[string]*metricShard, len(shards))
+	c.shards = make(map[string]*metricShard, len(stored)+len(computed))
+	c.lastDirty = 0
 	for _, m := range ix.ShardNames() {
-		rows, ok := shards[m]
-		if !ok {
+		rows, sealed := stored[m], true
+		if rows == nil {
+			rows, sealed = computed[m], false
+			c.lastDirty += len(rows)
+		}
+		if rows == nil {
 			continue
 		}
 		sh := ix.Shard(m)
-		ms := &metricShard{gen: sh.Gen(), sealed: true, paths: slices.Clone(sh.Paths()), files: rows, gens: ix.UnitGens(sh)}
+		ms := &metricShard{gen: sh.Gen(), sealed: sealed, paths: slices.Clone(sh.Paths()), files: rows, gens: ix.UnitGens(sh)}
 		ms.thaw(m)
 		for _, fm := range rows {
 			ms.count(fm, 1)
 		}
 		c.shards[m] = ms
 	}
-	c.lastDirty = 0
+}
+
+// Fill seeds the cache against a freshly built index from every shard's
+// rows as a cold load computed them (RestoreRows with nothing stored)
+// and returns the framework result; LastDirty counts every row.
+func (c *Cache) Fill(ix *artifact.Index, rows map[string][]*FileMetrics) *FrameworkMetrics {
+	c.RestoreRows(ix, nil, rows)
+	return c.result(ix)
 }

@@ -14,10 +14,11 @@ import (
 //
 // Each on-cycle name carries the id of its strongly connected
 // component, drawn from a counter, or 0 while it is unknown: the names
-// seeded from a snapshot or found by a full run. A graph-changing update
-// roots Tarjan at the changed nodes C (names defined or undefined, or
-// whose champion's callee list changed), at every member of a component
-// that holds one of them, and at every name whose component is unknown.
+// seeded from a snapshot, whose corpus segment records no components.
+// A graph-changing update roots Tarjan at the changed nodes C (names
+// defined or undefined, or whose champion's callee list changed), at
+// every member of a component that holds one of them, and at every name
+// whose component is unknown.
 // That is exact, for three reasons:
 //
 //   - A component with no changed node keeps all its edges: edges come
@@ -53,7 +54,7 @@ type cycleCache struct {
 	// found maps every on-cycle name to its finding, the champion it
 	// was rendered from, and its component; members maps each known
 	// component to its names. Components are either all unknown (after a
-	// seed or a full run) or all known (after a graph-changing update).
+	// seed) or all known (after a full run or a graph-changing update).
 	found   map[string]onCycle
 	members map[int][]string
 	known   bool
@@ -85,6 +86,32 @@ func (cc *cycleCache) seed(corpus []Finding, byName map[string]*FuncInfo) {
 		}
 	}
 	cc.members, cc.known = make(map[int][]string), false
+	cc.resort()
+	cc.ok = true
+}
+
+// full runs the SCC over every defined name, in sorted order, and
+// installs its on-cycle set with every component known: the findings
+// RecursionRule.Check renders, and each name's component id and the
+// members of each component, as a graph-changing update records them.
+func (cc *cycleCache) full(ctx *Context) {
+	names := make([]string, 0, len(ctx.ByName))
+	for name := range ctx.ByName {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	comp, n := cycleStatus(ctx.ByName, names)
+	base := cc.comps
+	cc.comps += n
+	cc.found = make(map[string]onCycle)
+	cc.members, cc.known = make(map[int][]string), true
+	for _, name := range names {
+		if c := comp[name]; c != 0 {
+			fa := ctx.ByName[name]
+			cc.found[name] = onCycle{champ: fa, f: cc.rule.finding(fa), comp: base + c}
+			cc.members[base+c] = append(cc.members[base+c], name)
+		}
+	}
 	cc.resort()
 	cc.ok = true
 }
@@ -129,14 +156,7 @@ func (cc *cycleCache) roots(changed []string) []string {
 func (cc *cycleCache) update(ctx *Context, changes map[string]artifact.Change, touched []string) (left, came []Finding) {
 	if !cc.ok {
 		left = cc.seg
-		cc.found = make(map[string]onCycle)
-		for _, f := range cc.rule.Check(ctx) {
-			name := artifact.Unqualified(f.Function)
-			cc.found[name] = onCycle{champ: ctx.ByName[name], f: f}
-		}
-		cc.members, cc.known = make(map[int][]string), false
-		cc.resort()
-		cc.ok = true
+		cc.full(ctx)
 		return left, cc.seg
 	}
 	changed := graphChanged(changes)

@@ -210,9 +210,9 @@ func walkDeclNodes(tu *ccast.TranslationUnit, visit func(ccast.Node)) {
 }
 
 // runUnit executes the program over one translation unit: unit hooks,
-// decl-level dispatch, then one fused walk per function body.
-func (rg *Registrar) runUnit(ctx *Context, path string, em *Emitter) {
-	tu := ctx.Units[path]
+// decl-level dispatch, then one fused walk per function body. funcs are
+// the unit's records in source order.
+func (rg *Registrar) runUnit(tu *ccast.TranslationUnit, funcs []*FuncInfo, em *Emitter) {
 	for _, h := range rg.units {
 		h(tu, em)
 	}
@@ -223,7 +223,7 @@ func (rg *Registrar) runUnit(ctx *Context, path string, em *Emitter) {
 			}
 		})
 	}
-	for i, fi := range ctx.unitFuncs[path] {
+	for i, fi := range funcs {
 		em.fn = i
 		for _, h := range rg.funcEnter {
 			h(fi, em)
@@ -247,11 +247,57 @@ func (rg *Registrar) runUnit(ctx *Context, path string, em *Emitter) {
 	}
 }
 
-// runUnits executes per-file programs over the given paths on a worker
-// pool and returns each path's findings, sorted under findingLess with
-// those of its conditions that hold, and its conditions, index-aligned.
-// Each worker builds its own program: rule closures carry per-function
-// state, so a program is never shared between goroutines.
+// Walker is one worker's per-file rule walk: a program and an Emitter
+// of its own, reused across the files the worker walks. Rule closures
+// carry per-function state, so a Walker is never shared between
+// goroutines.
+type Walker struct {
+	prog *Registrar
+	em   Emitter
+}
+
+// NewWalker builds a walker over the rule set.
+func NewWalker(rs []Rule) *Walker { return &Walker{prog: newProgram(rs)} }
+
+// FileWalk is what one file's walk yields: its findings, sorted under
+// findingLess, without those of its conditions, and the conditions,
+// which the engine evaluates against an index (Sharded.Fill).
+type FileWalk struct {
+	Findings []Finding
+	conds    []condAt
+}
+
+// Walk runs the program over one parsed unit and its records. The
+// result holds facts only (findings and conditions), never a node of
+// the unit.
+func (w *Walker) Walk(tu *ccast.TranslationUnit, funcs []*FuncInfo) FileWalk {
+	em := &w.em
+	em.out, em.conds = nil, em.conds[:0]
+	w.prog.runUnit(tu, funcs, em)
+	sortFindings(em.out)
+	return FileWalk{Findings: em.out, conds: slices.Clone(em.conds)}
+}
+
+// withHeld returns the walk's findings with the finding of each
+// condition for which held reports true merged in, in findingLess
+// order. funcs is the file's function list, which the conditions index.
+func (fw FileWalk) withHeld(funcs []*FuncInfo, held func(k int) bool) []Finding {
+	out := fw.Findings
+	for k, c := range fw.conds {
+		if held(k) {
+			out = append(out, c.finding(funcs[c.fn], c.line))
+		}
+	}
+	if len(out) > len(fw.Findings) {
+		sortFindings(out)
+	}
+	return out
+}
+
+// runUnits walks the given paths on a worker pool, one Walker per
+// worker, and returns each path's findings, sorted under findingLess
+// with those of its conditions that hold, and its conditions,
+// index-aligned.
 func runUnits(ctx *Context, rs []Rule, paths []string) ([][]Finding, [][]condAt) {
 	if len(paths) == 0 {
 		return nil, nil
@@ -259,23 +305,15 @@ func runUnits(ctx *Context, rs []Rule, paths []string) ([][]Finding, [][]condAt)
 	perFile := make([][]Finding, len(paths))
 	conds := make([][]condAt, len(paths))
 	workers := par.Workers(len(paths))
-	progs := make([]*Registrar, workers)
-	ems := make([]*Emitter, workers)
-	for w := range progs {
-		progs[w], ems[w] = newProgram(rs), &Emitter{}
+	walkers := make([]*Walker, workers)
+	for w := range walkers {
+		walkers[w] = NewWalker(rs)
 	}
 	par.ForWorkers(workers, len(paths), func(w, i int) {
-		em := ems[w]
-		em.out, em.conds = nil, em.conds[:0]
-		progs[w].runUnit(ctx, paths[i], em)
 		funcs := ctx.unitFuncs[paths[i]]
-		for _, c := range em.conds {
-			if c.holds(ctx) {
-				em.out = append(em.out, c.finding(funcs[c.fn], c.line))
-			}
-		}
-		sortFindings(em.out)
-		perFile[i], conds[i] = em.out, slices.Clone(em.conds)
+		fw := walkers[w].Walk(ctx.Units[paths[i]], funcs)
+		perFile[i] = fw.withHeld(funcs, func(k int) bool { return fw.conds[k].holds(ctx) })
+		conds[i] = fw.conds
 	})
 	return perFile, conds
 }

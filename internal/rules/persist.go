@@ -70,38 +70,86 @@ func (s *Sharded) CorpusFindings() ([]Finding, bool) {
 	return s.corpusSeg, s.ix != nil && s.haveCorpus
 }
 
-// RestoreCache seeds the engine against a freshly restored index: every
+// RestoreCache seeds the engine against a freshly restored index. A
 // shard present in both shards (one finding list per path of the shard,
 // in its sorted order) and conds (its Conditions, each Func indexing the
-// unit's function list) is filled exactly as a cold run fills it and
-// marked sealed; every name gets its truth value from the restored
-// index. A shard missing from either is left empty, so the first Update
-// walks exactly that shard. The engine keeps corpus itself as its corpus
-// segment, and each shard's Off as its offsets, so the caller must not
-// write them afterwards. The recursion rule's on-cycle set is read back
-// from the corpus segment, so the first graph change after restore
-// updates it instead of re-running the corpus-wide SCC; the segment
-// records no components, so that update roots Tarjan at every on-cycle
-// name, once. The counts are built from zero by adding every restored
-// list, as a cold run adds every checked one.
-func (s *Sharded) RestoreCache(ix *artifact.Index, corpus []Finding, shards map[string][][]Finding, conds map[string]*Conditions) {
+// unit's function list) is filled from them and marked sealed; a shard
+// in walked was walked afresh because its stored lists were unusable,
+// and is filled as a cold load fills it (Fill), unsealed. Every name
+// gets its truth value from the restored index. A shard in none of the
+// three is left empty, so the first Update walks exactly that shard. The
+// engine keeps corpus itself as its corpus segment, and each stored
+// shard's Off as its offsets, so the caller must not write them
+// afterwards. The recursion rule's on-cycle set is read back from the
+// corpus segment, so the first graph change after restore updates it
+// instead of re-running the corpus-wide SCC; the segment records no
+// components, so that update roots Tarjan at every on-cycle name, once.
+func (s *Sharded) RestoreCache(ix *artifact.Index, corpus []Finding, shards map[string][][]Finding, conds map[string]*Conditions, walked map[string][]FileWalk) {
 	s.reset(ix)
 	ctx := NewContextFromIndex(ix)
-	s.haveCorpus = true
 	s.corpusSeg = corpus
-	s.counts = Aggregate(corpus)
 	if s.cyc != nil {
 		s.cyc.seed(corpus, ix.ByName)
 	}
+	s.fill(ctx, shards, conds, walked)
+}
+
+// Fill seeds the engine against a freshly built index from the walk of
+// every file (a cold load), each shard's walks in its sorted path order:
+// the restore fill (RestoreCache) fed fresh walks instead of stored
+// lists. Each condition name is evaluated once against the index, and
+// the findings of the conditions that hold are merged into their files'
+// lists. The recursion rule runs its SCC over every defined name, once,
+// and records the components it finds, so a later graph change roots
+// Tarjan only at the components it touches. No shard is sealed: none
+// came from a snapshot.
+func (s *Sharded) Fill(ix *artifact.Index, walked map[string][]FileWalk) {
+	s.reset(ix)
+	ctx := NewContextFromIndex(ix)
+	if s.cyc != nil {
+		s.cyc.full(ctx)
+		s.corpusSeg = s.cyc.seg
+	}
+	s.fill(ctx, nil, nil, walked)
+}
+
+// fill is the one shard fill of RestoreCache and Fill: it maps every
+// stored shard's condition names to the engine's ids, holds every
+// walked file's conditions (creating an id evaluates its name once),
+// then fills the segments in parallel, merging into each walked file's
+// list the findings of its conditions that hold. The counts are built
+// from zero by adding the corpus segment and every filled list, as a
+// cold Update adds every checked one, and Stats is published.
+func (s *Sharded) fill(ctx *Context, shards map[string][][]Finding, conds map[string]*Conditions, walked map[string][]FileWalk) {
+	ix := ctx.Index
+	s.haveCorpus = true
+	s.counts = Aggregate(s.corpusSeg)
 	names := ix.ShardNames()
-	segs := make([]*shardSeg, len(names))
+	type input struct {
+		seg   *shardSeg
+		files [][]Finding
+		walks []FileWalk
+	}
+	ins := make([]input, len(names))
+	s.lastDirty, s.lastConds = 0, 0
 	for k, m := range names {
+		seg := &shardSeg{readers: make(map[uint32]int)}
+		if w := walked[m]; w != nil {
+			held := make([][]Cond, len(w))
+			for i := range w {
+				held[i] = s.hold(ctx, seg, w[i].conds)
+			}
+			seg.coff, seg.conds = concat(held)
+			ins[k] = input{seg: seg, walks: w}
+			s.lastDirty += len(w)
+			continue
+		}
 		c := conds[m]
 		if shards[m] == nil || c == nil {
 			continue
 		}
 		// Map the shard's names to the engine's ids and count them.
-		seg := &shardSeg{readers: make(map[uint32]int), coff: c.Off, conds: slices.Clone(c.Conds)}
+		seg.coff, seg.conds = c.Off, slices.Clone(c.Conds)
 		n := make([]int, len(c.Names))
 		for _, cd := range seg.conds {
 			n[cd.Name]++
@@ -117,20 +165,32 @@ func (s *Sharded) RestoreCache(ix *artifact.Index, corpus []Finding, shards map[
 		for i := range seg.conds {
 			seg.conds[i].Name = ids[seg.conds[i].Name]
 		}
-		segs[k] = seg
+		ins[k] = input{seg: seg, files: shards[m]}
 	}
 	par.For(par.Workers(len(names)), len(names), func(k int) {
-		if seg := segs[k]; seg != nil {
-			sh := ix.Shard(names[k])
-			seg.fill(sh, ix.UnitGens(sh), shards[names[k]], nil, false)
-			seg.sealed = true
+		in := &ins[k]
+		if in.seg == nil {
+			return
 		}
+		sh := ix.Shard(names[k])
+		if in.walks != nil {
+			in.files = make([][]Finding, len(in.walks))
+			for i, fw := range in.walks {
+				cs := in.seg.condsOf(i)
+				in.files[i] = fw.withHeld(ix.UnitFuncs(sh.Paths()[i]), func(j int) bool {
+					return s.names.by[cs[j].Name].truth
+				})
+			}
+		}
+		in.seg.fill(sh, ix.UnitGens(sh), in.files, nil, false)
+		in.seg.sealed = in.walks == nil
 	})
-	for k, seg := range segs {
-		if seg != nil {
-			s.shards[names[k]] = seg
-			s.counts.count(seg.seg, 1)
+	for k, in := range ins {
+		if in.seg != nil {
+			s.shards[names[k]] = in.seg
+			s.counts.count(in.seg.seg, 1)
 		}
 	}
-	s.lastDirty, s.lastConds = 0, 0
+	s.collect(names)
+	s.stats = s.counts.clone()
 }

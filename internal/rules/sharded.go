@@ -9,8 +9,9 @@ import (
 )
 
 // This file implements the sharded incremental rule engine, the one rule
-// engine: a cold run (rules.Run, a fresh engine's first Run) and every
-// warm run of core.Assessor go through it. It caches per-file findings
+// engine: a cold run (rules.Run, a fresh engine's first Run), a cold
+// load's fill from per-file walks (Fill, persist.go) and every warm run
+// of core.Assessor go through it. It caches per-file findings
 // and conditions (cond.go) and rides the artifact index's module shards,
 // its per-unit generations (artifact.Index.UnitGen) and its per-name
 // change feed (artifact.Index.ChangesSince):
@@ -398,18 +399,7 @@ func (s *Sharded) Update(ctx *Context) {
 		pl.seg.fill(pl.sh, pl.gens, pl.files, pl.conds, pl.moved)
 	})
 
-	// Collect the per-shard segments (and the corpus segment) for
-	// Findings to merge.
-	segs := make([][]Finding, 0, len(names)+1)
-	if len(s.corpusSeg) > 0 {
-		segs = append(segs, s.corpusSeg)
-	}
-	for _, m := range names {
-		if seg := s.shards[m]; len(seg.seg) > 0 {
-			segs = append(segs, seg.seg)
-		}
-	}
-	s.segs = segs
+	s.collect(names)
 
 	// Publish a new Stats only when a count moved: a body edit that
 	// keeps its file's findings leaves the published value as it was.
@@ -421,6 +411,21 @@ func (s *Sharded) Update(ctx *Context) {
 	if moved {
 		s.stats = s.counts.clone()
 	}
+}
+
+// collect gathers the per-shard segments, in shard name order after the
+// corpus segment, for Findings and Stream to merge.
+func (s *Sharded) collect(names []string) {
+	segs := make([][]Finding, 0, len(names)+1)
+	if len(s.corpusSeg) > 0 {
+		segs = append(segs, s.corpusSeg)
+	}
+	for _, m := range names {
+		if seg := s.shards[m]; seg != nil && len(seg.seg) > 0 {
+			segs = append(segs, seg.seg)
+		}
+	}
+	s.segs = segs
 }
 
 // reflip returns a file's list fs with the finding of each of its

@@ -285,7 +285,10 @@ func TestShardedNameDependencies(t *testing.T) {
 		// cycle-mates, which leave the set only if the node's component
 		// roots them. A change touching one component roots Tarjan at its
 		// members alone; a restored engine knows no component, so its
-		// first graph change roots at every on-cycle name.
+		// first graph change roots at every on-cycle name, while a fresh
+		// engine's full SCC, cold-run or filled from walks as a cold load
+		// fills it, records every component, so its first rename roots at
+		// the renamed name's component alone.
 		{"two disjoint cycles, one broken", []shardedStep{
 			{"make both", []map[string]string{{"u/pong.c": pongCalls("ping(n)"), "v/one.c": oneCalls("two(n)"), "v/two.c": twoCalls("one(n)")}}, 3,
 				[]string{"one", "pong", "two"}},
@@ -303,6 +306,15 @@ func TestShardedNameDependencies(t *testing.T) {
 			{"make both", []map[string]string{{"u/pong.c": pongCalls("ping(n)"), "v/one.c": oneCalls("two(n)"), "v/two.c": twoCalls("one(n)")}}, 3, nil},
 			{"restored, break one", []map[string]string{{"u/pong.c": pongCalls("n")}}, 1, []string{"one", "ping", "pong", "two"}},
 			{"restored again, break the other", []map[string]string{{"v/one.c": oneCalls("n")}}, 1, []string{"one", "two"}},
+		}},
+		{"first rename on a cold-run engine", []shardedStep{
+			{"make both", []map[string]string{{"u/pong.c": pongCalls("ping(n)"), "v/one.c": oneCalls("two(n)"), "v/two.c": twoCalls("one(n)")}}, 3, nil},
+			{"cold run, rename pong", []map[string]string{{"u/pong.c": "int pong2(int n) { return ping(n); }\n"}}, 1, []string{"ping", "pong", "pong2"}},
+		}},
+		{"first rename on a filled engine", []shardedStep{
+			{"make both", []map[string]string{{"u/pong.c": pongCalls("ping(n)"), "v/one.c": oneCalls("two(n)"), "v/two.c": twoCalls("one(n)")}}, 3, nil},
+			{"filled, rename pong", []map[string]string{{"u/pong.c": "int pong2(int n) { return ping(n); }\n"}}, 1, []string{"ping", "pong", "pong2"}},
+			{"rename one", []map[string]string{{"v/one.c": "int one2(int n) { return two(n); }\n"}}, 1, []string{"one", "one2", "two"}},
 		}},
 		{"joining a cycle through a node that was acyclic", []shardedStep{
 			{"make", []map[string]string{{"u/pong.c": pongCalls("ping(n)")}}, 1, nil},
@@ -325,8 +337,14 @@ func TestShardedNameDependencies(t *testing.T) {
 			eng := rules.NewSharded(rules.DefaultRules())
 			shardedCheck(t, "cold", eng, ix, len(base))
 			for _, st := range tc.steps {
-				if strings.HasPrefix(st.name, "restored") {
+				switch {
+				case strings.HasPrefix(st.name, "restored"):
 					eng = restoredEngine(t, eng, ix)
+				case strings.HasPrefix(st.name, "cold run"):
+					eng = rules.NewSharded(rules.DefaultRules())
+					shardedCheck(t, "cold run", eng, ix, len(ix.Paths))
+				case strings.HasPrefix(st.name, "filled"):
+					eng = filledEngine(t, ix)
 				}
 				for _, files := range st.applies {
 					applyFiles(t, ix, files)
@@ -368,8 +386,29 @@ func restoredEngine(t *testing.T, eng *rules.Sharded, ix *artifact.Index) *rules
 		}
 	}
 	restored := rules.NewSharded(rules.DefaultRules())
-	restored.RestoreCache(ix, corpus, shards, conds)
+	restored.RestoreCache(ix, corpus, shards, conds, nil)
 	return restored
+}
+
+// filledEngine returns a new engine filled by Fill from a walk of every
+// file of ix, as a cold load fills one, after checking it answers as a
+// cold run over ix does.
+func filledEngine(t *testing.T, ix *artifact.Index) *rules.Sharded {
+	t.Helper()
+	w := rules.NewWalker(rules.DefaultRules())
+	walked := make(map[string][]rules.FileWalk)
+	for _, m := range ix.ShardNames() {
+		for _, p := range ix.Shard(m).Paths() {
+			walked[m] = append(walked[m], w.Walk(ix.Units[p], ix.UnitFuncs(p)))
+		}
+	}
+	eng := rules.NewSharded(rules.DefaultRules())
+	eng.Fill(ix, walked)
+	if eng.LastDirty() != len(ix.Paths) {
+		t.Fatalf("Fill walked %d files, want %d", eng.LastDirty(), len(ix.Paths))
+	}
+	shardedCheck(t, "filled", eng, ix, 0)
+	return eng
 }
 
 // TestShardedBodyEditChecksOneFile pins the O(dirty shard) fast path: a

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"runtime/metrics"
 	"time"
 
 	"repro/internal/core"
@@ -107,6 +108,44 @@ type serverMetrics struct {
 	// journal is handed to every corpus store (store.SetMetrics); all
 	// corpora of the server share these series.
 	journal *store.JournalMetrics
+
+	// goRuntime holds one gauge per runtimeSeries entry, set from
+	// runtime/metrics when /metrics or /statz is scraped (readRuntime),
+	// never on another request's path.
+	goRuntime [len(runtimeSeries)]*obs.Gauge
+}
+
+// runtimeSeries is the fixed set of Go runtime/metrics samples the
+// registry exposes as gauges. A float sample is in seconds and is
+// exposed in nanoseconds, as every other duration here is.
+var runtimeSeries = [...]struct{ sample, name, help string }{
+	{"/gc/heap/live:bytes", "adserve_go_heap_live_bytes",
+		"Heap bytes the most recent garbage collection marked live (runtime/metrics /gc/heap/live:bytes)."},
+	{"/gc/heap/goal:bytes", "adserve_go_heap_goal_bytes",
+		"Heap size the current garbage collection cycle aims to finish under (runtime/metrics /gc/heap/goal:bytes)."},
+	{"/gc/cycles/total:gc-cycles", "adserve_go_gc_cycles",
+		"Garbage collection cycles completed since the process started (runtime/metrics /gc/cycles/total:gc-cycles)."},
+	{"/cpu/classes/gc/total:cpu-seconds", "adserve_go_gc_cpu_ns",
+		"Estimated CPU time the garbage collector has spent since the process started, in nanoseconds (runtime/metrics /cpu/classes/gc/total:cpu-seconds)."},
+}
+
+// readRuntime sets the Go runtime gauges from one runtime/metrics read.
+func (m *serverMetrics) readRuntime() {
+	samples := make([]metrics.Sample, len(runtimeSeries))
+	for i := range runtimeSeries {
+		samples[i].Name = runtimeSeries[i].sample
+	}
+	metrics.Read(samples)
+	for i, smp := range samples {
+		var v int64
+		switch smp.Value.Kind() {
+		case metrics.KindUint64:
+			v = int64(smp.Value.Uint64())
+		case metrics.KindFloat64:
+			v = int64(smp.Value.Float64() * 1e9)
+		}
+		m.goRuntime[i].Set(v)
+	}
 }
 
 func newServerMetrics() *serverMetrics {
@@ -152,7 +191,7 @@ func newServerMetrics() *serverMetrics {
 			"Warm rule runs that fell behind the index change feed and so re-evaluated every conditioned finding."),
 	}
 	m.blocksRecomputed = reg.Counter("adserve_snapshot_blocks_recomputed_total",
-		"Snapshot finding and metric blocks that failed to decode at boot or were written by an older format; their shards are parsed at boot and recomputed on first use.")
+		"Snapshot finding and metric blocks that failed to decode at boot or were written by an older format; their shards are parsed, walked and measured again at boot.")
 	m.journalStale = reg.Counter("adserve_journal_records_stale_total",
 		"Journal records skipped at boot because they carry a superseded snapshot generation.")
 	m.journalTorn = reg.Counter("adserve_journal_torn_tails_total",
@@ -172,6 +211,9 @@ func newServerMetrics() *serverMetrics {
 			"Shards whose blocks installed snapshots copied verbatim from the snapshot the corpus was restored from."),
 		ShardsEncoded: reg.Counter("adserve_snapshot_shards_encoded_total",
 			"Shards installed snapshots encoded afresh."),
+	}
+	for i, rs := range runtimeSeries {
+		m.goRuntime[i] = reg.Gauge(rs.name, rs.help)
 	}
 	return m
 }
@@ -296,6 +338,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
+	s.obs.readRuntime()
 	var buf bytes.Buffer
 	if err := s.obs.reg.WritePrometheus(&buf); err != nil {
 		writeErr(w, http.StatusInternalServerError, err.Error())
@@ -318,6 +361,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
+	s.obs.readRuntime()
 	w.Header().Set("Cache-Control", "no-store")
 	writeJSON(w, http.StatusOK, StatzResponse{Metrics: s.obs.reg.Snapshot()})
 }

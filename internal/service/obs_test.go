@@ -6,6 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/metrics"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -98,6 +101,67 @@ func TestMetricsEndpoint(t *testing.T) {
 	_, body2, _ := fetchText(t, ts.URL+"/metrics")
 	if err := obs.ValidateExposition(body2); err != nil {
 		t.Fatalf("second exposition invalid: %v", err)
+	}
+}
+
+// gcCycles reads the completed GC cycle count from runtime/metrics.
+func gcCycles() int64 {
+	s := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64())
+}
+
+// sampleValue returns the value of the unlabeled sample name in an
+// exposition.
+func sampleValue(t *testing.T, body, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("exposition has no %s sample", name)
+	return 0
+}
+
+// TestRuntimeGaugesAtScrape oracle-checks the Go runtime gauges: they
+// are read at scrape time, so the GC cycle count a scrape reports lies
+// between a reading taken before two forced collections, plus two, and
+// a reading taken after the scrape. The heap gauges are positive, and
+// /statz carries the same series.
+func TestRuntimeGaugesAtScrape(t *testing.T) {
+	ts := newTestServer(t)
+	first := gcCycles()
+	runtime.GC()
+	runtime.GC()
+	code, body, _ := fetchText(t, ts.URL+"/metrics")
+	second := gcCycles()
+	if code != http.StatusOK {
+		t.Fatalf("/metrics = %d: %s", code, body)
+	}
+	if err := obs.ValidateExposition(body); err != nil {
+		t.Fatalf("exposition invalid: %v", err)
+	}
+	if got := sampleValue(t, body, "adserve_go_gc_cycles"); got < first+2 || got > second {
+		t.Errorf("scraped GC cycles = %d, want within [%d, %d]", got, first+2, second)
+	}
+	for _, name := range []string{"adserve_go_heap_live_bytes", "adserve_go_heap_goal_bytes"} {
+		if got := sampleValue(t, body, name); got <= 0 {
+			t.Errorf("%s = %d, want a positive heap size", name, got)
+		}
+	}
+	if got := sampleValue(t, body, "adserve_go_gc_cpu_ns"); got < 0 {
+		t.Errorf("adserve_go_gc_cpu_ns = %d, want a non-negative CPU time", got)
+	}
+	first = gcCycles()
+	runtime.GC()
+	got := statzCounter(t, ts.URL, "adserve_go_gc_cycles", nil)
+	if second = gcCycles(); got < first+1 || got > second {
+		t.Errorf("/statz GC cycles = %d, want within [%d, %d]", got, first+1, second)
 	}
 }
 
