@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/apollocorpus"
+	"repro/internal/artifact"
 	"repro/internal/brookauto"
 	"repro/internal/ccast"
 	"repro/internal/ccparse"
@@ -103,8 +104,8 @@ func BenchmarkAssess(b *testing.B) {
 		units := benchCorpus(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fw := metrics.Analyze(units)
-			arch := metrics.AnalyzeArch(units)
+			fw := metrics.AnalyzeIndexed(artifact.Build(units))
+			arch := metrics.AnalyzeArchIndexed(artifact.Build(units))
 			if fw.TotalFunc == 0 || len(arch) == 0 {
 				b.Fatal("empty metrics")
 			}
@@ -628,7 +629,7 @@ func BenchmarkTable2Architecture(b *testing.B) {
 	units := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arch := metrics.AnalyzeArch(units)
+		arch := metrics.AnalyzeArchIndexed(artifact.Build(units))
 		if len(arch) == 0 {
 			b.Fatal("no modules")
 		}
@@ -658,7 +659,7 @@ func BenchmarkFigure3Complexity(b *testing.B) {
 	units := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fw := metrics.Analyze(units)
+		fw := metrics.AnalyzeIndexed(artifact.Build(units))
 		if fw.ModerateOrWorse != 554 {
 			b.Fatalf("moderate-or-worse = %d", fw.ModerateOrWorse)
 		}
@@ -803,7 +804,7 @@ func BenchmarkAblationCorpusScale(b *testing.B) {
 				if len(errs) > 0 {
 					b.Fatal(errs[0])
 				}
-				metrics.Analyze(units)
+				metrics.AnalyzeIndexed(artifact.Build(units))
 			}
 		})
 	}

@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/apollocorpus"
+	"repro/internal/artifact"
 	"repro/internal/ccparse"
 	"repro/internal/metrics"
 	"repro/internal/report"
@@ -59,7 +60,7 @@ func run() (int, error) {
 		if len(errs) > 0 {
 			return 1, fmt.Errorf("parse errors: %d (first: %v)", len(errs), errs[0])
 		}
-		fw := metrics.Analyze(units)
+		fw := metrics.AnalyzeIndexed(artifact.Build(units))
 		t := report.NewTable("Synthetic Apollo-like corpus", "Module", "Files", "LOC", "NLOC", "Functions", "MaxCCN")
 		for _, m := range fw.Modules {
 			t.AddRow(m.Name, m.Files, m.LOC, m.NLOC, m.Functions, m.MaxCCN)

@@ -87,8 +87,7 @@ func TestColdLatencySmoke(t *testing.T) {
 	}
 	coldLimit := 2 * coldBase
 	t.Logf("cold 10k load+assess: best %v (baseline %v, limit %v)", coldBest, coldBase, coldLimit)
-	// Assess demotes the cold batch's ASTs to fact stubs; measure with
-	// only the last cold assessor held.
+	// Measure with only the last cold assessor held.
 	warm.Assess()
 	coldHeap := liveHeapMB()
 

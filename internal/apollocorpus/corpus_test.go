@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/ccast"
 	"repro/internal/ccparse"
 	"repro/internal/cinterp"
@@ -97,7 +98,7 @@ func TestCorpusModuleSizes(t *testing.T) {
 
 func TestCorpusComplexityCalibration(t *testing.T) {
 	units, _ := corpus(t)
-	fw := metrics.Analyze(units)
+	fw := metrics.AnalyzeIndexed(artifact.Build(units))
 	if fw.ModerateOrWorse != 554 {
 		t.Errorf("moderate-or-worse functions = %d, want exactly 554 (Figure 3)",
 			fw.ModerateOrWorse)

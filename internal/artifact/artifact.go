@@ -34,9 +34,10 @@ import (
 type Func struct {
 	FuncFacts
 	// Decl is the parsed declaration, set only while the owning unit
-	// holds a parsed AST. A stub unit's records (restored, or demoted
-	// by Index.Demote) have none. Only walks over a parsed unit's own
-	// bodies or spans read it.
+	// holds a parsed AST: within the per-file step that analyzes it, or
+	// in an index built over parsed units (Build). A stub unit's records
+	// have none. Only walks over a parsed unit's own bodies or spans
+	// read it.
 	Decl   *ccast.FuncDecl
 	File   *srcfile.File
 	Module string
@@ -112,7 +113,7 @@ type Index struct {
 
 // ApplyStats describes what one Apply touched.
 type ApplyStats struct {
-	// Upserts is the number of units (re-)analyzed.
+	// Upserts is the number of units added or replaced.
 	Upserts int
 	// Removals is the number of paths dropped.
 	Removals int
@@ -140,8 +141,8 @@ func (ix *Index) UnitFuncs(path string) []*Func { return ix.unitFuncs[path] }
 
 // UnitGen returns the index generation at which the unit under path was
 // last built, restored or upserted by Apply (0 for a path not indexed).
-// Demote leaves it alone. Within one index, equal (path, UnitGen)
-// pairs denote the same unit content, so per-file caches key on it.
+// Within one index, equal (path, UnitGen) pairs denote the same unit
+// content, so per-file caches key on it.
 func (ix *Index) UnitGen(path string) uint64 { return ix.unitGen[path] }
 
 // Unqualified strips namespace/class qualifiers from a name.
@@ -224,7 +225,7 @@ func SortedPaths(units map[string]*ccast.TranslationUnit) []string {
 
 // AnalyzeUnit runs the per-function analysis over one translation unit
 // and lists its file-scope variable names: the unit's records and
-// globals, as Build and Apply derive them, for BuildFromRecords.
+// globals, as Build derives them, for BuildFromRecords and Apply.
 func AnalyzeUnit(tu *ccast.TranslationUnit) ([]*Func, []string) {
 	mod := tu.File.ModuleName()
 	fns := tu.Funcs()
@@ -256,8 +257,9 @@ func Build(units map[string]*ccast.TranslationUnit) *Index {
 }
 
 // Apply updates the index in place for a corpus delta: every unit in
-// upserts is (re-)analyzed and added or replaced under its path, every
-// path in removals is dropped. Only the upserted units are walked; all
+// units is added or replaced under its path with its records and
+// global names, given in the form BuildFromRecords takes them, and
+// every path in removals is dropped. Apply analyzes nothing, and all
 // other units keep their Func records (and memoized CFGs) by pointer.
 // The name lists lose the entries of the dropped and replaced units and
 // gain those of the upserted ones (dropUnit, addUnit: the code a cold
@@ -267,7 +269,7 @@ func Build(units map[string]*ccast.TranslationUnit) *Index {
 // the rebuild of Paths when a path is added or removed.
 //
 // Apply is not safe for concurrent use with readers of the index.
-func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
+func (ix *Index) Apply(units map[string]*ccast.TranslationUnit, recs map[string][]*Func, globals map[string][]string, removals []string) {
 	ix.gen++
 	t := make(touched)
 	dirty := make(map[string]bool)
@@ -291,13 +293,8 @@ func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
 		pathsChanged = true
 	}
 
-	perUnit := make([][]*Func, len(upserts))
-	perGlobals := make([][]string, len(upserts))
-	par.For(par.Workers(len(upserts)), len(upserts), func(i int) {
-		perUnit[i], perGlobals[i] = AnalyzeUnit(upserts[i])
-	})
-	for i, tu := range upserts {
-		p := tu.File.Path
+	for _, p := range SortedPaths(units) {
+		tu := units[p]
 		mod := tu.File.ModuleName()
 		// Adds and module moves are detected against the shards' own
 		// path lists, never against Units[p] or the previous unit's
@@ -315,7 +312,7 @@ func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
 			}
 		}
 		ix.Units[p] = tu
-		ix.unitFuncs[p], ix.unitGlobals[p], ix.unitGen[p] = perUnit[i], perGlobals[i], ix.gen
+		ix.unitFuncs[p], ix.unitGlobals[p], ix.unitGen[p] = recs[p], globals[p], ix.gen
 		ix.addUnit(p, mod, t)
 		sh := ix.shards[mod]
 		if sh == nil {
@@ -352,7 +349,7 @@ func (ix *Index) Apply(upserts []*ccast.TranslationUnit, removals []string) {
 	}
 	ix.recordChanges(t.changes(ix))
 	ix.lastApply = ApplyStats{
-		Upserts:     len(upserts),
+		Upserts:     len(units),
 		Removals:    len(removals),
 		DirtyShards: len(mods),
 		Shards:      len(ix.shards),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/ccast"
-	"repro/internal/par"
 	"repro/internal/srcfile"
 )
 
@@ -24,14 +23,11 @@ import (
 // index stores each unit's global names, so a unit needs no AST for
 // them. Restored units are *stubs*: a translation unit holding only its
 // file, whose records carry facts and no declaration (Decl == nil). A
-// cold load builds the same stubs (core.Assessor parses each file,
-// analyzes it, demotes its records (Func.Demote) and hands them to
-// BuildFromRecords), and a delta-parsed unit becomes one once its owner
-// has run every walk that needs its body (Demote), so warm state holds
-// facts, not ASTs, however it was built. Every consumer that walks real
-// ASTs (the fused rule walks, per-file metrics recomputation) only ever
-// touches files whose content changed, which arrive freshly parsed.
-// Demotion keeps every record: it only clears its Decl and CFG.
+// cold load and a delta build the same stubs: core.Assessor's per-file
+// step parses each file, analyzes it, runs every walk that needs its
+// body (the fused rule walk, the metrics row), demotes its records
+// (Func.Demote) and hands them to BuildFromRecords or Apply, so warm
+// state holds facts, not ASTs, however it was built.
 
 // FuncFacts is everything the warm pipeline reads about a function in
 // an untouched file: the facts a Func record embeds and a snapshot
@@ -177,25 +173,4 @@ func BuildFromRecords(units map[string]*ccast.TranslationUnit, recs map[string][
 		ix.shards[m].assignGen(ix)
 	}
 	return ix, nil
-}
-
-// Demote replaces the units under paths with the stubs a restore would
-// build from the same facts (a unit holding only its file), releasing
-// their parsed ASTs: each unit's records keep their identity and facts,
-// and only lose their declaration and memoized CFG, and its global names
-// stay where they are, in the index. So no name list, generation
-// (UnitGen included) or change feed entry moves, and every reader
-// observes equal facts. Records are cleared on a worker pool; each
-// worker writes only its own units' records.
-//
-// Not safe for concurrent use with readers of the index.
-func (ix *Index) Demote(paths []string) {
-	par.For(par.Workers(len(paths)), len(paths), func(i int) {
-		for _, fa := range ix.unitFuncs[paths[i]] {
-			fa.Demote()
-		}
-	})
-	for _, p := range paths {
-		ix.Units[p] = &ccast.TranslationUnit{File: ix.Units[p].File}
-	}
 }

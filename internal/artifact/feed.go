@@ -14,9 +14,8 @@ import (
 // in the corpus — the fine-grained dependency and early-cutoff idea of
 // "Build Systems à la Carte" (Mokhov, Mitchell, Peyton Jones, ICFP 2018).
 //
-// Only Apply records. Build, BuildFromRecords and Demote record
-// nothing: a new index is a new corpus to its consumers, and demotion
-// moves no fact by construction.
+// Only Apply records. Build and BuildFromRecords record nothing: a new
+// index is a new corpus to its consumers.
 
 // Change is the set of rule-visible facts that moved for one name.
 type Change uint8

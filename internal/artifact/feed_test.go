@@ -185,7 +185,7 @@ func TestApplyFeedMatchesReference(t *testing.T) {
 			cur[tu.File.Path] = tu
 		}
 		gen := ix.Gen()
-		ix.Apply(s.upserts, s.removals)
+		applyUnits(ix, s.upserts, s.removals)
 		was := ref
 		ref = referenceViews(cur)
 		requireReferenceViews(t, s.what, ix, ref, seen)

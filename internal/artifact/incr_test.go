@@ -13,6 +13,21 @@ func parseOne(t *testing.T, path, src string) *ccast.TranslationUnit {
 	return parseIn(t, path, "", src)
 }
 
+// applyUnits analyzes the parsed upserts and applies them, with the
+// removals, as one Index.Apply: a delta's commit in core.Assessor hands
+// Apply the records its per-file step analyzed.
+func applyUnits(ix *artifact.Index, upserts []*ccast.TranslationUnit, removals []string) {
+	units := make(map[string]*ccast.TranslationUnit, len(upserts))
+	recs := make(map[string][]*artifact.Func, len(upserts))
+	globals := make(map[string][]string, len(upserts))
+	for _, tu := range upserts {
+		p := tu.File.Path
+		units[p] = tu
+		recs[p], globals[p] = artifact.AnalyzeUnit(tu)
+	}
+	ix.Apply(units, recs, globals, removals)
+}
+
 // smallUnits builds a three-file corpus for delta tests.
 func smallUnits(t *testing.T) map[string]*ccast.TranslationUnit {
 	t.Helper()
@@ -56,7 +71,7 @@ func TestApplyReplaceMatchesFullBuild(t *testing.T) {
 	}
 
 	edited := parseOne(t, "m/b.c", "int gb;\nint fb(int x) { while (x > 0) { x--; } return x; }\n")
-	ix.Apply([]*ccast.TranslationUnit{edited}, nil)
+	applyUnits(ix, []*ccast.TranslationUnit{edited}, nil)
 
 	coldUnits := map[string]*ccast.TranslationUnit{
 		"m/a.c": units["m/a.c"], "n/c.c": units["n/c.c"], "m/b.c": edited,
@@ -88,14 +103,14 @@ func TestApplyAddRemove(t *testing.T) {
 	ix := artifact.Build(units)
 
 	added := parseOne(t, "n/d.c", "int fd(void) { return gc; }\n")
-	ix.Apply([]*ccast.TranslationUnit{added}, nil)
+	applyUnits(ix, []*ccast.TranslationUnit{added}, nil)
 	cold := artifact.Build(map[string]*ccast.TranslationUnit{
 		"m/a.c": units["m/a.c"], "m/b.c": units["m/b.c"],
 		"n/c.c": units["n/c.c"], "n/d.c": added,
 	})
 	requireSameIndex(t, ix, cold)
 
-	ix.Apply(nil, []string{"m/a.c"})
+	applyUnits(ix, nil, []string{"m/a.c"})
 	cold = artifact.Build(map[string]*ccast.TranslationUnit{
 		"m/b.c": units["m/b.c"], "n/c.c": units["n/c.c"], "n/d.c": added,
 	})
@@ -109,7 +124,7 @@ func TestApplyAddRemove(t *testing.T) {
 
 	// Removing a path that is not present is a no-op.
 	before := len(allFuncs(ix))
-	ix.Apply(nil, []string{"missing.c"})
+	applyUnits(ix, nil, []string{"missing.c"})
 	if len(allFuncs(ix)) != before {
 		t.Error("removing a missing path changed the index")
 	}

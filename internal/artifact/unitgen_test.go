@@ -20,7 +20,7 @@ func requireUnitGens(t *testing.T, stage string, ix *artifact.Index, want map[st
 // TestUnitGen pins the per-unit generation the rule and metrics caches
 // key on: a build or restore stamps every unit with the index
 // generation, Apply moves exactly the upserted paths (a module-override
-// move included), a removed path reads 0, and Demote moves nothing.
+// move included), and a removed path reads 0.
 func TestUnitGen(t *testing.T) {
 	ix := artifact.Build(smallUnits(t))
 	g0 := ix.Gen()
@@ -42,7 +42,7 @@ func TestUnitGen(t *testing.T) {
 	requireUnitGens(t, "restore", restored, map[string]uint64{"m/a.c": rg, "m/b.c": rg, "n/c.c": rg})
 
 	// A body edit of m/b.c: only that path moves.
-	ix.Apply([]*ccast.TranslationUnit{parseOne(t, "m/b.c", "int fb(int x) { return x; }\n")}, nil)
+	applyUnits(ix, []*ccast.TranslationUnit{parseOne(t, "m/b.c", "int fb(int x) { return x; }\n")}, nil)
 	g1 := ix.Gen()
 	if g1 <= g0 {
 		t.Fatalf("Apply did not advance the generation: %d -> %d", g0, g1)
@@ -53,7 +53,7 @@ func TestUnitGen(t *testing.T) {
 	// the upsert moves its generation, and it now sits in shard m.
 	moved := parseOne(t, "n/c.c", ix.Units["n/c.c"].File.Src)
 	moved.File.Module = "m"
-	ix.Apply([]*ccast.TranslationUnit{moved}, nil)
+	applyUnits(ix, []*ccast.TranslationUnit{moved}, nil)
 	g2 := ix.Gen()
 	requireUnitGens(t, "module move", ix, map[string]uint64{"m/a.c": g0, "m/b.c": g1, "n/c.c": g2})
 	if ix.Shard("n") != nil || len(ix.Shard("m").Paths()) != 3 {
@@ -61,16 +61,9 @@ func TestUnitGen(t *testing.T) {
 	}
 
 	// Removal: the path reads 0, the others keep their values.
-	ix.Apply(nil, []string{"m/a.c"})
+	applyUnits(ix, nil, []string{"m/a.c"})
 	requireUnitGens(t, "remove", ix, map[string]uint64{"m/a.c": 0, "m/b.c": g1, "n/c.c": g2})
 
-	// Demote swaps in the unit's fact stub without moving anything.
-	before := ix.Gen()
-	ix.Demote([]string{"m/b.c"})
-	if ix.Gen() != before {
-		t.Fatalf("Demote moved the index generation: %d -> %d", before, ix.Gen())
-	}
-	requireUnitGens(t, "demote", ix, map[string]uint64{"m/b.c": g1, "n/c.c": g2})
 	if ix.UnitGen("nope/absent.c") != 0 {
 		t.Fatal("an unknown path has a generation")
 	}

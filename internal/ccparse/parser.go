@@ -60,15 +60,18 @@ type Options struct {
 // Parse parses one file. The returned unit is non-nil even when errors are
 // reported; unparseable regions appear as BadDecl nodes. Its nodes come
 // from a private arena, freed wholesale when the unit becomes
-// unreachable.
+// unreachable: the form for a caller that keeps one unit (tests, tools).
+// core.Assessor parses nothing this way (see ParseInto).
 func Parse(f *srcfile.File, opts Options) (*ccast.TranslationUnit, []*Error) {
 	return ParseInto(f, opts, &ccast.Arena{})
 }
 
 // ParseInto is Parse carving the unit's nodes from the caller's arena a
-// (ignored in reference mode). The unit is valid until a is reset: a
-// caller that reuses one arena across files, as ParseAll's workers and
-// core.Assessor's cold load do, keeps nothing of a unit it resets.
+// (ignored in reference mode). The unit is valid until a is reset.
+// core.Assessor's per-file step (a load, a delta's prepare, a restore's
+// unusable shards) parses every file this way into the arena of a pooled
+// loader, which it resets after the file, keeping nothing of the unit;
+// ParseAll's workers each reuse one arena and never reset it.
 func ParseInto(f *srcfile.File, opts Options, a *ccast.Arena) (*ccast.TranslationUnit, []*Error) {
 	lx := cclex.New(f.Src)
 	lx.CUDA = f.Lang == srcfile.LangCUDA
@@ -2043,9 +2046,9 @@ func charValue(text string) int64 {
 // released when the last unit of the batch becomes unreachable, so the
 // batch has one lifetime. It serves callers that keep every AST at
 // once (the reference engines and the figure experiments);
-// core.Assessor's cold load keeps none and parses one file at a time
-// into a worker arena it resets (ParseInto), and deltas parse single
-// files with private arenas that die one unit at a time.
+// core.Assessor keeps none: its per-file step parses one file at a time,
+// for a load, a delta or a restore, into a pooled loader's arena that it
+// resets after each file (ParseInto).
 func ParseAll(fs *srcfile.FileSet, opts Options) (map[string]*ccast.TranslationUnit, []*Error) {
 	files := fs.Files()
 	workers := opts.Workers

@@ -16,16 +16,21 @@ import (
 	"repro/internal/srcfile"
 )
 
-// FuzzColdLoad pins the cold load's per-file step, and the arena reset
-// between its files, against references that parse every file into an
-// arena of its own batch and keep every AST: a small generated tree,
-// its shape and seed drawn by the fuzzer, plus up to four fuzzed file
-// bodies (body split at NUL bytes), loaded with LoadFileSet, must give
-// the findings rules.RunSequential gives over a fresh ParseAll, and the
-// metrics and arch rows metrics.AnalyzeIndexed and AnalyzeArchIndexed
-// give over artifact.Build. The files are loaded largest first, so a
-// worker's arena reuses chunks a larger file filled, and a node the
-// reset failed to zero shows up as a stale field of a smaller file.
+// FuzzColdLoad pins the per-file step, and the arena reset between its
+// files, against references that parse every file into an arena of its
+// own batch and keep every AST: a small generated tree, its shape and
+// seed drawn by the fuzzer, plus up to four fuzzed file bodies (body
+// split at NUL bytes), loaded with LoadFileSet, must give the findings
+// rules.RunSequential gives over a fresh ParseAll, and the metrics and
+// arch rows metrics.AnalyzeIndexed and AnalyzeArchIndexed give over
+// artifact.Build. The files are loaded largest first, so a worker's
+// arena reuses chunks a larger file filled, and a node the reset failed
+// to zero shows up as a stale field of a smaller file. Then one delta
+// rotates the fuzzed bodies among the fz/ files and removes one
+// generated file, and the same references over the edited tree must
+// hold: the delta's prepare runs the step on a loader the load used and
+// returned to the assessor's pool, so a stale field it carries shows up
+// there too.
 func FuzzColdLoad(f *testing.F) {
 	f.Add(int64(26262), uint8(3), uint8(3), uint8(2), []byte("int f(int x) { if (x) { return g(x); } return 0; }\x00void g(void);\n"))
 	f.Add(int64(7), uint8(2), uint8(5), uint8(4), []byte("int g_v;\nint h(void) { int g_v = 1; return g_v; }\n"))
@@ -37,12 +42,15 @@ func FuzzColdLoad(f *testing.F) {
 		for _, p := range g.Paths() {
 			srcs[p] = g.Source(p)
 		}
+		var fuzzed []string
 		for i, part := range strings.SplitN(string(body), "\x00", 4) {
 			ext := ".c"
 			if i%2 == 1 {
 				ext = ".cu"
 			}
-			srcs[fmt.Sprintf("fz/fuzz%d%s", i, ext)] = part
+			p := fmt.Sprintf("fz/fuzz%d%s", i, ext)
+			srcs[p] = part
+			fuzzed = append(fuzzed, p)
 		}
 		paths := make([]string, 0, len(srcs))
 		for p := range srcs {
@@ -60,22 +68,50 @@ func FuzzColdLoad(f *testing.F) {
 		if err := a.LoadFileSet(fs); err != nil {
 			t.Fatal(err)
 		}
-		units, _ := ccparse.ParseAll(fs, ccparse.Options{})
-		ix := artifact.Build(units)
-		want := rules.RunSequential(rules.NewContextFromIndex(ix), rules.DefaultRules())
-		if got := a.Findings(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("cold-loaded findings differ from the sequential reference:\n%s", findingsDiff(got, want))
+		requireReferences(t, "cold-loaded", a, srcs)
+
+		var d Delta
+		for i, p := range fuzzed {
+			src := srcs[fuzzed[(i+1)%len(fuzzed)]]
+			d.Changed = append(d.Changed, &srcfile.File{Path: p, Src: src})
 		}
-		wm, gm := metrics.AnalyzeIndexed(ix), a.Metrics()
-		if gm.TotalFiles != wm.TotalFiles || gm.TotalLOC != wm.TotalLOC || gm.TotalNLOC != wm.TotalNLOC ||
-			gm.TotalFunc != wm.TotalFunc || gm.ModerateOrWorse != wm.ModerateOrWorse ||
-			!reflect.DeepEqual(gm.Modules, wm.Modules) || !reflect.DeepEqual(gm.Files(), wm.Files()) {
-			t.Fatal("cold-loaded metrics differ from AnalyzeIndexed over artifact.Build")
+		for i, cf := range d.Changed {
+			srcs[fuzzed[i]] = cf.Src
 		}
-		if !reflect.DeepEqual(a.Arch(), metrics.AnalyzeArchIndexed(ix)) {
-			t.Fatal("cold-loaded arch rows differ from AnalyzeArchIndexed over artifact.Build")
+		victim := g.Paths()[len(g.Paths())/2]
+		d.Removed = []string{victim}
+		delete(srcs, victim)
+		if _, err := a.ApplyDelta(d); err != nil {
+			t.Fatal(err)
 		}
+		requireReferences(t, "edited", a, srcs)
 	})
+}
+
+// requireReferences fails unless the assessor's findings, metrics and
+// arch rows equal those of the reference engines over a fresh ParseAll
+// and artifact.Build of srcs.
+func requireReferences(t *testing.T, what string, a *Assessor, srcs map[string]string) {
+	t.Helper()
+	fs := srcfile.NewFileSet()
+	for p, src := range srcs {
+		fs.AddSource(p, src)
+	}
+	units, _ := ccparse.ParseAll(fs, ccparse.Options{})
+	ix := artifact.Build(units)
+	want := rules.RunSequential(rules.NewContextFromIndex(ix), rules.DefaultRules())
+	if got := a.Findings(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s findings differ from the sequential reference:\n%s", what, findingsDiff(got, want))
+	}
+	wm, gm := metrics.AnalyzeIndexed(ix), a.Metrics()
+	if gm.TotalFiles != wm.TotalFiles || gm.TotalLOC != wm.TotalLOC || gm.TotalNLOC != wm.TotalNLOC ||
+		gm.TotalFunc != wm.TotalFunc || gm.ModerateOrWorse != wm.ModerateOrWorse ||
+		!reflect.DeepEqual(gm.Modules, wm.Modules) || !reflect.DeepEqual(gm.Files(), wm.Files()) {
+		t.Fatalf("%s metrics differ from AnalyzeIndexed over artifact.Build", what)
+	}
+	if !reflect.DeepEqual(a.Arch(), metrics.AnalyzeArchIndexed(ix)) {
+		t.Fatalf("%s arch rows differ from AnalyzeArchIndexed over artifact.Build", what)
+	}
 }
 
 // findingsDiff renders the first finding at which two streams differ.

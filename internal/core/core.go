@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/apollocorpus"
 	"repro/internal/artifact"
@@ -67,11 +68,18 @@ type Assessor struct {
 	fw       *metrics.FrameworkMetrics
 	arch     []*metrics.ArchMetrics
 
-	// parsed holds the paths whose unit is a parsed AST: the files a
-	// delta parsed, until the next Assess demotes them and empties the
-	// set. Every other unit is a fact-carrying stub (no statement
-	// bodies), loaded, restored or demoted.
-	parsed map[string]bool
+	// loaders pools the per-file step's loaders (load.go), built for
+	// this assessor's rules. The runtime keeps a pool it has used
+	// registered for up to two collections, so the pool is its own
+	// allocation and nothing in it refers to the assessor: a step binds
+	// a loader to the interner only while it holds it.
+	loaders *sync.Pool
+	// walks and rows hold the rule walk and metrics row the per-file
+	// step made of each file a delta committed since the last Assess:
+	// the rule engine and the metrics cache take them for the files whose
+	// unit generation moved. Every unit is a fact-carrying stub.
+	walks map[string]rules.FileWalk
+	rows  map[string]*metrics.FileMetrics
 	// encoded holds each restored shard's snapshot blocks (nil when the
 	// assessor never restored from a snapshot): ExportState hands them
 	// back for shards still sealed in both caches.
@@ -114,8 +122,10 @@ func NewAssessor(cfg Config) *Assessor {
 		ruleEng: rules.NewSharded(cfg.Rules),
 		mcache:  metrics.NewCache(),
 		acache:  metrics.NewArchCache(),
-		parsed:  make(map[string]bool),
+		walks:   make(map[string]rules.FileWalk),
+		rows:    make(map[string]*metrics.FileMetrics),
 	}
+	a.loaders = &sync.Pool{New: func() any { return &loader{walker: rules.NewWalker(cfg.Rules)} }}
 	return a
 }
 
@@ -162,12 +172,12 @@ func (a *Assessor) EachFinding(fn func([]rules.Finding)) {
 // runRules brings the rule engine up to date with the shared index, once
 // per generation. The sharded engine caches per-file findings, keyed by
 // the index's unit generations, inside per-module shard segments, so
-// after an ApplyDelta only the dirty shard's dirty files are re-checked.
-// An assessment reads only the Stats, so a delta that no reader follows
-// never merges the global stream.
+// after an ApplyDelta it takes only the walks the delta's step made of
+// the files it changed. An assessment reads only the Stats, so a delta
+// that no reader follows never merges the global stream.
 func (a *Assessor) runRules() {
 	if a.stats == nil {
-		a.ruleEng.Update(rules.NewContextFromIndex(a.Index()))
+		a.ruleEng.Update(rules.NewContextFromIndex(a.Index()), a.walks)
 		a.stats = a.ruleEng.Stats()
 		if a.ruleEng.LastFullRecheck() {
 			a.metrics.FullRechecks.Inc()
@@ -195,10 +205,11 @@ func (a *Assessor) Stats() *rules.Stats {
 }
 
 // Metrics returns (and caches) framework metrics from the shared index,
-// reusing per-file rows for files untouched since the previous run.
+// reusing per-file rows for files untouched since the previous run and
+// taking the rows a delta's step computed for the files it changed.
 func (a *Assessor) Metrics() *metrics.FrameworkMetrics {
 	if a.fw == nil {
-		a.fw = a.mcache.AnalyzeIndexed(a.Index())
+		a.fw = a.mcache.AnalyzeIndexed(a.Index(), a.rows)
 	}
 	return a.fw
 }
@@ -245,10 +256,9 @@ func (as *Assessment) Gaps() []iso26262.TopicAssessment {
 	return out
 }
 
-// Assess computes the full compliance verdict set. Once every AST
-// reader of the run is done, it demotes each unit a delta parsed to its
-// fact stub (demote), so the warm state it leaves holds facts, not
-// ASTs.
+// Assess computes the full compliance verdict set. Once it has read the
+// rule statistics and the metrics, both caches hold the walks and rows
+// the deltas since the previous Assess made, so it drops its own.
 func (a *Assessor) Assess() *Assessment {
 	a.runRules()
 	fw := a.Metrics()
@@ -260,7 +270,8 @@ func (a *Assessor) Assess() *Assessment {
 	as.Arch = a.assessArch(fw, arch)
 	as.Unit = a.assessUnit(fw, st)
 	as.Observations = a.observations(fw, st, arch)
-	a.demote()
+	clear(a.walks)
+	clear(a.rows)
 	return as
 }
 

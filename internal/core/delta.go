@@ -6,9 +6,8 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/ccast"
-	"repro/internal/ccparse"
-	"repro/internal/par"
 	"repro/internal/srcfile"
 )
 
@@ -39,9 +38,10 @@ type DeltaResult struct {
 	// Removed counts files dropped.
 	Removed int
 
-	// ParseNs is the wall time PrepareDelta spent parsing dirty files
-	// (the parallel parse fan-out), carried through to the commit so the
-	// serving layer can report a per-request phase breakdown.
+	// ParseNs is the wall time PrepareDelta spent in the per-file step
+	// over the dirty files (parse, facts, rule walk and metrics row),
+	// carried through to the commit so the serving layer can report a
+	// per-request phase breakdown.
 	ParseNs int64
 	// HookNs is the wall time CommitDelta spent inside the commit hook
 	// (the journal stage on the persistent path); subtracting it from
@@ -65,30 +65,31 @@ func (a *Assessor) LoadDir(root string) error {
 	return a.LoadFileSet(fs)
 }
 
-// PreparedDelta is a validated, parsed corpus edit awaiting commit. The
-// expensive, read-only half of a delta (change detection and parsing)
-// happens in PrepareDelta; CommitDelta then mutates the assessor. The
-// serving layer exploits the split for shard-aware concurrency: deltas
-// to disjoint modules prepare in parallel under a read lock and only
-// serialize for the (cheap) commit.
+// PreparedDelta is a validated corpus edit awaiting commit, holding the
+// facts, rule walk and metrics row of each file it changes and no AST.
+// The expensive, read-only half of a delta (change detection and the
+// per-file step) happens in PrepareDelta; CommitDelta then mutates the
+// assessor. The serving layer exploits the split for shard-aware
+// concurrency: deltas to disjoint modules prepare in parallel under a
+// read lock and only serialize for the (cheap) commit.
 type PreparedDelta struct {
 	a       *Assessor
 	dirty   []*srcfile.File
-	parsed  []*ccast.TranslationUnit
+	states  []fileState // the per-file step's output, dirty-aligned
 	removed []string
 	// unchanged counts files whose content matched the corpus at
 	// prepare time.
 	unchanged int
-	// parseNs is the wall time the parse fan-out took.
+	// parseNs is the wall time the per-file step took.
 	parseNs int64
 }
 
-// PrepareDelta validates and parses a corpus edit without mutating any
-// assessor state. It only reads the file set (to detect unchanged
-// content and inherit module overrides), so callers may run several
-// prepares concurrently as long as no commit runs in between — the
-// serving layer holds a read lock here and the write lock across
-// CommitDelta.
+// PrepareDelta validates a corpus edit and runs each changed file
+// through the per-file step (load.go) without mutating any assessor
+// state. It only reads the file set (to detect unchanged content and
+// inherit module overrides), so callers may run several prepares
+// concurrently as long as no commit runs in between — the serving layer
+// holds a read lock here and the write lock across CommitDelta.
 func (a *Assessor) PrepareDelta(d Delta) (*PreparedDelta, error) {
 	if a.fs == nil {
 		return nil, errors.New("core: ApplyDelta before a corpus is loaded")
@@ -121,7 +122,7 @@ func (a *Assessor) PrepareDelta(d Delta) (*PreparedDelta, error) {
 			pd.unchanged++
 			continue
 		}
-		// Normalize before parsing (the parser keys CUDA lexing off
+		// Normalize before the step (the parser keys CUDA lexing off
 		// Lang). Delta files are (path, content) pairs: Lang always
 		// derives from the path — the zero Language value is LangC, so
 		// "caller left it unset" is indistinguishable from an explicit
@@ -139,33 +140,24 @@ func (a *Assessor) PrepareDelta(d Delta) (*PreparedDelta, error) {
 		pd.dirty = append(pd.dirty, f)
 	}
 
-	// Parse the dirty files before any state can be touched, mirroring
-	// LoadFileSet's tolerance: BadDecls are fine, a nil unit is not. Each
-	// unit gets a private arena: it lives until the next Assess demotes
-	// it.
-	parseStart := time.Now()
-	pd.parsed = make([]*ccast.TranslationUnit, len(pd.dirty))
-	perr := make([]*ccparse.Error, len(pd.dirty))
-	par.For(par.Workers(len(pd.dirty)), len(pd.dirty), func(i int) {
-		tu, errs := ccparse.Parse(pd.dirty[i], ccparse.Options{Intern: a.intern})
-		pd.parsed[i] = tu
-		if tu == nil && len(errs) > 0 {
-			perr[i] = errs[0]
-		}
-	})
-	pd.parseNs = time.Since(parseStart).Nanoseconds()
-	for i := range pd.parsed {
-		if pd.parsed[i] == nil {
-			return nil, fmt.Errorf("core: file %s failed to parse: %v", pd.dirty[i].Path, perr[i])
-		}
+	// Run the dirty files through the step before any state can be
+	// touched, with LoadFileSet's tolerance: BadDecls are fine, a nil
+	// unit is not.
+	stepStart := time.Now()
+	states, err := a.step(pd.dirty)
+	pd.parseNs = time.Since(stepStart).Nanoseconds()
+	if err != nil {
+		return nil, err
 	}
+	pd.states = states
 	return pd, nil
 }
 
-// CommitDelta applies a prepared delta: file set, parse map, and the
-// artifact index, which re-analyzes only the upserted units and
-// rebuilds only the dirty shards. Callers must serialize commits
-// (and any reads) on the assessor.
+// CommitDelta applies a prepared delta: the file set, a stub unit per
+// changed file, and the artifact index, which takes the step's records
+// and rebuilds only the dirty shards. The step's walks and rows wait
+// for the rule engine and the metrics cache until the next Assess.
+// Callers must serialize commits (and any reads) on the assessor.
 func (a *Assessor) CommitDelta(pd *PreparedDelta) (*DeltaResult, error) {
 	if pd == nil || pd.a != a {
 		return nil, errors.New("core: CommitDelta with a delta prepared for a different assessor")
@@ -190,22 +182,32 @@ func (a *Assessor) CommitDelta(pd *PreparedDelta) (*DeltaResult, error) {
 	for _, p := range pd.removed {
 		if a.fs.Remove(p) {
 			delete(a.units, p)
-			delete(a.parsed, p)
+			delete(a.walks, p)
+			delete(a.rows, p)
 			removedPaths = append(removedPaths, p)
 			res.Removed++
 		}
 	}
+	units := make(map[string]*ccast.TranslationUnit, len(pd.dirty))
+	recs := make(map[string][]*artifact.Func, len(pd.dirty))
+	globals := make(map[string][]string, len(pd.dirty))
 	for i, f := range pd.dirty {
+		st := &pd.states[i]
 		canon := a.fs.Add(f)
 		// Add replaces in place, keeping the corpus-resident *File
-		// canonical; re-point the fresh unit at it so index, metrics,
-		// and rules all observe one File identity per path.
-		pd.parsed[i].File = canon
-		a.units[canon.Path] = pd.parsed[i]
-		a.parsed[canon.Path] = true
+		// canonical; re-point the records at it so index, metrics, and
+		// rules all observe one File identity per path.
+		for _, fa := range st.recs {
+			fa.File = canon
+		}
+		p := canon.Path
+		units[p] = &ccast.TranslationUnit{File: canon}
+		a.units[p] = units[p]
+		recs[p], globals[p] = st.recs, st.globals
+		a.walks[p], a.rows[p] = st.walk, st.row
 		res.Parsed++
 	}
-	a.ix.Apply(pd.parsed, removedPaths)
+	a.ix.Apply(units, recs, globals, removedPaths)
 	res.DirtyShards = a.ix.LastApply().DirtyShards
 
 	// Drop memoized whole-corpus results; the per-shard caches behind
@@ -223,15 +225,15 @@ func (a *Assessor) CommitDelta(pd *PreparedDelta) (*DeltaResult, error) {
 }
 
 // ApplyDelta applies a corpus edit in place. Only genuinely changed
-// files are re-parsed and only their shards re-indexed; every warm
-// per-file and per-shard cache (rule finding segments, metrics rows,
-// arch partials) survives for untouched shards. The next
-// Assess/Findings/Metrics call recomputes exactly the dirty remainder
-// and yields results byte-identical to a cold full run over the edited
-// corpus.
+// files go through the per-file step and only their shards are
+// re-indexed; every warm per-file and per-shard cache (rule finding
+// segments, metrics rows, arch partials) survives for untouched shards.
+// The next Assess/Findings/Metrics call recomputes exactly the dirty
+// remainder and yields results byte-identical to a cold full run over
+// the edited corpus.
 //
 // On error (unloaded corpus, unparseable file) the assessor state is
-// unchanged: parsing happens before any mutation.
+// unchanged: the step runs before any mutation.
 func (a *Assessor) ApplyDelta(d Delta) (*DeltaResult, error) {
 	pd, err := a.PrepareDelta(d)
 	if err != nil {
@@ -302,10 +304,10 @@ func MergeDeltas(ds []Delta) Delta {
 // ApplyDeltaBatch applies an ordered sequence of corpus edits as ONE
 // commit: the batch folds into its equivalent single delta
 // (MergeDeltas), prepares once — every genuinely changed file across
-// the batch parses in parallel — and commits once, so the commit hook
-// fires once (one journal record, hence one fsync under the group
-// commit discipline), the index applies one combined update, and the
-// memoized projections invalidate once. The post-commit corpus state is
+// the batch goes through the per-file step in parallel — and commits
+// once, so the commit hook fires once (one journal record, hence one
+// fsync under the group commit discipline), the index applies one
+// combined update, and the memoized projections invalidate once. The post-commit corpus state is
 // identical to applying the deltas one at a time; the DeltaResult
 // counts describe the merged delta (a file changed twice counts once).
 // A one-delta batch is exactly ApplyDelta.
@@ -330,9 +332,9 @@ func (a *Assessor) SetCommitHook(h func(changed []*srcfile.File, removed []strin
 	a.commitHook = h
 }
 
-// RuleFilesChecked returns how many files the last Findings() run
-// walked: after a delta, the files it parsed (diagnostics for the
-// serving layer).
+// RuleFilesChecked returns how many files' walks the last Findings()
+// run took: after a load, every file; after a delta, the files it
+// changed (diagnostics for the serving layer).
 func (a *Assessor) RuleFilesChecked() int { return a.ruleEng.LastDirty() }
 
 // RuleConditionsEvaluated returns how many conditioned findings the last
@@ -340,5 +342,6 @@ func (a *Assessor) RuleFilesChecked() int { return a.ruleEng.LastDirty() }
 func (a *Assessor) RuleConditionsEvaluated() int { return a.ruleEng.LastConditions() }
 
 // MetricFilesComputed returns how many per-file metric rows the last
-// Metrics() run recomputed.
+// Metrics() run took from the step: after a load, every file's; after
+// a delta, its changed files'.
 func (a *Assessor) MetricFilesComputed() int { return a.mcache.LastDirty() }

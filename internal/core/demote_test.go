@@ -3,30 +3,10 @@ package core
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
-	"weak"
 
-	"repro/internal/ccast"
 	"repro/internal/srcfile"
 )
-
-// bodyRefs returns weak pointers to every body node of the units under
-// paths; it holds no strong pointer into them once it returns.
-//
-//go:noinline
-func bodyRefs(a *Assessor, paths ...string) []weak.Pointer[byte] {
-	var wps []weak.Pointer[byte]
-	for _, p := range paths {
-		for _, fn := range a.units[p].Funcs() {
-			ccast.Walk(fn.Body, func(n ccast.Node) bool {
-				wps = append(wps, weak.Make((*byte)(reflect.ValueOf(n).UnsafePointer())))
-				return true
-			})
-		}
-	}
-	return wps
-}
 
 // requireNoDecls fails if any record of the assessor's index still
 // holds a declaration, that is, a node of a parsed unit.
@@ -41,13 +21,15 @@ func requireNoDecls(t *testing.T, what string, a *Assessor) {
 	}
 }
 
-// TestAssessReleasesASTs pins that no AST outlives the step that needs
-// it. A cold load keeps none: right after LoadFileSet every unit is a
-// stub and no record holds a declaration, yet the rule engine and the
-// metrics cache have read every file. A restore whose o/ shard lost its
-// finding block runs that shard through the same per-file step, so
-// nothing is parsed after it either. A delta-parsed unit's body nodes
-// die at the first collection after the Assess that demotes it.
+// TestAssessReleasesASTs pins that no AST outlives the per-file step
+// that needs it. A cold load keeps none: right after LoadFileSet every
+// unit is a stub and no record holds a declaration, yet the rule engine
+// and the metrics cache have read every file. A delta keeps none either:
+// right after its CommitDelta, before any read, every unit is a stub and
+// no record holds a declaration, and the rule run that follows takes the
+// walk of the renamed file alone. A restore whose o/ shard lost its
+// finding block runs that shard through the same step, so nothing is
+// parsed after it either.
 func TestAssessReleasesASTs(t *testing.T) {
 	fs := srcfile.NewFileSet()
 	for i := 0; i < 12; i++ {
@@ -72,24 +54,25 @@ func TestAssessReleasesASTs(t *testing.T) {
 	requireNoDecls(t, "after the load", a)
 	a.Assess()
 
-	// Renaming libfn moves a name o/reader.c reads: the delta parses
-	// n/lib.c, and o/reader.c's finding flips without a walk.
-	if _, err := a.ApplyDelta(Delta{Changed: []*srcfile.File{{Path: "n/lib.c",
-		Src: "int libfn2(int v) { if (v) { return v; } return 2; }\n"}}}); err != nil {
+	// Renaming libfn moves a name o/reader.c reads: the delta's step
+	// walks n/lib.c, and o/reader.c's finding flips without a walk.
+	pd, err := a.PrepareDelta(Delta{Changed: []*srcfile.File{{Path: "n/lib.c",
+		Src: "int libfn2(int v) { if (v) { return v; } return 2; }\n"}}})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := a.CommitDelta(pd); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.StubUnits(); n != fs.Len() {
+		t.Fatalf("%d of %d units are stubs after the commit", n, fs.Len())
+	}
+	requireNoDecls(t, "after the commit", a)
 	a.Findings()
 	if n := a.RuleFilesChecked(); n != 1 {
 		t.Fatalf("rename walked %d files, want the edited file", n)
 	}
-	parsed := bodyRefs(a, "n/lib.c")
-	if len(parsed) == 0 {
-		t.Fatal("no delta-parsed body nodes tracked")
-	}
 	a.Assess()
-	if n := a.StubUnits(); n != fs.Len() {
-		t.Fatalf("%d of %d units are stubs after Assess", n, fs.Len())
-	}
 
 	// A restore whose o/ shard lost its finding block recomputes it and
 	// parses nothing that outlives the restore.
@@ -113,17 +96,4 @@ func TestAssessReleasesASTs(t *testing.T) {
 	if !reflect.DeepEqual(r.Findings(), a.Findings()) {
 		t.Fatal("restored findings differ from the live assessor's")
 	}
-
-	runtime.GC()
-	live := 0
-	for _, wp := range parsed {
-		if wp.Value() != nil {
-			live++
-		}
-	}
-	if live > 0 {
-		t.Errorf("%d of %d delta-parsed body nodes survive one collection after Assess", live, len(parsed))
-	}
-	runtime.KeepAlive(a)
-	runtime.KeepAlive(r)
 }

@@ -12,15 +12,15 @@ import (
 	"repro/internal/srcfile"
 )
 
-// This file is the per-file step every parse outside a delta goes
-// through: a cold load runs it for every file, and a restore for the
-// files of each shard whose snapshot blocks it cannot use. A worker
-// parses the file into its own arena, extracts the file's facts, walks
-// the rules over it and computes its metrics row, then clears each
-// record's declaration and resets the arena for its next file. What the
-// step keeps holds facts only, so no AST outlives its own file's step,
-// and the load then fills the caches from those facts as a restore fills
-// them from a snapshot's.
+// This file is the per-file step every parse goes through: a cold load
+// runs it for every file, a delta's prepare for each file it changed,
+// and a restore for the files of each shard whose snapshot blocks it
+// cannot use. A worker parses the file into its loader's arena, extracts
+// the file's facts, walks the rules over it and computes its metrics
+// row, then clears each record's declaration and resets the arena for
+// its next file. What the step keeps holds facts only, so no AST
+// outlives its own file's step: the index and both caches are built
+// from those facts, as a restore builds them from a snapshot's.
 
 // fileState is what the per-file step keeps of one file: its function
 // records (with no declaration), its file-scope variable names, its rule
@@ -32,17 +32,15 @@ type fileState struct {
 	row     *metrics.FileMetrics
 }
 
-// loader is one worker's state for the per-file step: an arena reset
-// after each file, and a rule walker. A loader is never shared between
-// goroutines, and it lives no longer than the load that made it.
+// loader is one worker's state for the per-file step: parser options
+// bound to the assessor's interner while a step holds it, an arena reset
+// after each file, and a rule walker. Loaders live in the assessor's
+// pool (Assessor.loaders); one is never shared between goroutines, nor
+// between assessors.
 type loader struct {
 	opts   ccparse.Options
 	arena  ccast.Arena
 	walker *rules.Walker
-}
-
-func (a *Assessor) newLoader() *loader {
-	return &loader{opts: ccparse.Options{Intern: a.intern}, walker: rules.NewWalker(a.cfg.Rules)}
 }
 
 // load runs the per-file step for f. The arena is reset only once the
@@ -50,6 +48,7 @@ func (a *Assessor) newLoader() *loader {
 // the names, findings, conditions and row hold no node (arenaescape
 // enforces that for the types that outlive a unit).
 func (l *loader) load(f *srcfile.File) (fileState, error) {
+	defer l.arena.Reset()
 	tu, errs := ccparse.ParseInto(f, l.opts, &l.arena)
 	if tu == nil {
 		return fileState{}, fmt.Errorf("core: file %s failed to parse: %v", f.Path, errs)
@@ -61,64 +60,75 @@ func (l *loader) load(f *srcfile.File) (fileState, error) {
 	for _, fa := range st.recs {
 		fa.Demote()
 	}
-	l.arena.Reset()
 	return st, nil
 }
 
-// LoadFileSet loads a corpus (user-provided source trees take this
-// path): each file goes through the per-file step on a worker pool, the
-// index is built from the records (artifact.BuildFromRecords, as a
-// restore builds it), and the rule and metrics caches are filled from
-// the walks and rows as a restore fills them from a snapshot (the rule
-// engine's Fill and the metrics cache's Fill). Every unit is a stub
-// afterwards. Error-tolerant parsing yields BadDecls; only a file that
-// produced no unit at all fails the load, and then the assessor is left
-// as it was.
-func (a *Assessor) LoadFileSet(fs *srcfile.FileSet) error {
-	files := fs.Files()
+// step runs the per-file step over files on a worker pool, each worker
+// on a loader drawn from the assessor's pool and returned to it after,
+// and returns each file's state in files' order. Error-tolerant parsing
+// yields BadDecls; only a file that produced no unit at all fails the
+// step, with the first such file's error. It reads nothing of the
+// assessor but its interner and rules, so prepares may run it
+// concurrently.
+func (a *Assessor) step(files []*srcfile.File) ([]fileState, error) {
 	states := make([]fileState, len(files))
 	errs := make([]error, len(files))
 	workers := par.Workers(len(files))
 	loaders := make([]*loader, workers)
-	for w := range loaders {
-		loaders[w] = a.newLoader()
-	}
 	par.ForWorkers(workers, len(files), func(w, i int) {
+		if loaders[w] == nil {
+			loaders[w] = a.loaders.Get().(*loader)
+			loaders[w].opts.Intern = a.intern
+		}
 		states[i], errs[i] = loaders[w].load(files[i])
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
+	for _, l := range loaders {
+		if l != nil {
+			l.opts.Intern = nil // an idle loader pins nothing of the assessor
+			a.loaders.Put(l)
 		}
 	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return states, nil
+}
 
+// LoadFileSet loads a corpus (user-provided source trees take this
+// path): each file goes through the per-file step, the index is built
+// from the records (artifact.BuildFromRecords, as a restore builds it),
+// and the rule and metrics caches are filled from the walks and rows as
+// a restore fills them from a snapshot (the rule engine's Fill and the
+// metrics cache's Fill). Every unit is a stub afterwards. Only a file
+// that produced no unit at all fails the load, and then the assessor is
+// left as it was.
+func (a *Assessor) LoadFileSet(fs *srcfile.FileSet) error {
+	files := fs.Files()
+	states, err := a.step(files)
+	if err != nil {
+		return err
+	}
 	units := make(map[string]*ccast.TranslationUnit, len(files))
 	recs := make(map[string][]*artifact.Func, len(files))
 	globals := make(map[string][]string, len(files))
-	byPath := make(map[string]*fileState, len(files))
+	walks := make(map[string]rules.FileWalk, len(files))
+	rows := make(map[string]*metrics.FileMetrics, len(files))
 	for i, f := range files {
+		st := &states[i]
 		units[f.Path] = &ccast.TranslationUnit{File: f}
-		recs[f.Path], globals[f.Path] = states[i].recs, states[i].globals
-		byPath[f.Path] = &states[i]
+		recs[f.Path], globals[f.Path] = st.recs, st.globals
+		walks[f.Path], rows[f.Path] = st.walk, st.row
 	}
 	ix, err := artifact.BuildFromRecords(units, recs, globals)
 	if err != nil {
 		return err
 	}
-	names := ix.ShardNames()
-	walks := make(map[string][]rules.FileWalk, len(names))
-	rows := make(map[string][]*metrics.FileMetrics, len(names))
-	for _, m := range names {
-		paths := ix.Shard(m).Paths()
-		w, r := make([]rules.FileWalk, len(paths)), make([]*metrics.FileMetrics, len(paths))
-		for j, p := range paths {
-			w[j], r[j] = byPath[p].walk, byPath[p].row
-		}
-		walks[m], rows[m] = w, r
-	}
 
 	a.fs, a.units, a.ix = fs, units, ix
-	a.parsed = make(map[string]bool)
+	clear(a.walks)
+	clear(a.rows)
 	a.encoded = nil
 	a.ruleEng.Fill(ix, walks)
 	a.stats = a.ruleEng.Stats()

@@ -18,8 +18,9 @@ import (
 // rename read from another shard, a void flip, a global added under a
 // reader's local name, and two deltas whose names overrun the change
 // feed. The readers' findings flip through their conditioned findings,
-// so every other unit stays a fact stub through the commit and the rule
-// run, and the output equals a cold assessor's.
+// and the changed files' ASTs do not outlive their prepare, so every unit
+// is a fact stub through the commit and the rule run, and the output
+// equals a cold assessor's.
 func TestFirstNameDeltaParsesOnlyItsFiles(t *testing.T) {
 	fs := corpusgen.New(corpusgen.Params{Modules: 3, FilesPerModule: 12,
 		FuncsPerFile: 3, ViolationsPerFile: 2, CrossFile: true}, 7).FileSet()
@@ -84,14 +85,14 @@ func TestFirstNameDeltaParsesOnlyItsFiles(t *testing.T) {
 			if parsed != len(step.ds) {
 				t.Fatalf("%s: parsed %d files, want %d", what, parsed, len(step.ds))
 			}
-			if n, want := a.StubUnits(), a.FileSet().Len()-parsed; n != want {
+			if n, want := a.StubUnits(), a.FileSet().Len(); n != want {
 				t.Fatalf("%s: %d stubs after the commit, want %d", what, n, want)
 			}
 			a.Findings()
 			if n := a.RuleFilesChecked(); n != parsed {
 				t.Fatalf("%s: the rule run walked %d files, want the %d the deltas parsed", what, n, parsed)
 			}
-			if n, want := a.StubUnits(), a.FileSet().Len()-parsed; n != want {
+			if n, want := a.StubUnits(), a.FileSet().Len(); n != want {
 				t.Fatalf("%s: %d stubs after the rule run, want %d", what, n, want)
 			}
 			if a.RuleConditionsEvaluated() == 0 {

@@ -32,19 +32,19 @@ import (
 // never-restarted process. Architectural partials are not persisted;
 // they re-fold from the restored facts without text scans.
 //
-// No stub is ever parsed later: a delta walks only the files it
-// changed, which arrive parsed, and a name whose cross-file facts move
-// flips the rule engine's conditioned findings without a walk. A shard
-// whose finding or metric block is unusable (it failed to decode, or an
-// older format holds no conditions) goes through the cold load's
-// per-file step at restore (load.go), so its files are parsed, walked
-// and dropped one at a time, and both caches are filled completely.
+// No stub is ever parsed later: a delta runs only the files it changed
+// through the per-file step (load.go), and a name whose cross-file facts
+// move flips the rule engine's conditioned findings without a walk. A
+// shard whose finding or metric block is unusable (it failed to decode,
+// or an older format holds no conditions) goes through the same step at
+// restore, so its files are parsed, walked and dropped one at a time,
+// and both caches are filled completely.
 //
-// A cold load is this same fill fed by per-file records instead of a
+// A cold load is this same fill fed by the step's records instead of a
 // snapshot (LoadFileSet), so a cold-loaded and a restored assessor hold
-// the same warm state: stubs, facts, finding lists and rows. The only
-// units ever parsed in the warm state are a delta's, until the next
-// Assess demotes them to the stub a restore would build (demote).
+// the same warm state: stubs, facts, finding lists and rows. The warm
+// state never holds a parsed unit: a delta's step keeps facts only, and
+// its commit stores the stub a restore would build.
 
 // PersistedFile is the serializable projection of one corpus file.
 type PersistedFile struct {
@@ -193,7 +193,7 @@ func (a *Assessor) ExportState() (*PersistedState, error) {
 // with every shard filled from its blocks sealed. A shard whose finding
 // lists, conditions or metric rows are missing (a block that failed to
 // decode, or a finding block of an older format) or do not fit its
-// units goes through the cold load's per-file step instead: both caches
+// units goes through the per-file step (load.go) instead: both caches
 // take that shard from the step's walks and rows, unsealed, and it is
 // left out of the blocks ExportState hands back, so the next snapshot
 // encodes it afresh. Each unusable block is counted (RecomputedBlocks).
@@ -204,7 +204,7 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 	}
 	cfg.TargetASIL = st.Target
 	a := NewAssessor(cfg)
-	if got, want := ruleIDs(a.cfg.Rules), st.RuleIDs; !equalStrings(got, want) {
+	if got, want := ruleIDs(a.cfg.Rules), st.RuleIDs; !slices.Equal(got, want) {
 		return nil, fmt.Errorf("core: snapshot rule set %v does not match engine rule set %v", want, got)
 	}
 	if len(st.Files) == 0 {
@@ -225,41 +225,32 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 
 	// Validate and build each shard's stub units on a worker pool —
 	// the file-set lookups are read-only, and the build writes only
-	// shard-local slices. A shard whose finding or metric block is
-	// unusable goes through the per-file step instead, on the worker's
-	// own loader. The shared maps are filled (and cross-shard duplicates
-	// detected) in a sequential merge in shard order, so errors surface
-	// exactly as a sequential loop would report them.
+	// shard-local slices. The files of a shard whose finding or metric
+	// block is unusable then go through the per-file step together. The
+	// shared maps are filled (and cross-shard duplicates detected) in a
+	// sequential merge in shard order, so validation errors surface
+	// exactly as a sequential loop would report them, before any step
+	// error.
 	type shardStubs struct {
 		tus     []*ccast.TranslationUnit
 		fas     [][]*artifact.Func
 		globals [][]string
 		// findings and rows report whether the shard's cached lists and
-		// rows are usable; when one is not, walks and computed hold the
-		// per-file step's walk and row of each unit.
-		findings, rows bool
-		walks          []rules.FileWalk
-		computed       []*metrics.FileMetrics
-		err            error
+		// rows are usable; when one is not, the shard takes the step.
+		findings, rows, step bool
+		err                  error
 	}
 	parts := make([]shardStubs, len(st.Shards))
-	workers := par.Workers(len(parts))
-	loaders := make([]*loader, workers)
-	par.ForWorkers(workers, len(parts), func(w, k int) {
+	par.For(par.Workers(len(parts)), len(parts), func(k int) {
 		ps, p := &st.Shards[k], &parts[k]
 		p.findings = len(ps.Findings) == len(ps.Units) && condsFit(ps)
 		p.rows = len(ps.Rows) == len(ps.Units) && !slices.Contains(ps.Rows, nil)
-		step := !p.findings || !p.rows
-		if step {
-			if loaders[w] == nil {
-				loaders[w] = a.newLoader()
-			}
-			p.walks = make([]rules.FileWalk, len(ps.Units))
-			p.computed = make([]*metrics.FileMetrics, len(ps.Units))
-		}
+		p.step = !p.findings || !p.rows
 		p.tus = make([]*ccast.TranslationUnit, len(ps.Units))
-		p.fas = make([][]*artifact.Func, len(ps.Units))
-		p.globals = make([][]string, len(ps.Units))
+		if !p.step {
+			p.fas = make([][]*artifact.Func, len(ps.Units))
+			p.globals = make([][]string, len(ps.Units))
+		}
 		for i := range ps.Units {
 			uf := ps.Units[i]
 			f := fs.Lookup(uf.Path)
@@ -271,41 +262,55 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 				p.err = fmt.Errorf("core: snapshot unit %s filed under shard %q but its module is %q", uf.Path, ps.Module, f.ModuleName())
 				return
 			}
-			if !step {
-				p.tus[i], p.fas[i] = artifact.UnitFromFacts(f, uf)
-				p.globals[i] = uf.Globals
+			if p.step {
+				p.tus[i] = &ccast.TranslationUnit{File: f}
 				continue
 			}
-			fst, err := loaders[w].load(f)
-			if err != nil {
-				p.err = err
-				return
-			}
-			p.tus[i] = &ccast.TranslationUnit{File: f}
-			p.fas[i], p.globals[i] = fst.recs, fst.globals
-			p.walks[i], p.computed[i] = fst.walk, fst.row
+			p.tus[i], p.fas[i] = artifact.UnitFromFacts(f, uf)
+			p.globals[i] = uf.Globals
 		}
 	})
+	var stepFiles []*srcfile.File
+	for k := range parts {
+		p := &parts[k]
+		if p.err != nil {
+			return nil, p.err
+		}
+		if p.step {
+			for _, tu := range p.tus {
+				stepFiles = append(stepFiles, tu.File)
+			}
+		}
+	}
+	states, err := a.step(stepFiles)
+	if err != nil {
+		return nil, err
+	}
 	units := make(map[string]*ccast.TranslationUnit, len(st.Files))
 	recs := make(map[string][]*artifact.Func, len(st.Files))
 	globals := make(map[string][]string, len(st.Files))
 	shardFindings := make(map[string][][]rules.Finding, len(st.Shards))
 	shardConds := make(map[string]*rules.Conditions, len(st.Shards))
 	shardRows := make(map[string][]*metrics.FileMetrics, len(st.Shards))
-	walked := make(map[string][]rules.FileWalk)
-	computed := make(map[string][]*metrics.FileMetrics)
+	walks := make(map[string]rules.FileWalk, len(stepFiles))
+	rows := make(map[string]*metrics.FileMetrics, len(stepFiles))
 	encoded := make(map[string]*EncodedShard, len(st.Shards))
 	for k := range st.Shards {
 		ps, p := &st.Shards[k], &parts[k]
-		if p.err != nil {
-			return nil, p.err
-		}
 		for i := range ps.Units {
 			path := ps.Units[i].Path
 			if units[path] != nil {
 				return nil, fmt.Errorf("core: snapshot holds unit %s twice", path)
 			}
-			units[path], recs[path], globals[path] = p.tus[i], p.fas[i], p.globals[i]
+			units[path] = p.tus[i]
+			if !p.step {
+				recs[path], globals[path] = p.fas[i], p.globals[i]
+				continue
+			}
+			fst := &states[0]
+			states = states[1:]
+			recs[path], globals[path] = fst.recs, fst.globals
+			walks[path], rows[path] = fst.walk, fst.row
 		}
 		if !p.findings {
 			a.recomputed++
@@ -313,10 +318,9 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 		if !p.rows {
 			a.recomputed++
 		}
-		if p.walks != nil {
+		if p.step {
 			// The step's walks and rows fill both caches, and the shard
 			// stays out of encoded, so ExportState encodes it afresh.
-			walked[ps.Module], computed[ps.Module] = p.walks, p.computed
 			continue
 		}
 		shardFindings[ps.Module], shardConds[ps.Module] = ps.Findings, ps.Conds
@@ -352,8 +356,8 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 
 	a.fs, a.units, a.ix = fs, units, ix
 	a.encoded = encoded
-	a.ruleEng.RestoreCache(ix, st.CorpusFindings, shardFindings, shardConds, walked)
-	a.mcache.RestoreRows(ix, shardRows, computed)
+	a.ruleEng.RestoreCache(ix, st.CorpusFindings, shardFindings, shardConds, walks)
+	a.mcache.RestoreRows(ix, shardRows, rows)
 	return a, nil
 }
 
@@ -363,26 +367,18 @@ func RestoreAssessorFrom(cfg Config, src StateSource) (*Assessor, error) {
 // shard. Zero for assessors that never restored.
 func (a *Assessor) RecomputedBlocks() int { return a.recomputed }
 
-// StubUnits reports how many units are fact-carrying stubs rather than
-// parsed ASTs. Diagnostics and tests only.
-func (a *Assessor) StubUnits() int { return len(a.units) - len(a.parsed) }
-
-// demote turns every unit a delta parsed back into the fact stub a
-// restore would build from it (artifact.Index.Demote), so its parse
-// arena can be collected, and empties the parsed set. Assess calls it
-// once every AST reader of the run — the rule walk, the dirty metric
-// rows, the arch fold — is done; with nothing parsed it costs O(1).
-func (a *Assessor) demote() {
-	if len(a.parsed) == 0 {
-		return
+// StubUnits reports how many units hold no declaration: neither the
+// unit nor any of its function records points into an AST. Every unit
+// does once a load, a restore or a commit returns. Diagnostics and tests
+// only.
+func (a *Assessor) StubUnits() int {
+	n := 0
+	for p, tu := range a.units {
+		if len(tu.Decls) == 0 && !slices.ContainsFunc(a.ix.UnitFuncs(p), func(fa *artifact.Func) bool { return fa.Decl != nil }) {
+			n++
+		}
 	}
-	paths := make([]string, 0, len(a.parsed))
-	for p := range a.parsed {
-		paths = append(paths, p)
-	}
-	slices.Sort(paths)
-	a.Index().Demote(paths)
-	a.parsed = make(map[string]bool)
+	return n
 }
 
 // condsFit reports whether a shard's conditions fit its units: one list
@@ -400,18 +396,6 @@ func condsFit(ps *PersistedShard) bool {
 			if int(cd.Name) >= len(c.Names) || int(cd.Func) >= len(ps.Units[i].Funcs) {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
 		}
 	}
 	return true

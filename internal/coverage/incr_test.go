@@ -45,7 +45,8 @@ func TestRecorderForUnitAcrossDelta(t *testing.T) {
 	if len(es) > 0 {
 		t.Fatal(es[0])
 	}
-	ix.Apply([]*ccast.TranslationUnit{tu}, nil)
+	recs, globals := artifact.AnalyzeUnit(tu)
+	ix.Apply(map[string]*ccast.TranslationUnit{f.Path: tu}, map[string][]*artifact.Func{f.Path: recs}, map[string][]string{f.Path: globals}, nil)
 
 	after := graphsOf("m/a.c")
 	for i := range before {

@@ -39,9 +39,10 @@ var longLived = map[string]map[string]bool{
 	"cclex":   {"Interner": true},
 	"rules":   {"Sharded": true, "Finding": true, "Stats": true, "FileWalk": true, "Conditions": true},
 	"metrics": {"Cache": true, "ArchCache": true, "FileMetrics": true, "FunctionMetrics": true, "ModuleMetrics": true, "ArchMetrics": true},
-	// fileState is what the cold load's per-file step keeps once it has
-	// reset the worker's arena.
-	"core": {"PersistedState": true, "PersistedShard": true, "EncodedShard": true, "fileState": true},
+	// fileState is what the per-file step keeps once it has reset the
+	// loader's arena; a PreparedDelta carries it from the corpus read
+	// lock to the write lock.
+	"core": {"PersistedState": true, "PersistedShard": true, "EncodedShard": true, "fileState": true, "PreparedDelta": true},
 	"artifact": {
 		// Facts are the persisted, AST-free projection of a unit; a
 		// node smuggled into them defeats the whole snapshot design.

@@ -67,13 +67,6 @@ var interruptAPIs = map[string]bool{
 	"signal": true, "sigaction": true, "request_irq": true,
 }
 
-// AnalyzeArch computes architectural metrics for every module. It builds
-// a fresh artifact index internally; callers that already hold one should
-// use AnalyzeArchIndexed.
-func AnalyzeArch(units map[string]*ccast.TranslationUnit) []*ArchMetrics {
-	return AnalyzeArchIndexed(artifact.Build(units))
-}
-
 // AnalyzeArchIndexed computes architectural metrics from the shared
 // artifact cache. The seed implementation re-walked every function body
 // for its call expressions; the cached per-function call inventory makes

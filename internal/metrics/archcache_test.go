@@ -55,7 +55,7 @@ func TestArchCacheMatchesAnalyzeArchIndexed(t *testing.T) {
 	requireSameArch(t, "move", c.AnalyzeIndexed(ix), metrics.AnalyzeArchIndexed(ix))
 
 	// Removal.
-	ix.Apply(nil, []string{"o/d.c"})
+	applyUnits(ix, nil, []string{"o/d.c"})
 	requireSameArch(t, "remove", c.AnalyzeIndexed(ix), metrics.AnalyzeArchIndexed(ix))
 
 	// A module move hidden behind more change-feed entries than the feed
@@ -121,5 +121,5 @@ func reparse(t *testing.T, ix *artifact.Index, path, src string) {
 	if len(errs) > 0 {
 		t.Fatalf("parse %s: %v", path, errs[0])
 	}
-	ix.Apply([]*ccast.TranslationUnit{tu}, nil)
+	applyUnits(ix, []*ccast.TranslationUnit{tu}, nil)
 }

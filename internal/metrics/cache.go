@@ -6,17 +6,18 @@ import (
 	"sort"
 
 	"repro/internal/artifact"
-	"repro/internal/par"
 )
 
-// Cache is a shard-aware per-file metrics cache. A warm AnalyzeIndexed
-// consults the index's per-module shard generations: clean shards keep
-// their cached file rows and module partial without being scanned at
-// all; in a dirty shard only the files whose unit generation
-// (artifact.Index.UnitGen) moved are recomputed, and the shard's module
-// partial moves by those files' differences: the replaced and removed
-// rows are subtracted and the recomputed ones added (count), the same
-// function a cold fill and RestoreRows add every row with. Every
+// Cache is a shard-aware per-file metrics cache. It computes no row: a
+// load fills it with every file's row (Fill, RestoreRows), and a warm
+// AnalyzeIndexed takes the rows its caller computed for the files that
+// changed. AnalyzeIndexed consults the index's per-module shard
+// generations: clean shards keep their cached file rows and module
+// partial without being scanned at all; in a dirty shard only the files
+// whose unit generation (artifact.Index.UnitGen) moved take new rows,
+// and the shard's module partial moves by those files' differences: the
+// replaced and removed rows are subtracted and the new ones added
+// (count), the same function a fill adds every row with. Every
 // counter is an integer, so the result cannot drift; the corpus totals
 // are the sums of the module partials, and the result is identical to
 // the cache-free AnalyzeIndexed over the same index. MaxCCN is the one
@@ -31,15 +32,14 @@ import (
 // changed shard therefore gets a fresh row list and a fresh module
 // partial, and a list or partial handed out is never written again.
 //
-// A recomputed row reads each function's span, so every dirty file must
-// be parsed: a delta's files are, and a load fills every other row
-// (Fill, RestoreRows). Cache is not safe for concurrent use; the
-// Assessor serializes access.
+// Rows come from the parse of their file (FileRow, in core.Assessor's
+// per-file step), so the cache never reads an AST. Cache is not safe
+// for concurrent use; the Assessor serializes access.
 type Cache struct {
 	ix     *artifact.Index
 	shards map[string]*metricShard
-	// lastDirty records how many rows the previous AnalyzeIndexed
-	// recomputed.
+	// lastDirty records how many rows the previous fill or
+	// AnalyzeIndexed took.
 	lastDirty int
 }
 
@@ -63,18 +63,19 @@ func NewCache() *Cache {
 	return &Cache{shards: make(map[string]*metricShard)}
 }
 
-// LastDirty returns the number of file rows the previous AnalyzeIndexed
-// recomputed.
+// LastDirty returns the number of file rows the previous fill or
+// AnalyzeIndexed took.
 func (c *Cache) LastDirty() int { return c.lastDirty }
 
-// AnalyzeIndexed computes framework metrics from the index, reusing
-// cached per-file rows and per-shard aggregates wherever the shard
-// generations show nothing changed.
-func (c *Cache) AnalyzeIndexed(ix *artifact.Index) *FrameworkMetrics {
+// AnalyzeIndexed computes framework metrics from the index the cache
+// was filled against (Fill, RestoreRows), reusing cached per-file rows
+// and per-shard aggregates wherever the shard generations show nothing
+// changed, and taking from rows the row of each file whose unit
+// generation moved. It fails closed: a changed file without a row, or
+// another index, panics.
+func (c *Cache) AnalyzeIndexed(ix *artifact.Index, rows map[string]*FileMetrics) *FrameworkMetrics {
 	if ix != c.ix {
-		// Generations from another index mean nothing.
-		c.ix = ix
-		c.shards = make(map[string]*metricShard)
+		panic("metrics: AnalyzeIndexed over an index the cache was not filled from")
 	}
 	names := ix.ShardNames()
 	for m := range c.shards {
@@ -83,17 +84,12 @@ func (c *Cache) AnalyzeIndexed(ix *artifact.Index) *FrameworkMetrics {
 		}
 	}
 
-	// Pass 1: in every shard whose generation moved, merge-walk the cached
-	// rows against the current sorted paths (artifact.Index.WalkShard),
-	// reusing a row whose path and unit generation match, and subtracting
-	// every other cached row from a fresh copy of the module partial.
-	type slot struct {
-		ms *metricShard
-		i  int // index into ms.files
-	}
-	var dirtyPaths []string
-	var dirtySlots []slot
-	var dirtyShards []*metricShard
+	// In every shard whose generation moved, merge-walk the cached rows
+	// against the current sorted paths (artifact.Index.WalkShard),
+	// reusing a row whose path and unit generation match, subtracting
+	// every other cached row from a fresh copy of the module partial and
+	// adding the changed files' new rows.
+	c.lastDirty = 0
 	for _, m := range names {
 		sh := ix.Shard(m)
 		ms := c.shards[m]
@@ -116,27 +112,19 @@ func (c *Cache) AnalyzeIndexed(ix *artifact.Index) *FrameworkMetrics {
 				ms.count(old[i], -1) // replaced or removed
 			}
 			if j >= 0 {
-				dirtyPaths = append(dirtyPaths, sh.Paths()[j])
-				dirtySlots = append(dirtySlots, slot{ms, j})
+				p := sh.Paths()[j]
+				fm := rows[p]
+				if fm == nil {
+					panic("metrics: no row of changed file " + p)
+				}
+				ms.files[j] = fm
+				ms.count(fm, 1)
+				c.lastDirty++
 			}
 		})
+		ms.settleMax()
 		ms.paths = slices.Clone(sh.Paths()) // Apply edits the shard's list in place
 		ms.gen, ms.sealed = sh.Gen(), false
-		dirtyShards = append(dirtyShards, ms)
-	}
-	c.lastDirty = len(dirtyPaths)
-
-	// Pass 2: recompute the dirty rows in parallel (the NLOC text scans
-	// dominate), then add them.
-	par.For(par.Workers(len(dirtyPaths)), len(dirtyPaths), func(k int) {
-		p := dirtyPaths[k]
-		dirtySlots[k].ms.files[dirtySlots[k].i] = FileRow(ix.Units[p], ix.UnitFuncs(p))
-	})
-	for _, sl := range dirtySlots {
-		sl.ms.count(sl.ms.files[sl.i], 1)
-	}
-	for _, ms := range dirtyShards {
-		ms.settleMax()
 	}
 	return c.result(ix)
 }

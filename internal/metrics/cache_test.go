@@ -59,20 +59,59 @@ func requireSameMetrics(t *testing.T, stage string, got, want *metrics.Framework
 	}
 }
 
+// cached drives a metrics.Cache as core.Assessor does: its first run
+// fills the cache from every file's row, and each later run hands it
+// the rows of the units Apply upserted since the previous one.
+type cached struct {
+	*metrics.Cache
+	seen uint64 // the index generation of the previous run
+}
+
+func newCached() *cached { return &cached{Cache: metrics.NewCache()} }
+
+func (c *cached) run(ix *artifact.Index) *metrics.FrameworkMetrics {
+	rows := make(map[string]*metrics.FileMetrics)
+	for _, p := range ix.Paths {
+		if ix.UnitGen(p) > c.seen {
+			rows[p] = metrics.FileRow(ix.Units[p], ix.UnitFuncs(p))
+		}
+	}
+	first := c.seen == 0
+	c.seen = ix.Gen()
+	if first {
+		return c.Fill(ix, rows)
+	}
+	return c.AnalyzeIndexed(ix, rows)
+}
+
+// applyUnits analyzes the parsed upserts and applies them, with the
+// removals, as one Index.Apply, as a delta's commit does.
+func applyUnits(ix *artifact.Index, upserts []*ccast.TranslationUnit, removals []string) {
+	units := make(map[string]*ccast.TranslationUnit, len(upserts))
+	recs := make(map[string][]*artifact.Func, len(upserts))
+	globals := make(map[string][]string, len(upserts))
+	for _, tu := range upserts {
+		p := tu.File.Path
+		units[p] = tu
+		recs[p], globals[p] = artifact.AnalyzeUnit(tu)
+	}
+	ix.Apply(units, recs, globals, removals)
+}
+
 func TestCacheMatchesAnalyzeIndexed(t *testing.T) {
 	ix := parseSet(t, map[string]string{
 		"m/a.c": "int fa(int x) { if (x) { return 1; } return 0; }\n",
 		"m/b.c": "// comment\nint fb(void) { return 2; }\n",
 		"n/c.c": "int gc;\nint fc(int a, int b) { return a > b ? a : b; }\n",
 	})
-	c := metrics.NewCache()
+	c := newCached()
 
-	requireSameMetrics(t, "cold", c.AnalyzeIndexed(ix), metrics.AnalyzeIndexed(ix))
+	requireSameMetrics(t, "cold", c.run(ix), metrics.AnalyzeIndexed(ix))
 	if c.LastDirty() != 3 {
 		t.Fatalf("cold dirty = %d, want 3", c.LastDirty())
 	}
 
-	requireSameMetrics(t, "no-op", c.AnalyzeIndexed(ix), metrics.AnalyzeIndexed(ix))
+	requireSameMetrics(t, "no-op", c.run(ix), metrics.AnalyzeIndexed(ix))
 	if c.LastDirty() != 0 {
 		t.Fatalf("no-op dirty = %d, want 0", c.LastDirty())
 	}
@@ -84,35 +123,29 @@ func TestCacheMatchesAnalyzeIndexed(t *testing.T) {
 	if len(errs) > 0 {
 		t.Fatal(errs[0])
 	}
-	ix.Apply([]*ccast.TranslationUnit{tu}, nil)
-	requireSameMetrics(t, "edit", c.AnalyzeIndexed(ix), metrics.AnalyzeIndexed(ix))
+	applyUnits(ix, []*ccast.TranslationUnit{tu}, nil)
+	requireSameMetrics(t, "edit", c.run(ix), metrics.AnalyzeIndexed(ix))
 	if c.LastDirty() != 1 {
 		t.Fatalf("edit dirty = %d, want 1", c.LastDirty())
 	}
 
-	// Demote m/a.c to its fact stub, as an assessment does, then edit its
-	// shard sibling m/b.c. The shard's generation moves, so the cache
-	// compares unit generations: a demotion moves none, and only the
-	// edited file recomputes, so the stub is never read for a row.
-	ix.Demote([]string{"m/a.c"})
+	// Edit m/b.c again. The shard's generation moves, so the cache
+	// compares unit generations, and takes only the edited file's row:
+	// it is handed no other.
 	sib, errs := ccparse.Parse(&srcfile.File{Path: "m/b.c", Lang: srcfile.LangC,
 		Src: "int fb(void) { return 4; }\n"}, ccparse.Options{})
 	if len(errs) > 0 {
 		t.Fatal(errs[0])
 	}
-	ix.Apply([]*ccast.TranslationUnit{sib}, nil)
-	srcs := make(map[string]string, len(ix.Paths))
-	for _, p := range ix.Paths {
-		srcs[p] = ix.Units[p].File.Src
-	}
-	requireSameMetrics(t, "demote then sibling edit", c.AnalyzeIndexed(ix), metrics.AnalyzeIndexed(parseSet(t, srcs)))
+	applyUnits(ix, []*ccast.TranslationUnit{sib}, nil)
+	requireSameMetrics(t, "sibling edit", c.run(ix), metrics.AnalyzeIndexed(ix))
 	if c.LastDirty() != 1 {
-		t.Fatalf("demote then sibling edit dirty = %d, want 1", c.LastDirty())
+		t.Fatalf("sibling edit dirty = %d, want 1", c.LastDirty())
 	}
 
 	// Remove one file: nothing recomputes, stale entry dropped.
-	ix.Apply(nil, []string{"m/a.c"})
-	requireSameMetrics(t, "remove", c.AnalyzeIndexed(ix), metrics.AnalyzeIndexed(ix))
+	applyUnits(ix, nil, []string{"m/a.c"})
+	requireSameMetrics(t, "remove", c.run(ix), metrics.AnalyzeIndexed(ix))
 	if c.LastDirty() != 0 {
 		t.Fatalf("remove dirty = %d, want 0", c.LastDirty())
 	}
@@ -142,7 +175,7 @@ func TestCacheMatchesAnalyzeIndexed(t *testing.T) {
 		for _, files := range st.applies {
 			applyMetricFiles(t, ix, files)
 		}
-		requireSameMetrics(t, st.name, c.AnalyzeIndexed(ix), metrics.AnalyzeIndexed(ix))
+		requireSameMetrics(t, st.name, c.run(ix), metrics.AnalyzeIndexed(ix))
 		if c.LastDirty() != st.dirty {
 			t.Fatalf("%s dirty = %d, want %d", st.name, c.LastDirty(), st.dirty)
 		}
@@ -174,7 +207,7 @@ func applyMetricFiles(t *testing.T, ix *artifact.Index, files map[string]string)
 		}
 		upserts = append(upserts, tu)
 	}
-	ix.Apply(upserts, removals)
+	applyUnits(ix, upserts, removals)
 }
 
 // TestCacheShardRecreation is the regression gate for shard-generation
@@ -188,8 +221,8 @@ func TestCacheShardRecreation(t *testing.T) {
 		"a/1.c": "int fa1(int x) { return x; }\nint fa2(int x) { return x + 1; }\n",
 		"b/1.c": "int fb(int x) { return x; }\n",
 	})
-	c := metrics.NewCache()
-	requireSameMetrics(t, "cold", c.AnalyzeIndexed(ix), metrics.AnalyzeIndexed(ix))
+	c := newCached()
+	requireSameMetrics(t, "cold", c.run(ix), metrics.AnalyzeIndexed(ix))
 
 	// Delta 1: remove all of module a, add module c — the shard count
 	// stays the same, and shard a dies.
@@ -198,8 +231,8 @@ func TestCacheShardRecreation(t *testing.T) {
 	if len(errs) > 0 {
 		t.Fatal(errs[0])
 	}
-	ix.Apply([]*ccast.TranslationUnit{added}, []string{"a/1.c"})
-	requireSameMetrics(t, "kill shard a", c.AnalyzeIndexed(ix), metrics.AnalyzeIndexed(ix))
+	applyUnits(ix, []*ccast.TranslationUnit{added}, []string{"a/1.c"})
+	requireSameMetrics(t, "kill shard a", c.run(ix), metrics.AnalyzeIndexed(ix))
 
 	// Delta 2: re-create module a with different content (one function,
 	// not two). A stale cache entry for the old shard must not survive.
@@ -208,8 +241,8 @@ func TestCacheShardRecreation(t *testing.T) {
 	if len(errs) > 0 {
 		t.Fatal(errs[0])
 	}
-	ix.Apply([]*ccast.TranslationUnit{reborn}, nil)
-	got := c.AnalyzeIndexed(ix)
+	applyUnits(ix, []*ccast.TranslationUnit{reborn}, nil)
+	got := c.run(ix)
 	requireSameMetrics(t, "reborn shard a", got, metrics.AnalyzeIndexed(ix))
 	if got.TotalFunc != 3 {
 		t.Fatalf("TotalFunc = %d after shard recreation, want 3", got.TotalFunc)

@@ -200,13 +200,6 @@ func FileRow(tu *ccast.TranslationUnit, fas []*artifact.Func) *FileMetrics {
 	return fm
 }
 
-// Analyze computes framework-wide metrics over parsed units. It builds a
-// fresh artifact index internally; callers that already hold one should
-// use AnalyzeIndexed to avoid the duplicate traversals.
-func Analyze(units map[string]*ccast.TranslationUnit) *FrameworkMetrics {
-	return AnalyzeIndexed(artifact.Build(units))
-}
-
 // AnalyzeIndexed computes framework-wide metrics from the shared artifact
 // cache. Per-file rows (dominated by the NLOC text scans) are computed on
 // a worker pool; the module aggregation walks files in sorted path order,

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/artifact"
 	"repro/internal/ccast"
 	"repro/internal/ccparse"
 	"repro/internal/srcfile"
@@ -119,7 +120,7 @@ int moderate(int a) {
 		"planning/b.c": `
 int g() { return 2; }`,
 	})
-	fw := Analyze(units)
+	fw := AnalyzeIndexed(artifact.Build(units))
 	if len(fw.Modules) != 2 {
 		t.Fatalf("modules = %d", len(fw.Modules))
 	}
@@ -151,7 +152,7 @@ int f(int a, int b) {
     if (a < 0) return -1;
     return a + b;
 }`})
-	fw := Analyze(units)
+	fw := AnalyzeIndexed(artifact.Build(units))
 	fns := fw.AllFunctions()
 	if len(fns) != 1 {
 		t.Fatalf("functions = %d", len(fns))
@@ -175,7 +176,7 @@ int track() { return 1; }
 int plan() { return detect(); }
 `,
 	})
-	arch := AnalyzeArch(units)
+	arch := AnalyzeArchIndexed(artifact.Build(units))
 	if len(arch) != 2 {
 		t.Fatalf("arch modules = %d", len(arch))
 	}
@@ -207,7 +208,7 @@ func TestAnalyzeArchInterfaceSize(t *testing.T) {
 void small(int a) {}
 void big(int a, int b, int c, int d, int e, int f, int g) {}
 `})
-	arch := AnalyzeArch(units)
+	arch := AnalyzeArchIndexed(artifact.Build(units))
 	if arch[0].MaxInterfaceParams != 7 {
 		t.Errorf("max params = %d, want 7", arch[0].MaxInterfaceParams)
 	}
@@ -220,7 +221,7 @@ void setup() {
     signal(2, 0);
 }
 `})
-	arch := AnalyzeArch(units)
+	arch := AnalyzeArchIndexed(artifact.Build(units))
 	if arch[0].ThreadPrimitives != 1 {
 		t.Errorf("thread primitives = %d", arch[0].ThreadPrimitives)
 	}

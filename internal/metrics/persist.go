@@ -45,25 +45,28 @@ func (c *Cache) ShardRows(module string) ([]*FileMetrics, bool) {
 // RestoreRows seeds the cache against a freshly restored index: every
 // shard in stored (rows read from a snapshot, one per path of the shard
 // in its sorted order) is filled at the current unit generations, its
-// rows added to a fresh module partial as a cold run adds them (count),
-// and marked sealed; every shard in computed (rows the restore computed
-// afresh because its stored block was unusable) is filled the same way,
-// unsealed. A shard in neither is left empty, so the first
-// AnalyzeIndexed recomputes exactly that shard.
-func (c *Cache) RestoreRows(ix *artifact.Index, stored, computed map[string][]*FileMetrics) {
+// rows added to a fresh module partial as every fill adds them (count),
+// and marked sealed; every other shard takes the row of each of its
+// files from computed (rows the restore computed afresh because its
+// stored block was unusable) and is filled the same way, unsealed. It
+// fails closed: a file of a shard with no stored rows and no computed
+// row panics.
+func (c *Cache) RestoreRows(ix *artifact.Index, stored map[string][]*FileMetrics, computed map[string]*FileMetrics) {
 	c.ix = ix
-	c.shards = make(map[string]*metricShard, len(stored)+len(computed))
+	c.shards = make(map[string]*metricShard, len(ix.ShardNames()))
 	c.lastDirty = 0
 	for _, m := range ix.ShardNames() {
+		sh := ix.Shard(m)
 		rows, sealed := stored[m], true
 		if rows == nil {
-			rows, sealed = computed[m], false
+			rows, sealed = make([]*FileMetrics, sh.Len()), false
+			for i, p := range sh.Paths() {
+				if rows[i] = computed[p]; rows[i] == nil {
+					panic("metrics: no row of file " + p + " of a shard with no stored rows")
+				}
+			}
 			c.lastDirty += len(rows)
 		}
-		if rows == nil {
-			continue
-		}
-		sh := ix.Shard(m)
 		ms := &metricShard{gen: sh.Gen(), sealed: sealed, paths: slices.Clone(sh.Paths()), files: rows, gens: ix.UnitGens(sh)}
 		ms.thaw(m)
 		for _, fm := range rows {
@@ -73,10 +76,11 @@ func (c *Cache) RestoreRows(ix *artifact.Index, stored, computed map[string][]*F
 	}
 }
 
-// Fill seeds the cache against a freshly built index from every shard's
-// rows as a cold load computed them (RestoreRows with nothing stored)
-// and returns the framework result; LastDirty counts every row.
-func (c *Cache) Fill(ix *artifact.Index, rows map[string][]*FileMetrics) *FrameworkMetrics {
+// Fill seeds the cache against a freshly built index from every file's
+// row, keyed by path, as a cold load computed them (RestoreRows with
+// nothing stored), and returns the framework result; LastDirty counts
+// every row.
+func (c *Cache) Fill(ix *artifact.Index, rows map[string]*FileMetrics) *FrameworkMetrics {
 	c.RestoreRows(ix, nil, rows)
 	return c.result(ix)
 }

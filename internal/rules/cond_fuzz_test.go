@@ -97,9 +97,10 @@ func condIndex(t *testing.T, srcs map[string]string) *artifact.Index {
 // removes, renames, body edits, a shard's file added and removed, and
 // RestoreCache round trips, some applied back to back before one run.
 // After each run the engine's Findings and Stats must equal
-// RunSequential's over a fresh parse of the same sources. Every unit is
-// demoted to its fact stub after each run, so a walk of a file the
-// deltas since did not change dereferences a nil declaration and fails
+// RunSequential's over a fresh parse of the same sources. Each run
+// hands the engine the walks of the files the deltas since changed and
+// no other (Refresh), and the engine fails closed without a file's
+// walk, so an engine that needed to walk an unchanged file again fails
 // the target.
 func FuzzConditionedFindings(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 4, 0, 1, 2, 3, 1, 5, 0})
@@ -114,7 +115,7 @@ func FuzzConditionedFindings(f *testing.F) {
 		eng := rules.NewSharded(rules.DefaultRules())
 		check := func(step int) {
 			t.Helper()
-			warm := eng.Run(rules.NewContextFromIndex(ix))
+			warm := rules.Refresh(eng, ix)
 			want := rules.RunSequential(rules.NewContextFromIndex(condIndex(t, srcs)), rules.DefaultRules())
 			if got, want := renderFindings(warm), renderFindings(want); !bytes.Equal(got, want) {
 				t.Fatalf("step %d: engine differs from the reference\n%s", step, firstDiff(want, got))
@@ -122,7 +123,6 @@ func FuzzConditionedFindings(f *testing.F) {
 			if !reflect.DeepEqual(eng.Stats(), rules.Aggregate(warm)) {
 				t.Fatalf("step %d: stats differ from a flat Aggregate", step)
 			}
-			ix.Demote(ix.Paths)
 		}
 		check(-1)
 		for k := 0; k+1 < len(ops) && k < 64; k += 2 {
@@ -166,7 +166,7 @@ func FuzzConditionedFindings(f *testing.F) {
 				}
 				upserts = append(upserts, tu)
 			}
-			ix.Apply(upserts, removals)
+			applyUnits(ix, upserts, removals)
 			srcs = next
 			if op&0x80 == 0 { // a set high bit applies the next delta before a run
 				check(k)

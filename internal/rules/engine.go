@@ -3,16 +3,18 @@ package rules
 import (
 	"slices"
 
+	"repro/internal/artifact"
 	"repro/internal/ccast"
 	"repro/internal/par"
 )
 
-// This file implements the fused single-pass walk the sharded engine
-// runs per file. The seed engine gave every rule its own full-corpus
-// traversal (20+ ccast walks over every function body); here each
-// function body is walked exactly once and node events are dispatched to
-// the rules that registered interest. Files are processed in parallel by
-// a worker pool and merged deterministically, so the engine's output is
+// This file implements the fused single-pass walk of one file, which
+// the sharded engine's caches are filled from. The seed engine gave
+// every rule its own full-corpus traversal (20+ ccast walks over every
+// function body); here each function body is walked exactly once and
+// node events are dispatched to the rules that registered interest.
+// Files are walked in parallel (core.Assessor's per-file step, or Run's
+// worker pool) and merged deterministically, so the engine's output is
 // byte-identical to the sequential reference engine (RunSequential)
 // under the total order of sortFindings.
 
@@ -261,7 +263,8 @@ func NewWalker(rs []Rule) *Walker { return &Walker{prog: newProgram(rs)} }
 
 // FileWalk is what one file's walk yields: its findings, sorted under
 // findingLess, without those of its conditions, and the conditions,
-// which the engine evaluates against an index (Sharded.Fill).
+// which the engine evaluates against an index (Sharded.Fill and
+// Update).
 type FileWalk struct {
 	Findings []Finding
 	conds    []condAt
@@ -294,26 +297,21 @@ func (fw FileWalk) withHeld(funcs []*FuncInfo, held func(k int) bool) []Finding 
 	return out
 }
 
-// runUnits walks the given paths on a worker pool, one Walker per
-// worker, and returns each path's findings, sorted under findingLess
-// with those of its conditions that hold, and its conditions,
-// index-aligned.
-func runUnits(ctx *Context, rs []Rule, paths []string) ([][]Finding, [][]condAt) {
-	if len(paths) == 0 {
-		return nil, nil
-	}
-	perFile := make([][]Finding, len(paths))
-	conds := make([][]condAt, len(paths))
+// walkUnits walks the index's parsed units under paths on a worker
+// pool, one Walker per worker, and returns each one's walk by path.
+func walkUnits(ix *artifact.Index, rs []Rule, paths []string) map[string]FileWalk {
+	walks := make([]FileWalk, len(paths))
 	workers := par.Workers(len(paths))
 	walkers := make([]*Walker, workers)
 	for w := range walkers {
 		walkers[w] = NewWalker(rs)
 	}
 	par.ForWorkers(workers, len(paths), func(w, i int) {
-		funcs := ctx.unitFuncs[paths[i]]
-		fw := walkers[w].Walk(ctx.Units[paths[i]], funcs)
-		perFile[i] = fw.withHeld(funcs, func(k int) bool { return fw.conds[k].holds(ctx) })
-		conds[i] = fw.conds
+		walks[i] = walkers[w].Walk(ix.Units[paths[i]], ix.UnitFuncs(paths[i]))
 	})
-	return perFile, conds
+	out := make(map[string]FileWalk, len(paths))
+	for i, p := range paths {
+		out[p] = walks[i]
+	}
+	return out
 }

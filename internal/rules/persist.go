@@ -18,8 +18,8 @@ import (
 // Sealed reports whether a module's shard is still sealed: filled by
 // RestoreCache, never rebuilt since, and valid at the shard's current
 // generation. Every kind of dirtying — a content change, a flipped
-// condition, a block left out of the fill — rebuilds the shard, so a
-// sealed shard's lists are exactly the snapshot's.
+// condition — rebuilds the shard, so a sealed shard's lists are exactly
+// the snapshot's.
 func (s *Sharded) Sealed(module string) bool {
 	if s.ix == nil {
 		return false
@@ -67,62 +67,61 @@ func (s *Sharded) ShardFindings(module string) ([][]Finding, *Conditions, bool) 
 // before the engine has run on its current index. Like ShardFindings it
 // is a view that is replaced, never written, by later runs.
 func (s *Sharded) CorpusFindings() ([]Finding, bool) {
-	return s.corpusSeg, s.ix != nil && s.haveCorpus
+	return s.corpusSeg, s.ix != nil
 }
 
 // RestoreCache seeds the engine against a freshly restored index. A
 // shard present in both shards (one finding list per path of the shard,
 // in its sorted order) and conds (its Conditions, each Func indexing the
-// unit's function list) is filled from them and marked sealed; a shard
-// in walked was walked afresh because its stored lists were unusable,
-// and is filled as a cold load fills it (Fill), unsealed. Every name
-// gets its truth value from the restored index. A shard in none of the
-// three is left empty, so the first Update walks exactly that shard. The
-// engine keeps corpus itself as its corpus segment, and each stored
-// shard's Off as its offsets, so the caller must not write them
+// unit's function list) is filled from them and marked sealed; every
+// other shard's files were walked afresh because its stored lists were
+// unusable, and it is filled from their walks as a cold load fills it
+// (Fill), unsealed. Every name gets its truth value from the restored
+// index. The engine keeps corpus itself as its corpus segment, and each
+// stored shard's Off as its offsets, so the caller must not write them
 // afterwards. The recursion rule's on-cycle set is read back from the
 // corpus segment, so the first graph change after restore updates it
 // instead of re-running the corpus-wide SCC; the segment records no
 // components, so that update roots Tarjan at every on-cycle name, once.
-func (s *Sharded) RestoreCache(ix *artifact.Index, corpus []Finding, shards map[string][][]Finding, conds map[string]*Conditions, walked map[string][]FileWalk) {
+func (s *Sharded) RestoreCache(ix *artifact.Index, corpus []Finding, shards map[string][][]Finding, conds map[string]*Conditions, walks map[string]FileWalk) {
 	s.reset(ix)
 	ctx := NewContextFromIndex(ix)
 	s.corpusSeg = corpus
 	if s.cyc != nil {
 		s.cyc.seed(corpus, ix.ByName)
 	}
-	s.fill(ctx, shards, conds, walked)
+	s.fill(ctx, shards, conds, walks)
 }
 
 // Fill seeds the engine against a freshly built index from the walk of
-// every file (a cold load), each shard's walks in its sorted path order:
-// the restore fill (RestoreCache) fed fresh walks instead of stored
-// lists. Each condition name is evaluated once against the index, and
-// the findings of the conditions that hold are merged into their files'
-// lists. The recursion rule runs its SCC over every defined name, once,
-// and records the components it finds, so a later graph change roots
-// Tarjan only at the components it touches. No shard is sealed: none
-// came from a snapshot.
-func (s *Sharded) Fill(ix *artifact.Index, walked map[string][]FileWalk) {
+// every file (a cold load, or rules.Run), keyed by path: the restore
+// fill (RestoreCache) fed fresh walks instead of stored lists. Each
+// condition name is evaluated once against the index, and the findings
+// of the conditions that hold are merged into their files' lists. The
+// recursion rule runs its SCC over every defined name, once, and records
+// the components it finds, so a later graph change roots Tarjan only at
+// the components it touches. No shard is sealed: none came from a
+// snapshot.
+func (s *Sharded) Fill(ix *artifact.Index, walks map[string]FileWalk) {
 	s.reset(ix)
 	ctx := NewContextFromIndex(ix)
 	if s.cyc != nil {
 		s.cyc.full(ctx)
 		s.corpusSeg = s.cyc.seg
 	}
-	s.fill(ctx, nil, nil, walked)
+	s.fill(ctx, nil, nil, walks)
 }
 
 // fill is the one shard fill of RestoreCache and Fill: it maps every
-// stored shard's condition names to the engine's ids, holds every
-// walked file's conditions (creating an id evaluates its name once),
-// then fills the segments in parallel, merging into each walked file's
-// list the findings of its conditions that hold. The counts are built
-// from zero by adding the corpus segment and every filled list, as a
-// cold Update adds every checked one, and Stats is published.
-func (s *Sharded) fill(ctx *Context, shards map[string][][]Finding, conds map[string]*Conditions, walked map[string][]FileWalk) {
+// stored shard's condition names to the engine's ids, holds the
+// conditions of every other shard's files' walks (creating an id
+// evaluates its name once), then fills the segments in parallel, merging
+// into each walked file's list the findings of its conditions that
+// hold. It fails closed: a file of a shard with no stored lists and no
+// walk panics. The counts are built from zero by adding the corpus
+// segment and every filled list, and Stats is published.
+func (s *Sharded) fill(ctx *Context, shards map[string][][]Finding, conds map[string]*Conditions, walks map[string]FileWalk) {
 	ix := ctx.Index
-	s.haveCorpus = true
 	s.counts = Aggregate(s.corpusSeg)
 	names := ix.ShardNames()
 	type input struct {
@@ -134,18 +133,21 @@ func (s *Sharded) fill(ctx *Context, shards map[string][][]Finding, conds map[st
 	s.lastDirty, s.lastConds = 0, 0
 	for k, m := range names {
 		seg := &shardSeg{readers: make(map[uint32]int)}
-		if w := walked[m]; w != nil {
-			held := make([][]Cond, len(w))
-			for i := range w {
-				held[i] = s.hold(ctx, seg, w[i].conds)
+		c := conds[m]
+		if shards[m] == nil || c == nil {
+			paths := ix.Shard(m).Paths()
+			w := make([]FileWalk, len(paths))
+			held := make([][]Cond, len(paths))
+			for i, p := range paths {
+				fw, ok := walks[p]
+				if !ok {
+					panic("rules: no walk of file " + p + " of a shard with no stored lists")
+				}
+				w[i], held[i] = fw, s.hold(ctx, seg, fw.conds)
 			}
 			seg.coff, seg.conds = concat(held)
 			ins[k] = input{seg: seg, walks: w}
 			s.lastDirty += len(w)
-			continue
-		}
-		c := conds[m]
-		if shards[m] == nil || c == nil {
 			continue
 		}
 		// Map the shard's names to the engine's ids and count them.
@@ -169,9 +171,6 @@ func (s *Sharded) fill(ctx *Context, shards map[string][][]Finding, conds map[st
 	}
 	par.For(par.Workers(len(names)), len(names), func(k int) {
 		in := &ins[k]
-		if in.seg == nil {
-			return
-		}
 		sh := ix.Shard(names[k])
 		if in.walks != nil {
 			in.files = make([][]Finding, len(in.walks))
@@ -186,10 +185,8 @@ func (s *Sharded) fill(ctx *Context, shards map[string][][]Finding, conds map[st
 		in.seg.sealed = in.walks == nil
 	})
 	for k, in := range ins {
-		if in.seg != nil {
-			s.shards[names[k]] = in.seg
-			s.counts.count(in.seg.seg, 1)
-		}
+		s.shards[names[k]] = in.seg
+		s.counts.count(in.seg.seg, 1)
 	}
 	s.collect(names)
 	s.stats = s.counts.clone()

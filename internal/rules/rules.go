@@ -174,9 +174,12 @@ func DefaultRules() []Rule {
 }
 
 // Run executes rules over the context, returning all findings sorted by
-// file then line then rule: one cold run of a fresh sharded engine.
+// file then line then rule: a fresh sharded engine filled (Fill) from
+// the walk of every unit, each of which must be parsed.
 func Run(ctx *Context, rs []Rule) []Finding {
-	return NewSharded(rs).Run(ctx)
+	s := NewSharded(rs)
+	s.Fill(ctx.Index, walkUnits(ctx.Index, rs, ctx.Index.Paths))
+	return s.Findings()
 }
 
 // RunSequential is the seed engine: every rule performs its own pass over

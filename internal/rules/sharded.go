@@ -9,24 +9,25 @@ import (
 )
 
 // This file implements the sharded incremental rule engine, the one rule
-// engine: a cold run (rules.Run, a fresh engine's first Run), a cold
-// load's fill from per-file walks (Fill, persist.go) and every warm run
-// of core.Assessor go through it. It caches per-file findings
-// and conditions (cond.go) and rides the artifact index's module shards,
-// its per-unit generations (artifact.Index.UnitGen) and its per-name
-// change feed (artifact.Index.ChangesSince):
+// engine: a cold run (rules.Run), a cold load's or a restore's fill
+// (Fill, RestoreCache; persist.go) and every warm run of core.Assessor
+// go through it. It walks no file itself: it is filled and updated from
+// the walks its caller made of the files (FileWalk), so it runs over
+// fact stubs. It caches per-file findings and conditions (cond.go) and
+// rides the artifact index's module shards, its per-unit generations
+// (artifact.Index.UnitGen) and its per-name change feed
+// (artifact.Index.ChangesSince):
 //
 //   - dirty detection consults per-shard generations, so a warm run
 //     looks only at the files of shards a delta touched, and within
-//     them walks a file only when its unit generation moved. Such a file
-//     arrives parsed, and no other file is ever walked, so the engine
-//     runs over fact stubs;
-//   - a walk evaluates the file's conditions and merges the findings of
-//     those that hold into the file's list. When the feed reports that
-//     a name's callee voidness or global membership moved, the engine
-//     re-evaluates that name's predicates in its name table (condTable)
-//     and moves the list of each file holding a condition that flipped
-//     by the finding the condition renders, inserted or removed. Each
+//     them takes a file's walk only when its unit generation moved;
+//   - a file's walk has its conditions evaluated and the findings of
+//     those that hold merged into the file's list. When the feed reports
+//     that a name's callee voidness or global membership moved, the
+//     engine re-evaluates that name's predicates in its name table
+//     (condTable) and moves the list of each file holding a condition
+//     that flipped by the finding the condition renders, inserted or
+//     removed. Each
 //     shard counts its conditions per name, so only the shards reading
 //     a flipped name are looked at, and no file is parsed or walked;
 //   - each shard keeps a presorted finding segment (its files' cached
@@ -65,8 +66,7 @@ type Sharded struct {
 	// names is the table of what the shards' conditions wait on.
 	names *condTable
 
-	haveCorpus bool
-	corpusSeg  []Finding // cyc's segment
+	corpusSeg []Finding // cyc's segment
 
 	segs [][]Finding // the previous Update's sorted segments
 	// counts are the statistics of the findings in segs, kept up to date
@@ -145,9 +145,9 @@ func concat[T any](lists [][]T) (off []int, out []T) {
 }
 
 // NewSharded creates a sharded incremental engine over the given rule
-// set. Run reads the artifact index and the per-unit function lists
-// behind its context, so the context must come from NewContext or
-// NewContextFromIndex.
+// set. It holds nothing until Fill or RestoreCache seeds it against an
+// index; Update then follows that index. Contexts must come from
+// NewContext or NewContextFromIndex.
 func NewSharded(rs []Rule) *Sharded {
 	s := &Sharded{rules: rs, shards: make(map[string]*shardSeg), names: newCondTable()}
 	for _, r := range rs {
@@ -158,8 +158,9 @@ func NewSharded(rs []Rule) *Sharded {
 	return s
 }
 
-// LastDirty returns the number of files the previous Update walked:
-// every file on a cold run, then the files whose unit generation moved.
+// LastDirty returns the number of files whose walks the previous fill
+// or Update took: every walked file on a fill, then the files whose
+// unit generation moved.
 func (s *Sharded) LastDirty() int { return s.lastDirty }
 
 // LastConditions returns the number of stored conditions whose predicate
@@ -172,7 +173,7 @@ func (s *Sharded) LastConditions() int { return s.lastConds }
 // re-ran the recursion rule's SCC.
 func (s *Sharded) LastFullRecheck() bool { return s.lastFullRecheck }
 
-// Stats returns the finding statistics of the previous Update,
+// Stats returns the finding statistics of the previous fill or Update,
 // identical to Aggregate over Findings. The value is shared and kept
 // across Updates that move no count; callers must not modify it.
 func (s *Sharded) Stats() *Stats { return s.stats }
@@ -181,7 +182,6 @@ func (s *Sharded) Stats() *Stats { return s.stats }
 func (s *Sharded) reset(ix *artifact.Index) {
 	s.ix = ix
 	s.seen = ix.Gen()
-	s.haveCorpus = false
 	s.shards = make(map[string]*shardSeg)
 	s.names = newCondTable()
 	s.corpusSeg, s.segs = nil, nil
@@ -206,27 +206,22 @@ func (s *Sharded) changesSince(ix *artifact.Index) (map[string]artifact.Change, 
 	return changes, true
 }
 
-// Run executes the rules over the context and returns the global
-// finding stream: Update, then Findings. Output is byte-identical to
-// RunSequential over the same context.
-func (s *Sharded) Run(ctx *Context) []Finding {
-	s.Update(ctx)
-	return s.Findings()
-}
-
 // Update brings the engine's per-shard segments and Stats up to date
-// with the context's index: a warm update after a delta walks only the
-// files whose unit generation moved, flips the conditions of the names
-// whose facts moved, re-copies only the segments of shards whose lists
-// moved, and moves the counts by those lists' differences.
-func (s *Sharded) Update(ctx *Context) {
+// with the context's index, which must be the one the engine was filled
+// from (Fill, RestoreCache): a warm update after a delta takes from
+// walks the walk of each file whose unit generation moved, flips the
+// conditions of the names whose facts moved, re-copies only the
+// segments of shards whose lists moved, and moves the counts by those
+// lists' differences. It fails closed: a changed file without a walk,
+// or another index, panics.
+func (s *Sharded) Update(ctx *Context, walks map[string]FileWalk) {
 	s.lastFullRecheck = false
 	ix := ctx.Index
-	fresh := ix != s.ix
+	if ix != s.ix {
+		panic("rules: Update over an index the engine was not filled from")
+	}
 	var changes map[string]artifact.Change
-	if fresh {
-		s.reset(ix)
-	} else if ix.Gen() != s.seen {
+	if ix.Gen() != s.seen {
 		var ok bool
 		if changes, ok = s.changesSince(ix); !ok {
 			s.lastFullRecheck = true
@@ -242,15 +237,10 @@ func (s *Sharded) Update(ctx *Context) {
 	// engine fell behind it); the flipped ones move their files' lists.
 	s.lastConds = s.names.flip(ctx, changes, s.lastFullRecheck)
 
-	// A warm run collects in diff the net difference of the lists it
-	// replaces or drops: their cached findings subtracted, their new
-	// ones added. A cold run builds the counts from zero instead, so it
-	// only adds.
+	// diff collects the net difference of the lists the update replaces
+	// or drops: their cached findings subtracted, their new ones added.
 	diff := newStats()
-	if fresh {
-		s.counts = diff
-	}
-	// touched lists the replaced and dropped paths, and then the walked
+	// touched lists the replaced and dropped paths, and then the changed
 	// ones, for the on-cycle set's champion checks. released holds their
 	// conditions, uncounted once the walks' are counted, so a name both
 	// hold keeps its id.
@@ -285,8 +275,8 @@ func (s *Sharded) Update(ctx *Context) {
 	// reads a flipped name: merge-walk the cached and current sorted path
 	// lists (artifact.Index.WalkShard), keep a file's findings when its
 	// path and unit generation match (moved by its flipped conditions),
-	// walk the rest, and subtract the cached findings of every file
-	// walked or gone.
+	// take the walk of the rest, and subtract the cached findings of
+	// every file changed or gone.
 	type plan struct {
 		seg   *shardSeg
 		sh    *artifact.Shard
@@ -307,7 +297,7 @@ func (s *Sharded) Update(ctx *Context) {
 			s.shards[m] = seg
 		}
 		flips := slices.ContainsFunc(s.names.flipped, func(id uint32) bool { return seg.readers[id] > 0 })
-		if !fresh && seg.gen == sh.Gen() && !flips {
+		if seg.gen == sh.Gen() && !flips {
 			continue // clean shard: segment reused as-is
 		}
 		pl := plan{seg: seg, sh: sh, files: make([][]Finding, sh.Len()), moved: seg.coff == nil}
@@ -339,23 +329,28 @@ func (s *Sharded) Update(ctx *Context) {
 	}
 	s.lastDirty = len(dirtyPaths)
 
-	// Walk the dirty files (parallel across shards), each file's
-	// findings pre-sorted: within a file the findingLess order is
-	// self-contained, so shard segments concatenate without re-sorting.
-	walked, conds := runUnits(ctx, s.rules, dirtyPaths)
-	held := make([][]Cond, len(walked))
-	for k, fs := range walked {
+	// Take the changed files' walks: hold each one's conditions and merge
+	// into its presorted findings those that hold. Within a file the
+	// findingLess order is self-contained, so shard segments concatenate
+	// without re-sorting.
+	held := make([][]Cond, len(dirtyPaths))
+	for k, p := range dirtyPaths {
+		fw, ok := walks[p]
+		if !ok {
+			panic("rules: no walk of changed file " + p)
+		}
 		sl := dirtySlots[k]
 		pl := &plans[sl.plan]
-		held[k] = s.hold(ctx, pl.seg, conds[k])
+		held[k] = s.hold(ctx, pl.seg, fw.conds)
 		if sl.old < 0 || !slices.Equal(held[k], pl.seg.condsOf(sl.old)) {
 			pl.moved = true
 		}
+		fs := fw.withHeld(ix.UnitFuncs(p), func(j int) bool { return s.names.by[held[k][j].Name].truth })
 		pl.files[sl.file] = fs
 		diff.count(fs, 1)
 	}
 	// A shard whose condition lists moved gets them laid out anew: the
-	// kept files' from the segment, the walked files' just held. Name-
+	// kept files' from the segment, the changed files' just held. Name-
 	// stable body edits, the common delta, move none.
 	for k := range plans {
 		if pl := &plans[k]; pl.moved {
@@ -381,15 +376,9 @@ func (s *Sharded) Update(ctx *Context) {
 	if s.cyc != nil && (!s.cyc.ok || indexMoved) {
 		left, came := s.cyc.update(ctx, changes, append(touched, dirtyPaths...))
 		s.corpusSeg = s.cyc.seg
-		if !fresh {
-			diff.count(left, -1)
-			diff.count(came, 1)
-		}
+		diff.count(left, -1)
+		diff.count(came, 1)
 	}
-	if fresh {
-		diff.count(s.corpusSeg, 1)
-	}
-	s.haveCorpus = true
 
 	// Rebuild the planned shards' segments in parallel: each reads only
 	// its own plan and writes only its own segment, and the merge walks
@@ -403,12 +392,8 @@ func (s *Sharded) Update(ctx *Context) {
 
 	// Publish a new Stats only when a count moved: a body edit that
 	// keeps its file's findings leaves the published value as it was.
-	moved := fresh || s.stats == nil
-	if !fresh && !diff.empty() {
+	if !diff.empty() {
 		s.counts.apply(diff)
-		moved = true
-	}
-	if moved {
 		s.stats = s.counts.clone()
 	}
 }

@@ -25,7 +25,21 @@ func reparse(t *testing.T, ix *artifact.Index, path, src string) {
 	if len(errs) > 0 {
 		t.Fatalf("parse %s: %v", path, errs[0])
 	}
-	ix.Apply([]*ccast.TranslationUnit{tu}, nil)
+	applyUnits(ix, []*ccast.TranslationUnit{tu}, nil)
+}
+
+// applyUnits analyzes the parsed upserts and applies them, with the
+// removals, as one Index.Apply, as a delta's commit does.
+func applyUnits(ix *artifact.Index, upserts []*ccast.TranslationUnit, removals []string) {
+	units := make(map[string]*ccast.TranslationUnit, len(upserts))
+	recs := make(map[string][]*artifact.Func, len(upserts))
+	globals := make(map[string][]string, len(upserts))
+	for _, tu := range upserts {
+		p := tu.File.Path
+		units[p] = tu
+		recs[p], globals[p] = artifact.AnalyzeUnit(tu)
+	}
+	ix.Apply(units, recs, globals, removals)
 }
 
 // shardedCheck runs the sharded engine against the sequential reference
@@ -34,9 +48,8 @@ func reparse(t *testing.T, ix *artifact.Index, path, src string) {
 // re-checked files.
 func shardedCheck(t *testing.T, stage string, eng *rules.Sharded, ix *artifact.Index, wantDirty int) {
 	t.Helper()
-	ctx := rules.NewContextFromIndex(ix)
-	warm := eng.Run(ctx)
-	cold := rules.RunSequential(ctx, rules.DefaultRules())
+	warm := rules.Refresh(eng, ix)
+	cold := rules.RunSequential(rules.NewContextFromIndex(ix), rules.DefaultRules())
 	if got, want := renderFindings(warm), renderFindings(cold); !bytes.Equal(got, want) {
 		t.Fatalf("%s: sharded output differs from sequential reference\n%s", stage, firstDiff(want, got))
 	}
@@ -73,7 +86,7 @@ func TestShardedMatchesColdRun(t *testing.T) {
 
 	// Removing the file undefines its functions, but no remaining file
 	// calls them, so nothing is walked.
-	ix.Apply(nil, []string{victim})
+	applyUnits(ix, nil, []string{victim})
 	shardedCheck(t, "removal", eng, ix, 0)
 	shardedCheck(t, "post-removal rerun", eng, ix, 0)
 }
@@ -112,7 +125,7 @@ func applyFiles(t *testing.T, ix *artifact.Index, files map[string]string) {
 		}
 		upserts = append(upserts, tu)
 	}
-	ix.Apply(upserts, removals)
+	applyUnits(ix, upserts, removals)
 }
 
 func sortedKeys(m map[string]string) []string {
@@ -390,20 +403,18 @@ func restoredEngine(t *testing.T, eng *rules.Sharded, ix *artifact.Index) *rules
 	return restored
 }
 
-// filledEngine returns a new engine filled by Fill from a walk of every
-// file of ix, as a cold load fills one, after checking it answers as a
-// cold run over ix does.
+// filledEngine returns a new engine filled by Fill from one walker's
+// walk of every file of ix, as a cold load's per-file step fills one,
+// after checking it answers as a cold run over ix does.
 func filledEngine(t *testing.T, ix *artifact.Index) *rules.Sharded {
 	t.Helper()
 	w := rules.NewWalker(rules.DefaultRules())
-	walked := make(map[string][]rules.FileWalk)
-	for _, m := range ix.ShardNames() {
-		for _, p := range ix.Shard(m).Paths() {
-			walked[m] = append(walked[m], w.Walk(ix.Units[p], ix.UnitFuncs(p)))
-		}
+	walks := make(map[string]rules.FileWalk)
+	for _, p := range ix.Paths {
+		walks[p] = w.Walk(ix.Units[p], ix.UnitFuncs(p))
 	}
 	eng := rules.NewSharded(rules.DefaultRules())
-	eng.Fill(ix, walked)
+	eng.Fill(ix, walks)
 	if eng.LastDirty() != len(ix.Paths) {
 		t.Fatalf("Fill walked %d files, want %d", eng.LastDirty(), len(ix.Paths))
 	}
@@ -449,8 +460,7 @@ func TestShardedBodyEditChecksOneFile(t *testing.T) {
 	reparse(t, ix, "n/c.c", "void fc(void) { fb(3); fc(); }\n")
 	shardedCheck(t, "recursion edit", eng, ix, 1)
 	found := false
-	ctx := rules.NewContextFromIndex(ix)
-	for _, f := range eng.Run(ctx) {
+	for _, f := range rules.Refresh(eng, ix) {
 		if f.RuleID == "recursion" && f.Function == "fc" {
 			found = true
 		}
@@ -482,7 +492,7 @@ func TestShardedCrossModuleEnv(t *testing.T) {
 	shardedCheck(t, "cold", eng, ix, 2)
 
 	hasIgnored := func() bool {
-		for _, f := range eng.Run(rules.NewContextFromIndex(ix)) {
+		for _, f := range rules.Refresh(eng, ix) {
 			if f.RuleID == "defensive" && f.File == "n/b.c" {
 				return true
 			}

@@ -13,10 +13,11 @@ import (
 )
 
 // TestReplayedBootDemotesUnderReadLock boots over a journal holding two
-// records, whose replay parses units that the boot's assessment then
-// demotes, and races reads under the corpus read lock against deltas,
-// whose prepares hold the same read lock. The final report must equal a
-// fresh assessment of the final files.
+// records, whose replay runs their files through the per-file step and
+// commits them as stubs, and races reads under the corpus read lock
+// against deltas, whose prepares run the same step on pooled loaders
+// under the same read lock. The final report must equal a fresh
+// assessment of the final files.
 func TestReplayedBootDemotesUnderReadLock(t *testing.T) {
 	dir := t.TempDir()
 	ts1, _, _ := newPersistentServer(t, dir)

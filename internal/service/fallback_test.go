@@ -161,10 +161,10 @@ func TestFallbackSeriesMatchAcks(t *testing.T) {
 
 // TestBootLeavesCorpusAssessed pins that a boot ends with every corpus
 // assessed: after a crash that leaves one name-changing delta in the
-// journal, the replay parses the edited file and the boot's assessment
-// flips its reader's finding and demotes the edited file, so every unit
-// is a stub when the server starts and a following /report only reads —
-// it does not move the stub count.
+// journal, the replay runs the edited file through the per-file step
+// and commits its stub, and the boot's assessment flips its reader's
+// finding, so every unit is a stub when the server starts and a
+// following /report only reads — it does not move the stub count.
 func TestBootLeavesCorpusAssessed(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Server {

@@ -101,13 +101,14 @@ type Server struct {
 
 type corpusState struct {
 	// mu guards the assessor: read-held during delta prepares (which
-	// only read the file set) and rendered-projection serves, write-held
+	// read the file set and run each changed file through the per-file
+	// step on pooled loaders) and rendered-projection serves, write-held
 	// for commits and the assessments they trigger. Every path that
 	// writes the corpus — /assess, /delta, compaction, and the boot that
 	// restores and replays it — ends with the corpus assessed, so a
 	// renderer under the read lock only reads: its caches are warm, and
-	// no unit is parsed, so nothing parses or demotes. projMu
-	// serializes the renderers against each other.
+	// no unit holds an AST, so nothing parses. projMu serializes the
+	// renderers against each other.
 	mu sync.RWMutex
 	a  *core.Assessor
 	// cs is the corpus's persistent store (nil on in-memory servers).
@@ -237,9 +238,9 @@ func NewWithStore(d *store.Dir) (*Server, []RestoredCorpus, error) {
 		}
 		a.SetCommitHook(cs.Stage)
 		a.SetMetrics(s.obs.fallback)
-		// Replayed records leave parsed units and cold caches; assessing
-		// here, as every write path does, leaves renderers nothing to
-		// write.
+		// Replayed records leave the step's walks and rows waiting and
+		// the caches behind them; assessing here, as every write path
+		// does, leaves renderers nothing to write.
 		a.Assess()
 		s.corpora[name] = &corpusState{a: a, cs: cs, findings: findingsCache{encoded: s.obs.findingsEncoded}}
 		s.obs.blocksRecomputed.Add(int64(info.Recomputed))
@@ -678,15 +679,17 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	// Shard-aware locking: hold the touched modules for the whole
 	// request (conflicting deltas serialize in arrival order), but run
 	// the expensive prepare phase under only a read lock so deltas to
-	// disjoint modules validate and parse concurrently.
+	// disjoint modules validate, parse, walk and compute their metric
+	// rows concurrently.
 	unlock := st.lockModules(touched)
 	defer unlock()
 
 	// Phase timings are disjoint sub-intervals of the request (the
 	// breakdown sums to at most the middleware's total). "prepare"
-	// covers validation plus the parallel parse under the read lock,
-	// "commit" the in-memory index update (hook time subtracted out as
-	// "journal_stage"), "assess" the re-assessment, "sync_barrier" the
+	// covers validation plus the per-file step (parse, facts, rule walk,
+	// metric row) under the read lock, "commit" the in-memory index
+	// update (hook time subtracted out as "journal_stage"), "assess" the
+	// re-assessment from the step's walks and rows, "sync_barrier" the
 	// group-commit fsync wait after the lock is released.
 	tPrepare := time.Now()
 	st.mu.RLock()

@@ -14,17 +14,17 @@ import (
 	"repro/internal/store"
 )
 
-// TestDemotedStateMatchesRestored pins that Assess leaves a cold-loaded
-// assessor in the state a restore builds. Demotion moves no snapshot
-// byte, and a script of deltas — a body edit, a rename read from
-// another shard, an add, a remove, a delta moving 130 names, and two
-// deltas before one assessment that overrun the change feed — answers
-// byte for byte alike on the demoted assessor and on one restored from
-// its export, each walking exactly the files the deltas parsed, and
-// re-evaluating conditioned findings exactly when a delta moved a name
-// one waits on. At rest after every step, on both sides, every record
-// the index's views hold is one its unit lists (demotion keeps record
-// identity) and carries no declaration.
+// TestDemotedStateMatchesRestored pins that a cold-loaded, assessed
+// assessor holds the state a restore builds. Assessing moves no
+// snapshot byte, and a script of deltas — a body edit, a rename read
+// from another shard, an add, a remove, a delta moving 130 names, and
+// two deltas before one assessment that overrun the change feed —
+// answers byte for byte alike on the cold-loaded assessor and on one
+// restored from its export, each taking the walks of exactly the files
+// the deltas changed, and re-evaluating conditioned findings exactly
+// when a delta moved a name one waits on. At rest after every step, on
+// both sides, every record the index's views hold is one its unit lists
+// and carries no declaration.
 func TestDemotedStateMatchesRestored(t *testing.T) {
 	gen := corpusgen.New(corpusgen.Params{Modules: 4, FilesPerModule: 40,
 		FuncsPerFile: 3, ViolationsPerFile: 2, CrossFile: true}, 19)
@@ -42,7 +42,7 @@ func TestDemotedStateMatchesRestored(t *testing.T) {
 		t.Fatalf("%d of %d units are stubs after Assess", n, fs.Len())
 	}
 	if after := store.EncodeSnapshot(mustExport(t, cold), 7); !bytes.Equal(before, after) {
-		t.Fatalf("demotion moved the snapshot encode: %d vs %d bytes", len(before), len(after))
+		t.Fatalf("Assess moved the snapshot encode: %d vs %d bytes", len(before), len(after))
 	}
 	restored, err := core.RestoreAssessorFrom(core.DefaultConfig(), mustExport(t, cold))
 	if err != nil {
@@ -130,8 +130,7 @@ func TestDemotedStateMatchesRestored(t *testing.T) {
 
 // requireRecordsAtRest checks every record in the index's per-unit
 // lists and its ByName champions: each champion must be a record its
-// unit lists (UnitFuncs), and no record may hold a declaration once
-// Assess has demoted every unit.
+// unit lists (UnitFuncs), and no record may hold a declaration.
 func requireRecordsAtRest(t *testing.T, what string, a *core.Assessor) {
 	t.Helper()
 	ix := a.Index()

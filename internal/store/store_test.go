@@ -163,8 +163,8 @@ func TestRestoredDeltaStaysWarmAndIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A content edit that keeps the exported surface: the restored
-	// engine must walk exactly the dirty file, which arrives parsed, and
-	// parse no stub.
+	// engine must take the walk of exactly the dirty file, made by the
+	// delta's prepare, and parse no stub.
 	victim := gen.Paths()[len(gen.Paths())/2]
 	edit := gen.Source(victim) + "\n// trailing comment\n"
 	d := core.Delta{Changed: []*srcfile.File{{Path: victim, Src: edit}}}
@@ -175,8 +175,8 @@ func TestRestoredDeltaStaysWarmAndIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored.Findings()
-	if n, want := restored.StubUnits(), restored.FileSet().Len()-1; n != want {
-		t.Fatalf("restored delta left %d stubs, want %d: only the edited file is parsed", n, want)
+	if n, want := restored.StubUnits(), restored.FileSet().Len(); n != want {
+		t.Fatalf("restored delta left %d stubs, want %d: no AST outlives the delta's prepare", n, want)
 	}
 	requireIdentical(t, "post-delta", a, restored)
 	if n := restored.RuleFilesChecked(); n != 1 {
@@ -229,8 +229,8 @@ func TestRestoredNameChangeFlipsWithoutParsing(t *testing.T) {
 		}
 	}
 	restored.Findings()
-	if n, stubs := restored.StubUnits(), restored.FileSet().Len()-1; n != stubs {
-		t.Fatalf("name change left %d stubs, want %d: only the added file is parsed", n, stubs)
+	if n, stubs := restored.StubUnits(), restored.FileSet().Len(); n != stubs {
+		t.Fatalf("name change left %d stubs, want %d: no AST outlives the delta's prepare", n, stubs)
 	}
 	requireIdentical(t, "post-invalidation", a, restored)
 	if n := restored.RuleFilesChecked(); n != 1 {
@@ -277,7 +277,8 @@ func putU32Slice(b []byte, off int, v uint32) {
 // TestReplayedBodyEditsStayWarm replays more body-edit records than the
 // index change feed retains entries for, with no rule run in between.
 // Body edits move no cross-file fact, so the first run after recovery
-// must re-check exactly the replayed files and parse no stub.
+// must take the walks of exactly the replayed files, and no unit may
+// hold an AST, after the replay or after that run.
 func TestReplayedBodyEditsStayWarm(t *testing.T) {
 	a, _ := newWarmAssessor(t, 26262)
 	const files, funcs = 4, 40
@@ -336,7 +337,7 @@ func TestReplayedBodyEditsStayWarm(t *testing.T) {
 		t.Fatalf("recover info = %+v, want %d replayed", info, rounds*files)
 	}
 	stubs := rec.StubUnits()
-	if want := rec.FileSet().Len() - files; stubs != want {
+	if want := rec.FileSet().Len(); stubs != want {
 		t.Fatalf("replay left %d stubs, want %d", stubs, want)
 	}
 	rec.Findings()
